@@ -35,6 +35,7 @@
 
 use std::sync::Arc;
 
+use shark_common::hash::{fnv1a, fnv1a_from};
 use shark_common::{DataType, Result, Schema, SharkError, Value};
 
 use crate::column::{EncodedColumn, NullMask};
@@ -51,27 +52,11 @@ pub const SPILL_VERSION: u32 = 2;
 /// Fixed header size: magic + version + table_version + length + checksum.
 pub const SPILL_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 
-/// FNV-1a 64-bit checksum. Cheap, dependency-free, and plenty to detect
-/// truncation or bit rot; this is an integrity check, not a cryptographic
-/// one.
-fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
 /// Frame checksum: FNV-1a 64 over the `table_version` field (as 8
 /// little-endian bytes) followed by the payload, so header-field rot is
 /// caught the same way payload rot is.
 fn frame_checksum(table_version: u64, payload: &[u8]) -> u64 {
-    fnv1a_from(
-        fnv1a_from(FNV_OFFSET, &table_version.to_le_bytes()),
-        payload,
-    )
+    fnv1a_from(fnv1a(&table_version.to_le_bytes()), payload)
 }
 
 fn corrupt(detail: impl Into<String>) -> SharkError {

@@ -67,6 +67,28 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the deterministic fast hasher.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// FNV-1a 64 offset basis: the hash of the empty input, and the value to
+/// start an incremental [`fnv1a_from`] chain with.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64 hash over `bytes`. The one implementation behind
+/// every on-disk and on-wire checksum (spill frames, WAL records,
+/// snapshot/manifest envelopes, SHRKNET frames), spill file names and
+/// statement fingerprints — cheap, dependency-free, and plenty to detect
+/// truncation or bit rot; an integrity check, not a cryptographic one.
+pub fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a 64 of `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
 /// Hash an arbitrary value with the deterministic hasher.
 pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
     let mut hasher = FxHasher::default();
@@ -114,6 +136,16 @@ mod tests {
         let max = *counts.iter().max().unwrap();
         // Reasonably balanced: no partition more than 2x another.
         assert!(max < min * 2, "unbalanced partitioning: {counts:?}");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        // Persisted checksums, file names and fingerprints depend on these
+        // bits never changing.
+        assert_eq!(fnv1a(b""), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a_from(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! hands out RDD and shuffle identifiers, creates source RDDs, and records a
 //! [`JobReport`] (stage timings, simulated duration) for every job it runs.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -13,7 +14,7 @@ use shark_cluster::{ClusterConfig, ClusterSim, CostModel, FailurePlan, InputSour
 
 use crate::cache::CacheManager;
 use crate::rdd::{Data, GeneratorRdd, Rdd};
-use crate::shuffle::ShuffleManager;
+use crate::shuffle::{ShuffleLease, ShuffleManager};
 
 /// Configuration of an [`RddContext`].
 #[derive(Debug, Clone)]
@@ -105,15 +106,21 @@ impl JobReport {
     }
 }
 
+/// How many of the most recent job reports a context remembers. A
+/// long-running server runs an unbounded number of jobs; readers only ever
+/// look at the last few (the latest job, or one query's jobs right after
+/// [`RddContext::clear_job_history`]).
+const JOB_HISTORY_CAP: usize = 256;
+
 pub(crate) struct ContextState {
     pub(crate) config: RddConfig,
     pub(crate) cost: CostModel,
     pub(crate) cluster: Mutex<ClusterSim>,
-    pub(crate) shuffle: ShuffleManager,
+    pub(crate) shuffle: Arc<ShuffleManager>,
     pub(crate) cache: CacheManager,
     next_rdd_id: AtomicUsize,
     next_shuffle_id: AtomicUsize,
-    pub(crate) reports: Mutex<Vec<JobReport>>,
+    reports: Mutex<VecDeque<JobReport>>,
 }
 
 /// The driver: creates RDDs, runs jobs, owns cluster/shuffle/cache state.
@@ -138,11 +145,11 @@ impl RddContext {
                 config,
                 cost,
                 cluster: Mutex::new(cluster),
-                shuffle: ShuffleManager::new(),
+                shuffle: Arc::new(ShuffleManager::new()),
                 cache: CacheManager::new(),
                 next_rdd_id: AtomicUsize::new(0),
                 next_shuffle_id: AtomicUsize::new(0),
-                reports: Mutex::new(Vec::new()),
+                reports: Mutex::new(VecDeque::with_capacity(JOB_HISTORY_CAP)),
             }),
         }
     }
@@ -185,9 +192,13 @@ impl RddContext {
         self.state.next_rdd_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Allocate a fresh shuffle id.
-    pub fn next_shuffle_id(&self) -> usize {
-        self.state.next_shuffle_id.fetch_add(1, Ordering::Relaxed)
+    /// Allocate a fresh shuffle id together with the lease that owns its
+    /// map output.
+    pub(crate) fn new_shuffle(&self) -> Arc<ShuffleLease> {
+        Arc::new(ShuffleLease {
+            manager: self.state.shuffle.clone(),
+            id: self.state.next_shuffle_id.fetch_add(1, Ordering::Relaxed),
+        })
     }
 
     /// Current simulated time of the cluster (seconds since last reset).
@@ -253,19 +264,24 @@ impl RddContext {
         self.state.cluster.lock().simulate_stage(specs)
     }
 
-    /// Record a completed job report.
+    /// Record a completed job report, forgetting the oldest one once
+    /// [`JOB_HISTORY_CAP`] are held.
     pub(crate) fn record_job(&self, report: JobReport) {
-        self.state.reports.lock().push(report);
+        let mut reports = self.state.reports.lock();
+        if reports.len() == JOB_HISTORY_CAP {
+            reports.pop_front();
+        }
+        reports.push_back(report);
     }
 
     /// The report of the most recently completed job, if any.
     pub fn last_job(&self) -> Option<JobReport> {
-        self.state.reports.lock().last().cloned()
+        self.state.reports.lock().back().cloned()
     }
 
-    /// All job reports recorded so far.
+    /// The most recent job reports (a bounded window), oldest first.
     pub fn job_history(&self) -> Vec<JobReport> {
-        self.state.reports.lock().clone()
+        self.state.reports.lock().iter().cloned().collect()
     }
 
     /// Clear recorded job reports.
@@ -342,7 +358,7 @@ mod tests {
         let a = ctx.next_rdd_id();
         let b = ctx.next_rdd_id();
         assert_ne!(a, b);
-        assert_ne!(ctx.next_shuffle_id(), ctx.next_shuffle_id());
+        assert_ne!(ctx.new_shuffle().id(), ctx.new_shuffle().id());
     }
 
     #[test]
@@ -381,5 +397,19 @@ mod tests {
         assert_eq!(ctx.job_history().len(), 1);
         ctx.clear_job_history();
         assert!(ctx.job_history().is_empty());
+        // The history is a ring: the newest reports survive, in order.
+        for i in 0..JOB_HISTORY_CAP + 10 {
+            ctx.record_job(JobReport {
+                name: i.to_string(),
+                ..JobReport::default()
+            });
+        }
+        let history = ctx.job_history();
+        assert_eq!(history.len(), JOB_HISTORY_CAP);
+        assert_eq!(history[0].name, "10");
+        assert_eq!(
+            ctx.last_job().unwrap().name,
+            (JOB_HISTORY_CAP + 9).to_string()
+        );
     }
 }

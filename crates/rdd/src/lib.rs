@@ -41,5 +41,5 @@ pub use executor::Executor;
 pub use metrics::TaskMetrics;
 pub use pair::{Aggregator, PreShuffledRdd};
 pub use rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
-pub use scheduler::{PipelinedJob, StreamingJob};
+pub use scheduler::PipelinedJob;
 pub use shuffle::{MapOutputStats, ShuffleManager, ShuffleSummary};

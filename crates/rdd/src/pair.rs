@@ -22,7 +22,7 @@ use crate::context::{RddContext, StageReport};
 use crate::metrics::TaskMetrics;
 use crate::rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
 use crate::scheduler;
-use crate::shuffle::ShuffleSummary;
+use crate::shuffle::{ShuffleLease, ShuffleSummary};
 
 /// Combiner functions used for shuffle-time aggregation, mirroring Spark's
 /// `Aggregator`: `create` turns the first value for a key into a combiner,
@@ -80,7 +80,7 @@ pub(crate) fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
 /// Shuffle dependency that combines values map-side with an [`Aggregator`]
 /// (stores `(K, C)` pairs).
 pub struct CombineShuffleDep<K: Data + Hash + Eq, V: Data, C: Data> {
-    pub(crate) shuffle_id: usize,
+    pub(crate) lease: Arc<ShuffleLease>,
     pub(crate) num_buckets: usize,
     pub(crate) parent: Rdd<(K, V)>,
     pub(crate) aggregator: Aggregator<V, C>,
@@ -88,7 +88,7 @@ pub struct CombineShuffleDep<K: Data + Hash + Eq, V: Data, C: Data> {
 
 impl<K: Data + Hash + Eq, V: Data, C: Data> ShuffleDepHandle for CombineShuffleDep<K, V, C> {
     fn shuffle_id(&self) -> usize {
-        self.shuffle_id
+        self.lease.id()
     }
     fn num_buckets(&self) -> usize {
         self.num_buckets
@@ -97,13 +97,13 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> ShuffleDepHandle for CombineShuffleD
         self.parent.lineage()
     }
     fn is_materialized(&self, ctx: &RddContext) -> bool {
-        ctx.shuffle_manager().is_complete(self.shuffle_id)
+        ctx.shuffle_manager().is_complete(self.lease.id())
     }
     fn run_map_stage(&self, ctx: &RddContext) -> Result<StageReport> {
         scheduler::run_shuffle_map_stage_combined(
             ctx,
             &self.parent,
-            self.shuffle_id,
+            self.lease.id(),
             self.num_buckets,
             &self.aggregator,
         )
@@ -112,14 +112,14 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> ShuffleDepHandle for CombineShuffleD
 
 /// Shuffle dependency without map-side combining (stores raw `(K, V)` pairs).
 pub struct RepartitionShuffleDep<K: Data + Hash + Eq, V: Data> {
-    pub(crate) shuffle_id: usize,
+    pub(crate) lease: Arc<ShuffleLease>,
     pub(crate) num_buckets: usize,
     pub(crate) parent: Rdd<(K, V)>,
 }
 
 impl<K: Data + Hash + Eq, V: Data> ShuffleDepHandle for RepartitionShuffleDep<K, V> {
     fn shuffle_id(&self) -> usize {
-        self.shuffle_id
+        self.lease.id()
     }
     fn num_buckets(&self) -> usize {
         self.num_buckets
@@ -128,10 +128,10 @@ impl<K: Data + Hash + Eq, V: Data> ShuffleDepHandle for RepartitionShuffleDep<K,
         self.parent.lineage()
     }
     fn is_materialized(&self, ctx: &RddContext) -> bool {
-        ctx.shuffle_manager().is_complete(self.shuffle_id)
+        ctx.shuffle_manager().is_complete(self.lease.id())
     }
     fn run_map_stage(&self, ctx: &RddContext) -> Result<StageReport> {
-        scheduler::run_shuffle_map_stage_raw(ctx, &self.parent, self.shuffle_id, self.num_buckets)
+        scheduler::run_shuffle_map_stage_raw(ctx, &self.parent, self.lease.id(), self.num_buckets)
     }
 }
 
@@ -165,7 +165,7 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, V
     ) -> Result<Vec<(K, C)>> {
         let (pairs, bytes): (Vec<(K, C)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.dep.shuffle_id, partition)?;
+            .fetch(self.dep.lease.id(), partition)?;
         metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
         metrics.add_ops(pairs.len() as f64 * 2.0);
         let mut table: HashMap<K, C> = HashMap::new();
@@ -215,7 +215,7 @@ impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for RepartitionedRdd<K, V> {
     ) -> Result<Vec<(K, V)>> {
         let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.dep.shuffle_id, partition)?;
+            .fetch(self.dep.lease.id(), partition)?;
         metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
         Ok(pairs)
     }
@@ -255,10 +255,10 @@ impl<K: Data + Hash + Eq, V: Data, W: Data> RddImpl<(K, (Vec<V>, Vec<W>))>
     ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>> {
         let (lpairs, lbytes): (Vec<(K, V)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.left.shuffle_id, partition)?;
+            .fetch(self.left.lease.id(), partition)?;
         let (rpairs, rbytes): (Vec<(K, W)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.right.shuffle_id, partition)?;
+            .fetch(self.right.lease.id(), partition)?;
         let source = shuffle_fetch_source(ctx);
         metrics.record_input(lpairs.len() as u64, lbytes, source);
         metrics.record_input(rpairs.len() as u64, rbytes, source);
@@ -285,7 +285,7 @@ impl<K: Data + Hash + Eq, V: Data, W: Data> RddImpl<(K, (Vec<V>, Vec<W>))>
 /// buckets to partitions (used by PDE to coalesce small buckets, §3.1.2).
 pub struct ShuffleReadRdd<K: Data + Hash + Eq, V: Data> {
     id: usize,
-    shuffle_id: usize,
+    lease: Arc<ShuffleLease>,
     assignment: Arc<Vec<Vec<usize>>>,
     parent_lineage: Arc<dyn Lineage>,
     _marker: PhantomData<fn() -> (K, V)>,
@@ -311,7 +311,7 @@ impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadRdd<K, V> {
         let source = shuffle_fetch_source(ctx);
         for &bucket in &self.assignment[partition] {
             let (pairs, bytes): (Vec<(K, V)>, u64) =
-                ctx.shuffle_manager().fetch(self.shuffle_id, bucket)?;
+                ctx.shuffle_manager().fetch(self.lease.id(), bucket)?;
             metrics.record_input(pairs.len() as u64, bytes, source);
             out.extend(pairs);
         }
@@ -326,7 +326,7 @@ impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadRdd<K, V> {
 /// [`Aggregator`] (the reduce side of a PDE-planned aggregation).
 pub struct ShuffleReadAggRdd<K: Data + Hash + Eq, V: Data, C: Data> {
     id: usize,
-    shuffle_id: usize,
+    lease: Arc<ShuffleLease>,
     assignment: Arc<Vec<Vec<usize>>>,
     aggregator: Aggregator<V, C>,
     parent_lineage: Arc<dyn Lineage>,
@@ -353,7 +353,7 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffleReadAggRd
         let mut table: HashMap<K, C> = HashMap::new();
         for &bucket in &self.assignment[partition] {
             let (pairs, bytes): (Vec<(K, V)>, u64) =
-                ctx.shuffle_manager().fetch(self.shuffle_id, bucket)?;
+                ctx.shuffle_manager().fetch(self.lease.id(), bucket)?;
             metrics.record_input(pairs.len() as u64, bytes, source);
             metrics.add_ops(pairs.len() as f64 * 2.0);
             for (k, v) in pairs {
@@ -383,7 +383,7 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffleReadAggRd
 /// run-time re-optimization point of Partial DAG Execution.
 pub struct PreShuffledRdd<K: Data + Hash + Eq, V: Data> {
     ctx: RddContext,
-    shuffle_id: usize,
+    lease: Arc<ShuffleLease>,
     num_buckets: usize,
     summary: ShuffleSummary,
     stage: StageReport,
@@ -409,7 +409,7 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
 
     /// The shuffle id in the shuffle manager.
     pub fn shuffle_id(&self) -> usize {
-        self.shuffle_id
+        self.lease.id()
     }
 
     /// Read the shuffle with an explicit assignment of buckets to reduce
@@ -417,7 +417,7 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
     pub fn read(&self, assignment: Vec<Vec<usize>>) -> Rdd<(K, V)> {
         let inner = ShuffleReadRdd {
             id: self.ctx.next_rdd_id(),
-            shuffle_id: self.shuffle_id,
+            lease: self.lease.clone(),
             assignment: Arc::new(assignment),
             parent_lineage: self.parent_lineage.clone(),
             _marker: PhantomData,
@@ -439,7 +439,7 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
     ) -> Rdd<(K, C)> {
         let inner = ShuffleReadAggRdd {
             id: self.ctx.next_rdd_id(),
-            shuffle_id: self.shuffle_id,
+            lease: self.lease.clone(),
             assignment: Arc::new(assignment),
             aggregator: agg,
             parent_lineage: self.parent_lineage.clone(),
@@ -468,7 +468,7 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     ) -> Rdd<(K, C)> {
         let num_partitions = num_partitions.max(1);
         let dep = Arc::new(CombineShuffleDep {
-            shuffle_id: self.ctx.next_shuffle_id(),
+            lease: self.ctx.new_shuffle(),
             num_buckets: num_partitions,
             parent: self.clone(),
             aggregator: agg,
@@ -518,7 +518,7 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     pub fn partition_by(&self, num_partitions: usize) -> Rdd<(K, V)> {
         let num_partitions = num_partitions.max(1);
         let dep = Arc::new(RepartitionShuffleDep {
-            shuffle_id: self.ctx.next_shuffle_id(),
+            lease: self.ctx.new_shuffle(),
             num_buckets: num_partitions,
             parent: self.clone(),
         });
@@ -557,12 +557,12 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     ) -> Rdd<(K, (Vec<V>, Vec<W>))> {
         let num_partitions = num_partitions.max(1);
         let left = Arc::new(RepartitionShuffleDep {
-            shuffle_id: self.ctx.next_shuffle_id(),
+            lease: self.ctx.new_shuffle(),
             num_buckets: num_partitions,
             parent: self.clone(),
         });
         let right = Arc::new(RepartitionShuffleDep {
-            shuffle_id: self.ctx.next_shuffle_id(),
+            lease: self.ctx.new_shuffle(),
             num_buckets: num_partitions,
             parent: other.clone(),
         });
@@ -601,25 +601,8 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     /// Run the map side of a shuffle *now*, without aggregation, and return
     /// a handle exposing its statistics (the PDE hook).
     pub fn pre_shuffle(&self, num_buckets: usize) -> Result<PreShuffledRdd<K, V>> {
-        let num_buckets = num_buckets.max(1);
-        let shuffle_id = self.ctx.next_shuffle_id();
-        scheduler::ensure_shuffle_deps(&self.ctx, &self.lineage_ref())?;
-        let stage = scheduler::run_shuffle_map_stage_raw(&self.ctx, self, shuffle_id, num_buckets)?;
-        let summary = self.ctx.shuffle_manager().summary(shuffle_id)?;
-        self.ctx.record_job(crate::context::JobReport {
-            name: format!("pre_shuffle({shuffle_id})"),
-            sim_duration: stage.sim_duration,
-            real_duration: 0.0,
-            stages: vec![stage.clone()],
-        });
-        Ok(PreShuffledRdd {
-            ctx: self.ctx.clone(),
-            shuffle_id,
-            num_buckets,
-            summary,
-            stage,
-            parent_lineage: self.lineage(),
-            _marker: PhantomData,
+        self.pre_shuffle_with("pre_shuffle", num_buckets, |shuffle_id, buckets| {
+            scheduler::run_shuffle_map_stage_raw(&self.ctx, self, shuffle_id, buckets)
         })
     }
 
@@ -630,36 +613,45 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
         num_buckets: usize,
         agg: Aggregator<V, C>,
     ) -> Result<PreShuffledRdd<K, C>> {
-        let num_buckets = num_buckets.max(1);
-        let shuffle_id = self.ctx.next_shuffle_id();
-        scheduler::ensure_shuffle_deps(&self.ctx, &self.lineage_ref())?;
-        let stage = scheduler::run_shuffle_map_stage_combined(
-            &self.ctx,
-            self,
-            shuffle_id,
+        self.pre_shuffle_with(
+            "pre_shuffle_combined",
             num_buckets,
-            &agg,
-        )?;
-        let summary = self.ctx.shuffle_manager().summary(shuffle_id)?;
+            |shuffle_id, buckets| {
+                scheduler::run_shuffle_map_stage_combined(
+                    &self.ctx, self, shuffle_id, buckets, &agg,
+                )
+            },
+        )
+    }
+
+    /// Mint a shuffle, run its map stage with `run_map_stage(shuffle_id,
+    /// num_buckets)` and wrap the materialized map side.
+    fn pre_shuffle_with<S: Data>(
+        &self,
+        name: &str,
+        num_buckets: usize,
+        run_map_stage: impl FnOnce(usize, usize) -> Result<StageReport>,
+    ) -> Result<PreShuffledRdd<K, S>> {
+        let num_buckets = num_buckets.max(1);
+        let lease = self.ctx.new_shuffle();
+        scheduler::ensure_shuffle_deps(&self.ctx, self)?;
+        let stage = run_map_stage(lease.id(), num_buckets)?;
+        let summary = self.ctx.shuffle_manager().summary(lease.id())?;
         self.ctx.record_job(crate::context::JobReport {
-            name: format!("pre_shuffle_combined({shuffle_id})"),
+            name: format!("{name}({})", lease.id()),
             sim_duration: stage.sim_duration,
             real_duration: 0.0,
             stages: vec![stage.clone()],
         });
         Ok(PreShuffledRdd {
             ctx: self.ctx.clone(),
-            shuffle_id,
+            lease,
             num_buckets,
             summary,
             stage,
             parent_lineage: self.lineage(),
             _marker: PhantomData,
         })
-    }
-
-    fn lineage_ref(&self) -> Rdd<(K, V)> {
-        self.clone()
     }
 }
 
@@ -841,6 +833,45 @@ mod tests {
                 ("c".to_string(), 5)
             ]
         );
+    }
+
+    #[test]
+    fn map_output_lives_exactly_as_long_as_a_reader() {
+        let ctx = ctx();
+        let mapped = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = mapped.clone();
+        let source = word_pairs(&ctx).map(move |pair| {
+            counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            pair
+        });
+        // Two actions on one shuffled RDD: the map stage runs once, and the
+        // map output is gone as soon as the RDD is.
+        let reduced = source.reduce_by_key(4, |a, b| a + b);
+        assert_eq!(ctx.shuffle_manager().registered(), 0, "nothing ran yet");
+        let first = reduced.count().unwrap();
+        assert_eq!(ctx.shuffle_manager().registered(), 1);
+        assert_eq!(reduced.count().unwrap(), first);
+        assert_eq!(mapped.load(std::sync::atomic::Ordering::SeqCst), 6);
+        let joined = reduced.join(&source, 2);
+        joined.collect().unwrap();
+        assert_eq!(ctx.shuffle_manager().registered(), 3, "both cogroup sides");
+        drop(joined);
+        assert_eq!(ctx.shuffle_manager().registered(), 1);
+        drop(reduced);
+        assert_eq!(ctx.shuffle_manager().registered(), 0);
+
+        // The PDE handle: a reader keeps the buckets after the handle goes.
+        let pre = source.pre_shuffle(4).unwrap();
+        let reader = pre.read(vec![(0..4).collect()]);
+        let agg = Aggregator::new(|v: i64| v, |c, v| c + v, |a, b| a + b);
+        let agg_reader = pre.read_aggregated(vec![(0..4).collect()], agg);
+        drop(pre);
+        assert_eq!(ctx.shuffle_manager().registered(), 1);
+        assert_eq!(reader.collect().unwrap().len(), 6);
+        drop(reader);
+        assert_eq!(agg_reader.collect().unwrap().len(), 3);
+        drop(agg_reader);
+        assert_eq!(ctx.shuffle_manager().registered(), 0);
     }
 
     #[test]

@@ -346,15 +346,6 @@ impl<T: Data> Rdd<T> {
 
     // ----- actions --------------------------------------------------------------
 
-    /// Open a streaming job over this RDD: shuffle dependencies run now,
-    /// result-stage partitions run one at a time as the caller requests
-    /// them (see [`scheduler::StreamingJob`]). This is the incremental
-    /// alternative to [`Rdd::collect`] for consumers that want batches as
-    /// partitions finish — or want to stop early.
-    pub fn stream(&self, name: &str) -> Result<scheduler::StreamingJob<T>> {
-        scheduler::StreamingJob::new(&self.ctx, self, name)
-    }
-
     /// Gather all elements to the driver, in partition order.
     pub fn collect(&self) -> Result<Vec<T>> {
         let parts = scheduler::run_job(&self.ctx, self, "collect", OutputSink::Collect, |v| v)?;

@@ -209,175 +209,6 @@ where
     Ok(values)
 }
 
-/// A job whose result-stage partitions are executed on demand, one at a
-/// time, so the caller can consume output incrementally and stop early.
-///
-/// Construction runs every shuffle map stage the target RDD depends on
-/// (exactly like [`run_job`] would); each [`StreamingJob::run_partition`]
-/// call then executes one result-stage task in-process and places it on the
-/// simulated cluster as a single-task stage — the pipelined-delivery model,
-/// where the driver hands a partition's rows to the client as soon as that
-/// partition finishes instead of waiting for the whole stage barrier.
-/// Partitions that are never requested are never computed, which is what
-/// lets a LIMIT query stop launching tasks once it has enough rows.
-///
-/// A [`JobReport`] covering the stages actually executed is recorded when
-/// the job is dropped (or explicitly via [`StreamingJob::finish`]).
-pub struct StreamingJob<T: Data> {
-    ctx: RddContext,
-    rdd: Rdd<T>,
-    name: String,
-    stages: Vec<StageReport>,
-    /// Simulated seconds spent in the up-front shuffle stages, which run
-    /// before any partition can stream.
-    sim_base: f64,
-    /// Simulated busy time per delivery slot. Streamed partition tasks are
-    /// list-scheduled greedily onto these slots, so a job whose partitions
-    /// were computed by `n` concurrent workers is charged the makespan of
-    /// that schedule instead of the serial sum — unlike the context's
-    /// global simulated clock, this is not advanced by concurrent jobs.
-    sim_slots: Vec<f64>,
-    wall: Instant,
-    partitions_run: usize,
-    finished: bool,
-}
-
-impl<T: Data> StreamingJob<T> {
-    /// Prepare a streaming job over `rdd`: materialize its shuffle
-    /// dependencies now so every subsequent partition request is a pure
-    /// result-stage task.
-    pub fn new(ctx: &RddContext, rdd: &Rdd<T>, name: &str) -> Result<StreamingJob<T>> {
-        let wall = Instant::now();
-        let stages = ensure_shuffle_deps(ctx, rdd)?;
-        let sim_base = stages.iter().map(|s| s.sim_duration).sum();
-        Ok(StreamingJob {
-            ctx: ctx.clone(),
-            rdd: rdd.clone(),
-            name: name.to_string(),
-            stages,
-            sim_base,
-            sim_slots: vec![0.0],
-            wall,
-            partitions_run: 0,
-            finished: false,
-        })
-    }
-
-    /// Number of partitions the result stage has in total.
-    pub fn num_partitions(&self) -> usize {
-        self.rdd.num_partitions()
-    }
-
-    /// How many result-stage partitions have been executed so far.
-    pub fn partitions_run(&self) -> usize {
-        self.partitions_run
-    }
-
-    /// Simulated seconds charged by *this job's* stages so far: the
-    /// up-front shuffle stages plus the makespan of the streamed partition
-    /// tasks over the job's delivery slots. Stable under concurrency,
-    /// unlike deltas of the shared cluster clock.
-    pub fn sim_seconds(&self) -> f64 {
-        self.sim_base + self.sim_slots.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Declare how many workers computed streamed partitions concurrently.
-    /// Later partition tasks are booked onto that many simulated delivery
-    /// slots (greedy list scheduling), so prefetched streams are charged
-    /// wall-clock-shaped time instead of the serial sum. Only honored
-    /// before any partition has been booked.
-    pub fn set_sim_parallelism(&mut self, slots: usize) {
-        if self.partitions_run == 0 {
-            self.sim_slots = vec![0.0; slots.max(1)];
-        }
-    }
-
-    /// Execute the result-stage task for one partition: compute it
-    /// in-process, transform the rows with `f` (which may charge extra work
-    /// — e.g. a per-partition sort — to the task's metrics), and time the
-    /// task on the simulated cluster as a single-task stage.
-    pub fn run_partition<U, F>(&mut self, partition: usize, sink: OutputSink, f: F) -> Result<U>
-    where
-        U: Send + EstimateSize,
-        F: FnOnce(Vec<T>, &mut TaskMetrics) -> U,
-    {
-        let outcome = execute_partition_task(&self.ctx, &self.rdd, partition, sink, f)?;
-        Ok(self.absorb_outcome(partition, outcome))
-    }
-
-    /// Book a task outcome computed elsewhere (a prefetch worker): simulate
-    /// it on the cluster as a single-task stage and fold it into this job's
-    /// report. Called in delivery order, so the simulated clock advances
-    /// exactly as it would under serial streaming.
-    fn absorb_outcome<U: Send>(&mut self, partition: usize, outcome: TaskOutcome<U>) -> U {
-        let (report, mut values) = finish_stage(
-            &self.ctx,
-            &format!("stream-result({partition})"),
-            vec![outcome],
-        );
-        // Greedy list scheduling: charge the task to the least-loaded
-        // delivery slot. With one slot this degenerates to the serial sum.
-        let slot = self
-            .sim_slots
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        self.sim_slots[slot] += report.sim_duration;
-        self.stages.push(report);
-        self.partitions_run += 1;
-        values.pop().expect("single task outcome")
-    }
-
-    /// Turn this job into a [`PipelinedJob`] delivering `order`'s partitions
-    /// through one fixed per-partition transformation. With a prefetch depth
-    /// of 0 the partitions still run serially inside `next()`; with depth
-    /// `n ≥ 1` morsels on the shared executor compute up to `n` partitions
-    /// ahead of the consumer.
-    pub fn pipelined<U, F>(self, order: Vec<usize>, sink: OutputSink, f: F) -> PipelinedJob<T, U>
-    where
-        U: Send + EstimateSize + 'static,
-        F: Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync + 'static,
-    {
-        PipelinedJob {
-            job: self,
-            order: Arc::new(order),
-            sink,
-            f: Arc::new(f),
-            prefetch: 0,
-            pool: None,
-            env: None,
-            delivered: 0,
-            prefetch_hits: 0,
-            latched: false,
-        }
-    }
-
-    /// Record the [`JobReport`] for the work done so far. Idempotent; also
-    /// invoked on drop so abandoning a stream mid-way still leaves a report.
-    pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
-        self.finished = true;
-        let sim_duration = self.sim_seconds();
-        let stages = std::mem::take(&mut self.stages);
-        self.ctx.record_job(JobReport {
-            name: self.name.clone(),
-            stages,
-            sim_duration,
-            real_duration: self.wall.elapsed().as_secs_f64(),
-        });
-    }
-}
-
-impl<T: Data> Drop for StreamingJob<T> {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
 /// Run one result-stage task in-process without simulating it yet: compute
 /// the partition, apply `f`, and price the task with the cost model. Panics
 /// inside the task (a user closure blowing up) are converted to execution
@@ -418,11 +249,15 @@ where
     })
 }
 
-/// Shared state between a [`PipelinedJob`]'s consumer and its morsels: a
-/// bounded, *ordered* channel. Morsel tasks claim positions in the planned
-/// order while they are within `prefetch` of the consumer's cursor, park
-/// results in `ready`, and no new positions are claimed once `cancelled`
-/// is set.
+/// The per-partition transformation a [`PipelinedJob`] applies inside each
+/// result task (it may charge extra work — e.g. a per-partition sort — to
+/// the task's metrics).
+type TaskFn<T, U> = Arc<dyn Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync>;
+
+/// The bounded, *ordered* channel between a [`PipelinedJob`]'s consumer and
+/// its morsels. Morsel tasks claim positions in the planned order while they
+/// are within the window of the consumer's cursor, park results in `ready`,
+/// and no new positions are claimed once `cancelled` is set.
 struct PrefetchState<U> {
     /// Next position (index into the order) a morsel may claim.
     next_claim: usize,
@@ -439,13 +274,28 @@ struct PrefetchState<U> {
     cancelled: bool,
 }
 
-struct PrefetchShared<U> {
+/// Everything a prefetch morsel needs, shared between the consumer (which
+/// pumps after each delivery) and completed morsels (which pump to refill
+/// the window).
+struct Prefetcher<T: Data, U: Send + EstimateSize + 'static> {
+    ctx: RddContext,
+    rdd: Rdd<T>,
+    order: Arc<Vec<usize>>,
+    sink: OutputSink,
+    f: TaskFn<T, U>,
+    /// Consumer's trace context: morsels computed ahead on the shared
+    /// executor still attach their spans to the query's span tree.
+    trace: Option<shark_obs::TraceContext>,
+    /// How far past the consumer's cursor positions may be claimed.
+    window: usize,
+    /// Concurrency cap: at most this many morsels of this job may be
+    /// queued or running on the shared executor at once.
+    max_workers: usize,
     state: std::sync::Mutex<PrefetchState<U>>,
     changed: std::sync::Condvar,
-    prefetch: usize,
 }
 
-impl<U> PrefetchShared<U> {
+impl<T: Data, U: Send + EstimateSize + 'static> Prefetcher<T, U> {
     fn lock(&self) -> std::sync::MutexGuard<'_, PrefetchState<U>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -456,36 +306,17 @@ impl<U> PrefetchShared<U> {
     }
 }
 
-/// Everything a prefetch morsel needs, shared between the consumer (which
-/// pumps after each delivery) and completed morsels (which pump to refill
-/// the window).
-struct PumpEnv<T: Data, U: Send + EstimateSize + 'static> {
-    ctx: RddContext,
-    rdd: Rdd<T>,
-    order: Arc<Vec<usize>>,
-    sink: OutputSink,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync>,
-    /// Consumer's trace context: morsels computed ahead on the shared
-    /// executor still attach their spans to the query's span tree.
-    trace: Option<shark_obs::TraceContext>,
-    /// Concurrency cap: at most this many morsels of this job may be
-    /// queued or running on the shared executor at once.
-    max_workers: usize,
-    shared: Arc<PrefetchShared<U>>,
-}
-
 /// Claim every position currently allowed by the prefetch window and the
 /// concurrency cap, submitting one executor morsel per claim. Called by the
 /// consumer when the window moves and by each finished morsel, so the
 /// window refills without any dedicated per-query threads.
-fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<PumpEnv<T, U>>) {
+fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) {
     loop {
         let pos = {
-            let mut state = env.shared.lock();
+            let mut state = env.lock();
             if state.cancelled
                 || state.next_claim >= env.order.len()
-                || state.next_claim >= state.deliver_pos + env.shared.prefetch
+                || state.next_claim >= state.deliver_pos + env.window
                 || state.in_flight >= env.max_workers
             {
                 return;
@@ -498,13 +329,10 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<PumpEnv<T, U>>) {
         let env = env.clone();
         Executor::global().spawn(move || {
             let _trace = env.trace.as_ref().map(|t| t.attach());
-            let partition = env.order[pos];
-            let f = env.f.clone();
-            let outcome = execute_partition_task(&env.ctx, &env.rdd, partition, env.sink, {
-                move |rows, m| f(rows, m)
-            });
+            let outcome =
+                execute_partition_task(&env.ctx, &env.rdd, env.order[pos], env.sink, &*env.f);
             {
-                let mut state = env.shared.lock();
+                let mut state = env.lock();
                 state.in_flight -= 1;
                 if outcome.is_err() {
                     // Delivery is ordered, so this error will surface at or
@@ -512,48 +340,106 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<PumpEnv<T, U>>) {
                     state.cancelled = true;
                 }
                 state.ready.insert(pos, outcome);
-                env.shared.changed.notify_all();
+                env.changed.notify_all();
             }
             pump(&env);
         });
     }
 }
 
-/// A streaming job whose result partitions are delivered in a fixed planned
-/// order, optionally computed ahead of the consumer as morsels on the
-/// shared work-stealing [`Executor`] (the pipelined-delivery model with
-/// prefetching).
+/// The streaming job: result-stage partitions are delivered one at a time
+/// in a fixed planned order, so the caller can consume output incrementally
+/// and stop early — the pipelined-delivery model, where the driver hands a
+/// partition's rows to the client as soon as that partition finishes instead
+/// of waiting for the whole stage barrier.
 ///
-/// * `prefetch = 0` — serial: each [`PipelinedJob::next`] call executes one
-///   partition inline, exactly like [`StreamingJob::run_partition`].
+/// Construction runs every shuffle map stage the target RDD depends on
+/// (exactly like [`run_job`] would). Each delivered partition is one
+/// result-stage task, placed on the simulated cluster as a single-task stage
+/// at delivery time. Partitions that are never delivered are never booked —
+/// and, beyond the prefetch window, never computed — which is what lets a
+/// LIMIT query stop launching tasks once it has enough rows.
+///
+/// * `prefetch = 0` — the degenerate case: each [`PipelinedJob::next`] call
+///   executes one partition inline on the consumer's thread.
 /// * `prefetch = n ≥ 1` — up to `n` partitions are claimed ahead of the
-///   cursor and submitted as morsels to the shared executor (bounded by the
-///   host's parallelism). Results are delivered strictly in planned order;
-///   cluster simulation and the [`JobReport`] are booked at delivery time,
-///   with the concurrent execution reflected in the simulated makespan via
-///   [`StreamingJob::set_sim_parallelism`].
+///   cursor and submitted as morsels to the shared work-stealing
+///   [`Executor`] (bounded by the host's parallelism). Delivery order and
+///   results are unchanged; the concurrent execution is reflected in the
+///   simulated makespan (see [`PipelinedJob::sim_seconds`]).
 ///
 /// Dropping the job (or calling [`PipelinedJob::finish`]) cancels the
 /// stream: no further partitions are claimed, in-flight morsels are
-/// drained, and the job report covering the *delivered* partitions is
-/// recorded.
+/// drained, and the [`JobReport`] covering the up-front shuffle stages plus
+/// the *delivered* partitions is recorded.
 pub struct PipelinedJob<T: Data, U: Send + EstimateSize + 'static> {
-    job: StreamingJob<T>,
+    ctx: RddContext,
+    rdd: Rdd<T>,
+    name: String,
+    stages: Vec<StageReport>,
+    /// Simulated seconds spent in the up-front shuffle stages, which run
+    /// before any partition can stream.
+    sim_base: f64,
+    /// Simulated busy time per delivery slot. Delivered partition tasks are
+    /// list-scheduled greedily onto these slots, so a job whose partitions
+    /// were computed by `n` concurrent morsels is charged the makespan of
+    /// that schedule instead of the serial sum — unlike the context's
+    /// global simulated clock, this is not advanced by concurrent jobs.
+    sim_slots: Vec<f64>,
+    wall: Instant,
     order: Arc<Vec<usize>>,
     sink: OutputSink,
-    #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync>,
+    f: TaskFn<T, U>,
     prefetch: usize,
-    pool: Option<Arc<PrefetchShared<U>>>,
-    env: Option<Arc<PumpEnv<T, U>>>,
+    /// Started lazily by the first [`Self::next`] with `prefetch ≥ 1`.
+    pool: Option<Arc<Prefetcher<T, U>>>,
     delivered: usize,
     prefetch_hits: u64,
     /// Set on error or explicit finish: no further partitions execute or
     /// deliver, so the recorded report stays accurate.
     latched: bool,
+    reported: bool,
 }
 
 impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
+    /// Prepare a job delivering `order`'s partitions of `rdd` through the
+    /// per-partition transformation `f`: materialize the shuffle
+    /// dependencies now so every subsequent delivery is a pure result-stage
+    /// task.
+    pub fn new<F>(
+        ctx: &RddContext,
+        rdd: &Rdd<T>,
+        name: &str,
+        order: Vec<usize>,
+        sink: OutputSink,
+        f: F,
+    ) -> Result<PipelinedJob<T, U>>
+    where
+        F: Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync + 'static,
+    {
+        let wall = Instant::now();
+        let stages = ensure_shuffle_deps(ctx, rdd)?;
+        let sim_base = stages.iter().map(|s| s.sim_duration).sum();
+        Ok(PipelinedJob {
+            ctx: ctx.clone(),
+            rdd: rdd.clone(),
+            name: name.to_string(),
+            stages,
+            sim_base,
+            sim_slots: vec![0.0],
+            wall,
+            order: Arc::new(order),
+            sink,
+            f: Arc::new(f),
+            prefetch: 0,
+            pool: None,
+            delivered: 0,
+            prefetch_hits: 0,
+            latched: false,
+            reported: false,
+        })
+    }
+
     /// Set the prefetch depth. Only honored before the first partition is
     /// delivered (the pool spins up lazily on the first [`Self::next`]).
     pub fn set_prefetch(&mut self, depth: usize) {
@@ -579,7 +465,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
 
     /// Total result-stage partitions of the underlying RDD.
     pub fn num_partitions(&self) -> usize {
-        self.job.num_partitions()
+        self.rdd.num_partitions()
     }
 
     /// Deliveries that found their partition already computed by a prefetch
@@ -588,9 +474,13 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
         self.prefetch_hits
     }
 
-    /// Simulated seconds charged by this job's stages so far.
+    /// Simulated seconds charged by *this job's* stages so far: the
+    /// up-front shuffle stages plus the makespan of the delivered partition
+    /// tasks over the job's delivery slots (one slot inline, one per
+    /// concurrent morsel when prefetching). Stable under concurrency,
+    /// unlike deltas of the shared cluster clock.
     pub fn sim_seconds(&self) -> f64 {
-        self.job.sim_seconds()
+        self.sim_base + self.sim_slots.iter().copied().fold(0.0, f64::max)
     }
 
     /// Deliver the next partition in planned order as `(partition, value)`,
@@ -605,64 +495,74 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             return Ok(None);
         }
         let partition = self.order[self.delivered];
-        if self.prefetch == 0 {
-            // Serial path: run the task inline on the consumer's thread.
-            let f = self.f.clone();
-            let result = self
-                .job
-                .run_partition(partition, self.sink, move |rows, m| f(rows, m));
-            return match result {
-                Ok(value) => {
-                    self.delivered += 1;
-                    Ok(Some((partition, value)))
-                }
-                Err(err) => {
-                    self.latched = true;
-                    Err(err)
-                }
-            };
-        }
-        self.ensure_pool();
-        let pool = self.pool.clone().expect("pool just started");
-        let (outcome, was_ready) = {
-            let mut state = pool.lock();
-            let pos = state.deliver_pos;
-            let was_ready = state.ready.contains_key(&pos);
-            loop {
-                if state.ready.contains_key(&pos) {
-                    break;
-                }
-                if state.cancelled && pos >= state.next_claim {
-                    // Nothing in flight will ever produce this position.
-                    return Ok(None);
-                }
-                state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+        let outcome = if self.prefetch == 0 {
+            execute_partition_task(&self.ctx, &self.rdd, partition, self.sink, &*self.f)
+        } else {
+            match self.await_prefetched() {
+                Some(outcome) => outcome,
+                // Cancelled with nothing in flight for this position.
+                None => return Ok(None),
             }
-            let outcome = state.ready.remove(&pos).expect("ready outcome");
-            state.deliver_pos += 1;
-            pool.changed.notify_all();
-            (outcome, was_ready)
         };
-        // The window moved: claim and submit the next morsel(s).
-        if let Some(env) = &self.env {
-            pump(env);
-        }
-        if was_ready {
-            self.prefetch_hits += 1;
-        }
         match outcome {
             Ok(outcome) => {
                 self.delivered += 1;
-                let value = self.job.absorb_outcome(partition, outcome);
-                Ok(Some((partition, value)))
+                Ok(Some((partition, self.book(partition, outcome))))
             }
             Err(err) => {
                 // Latch and stop the pool: a failed stream never resumes.
                 self.latched = true;
-                pool.cancel();
+                if let Some(pool) = &self.pool {
+                    pool.cancel();
+                }
                 Err(err)
             }
         }
+    }
+
+    /// Take the outcome at the cursor from the prefetch channel, blocking
+    /// until its morsel has parked it, then move the window.
+    fn await_prefetched(&mut self) -> Option<Result<TaskOutcome<U>>> {
+        let pool = self.ensure_pool();
+        let outcome = {
+            let mut state = pool.lock();
+            let pos = state.deliver_pos;
+            if state.ready.contains_key(&pos) {
+                self.prefetch_hits += 1;
+            }
+            while !state.ready.contains_key(&pos) {
+                if state.cancelled && pos >= state.next_claim {
+                    return None;
+                }
+                state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            state.deliver_pos += 1;
+            state.ready.remove(&pos)
+        };
+        pump(&pool);
+        outcome
+    }
+
+    /// Book a delivered task outcome: simulate it on the cluster as a
+    /// single-task stage and fold it into this job's report. Called in
+    /// delivery order, so the simulated clock advances identically whether
+    /// the task ran inline or ahead of the cursor.
+    fn book(&mut self, partition: usize, outcome: TaskOutcome<U>) -> U {
+        let (report, mut values) = finish_stage(
+            &self.ctx,
+            &format!("stream-result({partition})"),
+            vec![outcome],
+        );
+        // Greedy list scheduling: charge the task to the least-loaded
+        // delivery slot. With one slot this degenerates to the serial sum.
+        let slot = self
+            .sim_slots
+            .iter_mut()
+            .min_by(|a, b| a.total_cmp(b))
+            .expect("at least one delivery slot");
+        *slot += report.sim_duration;
+        self.stages.push(report);
+        values.pop().expect("single task outcome")
     }
 
     /// Stop the stream (draining in-flight morsels) and record the job
@@ -681,25 +581,22 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
                 state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         }
-        self.job.finish();
+        if !self.reported {
+            self.reported = true;
+            self.ctx.record_job(JobReport {
+                name: self.name.clone(),
+                stages: std::mem::take(&mut self.stages),
+                sim_duration: self.sim_seconds(),
+                real_duration: self.wall.elapsed().as_secs_f64(),
+            });
+        }
     }
 
     /// Set up the prefetch channel and submit the first morsels on first use.
-    fn ensure_pool(&mut self) {
-        if self.pool.is_some() {
-            return;
+    fn ensure_pool(&mut self) -> Arc<Prefetcher<T, U>> {
+        if let Some(pool) = &self.pool {
+            return pool.clone();
         }
-        let shared = Arc::new(PrefetchShared {
-            state: std::sync::Mutex::new(PrefetchState {
-                next_claim: 0,
-                deliver_pos: 0,
-                ready: std::collections::HashMap::new(),
-                in_flight: 0,
-                cancelled: false,
-            }),
-            changed: std::sync::Condvar::new(),
-            prefetch: self.prefetch,
-        });
         // The *window* (how far execution may run ahead) is `prefetch`; the
         // morsel concurrency is additionally capped by the host's
         // parallelism — a single slot can still fill a deep window, extra
@@ -708,20 +605,30 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             .map(|c| c.get())
             .unwrap_or(4);
         let max_workers = self.prefetch.min(self.order.len()).min(parallelism).max(1);
-        self.job.set_sim_parallelism(max_workers);
-        let env = Arc::new(PumpEnv {
-            ctx: self.job.ctx.clone(),
-            rdd: self.job.rdd.clone(),
+        // One simulated delivery slot per concurrent morsel, so prefetched
+        // streams are charged wall-clock-shaped time, not the serial sum.
+        self.sim_slots = vec![0.0; max_workers];
+        let pool = Arc::new(Prefetcher {
+            ctx: self.ctx.clone(),
+            rdd: self.rdd.clone(),
             order: self.order.clone(),
             sink: self.sink,
             f: self.f.clone(),
             trace: shark_obs::current(),
+            window: self.prefetch,
             max_workers,
-            shared: shared.clone(),
+            state: std::sync::Mutex::new(PrefetchState {
+                next_claim: 0,
+                deliver_pos: 0,
+                ready: std::collections::HashMap::new(),
+                in_flight: 0,
+                cancelled: false,
+            }),
+            changed: std::sync::Condvar::new(),
         });
-        pump(&env);
-        self.pool = Some(shared);
-        self.env = Some(env);
+        pump(&pool);
+        self.pool = Some(pool.clone());
+        pool
     }
 }
 
@@ -977,68 +884,24 @@ mod tests {
         assert_eq!(counts.iter().map(|(_, c)| c).sum::<i64>(), 1000);
     }
 
-    #[test]
-    fn streaming_job_matches_collect_and_counts_stages() {
-        let ctx = RddContext::local();
-        let rdd = ctx.parallelize((0i64..100).collect(), 8).map(|x| x * 2);
-        let expected = rdd.collect().unwrap();
-        let mut job = rdd.stream("stream-collect").unwrap();
-        assert_eq!(job.num_partitions(), 8);
-        let mut streamed = Vec::new();
-        for p in 0..job.num_partitions() {
-            let batch: Vec<i64> = job
-                .run_partition(p, shark_cluster::OutputSink::Collect, |rows, _m| rows)
-                .unwrap();
-            streamed.extend(batch);
-        }
-        assert_eq!(streamed, expected);
-        assert_eq!(job.partitions_run(), 8);
-        job.finish();
-        let report = ctx.last_job().unwrap();
-        assert_eq!(report.name, "stream-collect");
-        assert_eq!(report.stages.len(), 8);
-        assert!(report.sim_duration > 0.0);
-    }
-
-    #[test]
-    fn streaming_job_stopped_early_runs_only_requested_partitions() {
-        let ctx = RddContext::local();
-        let computed = Arc::new(AtomicUsize::new(0));
-        let counter = computed.clone();
-        let rdd = ctx.generate(8, shark_cluster::InputSource::Dfs, move |p| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            vec![p as i64]
-        });
-        {
-            let mut job = rdd.stream("early-stop").unwrap();
-            for p in 0..3 {
-                job.run_partition(p, shark_cluster::OutputSink::Collect, |rows, _m| rows)
-                    .unwrap();
-            }
-            // Dropped here: the report must cover exactly the 3 tasks run.
-        }
-        assert_eq!(computed.load(Ordering::SeqCst), 3);
-        let report = ctx.last_job().unwrap();
-        assert_eq!(report.stages.len(), 3);
-    }
-
-    #[test]
-    fn streaming_job_runs_shuffle_deps_up_front() {
-        let ctx = RddContext::local();
-        let rdd = ctx.parallelize((0i64..100).collect(), 4);
-        let reduced = rdd.map(|x| (x % 5, x)).reduce_by_key(4, |a, b| a + b);
-        let mut job = reduced.stream("stream-agg").unwrap();
-        let mut pairs = Vec::new();
-        for p in 0..job.num_partitions() {
-            pairs.extend(
-                job.run_partition(p, shark_cluster::OutputSink::Collect, |rows, _m| rows)
-                    .unwrap(),
-            );
-        }
-        pairs.sort();
-        let mut expected = reduced.collect().unwrap();
-        expected.sort();
-        assert_eq!(pairs, expected);
+    /// Open a job delivering every partition of `rdd` unchanged.
+    fn identity_job<T: Data>(
+        rdd: &Rdd<T>,
+        name: &str,
+        order: Vec<usize>,
+        prefetch: usize,
+    ) -> PipelinedJob<T, Vec<T>> {
+        let mut job = PipelinedJob::new(
+            rdd.context(),
+            rdd,
+            name,
+            order,
+            OutputSink::Collect,
+            |rows, _m| rows,
+        )
+        .unwrap();
+        job.set_prefetch(prefetch);
+        job
     }
 
     #[test]
@@ -1051,15 +914,9 @@ mod tests {
             .map(|c| c.get())
             .unwrap_or(1);
         for prefetch in [0usize, 1, 2, 7, 32] {
-            let mut job = rdd
-                .stream(&format!("pipelined({prefetch})"))
-                .unwrap()
-                .pipelined(
-                    (0..16).collect(),
-                    shark_cluster::OutputSink::Collect,
-                    |rows, _m| rows,
-                );
-            job.set_prefetch(prefetch);
+            let name = format!("pipelined({prefetch})");
+            let mut job = identity_job(&rdd, &name, (0..16).collect(), prefetch);
+            assert_eq!(job.num_partitions(), 16);
             let mut streamed = Vec::new();
             let mut partitions = Vec::new();
             while let Some((p, batch)) = job.next().unwrap() {
@@ -1070,6 +927,11 @@ mod tests {
             assert_eq!(partitions, (0..16).collect::<Vec<usize>>());
             assert_eq!(job.delivered(), 16);
             job.finish();
+            // One single-task stage is booked per partition delivered.
+            let report = ctx.last_job().unwrap();
+            assert_eq!(report.name, name);
+            assert_eq!(report.stages.len(), 16, "prefetch={prefetch}");
+            assert!(report.sim_duration > 0.0);
             // Delivered rows are identical at every depth; the simulated
             // cost reflects how many morsels ran concurrently — at most the
             // serial sum (prefetch 0/1 matches it exactly), strictly less
@@ -1097,36 +959,65 @@ mod tests {
 
     #[test]
     fn pipelined_job_respects_custom_order_and_window_bound() {
-        let ctx = RddContext::local();
-        let executed = Arc::new(AtomicUsize::new(0));
-        let counter = executed.clone();
-        let rdd = ctx.generate(8, shark_cluster::InputSource::Dfs, move |p| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            vec![p as i64]
-        });
         let order = vec![5usize, 1, 6, 0, 7, 2, 3, 4];
-        let mut job = rdd.stream("ordered").unwrap().pipelined(
-            order.clone(),
-            shark_cluster::OutputSink::Collect,
-            |rows, _m| rows,
-        );
-        job.set_prefetch(2);
-        let (p0, rows0) = job.next().unwrap().expect("first partition");
-        assert_eq!(p0, 5);
-        assert_eq!(rows0, vec![5]);
-        // Stop after one delivery: with a window of 2 at most
-        // delivered + prefetch partitions may ever have executed, and
-        // finish() joins the workers so the count is final.
-        job.finish();
-        // finish() latches: nothing further may execute or deliver, so the
-        // recorded report stays accurate.
-        assert!(job.next().unwrap().is_none(), "delivery after finish()");
-        let ran = executed.load(Ordering::SeqCst);
-        assert!(ran <= 1 + 2, "window violated: {ran} partitions ran");
-        drop(job);
-        assert_eq!(executed.load(Ordering::SeqCst), ran, "work after cancel");
-        let report = ctx.last_job().unwrap();
-        assert_eq!(report.stages.len(), 1, "only the delivered stage booked");
+        for prefetch in [0usize, 2] {
+            let ctx = RddContext::local();
+            let executed = Arc::new(AtomicUsize::new(0));
+            let counter = executed.clone();
+            let rdd = ctx.generate(8, shark_cluster::InputSource::Dfs, move |p| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                vec![p as i64]
+            });
+            let mut job = identity_job(&rdd, "ordered", order.clone(), prefetch);
+            for &expected in &order[..3] {
+                let (p, rows) = job.next().unwrap().expect("planned partition");
+                assert_eq!(p, expected);
+                assert_eq!(rows, vec![expected as i64]);
+            }
+            // Stop after three deliveries: at most delivered + prefetch
+            // partitions may ever have executed (inline: exactly the three
+            // requested), and finish() joins the workers so the count is
+            // final.
+            job.finish();
+            // finish() latches: nothing further may execute or deliver, so
+            // the recorded report stays accurate.
+            assert!(job.next().unwrap().is_none(), "delivery after finish()");
+            let ran = executed.load(Ordering::SeqCst);
+            assert!(
+                (3..=3 + prefetch).contains(&ran),
+                "prefetch={prefetch}: window violated, {ran} partitions ran"
+            );
+            drop(job);
+            assert_eq!(executed.load(Ordering::SeqCst), ran, "work after cancel");
+            let report = ctx.last_job().unwrap();
+            assert_eq!(report.stages.len(), 3, "only delivered stages booked");
+        }
+    }
+
+    #[test]
+    fn pipelined_job_runs_shuffle_deps_up_front() {
+        for prefetch in [0usize, 2] {
+            let ctx = RddContext::local();
+            let rdd = ctx.parallelize((0i64..100).collect(), 4);
+            let reduced = rdd.map(|x| (x % 5, x)).reduce_by_key(4, |a, b| a + b);
+            let shuffle_id = reduced.shuffle_deps()[0].shuffle_id();
+            let mut job = identity_job(&reduced, "stream-agg", (0..4).collect(), prefetch);
+            // The map stage ran during construction, before any delivery.
+            assert!(ctx.shuffle_manager().is_complete(shuffle_id));
+            assert!(job.sim_seconds() > 0.0);
+            let mut pairs = Vec::new();
+            while let Some((_, batch)) = job.next().unwrap() {
+                pairs.extend(batch);
+            }
+            drop(job);
+            let report = ctx.last_job().unwrap();
+            assert!(report.stages[0].name.starts_with("shuffle-map"));
+            assert_eq!(report.stages.len(), 1 + 4);
+            pairs.sort();
+            let mut expected = reduced.collect().unwrap();
+            expected.sort();
+            assert_eq!(pairs, expected);
+        }
     }
 
     #[test]
@@ -1139,12 +1030,7 @@ mod tests {
             vec![p as i64]
         });
         for prefetch in [0usize, 3] {
-            let mut job = rdd.stream("failing").unwrap().pipelined(
-                (0..6).collect(),
-                shark_cluster::OutputSink::Collect,
-                |rows, _m| rows,
-            );
-            job.set_prefetch(prefetch);
+            let mut job = identity_job(&rdd, "failing", (0..6).collect(), prefetch);
             // Partitions 0 and 1 deliver even though a worker may already
             // have hit the partition-2 failure.
             assert_eq!(job.next().unwrap().unwrap().0, 0);

@@ -95,6 +95,30 @@ pub struct ShuffleManager {
     shuffles: RwLock<FxHashMap<usize, ShuffleEntry>>,
 }
 
+/// Ownership of one shuffle id's map output. Minted together with the id
+/// and cloned (as an `Arc`) into everything that can still read the
+/// shuffle — its dependency, every reader RDD built from a
+/// [`PreShuffledRdd`](crate::pair::PreShuffledRdd) — so the buckets live
+/// exactly as long as something can fetch them: dropping the last holder
+/// removes them from the manager. No job, session or cursor has to know.
+pub struct ShuffleLease {
+    pub(crate) manager: Arc<ShuffleManager>,
+    pub(crate) id: usize,
+}
+
+impl ShuffleLease {
+    /// The leased shuffle's id in the shuffle manager.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+}
+
+impl Drop for ShuffleLease {
+    fn drop(&mut self) {
+        self.manager.remove(self.id);
+    }
+}
+
 impl ShuffleManager {
     /// Create an empty shuffle manager.
     pub fn new() -> ShuffleManager {
@@ -223,9 +247,14 @@ impl ShuffleManager {
         })
     }
 
-    /// Remove a shuffle's data (e.g. after the consuming job finishes).
+    /// Remove a shuffle's data (its [`ShuffleLease`] does this on drop).
     pub fn remove(&self, shuffle_id: usize) {
         self.shuffles.write().remove(&shuffle_id);
+    }
+
+    /// Number of shuffles currently holding map output.
+    pub fn registered(&self) -> usize {
+        self.shuffles.read().len()
     }
 
     /// Remove all shuffle data.
@@ -351,10 +380,12 @@ mod tests {
     fn remove_and_clear() {
         let m = ShuffleManager::new();
         m.register(1, 1, 1);
+        assert_eq!(m.registered(), 1);
         m.remove(1);
         assert!(!m.is_complete(1));
         m.register(2, 1, 1);
         m.clear();
         assert!(m.num_buckets(2).is_none());
+        assert_eq!(m.registered(), 0);
     }
 }

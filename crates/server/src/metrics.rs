@@ -8,7 +8,7 @@
 //! serving layer, the scan layer and the simulated cluster.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -247,7 +247,7 @@ pub struct ServerReport {
     pub connections_closed: u64,
     /// TCP connections currently open.
     pub connections_active: u64,
-    /// Connections forcibly closed by the idle-deadline reaper.
+    /// Connections closed for sitting idle past their rate class's deadline.
     pub connections_reaped: u64,
     /// Payload + frame-header bytes written to client sockets.
     pub wire_bytes_sent: u64,
@@ -608,93 +608,112 @@ impl ServerReport {
     }
 }
 
-/// Collects [`QueryMetrics`] and per-session rejection counts.
+/// How many of the most recent queries [`MetricsRegistry::query_log`]
+/// retains. The aggregates are running totals and do not depend on it.
+const QUERY_LOG_CAP: usize = 1024;
+
+#[derive(Default)]
+struct Totals {
+    /// The query-derived [`ServerReport`] fields (`sessions` is kept in the
+    /// map below and filled in by [`MetricsRegistry::aggregate`]).
+    report: ServerReport,
+    sessions: BTreeMap<u64, SessionStats>,
+    recent: VecDeque<QueryMetrics>,
+}
+
+impl Totals {
+    fn session(&mut self, session_id: u64) -> &mut SessionStats {
+        let entry = self.sessions.entry(session_id).or_default();
+        entry.session_id = session_id;
+        entry
+    }
+}
+
+/// Folds every [`QueryMetrics`] and admission rejection into running
+/// server-wide and per-session totals, and keeps the most recent queries.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    queries: Mutex<Vec<QueryMetrics>>,
-    rejected: Mutex<BTreeMap<u64, u64>>,
+    totals: Mutex<Totals>,
 }
 
 impl MetricsRegistry {
-    /// Record one completed (or failed) query — in the query log and in the
-    /// unified [`shark_obs::metrics()`] registry.
-    pub fn record(&self, metrics: QueryMetrics) {
+    /// Record one completed (or failed) query — in the totals, the recent
+    /// query log and the unified [`shark_obs::metrics()`] registry.
+    pub fn record(&self, q: QueryMetrics) {
         let obs = obs_metrics();
         obs.queries.inc();
-        if metrics.failed {
+        if q.failed {
             obs.failed.inc();
         }
-        if metrics.streamed {
+        if q.streamed {
             obs.streamed.inc();
         }
-        obs.rows_delivered.add(metrics.rows_streamed);
-        obs.prefetch_hits.add(metrics.prefetch_hits);
-        obs.cache_hit_bytes.add(metrics.cache_hit_bytes);
-        obs.recomputed_tables.add(metrics.recomputed_tables as u64);
-        obs.evictions.add(metrics.evictions_triggered as u64);
-        obs.quota_evicted.add(metrics.quota_evictions as u64);
-        if metrics.plan_cache_hit {
+        obs.rows_delivered.add(q.rows_streamed);
+        obs.prefetch_hits.add(q.prefetch_hits);
+        obs.cache_hit_bytes.add(q.cache_hit_bytes);
+        obs.recomputed_tables.add(q.recomputed_tables as u64);
+        obs.evictions.add(q.evictions_triggered as u64);
+        obs.quota_evicted.add(q.quota_evictions as u64);
+        if q.plan_cache_hit {
             obs.plan_cache_hits.inc();
         }
-        obs.exec_seconds.observe(metrics.exec_time.as_secs_f64());
+        obs.exec_seconds.observe(q.exec_time.as_secs_f64());
         obs.admission_wait_seconds
-            .observe(metrics.queue_wait.as_secs_f64());
-        obs.ttfr_seconds
-            .observe(metrics.time_to_first_row.as_secs_f64());
-        self.queries.lock().push(metrics);
+            .observe(q.queue_wait.as_secs_f64());
+        obs.ttfr_seconds.observe(q.time_to_first_row.as_secs_f64());
+
+        let mut totals = self.totals.lock();
+        let report = &mut totals.report;
+        report.total_queries += 1;
+        if q.failed {
+            report.failed_queries += 1;
+        }
+        report.total_queue_wait += q.queue_wait;
+        report.max_queue_wait = report.max_queue_wait.max(q.queue_wait);
+        report.total_exec_time += q.exec_time;
+        report.total_time_to_first_row += q.time_to_first_row;
+        if q.streamed {
+            report.streamed_queries += 1;
+            report.streamed_rows += q.rows_streamed;
+            report.streamed_partitions += q.partitions_streamed as u64;
+            report.streamed_time_to_first_row += q.time_to_first_row;
+            report.prefetch_hits += q.prefetch_hits;
+        }
+        report.cache_hit_bytes += q.cache_hit_bytes;
+        let session = totals.session(q.session_id);
+        session.queries += 1;
+        session.total_queue_wait += q.queue_wait;
+        session.total_exec_time += q.exec_time;
+        session.cache_hit_bytes += q.cache_hit_bytes;
+        if totals.recent.len() == QUERY_LOG_CAP {
+            totals.recent.pop_front();
+        }
+        totals.recent.push_back(q);
     }
 
     /// Record an admission rejection for a session.
     pub fn record_rejection(&self, session_id: u64) {
         obs_metrics().rejected.inc();
-        *self.rejected.lock().entry(session_id).or_insert(0) += 1;
+        let mut totals = self.totals.lock();
+        totals.report.rejected_queries += 1;
+        totals.session(session_id).rejected += 1;
     }
 
-    /// Snapshot of every recorded query, in completion order.
+    /// The most recently recorded queries (a bounded window), in completion
+    /// order.
     pub fn query_log(&self) -> Vec<QueryMetrics> {
-        self.queries.lock().clone()
+        self.totals.lock().recent.iter().cloned().collect()
     }
 
-    /// Aggregate everything recorded so far. Cache/eviction/concurrency
+    /// The totals of everything recorded so far. Cache/eviction/concurrency
     /// fields are left at zero for the caller ([`crate::SharkServer`]) to
     /// fill in from the memstore manager and admission controller.
     pub fn aggregate(&self) -> ServerReport {
-        let queries = self.queries.lock();
-        let rejected = self.rejected.lock();
-        let mut report = ServerReport::default();
-        let mut sessions: BTreeMap<u64, SessionStats> = BTreeMap::new();
-        for (&session_id, &count) in rejected.iter() {
-            let entry = sessions.entry(session_id).or_default();
-            entry.session_id = session_id;
-            entry.rejected = count;
-            report.rejected_queries += count;
+        let totals = self.totals.lock();
+        ServerReport {
+            sessions: totals.sessions.values().cloned().collect(),
+            ..totals.report.clone()
         }
-        for q in queries.iter() {
-            report.total_queries += 1;
-            if q.failed {
-                report.failed_queries += 1;
-            }
-            report.total_queue_wait += q.queue_wait;
-            report.max_queue_wait = report.max_queue_wait.max(q.queue_wait);
-            report.total_exec_time += q.exec_time;
-            report.total_time_to_first_row += q.time_to_first_row;
-            if q.streamed {
-                report.streamed_queries += 1;
-                report.streamed_rows += q.rows_streamed;
-                report.streamed_partitions += q.partitions_streamed as u64;
-                report.streamed_time_to_first_row += q.time_to_first_row;
-                report.prefetch_hits += q.prefetch_hits;
-            }
-            report.cache_hit_bytes += q.cache_hit_bytes;
-            let entry = sessions.entry(q.session_id).or_default();
-            entry.session_id = q.session_id;
-            entry.queries += 1;
-            entry.total_queue_wait += q.queue_wait;
-            entry.total_exec_time += q.exec_time;
-            entry.cache_hit_bytes += q.cache_hit_bytes;
-        }
-        report.sessions = sessions.into_values().collect();
-        report
     }
 }
 
@@ -767,5 +786,36 @@ mod tests {
         assert!(snap
             .histogram("shark_admission_wait_seconds")
             .is_some_and(|h| h.count >= 3));
+    }
+
+    #[test]
+    fn totals_stay_exact_while_the_query_log_is_bounded() {
+        let registry = MetricsRegistry::default();
+        for i in 0..5000u64 {
+            registry.record(q(i % 3, i % 7, i, i % 10 == 0));
+        }
+        let report = registry.aggregate();
+        assert_eq!(report.total_queries, 5000);
+        assert_eq!(report.failed_queries, 500);
+        assert_eq!(report.cache_hit_bytes, (0..5000u64).sum::<u64>());
+        assert_eq!(report.max_queue_wait, Duration::from_millis(6));
+        assert_eq!(report.sessions.len(), 3);
+        for (s, stats) in report.sessions.iter().enumerate() {
+            let mine = || (0..5000u64).filter(|i| i % 3 == s as u64);
+            assert_eq!(stats.queries, mine().count() as u64);
+            assert_eq!(stats.cache_hit_bytes, mine().sum::<u64>());
+            assert_eq!(
+                stats.total_queue_wait,
+                Duration::from_millis(mine().map(|i| i % 7).sum())
+            );
+            assert_eq!(
+                stats.total_exec_time,
+                Duration::from_millis(5) * stats.queries as u32
+            );
+        }
+        let log = registry.query_log();
+        assert_eq!(log.len(), QUERY_LOG_CAP);
+        assert_eq!(log.last().unwrap().cache_hit_bytes, 4999);
+        assert_eq!(log[0].cache_hit_bytes, 5000 - QUERY_LOG_CAP as u64);
     }
 }

@@ -38,17 +38,9 @@ pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 /// Bytes in the fixed frame header (`len + type + checksum`).
 pub const HEADER_BYTES: usize = 4 + 1 + 8;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a 64 over a byte slice — the frame checksum.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    shark_common::hash::fnv1a(bytes)
 }
 
 /// Why a frame could not be read.

@@ -14,12 +14,12 @@
 //!   and the query's run-ahead stays bounded by the prefetch grant the
 //!   cursor took from [`crate::ServerConfig::max_total_prefetch`]. No
 //!   unbounded result buffering anywhere in the server.
-//! * **Idle reaping on a deadline wheel.** Connections are filed on a
-//!   coarse-tick deadline wheel keyed by their idle deadline; the
-//!   reaper thread lazily re-checks `last_active` on expiry (activity
-//!   just re-files the entry, it never touches the wheel on the hot
-//!   path) and force-closes true idlers with `TcpStream::shutdown`, which
-//!   errors the handler out of its blocking read.
+//! * **Idle reaping by read timeout.** A handler blocks in `read_frame`
+//!   between requests; the socket's receive timeout is its rate class's
+//!   idle deadline, so a read that times out *is* an idle connection: the
+//!   handler counts the reap and closes. No reaper thread, no per-frame
+//!   bookkeeping — and a connection in the middle of a query is never in
+//!   that read, so it is never idle by construction.
 //! * **Per-tenant rate classes.** The Hello handshake names a tenant;
 //!   its [`RateClass`] sets the session's streaming prefetch depth, the
 //!   result-batch row cap and the idle timeout — layered on top of the
@@ -43,10 +43,10 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
-use shark_common::{Result, Row, SharkError};
+use shark_common::{Result, Row, Schema, SharkError};
 
 use crate::server::{SessionHandle, SharkServer};
 use frame::{Frame, FrameError};
@@ -84,7 +84,7 @@ fn net_obs() -> &'static NetObs {
             ),
             reaped: reg.counter(
                 "shark_net_connections_reaped_total",
-                "Connections force-closed by the idle-deadline reaper",
+                "Connections closed for sitting idle past their deadline",
             ),
             active: reg.gauge(
                 "shark_net_connections_active",
@@ -229,7 +229,8 @@ impl NetCounters {
         self.opened().saturating_sub(self.closed())
     }
 
-    /// Connections force-closed by the idle reaper (also counted closed).
+    /// Connections closed for idling past their deadline (also counted
+    /// closed).
     pub fn reaped(&self) -> u64 {
         self.reaped.load(Ordering::Relaxed)
     }
@@ -318,8 +319,6 @@ pub struct NetConfig {
     pub max_connections: usize,
     /// Shared-secret token Hello must present; `None` disables auth.
     pub auth_token: Option<String>,
-    /// Granularity of the idle-reaper's deadline wheel.
-    pub reap_tick: Duration,
     /// Serving parameters for tenants not naming a configured rate class.
     pub default_class: RateClass,
     /// Named per-tenant rate classes.
@@ -332,7 +331,6 @@ impl Default for NetConfig {
             addr: "127.0.0.1:0".to_string(),
             max_connections: 1024,
             auth_token: None,
-            reap_tick: Duration::from_millis(100),
             default_class: RateClass::default(),
             rate_classes: Vec::new(),
         }
@@ -364,12 +362,6 @@ impl NetConfig {
         self
     }
 
-    /// Deadline-wheel tick (reaper wake-up granularity).
-    pub fn with_reap_tick(mut self, tick: Duration) -> NetConfig {
-        self.reap_tick = tick;
-        self
-    }
-
     /// Max rows per result batch for the default rate class.
     pub fn with_max_batch_rows(mut self, rows: usize) -> NetConfig {
         self.default_class.max_batch_rows = rows;
@@ -391,79 +383,30 @@ impl NetConfig {
     }
 }
 
-/// One live connection's shared state: what the reaper and the handler
-/// both need to see.
-struct ConnState {
-    /// Clone of the handler's socket, used by the reaper/shutdown to
-    /// `shutdown()` it (erroring the handler out of a blocking read).
-    stream: TcpStream,
-    /// Milliseconds since server start of the last frame received.
-    last_active_ms: AtomicU64,
-    /// This connection's idle deadline distance — the default class's
-    /// until the handshake names a tenant, that tenant's after.
-    idle_timeout_ms: AtomicU64,
-}
-
-/// Coarse-tick timer wheel of connection idle deadlines. Insertions hash
-/// the deadline onto a slot; expiry lazily re-checks the connection's
-/// `last_active` and re-files entries that saw traffic since — so the
-/// receive hot path never touches the wheel, it only stores a timestamp.
-struct DeadlineWheel {
-    slots: Vec<Mutex<Vec<u64>>>,
-    tick_ms: u64,
-}
-
-impl DeadlineWheel {
-    fn new(tick: Duration, slots: usize) -> DeadlineWheel {
-        DeadlineWheel {
-            slots: (0..slots.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
-            tick_ms: tick.as_millis().max(1) as u64,
-        }
-    }
-
-    fn tick_of(&self, at_ms: u64) -> u64 {
-        at_ms / self.tick_ms
-    }
-
-    fn insert(&self, conn_id: u64, deadline_ms: u64) {
-        let slot = (self.tick_of(deadline_ms) as usize) % self.slots.len();
-        self.slots[slot].lock().push(conn_id);
-    }
-
-    fn drain_tick(&self, tick: u64) -> Vec<u64> {
-        let slot = (tick as usize) % self.slots.len();
-        std::mem::take(&mut *self.slots[slot].lock())
-    }
-}
-
-/// The running TCP frontend: accept loop, per-connection handler threads
-/// and the idle reaper. Dropping it (or calling [`NetServer::shutdown`])
+/// The running TCP frontend: accept loop and per-connection handler
+/// threads. Dropping it (or calling [`NetServer::shutdown`])
 /// stops accepting, force-closes every connection and joins all threads —
 /// after which [`NetCounters::active`] is zero or the teardown failed.
 pub struct NetServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    reaper_thread: Option<JoinHandle<()>>,
     shared: Arc<NetShared>,
 }
 
 struct NetShared {
     server: SharkServer,
     config: NetConfig,
-    epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    connections: Mutex<HashMap<u64, Arc<ConnState>>>,
+    /// A clone of every open connection's socket, so
+    /// [`NetServer::shutdown`] can `shutdown()` it (erroring its handler
+    /// out of a blocking read).
+    connections: Mutex<HashMap<u64, TcpStream>>,
     handlers: Mutex<Vec<JoinHandle<()>>>,
     next_conn_id: AtomicU64,
-    wheel: DeadlineWheel,
 }
 
 impl NetShared {
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-
     fn counters(&self) -> &NetCounters {
         self.server.net_counters()
     }
@@ -481,32 +424,23 @@ impl NetServer {
             .set_nonblocking(true)
             .map_err(|e| SharkError::Config(format!("set_nonblocking: {e}")))?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let wheel = DeadlineWheel::new(config.reap_tick, 64);
         let shared = Arc::new(NetShared {
             server,
             config,
-            epoch: Instant::now(),
             shutdown: shutdown.clone(),
             connections: Mutex::new(HashMap::new()),
             handlers: Mutex::new(Vec::new()),
             next_conn_id: AtomicU64::new(1),
-            wheel,
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::Builder::new()
             .name("shark-net-accept".to_string())
             .spawn(move || accept_loop(listener, accept_shared))
             .map_err(|e| SharkError::Config(format!("spawn accept thread: {e}")))?;
-        let reaper_shared = shared.clone();
-        let reaper_thread = std::thread::Builder::new()
-            .name("shark-net-reaper".to_string())
-            .spawn(move || reaper_loop(reaper_shared))
-            .map_err(|e| SharkError::Config(format!("spawn reaper thread: {e}")))?;
         Ok(NetServer {
             local_addr,
             shutdown,
             accept_thread: Some(accept_thread),
-            reaper_thread: Some(reaper_thread),
             shared,
         })
     }
@@ -523,16 +457,13 @@ impl NetServer {
     }
 
     /// Stop accepting, force-close every open connection, and join the
-    /// accept, reaper, and handler threads. Idempotent.
+    /// accept and handler threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for conn in self.shared.connections.lock().values() {
-            let _ = conn.stream.shutdown(Shutdown::Both);
+            let _ = conn.shutdown(Shutdown::Both);
         }
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.reaper_thread.take() {
             let _ = t.join();
         }
         let handlers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.handlers.lock());
@@ -580,23 +511,12 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
                         continue;
                     }
                 };
-                let conn = Arc::new(ConnState {
-                    stream: registry_stream,
-                    last_active_ms: AtomicU64::new(shared.now_ms()),
-                    idle_timeout_ms: AtomicU64::new(
-                        shared.config.default_class.idle_timeout.as_millis() as u64,
-                    ),
-                });
-                shared.connections.lock().insert(id, conn.clone());
-                shared.wheel.insert(
-                    id,
-                    shared.now_ms() + conn.idle_timeout_ms.load(Ordering::Relaxed),
-                );
+                shared.connections.lock().insert(id, registry_stream);
                 let handler_shared = shared.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("shark-net-conn-{id}"))
                     .spawn(move || {
-                        handle_connection(stream, conn, handler_shared.clone());
+                        handle_connection(stream, handler_shared.clone());
                         handler_shared.connections.lock().remove(&id);
                         handler_shared.counters().connection_closed();
                     });
@@ -642,38 +562,20 @@ fn reap_finished_handlers(shared: &NetShared) {
     }
 }
 
-fn reaper_loop(shared: Arc<NetShared>) {
-    let tick_ms = shared.config.reap_tick.as_millis().max(1) as u64;
-    let mut next_tick = shared.now_ms() / tick_ms;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        std::thread::sleep(shared.config.reap_tick);
-        let now_ms = shared.now_ms();
-        let now_tick = now_ms / tick_ms;
-        // Process every tick that elapsed, but at most one full lap —
-        // beyond that the slots repeat and a second pass is a no-op.
-        let laps = (now_tick.saturating_sub(next_tick) + 1).min(shared.wheel.slots.len() as u64);
-        for t in 0..laps {
-            for conn_id in shared.wheel.drain_tick(next_tick + t) {
-                let Some(conn) = shared.connections.lock().get(&conn_id).cloned() else {
-                    continue; // already closed; entry lapses
-                };
-                let last = conn.last_active_ms.load(Ordering::Relaxed);
-                let deadline = last + conn.idle_timeout_ms.load(Ordering::Relaxed);
-                if now_ms >= deadline {
-                    // Truly idle past its deadline: force-close. The
-                    // handler's blocking read errors out and tears the
-                    // connection down (counting `closed` itself).
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    shared.counters().connection_reaped();
-                } else {
-                    // Saw traffic since it was filed: re-file at the
-                    // deadline its current activity implies.
-                    shared.wheel.insert(conn_id, deadline);
-                }
-            }
-        }
-        next_tick = now_tick + 1;
-    }
+/// Arm the socket's receive timeout with an idle deadline. Every blocking
+/// read between requests then doubles as the idle timer.
+fn set_idle_timeout(stream: &TcpStream, timeout: Duration) {
+    // A zero timeout is rejected by the OS (it would mean "block forever").
+    let _ = stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))));
+}
+
+/// Whether a failed between-requests read is the receive timeout firing —
+/// an idle connection — rather than a disconnect.
+fn is_idle_timeout(err: &io::Error) -> bool {
+    matches!(
+        err.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// Write one frame to the socket, feeding the counters.
@@ -741,8 +643,10 @@ enum After {
     Hangup,
 }
 
-fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetShared>) {
+fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
     let counters = shared.counters();
+    // Until the handshake names a tenant the default class's deadline runs.
+    set_idle_timeout(&stream, shared.config.default_class.idle_timeout);
 
     // --- Handshake -------------------------------------------------------
     let hello = match frame::read_frame(&mut &stream) {
@@ -750,7 +654,12 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
             counters.frame_received(bytes);
             frame
         }
-        Err(FrameError::Io(_)) => return,
+        Err(FrameError::Io(err)) => {
+            if is_idle_timeout(&err) {
+                counters.connection_reaped();
+            }
+            return;
+        }
         Err(FrameError::Protocol(_)) => {
             counters.protocol_error();
             let _ = send_frame(
@@ -796,12 +705,7 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
     let class = shared.config.class_for(&tenant);
     let mut session = shared.server.session();
     session.set_stream_prefetch(class.stream_prefetch);
-    conn.idle_timeout_ms.store(
-        class.idle_timeout.as_millis().max(1) as u64,
-        Ordering::Relaxed,
-    );
-    conn.last_active_ms
-        .store(shared.now_ms(), Ordering::Relaxed);
+    set_idle_timeout(&stream, class.idle_timeout);
     if send_frame(
         &stream,
         counters,
@@ -825,13 +729,16 @@ fn handle_connection(stream: TcpStream, conn: Arc<ConnState>, shared: Arc<NetSha
         let request = match frame::read_frame(&mut &stream) {
             Ok((frame, bytes)) => {
                 counters.frame_received(bytes);
-                conn.last_active_ms
-                    .store(shared.now_ms(), Ordering::Relaxed);
                 frame
             }
-            // Disconnect, reap, or torn frame: the reaper already counted
-            // itself; either way the connection is done.
-            Err(FrameError::Io(_)) => return,
+            // Idle past the deadline, disconnect, or torn frame: either way
+            // the connection is done.
+            Err(FrameError::Io(err)) => {
+                if is_idle_timeout(&err) {
+                    counters.connection_reaped();
+                }
+                return;
+            }
             Err(FrameError::Protocol(msg)) => {
                 counters.protocol_error();
                 let _ = send_frame(
@@ -922,8 +829,8 @@ fn send_error(stream: &TcpStream, counters: &NetCounters, err: &SharkError) -> A
 }
 
 /// Run one statement and stream its results back. SELECTs go through the
-/// streaming cursor (client-paced, cancellable between batches); other
-/// statements run to completion and return their rows in one pass.
+/// streaming cursor (client-paced, partitions executed as batches are
+/// written); other statements run to completion first.
 fn run_statement(
     stream: &TcpStream,
     counters: &NetCounters,
@@ -932,9 +839,59 @@ fn run_statement(
     sql: &str,
 ) -> After {
     if is_select(sql) {
-        run_streamed(stream, counters, session, class, sql)
+        let cursor = match session.sql_stream(sql) {
+            Ok(cursor) => cursor,
+            Err(err) => return send_error(stream, counters, &err),
+        };
+        let schema = cursor.schema().clone();
+        write_result(
+            stream,
+            counters,
+            class,
+            schema,
+            cursor,
+            |cursor| cursor.next_batch(),
+            |cursor, cancelled| {
+                let progress = cursor.progress().clone();
+                let done = Frame::QueryDone {
+                    rows: progress.rows_streamed,
+                    partitions: progress.partitions_streamed as u64,
+                    plan_cache_hit: cursor.plan_cache_hit(),
+                    sim_seconds: cursor.sim_seconds(),
+                    cancelled,
+                };
+                // Explicit close: releases the admission permit, pins and
+                // prefetch grant (and records the query's metrics) before
+                // QueryDone is sent, so a client observing QueryDone
+                // observes a quiescent server.
+                drop(cursor);
+                done
+            },
+        )
     } else {
-        run_batch(stream, counters, session, class, sql)
+        let outcome = match session.sql(sql) {
+            Ok(outcome) => outcome,
+            Err(err) => return send_error(stream, counters, &err),
+        };
+        let schema = outcome.result.schema.clone();
+        write_result(
+            stream,
+            counters,
+            class,
+            schema,
+            outcome,
+            |outcome| {
+                let rows = std::mem::take(&mut outcome.result.rows);
+                Ok((!rows.is_empty()).then_some(rows))
+            },
+            |outcome, cancelled| Frame::QueryDone {
+                rows: outcome.metrics.rows_streamed,
+                partitions: 0,
+                plan_cache_hit: outcome.metrics.plan_cache_hit,
+                sim_seconds: outcome.result.sim_seconds,
+                cancelled,
+            },
+        )
     }
 }
 
@@ -944,78 +901,20 @@ fn is_select(sql: &str) -> bool {
         .is_some_and(|head| head.eq_ignore_ascii_case("select"))
 }
 
-fn run_batch(
+/// Write one result sequence: `ResultSchema`, the batches `next_batch`
+/// pulls out of `source` (split to the rate class's row cap), then the
+/// `QueryDone` that `done` builds from the spent source. Whatever `source`
+/// holds is dropped on every early return.
+fn write_result<S>(
     stream: &TcpStream,
     counters: &NetCounters,
-    session: &SessionHandle,
     class: &RateClass,
-    sql: &str,
+    schema: Schema,
+    mut source: S,
+    next_batch: impl Fn(&mut S) -> Result<Option<Vec<Row>>>,
+    done: impl FnOnce(S, bool) -> Frame,
 ) -> After {
-    let outcome = match session.sql(sql) {
-        Ok(outcome) => outcome,
-        Err(err) => return send_error(stream, counters, &err),
-    };
-    if send_frame(
-        stream,
-        counters,
-        &Frame::ResultSchema {
-            schema: outcome.result.schema.clone(),
-        },
-    )
-    .is_err()
-    {
-        return After::Hangup;
-    }
-    let rows = outcome.result.rows.len() as u64;
-    for chunk in outcome.result.rows.chunks(class.max_batch_rows.max(1)) {
-        if send_frame(
-            stream,
-            counters,
-            &Frame::ResultBatch {
-                rows: chunk.to_vec(),
-            },
-        )
-        .is_err()
-        {
-            return After::Hangup;
-        }
-    }
-    match send_frame(
-        stream,
-        counters,
-        &Frame::QueryDone {
-            rows,
-            partitions: 0,
-            plan_cache_hit: outcome.metrics.plan_cache_hit,
-            sim_seconds: outcome.result.sim_seconds,
-            cancelled: false,
-        },
-    ) {
-        Ok(()) => After::Continue,
-        Err(_) => After::Hangup,
-    }
-}
-
-fn run_streamed(
-    stream: &TcpStream,
-    counters: &NetCounters,
-    session: &SessionHandle,
-    class: &RateClass,
-    sql: &str,
-) -> After {
-    let mut cursor = match session.sql_stream(sql) {
-        Ok(cursor) => cursor,
-        Err(err) => return send_error(stream, counters, &err),
-    };
-    if send_frame(
-        stream,
-        counters,
-        &Frame::ResultSchema {
-            schema: cursor.schema().clone(),
-        },
-    )
-    .is_err()
-    {
+    if send_frame(stream, counters, &Frame::ResultSchema { schema }).is_err() {
         return After::Hangup;
     }
     let mut cancelled = false;
@@ -1023,8 +922,8 @@ fn run_streamed(
     let max_rows = class.max_batch_rows.max(1);
     loop {
         // Between batches is the cancellation point: a buffered Cancel or
-        // Close stops the stream; dropping the cursor below releases its
-        // permit, pins and prefetch grant.
+        // Close stops the result; a cursor dropped with `source` releases
+        // its permit, pins and prefetch grant.
         match poll_client(stream, counters) {
             ClientSignal::Idle => {}
             ClientSignal::Cancel => {
@@ -1039,44 +938,25 @@ fn run_streamed(
             }
             ClientSignal::Abort => return After::Hangup,
         }
-        let batch = match cursor.next_batch() {
+        let mut rows = match next_batch(&mut source) {
             Ok(Some(batch)) => batch,
             Ok(None) => break,
-            Err(err) => {
-                // The cursor finalized itself on the error path.
-                return send_error(stream, counters, &err);
-            }
+            // A cursor finalized itself on the error path.
+            Err(err) => return send_error(stream, counters, &err),
         };
-        let mut rows: Vec<Row> = batch;
         while !rows.is_empty() {
             let rest = rows.split_off(rows.len().min(max_rows));
             if send_frame(stream, counters, &Frame::ResultBatch { rows }).is_err() {
-                // Client went away mid-stream; the cursor drop releases
-                // everything it holds.
+                // Client went away mid-result.
                 return After::Hangup;
             }
             rows = rest;
         }
     }
-    let progress = cursor.progress().clone();
-    let plan_cache_hit = cursor.plan_cache_hit();
-    let sim_seconds = cursor.sim_seconds();
-    // Explicit close: releases the admission permit, pins and prefetch
-    // grant (and records the query's metrics) before QueryDone is sent,
-    // so a client observing QueryDone observes a quiescent server.
-    drop(cursor);
-    let done = send_frame(
-        stream,
-        counters,
-        &Frame::QueryDone {
-            rows: progress.rows_streamed,
-            partitions: progress.partitions_streamed as u64,
-            plan_cache_hit,
-            sim_seconds,
-            cancelled,
-        },
-    );
-    match (done, close_after) {
+    match (
+        send_frame(stream, counters, &done(source, cancelled)),
+        close_after,
+    ) {
         (Ok(()), false) => After::Continue,
         _ => After::Hangup,
     }

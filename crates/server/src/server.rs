@@ -380,12 +380,10 @@ impl ServerShared {
 
 /// RAII whole-table pins: releases on drop, so a query that panics or
 /// errors between pin and unpin can no longer leak its pins and leave the
-/// tables unevictable forever. A cursor that must keep the pins alive past
-/// the guard's scope takes them over with [`PinGuard::into_tables`].
+/// tables unevictable forever.
 struct PinGuard<'a> {
     memstore: &'a MemstoreManager,
     tables: Vec<String>,
-    armed: bool,
 }
 
 impl<'a> PinGuard<'a> {
@@ -393,29 +391,144 @@ impl<'a> PinGuard<'a> {
     /// [`MemstoreManager::pin`] reports.
     fn pin(memstore: &'a MemstoreManager, tables: Vec<String>) -> (PinGuard<'a>, usize) {
         let recomputes = memstore.pin(&tables);
-        (
-            PinGuard {
-                memstore,
-                tables,
-                armed: true,
-            },
-            recomputes,
-        )
+        (PinGuard { memstore, tables }, recomputes)
     }
 
-    /// Disarm the guard and hand the still-pinned tables to the caller,
-    /// which becomes responsible for unpinning them (the cursor path).
-    fn into_tables(mut self) -> Vec<String> {
-        self.armed = false;
-        std::mem::take(&mut self.tables)
+    /// Unpin one table ahead of the guard's drop (a single-scan cursor
+    /// swaps it for partition-granular pins). Returns the name when it was
+    /// held.
+    fn release(&mut self, table: &str) -> Option<String> {
+        let at = self.tables.iter().position(|t| t == table)?;
+        let released = self.tables.remove(at);
+        self.memstore.unpin(std::slice::from_ref(&released));
+        Some(released)
     }
 }
 
 impl Drop for PinGuard<'_> {
     fn drop(&mut self) {
-        if self.armed {
-            self.memstore.unpin(&self.tables);
+        self.memstore.unpin(&self.tables);
+    }
+}
+
+/// A query holding an execution slot. [`SessionHandle::admit`] and
+/// [`Admitted::settle`] are *the* query lifecycle: every statement a
+/// session runs — blocking, streamed, failed while planning, failed
+/// mid-stream, abandoned — is opened by the one and ended by the other, so
+/// there is exactly one place that gives back what a query held and records
+/// that it ran.
+struct Admitted<'s> {
+    session: &'s SessionHandle,
+    statement: String,
+    /// Root span of the query's trace (when query tracing is on), finished
+    /// by `settle`, so batch deliveries that happen long after admission
+    /// still belong to the same trace.
+    root: Option<shark_obs::DetachedSpan>,
+    permit: AdmissionPermit<'s>,
+    pins: PinGuard<'s>,
+    queue_wait: Duration,
+    admitted_at: Instant,
+    recomputed_tables: usize,
+    cache_hit_bytes: u64,
+    /// Referenced tables' resident bytes at admission, for fault-in
+    /// ownership attribution when the query settles.
+    residency_before: Vec<(String, u64)>,
+}
+
+/// How an admitted query ended: the part only its caller knows.
+struct Outcome {
+    failed: bool,
+    plan_cache_hit: bool,
+    sim_seconds: f64,
+    /// Delivery totals (a blocking query reports its row count only: the
+    /// whole result arrives when execution ends).
+    progress: StreamProgress,
+    /// The prefetch depth granted to the cursor, when one was handed out.
+    streamed: Option<usize>,
+}
+
+impl Admitted<'_> {
+    /// Put the query's trace context on this thread, so every
+    /// engine/scheduler span below nests under its root.
+    fn attach(&self) -> Option<shark_obs::AttachGuard> {
+        self.root.as_ref().map(|r| r.context().attach())
+    }
+
+    /// End the query: release its pins, charge what it faulted in to its
+    /// session, bring the session back under its quota (its own LRU
+    /// partitions go first) and the server under its budget while the
+    /// permit is still held — so concurrent enforcement stays bounded —
+    /// reclaim dropped table versions nothing pins any more, free the
+    /// execution slot, commit the query's durable effects (CTAS/DROP,
+    /// demotions, promotions) before its result is observable, and record
+    /// its metrics.
+    fn settle(mut self, outcome: Outcome) -> QueryMetrics {
+        let session_id = self.session.id;
+        let shared = &self.session.shared;
+        let exec_time = self.admitted_at.elapsed();
+        // Settling may run on a different thread than admission (a cursor
+        // dropped elsewhere): enforcement events still land in this trace.
+        let _attach = if shark_obs::active() {
+            self.attach()
+        } else {
+            None
+        };
+        drop(self.pins);
+        charge_faulted_tables(shared, session_id, &self.residency_before);
+        let quota_events = shared
+            .memstore
+            .enforce_session_quota(session_id, &shared.catalog);
+        let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
+        // The statement's catalog-snapshot pin is released by now (the
+        // engine holds it for the statement's lifetime, a cursor until its
+        // stream is cancelled), so a DROP TABLE this query performed — or
+        // one whose last pinning cursor this was — can be reclaimed here.
+        shared.memstore.reclaim_dropped(&shared.catalog);
+        drop(self.permit);
+        let promotions = shared.memstore.drain_promotions();
+        record_enforcement_events(&evictions, &quota_events, &promotions);
+        shared.persist_durable();
+
+        let progress = outcome.progress;
+        if let Some(mut root) = self.root.take() {
+            root.add_rows(progress.rows_streamed);
+            if outcome.streamed.is_some() {
+                root.annotate(
+                    "partitions",
+                    &format!(
+                        "{}/{}",
+                        progress.partitions_streamed, progress.partitions_total
+                    ),
+                );
+            }
+            if outcome.failed {
+                root.annotate("failed", "true");
+            }
+            root.finish();
         }
+        let metrics = QueryMetrics {
+            session_id,
+            query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
+            statement: self.statement,
+            queue_wait: self.queue_wait,
+            exec_time,
+            sim_seconds: outcome.sim_seconds,
+            time_to_first_row: progress.time_to_first_row.unwrap_or(exec_time),
+            rows_streamed: progress.rows_streamed,
+            partitions_streamed: progress.partitions_streamed,
+            partitions_total: progress.partitions_total,
+            streamed: outcome.streamed.is_some(),
+            prefetch_depth: outcome.streamed.unwrap_or(0),
+            prefetch_hits: progress.prefetch_hits,
+            cache_hit_bytes: self.cache_hit_bytes,
+            recomputed_tables: self.recomputed_tables,
+            evictions_triggered: evictions.len(),
+            quota_evictions: quota_events.iter().map(EvictionEvent::partitions).sum(),
+            plan_cache_hit: outcome.plan_cache_hit,
+            failed: outcome.failed,
+        };
+        shared.metrics.record(metrics.clone());
+        metrics
     }
 }
 
@@ -895,39 +1008,29 @@ impl SessionHandle {
         self.sql.set_stream_prefetch(depth);
     }
 
-    /// Execute a SQL statement under admission control, returning the rows
-    /// plus per-query serving metrics. Fails fast with
-    /// [`SharkError::Execution`] when the admission queue is full.
-    pub fn sql(&self, text: &str) -> Result<SessionQueryResult> {
-        let shared = &self.shared;
-        // Parse up front so we know which tables to touch/pin — and so a
-        // syntactically invalid query never occupies an execution slot.
-        // Parse failures still count as failed queries in the metrics.
-        // With a plan cache attached, a repeated statement skips the parser
-        // through the cache's (epoch-independent) parse tier.
-        let statement = match self.sql.parse_cached(text) {
-            Ok(statement) => statement,
-            Err(err) => {
-                self.record_parse_failure(text);
-                return Err(err);
-            }
-        };
-        let tables = pinned_tables_for(&statement);
+    /// Parse through the plan cache's parse tier (a repeated statement
+    /// skips the parser). Parsing comes first so we know which tables to
+    /// pin — and so a syntactically invalid query never occupies an
+    /// execution slot; it still counts as a failed query in the metrics.
+    fn parse(&self, text: &str) -> Result<Arc<shark_sql::ast::Statement>> {
+        self.sql
+            .parse_cached(text)
+            .inspect_err(|_| self.record_parse_failure(text))
+    }
 
-        // Root span of this query's trace (when query tracing is on). The
-        // attach guard puts the trace context on this thread so every
-        // engine/scheduler span below nests under it; it is dropped before
-        // the root span itself records.
-        let mut root = if shark_obs::tracer().is_enabled() {
-            let mut span = shark_obs::start_trace("query");
+    /// Open a query's lifecycle: start its trace, wait for an execution
+    /// slot (failing fast when the admission queue is full), pin `tables`
+    /// and snapshot their residency. The returned [`Admitted`] must be
+    /// ended with [`Admitted::settle`].
+    fn admit(&self, trace: &str, text: &str, tables: Vec<String>) -> Result<Admitted<'_>> {
+        let shared = &self.shared;
+        let mut root = shark_obs::tracer().is_enabled().then(|| {
+            let mut span = shark_obs::start_trace(trace);
             span.annotate("statement", text);
             span.annotate("session", &self.id.to_string());
-            Some(span)
-        } else {
-            None
-        };
+            span
+        });
         let _trace = root.as_ref().map(|r| r.context().attach());
-
         let acquired = {
             // Admission-queue wait as its own span; the always-on histogram
             // counterpart is observed in `MetricsRegistry::record`.
@@ -944,17 +1047,32 @@ impl SessionHandle {
                 return Err(SharkError::Execution(err.to_string()));
             }
         };
-        // RAII pins: a panic inside the engine unwinds through the guard
-        // and still releases them, so the tables stay evictable.
         let (pins, recomputed_tables) = PinGuard::pin(&shared.memstore, tables);
         let cache_hit_bytes = cache_hit_bytes(&shared.catalog, &pins.tables);
         let residency_before = table_residency(&shared.catalog, &pins.tables);
-        let exec_started = Instant::now();
+        Ok(Admitted {
+            session: self,
+            statement: text.to_string(),
+            root,
+            permit,
+            pins,
+            queue_wait,
+            admitted_at: Instant::now(),
+            recomputed_tables,
+            cache_hit_bytes,
+            residency_before,
+        })
+    }
+
+    /// Execute a SQL statement under admission control, returning the rows
+    /// plus per-query serving metrics. Fails fast with
+    /// [`SharkError::Execution`] when the admission queue is full.
+    pub fn sql(&self, text: &str) -> Result<SessionQueryResult> {
+        let shared = &self.shared;
+        let statement = self.parse(text)?;
+        let admitted = self.admit("query", text, pinned_tables_for(&statement))?;
+        let _trace = admitted.attach();
         let result = self.sql.execute_statement_cached(text, &statement);
-        let exec_time = exec_started.elapsed();
-        drop(pins);
-        let plan_cache_hit = result.as_ref().map(|(_, hit)| *hit).unwrap_or(false);
-        let result = result.map(|(result, _)| result);
         if result.is_ok() {
             match statement.as_ref() {
                 shark_sql::ast::Statement::DropTable { name } => {
@@ -974,61 +1092,18 @@ impl SessionHandle {
                 _ => {}
             }
         }
-        // The query may have grown the memstore (lazy loads, lineage
-        // rebuilds, CREATE TABLE … cached): charge any table it faulted in
-        // to this session, bring the session back under its own quota (its
-        // LRU partitions go first), then re-enforce the global budget while
-        // we still hold the permit so concurrent enforcement stays bounded.
-        charge_faulted_tables(shared, self.id, &residency_before);
-        let quota_events = shared
-            .memstore
-            .enforce_session_quota(self.id, &shared.catalog);
-        let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-        // The statement's own snapshot pin is released by now (the engine
-        // holds it only for the statement's lifetime), so a DROP TABLE this
-        // query performed — or one whose last pinning cursor has since
-        // closed — can be reclaimed here.
-        shared.memstore.reclaim_dropped(&shared.catalog);
-        drop(permit);
-        let promotions = shared.memstore.drain_promotions();
-        record_enforcement_events(&evictions, &quota_events, &promotions);
-        // Commit this query's durable effects (CTAS/DROP, demotions,
-        // promotions) before its result is observable.
-        shared.persist_durable();
-
-        let metrics = QueryMetrics {
-            session_id: self.id,
-            query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-            statement: text.to_string(),
-            queue_wait,
-            exec_time,
-            sim_seconds: result.as_ref().map(|r| r.sim_seconds).unwrap_or(0.0),
-            // Batch delivery: the whole result arrives when execution ends.
-            time_to_first_row: exec_time,
-            rows_streamed: result.as_ref().map(|r| r.rows.len() as u64).unwrap_or(0),
-            partitions_streamed: 0,
-            partitions_total: 0,
-            streamed: false,
-            prefetch_depth: 0,
-            prefetch_hits: 0,
-            cache_hit_bytes,
-            recomputed_tables,
-            evictions_triggered: evictions.len(),
-            quota_evictions: quota_events.iter().map(EvictionEvent::partitions).sum(),
-            plan_cache_hit,
+        let metrics = admitted.settle(Outcome {
             failed: result.is_err(),
-        };
-        if let Some(root) = root.as_mut() {
-            root.add_rows(metrics.rows_streamed);
-            if metrics.failed {
-                root.annotate("failed", "true");
-            }
-        }
-        shared.metrics.record(metrics.clone());
-        Ok(SessionQueryResult {
-            result: result?,
-            metrics,
-        })
+            plan_cache_hit: matches!(result, Ok((_, true))),
+            sim_seconds: result.as_ref().map_or(0.0, |(r, _)| r.sim_seconds),
+            progress: StreamProgress {
+                rows_streamed: result.as_ref().map_or(0, |(r, _)| r.rows.len() as u64),
+                ..StreamProgress::default()
+            },
+            streamed: None,
+        });
+        let (result, _) = result?;
+        Ok(SessionQueryResult { result, metrics })
     }
 
     /// Execute a SELECT under admission control and return a streaming
@@ -1041,17 +1116,10 @@ impl SessionHandle {
     /// morsel runs). A LIMIT stream stops launching partitions early.
     pub fn sql_stream(&self, text: &str) -> Result<QueryCursor<'_>> {
         let shared = &self.shared;
-        // Parse through the cache's parse tier; a non-SELECT statement gets
-        // the same error `parser::parse_select` would produce.
-        let parsed = match self.sql.parse_cached(text) {
-            Ok(parsed) => parsed,
-            Err(err) => {
-                self.record_parse_failure(text);
-                return Err(err);
-            }
-        };
+        let parsed = self.parse(text)?;
         let statement = match parsed.as_ref() {
             shark_sql::ast::Statement::Select(statement) => statement,
+            // The same error `parser::parse_select` would produce.
             other => {
                 self.record_parse_failure(text);
                 return Err(SharkError::Parse(format!(
@@ -1059,45 +1127,12 @@ impl SessionHandle {
                 )));
             }
         };
-        let tables = statement.referenced_tables();
-
-        // Root span of the streamed query's trace. It is *stored in the
-        // cursor* and finished by `finalize`, so batch deliveries that
-        // happen long after this call still belong to the same trace.
-        let mut root = if shark_obs::tracer().is_enabled() {
-            let mut span = shark_obs::start_trace("query-stream");
-            span.annotate("statement", text);
-            span.annotate("session", &self.id.to_string());
-            Some(span)
-        } else {
-            None
-        };
-        let _trace = root.as_ref().map(|r| r.context().attach());
-
-        let acquired = {
-            let _wait = shark_obs::span("admission-wait");
-            shared.admission.acquire()
-        };
-        let (permit, queue_wait) = match acquired {
-            Ok(admitted) => admitted,
-            Err(err) => {
-                if let Some(root) = root.as_mut() {
-                    root.annotate("rejected", "true");
-                }
-                shared.metrics.record_rejection(self.id);
-                return Err(SharkError::Execution(err.to_string()));
-            }
-        };
-        // RAII pins: released on any error/panic path below; the success
-        // path hands them over to the cursor, which owns them from then on.
-        let (pins, recomputed_tables) = PinGuard::pin(&shared.memstore, tables);
-        let cache_hit_bytes = cache_hit_bytes(&shared.catalog, &pins.tables);
-        let residency_before = table_residency(&shared.catalog, &pins.tables);
+        let mut admitted = self.admit("query-stream", text, statement.referenced_tables())?;
+        let _trace = admitted.attach();
         // Clamp this cursor's prefetch under the server-wide budget while
         // the admission permit is already held, so total speculative work
         // stays bounded alongside total in-flight queries.
         let prefetch = shared.acquire_prefetch(self.sql.stream_prefetch());
-        let admitted_at = Instant::now();
         match self.sql.sql_to_stream_cached(text, statement) {
             Ok((stream, plan_cache_hit)) => {
                 let stream = stream.with_prefetch(prefetch);
@@ -1107,66 +1142,29 @@ impl SessionHandle {
                 // table hostage against eviction — undelivered partitions
                 // stay evictable and are rebuilt from lineage if a morsel
                 // needs one after pressure took it.
-                let mut tables = pins.into_tables();
-                let scan_table = stream.single_scan_table().and_then(|scan| {
-                    let at = tables.iter().position(|t| t == scan)?;
-                    let released = tables.remove(at);
-                    shared.memstore.unpin(std::slice::from_ref(&released));
-                    Some(released)
-                });
+                let scan_table = stream
+                    .single_scan_table()
+                    .and_then(|scan| admitted.pins.release(scan));
                 Ok(QueryCursor {
-                    session: self,
-                    permit: Some(permit),
+                    admitted: Some(admitted),
                     stream,
-                    tables,
                     scan_table,
                     pinned_partitions: 0,
-                    residency_before,
-                    statement: text.to_string(),
-                    queue_wait,
-                    admitted_at,
-                    recomputed_tables,
-                    cache_hit_bytes,
                     prefetch,
                     plan_cache_hit,
-                    root,
                     failed: false,
-                    finalized: false,
                 })
             }
             Err(err) => {
-                // Planning failed: release everything and record the
-                // failure before the permit drops.
-                if let Some(root) = root.as_mut() {
-                    root.annotate("failed", "true");
-                }
+                // Planning failed and no cursor was ever handed out, so
+                // this does not count toward the streamed-query aggregates.
                 shared.release_prefetch(prefetch);
-                drop(pins);
-                let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-                shared.memstore.reclaim_dropped(&shared.catalog);
-                drop(permit);
-                shared.metrics.record(QueryMetrics {
-                    session_id: self.id,
-                    query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-                    statement: text.to_string(),
-                    queue_wait,
-                    exec_time: admitted_at.elapsed(),
-                    sim_seconds: 0.0,
-                    time_to_first_row: admitted_at.elapsed(),
-                    rows_streamed: 0,
-                    partitions_streamed: 0,
-                    partitions_total: 0,
-                    // No cursor was ever handed out, so this does not
-                    // count toward the streamed-query aggregates.
-                    streamed: false,
-                    prefetch_depth: 0,
-                    prefetch_hits: 0,
-                    cache_hit_bytes,
-                    recomputed_tables,
-                    evictions_triggered: evictions.len(),
-                    quota_evictions: 0,
-                    plan_cache_hit: false,
+                admitted.settle(Outcome {
                     failed: true,
+                    plan_cache_hit: false,
+                    sim_seconds: 0.0,
+                    progress: StreamProgress::default(),
+                    streamed: None,
                 });
                 Err(err)
             }
@@ -1526,12 +1524,10 @@ fn charge_faulted_tables(shared: &ServerShared, session_id: u64, before: &[(Stri
 /// [`QueryMetrics`] recorded — when the stream is exhausted, when an
 /// execution error surfaces, or when the cursor is dropped mid-stream.
 pub struct QueryCursor<'s> {
-    session: &'s SessionHandle,
-    permit: Option<AdmissionPermit<'s>>,
+    /// The open query: permit, whole-table pins (everything referenced
+    /// except a single-scan target) and trace root. `None` once settled.
+    admitted: Option<Admitted<'s>>,
     stream: QueryStream,
-    /// Tables held under whole-table pins for the cursor's lifetime
-    /// (everything referenced except a single-scan target).
-    tables: Vec<String>,
     /// Single-scan target pinned at partition granularity instead: only
     /// partitions the stream has delivered are pinned, via
     /// [`QueryCursor::sync_partition_pins`].
@@ -1539,24 +1535,12 @@ pub struct QueryCursor<'s> {
     /// How many entries of the stream's delivered-partition list have been
     /// pinned so far (the list is append-only).
     pinned_partitions: usize,
-    /// Referenced tables' resident bytes at admission, for fault-in
-    /// ownership attribution on finalize.
-    residency_before: Vec<(String, u64)>,
-    statement: String,
-    queue_wait: Duration,
-    admitted_at: Instant,
-    recomputed_tables: usize,
-    cache_hit_bytes: u64,
     /// Prefetch depth granted out of the server's aggregate budget,
     /// returned to the pool on finalize.
     prefetch: usize,
     /// Whether this stream's plan came out of the shared plan cache.
     plan_cache_hit: bool,
-    /// Root trace span of the streamed query (when tracing is on),
-    /// finished with delivery totals when the cursor finalizes.
-    root: Option<shark_obs::DetachedSpan>,
     failed: bool,
-    finalized: bool,
 }
 
 impl QueryCursor<'_> {
@@ -1589,7 +1573,7 @@ impl QueryCursor<'_> {
     /// exhausted, at which point the admission permit and table pins have
     /// been released and the query's metrics recorded.
     pub fn next_batch(&mut self) -> Result<Option<Vec<Row>>> {
-        if self.finalized {
+        if self.admitted.is_none() {
             return Ok(None);
         }
         match self.stream.next_batch() {
@@ -1611,12 +1595,13 @@ impl QueryCursor<'_> {
 
     /// Pin every newly delivered partition of the single-scan table.
     fn sync_partition_pins(&mut self) {
-        let Some(table) = &self.scan_table else {
+        let (Some(table), Some(admitted)) = (&self.scan_table, &self.admitted) else {
             return;
         };
+        let memstore = &admitted.session.shared.memstore;
         let delivered = self.stream.delivered_scan_partitions();
         for &partition in &delivered[self.pinned_partitions..] {
-            self.session.shared.memstore.pin_partition(table, partition);
+            memstore.pin_partition(table, partition);
         }
         self.pinned_partitions = delivered.len();
     }
@@ -1630,85 +1615,30 @@ impl QueryCursor<'_> {
         Ok(rows)
     }
 
-    /// Release pins + permit and record this query's metrics. Idempotent.
+    /// Stop the stream, return the prefetch grant and partition pins, and
+    /// settle the query. Idempotent.
     fn finalize(&mut self) {
-        if self.finalized {
+        let Some(admitted) = self.admitted.take() else {
             return;
-        }
-        self.finalized = true;
-        let shared = &self.session.shared;
-        let exec_time = self.admitted_at.elapsed();
-        // Re-attach the query's trace context (finalize may run on a
-        // different thread than sql_stream) so enforcement events below
-        // land inside this query's trace.
-        let _attach = if shark_obs::active() {
-            self.root.as_ref().map(|r| r.context().attach())
-        } else {
-            None
         };
+        let shared = &admitted.session.shared;
         // Stop the stream first (cancelling + joining any prefetch workers)
-        // so no task can touch a table after its pin is released.
+        // so no task can touch a table after its pin is released. This also
+        // releases the stream's catalog-snapshot pin.
         self.stream.cancel();
-        let progress = self.stream.progress().clone();
-        let sim_seconds = self.stream.sim_seconds();
         shared.release_prefetch(self.prefetch);
-        shared.memstore.unpin(&self.tables);
         if let Some(table) = &self.scan_table {
             let delivered = self.stream.delivered_scan_partitions();
             for &partition in &delivered[..self.pinned_partitions] {
                 shared.memstore.unpin_partition(table, partition);
             }
         }
-        // Charge faulted-in tables, then re-enforce quota + budget while
-        // still holding the permit, exactly as the batch path does on
-        // completion.
-        charge_faulted_tables(shared, self.session.id, &self.residency_before);
-        let quota_events = shared
-            .memstore
-            .enforce_session_quota(self.session.id, &shared.catalog);
-        let evictions = shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-        // Cancelling the stream released its catalog-snapshot pin: if this
-        // cursor was the last reference to a dropped table version, its
-        // memstore is reclaimed now.
-        shared.memstore.reclaim_dropped(&shared.catalog);
-        self.permit.take();
-        let promotions = shared.memstore.drain_promotions();
-        record_enforcement_events(&evictions, &quota_events, &promotions);
-        shared.persist_durable();
-        if let Some(mut root) = self.root.take() {
-            root.add_rows(progress.rows_streamed);
-            root.annotate(
-                "partitions",
-                &format!(
-                    "{}/{}",
-                    progress.partitions_streamed, progress.partitions_total
-                ),
-            );
-            if self.failed {
-                root.annotate("failed", "true");
-            }
-            root.finish();
-        }
-        shared.metrics.record(QueryMetrics {
-            session_id: self.session.id,
-            query_id: shared.next_query_id.fetch_add(1, Ordering::Relaxed),
-            statement: self.statement.clone(),
-            queue_wait: self.queue_wait,
-            exec_time,
-            sim_seconds,
-            time_to_first_row: progress.time_to_first_row.unwrap_or(exec_time),
-            rows_streamed: progress.rows_streamed,
-            partitions_streamed: progress.partitions_streamed,
-            partitions_total: progress.partitions_total,
-            streamed: true,
-            prefetch_depth: self.prefetch,
-            prefetch_hits: progress.prefetch_hits,
-            cache_hit_bytes: self.cache_hit_bytes,
-            recomputed_tables: self.recomputed_tables,
-            evictions_triggered: evictions.len(),
-            quota_evictions: quota_events.iter().map(EvictionEvent::partitions).sum(),
-            plan_cache_hit: self.plan_cache_hit,
+        admitted.settle(Outcome {
             failed: self.failed,
+            plan_cache_hit: self.plan_cache_hit,
+            sim_seconds: self.stream.sim_seconds(),
+            progress: self.stream.progress().clone(),
+            streamed: Some(self.prefetch),
         });
     }
 }

@@ -41,7 +41,7 @@ use parking_lot::Mutex;
 use shark_columnar::{
     decode_partition, encode_partition, read_frame_header, ColumnarPartition, SPILL_HEADER_BYTES,
 };
-use shark_common::hash::FxHashMap;
+use shark_common::hash::{fnv1a, FxHashMap};
 use shark_common::{Result, SharkError};
 use shark_sql::SpillSource;
 
@@ -188,17 +188,6 @@ pub struct SpillManager {
     write_failures: AtomicU64,
 }
 
-/// FNV-1a over a table name, to keep spill file names unique even when
-/// sanitizing distinct table names to the same safe characters.
-fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl SpillManager {
     /// Open (creating if needed) a spill directory and sweep only `.tmp-*`
     /// partials from a crashed mid-write. Intact `.spill` frames from an
@@ -262,9 +251,11 @@ impl SpillManager {
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
+        // The name's FNV-1a keeps file names unique even when distinct
+        // table names sanitize to the same safe characters.
         self.dir.join(format!(
             "{safe}-{:016x}_{partition}.spill",
-            name_hash(table)
+            fnv1a(table.as_bytes())
         ))
     }
 

@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use shark_common::hash::fnv1a;
 use shark_common::{DataType, Field, Result, Schema, SharkError};
 use shark_sql::{DdlRecord, RowGenerator, TableMeta};
 
@@ -74,15 +75,6 @@ pub const MANIFEST_FILE: &str = "spill.manifest";
 const WAL_HEADER_BYTES: usize = 8 + 4;
 /// Per-record framing overhead: length (u32) + checksum (u64).
 const RECORD_FRAME_BYTES: usize = 4 + 8;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> SharkError {
     SharkError::Execution(format!("{what} {}: {e}", path.display()))

@@ -260,3 +260,60 @@ fn mid_query_disconnect_releases_permit_pins_and_prefetch() {
     assert_eq!(server.running_queries(), 0);
     assert_eq!(server.prefetch_in_use(), 0);
 }
+
+#[test]
+fn idle_connections_are_reaped_but_a_query_outlasting_the_deadline_is_not() {
+    const IDLE: Duration = Duration::from_millis(150);
+    let (server, mut net) = serve(NetConfig::default().with_idle_timeout(IDLE));
+    let addr = net.local_addr();
+    // Uncached, and every partition takes most of the idle deadline to
+    // produce: the query below runs for several deadlines.
+    let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+    server.register_table(TableMeta::new("slow", schema, PARTITIONS, |p| {
+        std::thread::sleep(IDLE * 2 / 3);
+        vec![row![p as i64]]
+    }));
+
+    let mut conn = handshake(addr, "");
+    let started = Instant::now();
+    frame::write_frame(
+        &mut conn,
+        &Frame::Query {
+            sql: "SELECT k FROM slow".to_string(),
+        },
+    )
+    .unwrap();
+    let mut rows = 0;
+    loop {
+        match frame::read_frame(&mut conn).unwrap().0 {
+            Frame::ResultSchema { .. } => {}
+            Frame::ResultBatch { rows: batch } => rows += batch.len(),
+            Frame::QueryDone { cancelled, .. } => {
+                assert!(!cancelled);
+                break;
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(rows, PARTITIONS);
+    assert!(started.elapsed() > IDLE, "the query was not slow enough");
+    assert_eq!(server.report().connections_reaped, 0);
+
+    // Now the connection really is idle: the server closes it.
+    await_condition("the idle connection to be reaped", || {
+        server.report().connections_reaped == 1
+    });
+    assert!(frame::read_frame(&mut conn).is_err(), "socket still open");
+
+    // So is one that never says Hello (the default class's deadline runs).
+    let silent = TcpStream::connect(addr).unwrap();
+    await_condition("the silent connection to be reaped", || {
+        server.report().connections_reaped == 2
+    });
+    drop(silent);
+
+    net.shutdown();
+    let report = server.report();
+    assert_eq!(report.connections_active, 0);
+    assert_eq!(report.connections_closed, report.connections_opened);
+}

@@ -184,6 +184,7 @@ fn eight_sessions_racing_ddl_against_open_cursors() {
     let drops = Arc::new(AtomicUsize::new(0));
     let creates = Arc::new(AtomicUsize::new(1)); // the setup CTAS
     let barrier = Arc::new(Barrier::new(STRESS_SESSIONS));
+    let writers_running = Arc::new(AtomicUsize::new(WRITERS));
     let mut workers = Vec::new();
 
     for w in 0..WRITERS {
@@ -191,6 +192,7 @@ fn eight_sessions_racing_ddl_against_open_cursors() {
         let barrier = barrier.clone();
         let drops = drops.clone();
         let creates = creates.clone();
+        let writers_running = writers_running.clone();
         workers.push(std::thread::spawn(move || {
             barrier.wait();
             for round in 0..WRITER_ROUNDS {
@@ -205,6 +207,7 @@ fn eight_sessions_racing_ddl_against_open_cursors() {
                     creates.fetch_add(1, Ordering::Relaxed);
                 }
             }
+            writers_running.fetch_sub(1, Ordering::SeqCst);
             0usize // writers drain no cursors
         }));
     }
@@ -212,15 +215,26 @@ fn eight_sessions_racing_ddl_against_open_cursors() {
     for r in 0..(STRESS_SESSIONS - WRITERS) {
         let session = server.session();
         let barrier = barrier.clone();
+        let writers_running = writers_running.clone();
         workers.push(std::thread::spawn(move || {
             barrier.wait();
             let mut drained_ok = 0usize;
-            for round in 0..READER_ROUNDS {
+            let mut round = 0;
+            while round < READER_ROUNDS {
                 // The table vanishes transiently between a DROP and the
                 // next CTAS; a reader that catches that window just retries.
+                // A miss only uses up a round once the writers are done (the
+                // last DDL is a CTAS attempt, so the table then exists for
+                // good): a writer descheduled inside that window cannot
+                // starve every reader out of all its rounds.
                 let Ok(mut cursor) = session.sql_stream("SELECT k, tag FROM hot") else {
+                    if writers_running.load(Ordering::SeqCst) == 0 {
+                        round += 1;
+                    }
+                    std::thread::yield_now();
                     continue;
                 };
+                round += 1;
                 let rows = cursor.fetch_all().unwrap_or_else(|e| {
                     panic!("reader {r} round {round}: cursor failed mid-drain: {e}")
                 });

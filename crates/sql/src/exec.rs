@@ -22,7 +22,7 @@ use shark_cluster::{DfsModel, OutputSink};
 use shark_columnar::ColumnarPartition;
 use shark_common::size::estimate_slice;
 use shark_common::{Result, Row, Schema, SharkError, Value};
-use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, StreamingJob, TaskMetrics};
+use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, TaskMetrics};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{CatalogSnapshot, TableMeta};
@@ -825,12 +825,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     };
     let mut notes = table_rdd.notes;
     notes.push("result streaming: partitions delivered incrementally".into());
-    let streaming = {
-        // Stage launch: runs every shuffle map stage the plan depends on.
-        let _span = shark_obs::span("stage-launch");
-        StreamingJob::new(ctx, &table_rdd.rdd, "sql-stream")?
-    };
-    let partitions_total = streaming.num_partitions();
+    let partitions_total = table_rdd.rdd.num_partitions();
 
     // Pick the per-partition task transformation and the execution order.
     let keys = plan.order_by.clone();
@@ -860,7 +855,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         order = (0..partitions_total).collect();
     }
     let task_keys = keys.clone();
-    let mut job = streaming.pipelined(order, OutputSink::Collect, move |mut rows, m| {
+    let task = move |mut rows: Vec<Row>, m: &mut TaskMetrics| {
         if task_keys.is_empty() {
             return rows;
         }
@@ -884,7 +879,19 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
                 rows
             }
         }
-    });
+    };
+    let mut job = {
+        // Stage launch: runs every shuffle map stage the plan depends on.
+        let _span = shark_obs::span("stage-launch");
+        PipelinedJob::new(
+            ctx,
+            &table_rdd.rdd,
+            "sql-stream",
+            order,
+            OutputSink::Collect,
+            task,
+        )?
+    };
     job.set_prefetch(cfg.stream_prefetch);
     let scan_pin = table_rdd
         .single_scan

@@ -29,12 +29,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use shark_common::hash::{fnv1a_from, FNV_OFFSET};
 
 use crate::ast::Statement;
 use crate::plan::QueryPlan;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Fingerprint of a statement's text: FNV-1a 64 over the normalized form —
 /// whitespace runs collapse to one space, letters outside single-quoted
@@ -75,13 +73,8 @@ pub fn statement_fingerprint(text: &str) -> u64 {
     hash
 }
 
-fn fnv_char(mut hash: u64, ch: char) -> u64 {
-    let mut buf = [0u8; 4];
-    for byte in ch.encode_utf8(&mut buf).as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+fn fnv_char(hash: u64, ch: char) -> u64 {
+    fnv1a_from(hash, ch.encode_utf8(&mut [0u8; 4]).as_bytes())
 }
 
 /// One cached statement: the parse result plus (for SELECTs) the newest

@@ -8,8 +8,8 @@
 //! a client cancels an expensive scan mid-stream, another disconnects
 //! without goodbye — and the serving layer must release that abandoned
 //! query's admission permit, memstore pins and prefetch grant on its own.
-//! Finally an idle connection sits past its rate-class deadline and the
-//! reaper force-closes it.
+//! Finally an idle connection sits past its rate-class deadline and its
+//! handler closes it.
 //!
 //! The example asserts the interesting gauges itself and ends with the
 //! machine-readable `SERVER_REPORT_JSON:` line the CI `net-smoke` job
@@ -68,13 +68,12 @@ fn main() -> shark_common::Result<()> {
     server.load_table("lineitem")?;
     server.load_table("orders")?;
 
-    // Short idle deadlines so the reaper close-up below fits in a smoke
+    // Short idle deadlines so the idle-reaping close-up below fits in a smoke
     // test; the "dashboards" tenant gets small result batches (paced
     // harder) and the default class a roomier stream.
     let net = server.serve(
         NetConfig::default()
             .with_auth_token(TOKEN)
-            .with_reap_tick(Duration::from_millis(25))
             .with_idle_timeout(Duration::from_millis(400))
             .with_max_batch_rows(256)
             .with_rate_class(RateClass {
@@ -221,13 +220,13 @@ fn main() -> shark_common::Result<()> {
     });
     println!("abandoned mid-query connection released permit, pins and prefetch");
 
-    // --- Idle reaping on the deadline wheel. ------------------------------
+    // --- Idle reaping: the between-requests read times out. ---------------
     let idler = SharkClient::connect(addr, TOKEN, "dashboards")?;
-    await_condition("the reaper to close the idle connection", || {
+    await_condition("the idle connection to be closed", || {
         server.report().connections_reaped >= 1
     });
     drop(idler);
-    println!("idle connection reaped by deadline wheel");
+    println!("idle connection reaped at its read-timeout deadline");
 
     // --- Orderly shutdown: nothing may stay open. -------------------------
     let mut net = net;
