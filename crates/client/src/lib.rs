@@ -20,6 +20,7 @@
 //! [`RowStream::cancel`] to stop an expensive query without dropping the
 //! connection.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 
@@ -54,7 +55,10 @@ pub struct PreparedStatement {
 
 /// A blocking connection to a shark server.
 pub struct SharkClient {
-    stream: TcpStream,
+    /// Reads are buffered: the server sends a result's schema and first
+    /// batch in one segment, and one `read` should take both. Writes go
+    /// straight to the socket.
+    stream: BufReader<TcpStream>,
     session_id: u64,
 }
 
@@ -67,7 +71,7 @@ impl SharkClient {
             TcpStream::connect(addr).map_err(|e| SharkError::Execution(format!("connect: {e}")))?;
         let _ = stream.set_nodelay(true);
         let mut client = SharkClient {
-            stream,
+            stream: BufReader::new(stream),
             session_id: 0,
         };
         client.send(&Frame::Hello {
@@ -183,7 +187,7 @@ impl SharkClient {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<()> {
-        frame::write_frame(&mut self.stream, frame)
+        frame::write_frame(self.stream.get_mut(), frame)
             .map(|_| ())
             .map_err(|e| SharkError::Execution(format!("send: {e}")))
     }

@@ -1,5 +1,7 @@
 //! Columnar partitions: rows of a table partition stored column-wise.
 
+use std::sync::Arc;
+
 use shark_common::{DataType, Result, Row, Schema, SharkError, Value};
 
 use crate::column::EncodedColumn;
@@ -13,23 +15,32 @@ pub struct ColumnarPartition {
     schema: Schema,
     num_rows: usize,
     columns: Vec<EncodedColumn>,
-    stats: PartitionStats,
+    /// Encoded bytes per column, measured once at construction: a partition
+    /// is immutable, and residency accounting reads these on every query.
+    column_bytes: Vec<usize>,
+    /// Sum of `column_bytes`.
+    memory_bytes: usize,
+    /// Shared with the memstore, which keeps the statistics across evictions.
+    stats: Arc<PartitionStats>,
 }
 
 impl ColumnarPartition {
-    /// Reassemble a partition from its already-encoded parts (the spill
-    /// codec's decode path).
+    /// Assemble a partition from its already-encoded parts (also the spill
+    /// codec's decode path), measuring the encoded footprint once.
     pub(crate) fn from_parts(
         schema: Schema,
         num_rows: usize,
         columns: Vec<EncodedColumn>,
         stats: PartitionStats,
     ) -> ColumnarPartition {
+        let column_bytes: Vec<usize> = columns.iter().map(EncodedColumn::memory_bytes).collect();
         ColumnarPartition {
             schema,
             num_rows,
+            memory_bytes: column_bytes.iter().sum(),
+            column_bytes,
             columns,
-            stats,
+            stats: Arc::new(stats),
         }
     }
 
@@ -52,12 +63,7 @@ impl ColumnarPartition {
             let values: Vec<Value> = rows.iter().map(|r| r.get(c).clone()).collect();
             columns.push(choose_encoding(field.data_type, &values, choice));
         }
-        ColumnarPartition {
-            schema: schema.clone(),
-            num_rows: rows.len(),
-            columns,
-            stats,
-        }
+        Self::from_parts(schema.clone(), rows.len(), columns, stats)
     }
 
     /// The partition's schema.
@@ -75,14 +81,15 @@ impl ColumnarPartition {
         self.columns.len()
     }
 
-    /// Statistics collected at load time (for map pruning).
-    pub fn stats(&self) -> &PartitionStats {
+    /// Statistics collected at load time (for map pruning). A shared
+    /// handle: the memstore retains it after the partition is evicted.
+    pub fn stats(&self) -> &Arc<PartitionStats> {
         &self.stats
     }
 
     /// Approximate memory footprint of the encoded columns, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        self.columns.iter().map(|c| c.memory_bytes()).sum()
+        self.memory_bytes
     }
 
     /// The compression family used for column `i`.
@@ -106,7 +113,7 @@ impl ColumnarPartition {
     /// Memory footprint of a single encoded column, in bytes. Scans that
     /// project a subset of columns only pay for the columns they touch.
     pub fn column_bytes(&self, i: usize) -> usize {
-        self.columns[i].memory_bytes()
+        self.column_bytes[i]
     }
 
     /// Decode one column entirely.

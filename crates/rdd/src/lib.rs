@@ -42,4 +42,4 @@ pub use metrics::TaskMetrics;
 pub use pair::{Aggregator, PreShuffledRdd};
 pub use rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
 pub use scheduler::PipelinedJob;
-pub use shuffle::{MapOutputStats, ShuffleManager, ShuffleSummary};
+pub use shuffle::{MapOutput, MapOutputStats, ShuffleManager, ShuffleSummary};

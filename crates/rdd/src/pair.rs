@@ -165,7 +165,7 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, V
     ) -> Result<Vec<(K, C)>> {
         let (pairs, bytes): (Vec<(K, C)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.dep.lease.id(), partition)?;
+            .fetch(self.dep.lease.id(), &[partition])?;
         metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
         metrics.add_ops(pairs.len() as f64 * 2.0);
         let mut table: HashMap<K, C> = HashMap::new();
@@ -215,7 +215,7 @@ impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for RepartitionedRdd<K, V> {
     ) -> Result<Vec<(K, V)>> {
         let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.dep.lease.id(), partition)?;
+            .fetch(self.dep.lease.id(), &[partition])?;
         metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
         Ok(pairs)
     }
@@ -255,10 +255,10 @@ impl<K: Data + Hash + Eq, V: Data, W: Data> RddImpl<(K, (Vec<V>, Vec<W>))>
     ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>> {
         let (lpairs, lbytes): (Vec<(K, V)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.left.lease.id(), partition)?;
+            .fetch(self.left.lease.id(), &[partition])?;
         let (rpairs, rbytes): (Vec<(K, W)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.right.lease.id(), partition)?;
+            .fetch(self.right.lease.id(), &[partition])?;
         let source = shuffle_fetch_source(ctx);
         metrics.record_input(lpairs.len() as u64, lbytes, source);
         metrics.record_input(rpairs.len() as u64, rbytes, source);
@@ -307,15 +307,11 @@ impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadRdd<K, V> {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<(K, V)>> {
-        let mut out = Vec::new();
-        let source = shuffle_fetch_source(ctx);
-        for &bucket in &self.assignment[partition] {
-            let (pairs, bytes): (Vec<(K, V)>, u64) =
-                ctx.shuffle_manager().fetch(self.lease.id(), bucket)?;
-            metrics.record_input(pairs.len() as u64, bytes, source);
-            out.extend(pairs);
-        }
-        Ok(out)
+        let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
+            .shuffle_manager()
+            .fetch(self.lease.id(), &self.assignment[partition])?;
+        metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
+        Ok(pairs)
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         vec![self.parent_lineage.clone()]
@@ -349,21 +345,19 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffleReadAggRd
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<(K, C)>> {
-        let source = shuffle_fetch_source(ctx);
+        let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
+            .shuffle_manager()
+            .fetch(self.lease.id(), &self.assignment[partition])?;
+        metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
+        metrics.add_ops(pairs.len() as f64 * 2.0);
         let mut table: HashMap<K, C> = HashMap::new();
-        for &bucket in &self.assignment[partition] {
-            let (pairs, bytes): (Vec<(K, V)>, u64) =
-                ctx.shuffle_manager().fetch(self.lease.id(), bucket)?;
-            metrics.record_input(pairs.len() as u64, bytes, source);
-            metrics.add_ops(pairs.len() as f64 * 2.0);
-            for (k, v) in pairs {
-                match table.remove(&k) {
-                    Some(c) => {
-                        table.insert(k, (self.aggregator.merge_value)(c, v));
-                    }
-                    None => {
-                        table.insert(k, (self.aggregator.create)(v));
-                    }
+        for (k, v) in pairs {
+            match table.remove(&k) {
+                Some(c) => {
+                    table.insert(k, (self.aggregator.merge_value)(c, v));
+                }
+                None => {
+                    table.insert(k, (self.aggregator.create)(v));
                 }
             }
         }

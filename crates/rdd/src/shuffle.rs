@@ -16,37 +16,143 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use shark_common::hash::FxHashMap;
+use shark_common::size::estimate_slice;
 use shark_common::sketch::LogSize;
-use shark_common::{Result, SharkError};
+use shark_common::{EstimateSize, Result, SharkError};
+
+/// One non-empty bucket of a map task's output: where its rows sit in the
+/// task's contiguous output and how large they are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BucketRun {
+    bucket: usize,
+    /// Index of the bucket's first row in [`MapOutput::rows`].
+    offset: usize,
+    rows: usize,
+    /// Exact serialized-size estimate of the bucket's rows.
+    bytes: u64,
+}
 
 /// Statistics for one map task's output, bucketed by reduce partition.
+/// Sparse: only buckets that received a row are recorded, so a map task
+/// that emits three groups into 256 fine buckets reports three entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MapOutputStats {
-    /// Bytes per reduce bucket (exact).
-    pub bucket_bytes: Vec<u64>,
-    /// Rows per reduce bucket.
-    pub bucket_rows: Vec<u64>,
+    num_buckets: usize,
+    /// Non-empty buckets, ascending by bucket index.
+    runs: Vec<BucketRun>,
 }
 
 impl MapOutputStats {
+    /// Bytes per reduce bucket (exact), one entry per bucket.
+    pub fn bucket_bytes(&self) -> Vec<u64> {
+        let mut dense = vec![0u64; self.num_buckets];
+        for run in &self.runs {
+            dense[run.bucket] = run.bytes;
+        }
+        dense
+    }
+
+    /// Rows per reduce bucket, one entry per bucket.
+    pub fn bucket_rows(&self) -> Vec<u64> {
+        let mut dense = vec![0u64; self.num_buckets];
+        for run in &self.runs {
+            dense[run.bucket] = run.rows as u64;
+        }
+        dense
+    }
+
     /// Total bytes across buckets.
     pub fn total_bytes(&self) -> u64 {
-        self.bucket_bytes.iter().sum()
+        self.runs.iter().map(|r| r.bytes).sum()
     }
 
     /// Total rows across buckets.
     pub fn total_rows(&self) -> u64 {
-        self.bucket_rows.iter().sum()
+        self.runs.iter().map(|r| r.rows as u64).sum()
+    }
+}
+
+/// One map task's shuffle output: every row in one contiguous vector,
+/// grouped by reduce bucket, plus the statistics gathered in the same pass.
+/// Empty buckets occupy nothing.
+#[derive(Debug)]
+pub struct MapOutput<T> {
+    rows: Vec<T>,
+    stats: MapOutputStats,
+}
+
+impl<T: EstimateSize> MapOutput<T> {
+    /// Group `rows` by `bucket_of` (which must return an index below
+    /// `num_buckets`), keeping each bucket's rows in their input order, and
+    /// measure every non-empty bucket. The rows are permuted in place.
+    pub fn group(
+        mut rows: Vec<T>,
+        num_buckets: usize,
+        bucket_of: impl Fn(&T) -> usize,
+    ) -> MapOutput<T> {
+        // Counting sort: bucket sizes, then each row's final index.
+        let mut next = vec![0usize; num_buckets];
+        let mut dest: Vec<usize> = rows.iter().map(&bucket_of).collect();
+        for &bucket in &dest {
+            next[bucket] += 1;
+        }
+        let mut runs = Vec::new();
+        let mut offset = 0usize;
+        for (bucket, slot) in next.iter_mut().enumerate() {
+            let count = std::mem::replace(slot, offset);
+            if count > 0 {
+                runs.push(BucketRun {
+                    bucket,
+                    offset,
+                    rows: count,
+                    bytes: 0,
+                });
+                offset += count;
+            }
+        }
+        for d in dest.iter_mut() {
+            let bucket = *d;
+            *d = next[bucket];
+            next[bucket] += 1;
+        }
+        // Apply the permutation by following its cycles.
+        for i in 0..rows.len() {
+            while dest[i] != i {
+                let d = dest[i];
+                rows.swap(i, d);
+                dest.swap(i, d);
+            }
+        }
+        for run in &mut runs {
+            run.bytes = estimate_slice(&rows[run.offset..run.offset + run.rows]) as u64;
+        }
+        MapOutput {
+            rows,
+            stats: MapOutputStats { num_buckets, runs },
+        }
+    }
+}
+
+impl<T> MapOutput<T> {
+    /// The per-bucket statistics of this output.
+    pub fn stats(&self) -> &MapOutputStats {
+        &self.stats
     }
 
-    /// The 1-byte-per-bucket lossy encoding the paper ships to the master
-    /// (§3.1: "we use lossy compression to record the statistics, limiting
-    /// their size to 1–2 KB per task").
-    pub fn compressed(&self) -> Vec<LogSize> {
-        self.bucket_bytes
-            .iter()
-            .map(|&b| LogSize::encode(b))
-            .collect()
+    fn run_rows(&self, run: &BucketRun) -> &[T] {
+        &self.rows[run.offset..run.offset + run.rows]
+    }
+}
+
+/// What the manager reads from a stored map output without knowing its row
+/// type (the rows themselves are reached by downcasting).
+trait StoredOutput: Any + Send + Sync {
+    fn stats(&self) -> &MapOutputStats;
+}
+
+impl<T: Send + Sync + 'static> StoredOutput for MapOutput<T> {
+    fn stats(&self) -> &MapOutputStats {
+        &self.stats
     }
 }
 
@@ -81,12 +187,11 @@ impl ShuffleSummary {
     }
 }
 
+#[derive(Clone)]
 struct ShuffleEntry {
-    num_map_tasks: usize,
     num_buckets: usize,
-    /// Per map task: `Arc<Vec<Vec<T>>>` (outer = reduce bucket).
-    outputs: Vec<Option<Arc<dyn Any + Send + Sync>>>,
-    stats: Vec<Option<MapOutputStats>>,
+    /// Per map task: its [`MapOutput`], once the task has run.
+    outputs: Vec<Option<Arc<dyn StoredOutput>>>,
 }
 
 /// Stores map output buckets and statistics for every shuffle in flight.
@@ -119,6 +224,10 @@ impl Drop for ShuffleLease {
     }
 }
 
+fn not_registered(shuffle_id: usize) -> SharkError {
+    SharkError::Execution(format!("shuffle {shuffle_id} was not registered"))
+}
+
 impl ShuffleManager {
     /// Create an empty shuffle manager.
     pub fn new() -> ShuffleManager {
@@ -129,39 +238,34 @@ impl ShuffleManager {
     pub fn register(&self, shuffle_id: usize, num_map_tasks: usize, num_buckets: usize) {
         let mut guard = self.shuffles.write();
         guard.entry(shuffle_id).or_insert_with(|| ShuffleEntry {
-            num_map_tasks,
             num_buckets,
             outputs: (0..num_map_tasks).map(|_| None).collect(),
-            stats: (0..num_map_tasks).map(|_| None).collect(),
         });
     }
 
-    /// Store one map task's bucketed output (`buckets[reduce_partition]`).
+    /// Store one map task's grouped output.
     pub fn put_map_output<T: Send + Sync + 'static>(
         &self,
         shuffle_id: usize,
         map_task: usize,
-        buckets: Vec<Vec<T>>,
-        stats: MapOutputStats,
+        output: MapOutput<T>,
     ) -> Result<()> {
         let mut guard = self.shuffles.write();
-        let entry = guard.get_mut(&shuffle_id).ok_or_else(|| {
-            SharkError::Execution(format!("shuffle {shuffle_id} was not registered"))
-        })?;
-        if map_task >= entry.num_map_tasks {
+        let entry = guard
+            .get_mut(&shuffle_id)
+            .ok_or_else(|| not_registered(shuffle_id))?;
+        if map_task >= entry.outputs.len() {
             return Err(SharkError::Execution(format!(
                 "map task {map_task} out of range for shuffle {shuffle_id}"
             )));
         }
-        if buckets.len() != entry.num_buckets {
+        if output.stats.num_buckets != entry.num_buckets {
             return Err(SharkError::Execution(format!(
                 "expected {} buckets, got {}",
-                entry.num_buckets,
-                buckets.len()
+                entry.num_buckets, output.stats.num_buckets
             )));
         }
-        entry.outputs[map_task] = Some(Arc::new(buckets));
-        entry.stats[map_task] = Some(stats);
+        entry.outputs[map_task] = Some(Arc::new(output));
         Ok(())
     }
 
@@ -179,67 +283,98 @@ impl ShuffleManager {
         self.shuffles.read().get(&shuffle_id).map(|e| e.num_buckets)
     }
 
-    /// Fetch and concatenate every map task's bucket for `reduce_partition`.
-    /// Returns the rows plus the number of bytes fetched (for metrics).
+    /// A snapshot of a shuffle's entry. The manager lock is held only to
+    /// clone the map outputs' handles: whatever the caller does with the
+    /// rows (copying a join side, say) blocks no other shuffle.
+    fn snapshot(&self, shuffle_id: usize) -> Result<ShuffleEntry> {
+        self.shuffles
+            .read()
+            .get(&shuffle_id)
+            .cloned()
+            .ok_or_else(|| not_registered(shuffle_id))
+    }
+
+    /// Fetch the rows of `buckets` (distinct reduce buckets) in one call:
+    /// bucket by bucket in the order given, each bucket's rows in map-task
+    /// order. Returns the rows plus the number of bytes fetched (for
+    /// metrics). Costs the buckets that hold rows, not the buckets asked for.
     pub fn fetch<T: Clone + Send + Sync + 'static>(
         &self,
         shuffle_id: usize,
-        reduce_partition: usize,
+        buckets: &[usize],
     ) -> Result<(Vec<T>, u64)> {
-        let guard = self.shuffles.read();
-        let entry = guard.get(&shuffle_id).ok_or_else(|| {
-            SharkError::Execution(format!("shuffle {shuffle_id} was not registered"))
-        })?;
-        let mut out = Vec::new();
-        let mut bytes = 0u64;
-        for (mi, output) in entry.outputs.iter().enumerate() {
-            let output = output.as_ref().ok_or_else(|| {
+        let ShuffleEntry {
+            num_buckets,
+            outputs,
+        } = self.snapshot(shuffle_id)?;
+        if let Some(bucket) = buckets.iter().find(|&&b| b >= num_buckets) {
+            return Err(SharkError::Execution(format!(
+                "reduce partition {bucket} out of range"
+            )));
+        }
+        // (bucket, position in the requested order), searchable by bucket.
+        let mut wanted: Vec<(usize, usize)> = buckets.iter().copied().zip(0..).collect();
+        wanted.sort_unstable();
+        // (position, map task, rows, bytes) of every non-empty wanted bucket.
+        let mut pieces: Vec<(usize, usize, &[T], u64)> = Vec::new();
+        for (mi, output) in outputs.iter().enumerate() {
+            let output = output.as_deref().ok_or_else(|| {
                 SharkError::Execution(format!(
                     "shuffle {shuffle_id}: map task {mi} output missing (stage not run?)"
                 ))
             })?;
-            let typed = output.clone().downcast::<Vec<Vec<T>>>().map_err(|_| {
-                SharkError::Execution(format!(
-                    "shuffle {shuffle_id}: map output has unexpected element type"
-                ))
-            })?;
-            if reduce_partition >= typed.len() {
-                return Err(SharkError::Execution(format!(
-                    "reduce partition {reduce_partition} out of range"
-                )));
+            let typed = (output as &dyn Any)
+                .downcast_ref::<MapOutput<T>>()
+                .ok_or_else(|| {
+                    SharkError::Execution(format!(
+                        "shuffle {shuffle_id}: map output has unexpected element type"
+                    ))
+                })?;
+            for run in &typed.stats.runs {
+                if let Ok(at) = wanted.binary_search_by_key(&run.bucket, |&(bucket, _)| bucket) {
+                    pieces.push((wanted[at].1, mi, typed.run_rows(run), run.bytes));
+                }
             }
-            out.extend(typed[reduce_partition].iter().cloned());
-            if let Some(stats) = &entry.stats[mi] {
-                bytes += stats.bucket_bytes[reduce_partition];
-            }
+        }
+        pieces.sort_unstable_by_key(|&(position, mi, _, _)| (position, mi));
+        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.2.len()).sum());
+        let mut bytes = 0u64;
+        for (_, _, rows, run_bytes) in pieces {
+            out.extend_from_slice(rows);
+            bytes += run_bytes;
         }
         Ok((out, bytes))
     }
 
     /// Master-side aggregated statistics of a completed map stage.
     pub fn summary(&self, shuffle_id: usize) -> Result<ShuffleSummary> {
-        let guard = self.shuffles.read();
-        let entry = guard.get(&shuffle_id).ok_or_else(|| {
-            SharkError::Execution(format!("shuffle {shuffle_id} was not registered"))
-        })?;
-        let mut bucket_bytes = vec![0u64; entry.num_buckets];
-        let mut bucket_rows = vec![0u64; entry.num_buckets];
+        let ShuffleEntry {
+            num_buckets,
+            outputs,
+        } = self.snapshot(shuffle_id)?;
+        let reported = outputs.iter().flatten().count() as u64;
+        // The master sees each task's bucket sizes through the paper's
+        // lossy one-byte log encoding (§3.1: "we use lossy compression to
+        // record the statistics, limiting their size to 1–2 KB per task").
+        // The code for an empty bucket decodes to one byte, so every bucket
+        // starts at one byte per reporting task and only the non-empty
+        // buckets are visited.
+        let empty = LogSize::encode(0).decode();
+        let mut bucket_bytes = vec![reported * empty; num_buckets];
+        let mut bucket_rows = vec![0u64; num_buckets];
         let mut total_bytes = 0u64;
         let mut total_rows = 0u64;
-        for stats in entry.stats.iter().flatten() {
-            // The master sees the lossy log-encoded sizes, like the paper.
-            for (i, code) in stats.compressed().iter().enumerate() {
-                bucket_bytes[i] += code.decode();
+        for output in outputs.iter().flatten() {
+            for run in &output.stats().runs {
+                bucket_bytes[run.bucket] += LogSize::encode(run.bytes).decode() - empty;
+                bucket_rows[run.bucket] += run.rows as u64;
+                total_bytes += run.bytes;
+                total_rows += run.rows as u64;
             }
-            for (i, rows) in stats.bucket_rows.iter().enumerate() {
-                bucket_rows[i] += rows;
-            }
-            total_bytes += stats.total_bytes();
-            total_rows += stats.total_rows();
         }
         Ok(ShuffleSummary {
-            num_map_tasks: entry.num_map_tasks,
-            num_buckets: entry.num_buckets,
+            num_map_tasks: outputs.len(),
+            num_buckets,
             bucket_bytes,
             bucket_rows,
             total_bytes,
@@ -267,11 +402,9 @@ impl ShuffleManager {
 mod tests {
     use super::*;
 
-    fn stats(bytes: Vec<u64>, rows: Vec<u64>) -> MapOutputStats {
-        MapOutputStats {
-            bucket_bytes: bytes,
-            bucket_rows: rows,
-        }
+    /// Group `(bucket, value)` pairs by their first field.
+    fn grouped(pairs: Vec<(usize, i64)>, num_buckets: usize) -> MapOutput<(usize, i64)> {
+        MapOutput::group(pairs, num_buckets, |&(bucket, _)| bucket)
     }
 
     #[test]
@@ -279,26 +412,15 @@ mod tests {
         let m = ShuffleManager::new();
         m.register(1, 2, 2);
         assert!(!m.is_complete(1));
-        m.put_map_output(
-            1,
-            0,
-            vec![vec![1i64], vec![2, 3]],
-            stats(vec![8, 16], vec![1, 2]),
-        )
-        .unwrap();
-        m.put_map_output(
-            1,
-            1,
-            vec![vec![4i64], vec![]],
-            stats(vec![8, 0], vec![1, 0]),
-        )
-        .unwrap();
+        m.put_map_output(1, 0, grouped(vec![(1, 2), (0, 1), (1, 3)], 2))
+            .unwrap();
+        m.put_map_output(1, 1, grouped(vec![(0, 4)], 2)).unwrap();
         assert!(m.is_complete(1));
-        let (bucket0, bytes0): (Vec<i64>, u64) = m.fetch(1, 0).unwrap();
-        assert_eq!(bucket0, vec![1, 4]);
-        assert_eq!(bytes0, 16);
-        let (bucket1, _): (Vec<i64>, u64) = m.fetch(1, 1).unwrap();
-        assert_eq!(bucket1, vec![2, 3]);
+        let (bucket0, bytes0): (Vec<(usize, i64)>, u64) = m.fetch(1, &[0]).unwrap();
+        assert_eq!(bucket0, vec![(0, 1), (0, 4)]);
+        assert_eq!(bytes0, 32);
+        let (bucket1, _): (Vec<(usize, i64)>, u64) = m.fetch(1, &[1]).unwrap();
+        assert_eq!(bucket1, vec![(1, 2), (1, 3)]);
         let s = m.summary(1).unwrap();
         assert_eq!(s.total_rows, 4);
         assert_eq!(s.bucket_rows, vec![2, 2]);
@@ -309,13 +431,9 @@ mod tests {
     fn summary_uses_lossy_sizes_but_close() {
         let m = ShuffleManager::new();
         m.register(9, 1, 1);
-        m.put_map_output(
-            9,
-            0,
-            vec![vec![0u8; 1000]],
-            stats(vec![1_000_000], vec![1000]),
-        )
-        .unwrap();
+        // 62 500 sixteen-byte rows: one million bytes in one bucket.
+        m.put_map_output(9, 0, grouped(vec![(0, 7); 62_500], 1))
+            .unwrap();
         let s = m.summary(9).unwrap();
         let err = (s.bucket_bytes[0] as f64 - 1_000_000.0).abs() / 1_000_000.0;
         assert!(err < 0.10, "lossy size error too large: {err}");
@@ -325,25 +443,18 @@ mod tests {
     #[test]
     fn errors_on_misuse() {
         let m = ShuffleManager::new();
-        assert!(m
-            .put_map_output(5, 0, vec![vec![1i64]], stats(vec![8], vec![1]))
-            .is_err());
+        assert!(m.put_map_output(5, 0, grouped(vec![(0, 1)], 1)).is_err());
         m.register(5, 1, 2);
         // wrong bucket count
-        assert!(m
-            .put_map_output(5, 0, vec![vec![1i64]], stats(vec![8], vec![1]))
-            .is_err());
+        assert!(m.put_map_output(5, 0, grouped(vec![(0, 1)], 1)).is_err());
         // out-of-range map task
-        assert!(m
-            .put_map_output(
-                5,
-                3,
-                vec![vec![1i64], vec![]],
-                stats(vec![8, 0], vec![1, 0])
-            )
-            .is_err());
+        assert!(m.put_map_output(5, 3, grouped(vec![(0, 1)], 2)).is_err());
         // fetching before map stage ran
-        let r: Result<(Vec<i64>, u64)> = m.fetch(5, 0);
+        let r: Result<(Vec<(usize, i64)>, u64)> = m.fetch(5, &[0]);
+        assert!(r.is_err());
+        // out-of-range reduce bucket
+        m.put_map_output(5, 0, grouped(vec![(0, 1)], 2)).unwrap();
+        let r: Result<(Vec<(usize, i64)>, u64)> = m.fetch(5, &[0, 2]);
         assert!(r.is_err());
     }
 
@@ -351,9 +462,8 @@ mod tests {
     fn wrong_fetch_type_is_an_error() {
         let m = ShuffleManager::new();
         m.register(2, 1, 1);
-        m.put_map_output(2, 0, vec![vec![1i64]], stats(vec![8], vec![1]))
-            .unwrap();
-        let r: Result<(Vec<String>, u64)> = m.fetch(2, 0);
+        m.put_map_output(2, 0, grouped(vec![(0, 1)], 1)).unwrap();
+        let r: Result<(Vec<String>, u64)> = m.fetch(2, &[0]);
         assert!(r.is_err());
     }
 
@@ -387,5 +497,191 @@ mod tests {
         m.clear();
         assert!(m.num_buckets(2).is_none());
         assert_eq!(m.registered(), 0);
+    }
+
+    /// The layout this module replaced, kept as the reference: one vector
+    /// per bucket per map task, dense per-bucket statistics, and a summary
+    /// that log-encodes every bucket of every task.
+    struct DenseReference {
+        /// `maps[map][bucket]` = that bucket's rows.
+        maps: Vec<Vec<Vec<(u64, String)>>>,
+    }
+
+    impl DenseReference {
+        fn new(inputs: &[Vec<(u64, String)>], num_buckets: usize) -> DenseReference {
+            let maps = inputs
+                .iter()
+                .map(|rows| {
+                    let mut buckets = vec![Vec::new(); num_buckets];
+                    for row in rows {
+                        buckets[row.0 as usize % num_buckets].push(row.clone());
+                    }
+                    buckets
+                })
+                .collect();
+            DenseReference { maps }
+        }
+
+        fn bucket_bytes(&self, map: usize) -> Vec<u64> {
+            self.maps[map]
+                .iter()
+                .map(|b| estimate_slice(b) as u64)
+                .collect()
+        }
+
+        fn bucket_rows(&self, map: usize) -> Vec<u64> {
+            self.maps[map].iter().map(|b| b.len() as u64).collect()
+        }
+
+        fn fetch(&self, buckets: &[usize]) -> (Vec<(u64, String)>, u64) {
+            let mut out = Vec::new();
+            let mut bytes = 0;
+            for &bucket in buckets {
+                for map in 0..self.maps.len() {
+                    out.extend(self.maps[map][bucket].iter().cloned());
+                    bytes += self.bucket_bytes(map)[bucket];
+                }
+            }
+            (out, bytes)
+        }
+
+        fn summary(&self, num_buckets: usize) -> ShuffleSummary {
+            let mut summary = ShuffleSummary {
+                num_map_tasks: self.maps.len(),
+                num_buckets,
+                bucket_bytes: vec![0; num_buckets],
+                bucket_rows: vec![0; num_buckets],
+                total_bytes: 0,
+                total_rows: 0,
+            };
+            for map in 0..self.maps.len() {
+                for (b, bytes) in self.bucket_bytes(map).into_iter().enumerate() {
+                    summary.bucket_bytes[b] += LogSize::encode(bytes).decode();
+                    summary.total_bytes += bytes;
+                }
+                for (b, rows) in self.bucket_rows(map).into_iter().enumerate() {
+                    summary.bucket_rows[b] += rows;
+                    summary.total_rows += rows;
+                }
+            }
+            summary
+        }
+    }
+
+    #[test]
+    fn grouped_output_is_equivalent_to_the_dense_layout() {
+        // Tiny deterministic generator: the property must hold for any
+        // input, the seeds only vary its shape (few keys, many keys, none).
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for num_buckets in [1usize, 7, 256] {
+            for num_maps in [1usize, 5] {
+                for distinct_keys in [3u64, 40, 5000] {
+                    let inputs: Vec<Vec<(u64, String)>> = (0..num_maps)
+                        .map(|map| {
+                            // One map task stays empty when there are several.
+                            let rows = if map == 3 { 0 } else { next() % 300 };
+                            (0..rows)
+                                .map(|_| {
+                                    let key = next() % distinct_keys;
+                                    (key, "x".repeat((next() % 9) as usize))
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let reference = DenseReference::new(&inputs, num_buckets);
+                    let m = ShuffleManager::new();
+                    m.register(1, num_maps, num_buckets);
+                    for (map, rows) in inputs.iter().enumerate() {
+                        let output = MapOutput::group(rows.clone(), num_buckets, |(key, _)| {
+                            *key as usize % num_buckets
+                        });
+                        assert_eq!(output.stats().bucket_bytes(), reference.bucket_bytes(map));
+                        assert_eq!(output.stats().bucket_rows(), reference.bucket_rows(map));
+                        m.put_map_output(1, map, output).unwrap();
+                    }
+                    let case =
+                        format!("{num_buckets} buckets, {num_maps} maps, {distinct_keys} keys");
+                    assert_eq!(
+                        m.summary(1).unwrap(),
+                        reference.summary(num_buckets),
+                        "{case}"
+                    );
+                    for bucket in 0..num_buckets {
+                        let got: (Vec<(u64, String)>, u64) = m.fetch(1, &[bucket]).unwrap();
+                        assert_eq!(got, reference.fetch(&[bucket]), "{case}, bucket {bucket}");
+                    }
+                    // Whole lists: everything, a strided subset, and an
+                    // order that is not ascending.
+                    let all: Vec<usize> = (0..num_buckets).collect();
+                    let strided: Vec<usize> = (0..num_buckets).step_by(3).collect();
+                    let reversed: Vec<usize> = (0..num_buckets).rev().collect();
+                    for list in [&all, &strided, &reversed] {
+                        let got: (Vec<(u64, String)>, u64) = m.fetch(1, list).unwrap();
+                        assert_eq!(got, reference.fetch(list), "{case}, list {list:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A row whose `clone` reports that it started and then waits to be
+    /// released — it parks a fetch in the middle of copying rows.
+    struct ParkedClone {
+        entered: std::sync::mpsc::SyncSender<()>,
+        release: Arc<std::sync::Mutex<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    impl Clone for ParkedClone {
+        fn clone(&self) -> ParkedClone {
+            self.entered.send(()).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+            ParkedClone {
+                entered: self.entered.clone(),
+                release: self.release.clone(),
+            }
+        }
+    }
+
+    impl EstimateSize for ParkedClone {
+        fn estimated_size(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn a_fetch_copying_rows_does_not_block_other_shuffles() {
+        let m = Arc::new(ShuffleManager::new());
+        let (entered_tx, entered_rx) = std::sync::mpsc::sync_channel(1);
+        let (release_tx, release_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        m.register(1, 1, 1);
+        let row = ParkedClone {
+            entered: entered_tx,
+            release: Arc::new(std::sync::Mutex::new(release_rx)),
+        };
+        m.put_map_output(1, 0, MapOutput::group(vec![row], 1, |_| 0))
+            .unwrap();
+        std::thread::scope(|scope| {
+            let fetcher = scope.spawn(|| {
+                let (rows, _): (Vec<ParkedClone>, u64) = m.fetch(1, &[0]).unwrap();
+                rows.len()
+            });
+            // The fetch on shuffle 1 is now inside `T::clone`.
+            entered_rx.recv().unwrap();
+            // Writers on the manager still get through: registering and
+            // filling shuffle 2, and removing it again.
+            m.register(2, 1, 1);
+            m.put_map_output(2, 0, grouped(vec![(0, 1)], 1)).unwrap();
+            let (rows, _): (Vec<(usize, i64)>, u64) = m.fetch(2, &[0]).unwrap();
+            assert_eq!(rows, vec![(0, 1)]);
+            m.remove(2);
+            release_tx.send(()).unwrap();
+            assert_eq!(fetcher.join().unwrap(), 1);
+        });
     }
 }

@@ -26,9 +26,13 @@
 //!   per-session memory quota, which is enforced by session id exactly as
 //!   for embedded sessions.
 //!
-//! Cancellation is polled between batches: the handler peeks the socket
-//! for a buffered [`frame::Frame::Cancel`] before each write, so a client
-//! can abandon an expensive query without tearing down its connection.
+//! Frames leave through a per-connection buffer: a result's schema rides
+//! with its first batch (a batch ships the moment it exists), and
+//! `QueryDone` follows once the query has settled — so a small result is
+//! two `write`s, not four frames of two each. Cancellation is polled with a
+//! batch just shipped and another coming: the handler peeks the socket for
+//! a buffered [`frame::Frame::Cancel`], so a client can abandon an
+//! expensive query without tearing down its connection.
 //! A client that *does* disconnect mid-stream surfaces as a write error;
 //! dropping the cursor releases its permit, pins and prefetch grant
 //! ([`crate::QueryCursor`]'s idempotent finalize), so an abandoned query
@@ -38,7 +42,7 @@
 pub mod frame;
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -490,14 +494,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
                 counters.connection_opened();
                 if shared.counters().active() > shared.config.max_connections as u64 {
                     // Over capacity: answer with an Error frame and close.
-                    let _ = send_frame(
-                        &stream,
-                        counters,
-                        &Frame::Error {
-                            kind: "capacity".to_string(),
-                            message: "server at connection capacity".to_string(),
-                        },
-                    );
+                    let _ = FrameWriter::new(&stream, counters).send(&Frame::Error {
+                        kind: "capacity".to_string(),
+                        message: "server at connection capacity".to_string(),
+                    });
                     let _ = stream.shutdown(Shutdown::Both);
                     counters.connection_closed();
                     continue;
@@ -578,11 +578,57 @@ fn is_idle_timeout(err: &io::Error) -> bool {
     )
 }
 
-/// Write one frame to the socket, feeding the counters.
-fn send_frame(mut stream: &TcpStream, counters: &NetCounters, frame: &Frame) -> io::Result<()> {
-    let bytes = frame::write_frame(&mut stream, frame)?;
-    counters.frame_sent(bytes);
-    Ok(())
+/// A connection's outgoing frames. Frames are appended to one buffer and
+/// leave together on [`FrameWriter::flush`]; the counters are fed when the
+/// bytes have actually been written.
+struct FrameWriter<'a> {
+    stream: &'a TcpStream,
+    counters: &'a NetCounters,
+    buf: Vec<u8>,
+    /// Sizes of the frames sitting in `buf`.
+    unsent: Vec<u64>,
+}
+
+/// Buffered result frames are written out once they exceed this, so a wide
+/// partition split into many batches never sits in memory twice.
+const FLUSH_THRESHOLD_BYTES: usize = 64 * 1024;
+
+impl<'a> FrameWriter<'a> {
+    fn new(stream: &'a TcpStream, counters: &'a NetCounters) -> FrameWriter<'a> {
+        FrameWriter {
+            stream,
+            counters,
+            buf: Vec::new(),
+            unsent: Vec::new(),
+        }
+    }
+
+    /// Append a frame to the buffer without writing it.
+    fn push(&mut self, frame: &Frame) {
+        let bytes = frame::append_frame(&mut self.buf, frame);
+        self.unsent.push(bytes);
+    }
+
+    /// Write everything buffered in one call.
+    fn flush(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.buf);
+        self.buf.clear();
+        let sent = self.unsent.drain(..);
+        written?;
+        for bytes in sent {
+            self.counters.frame_sent(bytes);
+        }
+        Ok(())
+    }
+
+    /// Append a frame and write out the buffer.
+    fn send(&mut self, frame: &Frame) -> io::Result<()> {
+        self.push(frame);
+        self.flush()
+    }
 }
 
 /// What the between-batches poll of the client socket found.
@@ -645,6 +691,7 @@ enum After {
 
 fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
     let counters = shared.counters();
+    let mut out = FrameWriter::new(&stream, counters);
     // Until the handshake names a tenant the default class's deadline runs.
     set_idle_timeout(&stream, shared.config.default_class.idle_timeout);
 
@@ -662,14 +709,10 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
         }
         Err(FrameError::Protocol(_)) => {
             counters.protocol_error();
-            let _ = send_frame(
-                &stream,
-                counters,
-                &Frame::Error {
-                    kind: "protocol".to_string(),
-                    message: "malformed handshake frame".to_string(),
-                },
-            );
+            let _ = out.send(&Frame::Error {
+                kind: "protocol".to_string(),
+                message: "malformed handshake frame".to_string(),
+            });
             return;
         }
     };
@@ -677,28 +720,20 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
         Frame::Hello { token, tenant } => (token, tenant),
         _ => {
             counters.protocol_error();
-            let _ = send_frame(
-                &stream,
-                counters,
-                &Frame::Error {
-                    kind: "protocol".to_string(),
-                    message: "expected Hello as the first frame".to_string(),
-                },
-            );
+            let _ = out.send(&Frame::Error {
+                kind: "protocol".to_string(),
+                message: "expected Hello as the first frame".to_string(),
+            });
             return;
         }
     };
     if let Some(expected) = &shared.config.auth_token {
         if &token != expected {
             counters.auth_failure();
-            let _ = send_frame(
-                &stream,
-                counters,
-                &Frame::Error {
-                    kind: "auth".to_string(),
-                    message: "invalid auth token".to_string(),
-                },
-            );
+            let _ = out.send(&Frame::Error {
+                kind: "auth".to_string(),
+                message: "invalid auth token".to_string(),
+            });
             return;
         }
     }
@@ -706,15 +741,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
     let mut session = shared.server.session();
     session.set_stream_prefetch(class.stream_prefetch);
     set_idle_timeout(&stream, class.idle_timeout);
-    if send_frame(
-        &stream,
-        counters,
-        &Frame::HelloOk {
+    if out
+        .send(&Frame::HelloOk {
             session_id: session.id(),
             version: frame::PROTOCOL_VERSION,
-        },
-    )
-    .is_err()
+        })
+        .is_err()
     {
         return;
     }
@@ -741,21 +773,17 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
             }
             Err(FrameError::Protocol(msg)) => {
                 counters.protocol_error();
-                let _ = send_frame(
-                    &stream,
-                    counters,
-                    &Frame::Error {
-                        kind: "protocol".to_string(),
-                        message: msg,
-                    },
-                );
+                let _ = out.send(&Frame::Error {
+                    kind: "protocol".to_string(),
+                    message: msg,
+                });
                 return;
             }
         };
         let after = match request {
             Frame::Query { sql } => {
                 counters.query();
-                run_statement(&stream, counters, &session, &class, &sql)
+                run_statement(&mut out, &session, &class, &sql)
             }
             Frame::Prepare { sql } => match session.parse_statement(&sql) {
                 Ok(_) => {
@@ -764,30 +792,26 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
                     next_statement_id += 1;
                     let fingerprint = shark_sql::statement_fingerprint(&sql);
                     prepared.insert(statement_id, sql);
-                    match send_frame(
-                        &stream,
-                        counters,
-                        &Frame::Prepared {
-                            statement_id,
-                            fingerprint,
-                        },
-                    ) {
+                    match out.send(&Frame::Prepared {
+                        statement_id,
+                        fingerprint,
+                    }) {
                         Ok(()) => After::Continue,
                         Err(_) => After::Hangup,
                     }
                 }
-                Err(err) => send_error(&stream, counters, &err),
+                Err(err) => send_error(&mut out, &err),
             },
             Frame::Execute { statement_id } => match prepared.get(&statement_id).cloned() {
                 Some(sql) => {
                     counters.query();
-                    run_statement(&stream, counters, &session, &class, &sql)
+                    run_statement(&mut out, &session, &class, &sql)
                 }
                 None => {
                     let err = SharkError::Execution(format!(
                         "unknown prepared statement id {statement_id}"
                     ));
-                    send_error(&stream, counters, &err)
+                    send_error(&mut out, &err)
                 }
             },
             // A Cancel with nothing in flight is a no-op, not an error:
@@ -796,14 +820,10 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
             Frame::Close => After::Hangup,
             _ => {
                 counters.protocol_error();
-                let _ = send_frame(
-                    &stream,
-                    counters,
-                    &Frame::Error {
-                        kind: "protocol".to_string(),
-                        message: "unexpected server-to-client frame type".to_string(),
-                    },
-                );
+                let _ = out.send(&Frame::Error {
+                    kind: "protocol".to_string(),
+                    message: "unexpected server-to-client frame type".to_string(),
+                });
                 After::Hangup
             }
         };
@@ -814,15 +834,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
 }
 
 /// Send an Error frame for a failed statement; the connection survives.
-fn send_error(stream: &TcpStream, counters: &NetCounters, err: &SharkError) -> After {
-    match send_frame(
-        stream,
-        counters,
-        &Frame::Error {
-            kind: err.kind().to_string(),
-            message: err.to_string(),
-        },
-    ) {
+fn send_error(out: &mut FrameWriter<'_>, err: &SharkError) -> After {
+    match out.send(&Frame::Error {
+        kind: err.kind().to_string(),
+        message: err.to_string(),
+    }) {
         Ok(()) => After::Continue,
         Err(_) => After::Hangup,
     }
@@ -832,8 +848,7 @@ fn send_error(stream: &TcpStream, counters: &NetCounters, err: &SharkError) -> A
 /// streaming cursor (client-paced, partitions executed as batches are
 /// written); other statements run to completion first.
 fn run_statement(
-    stream: &TcpStream,
-    counters: &NetCounters,
+    out: &mut FrameWriter<'_>,
     session: &SessionHandle,
     class: &RateClass,
     sql: &str,
@@ -841,16 +856,16 @@ fn run_statement(
     if is_select(sql) {
         let cursor = match session.sql_stream(sql) {
             Ok(cursor) => cursor,
-            Err(err) => return send_error(stream, counters, &err),
+            Err(err) => return send_error(out, &err),
         };
         let schema = cursor.schema().clone();
         write_result(
-            stream,
-            counters,
+            out,
             class,
             schema,
             cursor,
             |cursor| cursor.next_batch(),
+            |cursor| cursor.is_exhausted(),
             |cursor, cancelled| {
                 let progress = cursor.progress().clone();
                 let done = Frame::QueryDone {
@@ -871,12 +886,11 @@ fn run_statement(
     } else {
         let outcome = match session.sql(sql) {
             Ok(outcome) => outcome,
-            Err(err) => return send_error(stream, counters, &err),
+            Err(err) => return send_error(out, &err),
         };
         let schema = outcome.result.schema.clone();
         write_result(
-            stream,
-            counters,
+            out,
             class,
             schema,
             outcome,
@@ -884,6 +898,8 @@ fn run_statement(
                 let rows = std::mem::take(&mut outcome.result.rows);
                 Ok((!rows.is_empty()).then_some(rows))
             },
+            // The whole result is handed over as one batch.
+            |outcome| outcome.result.rows.is_empty(),
             |outcome, cancelled| Frame::QueryDone {
                 rows: outcome.metrics.rows_streamed,
                 partitions: 0,
@@ -903,31 +919,59 @@ fn is_select(sql: &str) -> bool {
 
 /// Write one result sequence: `ResultSchema`, the batches `next_batch`
 /// pulls out of `source` (split to the rate class's row cap), then the
-/// `QueryDone` that `done` builds from the spent source. Whatever `source`
-/// holds is dropped on every early return.
+/// `QueryDone` that `done` builds from the spent source. Frames gather in
+/// the connection's buffer and are written out as soon as they hold a
+/// batch — rows ship the moment they exist, the schema riding with the first
+/// of them — and once more after `QueryDone`. A source that reports
+/// `exhausted` after a batch is closed without asking it for another, and
+/// without the Cancel/Close poll: that runs only when another batch is
+/// coming. Whatever `source` holds is dropped on every early return.
 fn write_result<S>(
-    stream: &TcpStream,
-    counters: &NetCounters,
+    out: &mut FrameWriter<'_>,
     class: &RateClass,
     schema: Schema,
     mut source: S,
     next_batch: impl Fn(&mut S) -> Result<Option<Vec<Row>>>,
+    exhausted: impl Fn(&S) -> bool,
     done: impl FnOnce(S, bool) -> Frame,
 ) -> After {
-    if send_frame(stream, counters, &Frame::ResultSchema { schema }).is_err() {
-        return After::Hangup;
-    }
+    out.push(&Frame::ResultSchema { schema });
     let mut cancelled = false;
     let mut close_after = false;
     let max_rows = class.max_batch_rows.max(1);
     loop {
+        let mut rows = match next_batch(&mut source) {
+            Ok(Some(batch)) => batch,
+            Ok(None) => break,
+            // A cursor finalized itself on the error path.
+            Err(err) => return send_error(out, &err),
+        };
+        while !rows.is_empty() {
+            let rest = rows.split_off(rows.len().min(max_rows));
+            out.push(&Frame::ResultBatch { rows });
+            if out.buf.len() >= FLUSH_THRESHOLD_BYTES && out.flush().is_err() {
+                return After::Hangup;
+            }
+            rows = rest;
+        }
+        // Rows leave before the next batch is computed and before the
+        // source is closed: closing settles the query (quota and budget
+        // enforcement, WAL commit), which can take far longer than
+        // producing the rows did.
+        if out.flush().is_err() {
+            // Client went away mid-result.
+            return After::Hangup;
+        }
+        if exhausted(&source) {
+            break;
+        }
         // Between batches is the cancellation point: a buffered Cancel or
         // Close stops the result; a cursor dropped with `source` releases
         // its permit, pins and prefetch grant.
-        match poll_client(stream, counters) {
+        match poll_client(out.stream, out.counters) {
             ClientSignal::Idle => {}
             ClientSignal::Cancel => {
-                counters.cancel();
+                out.counters.cancel();
                 cancelled = true;
                 break;
             }
@@ -938,25 +982,8 @@ fn write_result<S>(
             }
             ClientSignal::Abort => return After::Hangup,
         }
-        let mut rows = match next_batch(&mut source) {
-            Ok(Some(batch)) => batch,
-            Ok(None) => break,
-            // A cursor finalized itself on the error path.
-            Err(err) => return send_error(stream, counters, &err),
-        };
-        while !rows.is_empty() {
-            let rest = rows.split_off(rows.len().min(max_rows));
-            if send_frame(stream, counters, &Frame::ResultBatch { rows }).is_err() {
-                // Client went away mid-result.
-                return After::Hangup;
-            }
-            rows = rest;
-        }
     }
-    match (
-        send_frame(stream, counters, &done(source, cancelled)),
-        close_after,
-    ) {
+    match (out.send(&done(source, cancelled)), close_after) {
         (Ok(()), false) => After::Continue,
         _ => After::Hangup,
     }

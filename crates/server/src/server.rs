@@ -1564,6 +1564,12 @@ impl QueryCursor<'_> {
         self.plan_cache_hit
     }
 
+    /// Whether the last batch has been handed out: the next
+    /// [`QueryCursor::next_batch`] will return `Ok(None)`.
+    pub fn is_exhausted(&self) -> bool {
+        self.stream.is_exhausted()
+    }
+
     /// Simulated cluster seconds accumulated by the partitions run so far.
     pub fn sim_seconds(&self) -> f64 {
         self.stream.sim_seconds()

@@ -9,7 +9,7 @@
 //! failed worker (recovered later through the base generator, i.e. lineage).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -79,10 +79,18 @@ pub struct MemTable {
     partitions: Vec<RwLock<Option<Arc<ColumnarPartition>>>>,
     /// Per-partition statistics, retained across policy evictions (but not
     /// across node failures, which are treated as data loss).
-    stats: Vec<RwLock<Option<PartitionStats>>>,
+    stats: Vec<RwLock<Option<Arc<PartitionStats>>>>,
     /// Per-partition last-access tick on [`MEMSTORE_CLOCK`].
     ticks: Vec<AtomicU64>,
     placements: Vec<usize>,
+    /// Bytes, count and rows of the resident partitions, adjusted by every
+    /// slot mutation (`put`, `evict_partition`, `take_partition`,
+    /// `drop_node`) while it holds that slot's write lock — so the totals
+    /// every query's admission and settlement read are exact without
+    /// visiting a partition. Relaxed: they publish no other data.
+    resident_bytes: AtomicU64,
+    loaded_partitions: AtomicUsize,
+    total_rows: AtomicU64,
     /// Partitions rebuilt from the base generator by scans after an eviction
     /// or node failure (the lineage-recovery path).
     rebuilds: AtomicU64,
@@ -109,6 +117,9 @@ impl MemTable {
             stats: (0..num_partitions).map(|_| RwLock::new(None)).collect(),
             ticks: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
             placements: (0..num_partitions).map(|p| p % num_nodes.max(1)).collect(),
+            resident_bytes: AtomicU64::new(0),
+            loaded_partitions: AtomicUsize::new(0),
+            total_rows: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             spill: RwLock::new(None),
@@ -140,8 +151,34 @@ impl MemTable {
     /// its LRU tick.
     pub fn put(&self, partition: usize, data: Arc<ColumnarPartition>) {
         *self.stats[partition].write() = Some(data.stats().clone());
-        *self.partitions[partition].write() = Some(data);
+        {
+            let mut slot = self.partitions[partition].write();
+            self.account_loaded(&data);
+            if let Some(replaced) = slot.replace(data) {
+                self.account_unloaded(&replaced);
+            }
+        }
         self.touch(partition);
+    }
+
+    /// Add a partition entering a slot to the resident totals. Called with
+    /// the slot's write lock held.
+    fn account_loaded(&self, data: &ColumnarPartition) {
+        self.resident_bytes
+            .fetch_add(data.memory_bytes() as u64, Ordering::Relaxed);
+        self.loaded_partitions.fetch_add(1, Ordering::Relaxed);
+        self.total_rows
+            .fetch_add(data.num_rows() as u64, Ordering::Relaxed);
+    }
+
+    /// Take a partition leaving a slot out of the resident totals. Called
+    /// with the slot's write lock held.
+    fn account_unloaded(&self, data: &ColumnarPartition) {
+        self.resident_bytes
+            .fetch_sub(data.memory_bytes() as u64, Ordering::Relaxed);
+        self.loaded_partitions.fetch_sub(1, Ordering::Relaxed);
+        self.total_rows
+            .fetch_sub(data.num_rows() as u64, Ordering::Relaxed);
     }
 
     /// Refresh a partition's last-access tick.
@@ -167,8 +204,8 @@ impl MemTable {
         for (p, slot) in self.partitions.iter().enumerate() {
             if self.placements[p] == node {
                 let mut guard = slot.write();
-                if guard.is_some() {
-                    *guard = None;
+                if let Some(dropped) = guard.take() {
+                    self.account_unloaded(&dropped);
                     *self.stats[p].write() = None;
                     lost += 1;
                 }
@@ -179,18 +216,12 @@ impl MemTable {
 
     /// Number of partitions currently loaded.
     pub fn loaded_partitions(&self) -> usize {
-        self.partitions
-            .iter()
-            .filter(|p| p.read().is_some())
-            .count()
+        self.loaded_partitions.load(Ordering::Relaxed)
     }
 
     /// Total memory footprint of loaded partitions, in bytes.
     pub fn memory_bytes(&self) -> u64 {
-        self.partitions
-            .iter()
-            .filter_map(|p| p.read().as_ref().map(|c| c.memory_bytes() as u64))
-            .sum()
+        self.resident_bytes.load(Ordering::Relaxed)
     }
 
     /// Resident bytes of one partition (0 when evicted or never loaded).
@@ -204,10 +235,7 @@ impl MemTable {
 
     /// Total rows across loaded partitions.
     pub fn total_rows(&self) -> u64 {
-        self.partitions
-            .iter()
-            .filter_map(|p| p.read().as_ref().map(|c| c.num_rows() as u64))
-            .sum()
+        self.total_rows.load(Ordering::Relaxed)
     }
 
     /// Evict one partition (a *policy* eviction under memory pressure, not a
@@ -216,11 +244,8 @@ impl MemTable {
     /// because the base generator is deterministic — and the data is
     /// transparently rebuilt from lineage by the next scan that needs it.
     pub fn evict_partition(&self, partition: usize) -> u64 {
-        let mut guard = self.partitions[partition].write();
-        match guard.take() {
-            Some(columnar) => columnar.memory_bytes() as u64,
-            None => 0,
-        }
+        self.take_partition(partition)
+            .map_or(0, |columnar| columnar.memory_bytes() as u64)
     }
 
     /// Remove one resident partition and hand its data to the caller — the
@@ -229,7 +254,12 @@ impl MemTable {
     /// spill tier instead of relying on lineage recompute. Statistics are
     /// retained, exactly as for a plain eviction.
     pub fn take_partition(&self, partition: usize) -> Option<Arc<ColumnarPartition>> {
-        self.partitions[partition].write().take()
+        let mut slot = self.partitions[partition].write();
+        let taken = slot.take();
+        if let Some(columnar) = &taken {
+            self.account_unloaded(columnar);
+        }
+        taken
     }
 
     /// Install the spill tier that demoted partitions of this table fault
@@ -293,7 +323,7 @@ impl MemTable {
     /// Statistics of a partition. Retained across policy evictions, so this
     /// answers for evicted partitions too; `None` only for partitions never
     /// loaded (or lost to a node failure).
-    pub fn stats(&self, partition: usize) -> Option<PartitionStats> {
+    pub fn stats(&self, partition: usize) -> Option<Arc<PartitionStats>> {
         self.stats[partition].read().clone()
     }
 
@@ -1076,6 +1106,74 @@ mod tests {
         assert!(mem.stats(1).is_some(), "stats survive a policy eviction");
         // Evicting again frees nothing.
         assert_eq!(mem.evict_partition(1), 0);
+    }
+
+    #[test]
+    fn resident_totals_equal_a_recount_after_any_mutation_sequence() {
+        // What the totals must equal: a walk over the partition slots.
+        fn recount(mem: &MemTable) -> (u64, usize, u64) {
+            (0..mem.num_partitions())
+                .filter_map(|p| mem.partitions[p].read().clone())
+                .fold((0, 0, 0), |(bytes, loaded, rows), c| {
+                    (
+                        bytes + c.memory_bytes() as u64,
+                        loaded + 1,
+                        rows + c.num_rows() as u64,
+                    )
+                })
+        }
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Str)]);
+        for seed in 1u64..=8 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mem = MemTable::new(12, 3);
+            for step in 0..400 {
+                let p = next(12) as usize;
+                match next(8) {
+                    // put: fresh or replacing, with a partition whose size
+                    // differs from whatever the slot held (a spill promotion
+                    // is this same call with the fetched partition).
+                    0..=2 => {
+                        let rows: Vec<Row> = (0..next(40))
+                            .map(|i| row![i as i64, "n".repeat(next(12) as usize)])
+                            .collect();
+                        mem.put(p, Arc::new(ColumnarPartition::from_rows(&schema, &rows)));
+                    }
+                    3 => {
+                        let before = mem.partition_bytes(p);
+                        assert_eq!(mem.evict_partition(p), before);
+                    }
+                    4 => {
+                        let was_loaded = mem.is_loaded(p);
+                        assert_eq!(mem.take_partition(p).is_some(), was_loaded);
+                    }
+                    5 => {
+                        mem.drop_node(next(3) as usize);
+                    }
+                    6 if step % 7 == 0 => {
+                        let (bytes, loaded, _) = recount(&mem);
+                        assert_eq!(mem.evict_all(), (loaded, bytes));
+                    }
+                    // Retiring forbids rebuilds, not accounting.
+                    _ if step == 300 => mem.retire(),
+                    _ => {}
+                }
+                assert_eq!(
+                    (
+                        mem.memory_bytes(),
+                        mem.loaded_partitions(),
+                        mem.total_rows()
+                    ),
+                    recount(&mem),
+                    "seed {seed}, step {step}"
+                );
+            }
+        }
     }
 
     #[test]

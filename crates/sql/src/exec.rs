@@ -427,9 +427,26 @@ impl QueryStream {
         &self.progress
     }
 
-    /// Whether the stream has delivered everything it will deliver.
+    /// Whether the stream has delivered everything it will deliver. True as
+    /// soon as the batch that emptied the plan has been handed out — a
+    /// consumer can tell the last batch from a middle one without asking
+    /// for another.
     pub fn is_exhausted(&self) -> bool {
         self.done
+    }
+
+    /// Whether nothing is left to deliver: every planned partition has been
+    /// delivered and, on the ORDER BY path, every gathered run is spent.
+    fn plan_is_spent(&self) -> bool {
+        if self.order_by.is_empty() {
+            self.job.delivered() >= self.job.planned()
+        } else {
+            self.gathered
+                && self
+                    .runs
+                    .iter()
+                    .all(|(_, rows, cursor)| *cursor >= rows.len())
+        }
     }
 
     /// Simulated cluster seconds charged by this query's own stages so far
@@ -549,9 +566,9 @@ impl QueryStream {
                 self.progress.rows_streamed += rows.len() as u64;
                 if let Some(remaining) = self.remaining.as_mut() {
                     *remaining -= rows.len().min(*remaining);
-                    if *remaining == 0 {
-                        self.finish_stream();
-                    }
+                }
+                if self.remaining == Some(0) || self.plan_is_spent() {
+                    self.finish_stream();
                 }
                 Ok(Some(rows))
             }

@@ -446,6 +446,14 @@ pub fn prune_partitions(
     filters: &[BoundExpr],
     projection: &[usize],
 ) -> (Vec<usize>, usize) {
+    // Each filter's column range is extracted once per statement (the
+    // literals are cloned here, not per partition). The filter is bound
+    // against the projected schema; map back to the table column index.
+    let ranges: Vec<_> = filters
+        .iter()
+        .filter_map(BoundExpr::as_column_range)
+        .map(|(projected_col, low, high, eqs)| (projection[projected_col], low, high, eqs))
+        .collect();
     let mut selected = Vec::new();
     let mut pruned = 0usize;
     for p in 0..table.num_partitions {
@@ -454,20 +462,12 @@ pub fn prune_partitions(
         // entirely when the predicate rules it out.
         let keep = match mem.stats(p) {
             None => true, // never loaded: cannot prune, the scan will rebuild it
-            Some(stats) => filters.iter().all(|f| {
-                match f.as_column_range() {
-                    None => true,
-                    Some((projected_col, low, high, eqs)) => {
-                        // The filter is bound against the projected schema;
-                        // map back to the table column index.
-                        let table_col = projection[projected_col];
-                        let col_stats = stats.column(table_col);
-                        if !eqs.is_empty() {
-                            eqs.iter().any(|v| col_stats.might_equal(v))
-                        } else {
-                            col_stats.might_overlap(low.as_ref(), high.as_ref())
-                        }
-                    }
+            Some(stats) => ranges.iter().all(|(table_col, low, high, eqs)| {
+                let col_stats = stats.column(*table_col);
+                if !eqs.is_empty() {
+                    eqs.iter().any(|v| col_stats.might_equal(v))
+                } else {
+                    col_stats.might_overlap(low.as_ref(), high.as_ref())
                 }
             }),
         };
