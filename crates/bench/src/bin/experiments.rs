@@ -4,6 +4,7 @@
 //! Usage:
 //!   cargo run --release -p shark-bench --bin experiments            # all figures
 //!   cargo run --release -p shark-bench --bin experiments -- figure8 # one figure
+//!   cargo run --release -p shark-bench --bin experiments -- check   # assert the qualitative results
 //!
 //! Figures: figure1, figure5, figure6, loading, figure7, figure8, figure9,
 //! figure10, figure11, figure12, figure13, memory, pruning, skew.
@@ -77,21 +78,29 @@ const PAVLO_JOIN: &str = "SELECT sourceIP, AVG(pageRank), SUM(adRevenue) AS tota
      WHERE R.pageURL = UV.destURL AND UV.visitDate BETWEEN 10971 AND 10978 \
      GROUP BY UV.sourceIP";
 
-fn figure5() {
+/// Returns `(query, Shark memstore, Shark disk, Hive)` seconds per query.
+fn figure5() -> Vec<(&'static str, f64, f64, f64)> {
     header("Figure 5 — Pavlo selection & aggregation (paper: Shark 1.1s/147s/32s, Hive ~hundreds of seconds)");
     let shark = pavlo_session(ExecConfig::shark(), true, false);
     let shark_disk = pavlo_session(ExecConfig::shark_disk(), false, false);
     let hive = pavlo_session(ExecConfig::hive(), false, true);
-    for (name, sql) in [
+    [
         ("selection", PAVLO_SELECTION),
         ("aggregation, many groups", PAVLO_AGG_FINE),
         ("aggregation, ~1K groups", PAVLO_AGG_COARSE),
-    ] {
+    ]
+    .into_iter()
+    .map(|(name, sql)| {
         println!("  -- {name}");
-        row("Shark (memstore)", run_query(&shark, sql).0, "");
-        row("Shark (disk)", run_query(&shark_disk, sql).0, "");
-        row("Hive", run_query(&hive, sql).0, "");
-    }
+        let mem = run_query(&shark, sql).0;
+        let disk = run_query(&shark_disk, sql).0;
+        let hive = run_query(&hive, sql).0;
+        row("Shark (memstore)", mem, "");
+        row("Shark (disk)", disk, "");
+        row("Hive", hive, "");
+        (name, mem, disk, hive)
+    })
+    .collect()
 }
 
 fn figure6() {
@@ -194,7 +203,9 @@ fn figure7() {
 // Figure 8: join strategy selection at run time
 // ---------------------------------------------------------------------------
 
-fn figure8() {
+/// Returns `(seconds, join notes)` for the static plan, the adaptive plan
+/// and the static + adaptive plan, in that order.
+fn figure8() -> Vec<(f64, Vec<String>)> {
     header("Figure 8 — join strategies chosen by optimizers (paper: static 105s, adaptive ~65s, static+adaptive ~35s => ~3x)");
     let sql = "SELECT l_orderkey, s_name FROM lineitem l JOIN supplier s \
                ON l.l_suppkey = s.s_suppkey WHERE is_special(s.s_address)";
@@ -215,29 +226,34 @@ fn figure8() {
         register_tpch(&shark, &tpch, 32, true).unwrap();
         shark.load_table("lineitem").unwrap();
         shark.load_table("supplier").unwrap();
-        let (secs, rows, notes) = run_query(&shark, sql);
+        let (secs, rows, mut notes) = run_query(&shark, sql);
         row(label, secs, &format!("{rows} rows"));
-        for n in notes.iter().filter(|n| n.contains("join")) {
+        notes.retain(|n| n.contains("join"));
+        for n in &notes {
             println!("      note: {n}");
         }
+        (secs, notes)
     };
-    run_mode("Static plan (shuffle join)", ExecConfig::shark_static());
     let adaptive = ExecConfig {
         pde_prioritize_small_side: false,
         ..ExecConfig::shark()
     };
-    run_mode("Adaptive (PDE, pre-shuffle both sides)", adaptive);
-    run_mode(
-        "Static + adaptive (pre-shuffle small side only)",
-        ExecConfig::shark(),
-    );
+    vec![
+        run_mode("Static plan (shuffle join)", ExecConfig::shark_static()),
+        run_mode("Adaptive (PDE, pre-shuffle both sides)", adaptive),
+        run_mode(
+            "Static + adaptive (pre-shuffle small side only)",
+            ExecConfig::shark(),
+        ),
+    ]
 }
 
 // ---------------------------------------------------------------------------
 // Figure 9: fault tolerance
 // ---------------------------------------------------------------------------
 
-fn figure9() {
+/// Returns `[full reload, no failures, single failure, post-recovery]`.
+fn figure9() -> [f64; 4] {
     header("Figure 9 — query time with failures (paper: full reload ~38s, no-failure ~12s, single failure ~15s, post-recovery ~11s)");
     let mut cluster = ClusterConfig::paper_shark_cluster();
     cluster.num_nodes = 50;
@@ -255,14 +271,18 @@ fn figure9() {
     shark.reset_simulation();
     let load = shark.load_table("lineitem").unwrap();
     row("Full reload of the table", load.sim_seconds, "");
-    row("No failures", run_query(&shark, query).0, "");
+    let healthy = run_query(&shark, query).0;
+    row("No failures", healthy, "");
     let lost = shark.fail_node(7);
+    let failure = run_query(&shark, query).0;
     row(
         "Single failure (recover via lineage)",
-        run_query(&shark, query).0,
+        failure,
         &format!("{lost} partitions lost"),
     );
-    row("Post-recovery", run_query(&shark, query).0, "");
+    let recovered = run_query(&shark, query).0;
+    row("Post-recovery", recovered, "");
+    [load.sim_seconds, healthy, failure, recovered]
 }
 
 // ---------------------------------------------------------------------------
@@ -336,7 +356,9 @@ fn ml_points_rdd(shark: &SharkContext, dims: usize) -> shark_rdd::Rdd<(Vec<f64>,
         .cache()
 }
 
-fn figure11_inner(headline_only: bool) {
+/// Returns per-iteration seconds: Shark, then (unless `headline_only`)
+/// Hadoop on binary and on text input.
+fn figure11_inner(headline_only: bool) -> Vec<f64> {
     let cfg = MlConfig::default();
     // Shark: data cached in the memstore, iterations reuse the cached RDD.
     let shark = shark_ctx(ExecConfig::shark(), true);
@@ -345,13 +367,14 @@ fn figure11_inner(headline_only: bool) {
     let points = ml_points_rdd(&shark, cfg.dims);
     shark.reset_simulation();
     let (_, report) = LogisticRegression::default().train(&points).unwrap();
+    let mut per_iteration = vec![report.mean_iteration_seconds()];
     row(
         "Shark — logistic regression / iteration",
-        report.mean_iteration_seconds(),
+        per_iteration[0],
         "",
     );
     if headline_only {
-        return;
+        return per_iteration;
     }
     // Hadoop baselines: every iteration re-reads the input from the DFS.
     for (label, profile) in [
@@ -393,12 +416,14 @@ fn figure11_inner(headline_only: bool) {
         .train(&points)
         .unwrap();
         row(label, report.mean_iteration_seconds(), "");
+        per_iteration.push(report.mean_iteration_seconds());
     }
+    per_iteration
 }
 
-fn figure11() {
+fn figure11() -> Vec<f64> {
     header("Figure 11 — logistic regression per-iteration (paper: Shark 0.96s, Hadoop binary ~60s, Hadoop text ~120s)");
-    figure11_inner(false);
+    figure11_inner(false)
 }
 
 fn figure12() {
@@ -597,6 +622,69 @@ fn skew() {
     row("Static plan (8 reducers)", static_secs, "");
 }
 
+/// `experiments -- check`: run the figures behind the paper's qualitative
+/// results and exit non-zero unless they hold. Every bound is the ratio this
+/// harness printed when the check was written, with margin — Figure 5
+/// 14.6× / 7.7× / 15.3×, Figure 8 11.4× and 14.6×, Figure 9 recovery
+/// overhead 0.94 of a full reload, Figure 11 20.5× and 24.7×.
+fn check() -> bool {
+    let mut ok = true;
+    let mut claim = |holds: bool, what: String| {
+        println!("  [{}] {what}", if holds { "ok" } else { "FAILED" });
+        ok &= holds;
+    };
+    let speedups = figure5();
+    for ((name, mem, _, hive), at_least) in speedups.into_iter().zip([10.0, 5.0, 10.0]) {
+        claim(
+            hive / mem >= at_least,
+            format!(
+                "Pavlo {name}: Shark (memstore) beats Hive {:.1}x (>= {at_least}x)",
+                hive / mem
+            ),
+        );
+    }
+    let joins = figure8();
+    let (static_secs, _) = joins[0];
+    for (label, (secs, notes)) in ["adaptive", "static + adaptive"].iter().zip(&joins[1..]) {
+        claim(
+            notes.iter().any(|n| n.contains("map join: broadcast")),
+            format!("Figure 8 {label}: PDE picks the broadcast join for the small build side"),
+        );
+        claim(
+            static_secs / secs >= 5.0,
+            format!(
+                "Figure 8 {label}: beats the static shuffle join {:.1}x (>= 5x)",
+                static_secs / secs
+            ),
+        );
+    }
+    let [reload, healthy, failure, recovered] = figure9();
+    claim(
+        failure > healthy && failure - healthy < reload,
+        format!(
+            "Figure 9: recovery through lineage costs {:.2} s over the healthy run, under the {reload:.2} s full reload",
+            failure - healthy
+        ),
+    );
+    claim(
+        recovered <= healthy * 1.05,
+        format!(
+            "Figure 9: post-recovery run ({recovered:.2} s) is back to the healthy {healthy:.2} s"
+        ),
+    );
+    let logistic = figure11();
+    for (input, hadoop) in ["binary", "text"].iter().zip(&logistic[1..]) {
+        claim(
+            hadoop / logistic[0] >= 10.0,
+            format!(
+                "Figure 11: Shark beats Hadoop ({input} input) {:.1}x per iteration (>= 10x)",
+                hadoop / logistic[0]
+            ),
+        );
+    }
+    ok
+}
+
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| filter.is_empty() || filter.iter().any(|f| f.contains(name));
@@ -604,6 +692,12 @@ fn main() {
     println!("Shark (SIGMOD 2013) reproduction — experiment harness");
     println!("simulated cluster: 100 nodes x 8 cores (§6.1); scale factor {SCALE}");
 
+    if filter == ["check"] {
+        header("check — the paper's qualitative results");
+        let ok = check();
+        println!("\n{}", if ok { "check passed." } else { "check FAILED." });
+        std::process::exit(if ok { 0 } else { 1 });
+    }
     if want("figure1") {
         figure1();
     }

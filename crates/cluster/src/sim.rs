@@ -211,6 +211,26 @@ impl ClusterSim {
     /// Simulate one stage of tasks. Advances the job clock by the stage's
     /// duration and returns placement and timing details.
     pub fn simulate_stage(&mut self, tasks: &[TaskSpec]) -> StageSimResult {
+        let result = self.place_stage(tasks);
+        if !tasks.is_empty() {
+            record_stage_metrics(&result, tasks.len());
+        }
+        result
+    }
+
+    /// What `stages`, run back-to-back from the current clock and straggler
+    /// draws, would take in total — replayed on a copy, so neither the clock
+    /// nor the `shark_sim_*` metrics move.
+    pub fn preview<'a>(&self, stages: impl IntoIterator<Item = &'a [TaskSpec]>) -> f64 {
+        let mut sim = self.clone();
+        stages
+            .into_iter()
+            .map(|tasks| sim.place_stage(tasks).duration)
+            .sum()
+    }
+
+    /// Place one stage's tasks on the cluster and advance the clock.
+    fn place_stage(&mut self, tasks: &[TaskSpec]) -> StageSimResult {
         self.total_stages += 1;
         let stage_start = self.clock;
         if tasks.is_empty() {
@@ -331,15 +351,13 @@ impl ClusterSim {
         let stage_end = finish_times.iter().fold(stage_start, |acc, &t| acc.max(t));
         self.clock = stage_end;
 
-        let result = StageSimResult {
+        StageSimResult {
             duration: stage_end - stage_start,
             task_finish_times: finish_times,
             placements,
             speculative_copies: speculative,
             tasks_rerun: reruns,
-        };
-        record_stage_metrics(&result, tasks.len());
-        result
+        }
     }
 
     /// Convenience: simulate a stage of `n` identical tasks of `duration`.
@@ -452,6 +470,21 @@ mod tests {
         let r = s.simulate_stage(&[]);
         assert_eq!(r.duration, 0.0);
         assert_eq!(s.now(), 0.0);
+    }
+
+    #[test]
+    fn preview_prices_what_simulate_then_charges_without_moving_anything() {
+        let mut cfg = ClusterConfig::paper_shark_cluster();
+        cfg.straggler_probability = 0.3;
+        let mut s = ClusterSim::new(cfg);
+        s.simulate_uniform_stage(900, 2.0);
+        let map: Vec<TaskSpec> = (0..1200).map(|i| TaskSpec::new(1.0 + i as f64)).collect();
+        let reduce = vec![TaskSpec::new(3.0); 40];
+        let (clock, stages) = (s.now(), s.stages_run());
+        let preview = s.preview([&map[..], &reduce[..]]);
+        assert_eq!((s.now(), s.stages_run()), (clock, stages));
+        let charged = s.simulate_stage(&map).duration + s.simulate_stage(&reduce).duration;
+        assert_eq!(preview, charged);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shark_cluster::{ClusterConfig, ClusterSim, CostModel, FailurePlan, InputSource};
+use shark_cluster::{ClusterConfig, ClusterSim, CostModel, FailurePlan, InputSource, TaskSpec};
 
 use crate::cache::CacheManager;
 use crate::rdd::{Data, GeneratorRdd, Rdd};
@@ -67,13 +67,16 @@ impl RddConfig {
     }
 }
 
-/// Timing record for one stage of a job.
-#[derive(Debug, Clone, PartialEq)]
+/// Record of one stage of a job. The scheduler logs the tasks and input
+/// totals; the simulated figures are filled in when the job is recorded and
+/// its task logs are replayed on the cluster model.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StageReport {
     /// Descriptive stage name (e.g. `"shuffle-map(3)"` or `"result"`).
     pub name: String,
-    /// Number of tasks in the stage.
-    pub num_tasks: usize,
+    /// The task log (cost-model duration, preferred node), in partition
+    /// order — delivery order for a streamed result stage.
+    pub tasks: Vec<TaskSpec>,
     /// Simulated stage duration in seconds.
     pub sim_duration: f64,
     /// Number of speculative copies the simulator launched.
@@ -86,14 +89,17 @@ pub struct StageReport {
     pub bytes_in: u64,
 }
 
-/// Timing record for one job (action) run by the context.
+/// Record of one job: an action, a pre-shuffle, a finished stream, or a
+/// fixed charge. Recording it moved the simulated clock by `sim_duration`,
+/// so the jobs a caller caused sum to its own simulated seconds, whatever
+/// ran beside it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobReport {
     /// Human-readable description of the action.
     pub name: String,
-    /// Per-stage breakdown, in execution order.
+    /// Per-stage breakdown, in execution order; empty for a fixed charge.
     pub stages: Vec<StageReport>,
-    /// Total simulated duration in seconds.
+    /// Total simulated duration in seconds: the stages' sum, or the charge.
     pub sim_duration: f64,
     /// Wall-clock seconds spent actually executing the scaled-down job.
     pub real_duration: f64,
@@ -102,8 +108,33 @@ pub struct JobReport {
 impl JobReport {
     /// Total number of tasks across all stages.
     pub fn total_tasks(&self) -> usize {
-        self.stages.iter().map(|s| s.num_tasks).sum()
+        self.stages.iter().map(|s| s.tasks.len()).sum()
     }
+}
+
+/// Cached handles into the unified metrics registry for per-stage input
+/// totals (the aggregate of every task's `TaskMetrics`), so recording a
+/// stage costs two atomic adds instead of registry lookups.
+struct StageObs {
+    rows_in: Arc<shark_obs::Counter>,
+    bytes_in: Arc<shark_obs::Counter>,
+}
+
+fn stage_obs() -> &'static StageObs {
+    static OBS: std::sync::OnceLock<StageObs> = std::sync::OnceLock::new();
+    OBS.get_or_init(|| {
+        let reg = shark_obs::metrics();
+        StageObs {
+            rows_in: reg.counter(
+                "shark_stage_rows_in_total",
+                "Rows read by executed stage tasks (map + result stages)",
+            ),
+            bytes_in: reg.counter(
+                "shark_stage_bytes_in_total",
+                "Bytes read by executed stage tasks (map + result stages)",
+            ),
+        }
+    })
 }
 
 /// How many of the most recent job reports a context remembers. A
@@ -201,7 +232,9 @@ impl RddContext {
         })
     }
 
-    /// Current simulated time of the cluster (seconds since last reset).
+    /// Current simulated time of the cluster (seconds since last reset): a
+    /// running total over *every* user of this context, so the difference of
+    /// two readings includes whatever other threads recorded in between.
     pub fn simulated_time(&self) -> f64 {
         self.state.cluster.lock().now()
     }
@@ -211,26 +244,15 @@ impl RddContext {
         self.state.cluster.lock().reset();
     }
 
-    /// Install a failure plan on the simulated cluster and immediately drop
-    /// the cached partitions of nodes whose failure time has already passed.
-    pub fn set_failure_plan(&self, plan: FailurePlan) {
-        let now = self.state.cluster.lock().now();
-        for node in plan.failed_nodes_by(now) {
-            self.state.cache.drop_node(node);
-        }
-        self.state.cluster.lock().set_failure_plan(plan);
-    }
-
     /// Kill a node *now*: drops its cached partitions and marks it failed
     /// for the remainder of the simulation.
     pub fn fail_node(&self, node: usize) -> usize {
-        let now = self.state.cluster.lock().now();
-        let lost = self.state.cache.drop_node(node);
-        self.state
-            .cluster
-            .lock()
-            .set_failure_plan(FailurePlan::single(node, now));
-        lost
+        {
+            let mut cluster = self.state.cluster.lock();
+            let now = cluster.now();
+            cluster.set_failure_plan(FailurePlan::single(node, now));
+        }
+        self.state.cache.drop_node(node)
     }
 
     /// Number of worker nodes currently alive.
@@ -239,20 +261,26 @@ impl RddContext {
     }
 
     /// Charge the simulated cost of broadcasting `bytes` bytes from the
-    /// master to every worker (tree broadcast), advancing the clock.
+    /// master to every worker (tree broadcast). Returns the seconds charged.
     pub fn charge_broadcast(&self, bytes: u64) -> f64 {
         let nodes = self.state.config.cluster.num_nodes.max(2) as f64;
         let bw = self.state.config.cluster.profile.network_bw;
         let scaled = bytes as f64 * self.state.config.sim_scale;
         let cost = (scaled / bw) * nodes.log2().max(1.0);
-        self.state.cluster.lock().advance(cost);
+        self.charge("broadcast", cost);
         cost
     }
 
-    /// Advance the simulated clock by an externally computed cost (e.g. a
-    /// DFS bulk load modelled by [`shark_cluster::DfsModel`]).
-    pub fn advance_simulation(&self, seconds: f64) {
+    /// Advance the clock by a cost that is not a stage of tasks (e.g. a DFS
+    /// materialization modelled by [`shark_cluster::DfsModel`]), recorded as
+    /// a stage-less job so it shows in [`Self::job_history`].
+    pub fn charge(&self, name: &str, seconds: f64) {
         self.state.cluster.lock().advance(seconds);
+        self.push_report(JobReport {
+            name: name.to_string(),
+            sim_duration: seconds,
+            ..JobReport::default()
+        });
     }
 
     /// Simulate an externally constructed stage (e.g. a table-load stage
@@ -264,9 +292,48 @@ impl RddContext {
         self.state.cluster.lock().simulate_stage(specs)
     }
 
-    /// Record a completed job report, forgetting the oldest one once
+    /// Price and record a finished job: replay its task logs on the
+    /// simulated cluster — in order, once, under one lock, the only time a
+    /// job touches the simulator — and advance the clock by their sum, the
+    /// job's simulated seconds, which are returned.
+    pub(crate) fn record_job(
+        &self,
+        name: &str,
+        mut stages: Vec<StageReport>,
+        real_duration: f64,
+    ) -> f64 {
+        {
+            let mut cluster = self.state.cluster.lock();
+            for stage in &mut stages {
+                let sim = cluster.simulate_stage(&stage.tasks);
+                stage.sim_duration = sim.duration;
+                stage.speculative_copies = sim.speculative_copies;
+                stage.tasks_rerun = sim.tasks_rerun;
+                stage_obs().rows_in.add(stage.rows_in);
+                stage_obs().bytes_in.add(stage.bytes_in);
+            }
+        }
+        let sim_duration = stages.iter().map(|s| s.sim_duration).sum();
+        self.push_report(JobReport {
+            name: name.to_string(),
+            stages,
+            sim_duration,
+            real_duration,
+        });
+        sim_duration
+    }
+
+    /// What `stages` would be priced at now, on a copy of the simulator.
+    pub(crate) fn preview_stages<'a>(
+        &self,
+        stages: impl IntoIterator<Item = &'a [TaskSpec]>,
+    ) -> f64 {
+        self.state.cluster.lock().preview(stages)
+    }
+
+    /// Append to the bounded job history, forgetting the oldest report once
     /// [`JOB_HISTORY_CAP`] are held.
-    pub(crate) fn record_job(&self, report: JobReport) {
+    fn push_report(&self, report: JobReport) {
         let mut reports = self.state.reports.lock();
         if reports.len() == JOB_HISTORY_CAP {
             reports.pop_front();
@@ -389,20 +456,14 @@ mod tests {
     fn job_history_roundtrip() {
         let ctx = RddContext::local();
         assert!(ctx.last_job().is_none());
-        ctx.record_job(JobReport {
-            name: "test".into(),
-            ..JobReport::default()
-        });
+        ctx.record_job("test", vec![], 0.0);
         assert_eq!(ctx.last_job().unwrap().name, "test");
         assert_eq!(ctx.job_history().len(), 1);
         ctx.clear_job_history();
         assert!(ctx.job_history().is_empty());
         // The history is a ring: the newest reports survive, in order.
         for i in 0..JOB_HISTORY_CAP + 10 {
-            ctx.record_job(JobReport {
-                name: i.to_string(),
-                ..JobReport::default()
-            });
+            ctx.record_job(&i.to_string(), vec![], 0.0);
         }
         let history = ctx.job_history();
         assert_eq!(history.len(), JOB_HISTORY_CAP);

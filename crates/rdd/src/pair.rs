@@ -15,7 +15,7 @@ use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use shark_cluster::InputSource;
+use shark_cluster::{InputSource, OutputSink};
 use shark_common::Result;
 
 use crate::context::{RddContext, StageReport};
@@ -380,7 +380,7 @@ pub struct PreShuffledRdd<K: Data + Hash + Eq, V: Data> {
     lease: Arc<ShuffleLease>,
     num_buckets: usize,
     summary: ShuffleSummary,
-    stage: StageReport,
+    sim_seconds: f64,
     parent_lineage: Arc<dyn Lineage>,
     _marker: PhantomData<fn() -> (K, V)>,
 }
@@ -391,9 +391,9 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
         &self.summary
     }
 
-    /// The simulated timing of the map stage that produced this shuffle.
-    pub fn stage_report(&self) -> &StageReport {
-        &self.stage
+    /// Simulated seconds of the job that materialized this map side.
+    pub fn sim_seconds(&self) -> f64 {
+        self.sim_seconds
     }
 
     /// Number of fine-grained buckets produced by the map stage.
@@ -443,9 +443,13 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
     }
 
     /// Fetch the entire shuffle to the driver (used when PDE decides the
-    /// relation is small enough to broadcast, §3.1.1).
-    pub fn collect_all(&self) -> Result<Vec<(K, V)>> {
-        self.read_identity().collect()
+    /// relation is small enough to broadcast, §3.1.1), returning the pairs
+    /// and the simulated seconds of the job that fetched them.
+    pub fn collect_all(&self) -> Result<(Vec<(K, V)>, f64)> {
+        let rdd = self.read_identity();
+        let (parts, seconds) =
+            scheduler::run_job(&self.ctx, &rdd, "collect", OutputSink::Collect, |v| v)?;
+        Ok((parts.into_iter().flatten().collect(), seconds))
     }
 }
 
@@ -628,21 +632,18 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     ) -> Result<PreShuffledRdd<K, S>> {
         let num_buckets = num_buckets.max(1);
         let lease = self.ctx.new_shuffle();
-        scheduler::ensure_shuffle_deps(&self.ctx, self)?;
-        let stage = run_map_stage(lease.id(), num_buckets)?;
+        let mut stages = scheduler::ensure_shuffle_deps(&self.ctx, self)?;
+        stages.push(run_map_stage(lease.id(), num_buckets)?);
         let summary = self.ctx.shuffle_manager().summary(lease.id())?;
-        self.ctx.record_job(crate::context::JobReport {
-            name: format!("{name}({})", lease.id()),
-            sim_duration: stage.sim_duration,
-            real_duration: 0.0,
-            stages: vec![stage.clone()],
-        });
+        let sim_seconds = self
+            .ctx
+            .record_job(&format!("{name}({})", lease.id()), stages, 0.0);
         Ok(PreShuffledRdd {
             ctx: self.ctx.clone(),
             lease,
             num_buckets,
             summary,
-            stage,
+            sim_seconds,
             parent_lineage: self.lineage(),
             _marker: PhantomData,
         })
@@ -710,7 +711,7 @@ mod tests {
         assert_eq!(out.len(), 6);
         // All pairs with the same key end up in the same partition: verify by
         // computing each partition and checking key disjointness.
-        let per_part = scheduler::run_job(
+        let (per_part, _) = scheduler::run_job(
             &ctx,
             &parted,
             "inspect",
@@ -794,15 +795,39 @@ mod tests {
         assert_eq!(summary.total_rows, 6);
         assert_eq!(summary.bucket_rows.iter().sum::<u64>(), 6);
         // Identity read returns everything.
-        let mut all = pre.collect_all().unwrap();
+        let (mut all, collect_seconds) = pre.collect_all().unwrap();
         all.sort();
         assert_eq!(all.len(), 6);
+        assert_eq!(collect_seconds, ctx.last_job().unwrap().sim_duration);
         // Coalesced read into 2 partitions also returns everything.
         let coalesced = pre
             .read(vec![(0..4).collect(), (4..8).collect()])
             .collect()
             .unwrap();
         assert_eq!(coalesced.len(), 6);
+    }
+
+    #[test]
+    fn pre_shuffle_records_the_upstream_map_stages_it_ran() {
+        let ctx = ctx();
+        let pre = word_pairs(&ctx)
+            .reduce_by_key(4, |a, b| a + b)
+            .map(|(word, total)| (total, word))
+            .pre_shuffle(8)
+            .unwrap();
+        let history = ctx.job_history();
+        assert_eq!(history.len(), 1);
+        let job = &history[0];
+        assert_eq!(job.name, format!("pre_shuffle({})", pre.shuffle_id()));
+        let stages: Vec<&str> = job.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(stages.len(), 2, "{stages:?}");
+        assert!(stages[0].starts_with("shuffle-map-combine("), "{stages:?}");
+        assert_eq!(stages[1], format!("shuffle-map({})", pre.shuffle_id()));
+        assert!(job.stages.iter().all(|s| s.sim_duration > 0.0));
+        // Every second the clock moved is in the job, and on the handle.
+        assert_eq!(pre.sim_seconds(), job.sim_duration);
+        let clock = ctx.simulated_time();
+        assert!((clock - job.sim_duration).abs() <= 1e-12 * clock);
     }
 
     #[test]

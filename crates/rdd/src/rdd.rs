@@ -348,13 +348,13 @@ impl<T: Data> Rdd<T> {
 
     /// Gather all elements to the driver, in partition order.
     pub fn collect(&self) -> Result<Vec<T>> {
-        let parts = scheduler::run_job(&self.ctx, self, "collect", OutputSink::Collect, |v| v)?;
+        let parts = scheduler::run_job(&self.ctx, self, "collect", OutputSink::Collect, |v| v)?.0;
         Ok(parts.into_iter().flatten().collect())
     }
 
     /// Count the elements.
     pub fn count(&self) -> Result<u64> {
-        let counts = scheduler::run_job(&self.ctx, self, "count", OutputSink::None, |v| {
+        let (counts, _) = scheduler::run_job(&self.ctx, self, "count", OutputSink::None, |v| {
             v.len() as u64
         })?;
         Ok(counts.into_iter().sum())
@@ -368,7 +368,7 @@ impl<T: Data> Rdd<T> {
     {
         let f = Arc::new(f);
         let g = f.clone();
-        let partials = scheduler::run_job(&self.ctx, self, "reduce", OutputSink::Collect, {
+        let (partials, _) = scheduler::run_job(&self.ctx, self, "reduce", OutputSink::Collect, {
             move |v: Vec<T>| v.into_iter().reduce(|a, b| g(a, b))
         })?;
         Ok(partials.into_iter().flatten().reduce(|a, b| f(a, b)))

@@ -4,9 +4,9 @@
 //! runs the map stage of every shuffle dependency that is not yet
 //! materialized (in dependency order), then runs the result stage. Every
 //! task executes for real in-process; its measured metrics are converted to
-//! a simulated duration by the cost model and the whole stage is placed on
-//! the simulated cluster to obtain paper-scale timings, which are recorded
-//! in a [`JobReport`].
+//! a simulated duration by the cost model and logged in its stage's
+//! [`StageReport`]; the job's task logs are replayed on the simulated
+//! cluster when the job is recorded, never while it runs.
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,43 +17,17 @@ use parking_lot::Mutex;
 use shark_cluster::{OutputSink, TaskSpec};
 use shark_common::{EstimateSize, Result, SharkError};
 
-use crate::context::{JobReport, RddContext, StageReport};
+use crate::context::{RddContext, StageReport};
 use crate::executor::Executor;
 use crate::metrics::TaskMetrics;
 use crate::pair::Aggregator;
 use crate::rdd::{Data, Lineage, Rdd};
 use crate::shuffle::MapOutput;
 
-/// Cached handles into the unified metrics registry for per-stage input
-/// totals (the aggregate of every task's [`TaskMetrics`]), so finishing a
-/// stage costs two atomic adds instead of registry lookups.
-struct StageObs {
-    rows_in: Arc<shark_obs::Counter>,
-    bytes_in: Arc<shark_obs::Counter>,
-}
-
-fn stage_obs() -> &'static StageObs {
-    static OBS: std::sync::OnceLock<StageObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = shark_obs::metrics();
-        StageObs {
-            rows_in: reg.counter(
-                "shark_stage_rows_in_total",
-                "Rows read by executed stage tasks (map + result stages)",
-            ),
-            bytes_in: reg.counter(
-                "shark_stage_bytes_in_total",
-                "Bytes read by executed stage tasks (map + result stages)",
-            ),
-        }
-    })
-}
-
 /// The result of executing one task in-process.
 pub(crate) struct TaskOutcome<U> {
     pub value: U,
-    pub duration: f64,
-    pub preferred: Option<usize>,
+    pub spec: TaskSpec,
     pub rows_in: u64,
     pub bytes_in: u64,
 }
@@ -101,43 +75,25 @@ where
         .collect()
 }
 
-/// Simulate the stage on the cluster and build its report plus the ordered
-/// task outputs.
-fn finish_stage<U>(
-    ctx: &RddContext,
-    name: &str,
-    outcomes: Vec<TaskOutcome<U>>,
-) -> (StageReport, Vec<U>) {
-    let specs: Vec<TaskSpec> = outcomes
-        .iter()
-        .map(|o| TaskSpec {
-            duration: o.duration,
-            preferred_node: o.preferred,
-        })
-        .collect();
-    let sim = ctx.state.cluster.lock().simulate_stage(&specs);
-    let report = StageReport {
+/// Add a finished task to its stage's log and hand back the task's value.
+fn log_task<U>(stage: &mut StageReport, outcome: TaskOutcome<U>) -> U {
+    stage.tasks.push(outcome.spec);
+    stage.rows_in += outcome.rows_in;
+    stage.bytes_in += outcome.bytes_in;
+    outcome.value
+}
+
+/// Build a barrier stage's (unpriced) report plus the ordered task outputs.
+fn log_stage<U>(name: &str, outcomes: Vec<TaskOutcome<U>>) -> (StageReport, Vec<U>) {
+    let mut stage = StageReport {
         name: name.to_string(),
-        num_tasks: outcomes.len(),
-        sim_duration: sim.duration,
-        speculative_copies: sim.speculative_copies,
-        tasks_rerun: sim.tasks_rerun,
-        rows_in: outcomes.iter().map(|o| o.rows_in).sum(),
-        bytes_in: outcomes.iter().map(|o| o.bytes_in).sum(),
+        ..StageReport::default()
     };
-    stage_obs().rows_in.add(report.rows_in);
-    stage_obs().bytes_in.add(report.bytes_in);
-    if shark_obs::active() {
-        shark_obs::event(
-            "stage-sim",
-            &[
-                ("stage", name),
-                ("tasks", &report.num_tasks.to_string()),
-                ("sim_seconds", &format!("{:.6}", report.sim_duration)),
-            ],
-        );
-    }
-    (report, outcomes.into_iter().map(|o| o.value).collect())
+    let values = outcomes
+        .into_iter()
+        .map(|outcome| log_task(&mut stage, outcome))
+        .collect();
+    (stage, values)
 }
 
 /// Run the map stage of every shuffle dependency reachable from `lineage`
@@ -158,16 +114,16 @@ pub fn ensure_shuffle_deps(ctx: &RddContext, lineage: &dyn Lineage) -> Result<Ve
 }
 
 /// Run an action over `rdd`: materialize its shuffle dependencies, execute
-/// the result stage applying `f` to each partition, time everything on the
-/// simulated cluster, record a [`JobReport`], and return the per-partition
-/// results in partition order.
+/// the result stage applying `f` to each partition, record the job, and
+/// return the per-partition results in partition order plus the job's
+/// simulated seconds.
 pub fn run_job<T, U, F>(
     ctx: &RddContext,
     rdd: &Rdd<T>,
     name: &str,
     sink: OutputSink,
     f: F,
-) -> Result<Vec<U>>
+) -> Result<(Vec<U>, f64)>
 where
     T: Data,
     U: Send + EstimateSize,
@@ -175,44 +131,51 @@ where
 {
     let wall = Instant::now();
     let mut stages = ensure_shuffle_deps(ctx, rdd)?;
-    let scale = ctx.config().sim_scale;
     let outcomes = run_tasks(
         ctx.config().parallel_tasks,
         rdd.num_partitions(),
-        |partition| {
-            let mut metrics = TaskMetrics::new();
-            let data = rdd.compute_partition(ctx, partition, &mut metrics)?;
-            let rows = data.len() as u64;
-            let value = f(data);
-            metrics.record_output(rows, value.estimated_size() as u64);
-            let cost = metrics.to_cost_input(scale, sink);
-            let duration = ctx.cost_model().task_duration(&cost);
-            Ok(TaskOutcome {
-                value,
-                duration,
-                preferred: rdd.preferred_node(ctx, partition),
-                rows_in: metrics.rows_in,
-                bytes_in: metrics.bytes_in,
-            })
-        },
+        |partition| run_partition_task(ctx, rdd, partition, sink, |data, _| f(data)),
     )?;
-    let (report, values) = finish_stage(ctx, "result", outcomes);
+    let (report, values) = log_stage("result", outcomes);
     stages.push(report);
-    let sim_duration = stages.iter().map(|s| s.sim_duration).sum();
-    ctx.record_job(JobReport {
-        name: name.to_string(),
-        stages,
-        sim_duration,
-        real_duration: wall.elapsed().as_secs_f64(),
-    });
-    Ok(values)
+    let sim_seconds = ctx.record_job(name, stages, wall.elapsed().as_secs_f64());
+    Ok((values, sim_seconds))
 }
 
-/// Run one result-stage task in-process without simulating it yet: compute
-/// the partition, apply `f`, and price the task with the cost model. Panics
-/// inside the task (a user closure blowing up) are converted to execution
-/// errors so both the serial and the prefetched streaming paths fail the
-/// same way.
+/// Run one result-stage task in-process: compute the partition, apply `f`,
+/// and price the task with the cost model.
+fn run_partition_task<T, U, F>(
+    ctx: &RddContext,
+    rdd: &Rdd<T>,
+    partition: usize,
+    sink: OutputSink,
+    f: F,
+) -> Result<TaskOutcome<U>>
+where
+    T: Data,
+    U: Send + EstimateSize,
+    F: FnOnce(Vec<T>, &mut TaskMetrics) -> U,
+{
+    let mut metrics = TaskMetrics::new();
+    let data = rdd.compute_partition(ctx, partition, &mut metrics)?;
+    let rows = data.len() as u64;
+    let value = f(data, &mut metrics);
+    metrics.record_output(rows, value.estimated_size() as u64);
+    let cost = metrics.to_cost_input(ctx.config().sim_scale, sink);
+    Ok(TaskOutcome {
+        value,
+        spec: TaskSpec {
+            duration: ctx.cost_model().task_duration(&cost),
+            preferred_node: rdd.preferred_node(ctx, partition),
+        },
+        rows_in: metrics.rows_in,
+        bytes_in: metrics.bytes_in,
+    })
+}
+
+/// [`run_partition_task`] with panics inside the task (a user closure
+/// blowing up) converted to execution errors, so the serial and the
+/// prefetched streaming paths fail the same way.
 fn execute_partition_task<T, U, F>(
     ctx: &RddContext,
     rdd: &Rdd<T>,
@@ -225,21 +188,8 @@ where
     U: Send + EstimateSize,
     F: FnOnce(Vec<T>, &mut TaskMetrics) -> U,
 {
-    let scale = ctx.config().sim_scale;
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let mut metrics = TaskMetrics::new();
-        let data = rdd.compute_partition(ctx, partition, &mut metrics)?;
-        let rows = data.len() as u64;
-        let value = f(data, &mut metrics);
-        metrics.record_output(rows, value.estimated_size() as u64);
-        let cost = metrics.to_cost_input(scale, sink);
-        Ok(TaskOutcome {
-            value,
-            duration: ctx.cost_model().task_duration(&cost),
-            preferred: rdd.preferred_node(ctx, partition),
-            rows_in: metrics.rows_in,
-            bytes_in: metrics.bytes_in,
-        })
+        run_partition_task(ctx, rdd, partition, sink, f)
     }))
     .unwrap_or_else(|_| {
         Err(SharkError::Execution(format!(
@@ -359,11 +309,11 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) 
 /// of waiting for the whole stage barrier.
 ///
 /// Construction runs every shuffle map stage the target RDD depends on
-/// (exactly like [`run_job`] would). Each delivered partition is one
-/// result-stage task, placed on the simulated cluster as a single-task stage
-/// at delivery time. Partitions that are never delivered are never booked —
-/// and, beyond the prefetch window, never computed — which is what lets a
-/// LIMIT query stop launching tasks once it has enough rows.
+/// (exactly like [`run_job`] would). The delivered partitions are one result
+/// stage, logged in delivery order — for a full drain, the stage `run_job`
+/// records. Partitions that are never delivered are never logged — and,
+/// beyond the prefetch window, never computed — which is what lets a LIMIT
+/// query stop launching tasks once it has enough rows.
 ///
 /// The consumer helps: [`PipelinedJob::next`] runs the cursor's own position
 /// inline whenever no morsel has claimed it, and morsels — up to `prefetch`
@@ -373,29 +323,23 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) 
 /// who runs a task, not how many run at once. So a one-partition job never
 /// leaves the consumer's thread, a stream's first partition starts without
 /// waiting for a worker to wake, and `prefetch = 0` is simply the case where
-/// the consumer runs everything. Delivery order and results do not depend
-/// on who ran a partition; the concurrent execution is reflected in the
-/// simulated makespan (see [`PipelinedJob::sim_seconds`]).
+/// the consumer runs everything. Delivery order, results and the task log do
+/// not depend on who ran a partition or how far ahead.
 ///
 /// Dropping the job (or calling [`PipelinedJob::finish`]) cancels the
 /// stream: no further partitions are claimed, in-flight morsels are
-/// drained, and the [`JobReport`] covering the up-front shuffle stages plus
-/// the *delivered* partitions is recorded.
+/// drained, and the job — the up-front shuffle stages plus the *delivered*
+/// partitions — is recorded.
 pub struct PipelinedJob<T: Data, U: Send + EstimateSize + 'static> {
     ctx: RddContext,
     rdd: Rdd<T>,
     name: String,
+    /// The shuffle map stages run at construction, then the result stage,
+    /// whose task log grows with every delivery. [`Self::finish`] records a
+    /// copy; the logs stay for [`Self::sim_seconds_after`].
     stages: Vec<StageReport>,
-    /// Simulated seconds spent in the up-front shuffle stages, which run
-    /// before any partition can stream.
-    sim_base: f64,
-    /// Simulated busy time per delivery slot (sized on the first
-    /// [`Self::next`]). Delivered partition tasks are list-scheduled
-    /// greedily onto these slots, so a job whose partitions were computed
-    /// by `n` concurrent morsels is charged the makespan of that schedule
-    /// instead of the serial sum — unlike the context's global simulated
-    /// clock, this is not advanced by concurrent jobs.
-    sim_slots: Vec<f64>,
+    /// The recorded job's simulated seconds, once [`Self::finish`] has run.
+    priced: Option<f64>,
     wall: Instant,
     order: Arc<Vec<usize>>,
     sink: OutputSink,
@@ -403,12 +347,10 @@ pub struct PipelinedJob<T: Data, U: Send + EstimateSize + 'static> {
     prefetch: usize,
     /// Set up lazily by the first [`Self::next`].
     pool: Option<Arc<Prefetcher<T, U>>>,
-    delivered: usize,
     prefetch_hits: u64,
     /// Set on error or explicit finish: no further partitions execute or
     /// deliver, so the recorded report stays accurate.
     latched: bool,
-    reported: bool,
 }
 
 impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
@@ -428,32 +370,32 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
         F: Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync + 'static,
     {
         let wall = Instant::now();
-        let stages = ensure_shuffle_deps(ctx, rdd)?;
-        let sim_base = stages.iter().map(|s| s.sim_duration).sum();
+        let mut stages = ensure_shuffle_deps(ctx, rdd)?;
+        stages.push(StageReport {
+            name: "result".to_string(),
+            ..StageReport::default()
+        });
         Ok(PipelinedJob {
             ctx: ctx.clone(),
             rdd: rdd.clone(),
             name: name.to_string(),
             stages,
-            sim_base,
-            sim_slots: vec![0.0],
+            priced: None,
             wall,
             order: Arc::new(order),
             sink,
             f: Arc::new(f),
             prefetch: 0,
             pool: None,
-            delivered: 0,
             prefetch_hits: 0,
             latched: false,
-            reported: false,
         })
     }
 
     /// Set the prefetch depth. Only honored before the first partition is
     /// delivered (the pool spins up lazily on the first [`Self::next`]).
     pub fn set_prefetch(&mut self, depth: usize) {
-        if self.pool.is_none() && self.delivered == 0 {
+        if self.pool.is_none() {
             self.prefetch = depth;
         }
     }
@@ -470,7 +412,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
 
     /// Partitions delivered so far.
     pub fn delivered(&self) -> usize {
-        self.delivered
+        self.stages.last().expect("result stage").tasks.len()
     }
 
     /// Total result-stage partitions of the underlying RDD.
@@ -484,13 +426,25 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
         self.prefetch_hits
     }
 
-    /// Simulated seconds charged by *this job's* stages so far: the
-    /// up-front shuffle stages plus the makespan of the delivered partition
-    /// tasks over the job's delivery slots (one slot inline, one per
-    /// concurrent morsel when prefetching). Stable under concurrency,
-    /// unlike deltas of the shared cluster clock.
+    /// Simulated seconds of *this job's* stages: what recording it moved the
+    /// clock by, or — before [`Self::finish`] — a preview of that.
     pub fn sim_seconds(&self) -> f64 {
-        self.sim_base + self.sim_slots.iter().copied().fold(0.0, f64::max)
+        self.priced
+            .unwrap_or_else(|| self.sim_seconds_after(self.delivered()))
+    }
+
+    /// What the job would be priced at had it stopped after its first
+    /// `delivered` partitions, replayed on a copy of the simulator as it
+    /// stands now: no clock moves, nothing is recorded.
+    pub fn sim_seconds_after(&self, delivered: usize) -> f64 {
+        let (result, shuffles) = self.stages.split_last().expect("result stage");
+        let delivered = delivered.min(result.tasks.len());
+        self.ctx.preview_stages(
+            shuffles
+                .iter()
+                .map(|s| &s.tasks[..])
+                .chain([&result.tasks[..delivered]]),
+        )
     }
 
     /// Deliver the next partition in planned order as `(partition, value)`,
@@ -501,18 +455,18 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
     // ownership for cancellation/report bookkeeping.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(usize, U)>> {
-        if self.latched || self.delivered >= self.order.len() {
+        if self.latched || self.delivered() >= self.order.len() {
             return Ok(None);
         }
-        let partition = self.order[self.delivered];
+        let partition = self.order[self.delivered()];
         let Some(outcome) = self.outcome_at_cursor(partition) else {
             // Cancelled with nothing in flight for this position.
             return Ok(None);
         };
         match outcome {
             Ok(outcome) => {
-                self.delivered += 1;
-                Ok(Some((partition, self.book(partition, outcome))))
+                let result = self.stages.last_mut().expect("result stage");
+                Ok(Some((partition, log_task(result, outcome))))
             }
             Err(err) => {
                 // Latch and stop the pool: a failed stream never resumes.
@@ -566,28 +520,6 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
         outcome
     }
 
-    /// Book a delivered task outcome: simulate it on the cluster as a
-    /// single-task stage and fold it into this job's report. Called in
-    /// delivery order, so the simulated clock advances identically whether
-    /// the task ran inline or ahead of the cursor.
-    fn book(&mut self, partition: usize, outcome: TaskOutcome<U>) -> U {
-        let (report, mut values) = finish_stage(
-            &self.ctx,
-            &format!("stream-result({partition})"),
-            vec![outcome],
-        );
-        // Greedy list scheduling: charge the task to the least-loaded
-        // delivery slot. With one slot this degenerates to the serial sum.
-        let slot = self
-            .sim_slots
-            .iter_mut()
-            .min_by(|a, b| a.total_cmp(b))
-            .expect("at least one delivery slot");
-        *slot += report.sim_duration;
-        self.stages.push(report);
-        values.pop().expect("single task outcome")
-    }
-
     /// Stop the stream (draining in-flight morsels) and record the job
     /// report covering everything delivered so far. Latches the job: a
     /// later `next()` delivers nothing, so the recorded report stays
@@ -604,14 +536,9 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
                 state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
             }
         }
-        if !self.reported {
-            self.reported = true;
-            self.ctx.record_job(JobReport {
-                name: self.name.clone(),
-                stages: std::mem::take(&mut self.stages),
-                sim_duration: self.sim_seconds(),
-                real_duration: self.wall.elapsed().as_secs_f64(),
-            });
+        if self.priced.is_none() {
+            let wall = self.wall.elapsed().as_secs_f64();
+            self.priced = Some(self.ctx.record_job(&self.name, self.stages.clone(), wall));
         }
     }
 
@@ -628,9 +555,6 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             .map(|c| c.get())
             .unwrap_or(4);
         let max_workers = self.prefetch.min(self.order.len()).min(parallelism).max(1);
-        // One simulated delivery slot per concurrent morsel, so prefetched
-        // streams are charged wall-clock-shaped time, not the serial sum.
-        self.sim_slots = vec![0.0; max_workers];
         let pool = Arc::new(Prefetcher {
             ctx: self.ctx.clone(),
             rdd: self.rdd.clone(),
@@ -715,17 +639,18 @@ where
         ctx.shuffle_manager()
             .put_map_output(shuffle_id, partition, output)?;
         let cost = metrics.to_cost_input(scale, OutputSink::Shuffle);
-        let duration = ctx.cost_model().task_duration(&cost);
         Ok(TaskOutcome {
             value: (),
-            duration,
-            preferred: parent.preferred_node(ctx, partition),
+            spec: TaskSpec {
+                duration: ctx.cost_model().task_duration(&cost),
+                preferred_node: parent.preferred_node(ctx, partition),
+            },
             rows_in: metrics.rows_in,
             bytes_in: metrics.bytes_in,
         })
     })?;
 
-    let (report, _) = finish_stage(ctx, name, outcomes);
+    let (report, _) = log_stage::<()>(name, outcomes);
     Ok(report)
 }
 
@@ -803,8 +728,7 @@ mod tests {
         let f = |i: usize| {
             Ok(TaskOutcome {
                 value: i * 2,
-                duration: 0.1,
-                preferred: None,
+                spec: TaskSpec::new(0.1),
                 rows_in: 1,
                 bytes_in: 8,
             })
@@ -825,8 +749,7 @@ mod tests {
             } else {
                 Ok(TaskOutcome {
                     value: (),
-                    duration: 0.0,
-                    preferred: None,
+                    spec: TaskSpec::new(0.0),
                     rows_in: 0,
                     bytes_in: 0,
                 })
@@ -839,8 +762,7 @@ mod tests {
             } else {
                 Ok(TaskOutcome {
                     value: (),
-                    duration: 0.0,
-                    preferred: None,
+                    spec: TaskSpec::new(0.0),
                     rows_in: 0,
                     bytes_in: 0,
                 })
@@ -910,20 +832,24 @@ mod tests {
 
     #[test]
     fn pipelined_job_delivery_and_booking_do_not_depend_on_who_ran_a_partition() {
-        let parallelism = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(4);
         for partitions in [1usize, 2, 16] {
-            // Per-partition stage reports of the all-inline run: every other
-            // depth must book the very same stages.
-            let mut inline_stages: Option<Vec<StageReport>> = None;
+            // What `run_job` records for the same RDD on a fresh context:
+            // a full drain must record the very same stage, at every depth.
+            let blocking = {
+                let ctx = RddContext::local();
+                let rdd = ctx
+                    .parallelize((0i64..400).collect(), partitions)
+                    .map(|x| x * 3);
+                rdd.collect().unwrap();
+                ctx.last_job().unwrap()
+            };
             for prefetch in [0usize, 1, 2, 8] {
                 let case = format!("prefetch={prefetch}, partitions={partitions}");
                 let ctx = RddContext::local();
                 let rdd = ctx
                     .parallelize((0i64..400).collect(), partitions)
                     .map(|x| x * 3);
-                let expected = rdd.collect().unwrap();
+                let expected: Vec<i64> = (0i64..400).map(|x| x * 3).collect();
                 let name = format!("pipelined({prefetch})");
                 let mut job = identity_job(&rdd, &name, (0..partitions).collect(), prefetch);
                 assert_eq!(job.num_partitions(), partitions);
@@ -936,30 +862,25 @@ mod tests {
                 assert_eq!(streamed, expected, "{case}");
                 assert_eq!(delivered, (0..partitions).collect::<Vec<usize>>());
                 assert_eq!(job.delivered(), partitions);
+                // Nothing is priced or recorded while the job is open; the
+                // preview moves no clock.
+                let preview = job.sim_seconds();
+                assert!(ctx.last_job().is_none(), "{case}");
+                assert_eq!(ctx.simulated_time(), 0.0, "{case}");
                 job.finish();
-                // One single-task stage is booked per partition delivered,
-                // in delivery order, identical at every depth.
+                // The booking rule: the delivered partitions are one result
+                // stage of `delivered()` tasks in delivery order — the stage
+                // `run_job` records — whoever ran them and however far ahead.
                 let report = ctx.last_job().unwrap();
                 assert_eq!(report.name, name);
-                let names: Vec<String> = report.stages.iter().map(|s| s.name.clone()).collect();
-                let planned: Vec<String> = (0..partitions)
-                    .map(|p| format!("stream-result({p})"))
-                    .collect();
-                assert_eq!(names, planned, "{case}");
-                let stages = inline_stages.get_or_insert_with(|| report.stages.clone());
-                assert_eq!(&report.stages, stages, "{case}");
-                // The booking rule, spelled out: delivered tasks are
-                // list-scheduled in delivery order onto one slot per
-                // concurrent morsel the depth allows (one when inline).
-                let slots = prefetch.min(partitions).min(parallelism).max(1);
-                let mut busy = vec![0.0f64; slots];
-                for stage in &report.stages {
-                    let slot = busy.iter_mut().min_by(|a, b| a.total_cmp(b)).unwrap();
-                    *slot += stage.sim_duration;
-                }
-                let makespan = busy.into_iter().fold(0.0, f64::max);
-                assert_eq!(job.sim_seconds(), makespan, "{case}");
-                assert_eq!(report.sim_duration, makespan, "{case}");
+                assert_eq!(report.stages.len(), 1, "{case}");
+                assert_eq!(report.stages[0].name, "result");
+                assert_eq!(report.stages[0].tasks.len(), job.delivered());
+                assert_eq!(report.stages, blocking.stages, "{case}");
+                assert_eq!(report.sim_duration, blocking.sim_duration, "{case}");
+                assert_eq!(job.sim_seconds(), report.sim_duration, "{case}");
+                assert_eq!(preview, report.sim_duration, "{case}");
+                assert_eq!(ctx.simulated_time(), report.sim_duration, "{case}");
             }
         }
     }
@@ -987,6 +908,7 @@ mod tests {
     #[test]
     fn pipelined_job_respects_custom_order_and_window_bound() {
         let order = vec![5usize, 1, 6, 0, 7, 2, 3, 4];
+        let mut logged: Option<Vec<StageReport>> = None;
         for prefetch in [0usize, 1, 2, 8] {
             let ctx = RddContext::local();
             let executed = Arc::new(AtomicUsize::new(0));
@@ -1014,10 +936,17 @@ mod tests {
                 (3..=(3 + prefetch).min(order.len())).contains(&ran),
                 "prefetch={prefetch}: window violated, {ran} partitions ran"
             );
+            let priced = job.sim_seconds();
             drop(job);
             assert_eq!(executed.load(Ordering::SeqCst), ran, "work after cancel");
+            // Only delivered partitions are tasks of the result stage, in
+            // delivery order, at every depth.
             let report = ctx.last_job().unwrap();
-            assert_eq!(report.stages.len(), 3, "only delivered stages booked");
+            assert_eq!(report.stages.len(), 1);
+            assert_eq!(report.total_tasks(), 3, "only delivered tasks booked");
+            assert_eq!(priced, report.sim_duration);
+            let booked = logged.get_or_insert_with(|| report.stages.clone());
+            assert_eq!(&report.stages, booked, "prefetch={prefetch}");
         }
     }
 
@@ -1029,9 +958,12 @@ mod tests {
             let reduced = rdd.map(|x| (x % 5, x)).reduce_by_key(4, |a, b| a + b);
             let shuffle_id = reduced.shuffle_deps()[0].shuffle_id();
             let mut job = identity_job(&reduced, "stream-agg", (0..4).collect(), prefetch);
-            // The map stage ran during construction, before any delivery.
+            // The map stage ran during construction, before any delivery —
+            // logged, but not priced until the job is recorded.
             assert!(ctx.shuffle_manager().is_complete(shuffle_id));
-            assert!(job.sim_seconds() > 0.0);
+            let map_only = job.sim_seconds();
+            assert!(map_only > 0.0);
+            assert_eq!(ctx.simulated_time(), 0.0);
             let mut pairs = Vec::new();
             while let Some((_, batch)) = job.next().unwrap() {
                 pairs.extend(batch);
@@ -1039,7 +971,10 @@ mod tests {
             drop(job);
             let report = ctx.last_job().unwrap();
             assert!(report.stages[0].name.starts_with("shuffle-map"));
-            assert_eq!(report.stages.len(), 1 + 4);
+            assert_eq!(report.stages[0].sim_duration, map_only);
+            assert_eq!(report.stages.len(), 2);
+            assert_eq!(report.stages[1].tasks.len(), 4);
+            assert_eq!(ctx.simulated_time(), report.sim_duration);
             pairs.sort();
             let mut expected = reduced.collect().unwrap();
             expected.sort();

@@ -233,3 +233,53 @@ fn admission_rejections_surface_as_errors_and_metrics() {
     // The victim can run once the slot frees up.
     assert!(victim.sql("SELECT COUNT(*) FROM t").is_ok());
 }
+
+#[test]
+fn concurrent_sessions_each_see_their_statements_solo_sim_seconds() {
+    let statements = [
+        "SELECT k, amount FROM t0 WHERE amount > 4",
+        "SELECT grp, COUNT(*), SUM(amount) FROM t1 GROUP BY grp",
+        "SELECT a.k, b.grp FROM t2 a JOIN t3 b ON a.k = b.k WHERE b.amount > 7",
+        "SELECT k, amount FROM t3 ORDER BY amount DESC, k",
+    ];
+    let server = || {
+        let server = SharkServer::new(ServerConfig {
+            max_concurrent_queries: statements.len(),
+            ..ServerConfig::default()
+        });
+        let tables = ["t0", "t1", "t2", "t3"];
+        register_tables(&server, &tables);
+        for name in &tables {
+            server.load_table(name).unwrap();
+        }
+        server
+    };
+    // Each statement alone on its own server.
+    let solo: Vec<f64> = statements
+        .iter()
+        .map(|sql| server().session().sql(sql).unwrap().metrics.sim_seconds)
+        .collect();
+    assert!(solo.iter().all(|s| *s > 0.0), "{solo:?}");
+
+    // All four at once, repeatedly, on one server: a statement's simulated
+    // seconds are its own jobs' — neighbours move the shared clock (so the
+    // offset a stage starts at, hence the last bits) and nothing else.
+    let server = server();
+    let start = Barrier::new(statements.len());
+    std::thread::scope(|scope| {
+        for (sql, alone) in statements.iter().zip(&solo) {
+            let (server, start) = (&server, &start);
+            scope.spawn(move || {
+                let session = server.session();
+                start.wait();
+                for round in 0..12 {
+                    let seen = session.sql(sql).unwrap().metrics.sim_seconds;
+                    assert!(
+                        (seen - alone).abs() <= 1e-9 * alone,
+                        "round {round}: {seen:?} beside neighbours, {alone:?} alone: {sql}"
+                    );
+                }
+            });
+        }
+    });
+}

@@ -403,8 +403,8 @@ impl SqlSession {
                 row_count += 1;
             }
         }
-        let sim_seconds_exec = stream.sim_seconds();
-        let stream_notes = stream.notes().to_vec();
+        let mut sim_seconds = stream.sim_seconds();
+        let mut notes = stream.notes().to_vec();
         let plan_desc = stream.plan().to_string();
 
         let partitions = Arc::new(partitions);
@@ -430,8 +430,6 @@ impl SqlSession {
             table = table.with_copartition(other);
         }
         let built = Arc::new(table);
-        let mut notes = stream_notes;
-        let mut sim_seconds = sim_seconds_exec;
         if cache_requested {
             // Load the memstore *before* publishing the table: once it is
             // visible in a snapshot, no query may ever find a cached
@@ -591,16 +589,17 @@ mod tests {
 
     #[test]
     fn streaming_reports_first_row_before_completion() {
-        let s = session();
-        let mut stream = s
-            .sql_stream("SELECT day, store, amount FROM sales")
-            .unwrap();
+        // More partitions than the simulated cluster has task slots: the
+        // whole result stage takes several waves, the first row one task.
+        let s = correlated_session(32, 50);
+        let mut stream = s.sql_stream("SELECT v, tag FROM ordered_t").unwrap();
         let first = stream.next_batch().unwrap().unwrap();
         assert!(!first.is_empty());
-        let ttfr_sim = stream.progress().sim_seconds_to_first_row.unwrap();
+        assert_eq!(stream.progress().partitions_at_first_row, Some(1));
         assert!(stream.progress().time_to_first_row.is_some());
         while stream.next_batch().unwrap().is_some() {}
-        assert_eq!(stream.progress().partitions_streamed, 4);
+        assert_eq!(stream.progress().partitions_streamed, 32);
+        let ttfr_sim = stream.sim_seconds_to_first_row().unwrap();
         assert!(
             ttfr_sim < stream.sim_seconds(),
             "first row ({ttfr_sim}s) must arrive before the stream completes ({}s)",
@@ -672,28 +671,22 @@ mod tests {
         let mut s = correlated_session(32, 50);
         s.set_stream_prefetch(0);
         s.load_table("ordered_t").unwrap();
-        let blocking = s
-            .sql("SELECT v FROM ordered_t ORDER BY v DESC LIMIT 5")
-            .unwrap();
+        let full_sort = s.sql("SELECT v FROM ordered_t ORDER BY v DESC").unwrap();
         let mut stream = s
             .sql_stream("SELECT v FROM ordered_t ORDER BY v DESC LIMIT 5")
             .unwrap();
         let first = stream.next_batch().unwrap().unwrap();
         assert_eq!(first[0].get_int(0).unwrap(), 32 * 50 - 1);
-        let ttfr_sim = stream.progress().sim_seconds_to_first_row.unwrap();
+        let ttfr_sim = stream.sim_seconds_to_first_row().unwrap();
         assert!(
-            ttfr_sim < blocking.sim_seconds,
+            ttfr_sim < full_sort.sim_seconds,
             "top-k first row at {ttfr_sim}s vs full collect {}s",
-            blocking.sim_seconds
+            full_sort.sim_seconds
         );
         while stream.next_batch().unwrap().is_some() {}
         let streamed_rows: u64 = stream.progress().rows_streamed;
         assert_eq!(streamed_rows, 5);
-        assert_eq!(
-            blocking.rows.len(),
-            5,
-            "blocking path returns the same result"
-        );
+        assert_eq!(full_sort.rows[..5], first[..], "same five rows");
     }
 
     #[test]

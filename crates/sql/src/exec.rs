@@ -151,7 +151,10 @@ pub struct QueryResult {
     pub schema: Schema,
     /// Result rows (ordered if the query had ORDER BY).
     pub rows: Vec<Row>,
-    /// Simulated execution time in seconds.
+    /// Simulated execution time in seconds: the sum of the jobs (PDE
+    /// pre-shuffles, broadcast collects, the result job) and fixed charges
+    /// this statement caused — not a difference of the shared clock, and
+    /// the same whether the result was collected or streamed.
     pub sim_seconds: f64,
     /// Wall-clock execution time of the scaled-down run.
     pub real_seconds: f64,
@@ -169,6 +172,9 @@ pub struct TableRdd {
     pub schema: Schema,
     /// Run-time decisions taken while building the pipeline.
     pub notes: Vec<String>,
+    /// Simulated seconds building the pipeline already cost (PDE's jobs
+    /// and the fixed charges): where the statement's ledger starts.
+    pub(crate) sim_seconds: f64,
     /// When the whole pipeline is a narrow chain over one memstore scan
     /// (result partition `i` is exactly scan partition `selected[i]`), the
     /// scan's identity — what top-k pushdown needs to consult partition
@@ -254,13 +260,9 @@ pub fn load_table(ctx: &RddContext, table: &Arc<TableMeta>) -> Result<LoadReport
         mem.put(p, columnar);
         newly_loaded += 1;
     }
-    let before = ctx.simulated_time();
-    if !specs.is_empty() {
-        ctx.simulate_external_stage(&specs);
-    }
     Ok(LoadReport {
         table: table.name.clone(),
-        sim_seconds: ctx.simulated_time() - before,
+        sim_seconds: ctx.simulate_external_stage(&specs).duration,
         input_bytes,
         stored_bytes: mem.memory_bytes(),
         rows: rows_total,
@@ -268,39 +270,14 @@ pub fn load_table(ctx: &RddContext, table: &Arc<TableMeta>) -> Result<LoadReport
     })
 }
 
-/// Execute a plan fully: run the pipeline, collect, sort and limit.
+/// Execute a plan fully: drain its [`QueryStream`] on the calling thread.
+/// A blocking caller holds no prefetch grant, so nothing runs ahead of it:
+/// which thread computes (and allocates) the rows does not depend on a race
+/// between the consumer and the executor's workers.
 pub fn execute(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<QueryResult> {
-    let wall = std::time::Instant::now();
-    let sim_start = ctx.simulated_time();
-    let table_rdd = {
-        let _span = shark_obs::span("optimize");
-        build_pipeline(ctx, plan, cfg)?
-    };
-    let rows_span = shark_obs::span("stage-launch");
-    let mut rows = table_rdd.rdd.collect()?;
-    if let Some(span) = &rows_span {
-        span.set_rows(rows.len() as u64);
-    }
-    drop(rows_span);
-
-    // Driver-side ORDER BY / LIMIT (result sets at this point are small).
-    if !plan.order_by.is_empty() {
-        let _span = shark_obs::span("sort-merge");
-        let keys = plan.order_by.clone();
-        rows.sort_by(|a, b| compare_rows(a, b, &keys));
-    }
-    if let Some(n) = plan.limit {
-        rows.truncate(n);
-    }
-
-    Ok(QueryResult {
-        schema: plan.output_schema.clone(),
-        rows,
-        sim_seconds: ctx.simulated_time() - sim_start,
-        real_seconds: wall.elapsed().as_secs_f64(),
-        plan: plan.describe(),
-        notes: table_rdd.notes,
-    })
+    execute_stream(ctx, plan, cfg)?
+        .with_prefetch(0)
+        .into_result()
 }
 
 /// Default number of rows per batch emitted by a [`QueryStream`].
@@ -319,8 +296,8 @@ pub struct StreamProgress {
     /// Wall-clock time from opening the stream until the first row was
     /// delivered. `None` until then.
     pub time_to_first_row: Option<Duration>,
-    /// Simulated cluster seconds charged up to the first delivered row.
-    pub sim_seconds_to_first_row: Option<f64>,
+    /// Partitions delivered when the first row was; `None` until then.
+    pub partitions_at_first_row: Option<usize>,
     /// Batch deliveries that found their partition already computed by a
     /// prefetch worker (the consumer never waited for the task to start).
     pub prefetch_hits: u64,
@@ -347,7 +324,7 @@ pub struct StreamProgress {
 /// Independently of the delivery mode, a prefetch depth `n ≥ 1` (see
 /// [`ExecConfig::stream_prefetch`] / [`QueryStream::with_prefetch`]) lets a
 /// bounded worker pool execute up to `n` partitions ahead of the consumer;
-/// delivery order, results and simulated timings are identical to the
+/// delivery order, results and simulated seconds are identical to the
 /// serial path, only wall-clock time changes.
 pub struct QueryStream {
     /// Trace context captured at stream creation: batch deliveries (which
@@ -355,6 +332,8 @@ pub struct QueryStream {
     /// spans join the query's trace.
     trace: Option<shark_obs::TraceContext>,
     job: PipelinedJob<Row, Vec<Row>>,
+    /// See [`TableRdd::sim_seconds`].
+    sim_base: f64,
     schema: Schema,
     plan_desc: String,
     notes: Vec<String>,
@@ -363,7 +342,8 @@ pub struct QueryStream {
     remaining: Option<usize>,
     /// Sorted runs gathered for the ORDER BY path, as
     /// `(partition, rows, cursor)`, kept sorted by partition index so the
-    /// merge breaks ties exactly like the blocking path's stable sort.
+    /// merge breaks ties exactly like one stable sort of the partitions'
+    /// rows in partition order would.
     runs: Vec<(usize, Vec<Row>, usize)>,
     /// ORDER BY only: whether every needed run has been gathered.
     gathered: bool,
@@ -449,11 +429,19 @@ impl QueryStream {
         }
     }
 
-    /// Simulated cluster seconds charged by this query's own stages so far
-    /// (a per-job sum, not a delta of the shared cluster clock — concurrent
-    /// queries on the same context do not leak into it).
+    /// Simulated seconds this statement caused (see
+    /// [`QueryResult::sim_seconds`]). Final once the stream is exhausted or
+    /// cancelled; while it is open, a preview of what stopping now would
+    /// record.
     pub fn sim_seconds(&self) -> f64 {
-        self.job.sim_seconds()
+        self.sim_base + self.job.sim_seconds()
+    }
+
+    /// Simulated seconds to the first row: what the statement would have
+    /// cost had it stopped after the partitions delivered by then.
+    pub fn sim_seconds_to_first_row(&self) -> Option<f64> {
+        let delivered = self.progress.partitions_at_first_row?;
+        Some(self.sim_base + self.job.sim_seconds_after(delivered))
     }
 
     /// Set the maximum rows per merged batch (ORDER BY path; unordered
@@ -561,7 +549,7 @@ impl QueryStream {
                 }
                 if self.progress.time_to_first_row.is_none() {
                     self.progress.time_to_first_row = Some(self.wall.elapsed());
-                    self.progress.sim_seconds_to_first_row = Some(self.sim_seconds());
+                    self.progress.partitions_at_first_row = Some(self.job.delivered());
                 }
                 self.progress.rows_streamed += rows.len() as u64;
                 if let Some(remaining) = self.remaining.as_mut() {
@@ -671,7 +659,7 @@ impl QueryStream {
                     continue;
                 }
                 // Keep runs ordered by partition index: the merge's tie-break
-                // must match the stable driver sort of the blocking path.
+                // must match a stable sort of the rows in partition order.
                 let at = self
                     .runs
                     .partition_point(|(existing, _, _)| *existing < partition);
@@ -831,9 +819,7 @@ fn topk_partition_order(
 
 /// Execute a plan incrementally: build the pipeline, run its shuffle
 /// dependencies, and return a [`QueryStream`] cursor that executes result
-/// partitions on demand (ahead of demand, with a prefetch depth ≥ 1). The
-/// counterpart of [`execute`] for serving layers that care about
-/// time-to-first-row.
+/// partitions on demand (ahead of demand, with a prefetch depth ≥ 1).
 pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<QueryStream> {
     let wall = Instant::now();
     let table_rdd = {
@@ -917,6 +903,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     Ok(QueryStream {
         trace: shark_obs::current(),
         job,
+        sim_base: table_rdd.sim_seconds,
         schema: plan.output_schema.clone(),
         plan_desc: plan.describe(),
         notes,
@@ -944,16 +931,20 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 /// LIMIT pushdown is.
 pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<TableRdd> {
     let mut notes = Vec::new();
+    // The statement's ledger: every PDE job and fixed charge below adds
+    // the simulated seconds it cost.
+    let mut sim_seconds = 0.0;
 
     // ----- fused vectorized scan + partial aggregate ----------------------------
     // A single-table memstore aggregation keeps the batch columnar from the
     // cache straight into the per-group partial states: no intermediate
     // `Row`s, dictionary-coded group-by keys aggregate by code.
-    if let Some(rdd) = build_fused_aggregation(ctx, plan, cfg, &mut notes)? {
+    if let Some(rdd) = build_fused_aggregation(ctx, plan, cfg, &mut notes, &mut sim_seconds)? {
         return Ok(TableRdd {
             rdd,
             schema: plan.output_schema.clone(),
             notes,
+            sim_seconds,
             single_scan: None,
             snapshot: None,
         });
@@ -987,6 +978,7 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
             plan,
             cfg,
             &mut notes,
+            &mut sim_seconds,
             combined,
             right,
             ji,
@@ -1005,7 +997,7 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 
     // ----- aggregation or projection --------------------------------------------
     let output = if let Some(agg) = &plan.aggregate {
-        build_aggregation(ctx, cfg, &mut notes, combined, agg)?
+        build_aggregation(cfg, &mut notes, &mut sim_seconds, combined, agg)?
     } else {
         let projections = plan.projections.clone();
         let ops: f64 = projections.iter().map(BoundExpr::op_count).sum();
@@ -1033,6 +1025,7 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         rdd: output,
         schema: plan.output_schema.clone(),
         notes,
+        sim_seconds,
         single_scan,
         snapshot: None,
     })
@@ -1133,6 +1126,7 @@ fn build_join(
     plan: &QueryPlan,
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
+    sim_seconds: &mut f64,
     left: Rdd<Row>,
     right: Rdd<Row>,
     join_index: usize,
@@ -1196,7 +1190,7 @@ fn build_join(
             .join(&right_pairs, cfg.default_reducers)
             .map(|(_, (l, r))| l.concat(&r));
         if matches!(cfg.mode, ExecutionMode::Hive) {
-            charge_hive_intermediate(ctx, plan, notes);
+            *sim_seconds += charge_hive_intermediate(ctx, plan, notes);
         }
         return Ok(joined);
     }
@@ -1225,6 +1219,7 @@ fn build_join(
             (left_pairs.clone(), false)
         };
         let pre = small_pairs.pre_shuffle(cfg.fine_buckets)?;
+        *sim_seconds += pre.sim_seconds();
         let small_bytes = pre.summary().total_bytes;
         if small_bytes <= cfg.broadcast_threshold {
             notes.push(format!(
@@ -1232,17 +1227,12 @@ fn build_join(
                 if small_is_right { "build (right)" } else { "build (left)" },
                 small_bytes
             ));
-            let small_rows = pre.collect_all()?;
-            ctx.charge_broadcast(estimate_slice(&small_rows) as u64);
-            return Ok(broadcast_join(
-                if small_is_right {
-                    left_pairs
-                } else {
-                    right_pairs
-                },
-                small_rows,
-                small_is_right,
-            ));
+            let stream = if small_is_right {
+                left_pairs
+            } else {
+                right_pairs
+            };
+            return broadcast_join(ctx, stream, &pre, small_is_right, sim_seconds);
         }
         // Too large to broadcast: pre-shuffle the other side and do an
         // aligned shuffle join.
@@ -1251,6 +1241,7 @@ fn build_join(
         } else {
             right_pairs.pre_shuffle(cfg.fine_buckets)?
         };
+        *sim_seconds += other_pre.sim_seconds();
         let (lpre, rpre) = if small_is_right {
             (other_pre, pre)
         } else {
@@ -1261,7 +1252,9 @@ fn build_join(
 
     // "Adaptive": pre-shuffle both sides, then decide from observed sizes.
     let lpre = left_pairs.pre_shuffle(cfg.fine_buckets)?;
+    *sim_seconds += lpre.sim_seconds();
     let rpre = right_pairs.pre_shuffle(cfg.fine_buckets)?;
+    *sim_seconds += rpre.sim_seconds();
     let strategy = choose_join_strategy(
         lpre.summary().total_bytes,
         rpre.summary().total_bytes,
@@ -1273,51 +1266,55 @@ fn build_join(
                 "map join: broadcast left side ({} bytes observed)",
                 lpre.summary().total_bytes
             ));
-            let rows = lpre.collect_all()?;
-            ctx.charge_broadcast(estimate_slice(&rows) as u64);
-            Ok(broadcast_join(right_pairs, rows, false))
+            broadcast_join(ctx, right_pairs, &lpre, false, sim_seconds)
         }
         JoinStrategy::BroadcastRight => {
             notes.push(format!(
                 "map join: broadcast right side ({} bytes observed)",
                 rpre.summary().total_bytes
             ));
-            let rows = rpre.collect_all()?;
-            ctx.charge_broadcast(estimate_slice(&rows) as u64);
-            Ok(broadcast_join(left_pairs, rows, true))
+            broadcast_join(ctx, left_pairs, &rpre, true, sim_seconds)
         }
         JoinStrategy::Shuffle => Ok(aligned_shuffle_join(cfg, notes, lpre, rpre)),
     }
 }
 
 /// Map-side (broadcast) join: the `stream` side keeps its partitioning; the
-/// broadcast rows are hashed and probed in place. `broadcast_is_right`
-/// controls output column order (left columns must precede right columns).
+/// `build` side is fetched and broadcast (both go on the ledger), hashed and
+/// probed in place. `broadcast_is_right` controls output column order (left
+/// columns must precede right columns).
 fn broadcast_join(
+    ctx: &RddContext,
     stream: Rdd<(Value, Row)>,
-    broadcast: Vec<(Value, Row)>,
+    build: &shark_rdd::PreShuffledRdd<Value, Row>,
     broadcast_is_right: bool,
-) -> Rdd<Row> {
+    sim_seconds: &mut f64,
+) -> Result<Rdd<Row>> {
+    let (broadcast, collect_seconds) = build.collect_all()?;
+    *sim_seconds += collect_seconds;
+    *sim_seconds += ctx.charge_broadcast(estimate_slice(&broadcast) as u64);
     let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
     for (k, r) in broadcast {
         table.entry(k).or_default().push(r);
     }
     let table = Arc::new(table);
-    stream.map_partitions_named("map-join", 3.0, move |_, rows| {
-        let mut out = Vec::new();
-        for (k, row) in rows {
-            if let Some(matches) = table.get(&k) {
-                for m in matches {
-                    out.push(if broadcast_is_right {
-                        row.concat(m)
-                    } else {
-                        m.concat(&row)
-                    });
+    Ok(
+        stream.map_partitions_named("map-join", 3.0, move |_, rows| {
+            let mut out = Vec::new();
+            for (k, row) in rows {
+                if let Some(matches) = table.get(&k) {
+                    for m in matches {
+                        out.push(if broadcast_is_right {
+                            row.concat(m)
+                        } else {
+                            m.concat(&row)
+                        });
+                    }
                 }
             }
-        }
-        out
-    })
+            out
+        }),
+    )
 }
 
 /// Shuffle join over two pre-shuffled sides: coalesce buckets by combined
@@ -1370,7 +1367,8 @@ fn aligned_shuffle_join(
 
 /// Charge the Hive baseline for materializing intermediate results to the
 /// replicated DFS between MapReduce jobs (§7 "intermediate outputs").
-fn charge_hive_intermediate(ctx: &RddContext, plan: &QueryPlan, notes: &mut Vec<String>) {
+/// Returns the seconds charged.
+fn charge_hive_intermediate(ctx: &RddContext, plan: &QueryPlan, notes: &mut Vec<String>) -> f64 {
     let bytes: u64 = plan
         .scans
         .iter()
@@ -1382,10 +1380,11 @@ fn charge_hive_intermediate(ctx: &RddContext, plan: &QueryPlan, notes: &mut Vec<
     let dfs = DfsModel::default();
     let secs = dfs.write_seconds(&ctx.config().cluster, scaled)
         + dfs.read_seconds(&ctx.config().cluster, scaled);
-    ctx.advance_simulation(secs);
+    ctx.charge("hive-intermediate", secs);
     notes.push(format!(
         "hive: materialized intermediate job output to DFS (+{secs:.1}s simulated)"
     ));
+    secs
 }
 
 /// Per-row expression cost of the partial-aggregation step (group keys plus
@@ -1409,6 +1408,7 @@ fn build_fused_aggregation(
     plan: &QueryPlan,
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
+    sim_seconds: &mut f64,
 ) -> Result<Option<Rdd<Row>>> {
     let use_memstore = matches!(
         cfg.mode,
@@ -1449,14 +1449,20 @@ fn build_fused_aggregation(
         partial_agg_ops(agg),
     )?;
     notes.push("vectorized: fused scan + partial aggregation over columnar batches".into());
-    Ok(Some(finish_aggregation(cfg, notes, pairs, agg)?))
+    Ok(Some(finish_aggregation(
+        cfg,
+        notes,
+        sim_seconds,
+        pairs,
+        agg,
+    )?))
 }
 
 /// Build the aggregation stage.
 fn build_aggregation(
-    _ctx: &RddContext,
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
+    sim_seconds: &mut f64,
     input: Rdd<Row>,
     agg: &AggregateNode,
 ) -> Result<Rdd<Row>> {
@@ -1476,7 +1482,7 @@ fn build_aggregation(
             })
             .collect::<Vec<(Row, AggStates)>>()
     });
-    finish_aggregation(cfg, notes, pairs, agg)
+    finish_aggregation(cfg, notes, sim_seconds, pairs, agg)
 }
 
 /// Shuffle the `(group key, partial state)` pairs, merge states per key, and
@@ -1485,6 +1491,7 @@ fn build_aggregation(
 fn finish_aggregation(
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
+    sim_seconds: &mut f64,
     pairs: Rdd<(Row, AggStates)>,
     agg: &AggregateNode,
 ) -> Result<Rdd<Row>> {
@@ -1497,6 +1504,7 @@ fn finish_aggregation(
     let pde = matches!(cfg.mode, ExecutionMode::Shark { pde: true, .. });
     let aggregated: Rdd<(Row, AggStates)> = if pde {
         let pre = pairs.pre_shuffle_combined(cfg.fine_buckets, aggregator.clone())?;
+        *sim_seconds += pre.sim_seconds();
         let assignment = coalesce_buckets(
             &pre.summary().bucket_bytes,
             cfg.target_partition_bytes,

@@ -171,7 +171,7 @@ fn render_analyze(
     let mut quota_eviction_events = 0u64;
 
     for r in records {
-        if r.name == "explain-analyze" || r.name == "stage-sim" {
+        if r.name == "explain-analyze" {
             continue;
         }
         if r.name == "snapshot-pin" {

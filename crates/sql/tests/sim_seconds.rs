@@ -1,0 +1,326 @@
+//! One rule for simulated seconds: a statement's `sim_seconds` is the sum of
+//! the jobs and fixed charges *it* caused — the same number whether the
+//! result is collected or streamed, at any prefetch depth, and equal to what
+//! `job_history()` recorded for it.
+
+use shark_common::{row, DataType, Schema};
+use shark_rdd::{JobReport, RddConfig, RddContext};
+use shark_sql::{ExecConfig, SqlSession, TableMeta};
+
+const PARTITIONS: usize = 16;
+const ROWS_PER_PARTITION: usize = 120;
+const PREFETCH_DEPTHS: [usize; 4] = [0, 1, 2, 8];
+
+/// splitmix64: the table's contents are a pure function of the row id.
+fn mix(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A fresh context (straggler-free 4×2 cluster) with a 16-partition cached
+/// fact table — `ts` grows with the partition index, so partition statistics
+/// can order a top-k — and a small dimension table, both loaded.
+fn session(exec: ExecConfig, prefetch: usize) -> SqlSession {
+    let mut session = SqlSession::new(RddContext::new(RddConfig::default()), exec);
+    session.set_stream_prefetch(prefetch);
+    let facts = Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("k", DataType::Int),
+        ("grp", DataType::Str),
+        ("v", DataType::Float),
+        ("ts", DataType::Int),
+    ]);
+    session.register_table(
+        TableMeta::new("facts", facts, PARTITIONS, |p| {
+            (0..ROWS_PER_PARTITION)
+                .map(|i| {
+                    let id = (p * ROWS_PER_PARTITION + i) as u64;
+                    row![
+                        id as i64,
+                        (mix(id) % 40) as i64,
+                        ["alpha", "beta", "gamma", "delta"][(mix(id ^ 0xA5) % 4) as usize],
+                        (mix(id ^ 0x5A) % 1000) as f64 / 10.0,
+                        1_000 + id as i64
+                    ]
+                })
+                .collect()
+        })
+        .with_cache(4)
+        .with_row_count_hint((PARTITIONS * ROWS_PER_PARTITION) as u64),
+    );
+    let dims = Schema::from_pairs(&[("k", DataType::Int), ("name", DataType::Str)]);
+    session.register_table(
+        TableMeta::new("dims", dims, 2, |p| {
+            (0..20)
+                .map(|i| row![(p * 20 + i) as i64, format!("dim-{}", p * 20 + i)])
+                .collect()
+        })
+        .with_cache(4)
+        .with_row_count_hint(40),
+    );
+    session.load_table("facts").unwrap();
+    session.load_table("dims").unwrap();
+    session
+}
+
+const JOIN: &str = "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 50";
+
+/// The eight statement shapes, each with the executor configuration that
+/// produces it and — for the shapes the refactor must not move — the
+/// `sql().sim_seconds` the commit before it reported (see
+/// `unmoved_shapes_report_the_seconds_they_reported_before`).
+fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
+    let shuffle_join = ExecConfig {
+        broadcast_threshold: 0,
+        ..ExecConfig::shark()
+    };
+    vec![
+        (
+            "selection",
+            ExecConfig::shark(),
+            "SELECT id, v FROM facts WHERE v > 50",
+            Some(0.010024488000000002),
+        ),
+        (
+            "filter+projection",
+            ExecConfig::shark(),
+            "SELECT id, v * 2 + 1, grp FROM facts WHERE k < 10 AND v > 10",
+            Some(0.010028452500000003),
+        ),
+        (
+            "group-by",
+            ExecConfig::shark(),
+            "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp",
+            Some(0.015032907500000005),
+        ),
+        (
+            "broadcast-join",
+            ExecConfig::shark(),
+            JOIN,
+            Some(0.17504141400000003),
+        ),
+        (
+            "shuffle-join",
+            shuffle_join,
+            JOIN,
+            Some(0.020188735000000003),
+        ),
+        (
+            "order-by",
+            ExecConfig::shark(),
+            "SELECT id, v FROM facts WHERE k < 10 ORDER BY v DESC",
+            None,
+        ),
+        (
+            "top-k",
+            ExecConfig::shark(),
+            "SELECT ts, id FROM facts ORDER BY ts LIMIT 5",
+            None,
+        ),
+        (
+            "limit",
+            ExecConfig::shark(),
+            "SELECT id FROM facts LIMIT 7",
+            None,
+        ),
+    ]
+}
+
+/// The ledger as `job_history()` shows it: every job a statement records
+/// (pre-shuffles, broadcast collects, fixed charges, the result job), summed
+/// in the order they were recorded.
+fn ledger(jobs: &[JobReport]) -> f64 {
+    jobs.iter().fold(0.0, |sum, job| sum + job.sim_duration)
+}
+
+fn assert_close(a: f64, b: f64, relative: f64, what: &str) {
+    assert!(
+        (a - b).abs() <= relative * a.abs().max(b.abs()),
+        "{what}: {a:?} vs {b:?}"
+    );
+}
+
+#[test]
+fn collected_streamed_and_recorded_seconds_are_one_number() {
+    for (name, exec, sql, _) in shapes() {
+        let mut at_depth_zero = None;
+        for prefetch in PREFETCH_DEPTHS {
+            let case = format!("{name} @ prefetch {prefetch}");
+            let blocking = session(exec.clone(), prefetch).sql(sql).unwrap();
+
+            let s = session(exec.clone(), prefetch);
+            let ctx = s.context();
+            ctx.clear_job_history();
+            let clock_before = ctx.simulated_time();
+            let mut stream = s.sql_stream(sql).unwrap();
+            let mut rows = 0;
+            while let Some(batch) = stream.next_batch().unwrap() {
+                rows += batch.len();
+            }
+            assert_eq!(rows, blocking.rows.len(), "{case}");
+            let streamed = stream.sim_seconds();
+            let jobs = ctx.job_history();
+            let recorded = ledger(&jobs);
+
+            assert!(streamed > 0.0, "{case}");
+            assert_eq!(blocking.sim_seconds.to_bits(), streamed.to_bits(), "{case}");
+            assert_eq!(streamed.to_bits(), recorded.to_bits(), "{case}");
+            assert_close(
+                ctx.simulated_time() - clock_before,
+                recorded,
+                1e-12,
+                &format!("{case}: clock vs ledger"),
+            );
+            let first = *at_depth_zero.get_or_insert(streamed);
+            assert_eq!(first.to_bits(), streamed.to_bits(), "{case} vs depth 0");
+
+            // Every job's total is the sum of its stages; only a fixed
+            // charge has no stage to show for its seconds.
+            for job in &jobs {
+                if !job.stages.is_empty() {
+                    let stages: f64 = job.stages.iter().map(|s| s.sim_duration).sum();
+                    assert_eq!(job.sim_duration.to_bits(), stages.to_bits(), "{case}");
+                }
+            }
+            let names: Vec<&str> = jobs.iter().map(|j| j.name.as_str()).collect();
+            if name == "broadcast-join" {
+                // Pre-shuffle of the build side, its collect to the driver,
+                // the broadcast charge, then the streamed result job.
+                assert!(names[0].starts_with("pre_shuffle("), "{names:?}");
+                assert_eq!(&names[1..], ["collect", "broadcast", "sql-stream"]);
+            }
+            if name == "shuffle-join" {
+                assert_eq!(names.len(), 3, "{names:?}");
+                assert!(names[1].starts_with("pre_shuffle("), "{names:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn unmoved_shapes_report_the_seconds_they_reported_before() {
+    for (name, exec, sql, before) in shapes() {
+        let Some(before) = before else { continue };
+        let now = session(exec, 2).sql(sql).unwrap().sim_seconds;
+        // A sum of stage durations where there was one clock subtraction.
+        assert_close(now, before, 1e-12, name);
+    }
+}
+
+#[test]
+fn a_limit_stream_that_stops_early_books_fewer_tasks_and_less_time() {
+    let drain = |sql: &str| {
+        let s = session(ExecConfig::shark(), 0);
+        s.context().clear_job_history();
+        let result = s.sql(sql).unwrap();
+        let tasks: usize = s
+            .context()
+            .job_history()
+            .iter()
+            .map(JobReport::total_tasks)
+            .sum();
+        (result.sim_seconds, tasks)
+    };
+    let (full_seconds, full_tasks) = drain("SELECT id FROM facts");
+    let (limit_seconds, limit_tasks) = drain("SELECT id FROM facts LIMIT 7");
+    assert_eq!(full_tasks, PARTITIONS);
+    assert_eq!(limit_tasks, 1, "7 rows fit in the first partition");
+    assert!(
+        limit_seconds < full_seconds,
+        "{limit_seconds} vs {full_seconds}"
+    );
+}
+
+#[test]
+fn a_cancelled_streams_preview_is_what_finish_records() {
+    for prefetch in PREFETCH_DEPTHS {
+        let s = session(ExecConfig::shark(), prefetch);
+        let ctx = s.context();
+        ctx.clear_job_history();
+        let clock_before = ctx.simulated_time();
+        let mut stream = s.sql_stream("SELECT id, v FROM facts").unwrap();
+        for _ in 0..3 {
+            stream.next_batch().unwrap().unwrap();
+        }
+        // Still open: nothing recorded, no clock moved — the figure is a
+        // replay on a copy of the simulator.
+        let preview = stream.sim_seconds();
+        assert!(preview > 0.0);
+        assert!(ctx.job_history().is_empty());
+        assert_eq!(ctx.simulated_time(), clock_before);
+
+        stream.cancel();
+        let job = ctx.last_job().unwrap();
+        assert_eq!(job.total_tasks(), 3, "only delivered partitions are tasks");
+        assert_eq!(job.sim_duration.to_bits(), preview.to_bits());
+        assert_eq!(stream.sim_seconds().to_bits(), preview.to_bits());
+        assert_close(
+            ctx.simulated_time() - clock_before,
+            preview,
+            1e-12,
+            "clock vs preview",
+        );
+        // Time to first row: what the job would have cost had it stopped
+        // after the partitions delivered by then.
+        let first_row = stream.sim_seconds_to_first_row().unwrap();
+        assert!(first_row > 0.0 && first_row <= preview);
+    }
+}
+
+#[test]
+fn concurrent_loads_report_their_own_seconds() {
+    // Two cached tables of different sizes, registered but not loaded.
+    let tables = |session: &SqlSession| {
+        for (name, partitions, rows) in [("wide", 12usize, 300usize), ("narrow", 5, 40)] {
+            let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Float)]);
+            session.register_table(
+                TableMeta::new(name, schema, partitions, move |p| {
+                    (0..rows)
+                        .map(|i| {
+                            row![
+                                (p * rows + i) as i64,
+                                (mix((p * rows + i) as u64) % 100) as f64
+                            ]
+                        })
+                        .collect()
+                })
+                .with_cache(4),
+            );
+        }
+    };
+    let solo = |name: &str| {
+        let session = SqlSession::new(RddContext::new(RddConfig::default()), ExecConfig::shark());
+        tables(&session);
+        session.load_table(name).unwrap().sim_seconds
+    };
+    let (wide_alone, narrow_alone) = (solo("wide"), solo("narrow"));
+    assert!(wide_alone > narrow_alone && narrow_alone > 0.0);
+
+    for _ in 0..8 {
+        let session = SqlSession::new(RddContext::new(RddConfig::default()), ExecConfig::shark());
+        tables(&session);
+        let start = std::sync::Barrier::new(2);
+        let (wide, narrow) = std::thread::scope(|scope| {
+            let load = |name: &'static str| {
+                let (session, start) = (&session, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    session.load_table(name).unwrap().sim_seconds
+                })
+            };
+            let (wide, narrow) = (load("wide"), load("narrow"));
+            (wide.join().unwrap(), narrow.join().unwrap())
+        });
+        // Only the clock offset each stage started at may differ.
+        assert_close(wide, wide_alone, 1e-9, "wide");
+        assert_close(narrow, narrow_alone, 1e-9, "narrow");
+        assert_close(
+            session.context().simulated_time(),
+            wide_alone + narrow_alone,
+            1e-9,
+            "the clock holds both",
+        );
+    }
+}
