@@ -7,6 +7,11 @@
 //! cluster with a straggler probability high enough that any change in the
 //! *order* of the simulator's RNG draws shows up in the numbers.
 //!
+//! `MODELS` pins what the same pipeline *learns*: the logistic and linear
+//! weights, the k-means centers and the two by-reference evaluations,
+//! printed before the training loops started folding cached partitions by
+//! reference.
+//!
 //! `cargo test -p shark-core --test sim_golden -- --ignored --nocapture`
 //! prints the current values in literal form.
 
@@ -14,7 +19,7 @@ use shark_cluster::ClusterConfig;
 use shark_core::datasets::register_ml_points;
 use shark_core::{SharkConfig, SharkContext};
 use shark_datagen::ml::MlConfig;
-use shark_ml::{KMeans, LogisticRegression};
+use shark_ml::{KMeans, LinearRegression, LogisticRegression};
 
 /// `sql_to_rdd` → cache → logistic regression → k-means → one raw shuffle
 /// action, returning every simulated figure the sequence produced, labelled.
@@ -117,6 +122,70 @@ fn clusters() -> [(&'static str, ClusterConfig, Golden); 3] {
     ]
 }
 
+/// The models the same `sql_to_rdd` pipeline trains — logistic and linear
+/// weights, k-means centers, then the logistic accuracy and linear MSE — as
+/// one flat, labelled list. Models do not depend on the simulated cluster,
+/// so the test cluster is enough.
+fn trained_models() -> Vec<(String, f64)> {
+    let shark = SharkContext::local();
+    let cfg = MlConfig::tiny();
+    register_ml_points(&shark, &cfg, 50, true).unwrap();
+    shark.load_table("points").unwrap();
+    let dims = cfg.dims;
+    let labeled = shark
+        .sql_to_rdd("SELECT * FROM points")
+        .unwrap()
+        .rdd
+        .map(move |row| {
+            let label = row.get_float(0).unwrap_or(0.0);
+            let features: Vec<f64> = (1..=dims)
+                .map(|i| row.get_float(i).unwrap_or(0.0))
+                .collect();
+            (features, label)
+        })
+        .cache();
+    let (logistic, _) = LogisticRegression {
+        iterations: 3,
+        ..LogisticRegression::default()
+    }
+    .train(&labeled)
+    .unwrap();
+    let (linear, _) = LinearRegression {
+        iterations: 3,
+        ..LinearRegression::default()
+    }
+    .train(&labeled)
+    .unwrap();
+    let features = labeled.map(|(f, _)| f).cache();
+    let (kmeans, _) = KMeans {
+        k: 3,
+        iterations: 3,
+        reduce_partitions: 4,
+    }
+    .train(&features)
+    .unwrap();
+    let mut out = Vec::new();
+    let mut push = |name: &str, values: &[f64]| {
+        for (i, v) in values.iter().enumerate() {
+            out.push((format!("{name}[{i}]"), *v));
+        }
+    };
+    push("logistic", &logistic.weights);
+    push("linear", &linear.weights);
+    for (c, center) in kmeans.centers.iter().enumerate() {
+        push(&format!("kmeans.center[{c}]"), center);
+    }
+    push(
+        "logistic.accuracy",
+        &[LogisticRegression::accuracy(&logistic, &labeled).unwrap()],
+    );
+    push(
+        "linear.mse",
+        &[LinearRegression::mse(&linear, &labeled).unwrap()],
+    );
+    out
+}
+
 #[test]
 #[ignore = "prints the literals below; not a check"]
 fn print_current_figures() {
@@ -127,6 +196,11 @@ fn print_current_figures() {
         }
         println!("];");
     }
+    println!("const MODELS: Golden = &[");
+    for (label, value) in trained_models() {
+        println!("    ({label:?}, {value:?}),");
+    }
+    println!("];");
 }
 
 #[test]
@@ -134,6 +208,21 @@ fn blocking_rdd_figures_are_bit_identical_on_every_cluster() {
     for (name, cluster, golden) in clusters() {
         check(name, cluster, golden);
     }
+}
+
+/// Rewriting how the training loops fold (by reference, in place) must not
+/// move a single bit of what they learn: same float operations, same order.
+#[test]
+fn trained_models_are_bit_identical() {
+    let got: Vec<(String, u64)> = trained_models()
+        .into_iter()
+        .map(|(l, v)| (l, v.to_bits()))
+        .collect();
+    let want: Vec<(String, u64)> = MODELS
+        .iter()
+        .map(|(l, v)| (l.to_string(), v.to_bits()))
+        .collect();
+    assert_eq!(got, want);
 }
 
 const SMALL: Golden = &[
@@ -248,4 +337,29 @@ const STRAGGLERS: Golden = &[
         0.3583999999999996,
     ),
     ("job[10] collect / result", 0.7061999999999999),
+];
+
+const MODELS: Golden = &[
+    ("logistic[0]", -0.33137213083258993),
+    ("logistic[1]", 0.19635682078652297),
+    ("logistic[2]", 0.7369899705049552),
+    ("logistic[3]", 1.1906119596102975),
+    ("linear[0]", 0.17815124357226048),
+    ("linear[1]", 0.17752428779841822),
+    ("linear[2]", 0.1781809310692283),
+    ("linear[3]", 0.18236696307334105),
+    ("kmeans.center[0][0]", 0.8000093505340652),
+    ("kmeans.center[0][1]", 0.7917729147100893),
+    ("kmeans.center[0][2]", 0.8078101583834472),
+    ("kmeans.center[0][3]", 0.8443915922260781),
+    ("kmeans.center[1][0]", -0.042067796606156456),
+    ("kmeans.center[1][1]", -0.2762513939965622),
+    ("kmeans.center[1][2]", -0.3900112972349137),
+    ("kmeans.center[1][3]", -0.5976842481935185),
+    ("kmeans.center[2][0]", -0.9555666185122613),
+    ("kmeans.center[2][1]", -0.9114123440306992),
+    ("kmeans.center[2][2]", -0.8398569874389606),
+    ("kmeans.center[2][3]", -0.79079889519938),
+    ("logistic.accuracy[0]", 0.954),
+    ("linear.mse[0]", 0.23252883443922415),
 ];

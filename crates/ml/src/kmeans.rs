@@ -1,16 +1,19 @@
 //! Distributed k-means clustering (Lloyd's algorithm), the second iterative
 //! workload of §6.5 (Figure 12).
 //!
-//! Each iteration assigns every point to its closest center with a `map`,
-//! sums per-center coordinates with `reduce_by_key`, and recomputes the
-//! centers on the driver. As in the paper, the per-point work is heavier
-//! than logistic regression (distance to every center), which is why the
-//! relative speedup over the Hadoop baseline is smaller.
+//! Each iteration assigns every point to its closest center and sums
+//! per-center coordinates — one in-place table per partition, read from
+//! the cache without copying it (`combine_by_key_ref`, charged exactly like
+//! the `map` + `reduce_by_key` it replaces) — merges the tables across
+//! partitions on the reduce side, and recomputes the centers on the driver.
+//! As in the paper, the per-point work is heavier than logistic regression
+//! (distance to every center), which is why the relative speedup over the
+//! Hadoop baseline is smaller.
 
 use shark_common::{Result, SharkError};
 use shark_rdd::Rdd;
 
-use crate::linalg::{add, closest_center, scale, squared_distance};
+use crate::linalg::{add_assign, closest_center, scale, squared_distance};
 use crate::IterationReport;
 
 /// A trained k-means model.
@@ -82,14 +85,31 @@ impl KMeans {
             let before = ctx.simulated_time();
             let current = centers.clone();
             // (center index) -> (coordinate sum, count)
-            let assigned = points.map(move |p| {
-                let c = closest_center(&p, &current);
-                (c as i64, (p, 1u64))
-            });
-            let totals = assigned
-                .reduce_by_key(self.reduce_partitions, |(sa, ca), (sb, cb)| {
-                    (add(&sa, &sb), ca + cb)
-                })
+            let totals = points
+                .combine_by_key_ref(
+                    self.reduce_partitions,
+                    move |part| {
+                        let mut table: Vec<Option<(Vec<f64>, u64)>> = vec![None; current.len()];
+                        for p in part {
+                            match &mut table[closest_center(p, &current)] {
+                                Some((sum, count)) => {
+                                    add_assign(sum, p);
+                                    *count += 1;
+                                }
+                                slot => *slot = Some((p.clone(), 1)),
+                            }
+                        }
+                        table
+                            .into_iter()
+                            .enumerate()
+                            .filter_map(|(c, total)| Some((c as i64, total?)))
+                            .collect()
+                    },
+                    |(mut sa, ca), (sb, cb)| {
+                        add_assign(&mut sa, &sb);
+                        (sa, ca + cb)
+                    },
+                )
                 .collect()?;
             for (c, (sum, count)) in totals {
                 if count > 0 {

@@ -16,6 +16,15 @@
 //! supervised models, bare feature vectors for clustering — so any RDD
 //! produced by `sql2rdd` plus a feature-extraction `map` can be fed in
 //! directly.
+//!
+//! Every loop reads its input in place. Each iteration folds each (usually
+//! cached) partition by reference into one partial result: a partial
+//! gradient through `map_partitions_ref` + `reduce`, or a per-center table
+//! through `combine_by_key_ref`. So an iteration neither copies the cache
+//! nor allocates per point. The folds do the float operations of the
+//! per-point `map` + `reduce` they replace, in the same order, and are
+//! charged the same simulated seconds. Weights, centers and
+//! `iteration_seconds` are therefore bit-identical to the per-point form.
 
 pub mod kmeans;
 pub mod linalg;

@@ -6,12 +6,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Element-wise sum `a + b`.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
 /// In-place `a += b`.
 pub fn add_assign(a: &mut [f64], b: &[f64]) {
     debug_assert_eq!(a.len(), b.len());
@@ -23,6 +17,23 @@ pub fn add_assign(a: &mut [f64], b: &[f64]) {
 /// Scaled copy `a * s`.
 pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
     a.iter().map(|x| x * s).collect()
+}
+
+/// `Σ x · s` over `terms`, folded in place into one vector: the first
+/// term's [`scale`]d copy, then `sum += x * s` for every further term —
+/// the float operations of mapping each term to its scaled copy and summing
+/// those element-wise, in the same order, without a vector per term.
+/// `None` for no terms.
+pub fn weighted_sum<'a>(mut terms: impl Iterator<Item = (&'a [f64], f64)>) -> Option<Vec<f64>> {
+    let (x, s) = terms.next()?;
+    let mut sum = scale(x, s);
+    for (x, s) in terms {
+        debug_assert_eq!(sum.len(), x.len());
+        for (acc, xi) in sum.iter_mut().zip(x) {
+            *acc += xi * s;
+        }
+    }
+    Some(sum)
 }
 
 /// Squared Euclidean distance between two vectors.
@@ -52,11 +63,27 @@ mod tests {
     #[test]
     fn dot_add_scale() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
         assert_eq!(scale(&[1.0, -2.0], 2.0), vec![2.0, -4.0]);
         let mut a = vec![1.0, 1.0];
         add_assign(&mut a, &[2.0, 3.0]);
         assert_eq!(a, vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn weighted_sum_folds_like_scale_then_add() {
+        let xs: [&[f64]; 3] = [&[0.1, -3.0], &[0.7, 0.2], &[1e-17, 5.5]];
+        let weights = [0.3, -1.7, 2.9];
+        let per_term = xs
+            .iter()
+            .zip(weights)
+            .map(|(x, s)| scale(x, s))
+            .reduce(|mut a, b| {
+                add_assign(&mut a, &b);
+                a
+            });
+        let folded = weighted_sum(xs.iter().copied().zip(weights));
+        assert_eq!(folded, per_term);
+        assert_eq!(weighted_sum(std::iter::empty()), None);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Distributed linear regression by batch gradient descent (§4.1 lists it
-//! among the algorithms Shark ships with).
+//! among the algorithms Shark ships with). Like logistic regression, each
+//! iteration folds every cached partition in place into one partial
+//! gradient.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shark_common::Result;
 use shark_rdd::Rdd;
 
-use crate::linalg::{add, dot, scale};
+use crate::linalg::{add_assign, dot, weighted_sum};
 use crate::IterationReport;
 
 /// A trained linear-regression model (no intercept; append a constant 1.0
@@ -61,11 +63,15 @@ impl LinearRegression {
             let before = ctx.simulated_time();
             let w = weights.clone();
             let gradient = points
-                .map(move |(x, y)| {
-                    let err = dot(&w, &x) - y;
-                    scale(&x, err)
+                .map_partitions_ref("map", 1.0, move |part| {
+                    weighted_sum(part.iter().map(|(x, y)| (x.as_slice(), dot(&w, x) - y)))
+                        .into_iter()
+                        .collect()
                 })
-                .reduce(|a, b| add(&a, &b))?
+                .reduce(|mut a, b| {
+                    add_assign(&mut a, &b);
+                    a
+                })?
                 .unwrap_or_else(|| vec![0.0; dims]);
             let step = self.learning_rate / count.max(1.0);
             for (wi, gi) in weights.iter_mut().zip(&gradient) {
@@ -76,13 +82,20 @@ impl LinearRegression {
         Ok((LinearModel { weights }, report))
     }
 
-    /// Mean squared error of a model over the points.
+    /// Mean squared error of a model over the points (summed per partition
+    /// in place, then on the driver).
     pub fn mse(model: &LinearModel, points: &Rdd<(Vec<f64>, f64)>) -> Result<f64> {
         let m = model.clone();
         let sum = points
-            .map(move |(x, y)| {
-                let e = m.predict(&x) - y;
-                e * e
+            .map_partitions_ref("map", 1.0, move |part| {
+                part.iter()
+                    .map(|(x, y)| {
+                        let e = m.predict(x) - y;
+                        e * e
+                    })
+                    .reduce(|a, b| a + b)
+                    .into_iter()
+                    .collect()
             })
             .reduce(|a, b| a + b)?
             .unwrap_or(0.0);

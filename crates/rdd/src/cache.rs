@@ -21,12 +21,15 @@ use parking_lot::RwLock;
 use shark_common::hash::FxHashMap;
 
 /// One cached partition.
-#[derive(Clone)]
 struct CachedPartition {
     data: Arc<dyn Any + Send + Sync>,
     node: usize,
+    /// Measured once, at [`CacheManager::put`]; every hit is charged this.
     bytes: u64,
     rows: u64,
+    /// Last-access tick (partition-granular LRU). Atomic, so a hit bumps it
+    /// under the entries *read* lock.
+    tick: AtomicU64,
 }
 
 /// What an eviction call removed.
@@ -52,20 +55,20 @@ pub struct CachedPartitionInfo {
     pub last_tick: u64,
 }
 
-/// Tracks cached RDD partitions, their sizes and their node placement, plus
-/// a per-partition last-access clock and pin counts so a memory manager can
-/// evict individual partitions in least-recently-used order.
 /// Callback invoked with `(rdd_id, partition, bytes)` after each successful
 /// *policy* eviction (not node failures or drops) — the hook a serving layer
 /// uses to observe or demote evicted RDD partitions without the cache
 /// depending on it.
 pub type EvictionObserver = Box<dyn Fn(usize, usize, u64) + Send + Sync>;
 
+/// Tracks cached RDD partitions, their sizes and their node placement, plus
+/// a per-partition last-access clock and pin counts so a memory manager can
+/// evict individual partitions in least-recently-used order. One map holds
+/// each partition with its tick, so a hit takes only its read lock and
+/// nothing outlives the partition it describes.
 #[derive(Default)]
 pub struct CacheManager {
     entries: RwLock<FxHashMap<(usize, usize), CachedPartition>>,
-    /// Last-access tick per cached partition (partition-granular LRU).
-    touches: RwLock<FxHashMap<(usize, usize), u64>>,
     /// Pin counts per partition: pinned partitions are never LRU victims.
     pins: RwLock<FxHashMap<(usize, usize), usize>>,
     clock: AtomicU64,
@@ -79,8 +82,9 @@ impl CacheManager {
         CacheManager::default()
     }
 
-    /// Store a computed partition. `node` is the simulated worker that holds
-    /// the only copy.
+    /// Store a computed partition — the very allocation the caller keeps
+    /// using, not a copy. `node` is the simulated worker that holds the only
+    /// copy; `bytes` is its size, measured once here and charged to every hit.
     pub fn put<T: Send + Sync + 'static>(
         &self,
         rdd_id: usize,
@@ -90,6 +94,7 @@ impl CacheManager {
         bytes: u64,
     ) {
         let rows = data.len() as u64;
+        let tick = AtomicU64::new(self.next_tick());
         self.entries.write().insert(
             (rdd_id, partition),
             CachedPartition {
@@ -97,44 +102,54 @@ impl CacheManager {
                 node,
                 bytes,
                 rows,
+                tick,
             },
         );
-        self.touch_partition(rdd_id, partition);
     }
 
-    /// Fetch a cached partition if present, refreshing its LRU tick.
+    /// Fetch a cached partition if present, refreshing its LRU tick: a
+    /// refcount bump under the entries read lock, plus the bytes measured at
+    /// [`CacheManager::put`] — what reading it is charged.
+    pub fn get_measured<T: Send + Sync + 'static>(
+        &self,
+        rdd_id: usize,
+        partition: usize,
+    ) -> Option<(Arc<Vec<T>>, u64)> {
+        let (data, bytes) = {
+            let guard = self.entries.read();
+            let entry = guard.get(&(rdd_id, partition))?;
+            entry.tick.store(self.next_tick(), Ordering::Relaxed);
+            (entry.data.clone(), entry.bytes)
+        };
+        Some((data.downcast::<Vec<T>>().ok()?, bytes))
+    }
+
+    /// [`CacheManager::get_measured`] without the bytes.
     pub fn get<T: Send + Sync + 'static>(
         &self,
         rdd_id: usize,
         partition: usize,
     ) -> Option<Arc<Vec<T>>> {
-        let data = {
-            let guard = self.entries.read();
-            let entry = guard.get(&(rdd_id, partition))?;
-            entry.data.clone()
-        };
-        self.touch_partition(rdd_id, partition);
-        data.downcast::<Vec<T>>().ok()
+        self.get_measured(rdd_id, partition).map(|(data, _)| data)
     }
 
-    /// Mark one partition as just-used for LRU purposes.
+    fn next_tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Mark one cached partition as just-used for LRU purposes.
     pub fn touch_partition(&self, rdd_id: usize, partition: usize) {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        self.touches.write().insert((rdd_id, partition), tick);
+        if let Some(entry) = self.entries.read().get(&(rdd_id, partition)) {
+            entry.tick.store(self.next_tick(), Ordering::Relaxed);
+        }
     }
 
     /// Mark every cached partition of an RDD as just-used.
     pub fn touch_rdd(&self, rdd_id: usize) {
-        let partitions: Vec<usize> = {
-            let guard = self.entries.read();
-            guard
-                .keys()
-                .filter(|(id, _)| *id == rdd_id)
-                .map(|(_, p)| *p)
-                .collect()
-        };
-        for p in partitions {
-            self.touch_partition(rdd_id, p);
+        for ((id, _), entry) in self.entries.read().iter() {
+            if *id == rdd_id {
+                entry.tick.store(self.next_tick(), Ordering::Relaxed);
+            }
         }
     }
 
@@ -218,7 +233,6 @@ impl CacheManager {
     /// — the candidate list for partition-granular LRU eviction.
     pub fn lru_candidates(&self) -> Vec<CachedPartitionInfo> {
         let entries = self.entries.read();
-        let touches = self.touches.read();
         let pins = self.pins.read();
         entries
             .iter()
@@ -227,7 +241,7 @@ impl CacheManager {
                 rdd_id,
                 partition,
                 bytes: e.bytes,
-                last_tick: touches.get(&(rdd_id, partition)).copied().unwrap_or(0),
+                last_tick: e.tick.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -261,7 +275,6 @@ impl CacheManager {
             }
             entries.remove(&(rdd_id, partition))
         };
-        self.touches.write().remove(&(rdd_id, partition));
         match removed {
             Some(e) => {
                 self.notify_evicted(rdd_id, partition, e.bytes);
@@ -292,7 +305,6 @@ impl CacheManager {
                 }
             });
         }
-        self.touches.write().retain(|(id, _), _| *id != rdd_id);
         for (partition, bytes) in evicted {
             self.notify_evicted(rdd_id, partition, bytes);
         }
@@ -334,7 +346,6 @@ impl CacheManager {
     /// Remove everything.
     pub fn clear(&self) {
         self.entries.write().clear();
-        self.touches.write().clear();
         self.pins.write().clear();
     }
 }
@@ -354,6 +365,23 @@ mod tests {
         assert!(!cache.contains(1, 1));
         assert_eq!(cache.total_bytes(), 24);
         assert_eq!(cache.total_rows(), 3);
+    }
+
+    #[test]
+    fn a_hit_shares_the_stored_partition_and_its_measured_bytes() {
+        let cache = CacheManager::new();
+        let stored = Arc::new(vec![1i64, 2, 3]);
+        cache.put(1, 0, stored.clone(), 0, 24);
+        let (hit, bytes) = cache.get_measured::<i64>(1, 0).unwrap();
+        assert!(Arc::ptr_eq(&hit, &stored));
+        assert_eq!(bytes, 24);
+        // A node failure takes the partition and its tick together: the
+        // partition cached again later starts fresh, as the newest.
+        cache.put(2, 0, Arc::new(vec![0i64]), 1, 8);
+        assert_eq!(cache.drop_node(0), 1);
+        assert_eq!(cache.lru_candidates().len(), 1);
+        cache.put(1, 0, stored, 0, 24);
+        assert_eq!(cache.lru_partition(), Some((2, 0)));
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   per-bucket statistics, then decide the reduce-side plan (join strategy,
 //!   reducer count, bucket coalescing).
 //! * [`cache::CacheManager`] — per-partition caching with node placement so
-//!   simulated node failures invalidate the right partitions.
+//!   simulated node failures invalidate the right partitions. Cached
+//!   partitions are shared `Arc`s: [`Rdd::compute_shared`] reads one in
+//!   place, and only a caller that must own the rows copies it.
 
 pub mod cache;
 pub mod context;

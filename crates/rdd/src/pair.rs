@@ -48,6 +48,23 @@ impl<V, C> Clone for Aggregator<V, C> {
 }
 
 impl<V, C> Aggregator<V, C> {
+    /// Combine `pairs` per key: `create` on a key's first value, then
+    /// `merge_value` for each further one, in input order.
+    fn combine<K: Hash + Eq>(&self, pairs: Vec<(K, V)>) -> Vec<(K, C)> {
+        let mut table: HashMap<K, C> = HashMap::new();
+        for (k, v) in pairs {
+            match table.remove(&k) {
+                Some(c) => {
+                    table.insert(k, (self.merge_value)(c, v));
+                }
+                None => {
+                    table.insert(k, (self.create)(v));
+                }
+            }
+        }
+        table.into_iter().collect()
+    }
+
     /// Build an aggregator from the three combiner functions.
     pub fn new<FC, FV, FM>(create: FC, merge_value: FV, merge_combiners: FM) -> Aggregator<V, C>
     where
@@ -77,16 +94,23 @@ pub(crate) fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
 // Shuffle dependencies
 // ---------------------------------------------------------------------------
 
-/// Shuffle dependency that combines values map-side with an [`Aggregator`]
-/// (stores `(K, C)` pairs).
-pub struct CombineShuffleDep<K: Data + Hash + Eq, V: Data, C: Data> {
+/// The per-partition map-side combine of a [`CombineShuffleDep`].
+type CombineFn<T, K, C> = Arc<dyn Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync>;
+
+/// Shuffle dependency that combines each parent partition map-side into
+/// `(K, C)` pairs: with an [`Aggregator`] over a pair RDD
+/// ([`Rdd::combine_by_key`]), or with a by-reference fold that also absorbs
+/// a `map` ([`Rdd::combine_by_key_ref`]).
+pub struct CombineShuffleDep<T: Data, K: Data + Hash + Eq, C: Data> {
     pub(crate) lease: Arc<ShuffleLease>,
     pub(crate) num_buckets: usize,
-    pub(crate) parent: Rdd<(K, V)>,
-    pub(crate) aggregator: Aggregator<V, C>,
+    pub(crate) parent: Rdd<T>,
+    /// Ops charged per parent row for a fused `map` (0 when none is fused).
+    pub(crate) map_ops_per_row: f64,
+    pub(crate) combine: CombineFn<T, K, C>,
 }
 
-impl<K: Data + Hash + Eq, V: Data, C: Data> ShuffleDepHandle for CombineShuffleDep<K, V, C> {
+impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for CombineShuffleDep<T, K, C> {
     fn shuffle_id(&self) -> usize {
         self.lease.id()
     }
@@ -105,7 +129,8 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> ShuffleDepHandle for CombineShuffleD
             &self.parent,
             self.lease.id(),
             self.num_buckets,
-            &self.aggregator,
+            self.map_ops_per_row,
+            &*self.combine,
         )
     }
 }
@@ -139,15 +164,19 @@ impl<K: Data + Hash + Eq, V: Data> ShuffleDepHandle for RepartitionShuffleDep<K,
 // Wide RDD implementations
 // ---------------------------------------------------------------------------
 
-/// Result of `combine_by_key` / `reduce_by_key` / `group_by_key`: reads the
-/// map-side-combined shuffle output and merges combiners per key.
-pub struct ShuffledRdd<K: Data + Hash + Eq, V: Data, C: Data> {
+/// Result of `combine_by_key` / `combine_by_key_ref` / `reduce_by_key` /
+/// `group_by_key`: reads the map-side-combined shuffle output and merges
+/// combiners per key.
+pub struct ShuffledRdd<K: Data + Hash + Eq, C: Data> {
     id: usize,
     num_partitions: usize,
-    dep: Arc<CombineShuffleDep<K, V, C>>,
+    dep: Arc<dyn ShuffleDepHandle>,
+    #[allow(clippy::type_complexity)]
+    merge: Arc<dyn Fn(C, C) -> C + Send + Sync>,
+    _marker: PhantomData<fn() -> K>,
 }
 
-impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, V, C> {
+impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, C> {
     fn id(&self) -> usize {
         self.id
     }
@@ -165,15 +194,14 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, V
     ) -> Result<Vec<(K, C)>> {
         let (pairs, bytes): (Vec<(K, C)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.dep.lease.id(), &[partition])?;
+            .fetch(self.dep.shuffle_id(), &[partition])?;
         metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
         metrics.add_ops(pairs.len() as f64 * 2.0);
         let mut table: HashMap<K, C> = HashMap::new();
-        let merge = self.dep.aggregator.merge_combiners.clone();
         for (k, c) in pairs {
             match table.remove(&k) {
                 Some(existing) => {
-                    table.insert(k, merge(existing, c));
+                    table.insert(k, (self.merge)(existing, c));
                 }
                 None => {
                     table.insert(k, c);
@@ -183,7 +211,7 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, V
         Ok(table.into_iter().collect())
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        vec![self.dep.parent.lineage()]
+        vec![self.dep.parent_lineage()]
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
         vec![self.dep.clone()]
@@ -447,9 +475,79 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
     /// and the simulated seconds of the job that fetched them.
     pub fn collect_all(&self) -> Result<(Vec<(K, V)>, f64)> {
         let rdd = self.read_identity();
-        let (parts, seconds) =
-            scheduler::run_job(&self.ctx, &rdd, "collect", OutputSink::Collect, |v| v)?;
+        let (parts, seconds) = scheduler::run_job(
+            &self.ctx,
+            &rdd,
+            "collect",
+            OutputSink::Collect,
+            Arc::unwrap_or_clone,
+        )?;
         Ok((parts.into_iter().flatten().collect(), seconds))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Combining shuffles on any Rdd<T>
+// ---------------------------------------------------------------------------
+
+impl<T: Data> Rdd<T> {
+    /// `self.map(g).combine_by_key(num_partitions, agg)` folded into the
+    /// map stage and reading each partition in place: `f` turns a whole
+    /// (shared, never copied) partition into its map-side-combined
+    /// `(key, combiner)` pairs — at most one per key — and `merge` merges
+    /// combiners of one key across partitions on the reduce side.
+    ///
+    /// It charges exactly what that chain charges, so task logs and
+    /// simulated seconds do not move: the same rows and bytes in, the
+    /// absorbed `map`'s one op per row before the shuffle's own, the same
+    /// bytes out, preferred node, stage name and shuffle id. Only the
+    /// per-element `map` output and its copy of a cached partition are gone.
+    pub fn combine_by_key_ref<K, C, F, M>(
+        &self,
+        num_partitions: usize,
+        f: F,
+        merge: M,
+    ) -> Rdd<(K, C)>
+    where
+        K: Data + Hash + Eq,
+        C: Data,
+        F: Fn(&[T]) -> Vec<(K, C)> + Send + Sync + 'static,
+        M: Fn(C, C) -> C + Send + Sync + 'static,
+    {
+        self.combined_shuffle(
+            num_partitions,
+            1.0,
+            Arc::new(move |data| f(&data)),
+            Arc::new(merge),
+        )
+    }
+
+    /// A shuffle combining each partition map-side with `combine` (after
+    /// charging `map_ops_per_row` for a fused `map`), read back through the
+    /// one [`ShuffledRdd`] with `merge`.
+    fn combined_shuffle<K: Data + Hash + Eq, C: Data>(
+        &self,
+        num_partitions: usize,
+        map_ops_per_row: f64,
+        combine: CombineFn<T, K, C>,
+        merge: Arc<dyn Fn(C, C) -> C + Send + Sync>,
+    ) -> Rdd<(K, C)> {
+        let num_partitions = num_partitions.max(1);
+        let dep = Arc::new(CombineShuffleDep {
+            lease: self.ctx.new_shuffle(),
+            num_buckets: num_partitions,
+            parent: self.clone(),
+            map_ops_per_row,
+            combine,
+        });
+        let inner = ShuffledRdd {
+            id: self.ctx.next_rdd_id(),
+            num_partitions,
+            dep,
+            merge,
+            _marker: PhantomData,
+        };
+        Rdd::new(self.ctx.clone(), Arc::new(inner))
     }
 }
 
@@ -464,19 +562,13 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
         num_partitions: usize,
         agg: Aggregator<V, C>,
     ) -> Rdd<(K, C)> {
-        let num_partitions = num_partitions.max(1);
-        let dep = Arc::new(CombineShuffleDep {
-            lease: self.ctx.new_shuffle(),
-            num_buckets: num_partitions,
-            parent: self.clone(),
-            aggregator: agg,
-        });
-        let inner = ShuffledRdd {
-            id: self.ctx.next_rdd_id(),
+        let merge = agg.merge_combiners.clone();
+        self.combined_shuffle(
             num_partitions,
-            dep,
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
+            0.0,
+            Arc::new(move |data| agg.combine(Arc::unwrap_or_clone(data))),
+            merge,
+        )
     }
 
     /// Merge all values of each key with a binary function.
@@ -616,7 +708,12 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
             num_buckets,
             |shuffle_id, buckets| {
                 scheduler::run_shuffle_map_stage_combined(
-                    &self.ctx, self, shuffle_id, buckets, &agg,
+                    &self.ctx,
+                    self,
+                    shuffle_id,
+                    buckets,
+                    0.0,
+                    |data| agg.combine(Arc::unwrap_or_clone(data)),
                 )
             },
         )
@@ -716,7 +813,7 @@ mod tests {
             &parted,
             "inspect",
             shark_cluster::OutputSink::Collect,
-            |v| v,
+            Arc::unwrap_or_clone,
         )
         .unwrap();
         let mut seen: HashMap<String, usize> = HashMap::new();

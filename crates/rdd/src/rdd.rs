@@ -180,7 +180,29 @@ impl<T: Data> Rdd<T> {
             .or_else(|| self.inner.preferred_node(ctx, partition))
     }
 
-    /// Compute one partition, consulting and populating the cache.
+    /// Compute one partition as an owned vector: [`Rdd::compute_shared`],
+    /// then the partition itself when nothing else holds it (a freshly
+    /// computed, uncached partition — no copy), else a copy. So a cached
+    /// partition is copied here exactly when a caller needs to own it;
+    /// callers that only read use [`Rdd::compute_shared`].
+    pub fn compute_partition(
+        &self,
+        ctx: &RddContext,
+        partition: usize,
+        metrics: &mut TaskMetrics,
+    ) -> Result<Vec<T>> {
+        self.compute_shared(ctx, partition, metrics)
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// Compute one partition, shared: the one place the RDD cache is
+    /// consulted and filled.
+    ///
+    /// A hit hands out the cached allocation (a refcount bump) and charges
+    /// the rows plus the bytes measured once when the partition was stored.
+    /// A miss computes the partition; when this RDD is marked cached, the
+    /// very `Arc` returned is what the cache keeps, so caching copies
+    /// nothing either.
     ///
     /// When tracing is active and a trace context is installed on the
     /// current thread, each operator's computation records a span named
@@ -188,14 +210,13 @@ impl<T: Data> Rdd<T> {
     /// …) tagged with the partition and output rows — the raw material
     /// `EXPLAIN ANALYZE` aggregates. Disabled-mode cost is one atomic
     /// load.
-    pub fn compute_partition(
+    pub fn compute_shared(
         &self,
         ctx: &RddContext,
         partition: usize,
         metrics: &mut TaskMetrics,
-    ) -> Result<Vec<T>> {
-        if let Some(cached) = ctx.cache().get::<T>(self.id(), partition) {
-            let bytes = estimate_slice(cached.as_slice()) as u64;
+    ) -> Result<Arc<Vec<T>>> {
+        if let Some((cached, bytes)) = ctx.cache().get_measured::<T>(self.id(), partition) {
             metrics.record_input(cached.len() as u64, bytes, InputSource::CachedRows);
             if shark_obs::active() {
                 shark_obs::event(
@@ -207,7 +228,7 @@ impl<T: Data> Rdd<T> {
                     ],
                 );
             }
-            return Ok((*cached).clone());
+            return Ok(cached);
         }
         let span = if shark_obs::active() {
             shark_obs::span(&self.inner.name())
@@ -218,7 +239,7 @@ impl<T: Data> Rdd<T> {
             span.set_partition(partition);
         }
         let bytes_before = metrics.bytes_in;
-        let data = self.inner.compute(ctx, partition, metrics)?;
+        let data = Arc::new(self.inner.compute(ctx, partition, metrics)?);
         if let Some(span) = &span {
             span.set_rows(data.len() as u64);
             span.set_bytes(metrics.bytes_in.saturating_sub(bytes_before));
@@ -236,7 +257,7 @@ impl<T: Data> Rdd<T> {
                 alive[partition % alive.len()]
             };
             ctx.cache()
-                .put(self.id(), partition, Arc::new(data.clone()), node, bytes);
+                .put(self.id(), partition, data.clone(), node, bytes);
         }
         Ok(data)
     }
@@ -290,10 +311,35 @@ impl<T: Data> Rdd<T> {
     }
 
     /// Internal: named partition-wise transformation charging `ops_per_row`
-    /// expression operations per input row.
+    /// expression operations per input row. `f` owns its input, so a cached
+    /// input partition is copied for it (see [`Rdd::compute_partition`]).
     pub fn map_partitions_named<U: Data, F>(&self, name: &str, ops_per_row: f64, f: F) -> Rdd<U>
     where
         F: Fn(usize, Vec<T>) -> Vec<U> + Send + Sync + 'static,
+    {
+        self.map_partitions_shared(name, ops_per_row, move |partition, input| {
+            f(partition, Arc::unwrap_or_clone(input))
+        })
+    }
+
+    /// A named partition-wise transformation that reads its input in place:
+    /// `f` borrows the shared partition, so a cached input is never copied.
+    /// It is the same RDD as [`Rdd::map_partitions_named`] and charges the
+    /// same: the input rows and bytes, `ops_per_row` per input row, the
+    /// parent's preferred node. So `map_partitions_ref("map", 1.0, ..)`
+    /// folding each partition to its partial result, then [`Rdd::reduce`],
+    /// is charged exactly like `map(..).reduce(..)`: a result task is priced
+    /// on the bytes it returns, which are the same partial, not on rows.
+    pub fn map_partitions_ref<U: Data, F>(&self, name: &str, ops_per_row: f64, f: F) -> Rdd<U>
+    where
+        F: Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
+    {
+        self.map_partitions_shared(name, ops_per_row, move |_, input| f(&input))
+    }
+
+    fn map_partitions_shared<U: Data, F>(&self, name: &str, ops_per_row: f64, f: F) -> Rdd<U>
+    where
+        F: Fn(usize, Arc<Vec<T>>) -> Vec<U> + Send + Sync + 'static,
     {
         let inner = MapPartitionsRdd {
             id: self.ctx.next_rdd_id(),
@@ -348,11 +394,18 @@ impl<T: Data> Rdd<T> {
 
     /// Gather all elements to the driver, in partition order.
     pub fn collect(&self) -> Result<Vec<T>> {
-        let parts = scheduler::run_job(&self.ctx, self, "collect", OutputSink::Collect, |v| v)?.0;
+        let parts = scheduler::run_job(
+            &self.ctx,
+            self,
+            "collect",
+            OutputSink::Collect,
+            Arc::unwrap_or_clone,
+        )?
+        .0;
         Ok(parts.into_iter().flatten().collect())
     }
 
-    /// Count the elements.
+    /// Count the elements (reading each partition in place).
     pub fn count(&self) -> Result<u64> {
         let (counts, _) = scheduler::run_job(&self.ctx, self, "count", OutputSink::None, |v| {
             v.len() as u64
@@ -366,12 +419,11 @@ impl<T: Data> Rdd<T> {
     where
         F: Fn(T, T) -> T + Send + Sync + 'static,
     {
-        let f = Arc::new(f);
-        let g = f.clone();
-        let (partials, _) = scheduler::run_job(&self.ctx, self, "reduce", OutputSink::Collect, {
-            move |v: Vec<T>| v.into_iter().reduce(|a, b| g(a, b))
-        })?;
-        Ok(partials.into_iter().flatten().reduce(|a, b| f(a, b)))
+        let (partials, _) =
+            scheduler::run_job(&self.ctx, self, "reduce", OutputSink::Collect, |v| {
+                Arc::unwrap_or_clone(v).into_iter().reduce(&f)
+            })?;
+        Ok(partials.into_iter().flatten().reduce(f))
     }
 
     /// Return up to `n` elements (collects, then truncates — acceptable at
@@ -427,13 +479,13 @@ impl<T: Data> RddImpl<T> for GeneratorRdd<T> {
     }
 }
 
-/// Narrow transformation applying a closure to each partition.
+/// Narrow transformation applying a closure to each (shared) partition.
 pub struct MapPartitionsRdd<T: Data, U: Data> {
     id: usize,
     name: String,
     parent: Rdd<T>,
     #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(usize, Vec<T>) -> Vec<U> + Send + Sync>,
+    f: Arc<dyn Fn(usize, Arc<Vec<T>>) -> Vec<U> + Send + Sync>,
     ops_per_row: f64,
 }
 
@@ -453,7 +505,7 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<U>> {
-        let input = self.parent.compute_partition(ctx, partition, metrics)?;
+        let input = self.parent.compute_shared(ctx, partition, metrics)?;
         metrics.add_ops(input.len() as f64 * self.ops_per_row);
         Ok((self.f)(partition, input))
     }

@@ -20,7 +20,6 @@ use shark_common::{EstimateSize, Result, SharkError};
 use crate::context::{RddContext, StageReport};
 use crate::executor::Executor;
 use crate::metrics::TaskMetrics;
-use crate::pair::Aggregator;
 use crate::rdd::{Data, Lineage, Rdd};
 use crate::shuffle::MapOutput;
 
@@ -117,6 +116,11 @@ pub fn ensure_shuffle_deps(ctx: &RddContext, lineage: &dyn Lineage) -> Result<Ve
 /// the result stage applying `f` to each partition, record the job, and
 /// return the per-partition results in partition order plus the job's
 /// simulated seconds.
+///
+/// `f` gets the partition shared ([`Rdd::compute_shared`]): an action that
+/// only reads (`count`, a fold) never copies a cached partition, and one
+/// that must own the rows takes them with `Arc::unwrap_or_clone`, which
+/// copies only a partition the cache also holds.
 pub fn run_job<T, U, F>(
     ctx: &RddContext,
     rdd: &Rdd<T>,
@@ -127,7 +131,7 @@ pub fn run_job<T, U, F>(
 where
     T: Data,
     U: Send + EstimateSize,
-    F: Fn(Vec<T>) -> U + Send + Sync,
+    F: Fn(Arc<Vec<T>>) -> U + Send + Sync,
 {
     let wall = Instant::now();
     let mut stages = ensure_shuffle_deps(ctx, rdd)?;
@@ -154,10 +158,10 @@ fn run_partition_task<T, U, F>(
 where
     T: Data,
     U: Send + EstimateSize,
-    F: FnOnce(Vec<T>, &mut TaskMetrics) -> U,
+    F: FnOnce(Arc<Vec<T>>, &mut TaskMetrics) -> U,
 {
     let mut metrics = TaskMetrics::new();
-    let data = rdd.compute_partition(ctx, partition, &mut metrics)?;
+    let data = rdd.compute_shared(ctx, partition, &mut metrics)?;
     let rows = data.len() as u64;
     let value = f(data, &mut metrics);
     metrics.record_output(rows, value.estimated_size() as u64);
@@ -186,7 +190,7 @@ fn execute_partition_task<T, U, F>(
 where
     T: Data,
     U: Send + EstimateSize,
-    F: FnOnce(Vec<T>, &mut TaskMetrics) -> U,
+    F: FnOnce(Arc<Vec<T>>, &mut TaskMetrics) -> U,
 {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_partition_task(ctx, rdd, partition, sink, f)
@@ -200,8 +204,8 @@ where
 
 /// The per-partition transformation a [`PipelinedJob`] applies inside each
 /// result task (it may charge extra work — e.g. a per-partition sort — to
-/// the task's metrics).
-type TaskFn<T, U> = Arc<dyn Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync>;
+/// the task's metrics), over the shared partition.
+type TaskFn<T, U> = Arc<dyn Fn(Arc<Vec<T>>, &mut TaskMetrics) -> U + Send + Sync>;
 
 /// The bounded, *ordered* channel between a [`PipelinedJob`]'s consumer and
 /// its morsels. Positions in the planned order are claimed exactly once: by
@@ -384,7 +388,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             wall,
             order: Arc::new(order),
             sink,
-            f: Arc::new(f),
+            f: Arc::new(move |data, metrics| f(Arc::unwrap_or_clone(data), metrics)),
             prefetch: 0,
             pool: None,
             prefetch_hits: 0,
@@ -584,23 +588,30 @@ impl<T: Data, U: Send + EstimateSize + 'static> Drop for PipelinedJob<T, U> {
     }
 }
 
-/// Shared implementation of the shuffle map stages: compute each parent
-/// partition, `combine` its records, group them by reduce bucket, store the
-/// grouped output (which carries its per-bucket statistics) in the shuffle
-/// manager, and time the stage.
-fn run_map_stage_generic<K, PV, S, F>(
+/// The one body of every shuffle map stage: compute each parent partition
+/// (shared — a cached one is not copied), charge `map_ops_per_row` for a
+/// `map` fused into the stage, `combine` the partition into `(key, value)`
+/// records, group them by reduce bucket, store the grouped output (which
+/// carries its per-bucket statistics) in the shuffle manager, and log the
+/// stage's tasks.
+///
+/// A fused `map` is charged exactly as the separate [`Rdd::map`] it
+/// replaces would be: the parent's rows and bytes in, one op per row
+/// charged before the shuffle's own, the parent's preferred node.
+fn run_map_stage_generic<T, K, S, F>(
     ctx: &RddContext,
-    parent: &Rdd<(K, PV)>,
+    parent: &Rdd<T>,
     shuffle_id: usize,
     num_buckets: usize,
     name: &str,
+    map_ops_per_row: f64,
     combine: F,
 ) -> Result<StageReport>
 where
+    T: Data,
     K: Data + Hash + Eq,
-    PV: Data,
     S: Data,
-    F: Fn(Vec<(K, PV)>) -> Vec<(K, S)> + Send + Sync,
+    F: Fn(Arc<Vec<T>>) -> Vec<(K, S)> + Send + Sync,
 {
     let num_map_tasks = parent.num_partitions();
     ctx.shuffle_manager()
@@ -610,8 +621,10 @@ where
 
     let outcomes = run_tasks(ctx.config().parallel_tasks, num_map_tasks, |partition| {
         let mut metrics = TaskMetrics::new();
-        let data = parent.compute_partition(ctx, partition, &mut metrics)?;
+        let data = parent.compute_shared(ctx, partition, &mut metrics)?;
         let input_rows = data.len() as u64;
+        // `x + 0.0 == x`, so a stage with nothing fused charges as before.
+        metrics.add_ops(input_rows as f64 * map_ops_per_row);
         let span = if shark_obs::active() {
             shark_obs::span("shuffle-write")
         } else {
@@ -671,47 +684,34 @@ where
         shuffle_id,
         num_buckets,
         &format!("shuffle-map({shuffle_id})"),
-        |data| data,
+        0.0,
+        Arc::unwrap_or_clone,
     )
 }
 
-/// Map stage that hash-partitions records and combines values per key
-/// map-side with an [`Aggregator`] (partial aggregation, §3.1).
-pub(crate) fn run_shuffle_map_stage_combined<K, V, C>(
+/// Map stage that combines each partition map-side into `(key, combiner)`
+/// records before hash-partitioning them (partial aggregation, §3.1).
+pub(crate) fn run_shuffle_map_stage_combined<T, K, C>(
     ctx: &RddContext,
-    parent: &Rdd<(K, V)>,
+    parent: &Rdd<T>,
     shuffle_id: usize,
     num_buckets: usize,
-    agg: &Aggregator<V, C>,
+    map_ops_per_row: f64,
+    combine: impl Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync,
 ) -> Result<StageReport>
 where
+    T: Data,
     K: Data + Hash + Eq,
-    V: Data,
     C: Data,
 {
-    let agg = agg.clone();
     run_map_stage_generic(
         ctx,
         parent,
         shuffle_id,
         num_buckets,
         &format!("shuffle-map-combine({shuffle_id})"),
-        move |data| {
-            // A key lands in exactly one bucket, so one table per map task
-            // combines exactly what one table per bucket would.
-            let mut table: std::collections::HashMap<K, C> = std::collections::HashMap::new();
-            for (k, v) in data {
-                match table.remove(&k) {
-                    Some(c) => {
-                        table.insert(k, (agg.merge_value)(c, v));
-                    }
-                    None => {
-                        table.insert(k, (agg.create)(v));
-                    }
-                }
-            }
-            table.into_iter().collect()
-        },
+        map_ops_per_row,
+        combine,
     )
 }
 
