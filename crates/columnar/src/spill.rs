@@ -28,15 +28,23 @@
 //! to lineage recompute. Folding it into the checksum means a bit-flipped
 //! version field is indistinguishable from payload rot — both poison.
 //!
+//! The primitives, value tags and data-type tags are
+//! [`shark_common::codec`]'s, with `u64` string and count prefixes; this
+//! module owns only the header and the column encodings.
+//!
 //! Decoding is strictly validating: a bad magic, unknown version, length
 //! mismatch, checksum mismatch, short read or trailing garbage all yield an
-//! error, never a partially-reconstructed partition. Callers treat any decode
+//! error, never a partially-reconstructed partition. Element counts are
+//! bounded by the bytes left before anything is allocated; logical lengths
+//! (row counts, run-length and bit-packed lengths, null-mask bit counts) are
+//! checked against the structure they describe. Callers treat any decode
 //! error as "spill file poisoned" and fall back to lineage recompute.
 
 use std::sync::Arc;
 
+use shark_common::codec::{self, CodecError, Reader, Writer, DISK_TYPE_TAGS};
 use shark_common::hash::{fnv1a, fnv1a_from};
-use shark_common::{DataType, Result, Schema, SharkError, Value};
+use shark_common::{Field, Result, Schema, SharkError};
 
 use crate::column::{EncodedColumn, NullMask};
 use crate::partition::ColumnarPartition;
@@ -52,6 +60,10 @@ pub const SPILL_VERSION: u32 = 2;
 /// Fixed header size: magic + version + table_version + length + checksum.
 pub const SPILL_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 
+/// Spill frames prefix strings and element counts with a `u64`.
+type SpillWriter<'a> = Writer<'a, u64>;
+type SpillReader<'a> = Reader<'a, u64>;
+
 /// Frame checksum: FNV-1a 64 over the `table_version` field (as 8
 /// little-endian bytes) followed by the payload, so header-field rot is
 /// caught the same way payload rot is.
@@ -59,211 +71,8 @@ fn frame_checksum(table_version: u64, payload: &[u8]) -> u64 {
     fnv1a_from(fnv1a(&table_version.to_le_bytes()), payload)
 }
 
-fn corrupt(detail: impl Into<String>) -> SharkError {
-    SharkError::Execution(format!("spill frame: {}", detail.into()))
-}
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn nulls(&mut self, mask: &NullMask) {
-        match mask {
-            None => self.u8(0),
-            Some(valid) => {
-                self.u8(1);
-                self.u64(valid.len() as u64);
-                // One bit per row, packed little-endian within each byte.
-                let mut byte = 0u8;
-                for (i, &v) in valid.iter().enumerate() {
-                    if v {
-                        byte |= 1 << (i % 8);
-                    }
-                    if i % 8 == 7 {
-                        self.u8(byte);
-                        byte = 0;
-                    }
-                }
-                if valid.len() % 8 != 0 {
-                    self.u8(byte);
-                }
-            }
-        }
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Int(i) => {
-                self.u8(1);
-                self.i64(*i);
-            }
-            Value::Float(f) => {
-                self.u8(2);
-                self.f64(*f);
-            }
-            Value::Str(s) => {
-                self.u8(3);
-                self.str(s);
-            }
-            Value::Bool(b) => {
-                self.u8(4);
-                self.u8(*b as u8);
-            }
-            Value::Date(d) => {
-                self.u8(5);
-                self.u32(*d as u32);
-            }
-        }
-    }
-
-    fn column(&mut self, col: &EncodedColumn) {
-        match col {
-            EncodedColumn::IntPlain { values, nulls } => {
-                self.u8(0);
-                self.u64(values.len() as u64);
-                for &v in values {
-                    self.i64(v);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::IntRle { runs, len, nulls } => {
-                self.u8(1);
-                self.u64(*len as u64);
-                self.u64(runs.len() as u64);
-                for (v, run) in runs {
-                    self.i64(*v);
-                    self.u32(*run);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::IntBitPacked {
-                min,
-                bits,
-                len,
-                words,
-                nulls,
-            } => {
-                self.u8(2);
-                self.i64(*min);
-                self.u8(*bits);
-                self.u64(*len as u64);
-                self.u64(words.len() as u64);
-                for &w in words {
-                    self.u64(w);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::FloatPlain { values, nulls } => {
-                self.u8(3);
-                self.u64(values.len() as u64);
-                for &v in values {
-                    self.f64(v);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::BoolPacked { len, words, nulls } => {
-                self.u8(4);
-                self.u64(*len as u64);
-                self.u64(words.len() as u64);
-                for &w in words {
-                    self.u64(w);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::StrPlain { values, nulls } => {
-                self.u8(5);
-                self.u64(values.len() as u64);
-                for v in values {
-                    self.str(v);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::StrDict { dict, codes, nulls } => {
-                self.u8(6);
-                self.u64(dict.len() as u64);
-                for v in dict {
-                    self.str(v);
-                }
-                self.u64(codes.len() as u64);
-                for &c in codes {
-                    self.u32(c);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::StrRle { runs, len, nulls } => {
-                self.u8(7);
-                self.u64(*len as u64);
-                self.u64(runs.len() as u64);
-                for (v, run) in runs {
-                    self.str(v);
-                    self.u32(*run);
-                }
-                self.nulls(nulls);
-            }
-            EncodedColumn::AllNull { len } => {
-                self.u8(8);
-                self.u64(*len as u64);
-            }
-        }
-    }
-}
-
-fn type_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-        DataType::Date => 4,
-        DataType::Null => 5,
-    }
-}
-
-fn tag_type(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Str,
-        3 => DataType::Bool,
-        4 => DataType::Date,
-        5 => DataType::Null,
-        other => return Err(corrupt(format!("unknown data type tag {other}"))),
-    })
+fn corrupt(detail: impl std::fmt::Display) -> SharkError {
+    SharkError::Execution(format!("spill frame: {detail}"))
 }
 
 /// Serialize a partition into a self-describing, checksummed spill frame.
@@ -273,21 +82,20 @@ fn tag_type(tag: u8) -> Result<DataType> {
 /// and [`decode_partition`] hands it back so callers can reject frames
 /// written by an earlier incarnation of a same-named table.
 pub fn encode_partition(part: &ColumnarPartition, table_version: u64) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut payload = Vec::new();
+    let mut w = SpillWriter::new(&mut payload);
 
-    // Schema.
     let schema = part.schema();
     w.u32(schema.len() as u32);
     for field in schema.fields() {
         w.str(&field.name);
-        w.u8(type_tag(field.data_type));
+        w.data_type(&DISK_TYPE_TAGS, field.data_type);
     }
 
-    // Encoded columns.
     w.u64(part.num_rows() as u64);
     w.u32(part.num_columns() as u32);
     for c in 0..part.num_columns() {
-        w.column(part.column(c));
+        put_column(&mut w, part.column(c));
     }
 
     // Stats travel with the partition so map pruning works immediately after
@@ -296,37 +104,105 @@ pub fn encode_partition(part: &ColumnarPartition, table_version: u64) -> Vec<u8>
     w.u64(stats.num_rows);
     w.u32(stats.columns.len() as u32);
     for col in &stats.columns {
-        w.u8(col.min.is_some() as u8);
-        if let Some(v) = &col.min {
-            w.value(v);
-        }
-        w.u8(col.max.is_some() as u8);
-        if let Some(v) = &col.max {
-            w.value(v);
-        }
-        match &col.distinct {
-            None => w.u8(0),
-            Some(values) => {
-                w.u8(1);
-                w.u64(values.len() as u64);
-                for v in values {
-                    w.value(v);
-                }
-            }
-        }
+        w.opt(col.min.as_ref(), SpillWriter::value);
+        w.opt(col.max.as_ref(), SpillWriter::value);
+        w.opt(col.distinct.as_deref(), |w, values| {
+            w.list(values, SpillWriter::value)
+        });
         w.u64(col.null_count);
         w.u64(col.row_count);
     }
 
-    let payload = w.buf;
     let mut frame = Vec::with_capacity(SPILL_HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&SPILL_MAGIC);
-    frame.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-    frame.extend_from_slice(&table_version.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(&frame_checksum(table_version, &payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut w = SpillWriter::new(&mut frame);
+    w.magic(&SPILL_MAGIC, SPILL_VERSION);
+    w.u64(table_version);
+    w.u64(payload.len() as u64);
+    w.u64(frame_checksum(table_version, &payload));
+    w.bytes(&payload);
     frame
+}
+
+fn put_column(w: &mut SpillWriter, col: &EncodedColumn) {
+    match col {
+        EncodedColumn::IntPlain { values, nulls } => {
+            w.u8(0);
+            w.list(values, |w, &v| w.i64(v));
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::IntRle { runs, len, nulls } => {
+            w.u8(1);
+            w.u64(*len as u64);
+            w.list(runs, |w, &(v, run)| {
+                w.i64(v);
+                w.u32(run);
+            });
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::IntBitPacked {
+            min,
+            bits,
+            len,
+            words,
+            nulls,
+        } => {
+            w.u8(2);
+            w.i64(*min);
+            w.u8(*bits);
+            w.u64(*len as u64);
+            w.list(words, |w, &word| w.u64(word));
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::FloatPlain { values, nulls } => {
+            w.u8(3);
+            w.list(values, |w, &v| w.f64(v));
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::BoolPacked { len, words, nulls } => {
+            w.u8(4);
+            w.u64(*len as u64);
+            w.list(words, |w, &word| w.u64(word));
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::StrPlain { values, nulls } => {
+            w.u8(5);
+            w.list(values, |w, v| w.str(v));
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::StrDict { dict, codes, nulls } => {
+            w.u8(6);
+            w.list(dict, |w, v| w.str(v));
+            w.list(codes, |w, &code| w.u32(code));
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::StrRle { runs, len, nulls } => {
+            w.u8(7);
+            w.u64(*len as u64);
+            w.list(runs, |w, (v, run)| {
+                w.str(v);
+                w.u32(*run);
+            });
+            put_nulls(w, nulls);
+        }
+        EncodedColumn::AllNull { len } => {
+            w.u8(8);
+            w.u64(*len as u64);
+        }
+    }
+}
+
+/// A validity mask: `u64` bit count, then one bit per row packed
+/// little-endian within each byte.
+fn put_nulls(w: &mut SpillWriter, mask: &NullMask) {
+    w.opt(mask.as_deref(), |w, valid| {
+        w.u64(valid.len() as u64);
+        for byte in valid.chunks(8) {
+            w.u8(byte
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (bit, &v)| acc | u8::from(v) << bit));
+        }
+    });
 }
 
 /// The fixed-size header of a spill frame, as parsed by
@@ -351,26 +227,10 @@ pub struct SpillFrameHeader {
 /// stays in [`decode_partition`] and runs on fault-in. Pass the total file
 /// size as `file_len` (callers holding only the header bytes pass `None`).
 pub fn read_frame_header(bytes: &[u8], file_len: Option<u64>) -> Result<SpillFrameHeader> {
-    if bytes.len() < SPILL_HEADER_BYTES {
-        return Err(corrupt(format!(
-            "file shorter than header ({} bytes)",
-            bytes.len()
-        )));
-    }
-    if bytes[..8] != SPILL_MAGIC {
-        return Err(corrupt("bad magic"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != SPILL_VERSION {
-        return Err(corrupt(format!(
-            "unsupported version {version} (expected {SPILL_VERSION})"
-        )));
-    }
-    let header = SpillFrameHeader {
-        table_version: u64::from_le_bytes(bytes[12..20].try_into().unwrap()),
-        payload_len: u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
-        checksum: u64::from_le_bytes(bytes[28..36].try_into().unwrap()),
-    };
+    let header = bytes
+        .get(..SPILL_HEADER_BYTES)
+        .ok_or_else(|| corrupt(format!("file shorter than header ({} bytes)", bytes.len())))?;
+    let header = parse_header(&mut SpillReader::new(header)).map_err(corrupt)?;
     if let Some(total) = file_len {
         let expected = (SPILL_HEADER_BYTES as u64).saturating_add(header.payload_len);
         if total != expected {
@@ -384,216 +244,13 @@ pub fn read_frame_header(bytes: &[u8], file_len: Option<u64>) -> Result<SpillFra
     Ok(header)
 }
 
-// ---------------------------------------------------------------------------
-// Reader
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(corrupt(format!(
-                "truncated payload (wanted {n} bytes at offset {}, {} available)",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Bounded length: spill frames hold one partition, so any count beyond
-    /// the payload size itself signals corruption rather than real data.
-    fn len(&mut self) -> Result<usize> {
-        let n = self.u64()?;
-        if n > self.buf.len() as u64 {
-            return Err(corrupt(format!("implausible element count {n}")));
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self) -> Result<Arc<str>> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(Arc::from)
-            .map_err(|_| corrupt("invalid UTF-8 in string"))
-    }
-
-    fn nulls(&mut self) -> Result<NullMask> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => {
-                let n = self.len()?;
-                let bytes = self.take(n.div_ceil(8))?;
-                Ok(Some(
-                    (0..n).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect(),
-                ))
-            }
-            other => Err(corrupt(format!("bad null-mask marker {other}"))),
-        }
-    }
-
-    fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.i64()?),
-            2 => Value::Float(self.f64()?),
-            3 => Value::Str(self.str()?),
-            4 => Value::Bool(self.u8()? != 0),
-            5 => Value::Date(self.u32()? as i32),
-            other => return Err(corrupt(format!("unknown value tag {other}"))),
-        })
-    }
-
-    fn column(&mut self) -> Result<EncodedColumn> {
-        Ok(match self.u8()? {
-            0 => {
-                let n = self.len()?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(self.i64()?);
-                }
-                EncodedColumn::IntPlain {
-                    values,
-                    nulls: self.nulls()?,
-                }
-            }
-            1 => {
-                let len = self.len()?;
-                let n = self.len()?;
-                let mut runs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    runs.push((self.i64()?, self.u32()?));
-                }
-                EncodedColumn::IntRle {
-                    runs,
-                    len,
-                    nulls: self.nulls()?,
-                }
-            }
-            2 => {
-                let min = self.i64()?;
-                let bits = self.u8()?;
-                let len = self.len()?;
-                let n = self.len()?;
-                let mut words = Vec::with_capacity(n);
-                for _ in 0..n {
-                    words.push(self.u64()?);
-                }
-                EncodedColumn::IntBitPacked {
-                    min,
-                    bits,
-                    len,
-                    words,
-                    nulls: self.nulls()?,
-                }
-            }
-            3 => {
-                let n = self.len()?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(self.f64()?);
-                }
-                EncodedColumn::FloatPlain {
-                    values,
-                    nulls: self.nulls()?,
-                }
-            }
-            4 => {
-                let len = self.len()?;
-                let n = self.len()?;
-                let mut words = Vec::with_capacity(n);
-                for _ in 0..n {
-                    words.push(self.u64()?);
-                }
-                EncodedColumn::BoolPacked {
-                    len,
-                    words,
-                    nulls: self.nulls()?,
-                }
-            }
-            5 => {
-                let n = self.len()?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(self.str()?);
-                }
-                EncodedColumn::StrPlain {
-                    values,
-                    nulls: self.nulls()?,
-                }
-            }
-            6 => {
-                let n = self.len()?;
-                let mut dict = Vec::with_capacity(n);
-                for _ in 0..n {
-                    dict.push(self.str()?);
-                }
-                let n = self.len()?;
-                let mut codes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let code = self.u32()?;
-                    if code as usize >= dict.len() {
-                        return Err(corrupt(format!(
-                            "dictionary code {code} out of range ({} entries)",
-                            dict.len()
-                        )));
-                    }
-                    codes.push(code);
-                }
-                EncodedColumn::StrDict {
-                    dict,
-                    codes,
-                    nulls: self.nulls()?,
-                }
-            }
-            7 => {
-                let len = self.len()?;
-                let n = self.len()?;
-                let mut runs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    runs.push((self.str()?, self.u32()?));
-                }
-                EncodedColumn::StrRle {
-                    runs,
-                    len,
-                    nulls: self.nulls()?,
-                }
-            }
-            8 => EncodedColumn::AllNull { len: self.len()? },
-            other => return Err(corrupt(format!("unknown column tag {other}"))),
-        })
-    }
+fn parse_header(r: &mut SpillReader) -> codec::Result<SpillFrameHeader> {
+    r.magic(&SPILL_MAGIC, SPILL_VERSION)?;
+    Ok(SpillFrameHeader {
+        table_version: r.u64()?,
+        payload_len: r.u64()?,
+        checksum: r.u64()?,
+    })
 }
 
 /// Validate and decode a spill frame back into a [`ColumnarPartition`],
@@ -601,96 +258,206 @@ impl<'a> Reader<'a> {
 /// under.
 ///
 /// Every structural violation — wrong magic, unknown version, length or
-/// checksum mismatch, truncation, trailing bytes — is reported as an error
-/// so the caller can fall back to lineage recompute.
+/// checksum mismatch, truncation, trailing bytes, a count larger than the
+/// bytes left, a logical length that disagrees with the structure it
+/// describes — is reported as an error so the caller can fall back to
+/// lineage recompute.
 pub fn decode_partition(bytes: &[u8]) -> Result<(ColumnarPartition, u64)> {
     let header = read_frame_header(bytes, Some(bytes.len() as u64))?;
     let payload = &bytes[SPILL_HEADER_BYTES..];
     if frame_checksum(header.table_version, payload) != header.checksum {
         return Err(corrupt("checksum mismatch"));
     }
+    let part = decode_payload(&mut SpillReader::new(payload)).map_err(corrupt)?;
+    Ok((part, header.table_version))
+}
 
-    let mut r = Reader::new(payload);
-
-    let num_fields = r.u32()? as usize;
-    let mut fields = Vec::with_capacity(num_fields);
-    for _ in 0..num_fields {
-        let name = r.str()?;
-        let dt = tag_type(r.u8()?)?;
-        fields.push(shark_common::Field::new(name.as_ref(), dt));
-    }
+fn decode_payload(r: &mut SpillReader) -> codec::Result<ColumnarPartition> {
+    // A field is at least a length prefix and a type tag.
+    let num_fields = r.u32()?;
+    let fields = r.items(r.bound(num_fields.into(), 8 + 1)?, |r| {
+        Ok(Field::new(r.str()?, r.data_type(&DISK_TYPE_TAGS)?))
+    })?;
     let schema = Schema::new(fields);
 
-    let num_rows = r.len()?;
+    let num_rows = logical_len(r)?;
     let num_columns = r.u32()? as usize;
     if num_columns != schema.len() {
-        return Err(corrupt(format!(
+        return Err(CodecError::new(format!(
             "column count {num_columns} disagrees with schema ({} fields)",
             schema.len()
         )));
     }
-    let mut columns = Vec::with_capacity(num_columns);
-    for _ in 0..num_columns {
-        let col = r.column()?;
+    let columns = r.items(num_columns, |r| {
+        let col = read_column(r)?;
         if col.len() != num_rows {
-            return Err(corrupt(format!(
+            return Err(CodecError::new(format!(
                 "column length {} disagrees with partition rows {num_rows}",
                 col.len()
             )));
         }
-        columns.push(col);
-    }
+        Ok(col)
+    })?;
 
     let stats_rows = r.u64()?;
     let stats_cols = r.u32()? as usize;
-    if stats_cols != num_columns {
-        return Err(corrupt("stats column count disagrees with schema"));
+    if stats_rows != num_rows as u64 || stats_cols != num_columns {
+        return Err(CodecError::new(
+            "stats row or column count disagrees with the partition",
+        ));
     }
-    let mut stat_columns = Vec::with_capacity(stats_cols);
-    for _ in 0..stats_cols {
-        let min = if r.u8()? != 0 { Some(r.value()?) } else { None };
-        let max = if r.u8()? != 0 { Some(r.value()?) } else { None };
-        let distinct = if r.u8()? != 0 {
-            let n = r.len()?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(r.value()?);
-            }
-            Some(values)
-        } else {
-            None
-        };
-        stat_columns.push(ColumnStats {
-            min,
-            max,
-            distinct,
+    let stat_columns = r.items(stats_cols, |r| {
+        let stats = ColumnStats {
+            min: r.opt(SpillReader::value)?,
+            max: r.opt(SpillReader::value)?,
+            distinct: r.opt(|r| r.list(1, SpillReader::value))?,
             null_count: r.u64()?,
             row_count: r.u64()?,
-        });
-    }
+        };
+        if stats.row_count != stats_rows {
+            return Err(CodecError::new(format!(
+                "column stats cover {} rows, partition has {stats_rows}",
+                stats.row_count
+            )));
+        }
+        Ok(stats)
+    })?;
+    r.finish()?;
+
     let stats = PartitionStats {
         columns: stat_columns,
         num_rows: stats_rows,
     };
+    Ok(ColumnarPartition::from_parts(
+        schema, num_rows, columns, stats,
+    ))
+}
 
-    if r.pos != payload.len() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after partition",
-            payload.len() - r.pos
+/// A logical length: a row or bit count. It is not bounded by the bytes
+/// left (a run-length column of 10k rows can take a few bytes); callers
+/// check it against the structure it describes.
+fn logical_len(r: &mut SpillReader) -> codec::Result<usize> {
+    let n = r.u64()?;
+    usize::try_from(n).map_err(|_| CodecError::new(format!("length {n} does not fit in memory")))
+}
+
+fn read_column(r: &mut SpillReader) -> codec::Result<EncodedColumn> {
+    let shared = |r: &mut SpillReader| r.str().map(Arc::<str>::from);
+    let col = match r.u8()? {
+        0 => {
+            let values = r.list(8, SpillReader::i64)?;
+            let nulls = read_nulls(r, values.len())?;
+            EncodedColumn::IntPlain { values, nulls }
+        }
+        1 => {
+            let len = logical_len(r)?;
+            let runs = r.list(8 + 4, |r| Ok((r.i64()?, r.u32()?)))?;
+            check_runs(runs.iter().map(|&(_, run)| run), len)?;
+            let nulls = read_nulls(r, len)?;
+            EncodedColumn::IntRle { runs, len, nulls }
+        }
+        2 => {
+            let min = r.i64()?;
+            let bits = r.u8()?;
+            let len = logical_len(r)?;
+            let words = r.list(8, SpillReader::u64)?;
+            check_packed(bits, len, words.len())?;
+            let nulls = read_nulls(r, len)?;
+            EncodedColumn::IntBitPacked {
+                min,
+                bits,
+                len,
+                words,
+                nulls,
+            }
+        }
+        3 => {
+            let values = r.list(8, SpillReader::f64)?;
+            let nulls = read_nulls(r, values.len())?;
+            EncodedColumn::FloatPlain { values, nulls }
+        }
+        4 => {
+            let len = logical_len(r)?;
+            let words = r.list(8, SpillReader::u64)?;
+            check_packed(1, len, words.len())?;
+            let nulls = read_nulls(r, len)?;
+            EncodedColumn::BoolPacked { len, words, nulls }
+        }
+        5 => {
+            let values = r.list(8, shared)?;
+            let nulls = read_nulls(r, values.len())?;
+            EncodedColumn::StrPlain { values, nulls }
+        }
+        6 => {
+            let dict = r.list(8, shared)?;
+            let codes = r.list(4, |r| match r.u32()? {
+                code if (code as usize) < dict.len() => Ok(code),
+                code => Err(CodecError::new(format!(
+                    "dictionary code {code} out of range ({} entries)",
+                    dict.len()
+                ))),
+            })?;
+            let nulls = read_nulls(r, codes.len())?;
+            EncodedColumn::StrDict { dict, codes, nulls }
+        }
+        7 => {
+            let len = logical_len(r)?;
+            let runs = r.list(8 + 4, |r| Ok((shared(r)?, r.u32()?)))?;
+            check_runs(runs.iter().map(|(_, run)| *run), len)?;
+            let nulls = read_nulls(r, len)?;
+            EncodedColumn::StrRle { runs, len, nulls }
+        }
+        8 => EncodedColumn::AllNull {
+            len: logical_len(r)?,
+        },
+        other => return Err(CodecError::new(format!("unknown column tag {other}"))),
+    };
+    Ok(col)
+}
+
+/// A validity mask for a column of `rows` rows: its bit count must be
+/// `rows`, and its bytes must be present before anything is allocated.
+fn read_nulls(r: &mut SpillReader, rows: usize) -> codec::Result<NullMask> {
+    r.opt(|r| {
+        let bits = r.u64()?;
+        if bits != rows as u64 {
+            return Err(CodecError::new(format!(
+                "null mask covers {bits} rows, column has {rows}"
+            )));
+        }
+        let bytes = r.take(rows.div_ceil(8))?;
+        Ok((0..rows)
+            .map(|i| bytes[i / 8] >> (i % 8) & 1 == 1)
+            .collect())
+    })
+}
+
+/// Run lengths must add up to the column's length.
+fn check_runs(runs: impl Iterator<Item = u32>, len: usize) -> codec::Result<()> {
+    let covered: u64 = runs.map(u64::from).sum();
+    if covered != len as u64 {
+        return Err(CodecError::new(format!(
+            "runs cover {covered} rows, column has {len}"
         )));
     }
+    Ok(())
+}
 
-    Ok((
-        ColumnarPartition::from_parts(schema, num_rows, columns, stats),
-        header.table_version,
-    ))
+/// `len` values of `bits` bits each must fit in `words` 64-bit words.
+fn check_packed(bits: u8, len: usize, words: usize) -> codec::Result<()> {
+    if bits > 64 || len as u128 * u128::from(bits) > words as u128 * 64 {
+        return Err(CodecError::new(format!(
+            "{len} values of {bits} bits do not fit in {words} words"
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoding::EncodingChoice;
-    use shark_common::{row, Row};
+    use shark_common::{row, DataType, Row, Value};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -858,5 +625,66 @@ mod tests {
         frame[8..12].copy_from_slice(&1u32.to_le_bytes());
         let err = decode_partition(&frame).unwrap_err().to_string();
         assert!(err.contains("unsupported version"), "{err}");
+    }
+
+    /// A frame around `payload` with a valid header and checksum.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        let mut w = SpillWriter::new(&mut frame);
+        w.magic(&SPILL_MAGIC, SPILL_VERSION);
+        w.u64(1);
+        w.u64(payload.len() as u64);
+        w.u64(frame_checksum(1, payload));
+        w.bytes(payload);
+        frame
+    }
+
+    #[test]
+    fn a_huge_field_count_is_an_error_not_an_allocation() {
+        let frame = framed(&u32::MAX.to_le_bytes());
+        assert_eq!(frame.len(), 40);
+        let err = decode_partition(&frame).unwrap_err().to_string();
+        assert!(err.contains("implausible element count"), "{err}");
+    }
+
+    #[test]
+    fn logical_lengths_must_match_the_structure_they_describe() {
+        // One Int column of 4 rows as a single run of 4.
+        let payload = |len: u64, run: u32, mask_bits: u64| {
+            let mut p = Vec::new();
+            let mut w = SpillWriter::new(&mut p);
+            w.u32(1);
+            w.str("c");
+            w.data_type(&DISK_TYPE_TAGS, DataType::Int);
+            w.u64(4);
+            w.u32(1);
+            w.u8(1);
+            w.u64(len);
+            w.list(&[(7i64, run)], |w, &(v, run)| {
+                w.i64(v);
+                w.u32(run);
+            });
+            w.u8(1);
+            w.u64(mask_bits);
+            w.u8(0b1111);
+            w.u64(4);
+            w.u32(1);
+            for _ in 0..3 {
+                w.u8(0);
+            }
+            w.u64(0);
+            w.u64(4);
+            p
+        };
+        let (part, _) = decode_partition(&framed(&payload(4, 4, 4))).unwrap();
+        assert_eq!(part.num_rows(), 4);
+        for (bad, what) in [
+            (payload(4, 5, 4), "runs cover"),
+            (payload(5, 5, 4), "null mask covers"),
+            (payload(5, 5, 5), "disagrees with partition rows"),
+        ] {
+            let err = decode_partition(&framed(&bad)).unwrap_err().to_string();
+            assert!(err.contains(what), "{err}");
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! the fast non-cryptographic hash used by partitioners, and the lossy
 //! statistics sketches (log-encoded sizes, heavy hitters, approximate
 //! histograms) that Partial DAG Execution collects at shuffle boundaries.
+//! [`codec`] holds the byte-level primitives and tag tables shared by every
+//! on-disk and wire format.
 
+pub mod codec;
 pub mod error;
 pub mod hash;
 pub mod row;

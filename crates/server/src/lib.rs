@@ -12,9 +12,11 @@
 //!   bounding in-flight queries and queue depth, rejecting work beyond it.
 //! * **Memory-budgeted memstore** ([`MemstoreManager`]) — per-table byte
 //!   accounting over the shared columnar memstore and the RDD cache, with
-//!   LRU eviction of whole cached tables under pressure. Eviction drops
-//!   only the in-memory copy: per Shark §2.2 the data is recomputed from
-//!   lineage (the table's base generator) by the next scan that needs it.
+//!   partition-granular LRU eviction under pressure (a table goes wholesale
+//!   only once every partition is cold). Eviction drops only the in-memory
+//!   copy: the partition is demoted to the spill tier when one is
+//!   configured, and otherwise, per Shark §2.2, recomputed from lineage
+//!   (the table's base generator) by the next scan that needs it.
 //! * **Metrics** ([`MetricsRegistry`]) — per-query queue wait, execution
 //!   time, cache-hit bytes, recomputes and evictions, aggregated per
 //!   session and server-wide into a [`ServerReport`].
@@ -22,16 +24,21 @@
 //!   protocol ([`net::frame`], spec in `docs/wire-protocol.md`) and a
 //!   thread-per-connection frontend ([`NetServer`]) that multiplexes
 //!   client connections onto sessions: streamed results are client-paced
-//!   through the cursor's prefetch grant, idle connections are reaped on
-//!   a deadline wheel, and tenants get [`RateClass`]es layered on the
-//!   per-session quotas. Repeated statements skip parse + plan through
-//!   the shared [`shark_sql::PlanCache`].
+//!   through the cursor's prefetch grant, an idle connection is closed
+//!   when its between-requests read hits the socket's receive timeout,
+//!   and tenants get [`RateClass`]es layered on the per-session quotas.
+//!   Repeated statements skip parse + plan through the shared
+//!   [`shark_sql::PlanCache`].
 //! * **Durability** ([`wal`]) — when the spill tier is configured, catalog
 //!   DDL and spill movements are journaled to a write-ahead log and folded
 //!   into periodic snapshot + manifest checkpoints;
 //!   [`SharkServer::restore`] replays them and re-adopts the spill frames
 //!   still on disk, so a restart comes back at the same catalog epoch with
 //!   demoted partitions servable at I/O cost instead of recomputed.
+//!
+//! Every byte these layers write — spill frames, WAL records, snapshot and
+//! manifest files, wire frames — goes through one codec,
+//! [`shark_common::codec`]; the formats here keep only their own layouts.
 
 pub mod admission;
 pub mod memstore;

@@ -10,7 +10,9 @@
 //! at [`MAX_FRAME_BYTES`]; `checksum` is FNV-1a 64 over the payload, so a
 //! torn or bit-flipped frame is detected before its payload is
 //! interpreted. Payload scalars are little-endian; strings are
-//! `u32 length + UTF-8 bytes`. The normative spec lives in
+//! `u32 length + UTF-8 bytes`. The primitives, value tags and column-type
+//! codes come from [`shark_common::codec`]; this module owns only the frame
+//! types and the envelope. The normative spec lives in
 //! `docs/wire-protocol.md` — keep the two in sync.
 //!
 //! The codec is deliberately symmetric (the `shark-client` crate and the
@@ -21,9 +23,13 @@
 //! protocol error and closing the connection.
 
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::Arc;
 
-use shark_common::{DataType, Row, Schema, Value};
+use shark_common::codec::{CodecError, Reader, Writer, WIRE_TYPE_CODES};
+use shark_common::{Field, Row, Schema};
+
+/// Wire payloads prefix strings and element counts with a `u32`.
+type PayloadWriter<'a> = Writer<'a, u32>;
+type PayloadReader<'a> = Reader<'a, u32>;
 
 /// Magic bytes opening every [`Frame::Hello`] payload.
 pub const MAGIC: &[u8; 8] = b"SHRKNET1";
@@ -67,6 +73,12 @@ impl std::fmt::Display for FrameError {
 impl From<io::Error> for FrameError {
     fn from(e: io::Error) -> FrameError {
         FrameError::Io(e)
+    }
+}
+
+impl From<CodecError> for FrameError {
+    fn from(e: CodecError) -> FrameError {
+        FrameError::Protocol(e.0)
     }
 }
 
@@ -177,44 +189,35 @@ impl Frame {
 
     /// Append the encoded payload to `buf`.
     fn encode_payload_into(&self, buf: &mut Vec<u8>) {
+        let mut w = PayloadWriter::new(buf);
         match self {
             Frame::Hello { token, tenant } => {
-                buf.extend_from_slice(MAGIC);
-                put_u32(buf, PROTOCOL_VERSION);
-                put_str(buf, token);
-                put_str(buf, tenant);
+                w.magic(MAGIC, PROTOCOL_VERSION);
+                w.str(token);
+                w.str(tenant);
             }
             Frame::HelloOk {
                 session_id,
                 version,
             } => {
-                put_u64(buf, *session_id);
-                put_u32(buf, *version);
+                w.u64(*session_id);
+                w.u32(*version);
             }
-            Frame::Query { sql } | Frame::Prepare { sql } => put_str(buf, sql),
+            Frame::Query { sql } | Frame::Prepare { sql } => w.str(sql),
             Frame::Prepared {
                 statement_id,
                 fingerprint,
             } => {
-                put_u64(buf, *statement_id);
-                put_u64(buf, *fingerprint);
+                w.u64(*statement_id);
+                w.u64(*fingerprint);
             }
-            Frame::Execute { statement_id } => put_u64(buf, *statement_id),
-            Frame::ResultSchema { schema } => {
-                put_u32(buf, schema.len() as u32);
-                for field in schema.fields() {
-                    put_str(buf, &field.name);
-                    buf.push(type_code(field.data_type));
-                }
-            }
+            Frame::Execute { statement_id } => w.u64(*statement_id),
+            Frame::ResultSchema { schema } => w.list(schema.fields(), |w, field| {
+                w.str(&field.name);
+                w.data_type(&WIRE_TYPE_CODES, field.data_type);
+            }),
             Frame::ResultBatch { rows } => {
-                put_u32(buf, rows.len() as u32);
-                for row in rows {
-                    put_u32(buf, row.len() as u32);
-                    for value in row.values() {
-                        put_value(buf, value);
-                    }
-                }
+                w.list(rows, |w, row| w.list(row.values(), PayloadWriter::value))
             }
             Frame::QueryDone {
                 rows,
@@ -223,47 +226,43 @@ impl Frame {
                 sim_seconds,
                 cancelled,
             } => {
-                put_u64(buf, *rows);
-                put_u64(buf, *partitions);
-                buf.push(u8::from(*plan_cache_hit));
-                put_u64(buf, sim_seconds.to_bits());
-                buf.push(u8::from(*cancelled));
+                w.u64(*rows);
+                w.u64(*partitions);
+                w.bool(*plan_cache_hit);
+                w.f64(*sim_seconds);
+                w.bool(*cancelled);
             }
             Frame::Error { kind, message } => {
-                put_str(buf, kind);
-                put_str(buf, message);
+                w.str(kind);
+                w.str(message);
             }
             Frame::Cancel | Frame::Close => {}
         }
     }
 
     /// Decode a payload for `frame_type`. Strict: every byte must be
-    /// consumed, every length must be in bounds.
+    /// consumed, every count must fit in the bytes left.
     pub fn decode_payload(frame_type: u8, payload: &[u8]) -> Result<Frame, FrameError> {
-        let mut r = Reader::new(payload);
+        let mut r = PayloadReader::new(payload);
+        let string = |r: &mut PayloadReader| r.str().map(str::to_owned);
         let frame = match frame_type {
             1 => {
-                let magic = r.bytes(MAGIC.len())?;
-                if magic != MAGIC {
-                    return Err(FrameError::Protocol("bad Hello magic".into()));
-                }
-                let version = r.u32()?;
-                if version != PROTOCOL_VERSION {
-                    return Err(FrameError::Protocol(format!(
-                        "unsupported protocol version {version} (expected {PROTOCOL_VERSION})"
-                    )));
-                }
+                r.magic(MAGIC, PROTOCOL_VERSION)?;
                 Frame::Hello {
-                    token: r.string()?,
-                    tenant: r.string()?,
+                    token: string(&mut r)?,
+                    tenant: string(&mut r)?,
                 }
             }
             2 => Frame::HelloOk {
                 session_id: r.u64()?,
                 version: r.u32()?,
             },
-            3 => Frame::Query { sql: r.string()? },
-            4 => Frame::Prepare { sql: r.string()? },
+            3 => Frame::Query {
+                sql: string(&mut r)?,
+            },
+            4 => Frame::Prepare {
+                sql: string(&mut r)?,
+            },
             5 => Frame::Prepared {
                 statement_id: r.u64()?,
                 fingerprint: r.u64()?,
@@ -271,41 +270,26 @@ impl Frame {
             6 => Frame::Execute {
                 statement_id: r.u64()?,
             },
-            7 => {
-                let columns = r.u32()? as usize;
-                let mut fields = Vec::new();
-                for _ in 0..columns {
-                    let name = r.string()?;
-                    let data_type = data_type(r.u8()?)?;
-                    fields.push(shark_common::Field::new(name, data_type));
-                }
-                Frame::ResultSchema {
-                    schema: Schema::new(fields),
-                }
-            }
-            8 => {
-                let count = r.u32()? as usize;
-                let mut rows = Vec::new();
-                for _ in 0..count {
-                    let width = r.u32()? as usize;
-                    let mut values = Vec::with_capacity(width.min(4096));
-                    for _ in 0..width {
-                        values.push(r.value()?);
-                    }
-                    rows.push(Row::new(values));
-                }
-                Frame::ResultBatch { rows }
-            }
+            // A column is at least a name prefix and a type code; a row at
+            // least its width; a value at least its tag.
+            7 => Frame::ResultSchema {
+                schema: Schema::new(r.list(4 + 1, |r| {
+                    Ok(Field::new(r.str()?, r.data_type(&WIRE_TYPE_CODES)?))
+                })?),
+            },
+            8 => Frame::ResultBatch {
+                rows: r.list(4, |r| Ok(Row::new(r.list(1, PayloadReader::value)?)))?,
+            },
             9 => Frame::QueryDone {
                 rows: r.u64()?,
                 partitions: r.u64()?,
-                plan_cache_hit: r.u8()? != 0,
-                sim_seconds: f64::from_bits(r.u64()?),
-                cancelled: r.u8()? != 0,
+                plan_cache_hit: r.bool()?,
+                sim_seconds: r.f64()?,
+                cancelled: r.bool()?,
             },
             10 => Frame::Error {
-                kind: r.string()?,
-                message: r.string()?,
+                kind: string(&mut r)?,
+                message: string(&mut r)?,
             },
             11 => Frame::Cancel,
             12 => Frame::Close,
@@ -313,12 +297,8 @@ impl Frame {
                 return Err(FrameError::Protocol(format!("unknown frame type {other}")));
             }
         };
-        if !r.is_empty() {
-            return Err(FrameError::Protocol(format!(
-                "{} trailing payload bytes after frame type {frame_type}",
-                r.remaining()
-            )));
-        }
+        r.finish()
+            .map_err(|e| FrameError::Protocol(format!("{e} after frame type {frame_type}")))?;
         Ok(frame)
     }
 }
@@ -427,135 +407,10 @@ pub fn read_body(r: &mut impl Read, header: FrameHeader) -> Result<(Frame, u64),
     Ok((frame, (HEADER_BYTES + payload.len()) as u64))
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(buf: &mut Vec<u8>, value: &Value) {
-    match value {
-        Value::Null => buf.push(0),
-        Value::Int(v) => {
-            buf.push(1);
-            put_u64(buf, *v as u64);
-        }
-        Value::Float(v) => {
-            buf.push(2);
-            put_u64(buf, v.to_bits());
-        }
-        Value::Str(s) => {
-            buf.push(3);
-            put_str(buf, s);
-        }
-        Value::Bool(v) => {
-            buf.push(4);
-            buf.push(u8::from(*v));
-        }
-        Value::Date(v) => {
-            buf.push(5);
-            put_u32(buf, *v as u32);
-        }
-    }
-}
-
-fn type_code(t: DataType) -> u8 {
-    match t {
-        DataType::Null => 0,
-        DataType::Int => 1,
-        DataType::Float => 2,
-        DataType::Str => 3,
-        DataType::Bool => 4,
-        DataType::Date => 5,
-    }
-}
-
-fn data_type(code: u8) -> Result<DataType, FrameError> {
-    Ok(match code {
-        0 => DataType::Null,
-        1 => DataType::Int,
-        2 => DataType::Float,
-        3 => DataType::Str,
-        4 => DataType::Bool,
-        5 => DataType::Date,
-        other => {
-            return Err(FrameError::Protocol(format!("unknown type code {other}")));
-        }
-    })
-}
-
-/// Bounds-checked payload reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, at: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.at == self.buf.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        if self.remaining() < n {
-            return Err(FrameError::Protocol("truncated payload".into()));
-        }
-        let out = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        let len = self.u32()? as usize;
-        let bytes = self.bytes(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| FrameError::Protocol("string payload is not UTF-8".into()))
-    }
-
-    fn value(&mut self) -> Result<Value, FrameError> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(self.u64()? as i64),
-            2 => Value::Float(f64::from_bits(self.u64()?)),
-            3 => Value::Str(Arc::from(self.string()?.as_str())),
-            4 => Value::Bool(self.u8()? != 0),
-            5 => Value::Date(self.u32()? as i32),
-            other => {
-                return Err(FrameError::Protocol(format!("unknown value tag {other}")));
-            }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shark_common::{DataType, Value};
 
     fn round_trip(frame: Frame) {
         let mut buf = Vec::new();

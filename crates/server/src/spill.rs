@@ -734,7 +734,7 @@ impl SpillSource for SpillManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shark_common::{row, DataType, Row, Schema};
+    use shark_common::{row, DataType, Row, Schema, Value};
 
     fn test_dir(tag: &str) -> PathBuf {
         let nanos = std::time::SystemTime::now()
@@ -752,37 +752,61 @@ mod tests {
         ColumnarPartition::from_rows(&schema, &rows)
     }
 
+    fn single_column(dt: DataType, value: impl Fn(usize) -> Value) -> ColumnarPartition {
+        let schema = Schema::from_pairs(&[("c", dt)]);
+        let rows: Vec<Row> = (0..10_000).map(|i| Row::new(vec![value(i)])).collect();
+        ColumnarPartition::from_rows(&schema, &rows)
+    }
+
     #[test]
     fn store_then_fetch_moves_the_partition() {
         let dir = test_dir("roundtrip");
         let mgr = SpillManager::create(&dir, u64::MAX).unwrap();
-        let p = partition(64);
-        let outcome = mgr.store("t", 3, &p, 1).unwrap();
-        assert!(outcome.spill_bytes > 0);
-        assert!(outcome.displaced.is_empty());
-        assert!(mgr.is_spilled("t", 3));
-        assert_eq!(mgr.disk_bytes(), outcome.spill_bytes);
+        // A mixed partition, then four whose frames are smaller in bytes
+        // than their row count (bit-packed, one run, bools, two runs).
+        let inputs = [
+            partition(64),
+            single_column(DataType::Int, |i| Value::Int((i % 100) as i64)),
+            single_column(DataType::Int, |_| Value::Int(42)),
+            single_column(DataType::Bool, |i| Value::Bool(i % 3 == 0)),
+            single_column(DataType::Str, |i| {
+                Value::str(if i < 5_000 { "alpha" } else { "beta" })
+            }),
+        ];
+        for (n, p) in inputs.iter().enumerate() {
+            let part = n + 3;
+            let outcome = mgr.store("t", part, p, 1).unwrap();
+            assert!(outcome.spill_bytes > 0);
+            assert!(outcome.displaced.is_empty());
+            assert!(mgr.is_spilled("t", part));
+            assert_eq!(mgr.disk_bytes(), outcome.spill_bytes);
 
-        let (fetched, io_bytes) = mgr.fetch("t", 3, 1).unwrap();
-        assert_eq!(io_bytes, outcome.spill_bytes);
-        assert_eq!(fetched.to_rows(), p.to_rows());
-        // fetch is a move: nothing left on the tier.
-        assert!(!mgr.is_spilled("t", 3));
-        assert_eq!(mgr.disk_bytes(), 0);
-        assert!(mgr.fetch("t", 3, 1).is_none());
-        assert_eq!(mgr.drain_promotions().len(), 1);
-        // Both movements were journaled for the WAL.
-        let events = mgr.drain_wal_events();
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            &events[0],
-            SpillEvent::Demoted { table, partition: 3, table_version: 1, .. } if table == "t"
-        ));
-        assert!(matches!(
-            &events[1],
-            SpillEvent::Promoted { table, partition: 3, table_version: 1 } if table == "t"
-        ));
-        assert!(mgr.drain_wal_events().is_empty());
+            let (fetched, io_bytes) = mgr.fetch("t", part, 1).unwrap();
+            assert_eq!(io_bytes, outcome.spill_bytes);
+            assert_eq!(*fetched, *p);
+            assert_eq!(fetched.to_rows(), p.to_rows());
+            // fetch is a move: nothing left on the tier.
+            assert!(!mgr.is_spilled("t", part));
+            assert_eq!(mgr.disk_bytes(), 0);
+            assert!(mgr.fetch("t", part, 1).is_none());
+            assert_eq!(mgr.drain_promotions().len(), 1);
+            // Both movements were journaled for the WAL.
+            let events = mgr.drain_wal_events();
+            assert_eq!(events.len(), 2);
+            assert!(matches!(
+                &events[0],
+                SpillEvent::Demoted { table, partition, table_version: 1, .. }
+                    if table == "t" && *partition == part
+            ));
+            assert!(matches!(
+                &events[1],
+                SpillEvent::Promoted { table, partition, table_version: 1 }
+                    if table == "t" && *partition == part
+            ));
+            assert!(mgr.drain_wal_events().is_empty());
+        }
+        assert_eq!(mgr.promoted_partitions(), inputs.len() as u64);
+        assert_eq!(mgr.poisoned_files(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

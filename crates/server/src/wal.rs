@@ -47,6 +47,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
+use shark_common::codec::{self, CodecError, Reader, Writer, DISK_TYPE_TAGS};
 use shark_common::hash::fnv1a;
 use shark_common::{DataType, Field, Result, Schema, SharkError};
 use shark_sql::{DdlRecord, RowGenerator, TableMeta};
@@ -73,15 +74,19 @@ pub const MANIFEST_FILE: &str = "spill.manifest";
 
 /// Size of the WAL file header (magic + format version).
 const WAL_HEADER_BYTES: usize = 8 + 4;
-/// Per-record framing overhead: length (u32) + checksum (u64).
-const RECORD_FRAME_BYTES: usize = 4 + 8;
+/// Snapshot/manifest header: magic + version + length (u64) + checksum.
+const ENVELOPE_HEADER_BYTES: usize = 8 + 4 + 8 + 8;
+
+/// Every durability file prefixes strings and element counts with a `u32`.
+type BodyWriter<'a> = Writer<'a, u32>;
+type BodyReader<'a> = Reader<'a, u32>;
 
 fn io_err(what: &str, path: &Path, e: std::io::Error) -> SharkError {
     SharkError::Execution(format!("{what} {}: {e}", path.display()))
 }
 
-fn format_err(what: &str, detail: impl Into<String>) -> SharkError {
-    SharkError::Execution(format!("{what}: {}", detail.into()))
+fn format_err(what: &str, detail: impl std::fmt::Display) -> SharkError {
+    SharkError::Execution(format!("{what}: {detail}"))
 }
 
 /// Cached unified-registry handles for WAL-write metrics.
@@ -322,211 +327,38 @@ impl WalRecord {
 }
 
 // ---------------------------------------------------------------------------
-// Body codec (shared by records, snapshot and manifest payloads)
+// Record bodies (a `TableRecord` is shared with the snapshot)
 // ---------------------------------------------------------------------------
 
-struct Writer {
-    buf: Vec<u8>,
+/// A `TableRecord` is at least its two prefixes, two `u64`s and four flags.
+const TABLE_MIN_BYTES: usize = 4 + 4 + 8 + 8 + 4;
+
+fn put_table(w: &mut BodyWriter, t: &TableRecord) {
+    w.str(&t.name);
+    w.list(&t.fields, |w, (name, dt)| {
+        w.str(name);
+        w.data_type(&DISK_TYPE_TAGS, *dt);
+    });
+    w.u64(t.num_partitions);
+    w.u64(t.version);
+    w.bool(t.cached);
+    w.opt(t.distribute_by, BodyWriter::u64);
+    w.opt(t.copartitioned_with.as_deref(), BodyWriter::str);
+    w.opt(t.row_count_hint, BodyWriter::u64);
 }
 
-impl Writer {
-    fn new() -> Writer {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.u8(0),
-            Some(v) => {
-                self.u8(1);
-                self.u64(v);
-            }
-        }
-    }
-
-    fn opt_str(&mut self, v: Option<&str>) {
-        match v {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
-            }
-        }
-    }
-
-    fn table(&mut self, t: &TableRecord) {
-        self.str(&t.name);
-        self.u32(t.fields.len() as u32);
-        for (name, dt) in &t.fields {
-            self.str(name);
-            self.u8(type_tag(*dt));
-        }
-        self.u64(t.num_partitions);
-        self.u64(t.version);
-        self.u8(t.cached as u8);
-        self.opt_u64(t.distribute_by);
-        self.opt_str(t.copartitioned_with.as_deref());
-        self.opt_u64(t.row_count_hint);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
-            return Err(format_err(
-                "wal record",
-                format!(
-                    "truncated body (wanted {n} bytes at offset {}, {} available)",
-                    self.pos,
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Bounded element count: anything beyond the body size itself signals
-    /// corruption, not data.
-    fn len(&mut self) -> Result<usize> {
-        let n = self.u32()?;
-        if n as usize > self.buf.len() {
-            return Err(format_err(
-                "wal record",
-                format!("implausible element count {n}"),
-            ));
-        }
-        Ok(n as usize)
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let n = self.len()?;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|_| format_err("wal record", "invalid UTF-8 in string"))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            other => Err(format_err(
-                "wal record",
-                format!("bad option marker {other}"),
-            )),
-        }
-    }
-
-    fn opt_str(&mut self) -> Result<Option<String>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
-            other => Err(format_err(
-                "wal record",
-                format!("bad option marker {other}"),
-            )),
-        }
-    }
-
-    fn table(&mut self) -> Result<TableRecord> {
-        let name = self.str()?;
-        let num_fields = self.len()?;
-        let mut fields = Vec::with_capacity(num_fields);
-        for _ in 0..num_fields {
-            let field = self.str()?;
-            let dt = tag_type(self.u8()?)?;
-            fields.push((field, dt));
-        }
-        Ok(TableRecord {
-            name,
-            fields,
-            num_partitions: self.u64()?,
-            version: self.u64()?,
-            cached: self.u8()? != 0,
-            distribute_by: self.opt_u64()?,
-            copartitioned_with: self.opt_str()?,
-            row_count_hint: self.opt_u64()?,
-        })
-    }
-
-    fn finish(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(format_err(
-                "wal record",
-                format!("{} trailing bytes", self.buf.len() - self.pos),
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Data-type tags, identical to the spill-frame codec's so the two specs
-/// share one table.
-fn type_tag(dt: DataType) -> u8 {
-    match dt {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-        DataType::Date => 4,
-        DataType::Null => 5,
-    }
-}
-
-fn tag_type(tag: u8) -> Result<DataType> {
-    Ok(match tag {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Str,
-        3 => DataType::Bool,
-        4 => DataType::Date,
-        5 => DataType::Null,
-        other => {
-            return Err(format_err(
-                "wal record",
-                format!("unknown type tag {other}"),
-            ))
-        }
+fn read_table(r: &mut BodyReader) -> codec::Result<TableRecord> {
+    Ok(TableRecord {
+        name: r.str()?.to_owned(),
+        fields: r.list(4 + 1, |r| {
+            Ok((r.str()?.to_owned(), r.data_type(&DISK_TYPE_TAGS)?))
+        })?,
+        num_partitions: r.u64()?,
+        version: r.u64()?,
+        cached: r.bool()?,
+        distribute_by: r.opt(BodyReader::u64)?,
+        copartitioned_with: r.opt(|r| r.str().map(str::to_owned))?,
+        row_count_hint: r.opt(BodyReader::u64)?,
     })
 }
 
@@ -535,13 +367,12 @@ const KIND_DROPPED: u8 = 2;
 const KIND_DEMOTED: u8 = 3;
 const KIND_PROMOTED: u8 = 4;
 
-fn encode_record(record: &WalRecord) -> Vec<u8> {
-    let mut w = Writer::new();
+fn put_record(w: &mut BodyWriter, record: &WalRecord) {
     match record {
         WalRecord::Created { epoch, table } => {
             w.u8(KIND_CREATED);
             w.u64(*epoch);
-            w.table(table);
+            put_table(w, table);
         }
         WalRecord::Dropped { epoch, name } => {
             w.u8(KIND_DROPPED);
@@ -577,23 +408,22 @@ fn encode_record(record: &WalRecord) -> Vec<u8> {
             w.u64(*partition);
         }
     }
-    w.buf
 }
 
-fn decode_record(body: &[u8]) -> Result<WalRecord> {
-    let mut r = Reader::new(body);
+fn decode_record(body: &[u8]) -> codec::Result<WalRecord> {
+    let mut r = BodyReader::new(body);
     let record = match r.u8()? {
         KIND_CREATED => WalRecord::Created {
             epoch: r.u64()?,
-            table: r.table()?,
+            table: read_table(&mut r)?,
         },
         KIND_DROPPED => WalRecord::Dropped {
             epoch: r.u64()?,
-            name: r.str()?,
+            name: r.str()?.to_owned(),
         },
         KIND_DEMOTED => WalRecord::Demoted {
             epoch: r.u64()?,
-            table: r.str()?,
+            table: r.str()?.to_owned(),
             table_version: r.u64()?,
             partition: r.u64()?,
             bytes: r.u64()?,
@@ -601,19 +431,25 @@ fn decode_record(body: &[u8]) -> Result<WalRecord> {
         },
         KIND_PROMOTED => WalRecord::Promoted {
             epoch: r.u64()?,
-            table: r.str()?,
+            table: r.str()?.to_owned(),
             table_version: r.u64()?,
             partition: r.u64()?,
         },
-        other => {
-            return Err(format_err(
-                "wal record",
-                format!("unknown record kind {other}"),
-            ))
-        }
+        other => return Err(CodecError::new(format!("unknown record kind {other}"))),
     };
     r.finish()?;
     Ok(record)
+}
+
+/// The next framed record: `u32` body length, FNV-1a 64 of the body, body.
+fn next_record(r: &mut BodyReader) -> codec::Result<WalRecord> {
+    let len = r.u32()? as usize;
+    let checksum = r.u64()?;
+    let body = r.take(len)?;
+    if fnv1a(body) != checksum {
+        return Err(CodecError::new("checksum mismatch"));
+    }
+    decode_record(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -636,8 +472,7 @@ impl WalWriter {
         let path = path.into();
         let mut file = fs::File::create(&path).map_err(|e| io_err("wal create", &path, e))?;
         let mut header = Vec::with_capacity(WAL_HEADER_BYTES);
-        header.extend_from_slice(&WAL_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        BodyWriter::new(&mut header).magic(&WAL_MAGIC, WAL_VERSION);
         file.write_all(&header)
             .and_then(|_| file.sync_data())
             .map_err(|e| io_err("wal header", &path, e))?;
@@ -684,11 +519,14 @@ impl WalWriter {
             return Ok(());
         }
         let mut buf = Vec::new();
+        let mut body = Vec::new();
         for record in records {
-            let body = encode_record(record);
-            buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&fnv1a(&body).to_le_bytes());
-            buf.extend_from_slice(&body);
+            body.clear();
+            put_record(&mut BodyWriter::new(&mut body), record);
+            let mut w = BodyWriter::new(&mut buf);
+            w.u32(body.len() as u32);
+            w.u64(fnv1a(&body));
+            w.bytes(&body);
         }
         self.file
             .write_all(&buf)
@@ -764,9 +602,9 @@ pub fn replay_wal(path: &Path) -> WalReplay {
             }
         }
     };
-    if bytes.len() < WAL_HEADER_BYTES
-        || bytes[..8] != WAL_MAGIC
-        || u32::from_le_bytes(bytes[8..12].try_into().unwrap()) != WAL_VERSION
+    if BodyReader::new(&bytes)
+        .magic(&WAL_MAGIC, WAL_VERSION)
+        .is_err()
     {
         wal_metrics().torn_tail_bytes.add(bytes.len() as u64);
         return WalReplay {
@@ -777,33 +615,15 @@ pub fn replay_wal(path: &Path) -> WalReplay {
     }
     let mut records = Vec::new();
     let mut pos = WAL_HEADER_BYTES;
-    let mut torn = false;
     while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < RECORD_FRAME_BYTES {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let checksum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        if len > remaining - RECORD_FRAME_BYTES {
-            torn = true;
-            break;
-        }
-        let body = &bytes[pos + RECORD_FRAME_BYTES..pos + RECORD_FRAME_BYTES + len];
-        if fnv1a(body) != checksum {
-            torn = true;
-            break;
-        }
-        match decode_record(body) {
+        let mut r = BodyReader::new(&bytes[pos..]);
+        match next_record(&mut r) {
             Ok(record) => records.push(record),
-            Err(_) => {
-                torn = true;
-                break;
-            }
+            Err(_) => break,
         }
-        pos += RECORD_FRAME_BYTES + len;
+        pos += r.position();
     }
+    let torn = pos < bytes.len();
     if torn {
         wal_metrics()
             .torn_tail_bytes
@@ -857,12 +677,12 @@ pub struct SpillManifest {
 /// Write a length-prefixed, checksummed envelope atomically: temp file in
 /// the same directory, fsync, rename into place.
 fn write_envelope(path: &Path, magic: &[u8; 8], version: u32, payload: &[u8]) -> Result<()> {
-    let mut bytes = Vec::with_capacity(28 + payload.len());
-    bytes.extend_from_slice(magic);
-    bytes.extend_from_slice(&version.to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
-    bytes.extend_from_slice(payload);
+    let mut bytes = Vec::with_capacity(ENVELOPE_HEADER_BYTES + payload.len());
+    let mut w = BodyWriter::new(&mut bytes);
+    w.magic(magic, version);
+    w.u64(payload.len() as u64);
+    w.u64(fnv1a(payload));
+    w.bytes(payload);
     let tmp = path.with_extension("tmp-write");
     let mut file = fs::File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
     file.write_all(&bytes)
@@ -872,102 +692,106 @@ fn write_envelope(path: &Path, magic: &[u8; 8], version: u32, payload: &[u8]) ->
     fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))
 }
 
-/// Read and validate an envelope written by [`write_envelope`].
-fn read_envelope(path: &Path, magic: &[u8; 8], version: u32, what: &str) -> Result<Vec<u8>> {
+/// Read an envelope written by [`write_envelope`] and decode its validated
+/// payload with `body`, which must consume every byte.
+fn read_envelope<T>(
+    path: &Path,
+    magic: &[u8; 8],
+    version: u32,
+    what: &str,
+    body: impl FnOnce(&mut BodyReader) -> codec::Result<T>,
+) -> Result<T> {
     let bytes = fs::read(path).map_err(|e| io_err(what, path, e))?;
-    if bytes.len() < 28 {
-        return Err(format_err(what, "file shorter than header"));
-    }
-    if bytes[..8] != *magic {
-        return Err(format_err(what, "bad magic"));
-    }
-    let file_version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if file_version != version {
-        return Err(format_err(
-            what,
-            format!("unsupported version {file_version} (expected {version})"),
-        ));
-    }
-    let length = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
-    let payload = &bytes[28..];
-    if payload.len() as u64 != length {
-        return Err(format_err(
-            what,
-            format!(
+    let decode = || {
+        let mut r = BodyReader::new(&bytes);
+        r.magic(magic, version)?;
+        let length = r.u64()?;
+        let checksum = r.u64()?;
+        let payload = r.take(r.remaining())?;
+        if payload.len() as u64 != length {
+            return Err(CodecError::new(format!(
                 "payload length mismatch (header says {length}, file has {})",
                 payload.len()
-            ),
-        ));
-    }
-    if fnv1a(payload) != checksum {
-        return Err(format_err(what, "checksum mismatch"));
-    }
-    Ok(payload.to_vec())
+            )));
+        }
+        if fnv1a(payload) != checksum {
+            return Err(CodecError::new("checksum mismatch"));
+        }
+        let mut r = BodyReader::new(payload);
+        let value = body(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    };
+    decode().map_err(|e| format_err(what, e))
 }
+
+/// A manifest entry is at least its two prefixes and four `u64`s.
+const MANIFEST_ENTRY_MIN_BYTES: usize = 4 + 4 + 4 * 8;
 
 /// Atomically write a catalog snapshot.
 pub fn write_snapshot(path: &Path, snapshot: &SnapshotFile) -> Result<()> {
-    let mut w = Writer::new();
+    let mut payload = Vec::new();
+    let mut w = BodyWriter::new(&mut payload);
     w.u64(snapshot.epoch);
-    w.u32(snapshot.tables.len() as u32);
-    for table in &snapshot.tables {
-        w.table(table);
-    }
-    write_envelope(path, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &w.buf)
+    w.list(&snapshot.tables, put_table);
+    write_envelope(path, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, &payload)
 }
 
 /// Read and validate a catalog snapshot. Any structural violation is an
 /// error; restore treats it as "no snapshot" and replays the WAL from the
 /// beginning.
 pub fn read_snapshot(path: &Path) -> Result<SnapshotFile> {
-    let payload = read_envelope(path, &SNAPSHOT_MAGIC, SNAPSHOT_VERSION, "catalog snapshot")?;
-    let mut r = Reader::new(&payload);
-    let epoch = r.u64()?;
-    let count = r.len()?;
-    let mut tables = Vec::with_capacity(count);
-    for _ in 0..count {
-        tables.push(r.table()?);
-    }
-    r.finish()?;
-    Ok(SnapshotFile { epoch, tables })
+    read_envelope(
+        path,
+        &SNAPSHOT_MAGIC,
+        SNAPSHOT_VERSION,
+        "catalog snapshot",
+        |r| {
+            Ok(SnapshotFile {
+                epoch: r.u64()?,
+                tables: r.list(TABLE_MIN_BYTES, read_table)?,
+            })
+        },
+    )
 }
 
 /// Atomically write the spill manifest.
 pub fn write_manifest(path: &Path, manifest: &SpillManifest) -> Result<()> {
-    let mut w = Writer::new();
-    w.u32(manifest.entries.len() as u32);
-    for e in &manifest.entries {
+    let mut payload = Vec::new();
+    BodyWriter::new(&mut payload).list(&manifest.entries, |w, e| {
         w.str(&e.table);
         w.u64(e.partition);
         w.u64(e.table_version);
         w.str(&e.file);
         w.u64(e.file_bytes);
         w.u64(e.checksum);
-    }
-    write_envelope(path, &MANIFEST_MAGIC, MANIFEST_VERSION, &w.buf)
+    });
+    write_envelope(path, &MANIFEST_MAGIC, MANIFEST_VERSION, &payload)
 }
 
 /// Read and validate the spill manifest. Any structural violation is an
 /// error; restore treats it as "no manifest" and falls back to the WAL's
 /// demotion records (and, failing those, lineage).
 pub fn read_manifest(path: &Path) -> Result<SpillManifest> {
-    let payload = read_envelope(path, &MANIFEST_MAGIC, MANIFEST_VERSION, "spill manifest")?;
-    let mut r = Reader::new(&payload);
-    let count = r.len()?;
-    let mut entries = Vec::with_capacity(count);
-    for _ in 0..count {
-        entries.push(ManifestEntry {
-            table: r.str()?,
-            partition: r.u64()?,
-            table_version: r.u64()?,
-            file: r.str()?,
-            file_bytes: r.u64()?,
-            checksum: r.u64()?,
-        });
-    }
-    r.finish()?;
-    Ok(SpillManifest { entries })
+    read_envelope(
+        path,
+        &MANIFEST_MAGIC,
+        MANIFEST_VERSION,
+        "spill manifest",
+        |r| {
+            let entries = r.list(MANIFEST_ENTRY_MIN_BYTES, |r| {
+                Ok(ManifestEntry {
+                    table: r.str()?.to_owned(),
+                    partition: r.u64()?,
+                    table_version: r.u64()?,
+                    file: r.str()?.to_owned(),
+                    file_bytes: r.u64()?,
+                    checksum: r.u64()?,
+                })
+            })?;
+            Ok(SpillManifest { entries })
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1115,7 +939,8 @@ mod tests {
         // Flip a byte in the first record's body: everything from that
         // record on is unreachable.
         let mut bytes = fs::read(&path).unwrap();
-        let flip = WAL_HEADER_BYTES + RECORD_FRAME_BYTES + 2;
+        // Past the first record's length (u32) and checksum (u64).
+        let flip = WAL_HEADER_BYTES + 4 + 8 + 2;
         bytes[flip] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         let replay = replay_wal(&path);

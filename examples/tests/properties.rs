@@ -2,11 +2,13 @@
 //! columnar round-trips, partitioner determinism, SQL/RDD aggregation
 //! equivalence, PDE bin-packing coverage, and value-ordering laws.
 //!
-//! Originally written against `proptest`; the offline build vendors only a
-//! small `rand` stand-in, so these are driven by an explicit seeded-case
-//! loop instead. Each property still runs against 64 random cases and every
-//! failure message carries the seed needed to replay it.
+//! Each property runs against 64 seeded cases of the shared harness
+//! (`harness::check`); every failure message carries the seed needed to
+//! replay it.
 
+mod harness;
+
+use harness::check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shark_columnar::ColumnarPartition;
@@ -16,18 +18,6 @@ use shark_rdd::RddContext;
 use shark_sql::coalesce_buckets;
 
 const CASES: u64 = 64;
-
-/// Run `property` against `CASES` independently seeded RNGs.
-fn check(name: &str, property: impl Fn(&mut StdRng)) {
-    for case in 0..CASES {
-        let seed = 0x5AA5_0000 + case;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| property(&mut rng)));
-        if result.is_err() {
-            panic!("property '{name}' failed for seed {seed:#x}");
-        }
-    }
-}
 
 fn arb_string(rng: &mut StdRng, alphabet: &[u8], max_len: usize) -> String {
     let len = rng.gen_range(0..=max_len);
@@ -53,7 +43,7 @@ fn arb_value(rng: &mut StdRng) -> Value {
 
 #[test]
 fn columnar_roundtrip_preserves_rows() {
-    check("columnar_roundtrip", |rng| {
+    check("columnar_roundtrip", CASES, |rng| {
         let n = rng.gen_range(1..200usize);
         let schema = Schema::from_pairs(&[("a", DataType::Int), ("b", DataType::Str)]);
         let rows: Vec<Row> = (0..n)
@@ -72,7 +62,7 @@ fn columnar_roundtrip_preserves_rows() {
 
 #[test]
 fn value_ordering_is_total_and_consistent_with_hashing() {
-    check("value_ordering", |rng| {
+    check("value_ordering", CASES, |rng| {
         use std::cmp::Ordering;
         let a = arb_value(rng);
         let b = arb_value(rng);
@@ -93,7 +83,7 @@ fn value_ordering_is_total_and_consistent_with_hashing() {
 
 #[test]
 fn hash_partitioning_is_deterministic_and_in_range() {
-    check("hash_partitioning", |rng| {
+    check("hash_partitioning", CASES, |rng| {
         let parts = rng.gen_range(1..64usize);
         for _ in 0..rng.gen_range(1..500usize) {
             let k: i64 = rng.gen();
@@ -107,7 +97,7 @@ fn hash_partitioning_is_deterministic_and_in_range() {
 
 #[test]
 fn coalesce_assignment_is_a_partition_of_all_buckets() {
-    check("coalesce_partition", |rng| {
+    check("coalesce_partition", CASES, |rng| {
         let n = rng.gen_range(1..300usize);
         let sizes: Vec<u64> = (0..n).map(|_| rng.gen_range(0u64..100_000)).collect();
         let target = rng.gen_range(1u64..1_000_000);
@@ -123,7 +113,7 @@ fn coalesce_assignment_is_a_partition_of_all_buckets() {
 
 #[test]
 fn rdd_reduce_by_key_matches_sequential_group_sum() {
-    check("reduce_by_key", |rng| {
+    check("reduce_by_key", CASES, |rng| {
         let n = rng.gen_range(1..400usize);
         let values: Vec<(i64, i64)> = (0..n)
             .map(|_| (rng.gen_range(0i64..20), rng.gen_range(-100i64..100)))
