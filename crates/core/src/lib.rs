@@ -30,7 +30,7 @@ pub use context::{SharkConfig, SharkContext};
 // Re-export the pieces users typically need alongside the context.
 pub use shark_cluster::{ClusterConfig, EngineProfile};
 pub use shark_ml::{KMeans, LinearRegression, LogisticRegression};
-pub use shark_rdd::{CacheManager, EvictionStats, Rdd, RddConfig, RddContext};
+pub use shark_rdd::{BlockId, BlockStore, Rdd, RddConfig, RddContext};
 pub use shark_sql::{
     Catalog, ExecConfig, ExecutionMode, LoadReport, MemTable, QueryResult, SqlSession, TableMeta,
     TableRdd,

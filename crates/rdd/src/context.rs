@@ -1,7 +1,7 @@
 //! The driver-side context.
 //!
 //! [`RddContext`] plays the role of Spark's `SparkContext`: it owns the
-//! simulated cluster, the shuffle and cache managers, and the cost model,
+//! simulated cluster, the shuffle manager, the block store and the cost model,
 //! hands out RDD and shuffle identifiers, creates source RDDs, and records a
 //! [`JobReport`] (stage timings, simulated duration) for every job it runs.
 
@@ -12,7 +12,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use shark_cluster::{ClusterConfig, ClusterSim, CostModel, FailurePlan, InputSource, TaskSpec};
 
-use crate::cache::CacheManager;
+use crate::cache::{BlockId, BlockStore};
 use crate::rdd::{Data, GeneratorRdd, Rdd};
 use crate::shuffle::{ShuffleLease, ShuffleManager};
 
@@ -148,7 +148,7 @@ pub(crate) struct ContextState {
     pub(crate) cost: CostModel,
     pub(crate) cluster: Mutex<ClusterSim>,
     pub(crate) shuffle: Arc<ShuffleManager>,
-    pub(crate) cache: CacheManager,
+    pub(crate) cache: Arc<BlockStore>,
     next_rdd_id: AtomicUsize,
     next_shuffle_id: AtomicUsize,
     reports: Mutex<VecDeque<JobReport>>,
@@ -177,7 +177,7 @@ impl RddContext {
                 cost,
                 cluster: Mutex::new(cluster),
                 shuffle: Arc::new(ShuffleManager::new()),
-                cache: CacheManager::new(),
+                cache: Arc::default(),
                 next_rdd_id: AtomicUsize::new(0),
                 next_shuffle_id: AtomicUsize::new(0),
                 reports: Mutex::new(VecDeque::with_capacity(JOB_HISTORY_CAP)),
@@ -208,8 +208,9 @@ impl RddContext {
         &self.state.cost
     }
 
-    /// The cache (memstore) manager.
-    pub fn cache(&self) -> &CacheManager {
+    /// The block store: cached RDD partitions and the memtables of every
+    /// catalog built over this context.
+    pub fn cache(&self) -> &Arc<BlockStore> {
         &self.state.cache
     }
 
@@ -244,9 +245,11 @@ impl RddContext {
         self.state.cluster.lock().reset();
     }
 
-    /// Kill a node *now*: drops its cached partitions and marks it failed
-    /// for the remainder of the simulation.
-    pub fn fail_node(&self, node: usize) -> usize {
+    /// Kill a node *now*: removes every block it held — table and RDD
+    /// partitions, including dropped table versions still pinned — and
+    /// marks it failed for the remainder of the simulation. Returns the
+    /// blocks removed.
+    pub fn fail_node(&self, node: usize) -> Vec<BlockId> {
         {
             let mut cluster = self.state.cluster.lock();
             let now = cluster.now();
@@ -431,14 +434,14 @@ mod tests {
     #[test]
     fn fail_node_drops_cache_and_shrinks_cluster() {
         let ctx = RddContext::local();
-        ctx.cache().put(1, 0, Arc::new(vec![1i64]), 2, 8);
-        ctx.cache().put(1, 1, Arc::new(vec![2i64]), 3, 8);
+        let block = |partition| BlockId::Rdd { rdd: 1, partition };
+        ctx.cache().put(block(0), Arc::new(vec![1i64]), 2, 8, 1);
+        ctx.cache().put(block(1), Arc::new(vec![2i64]), 3, 8, 1);
         let before = ctx.alive_nodes();
-        let lost = ctx.fail_node(2);
-        assert_eq!(lost, 1);
+        assert_eq!(ctx.fail_node(2), vec![block(0)]);
         assert_eq!(ctx.alive_nodes(), before - 1);
-        assert!(ctx.cache().contains(1, 1));
-        assert!(!ctx.cache().contains(1, 0));
+        assert!(ctx.cache().contains(block(1)));
+        assert!(!ctx.cache().contains(block(0)));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! Key pieces:
 //!
-//! * [`RddContext`] — the driver: owns the shuffle manager, cache manager,
-//!   cluster simulator, and cost model; creates source RDDs and runs jobs.
+//! * [`RddContext`] — the counterpart of Spark's `SparkContext`: owns the
+//!   shuffle manager, block store, cluster simulator, and cost model;
+//!   creates source RDDs and runs jobs.
 //! * [`Rdd`] — lazily evaluated transformations plus actions (`collect`,
 //!   `count`, `reduce`, …) that trigger job execution.
 //! * Pair-RDD operations (`reduce_by_key`, `group_by_key`, `join`,
@@ -23,10 +24,12 @@
 //!   DAG Execution uses: materialize the map side of a shuffle, inspect the
 //!   per-bucket statistics, then decide the reduce-side plan (join strategy,
 //!   reducer count, bucket coalescing).
-//! * [`cache::CacheManager`] — per-partition caching with node placement so
-//!   simulated node failures invalidate the right partitions. Cached
-//!   partitions are shared `Arc`s: [`Rdd::compute_shared`] reads one in
-//!   place, and only a caller that must own the rows copies it.
+//! * [`cache::BlockStore`] — the one store of resident partitions (cached
+//!   table partitions and cached RDD partitions), with one last-access
+//!   clock and a node tag per block so simulated node failures invalidate
+//!   the right partitions. Cached partitions are shared `Arc`s:
+//!   [`Rdd::compute_shared`] reads one in place, and only a caller that
+//!   must own the rows copies it.
 
 pub mod cache;
 pub mod context;
@@ -37,7 +40,7 @@ pub mod rdd;
 pub mod scheduler;
 pub mod shuffle;
 
-pub use cache::{CacheManager, CachedPartitionInfo, EvictionObserver, EvictionStats};
+pub use cache::{BlockId, BlockStore, CacheManager, Candidate, Owner, Totals};
 pub use context::{JobReport, RddConfig, RddContext, StageReport};
 pub use executor::Executor;
 pub use metrics::TaskMetrics;

@@ -16,6 +16,7 @@ use shark_cluster::{InputSource, OutputSink};
 use shark_common::size::estimate_slice;
 use shark_common::{EstimateSize, Result};
 
+use crate::cache::{BlockId, Owner};
 use crate::context::RddContext;
 use crate::metrics::TaskMetrics;
 use crate::scheduler;
@@ -139,6 +140,14 @@ impl<T: Data> Rdd<T> {
         self.inner.id()
     }
 
+    /// The block one of this RDD's partitions is cached as.
+    fn block(&self, partition: usize) -> BlockId {
+        BlockId::Rdd {
+            rdd: self.id(),
+            partition,
+        }
+    }
+
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
         self.inner.num_partitions()
@@ -169,14 +178,14 @@ impl<T: Data> Rdd<T> {
     /// Remove this RDD's partitions from the cache.
     pub fn uncache(&self) {
         self.cache_flag.store(false, Ordering::Relaxed);
-        self.ctx.cache().drop_rdd(self.id());
+        self.ctx.cache().remove_owner(Owner::Rdd(self.id()));
     }
 
     /// Preferred node for `partition`: the node caching it, or a parent's
     /// preference.
     pub fn preferred_node(&self, ctx: &RddContext, partition: usize) -> Option<usize> {
         ctx.cache()
-            .location(self.id(), partition)
+            .location(self.block(partition))
             .or_else(|| self.inner.preferred_node(ctx, partition))
     }
 
@@ -216,7 +225,7 @@ impl<T: Data> Rdd<T> {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Arc<Vec<T>>> {
-        if let Some((cached, bytes)) = ctx.cache().get_measured::<T>(self.id(), partition) {
+        if let Some((cached, bytes)) = ctx.cache().get::<Vec<T>>(self.block(partition)) {
             metrics.record_input(cached.len() as u64, bytes, InputSource::CachedRows);
             if shark_obs::active() {
                 shark_obs::event(
@@ -256,8 +265,9 @@ impl<T: Data> Rdd<T> {
             } else {
                 alive[partition % alive.len()]
             };
+            let rows = data.len() as u64;
             ctx.cache()
-                .put(self.id(), partition, data.clone(), node, bytes);
+                .put(self.block(partition), data.clone(), node, bytes, rows);
         }
         Ok(data)
     }
@@ -749,7 +759,7 @@ mod tests {
         assert_eq!(computed.load(Ordering::SeqCst), 8);
 
         // Kill a node: its cached partitions disappear.
-        let lost = ctx.fail_node(1);
+        let lost = ctx.fail_node(1).len();
         assert!(lost > 0, "node 1 should have held cached partitions");
 
         // Re-running the query recomputes only the lost partitions and

@@ -3,17 +3,19 @@
 //! The serving layer the Shark paper assumes but a single-owner
 //! `SqlSession` cannot provide: one warehouse process, many analysts.
 //! A [`SharkServer`] owns one shared [`shark_rdd::RddContext`] (cluster,
-//! shuffle, RDD cache), one shared [`shark_sql::Catalog`] (tables + columnar
-//! memstore) and hands out lightweight [`SessionHandle`]s that execute
+//! shuffle, the block store of cached table and RDD partitions), one shared
+//! [`shark_sql::Catalog`] (tables, whose memtables live in that store) and
+//! hands out lightweight [`SessionHandle`]s that execute
 //! concurrently on their callers' threads. Three serving concerns live
 //! here:
 //!
 //! * **Admission control** ([`AdmissionController`]) — a fair FIFO queue
 //!   bounding in-flight queries and queue depth, rejecting work beyond it.
-//! * **Memory-budgeted memstore** ([`MemstoreManager`]) — per-table byte
-//!   accounting over the shared columnar memstore and the RDD cache, with
-//!   partition-granular LRU eviction under pressure (a table goes wholesale
-//!   only once every partition is cold). Eviction drops only the in-memory
+//! * **Memory-budgeted memstore** ([`MemstoreManager`]) — the policy over
+//!   the one block store: a byte budget over cached table and RDD
+//!   partitions, with partition-granular eviction in one global LRU order
+//!   under pressure (a table goes wholesale only once every partition is
+//!   cold). Eviction drops only the in-memory
 //!   copy: the partition is demoted to the spill tier when one is
 //!   configured, and otherwise, per Shark §2.2, recomputed from lineage
 //!   (the table's base generator) by the next scan that needs it.

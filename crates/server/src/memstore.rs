@@ -1,35 +1,41 @@
-//! The memory-budgeted memstore manager.
+//! The memory-budgeted memstore manager: the eviction *policy* over the
+//! one block store.
 //!
-//! Layered over the two caches a Shark deployment fills up — the SQL
-//! catalog's per-table columnar [`MemTable`]s and the RDD-level
-//! [`CacheManager`] — this tracks resident bytes against a single
-//! server-wide budget and, under pressure, evicts individual cached
-//! *partitions* in globally least-recently-used order (tables first, then
-//! cached RDDs). The partition, not the table, is Shark's unit of storage
-//! and lineage recovery (§3.1–3.2): one oversized table no longer dumps
-//! every hot partition of every workload at once — only the coldest
-//! partitions go, and a table is evicted wholesale only when every one of
-//! its partitions is cold. Eviction only drops the in-memory copy: Shark
-//! keeps exactly one copy of cached data and relies on lineage, not
-//! replication (§2.2), so an evicted partition is transparently recomputed
-//! from the table's base generator by the next scan that needs it (the
-//! partition statistics survive eviction, so map pruning and top-k
-//! ordering still work meanwhile). Tables pinned by currently executing
-//! queries are never victims, and individual partitions can be pinned too.
+//! Every resident partition — a cached table's columnar partition or a
+//! cached RDD partition — is a block of the context's [`BlockStore`], with
+//! its bytes, its node and one tick on the store's single last-access
+//! clock. This manager tracks resident bytes against one server-wide budget
+//! and, under pressure, evicts individual blocks in one global
+//! least-recently-used order across both kinds: a colder RDD partition goes
+//! before a warmer table partition. The partition, not the table, is
+//! Shark's unit of storage and lineage recovery (§3.1–3.2): one oversized
+//! table no longer dumps every hot partition of every workload at once —
+//! only the coldest partitions go, and a table is evicted wholesale only
+//! when every one of its partitions is cold. Eviction only drops the
+//! in-memory copy: Shark keeps exactly one copy of cached data and relies
+//! on lineage, not replication (§2.2), so an evicted partition is
+//! transparently recomputed by the next scan that needs it (table partition
+//! statistics survive eviction, so map pruning and top-k ordering still
+//! work meanwhile). With a spill tier attached, a table partition is
+//! *demoted* to disk instead and promoted back at I/O cost. Tables pinned
+//! by currently executing queries are never victims, and individual
+//! partitions can be pinned too.
+//!
+//! The budget counts live tables plus cached RDD partitions; a dropped
+//! table version still pinned by an open snapshot stays outside it
+//! (reported as `Catalog::deferred_drop_bytes`) until it is reclaimed.
 //!
 //! A second, per-session layer sits under the global budget: each session
 //! that loads, creates, or faults in a table joins that table's *owner
 //! set* and is charged a proportional share of its resident bytes, and a
-//! session over its quota has *its own* least-recently-used partitions
-//! evicted first — the tenant-isolation lesson of production multi-tenant
-//! SQL serving — before global pressure touches anyone else's.
-//!
-//! [`MemTable`]: shark_sql::MemTable
+//! session over its quota has *its own* least-recently-used table
+//! partitions evicted first — the tenant-isolation lesson of production
+//! multi-tenant SQL serving — before global pressure touches anyone else's.
 
 use parking_lot::Mutex;
 use shark_common::hash::FxHashMap;
-use shark_rdd::CacheManager;
-use shark_sql::{Catalog, MemTable, TableMeta};
+use shark_rdd::{BlockId, BlockStore, Candidate, Owner};
+use shark_sql::{Catalog, TableMeta};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -157,6 +163,31 @@ struct MemstoreState {
     deferred_drops_reclaimed: u64,
     /// Bytes those reclamations freed.
     deferred_reclaimed_bytes: u64,
+}
+
+/// Which blocks one eviction pass may take.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    /// Every live table's partitions and every cached RDD partition: the
+    /// server budget.
+    Global,
+    /// The partitions of tables one session owns: its quota.
+    Session(u64),
+    /// The partitions of one table: an administrative demotion.
+    Table(&'a str),
+}
+
+impl Scope<'_> {
+    fn covers(self, state: &MemstoreState, table: &str) -> bool {
+        match self {
+            Scope::Global => true,
+            Scope::Session(session) => state
+                .owners
+                .get(table)
+                .is_some_and(|set| set.contains(&session)),
+            Scope::Table(name) => name == table,
+        }
+    }
 }
 
 /// Tracks table usage recency and enforces the server memory budget plus
@@ -335,142 +366,107 @@ impl MemstoreManager {
         });
     }
 
-    /// Resident bytes currently charged against the budget.
-    pub fn resident_bytes(&self, catalog: &Catalog, rdd_cache: &CacheManager) -> u64 {
-        catalog.memstore_bytes() + rdd_cache.total_bytes()
+    /// Resident bytes currently charged against the budget: live tables
+    /// plus cached RDD partitions, read from running totals.
+    pub fn resident_bytes(&self, catalog: &Catalog, store: &BlockStore) -> u64 {
+        catalog.memstore_bytes() + store.rdd_totals().bytes
     }
 
-    /// Evict unpinned table partitions in globally-LRU order until `need`
-    /// bytes are freed (or no candidate is left). With `owner_filter`, only
-    /// tables owned by that session are candidates; with `table_filter`,
-    /// only that table's partitions are. When a spill tier is attached the
-    /// eviction is a *demotion*: the partition's compressed form is parked
-    /// on disk and only degraded to a plain drop (lineage recompute) if the
-    /// spill write fails or the disk budget displaces the frame. Returns
-    /// memory bytes freed and appends aggregated events per victim table.
-    fn evict_table_partitions(
+    /// The blocks one eviction pass may take, coldest first in the store's
+    /// one `(tick, BlockId)` order: every resident partition of a live
+    /// cached table in `scope` that no query pins, plus — for the global
+    /// budget — every cached RDD partition. A table block comes with its
+    /// table. Dropped versions awaiting reclamation are not live, so they
+    /// are never candidates.
+    fn candidates(
+        state: &MemstoreState,
+        catalog: &Catalog,
+        store: &BlockStore,
+        scope: Scope<'_>,
+    ) -> Vec<(Candidate, Option<Arc<TableMeta>>)> {
+        let live: FxHashMap<usize, Arc<TableMeta>> = catalog
+            .cached_tables()
+            .into_iter()
+            .filter(|t| !state.pins.contains_key(&t.name) && scope.covers(state, &t.name))
+            .filter_map(|t| Some((t.cached.as_ref()?.id(), t)))
+            .collect();
+        let mut blocks = store.candidates();
+        if !std::ptr::eq(catalog.store().as_ref(), store) {
+            // A catalog built without a context keeps its own store.
+            blocks.extend(catalog.store().candidates());
+            blocks.sort_unstable();
+        }
+        blocks
+            .into_iter()
+            .filter_map(|c| match c.id {
+                BlockId::Table { table, partition } => {
+                    let table = live.get(&table)?;
+                    let key = (table.name.clone(), partition);
+                    (!state.partition_pins.contains_key(&key)).then(|| (c, Some(table.clone())))
+                }
+                BlockId::Rdd { .. } => matches!(scope, Scope::Global).then_some((c, None)),
+            })
+            .collect()
+    }
+
+    /// The one eviction loop: evict `scope`'s candidates coldest first
+    /// until `need` bytes are freed (or none is left). A table partition is
+    /// demoted when a spill tier is attached and dropped otherwise; an RDD
+    /// partition is dropped, to be recomputed from lineage. Returns memory
+    /// bytes freed and appends one event per victim table or RDD (and per
+    /// outcome, demoted or dropped).
+    fn evict(
+        &self,
         state: &mut MemstoreState,
         catalog: &Catalog,
+        store: &BlockStore,
         need: u64,
-        owner_filter: Option<u64>,
-        table_filter: Option<&str>,
-        spill: Option<&Arc<SpillManager>>,
+        scope: Scope<'_>,
         events: &mut Vec<EvictionEvent>,
     ) -> u64 {
-        // Gather every evictable partition: unpinned table, unpinned
-        // partition, matching owner when session-scoped.
-        let mut candidates: Vec<(u64, String, Arc<MemTable>, usize, u64)> = Vec::new();
-        for table in catalog.cached_tables() {
-            if state.pins.contains_key(&table.name) {
-                continue;
-            }
-            if let Some(only) = table_filter {
-                if table.name != only {
-                    continue;
-                }
-            }
-            if let Some(session) = owner_filter {
-                let owned = state
-                    .owners
-                    .get(&table.name)
-                    .map(|set| set.contains(&session))
-                    .unwrap_or(false);
-                if !owned {
-                    continue;
-                }
-            }
-            let Some(mem) = table.cached.clone() else {
-                continue;
-            };
-            for c in mem.lru_candidates() {
-                if state
-                    .partition_pins
-                    .contains_key(&(table.name.clone(), c.partition))
-                {
-                    continue;
-                }
-                candidates.push((
-                    c.last_tick,
-                    table.name.clone(),
-                    mem.clone(),
-                    c.partition,
-                    table.version(),
-                ));
-            }
-        }
-        // Coldest first; ties broken by name/partition for determinism.
-        candidates.sort_by(|a, b| (a.0, &a.1, a.3).cmp(&(b.0, &b.1, b.3)));
-
-        let mut freed = 0u64;
-        // Aggregate per table, preserving first-eviction order; demoted and
-        // dropped partitions become separate events.
         struct Victim {
-            name: String,
-            mem: Arc<MemTable>,
+            owner: Owner,
+            table: Option<Arc<TableMeta>>,
             demoted: Vec<usize>,
             demoted_bytes: u64,
             spill_bytes: u64,
             dropped: Vec<usize>,
             dropped_bytes: u64,
         }
+        let mut freed = 0u64;
+        // Aggregated per owner, in first-eviction order.
         let mut victims: Vec<Victim> = Vec::new();
-        for (_tick, name, mem, partition, table_version) in candidates {
+        for (candidate, table) in Self::candidates(state, catalog, store, scope) {
             if freed >= need {
                 break;
             }
-            let bytes;
-            // (memory bytes, spill-frame bytes) when the demotion stuck.
-            let mut demoted: Option<u64> = None;
-            match spill {
-                Some(spill) => {
-                    let Some(columnar) = mem.take_partition(partition) else {
-                        // A failure-path drop raced us; nothing freed here.
-                        continue;
-                    };
-                    bytes = columnar.memory_bytes() as u64;
-                    // Install the fault-in source lazily so tables created
-                    // after server start (CTAS) are covered too.
-                    if !mem.has_spill_source() {
-                        mem.set_spill_source(spill.clone());
-                    }
-                    // An unwritable spill frame (the Err arm) degrades to a
-                    // plain drop — never surface an I/O error from eviction.
-                    if let Ok(outcome) = spill.store(&name, partition, &columnar, table_version) {
-                        let mut self_displaced = false;
-                        for (dt, dp) in outcome.displaced {
-                            // Whatever the disk budget displaced lost
-                            // its last copy: lineage recompute ahead.
-                            self_displaced |= dt == name && dp == partition;
-                            state.awaiting_recompute.entry(dt).or_default().insert(dp);
-                        }
-                        if !self_displaced {
-                            demoted = Some(outcome.spill_bytes);
-                        }
-                    }
-                }
-                None => {
-                    bytes = mem.evict_partition(partition);
-                    if bytes == 0 {
-                        continue;
-                    }
-                }
-            }
+            let partition = candidate.id.partition();
+            let evicted = match &table {
+                Some(table) => self.evict_table_partition(state, table, partition),
+                None => store.remove(candidate.id).map(|(_, bytes)| (bytes, None)),
+            };
+            // `None`: a failure-path drop raced us; nothing freed here.
+            let Some((bytes, demoted)) = evicted else {
+                continue;
+            };
             freed += bytes;
-            let victim = match victims.iter_mut().find(|v| v.name == name) {
-                Some(v) => v,
+            let owner = candidate.id.owner();
+            let at = match victims.iter().position(|v| v.owner == owner) {
+                Some(at) => at,
                 None => {
                     victims.push(Victim {
-                        name: name.clone(),
-                        mem,
+                        owner,
+                        table,
                         demoted: Vec::new(),
                         demoted_bytes: 0,
                         spill_bytes: 0,
                         dropped: Vec::new(),
                         dropped_bytes: 0,
                     });
-                    victims.last_mut().unwrap()
+                    victims.len() - 1
                 }
             };
+            let victim = &mut victims[at];
             match demoted {
                 Some(spill_bytes) => {
                     victim.demoted.push(partition);
@@ -478,27 +474,56 @@ impl MemstoreManager {
                     victim.spill_bytes += spill_bytes;
                 }
                 None => {
-                    state
-                        .awaiting_recompute
-                        .entry(name)
-                        .or_default()
-                        .insert(partition);
+                    if let Some(table) = &victim.table {
+                        state
+                            .awaiting_recompute
+                            .entry(table.name.clone())
+                            .or_default()
+                            .insert(partition);
+                    }
                     victim.dropped.push(partition);
                     victim.dropped_bytes += bytes;
                 }
             }
         }
         for v in victims {
-            let whole_table = v.mem.loaded_partitions() == 0;
             state.evictions += 1;
             state.evicted_partitions += (v.demoted.len() + v.dropped.len()) as u64;
+            state.evicted_bytes += v.demoted_bytes + v.dropped_bytes;
+            let Some(table) = v.table else {
+                let metrics = shark_obs::metrics();
+                metrics
+                    .counter(
+                        "shark_rdd_cache_evicted_partitions_total",
+                        "RDD-cache partitions evicted by the memory budget",
+                    )
+                    .add(v.dropped.len() as u64);
+                metrics
+                    .counter(
+                        "shark_rdd_cache_evicted_bytes_total",
+                        "RDD-cache bytes evicted by the memory budget",
+                    )
+                    .add(v.dropped_bytes);
+                let Owner::Rdd(id) = v.owner else {
+                    unreachable!("only RDD blocks come without a table")
+                };
+                events.push(EvictionEvent::Rdd {
+                    id,
+                    partitions: v.dropped,
+                    bytes: v.dropped_bytes,
+                });
+                continue;
+            };
+            let whole_table = table
+                .cached
+                .as_ref()
+                .is_some_and(|mem| mem.loaded_partitions() == 0);
             if !whole_table {
                 state.partial_evictions += 1;
             }
-            state.evicted_bytes += v.demoted_bytes + v.dropped_bytes;
             if !v.demoted.is_empty() {
                 events.push(EvictionEvent::Demoted {
-                    name: v.name.clone(),
+                    name: table.name.clone(),
                     partitions: v.demoted,
                     bytes: v.demoted_bytes,
                     spill_bytes: v.spill_bytes,
@@ -506,7 +531,7 @@ impl MemstoreManager {
             }
             if !v.dropped.is_empty() {
                 events.push(EvictionEvent::Table {
-                    name: v.name,
+                    name: table.name.clone(),
                     partitions: v.dropped,
                     bytes: v.dropped_bytes,
                     whole_table,
@@ -516,62 +541,56 @@ impl MemstoreManager {
         freed
     }
 
-    /// Evict unpinned RDD-cache partitions in LRU order until `need` bytes
-    /// are freed. Returns bytes freed and appends one aggregated event per
-    /// victim RDD.
-    fn evict_rdd_partitions(
+    /// Evict one table partition: demote it to the spill tier when one is
+    /// attached, drop it otherwise. Returns the memory bytes freed plus,
+    /// when the demotion stuck, the spill frame's bytes; `None` when the
+    /// partition was already gone. An unwritable spill frame, or one the
+    /// disk budget displaced at once, degrades to a plain drop — eviction
+    /// never surfaces an I/O error.
+    fn evict_table_partition(
+        &self,
         state: &mut MemstoreState,
-        rdd_cache: &CacheManager,
-        need: u64,
-        events: &mut Vec<EvictionEvent>,
-    ) -> u64 {
-        let mut candidates = rdd_cache.lru_candidates();
-        candidates.sort_by_key(|c| (c.last_tick, c.rdd_id, c.partition));
-        let mut freed = 0u64;
-        let mut victims: Vec<(usize, Vec<usize>, u64)> = Vec::new();
-        for c in candidates {
-            if freed >= need {
-                break;
-            }
-            let stats = rdd_cache.evict_partition(c.rdd_id, c.partition);
-            if stats.partitions == 0 {
-                continue;
-            }
-            freed += stats.bytes;
-            match victims.iter_mut().find(|(id, _, _)| *id == c.rdd_id) {
-                Some((_, parts, total)) => {
-                    parts.push(c.partition);
-                    *total += stats.bytes;
-                }
-                None => victims.push((c.rdd_id, vec![c.partition], stats.bytes)),
-            }
+        table: &TableMeta,
+        partition: usize,
+    ) -> Option<(u64, Option<u64>)> {
+        let mem = table.cached.as_ref()?;
+        let Some(spill) = &self.spill else {
+            let bytes = mem.evict_partition(partition);
+            return (bytes > 0).then_some((bytes, None));
+        };
+        let columnar = mem.take_partition(partition)?;
+        let bytes = columnar.memory_bytes() as u64;
+        // Install the fault-in source lazily so tables created after
+        // server start (CTAS) are covered too.
+        if !mem.has_spill_source() {
+            mem.set_spill_source(spill.clone());
         }
-        for (id, partitions, bytes) in victims {
-            state.evictions += 1;
-            state.evicted_partitions += partitions.len() as u64;
-            state.evicted_bytes += bytes;
-            events.push(EvictionEvent::Rdd {
-                id,
-                partitions,
-                bytes,
-            });
+        let Ok(outcome) = spill.store(&table.name, partition, &columnar, table.version()) else {
+            return Some((bytes, None));
+        };
+        let mut self_displaced = false;
+        for (dt, dp) in outcome.displaced {
+            // Whatever the disk budget displaced lost its last copy:
+            // lineage recompute ahead.
+            self_displaced |= dt == table.name && dp == partition;
+            state.awaiting_recompute.entry(dt).or_default().insert(dp);
         }
-        freed
+        Some((bytes, (!self_displaced).then_some(outcome.spill_bytes)))
     }
 
     /// Bring residency back under the budget by evicting the globally
-    /// least-recently-used unpinned table partitions first, then LRU
-    /// RDD-cache partitions — freeing roughly the overshoot instead of
-    /// dumping whole tables. Returns the evictions performed (empty when
-    /// already under budget or when everything over budget is pinned).
-    pub fn enforce(&self, catalog: &Catalog, rdd_cache: &CacheManager) -> Vec<EvictionEvent> {
+    /// least-recently-used unpinned blocks — table and RDD partitions in
+    /// one order — freeing roughly the overshoot instead of dumping whole
+    /// tables. Returns the evictions performed (empty when already under
+    /// budget or when everything over budget is pinned).
+    pub fn enforce(&self, catalog: &Catalog, store: &BlockStore) -> Vec<EvictionEvent> {
         let mut events = Vec::new();
         loop {
             // Progress is judged by *measured* residency, never by the
             // per-eviction byte estimates: a pass that claimed to free
             // enough but measures above budget (stale estimates, racing
             // loads) triggers another pass instead of returning early.
-            let resident = self.resident_bytes(catalog, rdd_cache);
+            let resident = self.resident_bytes(catalog, store);
             if resident <= self.budget_bytes {
                 break;
             }
@@ -581,21 +600,7 @@ impl MemstoreManager {
             // partition and still lose it, and two concurrent enforce()
             // calls could both evict (and double-count) the same victim.
             let mut state = self.state.lock();
-            let freed = Self::evict_table_partitions(
-                &mut state,
-                catalog,
-                need,
-                None,
-                None,
-                self.spill.as_ref(),
-                &mut events,
-            );
-            let rdd_freed = if freed < need {
-                Self::evict_rdd_partitions(&mut state, rdd_cache, need - freed, &mut events)
-            } else {
-                0
-            };
-            if freed + rdd_freed == 0 {
+            if self.evict(&mut state, catalog, store, need, Scope::Global, &mut events) == 0 {
                 // No unpinned candidate is left; the measured residency
                 // cannot come down this pass — give up, don't spin.
                 break;
@@ -611,13 +616,12 @@ impl MemstoreManager {
     pub fn demote_table(&self, catalog: &Catalog, name: &str) -> Vec<EvictionEvent> {
         let mut events = Vec::new();
         let mut state = self.state.lock();
-        Self::evict_table_partitions(
+        self.evict(
             &mut state,
             catalog,
+            catalog.store(),
             u64::MAX,
-            None,
-            Some(name),
-            self.spill.as_ref(),
+            Scope::Table(name),
             &mut events,
         );
         events
@@ -672,13 +676,12 @@ impl MemstoreManager {
             }
             let need = owned - self.session_quota_bytes;
             let before = events.iter().map(EvictionEvent::partitions).sum::<usize>();
-            let freed = Self::evict_table_partitions(
+            let freed = self.evict(
                 &mut state,
                 catalog,
+                catalog.store(),
                 need,
-                Some(session_id),
-                None,
-                self.spill.as_ref(),
+                Scope::Session(session_id),
                 &mut events,
             );
             let evicted_now = events.iter().map(EvictionEvent::partitions).sum::<usize>() - before;
@@ -790,12 +793,12 @@ impl MemstoreManager {
         self.state.lock().deferred_reclaimed_bytes
     }
 
-    /// Forget all bookkeeping for a table (call when it is dropped from the
-    /// catalog, so a future table of the same name starts clean).
+    /// Forget the bookkeeping for a table (call when it is dropped from or
+    /// replaced in the catalog, so a future table of the same name starts
+    /// clean). Pins are left alone: the in-flight queries and cursors that
+    /// took them still own them and release them when they finish.
     pub fn forget(&self, table: &str) {
         let mut state = self.state.lock();
-        state.pins.remove(table);
-        state.partition_pins.retain(|(name, _), _| name != table);
         state.awaiting_recompute.remove(table);
         state.owners.remove(table);
         state.known_footprints.remove(table);
@@ -897,7 +900,8 @@ impl MemstoreManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shark_common::{row, DataType, Schema};
+    use shark_columnar::ColumnarPartition;
+    use shark_common::{row, DataType, Row, Schema};
     use shark_sql::TableMeta;
     use std::sync::Arc;
 
@@ -946,7 +950,6 @@ mod tests {
     fn evicts_lru_partitions_and_spares_pinned_tables() {
         let catalog = catalog_with_tables(&["a", "b", "c"]);
         load_all(&catalog);
-        let rdd_cache = CacheManager::new();
         let per_table = catalog.memstore_bytes() / 3;
         // Budget fits two and a half tables: one partition must go.
         let manager = MemstoreManager::new(per_table * 2 + per_table / 2);
@@ -956,7 +959,7 @@ mod tests {
         touch_table(&catalog, "b");
         touch_table(&catalog, "c");
         manager.pin(&["a".into()]);
-        let events = manager.enforce(&catalog, &rdd_cache);
+        let events = manager.enforce(&catalog, catalog.store());
         assert_eq!(events.len(), 1);
         match &events[0] {
             EvictionEvent::Table {
@@ -990,7 +993,6 @@ mod tests {
     fn enforcement_frees_roughly_the_overshoot_not_whole_tables() {
         let catalog = catalog_with_tables(&["a", "b"]);
         load_all(&catalog);
-        let rdd_cache = CacheManager::new();
         let total = catalog.memstore_bytes();
         let largest_partition = catalog
             .cached_tables()
@@ -1006,7 +1008,7 @@ mod tests {
         // Need exactly one partition's worth of space.
         let need = largest_partition;
         let manager = MemstoreManager::new(total - need);
-        let events = manager.enforce(&catalog, &rdd_cache);
+        let events = manager.enforce(&catalog, catalog.store());
         let freed: u64 = events.iter().map(EvictionEvent::bytes).sum();
         assert!(freed >= need, "must free at least the overshoot");
         assert!(
@@ -1027,11 +1029,10 @@ mod tests {
     fn pinned_partition_survives_while_colder_neighbors_go() {
         let catalog = catalog_with_tables(&["a"]);
         load_all(&catalog);
-        let rdd_cache = CacheManager::new();
         let manager = MemstoreManager::new(1);
         // Partition 0 is the coldest — and pinned.
         manager.pin_partition("a", 0);
-        let events = manager.enforce(&catalog, &rdd_cache);
+        let events = manager.enforce(&catalog, catalog.store());
         assert_eq!(events.len(), 1);
         match &events[0] {
             EvictionEvent::Table { partitions, .. } => assert_eq!(partitions, &vec![1]),
@@ -1042,7 +1043,7 @@ mod tests {
         assert!(!mem.is_loaded(1));
         // Unpinning makes it evictable.
         manager.unpin_partition("a", 0);
-        let events = manager.enforce(&catalog, &rdd_cache);
+        let events = manager.enforce(&catalog, catalog.store());
         assert_eq!(events.len(), 1);
         assert!(!mem.is_loaded(0));
     }
@@ -1051,9 +1052,8 @@ mod tests {
     fn enforce_is_a_noop_under_budget() {
         let catalog = catalog_with_tables(&["a"]);
         load_all(&catalog);
-        let rdd_cache = CacheManager::new();
         let manager = MemstoreManager::new(u64::MAX);
-        assert!(manager.enforce(&catalog, &rdd_cache).is_empty());
+        assert!(manager.enforce(&catalog, catalog.store()).is_empty());
         assert_eq!(manager.evictions(), 0);
     }
 
@@ -1061,11 +1061,16 @@ mod tests {
     fn falls_back_to_rdd_cache_when_tables_are_pinned() {
         let catalog = catalog_with_tables(&["a"]);
         load_all(&catalog);
-        let rdd_cache = CacheManager::new();
-        rdd_cache.put(7, 0, Arc::new(vec![0u8; 16]), 0, 1 << 20);
+        let rdd = BlockId::Rdd {
+            rdd: 7,
+            partition: 0,
+        };
+        catalog
+            .store()
+            .put(rdd, Arc::new(vec![0u8; 16]), 0, 1 << 20, 16);
         let manager = MemstoreManager::new(catalog.memstore_bytes());
         manager.pin(&["a".into()]);
-        let events = manager.enforce(&catalog, &rdd_cache);
+        let events = manager.enforce(&catalog, catalog.store());
         assert_eq!(events.len(), 1);
         assert!(matches!(
             &events[0],
@@ -1073,7 +1078,237 @@ mod tests {
         ));
         // Table a survived; nothing else to evict even though still over.
         assert!(catalog.memstore_bytes() > 0);
-        assert!(manager.enforce(&catalog, &rdd_cache).is_empty());
+        assert!(manager.enforce(&catalog, catalog.store()).is_empty());
+    }
+
+    #[test]
+    fn a_colder_rdd_partition_goes_before_a_warmer_table_partition() {
+        // One clock across kinds: the RDD partition was touched before the
+        // table's partitions, so it is the global LRU victim.
+        let catalog = catalog_with_tables(&["a"]);
+        let rdd = BlockId::Rdd {
+            rdd: 7,
+            partition: 0,
+        };
+        catalog.store().put(rdd, Arc::new(vec![0u8; 16]), 0, 64, 16);
+        load_all(&catalog);
+        let manager = MemstoreManager::new(catalog.memstore_bytes() + 63);
+        let events = manager.enforce(&catalog, catalog.store());
+        assert_eq!(
+            events,
+            vec![EvictionEvent::Rdd {
+                id: 7,
+                partitions: vec![0],
+                bytes: 64
+            }]
+        );
+        assert_eq!(
+            catalog
+                .get("a")
+                .unwrap()
+                .cached
+                .as_ref()
+                .unwrap()
+                .loaded_partitions(),
+            2
+        );
+        assert_eq!(manager.evicted_partitions(), 1);
+    }
+
+    /// The blocks a global eviction pass would consider, in its order.
+    fn policy(manager: &MemstoreManager, catalog: &Catalog) -> Vec<Candidate> {
+        let state = manager.state.lock();
+        MemstoreManager::candidates(&state, catalog, catalog.store(), Scope::Global)
+            .into_iter()
+            .map(|(candidate, _)| candidate)
+            .collect()
+    }
+
+    #[test]
+    fn resident_totals_equal_a_recount_after_any_mutation_sequence() {
+        use shark_rdd::Totals;
+        use std::collections::{BTreeMap, BTreeSet};
+        /// What the store must hold: every block with its node, bytes and rows.
+        type Model = BTreeMap<BlockId, (usize, u64, u64)>;
+        fn recount(model: &Model, keep: impl Fn(&BlockId) -> bool) -> Totals {
+            model.iter().filter(|(id, _)| keep(id)).fold(
+                Totals::default(),
+                |t, (_, &(_, bytes, rows))| Totals {
+                    bytes: t.bytes + bytes,
+                    blocks: t.blocks + 1,
+                    rows: t.rows + rows,
+                },
+            )
+        }
+        let schema = Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Str)]);
+        let register = |catalog: &Catalog| {
+            catalog.register(TableMeta::new("t", schema.clone(), 12, |_| vec![]).with_cache(3))
+        };
+        for seed in 1u64..=8 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut next = move |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let catalog = Catalog::new();
+            let store = catalog.store().clone();
+            let manager = MemstoreManager::new(u64::MAX);
+            let mut table = register(&catalog);
+            let mut model = Model::new();
+            let mut pinned: BTreeSet<usize> = BTreeSet::new();
+            let mut table_pinned = false;
+            for step in 0..400 {
+                let mem = table.cached.clone().unwrap();
+                let p = next(12) as usize;
+                let block = BlockId::Table {
+                    table: mem.id(),
+                    partition: p,
+                };
+                let rdd = BlockId::Rdd {
+                    rdd: next(3) as usize,
+                    partition: p,
+                };
+                match next(10) {
+                    // put, fresh or replacing, with a size that differs from
+                    // whatever the block held (a spill promotion is this
+                    // same call with the fetched partition).
+                    0 | 1 => {
+                        let rows: Vec<Row> = (0..next(40))
+                            .map(|i| row![i as i64, "n".repeat(next(12) as usize)])
+                            .collect();
+                        let columnar = ColumnarPartition::from_rows(&schema, &rows);
+                        let entry = (
+                            mem.placement(p),
+                            columnar.memory_bytes() as u64,
+                            rows.len() as u64,
+                        );
+                        mem.put(p, Arc::new(columnar));
+                        model.insert(block, entry);
+                    }
+                    2 => {
+                        let (node, bytes, rows) = (next(4) as usize, next(500), next(40));
+                        store.put(rdd, Arc::new(vec![0u8; rows as usize]), node, bytes, rows);
+                        model.insert(rdd, (node, bytes, rows));
+                    }
+                    3 => {
+                        assert_eq!(mem.get(p).is_some(), model.contains_key(&block));
+                        let hit = store.get::<Vec<u8>>(rdd).map(|(_, bytes)| bytes);
+                        assert_eq!(hit, model.get(&rdd).map(|&(_, bytes, _)| bytes));
+                    }
+                    4 => {
+                        let taken = mem.take_partition(p).is_some();
+                        assert_eq!(taken, model.remove(&block).is_some());
+                    }
+                    5 => {
+                        let expected = model.remove(&block).map_or(0, |(_, bytes, _)| bytes);
+                        assert_eq!(mem.evict_partition(p), expected);
+                        let evicted = store.remove(rdd).map(|(_, bytes)| bytes);
+                        assert_eq!(evicted, model.remove(&rdd).map(|(_, bytes, _)| bytes));
+                    }
+                    6 => {
+                        if next(4) == 0 {
+                            table_pinned = !table_pinned;
+                            if table_pinned {
+                                manager.pin(&["t".into()]);
+                            } else {
+                                manager.unpin(&["t".into()]);
+                            }
+                        } else if pinned.insert(p) {
+                            manager.pin_partition("t", p);
+                        } else {
+                            pinned.remove(&p);
+                            manager.unpin_partition("t", p);
+                        }
+                    }
+                    7 => {
+                        let node = next(4) as usize;
+                        let on_node: Vec<BlockId> = model
+                            .iter()
+                            .filter(|(_, &(n, _, _))| n == node)
+                            .map(|(id, _)| *id)
+                            .collect();
+                        let lost = store.drop_node(node);
+                        assert_eq!(lost, on_node, "seed {seed}, step {step}");
+                        catalog.forget_lost(&lost);
+                        for id in &lost {
+                            model.remove(id);
+                            if let BlockId::Table { partition, .. } = *id {
+                                assert!(mem.stats(partition).is_none());
+                            }
+                        }
+                    }
+                    // Retire, then reclaim once the last snapshot goes.
+                    8 if step % 4 == 0 => {
+                        let snapshot = catalog.snapshot();
+                        catalog.drop_table("t").unwrap();
+                        assert!(mem.is_retired());
+                        let owned = recount(&model, |id| id.owner() == Owner::Table(mem.id()));
+                        assert_eq!(catalog.deferred_drop_bytes(), owned.bytes);
+                        assert!(policy(&manager, &catalog)
+                            .iter()
+                            .all(|c| c.id.owner() != Owner::Table(mem.id())));
+                        drop(snapshot);
+                        assert_eq!(catalog.reclaim_unreferenced(), 1);
+                        model.retain(|id, _| id.owner() != Owner::Table(mem.id()));
+                        table = register(&catalog);
+                    }
+                    _ => {}
+                }
+                let mem = table.cached.clone().unwrap();
+                let owners: BTreeSet<Owner> = model.keys().map(|id| id.owner()).collect();
+                for owner in owners.into_iter().chain([Owner::Table(mem.id())]) {
+                    let expected = recount(&model, |id| id.owner() == owner);
+                    assert_eq!(
+                        store.owner_totals(owner),
+                        expected,
+                        "seed {seed}, step {step}"
+                    );
+                }
+                let rdds = recount(&model, |id| matches!(id, BlockId::Rdd { .. }));
+                assert_eq!(store.rdd_totals(), rdds);
+                let own = recount(&model, |id| id.owner() == Owner::Table(mem.id()));
+                assert_eq!(
+                    (
+                        mem.memory_bytes(),
+                        mem.loaded_partitions(),
+                        mem.total_rows()
+                    ),
+                    (own.bytes, own.blocks, own.rows)
+                );
+                assert_eq!(
+                    manager.resident_bytes(&catalog, &store),
+                    own.bytes + rdds.bytes
+                );
+                let all = store.candidates();
+                let ids: Vec<BlockId> = all.iter().map(|c| c.id).collect();
+                assert_eq!(
+                    ids.iter().copied().collect::<BTreeSet<_>>(),
+                    model.keys().copied().collect()
+                );
+                let chosen = policy(&manager, &catalog);
+                assert!(chosen
+                    .windows(2)
+                    .all(|w| (w[0].tick, w[0].id) < (w[1].tick, w[1].id)));
+                for c in &chosen {
+                    if let BlockId::Table { partition, .. } = c.id {
+                        assert!(
+                            !table_pinned && !pinned.contains(&partition),
+                            "pinned {c:?}"
+                        );
+                    }
+                }
+                let unpinned_tables = if table_pinned {
+                    0
+                } else {
+                    (0..12)
+                        .filter(|p| mem.is_loaded(*p) && !pinned.contains(p))
+                        .count()
+                };
+                assert_eq!(chosen.len(), rdds.blocks + unpinned_tables);
+            }
+        }
     }
 
     #[test]
@@ -1311,10 +1546,9 @@ mod tests {
     fn eviction_with_spill_tier_demotes_instead_of_dropping() {
         let catalog = catalog_with_tables(&["a"]);
         load_all(&catalog);
-        let rdd_cache = CacheManager::new();
         let (spill, dir) = spill_manager("demote");
         let manager = MemstoreManager::new(1).with_spill(spill.clone());
-        let events = manager.enforce(&catalog, &rdd_cache);
+        let events = manager.enforce(&catalog, catalog.store());
         assert_eq!(events.len(), 1);
         match &events[0] {
             EvictionEvent::Demoted {

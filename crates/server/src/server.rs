@@ -1,8 +1,9 @@
 //! The multi-session query server.
 //!
 //! [`SharkServer`] owns exactly one [`RddContext`] (simulated cluster +
-//! shuffle + RDD cache), one shared [`Catalog`] (tables + columnar
-//! memstore), an admission controller and a memory-budgeted memstore
+//! shuffle + the block store), one shared [`Catalog`] (tables, whose
+//! columnar memtables live in the context's block store), an admission
+//! controller and a memory-budgeted memstore
 //! manager. [`SharkServer::session`] hands out cheap [`SessionHandle`]s;
 //! each handle owns a private `SqlSession` (its own UDFs and exec config)
 //! over the shared state, so queries from different sessions read the same
@@ -51,9 +52,9 @@ pub struct ServerConfig {
     /// Memory budget for cached tables + cached RDDs, in (in-process) bytes.
     pub memory_budget_bytes: u64,
     /// Per-session memory quota, layered under the global budget: each
-    /// session is charged for the tables it loaded or created (first loader
-    /// owns), and a session over its quota has *its own* least-recently-used
-    /// partitions evicted first. `u64::MAX` = unlimited.
+    /// session is charged a proportional share of every table it loaded,
+    /// created or faulted in, and a session over its quota has *its own*
+    /// least-recently-used partitions evicted first. `u64::MAX` = unlimited.
     pub session_mem_quota_bytes: u64,
     /// Maximum queries executing simultaneously.
     pub max_concurrent_queries: usize,
@@ -606,8 +607,11 @@ impl SharkServer {
                 spill = Some(manager);
             }
         }
-        let catalog = Arc::new(Catalog::new());
-        let num_nodes = config.rdd.cluster.num_nodes;
+        let ctx = RddContext::new(config.rdd);
+        // The catalog's memtables live in the context's block store, beside
+        // its cached RDD partitions: one store, one budget.
+        let catalog = Arc::new(Catalog::with_store(ctx.cache().clone()));
+        let num_nodes = ctx.config().cluster.num_nodes;
         let recovery = match (&spill, resolver) {
             (Some(spill), Some(resolver)) => restore_catalog(&catalog, spill, num_nodes, resolver),
             (Some(spill), None) => {
@@ -632,22 +636,6 @@ impl SharkServer {
                     })
                 })
         });
-        let ctx = RddContext::new(config.rdd);
-        // Observe RDD-cache policy evictions in the unified registry (the
-        // table memstore's evictions are counted by the manager itself).
-        let rdd_evictions = shark_obs::metrics().counter(
-            "shark_rdd_cache_evicted_partitions_total",
-            "RDD-cache partitions evicted by the memory budget",
-        );
-        let rdd_evicted_bytes = shark_obs::metrics().counter(
-            "shark_rdd_cache_evicted_bytes_total",
-            "RDD-cache bytes evicted by the memory budget",
-        );
-        ctx.cache()
-            .set_eviction_observer(Box::new(move |_rdd, _partition, bytes| {
-                rdd_evictions.inc();
-                rdd_evicted_bytes.add(bytes);
-            }));
         let server = SharkServer {
             shared: Arc::new(ServerShared {
                 ctx,
@@ -783,8 +771,8 @@ impl SharkServer {
     pub fn load_table(&self, name: &str) -> Result<LoadReport> {
         let table = self.shared.catalog.get(name)?;
         // Pin before loading so a concurrent enforcement cannot evict the
-        // table out from under the load. (Recency is tracked by the
-        // memtable itself: the load's puts refresh each partition's tick.)
+        // table out from under the load. (Recency is tracked by the block
+        // store: the load's puts give each partition a fresh tick.)
         let (pins, _) = PinGuard::pin(&self.shared.memstore, vec![table.name.clone()]);
         let report = shark_sql::exec::load_table(&self.shared.ctx, &table);
         // Record the exact full-load footprint while every partition is
@@ -947,7 +935,7 @@ impl SharkServer {
         report.recovery_frames_rejected = shared.recovery.frames_rejected;
         report.recovery_orphans_swept = shared.recovery.orphans_swept;
         report.memstore_bytes = shared.catalog.memstore_bytes();
-        report.rdd_cache_bytes = shared.ctx.cache().total_bytes();
+        report.rdd_cache_bytes = shared.ctx.cache().rdd_totals().bytes;
         report.memory_budget_bytes = shared.memstore.budget_bytes();
         report.session_quota_bytes = shared.memstore.session_quota_bytes();
         report.catalog_epoch = shared.catalog.epoch();
@@ -1494,10 +1482,10 @@ fn table_residency(catalog: &Catalog, tables: &[String]) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Charge every referenced table whose residency this query *grew* (lazy
-/// scan loads, lineage rebuilds) to the session, so query-only tenants
-/// cannot fault in an unbounded working set outside their quota. First
-/// owner wins, so already-charged tables are unaffected.
+/// Add the session to the owner set of every referenced table whose
+/// residency this query *grew* (lazy scan loads, lineage rebuilds), so
+/// query-only tenants cannot fault in an unbounded working set outside
+/// their quota.
 fn charge_faulted_tables(shared: &ServerShared, session_id: u64, before: &[(String, u64)]) {
     for (name, bytes_before) in before {
         let Ok(table) = shared.catalog.get(name) else {

@@ -151,6 +151,35 @@ const TAG_BASE: i64 = 100_000;
 /// (byte-identical to what a blocking query on its pinned snapshot would
 /// return), no partition of any dropped version may be rebuilt, and after
 /// the last cursor closes every dropped version's bytes are reclaimed.
+/// A finished query releases only its own pins. Replacing a table while an
+/// aggregate cursor on it is open, then opening a second cursor on the new
+/// version, must leave the name pinned until the second cursor closes —
+/// whichever cursor finishes first.
+#[test]
+fn a_finished_cursor_never_releases_a_newer_cursors_pin() {
+    let server = SharkServer::new(ServerConfig::default());
+    register_cached(&server, "t", 1);
+    server.load_table("t").unwrap();
+    let (first, second) = (server.session(), server.session());
+    // An aggregate keeps its whole-table pin (only a single-scan stream
+    // swaps it for partition pins).
+    let query = "SELECT COUNT(*), SUM(amount) FROM t";
+
+    let cursor_a = first.sql_stream(query).unwrap();
+    register_cached(&server, "t", 2);
+    let cursor_c = second.sql_stream(query).unwrap();
+    assert_eq!(server.pinned_tables(), vec!["t".to_string()]);
+
+    drop(cursor_a);
+    assert_eq!(
+        server.pinned_tables(),
+        vec!["t".to_string()],
+        "the first cursor released the second cursor's pin"
+    );
+    drop(cursor_c);
+    assert!(server.pinned_tables().is_empty());
+}
+
 #[test]
 fn eight_sessions_racing_ddl_against_open_cursors() {
     let server = SharkServer::new(ServerConfig::default().with_admission(16, 256));

@@ -4,30 +4,22 @@
 //! generator* — a deterministic function producing the rows of each
 //! partition, standing in for the files of a Hive warehouse on HDFS. Tables
 //! created with `"shark.cache" = "true"` additionally get a [`MemTable`]:
-//! the columnar memstore representation, with per-partition node placement
-//! so simulated node failures drop exactly the partitions that lived on the
-//! failed worker (recovered later through the base generator, i.e. lineage).
+//! a view over the context's [`BlockStore`] holding the columnar memstore
+//! partitions, each tagged with the node it lives on so simulated node
+//! failures drop exactly the partitions that lived on the failed worker
+//! (recovered later through the base generator, i.e. lineage).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
 use shark_columnar::{ColumnarPartition, PartitionStats};
 use shark_common::{Result, Row, Schema, SharkError};
+use shark_rdd::{BlockId, BlockStore, Owner, Totals};
 
 /// Deterministic per-partition row generator (the "files" of a table).
 pub type RowGenerator = Arc<dyn Fn(usize) -> Vec<Row> + Send + Sync>;
-
-/// Process-wide last-access clock shared by every memstore partition. A
-/// single clock makes ticks comparable *across* tables, which is what lets a
-/// memory manager pick the globally least-recently-used partition instead of
-/// guessing at table granularity.
-static MEMSTORE_CLOCK: AtomicU64 = AtomicU64::new(0);
-
-fn next_memstore_tick() -> u64 {
-    MEMSTORE_CLOCK.fetch_add(1, Ordering::Relaxed) + 1
-}
 
 /// A second storage tier demoted partitions can be faulted back in from.
 ///
@@ -52,45 +44,31 @@ pub trait SpillSource: Send + Sync {
     ) -> Option<(Arc<ColumnarPartition>, u64)>;
 }
 
-/// One loaded (or evicted) partition eligible for eviction, as reported by
-/// [`MemTable::lru_candidates`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionResidency {
-    /// Partition index within its table.
-    pub partition: usize,
-    /// Resident columnar bytes.
-    pub bytes: u64,
-    /// Last-access tick on the process-wide memstore clock (smaller =
-    /// colder).
-    pub last_tick: u64,
-}
+/// Memtable ids are unique in the process, so table blocks of different
+/// stores never share a [`BlockId`].
+static NEXT_MEMTABLE_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// The cached, columnar representation of a table (the memstore, §3.2).
 ///
 /// The partition — not the table — is the unit of storage, recency tracking
-/// and eviction (§3.1–3.2): each partition carries its own last-access tick
-/// on a process-wide clock, can be evicted individually under memory
-/// pressure, and is transparently rebuilt from the table's base generator
-/// (its lineage) by the next scan that needs it. Partition *statistics* are
-/// retained across policy evictions — they are tiny and stay valid because
-/// the base generator is deterministic — so map pruning and top-k partition
-/// ordering keep working over a partially evicted table.
+/// and eviction (§3.1–3.2). Partitions are blocks of a [`BlockStore`], keyed
+/// [`BlockId::Table`] by this memtable's id: the store holds the data, the
+/// bytes, the last-access tick and the node, and keeps this table's
+/// resident totals. The memtable keeps only metadata. Partition
+/// *statistics* are retained across policy evictions — they are tiny and
+/// stay valid because the base generator is deterministic — so map pruning
+/// and top-k partition ordering keep working over a partially evicted
+/// table; an evicted partition is rebuilt from the base generator (its
+/// lineage) by the next scan that needs it.
 pub struct MemTable {
-    partitions: Vec<RwLock<Option<Arc<ColumnarPartition>>>>,
+    id: usize,
+    /// The store holding the partitions: the catalog's, bound when the
+    /// table is installed; a private one if it is used before that.
+    store: OnceLock<Arc<BlockStore>>,
     /// Per-partition statistics, retained across policy evictions (but not
     /// across node failures, which are treated as data loss).
     stats: Vec<RwLock<Option<Arc<PartitionStats>>>>,
-    /// Per-partition last-access tick on [`MEMSTORE_CLOCK`].
-    ticks: Vec<AtomicU64>,
     placements: Vec<usize>,
-    /// Bytes, count and rows of the resident partitions, adjusted by every
-    /// slot mutation (`put`, `evict_partition`, `take_partition`,
-    /// `drop_node`) while it holds that slot's write lock — so the totals
-    /// every query's admission and settlement read are exact without
-    /// visiting a partition. Relaxed: they publish no other data.
-    resident_bytes: AtomicU64,
-    loaded_partitions: AtomicUsize,
-    total_rows: AtomicU64,
     /// Partitions rebuilt from the base generator by scans after an eviction
     /// or node failure (the lineage-recovery path).
     rebuilds: AtomicU64,
@@ -113,13 +91,10 @@ impl MemTable {
     /// each partition to a node round-robin.
     pub fn new(num_partitions: usize, num_nodes: usize) -> MemTable {
         MemTable {
-            partitions: (0..num_partitions).map(|_| RwLock::new(None)).collect(),
+            id: NEXT_MEMTABLE_ID.fetch_add(1, Ordering::Relaxed),
+            store: OnceLock::new(),
             stats: (0..num_partitions).map(|_| RwLock::new(None)).collect(),
-            ticks: (0..num_partitions).map(|_| AtomicU64::new(0)).collect(),
             placements: (0..num_partitions).map(|p| p % num_nodes.max(1)).collect(),
-            resident_bytes: AtomicU64::new(0),
-            loaded_partitions: AtomicUsize::new(0),
-            total_rows: AtomicU64::new(0),
             rebuilds: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
             spill: RwLock::new(None),
@@ -127,68 +102,69 @@ impl MemTable {
         }
     }
 
+    /// This table version's id: its partitions are the blocks
+    /// `BlockId::Table { table: id, .. }`.
+    pub fn id(&self) -> usize {
+        self.id
+    }
+
+    /// Place this memtable's partitions in `store`. The first binding wins,
+    /// so a memtable never moves between stores.
+    pub(crate) fn bind(&self, store: &Arc<BlockStore>) {
+        let _ = self.store.set(store.clone());
+    }
+
+    /// The store holding this table's partitions.
+    pub(crate) fn store(&self) -> &Arc<BlockStore> {
+        self.store.get_or_init(Arc::default)
+    }
+
+    fn block(&self, partition: usize) -> BlockId {
+        BlockId::Table {
+            table: self.id,
+            partition,
+        }
+    }
+
+    fn totals(&self) -> Totals {
+        self.store().owner_totals(Owner::Table(self.id))
+    }
+
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
+        self.placements.len()
     }
 
     /// Fetch a cached partition if it is loaded, refreshing its LRU tick.
     pub fn get(&self, partition: usize) -> Option<Arc<ColumnarPartition>> {
-        let data = self.partitions[partition].read().clone();
-        if data.is_some() {
-            self.touch(partition);
-        }
-        data
+        self.store()
+            .get(self.block(partition))
+            .map(|(data, _)| data)
     }
 
     /// Whether a partition is resident (without refreshing its LRU tick —
     /// use for accounting, not for access).
     pub fn is_loaded(&self, partition: usize) -> bool {
-        self.partitions[partition].read().is_some()
+        self.store().contains(self.block(partition))
     }
 
-    /// Store a loaded partition, recording its statistics and refreshing
-    /// its LRU tick.
+    /// Store a loaded partition on its node, recording its statistics and
+    /// refreshing its LRU tick.
     pub fn put(&self, partition: usize, data: Arc<ColumnarPartition>) {
         *self.stats[partition].write() = Some(data.stats().clone());
-        {
-            let mut slot = self.partitions[partition].write();
-            self.account_loaded(&data);
-            if let Some(replaced) = slot.replace(data) {
-                self.account_unloaded(&replaced);
-            }
-        }
-        self.touch(partition);
-    }
-
-    /// Add a partition entering a slot to the resident totals. Called with
-    /// the slot's write lock held.
-    fn account_loaded(&self, data: &ColumnarPartition) {
-        self.resident_bytes
-            .fetch_add(data.memory_bytes() as u64, Ordering::Relaxed);
-        self.loaded_partitions.fetch_add(1, Ordering::Relaxed);
-        self.total_rows
-            .fetch_add(data.num_rows() as u64, Ordering::Relaxed);
-    }
-
-    /// Take a partition leaving a slot out of the resident totals. Called
-    /// with the slot's write lock held.
-    fn account_unloaded(&self, data: &ColumnarPartition) {
-        self.resident_bytes
-            .fetch_sub(data.memory_bytes() as u64, Ordering::Relaxed);
-        self.loaded_partitions.fetch_sub(1, Ordering::Relaxed);
-        self.total_rows
-            .fetch_sub(data.num_rows() as u64, Ordering::Relaxed);
+        let (bytes, rows) = (data.memory_bytes() as u64, data.num_rows() as u64);
+        self.store().put(
+            self.block(partition),
+            data,
+            self.placements[partition],
+            bytes,
+            rows,
+        );
     }
 
     /// Refresh a partition's last-access tick.
     pub fn touch(&self, partition: usize) {
-        self.ticks[partition].store(next_memstore_tick(), Ordering::Relaxed);
-    }
-
-    /// A partition's last-access tick on the process-wide memstore clock.
-    pub fn last_tick(&self, partition: usize) -> u64 {
-        self.ticks[partition].load(Ordering::Relaxed)
+        self.store().touch(self.block(partition));
     }
 
     /// The node holding a partition.
@@ -196,46 +172,24 @@ impl MemTable {
         self.placements[partition]
     }
 
-    /// Drop every partition stored on `node`, returning how many were lost.
-    /// A node failure loses the data *and* the statistics derived from it
-    /// (unlike a policy eviction, which keeps the statistics).
-    pub fn drop_node(&self, node: usize) -> usize {
-        let mut lost = 0;
-        for (p, slot) in self.partitions.iter().enumerate() {
-            if self.placements[p] == node {
-                let mut guard = slot.write();
-                if let Some(dropped) = guard.take() {
-                    self.account_unloaded(&dropped);
-                    *self.stats[p].write() = None;
-                    lost += 1;
-                }
-            }
-        }
-        lost
-    }
-
     /// Number of partitions currently loaded.
     pub fn loaded_partitions(&self) -> usize {
-        self.loaded_partitions.load(Ordering::Relaxed)
+        self.totals().blocks
     }
 
     /// Total memory footprint of loaded partitions, in bytes.
     pub fn memory_bytes(&self) -> u64 {
-        self.resident_bytes.load(Ordering::Relaxed)
+        self.totals().bytes
     }
 
     /// Resident bytes of one partition (0 when evicted or never loaded).
     pub fn partition_bytes(&self, partition: usize) -> u64 {
-        self.partitions[partition]
-            .read()
-            .as_ref()
-            .map(|c| c.memory_bytes() as u64)
-            .unwrap_or(0)
+        self.store().block_bytes(self.block(partition))
     }
 
     /// Total rows across loaded partitions.
     pub fn total_rows(&self) -> u64 {
-        self.total_rows.load(Ordering::Relaxed)
+        self.totals().rows
     }
 
     /// Evict one partition (a *policy* eviction under memory pressure, not a
@@ -244,8 +198,9 @@ impl MemTable {
     /// because the base generator is deterministic — and the data is
     /// transparently rebuilt from lineage by the next scan that needs it.
     pub fn evict_partition(&self, partition: usize) -> u64 {
-        self.take_partition(partition)
-            .map_or(0, |columnar| columnar.memory_bytes() as u64)
+        self.store()
+            .remove(self.block(partition))
+            .map_or(0, |(_, bytes)| bytes)
     }
 
     /// Remove one resident partition and hand its data to the caller — the
@@ -254,12 +209,8 @@ impl MemTable {
     /// spill tier instead of relying on lineage recompute. Statistics are
     /// retained, exactly as for a plain eviction.
     pub fn take_partition(&self, partition: usize) -> Option<Arc<ColumnarPartition>> {
-        let mut slot = self.partitions[partition].write();
-        let taken = slot.take();
-        if let Some(columnar) = &taken {
-            self.account_unloaded(columnar);
-        }
-        taken
+        let (data, _) = self.store().remove(self.block(partition))?;
+        data.downcast().ok()
     }
 
     /// Install the spill tier that demoted partitions of this table fault
@@ -289,35 +240,14 @@ impl MemTable {
         source.fetch(table, partition, expected_version)
     }
 
-    /// Evict every loaded partition, returning `(partitions, bytes)` freed.
-    /// The table stays registered (statistics included) and is transparently
-    /// reloaded from its base generator — its lineage — on the next scan.
-    pub fn evict_all(&self) -> (usize, u64) {
-        let mut partitions = 0usize;
-        let mut bytes = 0u64;
-        for p in 0..self.partitions.len() {
-            let freed = self.evict_partition(p);
-            if freed > 0 {
-                partitions += 1;
-                bytes += freed;
-            }
-        }
-        (partitions, bytes)
-    }
-
-    /// Every *resident* partition with its bytes and last-access tick — the
-    /// candidate list a partition-granular LRU eviction policy works from.
-    pub fn lru_candidates(&self) -> Vec<PartitionResidency> {
-        (0..self.partitions.len())
-            .filter_map(|p| {
-                let bytes = self.partition_bytes(p);
-                (bytes > 0).then(|| PartitionResidency {
-                    partition: p,
-                    bytes,
-                    last_tick: self.last_tick(p),
-                })
-            })
-            .collect()
+    /// Evict every loaded partition, returning the partitions freed (in
+    /// index order) and their bytes. The table stays registered (statistics
+    /// included) and is transparently reloaded from its base generator —
+    /// its lineage — on the next scan.
+    pub fn evict_all(&self) -> (Vec<usize>, u64) {
+        let removed = self.store().remove_owner(Owner::Table(self.id));
+        let bytes = removed.iter().map(|(_, bytes)| bytes).sum();
+        (removed.into_iter().map(|(p, _)| p).collect(), bytes)
     }
 
     /// Statistics of a partition. Retained across policy evictions, so this
@@ -608,7 +538,7 @@ const DDL_JOURNAL_CAP: usize = 4096;
 /// The metastore: a registry of tables by name, rebuilt around immutable,
 /// epoch-versioned snapshots.
 ///
-/// Reads (`get`, `contains`, `cached_tables`, `drop_node`, …) load the
+/// Reads (`get`, `contains`, `cached_tables`, …) load the
 /// current snapshot and iterate it without holding any lock, so a DDL burst
 /// can never stall them; DDL (`register`, `register_if_absent`,
 /// `drop_table`) installs a new snapshot under a short write lock. Queries
@@ -624,6 +554,8 @@ const DDL_JOURNAL_CAP: usize = 4096;
 /// [`Catalog::reclaim_unreferenced`]; shark-server's `MemstoreManager`
 /// drains the log for its byte/eviction accounting.
 pub struct Catalog {
+    /// Where installed tables' memtables keep their partitions.
+    store: Arc<BlockStore>,
     current: RwLock<Arc<CatalogSnapshot>>,
     /// Weak handles to every snapshot pinned via [`Catalog::snapshot`].
     live: Mutex<Vec<Weak<CatalogSnapshot>>>,
@@ -638,6 +570,7 @@ pub struct Catalog {
 impl Default for Catalog {
     fn default() -> Catalog {
         Catalog {
+            store: Arc::default(),
             current: RwLock::new(Arc::new(CatalogSnapshot::empty())),
             live: Mutex::new(Vec::new()),
             deferred: Mutex::new(Vec::new()),
@@ -648,9 +581,32 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// Create an empty catalog.
+    /// Create an empty catalog over a private block store.
     pub fn new() -> Catalog {
         Catalog::default()
+    }
+
+    /// Create an empty catalog whose tables keep their memstore partitions
+    /// in `store` — the store of the context its sessions run on.
+    pub fn with_store(store: Arc<BlockStore>) -> Catalog {
+        Catalog {
+            store,
+            ..Catalog::default()
+        }
+    }
+
+    /// The block store installed tables keep their partitions in.
+    pub fn store(&self) -> &Arc<BlockStore> {
+        &self.store
+    }
+
+    /// Place a cached table's memtable in this catalog's store. Installing
+    /// a table does this; CTAS does it first, to load the table before
+    /// publishing it.
+    pub(crate) fn bind(&self, table: &TableMeta) {
+        if let Some(mem) = &table.cached {
+            mem.bind(&self.store);
+        }
     }
 
     /// The current snapshot, *unpinned*: cheap to take, does not defer
@@ -762,6 +718,7 @@ impl Catalog {
     /// Register a table, replacing any table of the same name (the old
     /// version, if cached, becomes a deferred drop).
     pub fn register(&self, table: TableMeta) -> Arc<TableMeta> {
+        self.bind(&table);
         let arc = Arc::new(table);
         let registered = arc.clone();
         let mut installed_epoch = 0;
@@ -797,6 +754,7 @@ impl Catalog {
     /// registered-but-still-empty cached table (and fault its partitions
     /// in from lineage mid-registration).
     pub fn register_arc_if_absent(&self, arc: Arc<TableMeta>) -> Result<Arc<TableMeta>> {
+        self.bind(&arc);
         let registered = arc.clone();
         let mut installed_epoch = 0;
         self.install(|tables, epoch| {
@@ -854,16 +812,35 @@ impl Catalog {
         self.read().table_names()
     }
 
-    /// Drop the cached partitions of every current table that lived on
-    /// `node` (called when a simulated worker dies). Returns partitions
-    /// lost. Iterates a snapshot, not the live map: a long DDL burst can
-    /// neither stall nor deadlock failure simulation.
-    pub fn drop_node(&self, node: usize) -> usize {
-        self.read()
-            .cached_tables()
+    /// Clear the statistics of the table partitions a node failure removed
+    /// from the store (`lost`, as [`shark_rdd::RddContext::fail_node`]
+    /// returns it), in current and deferred-drop versions alike: a failure
+    /// loses the data *and* the statistics derived from it, unlike a policy
+    /// eviction. Returns how many of this catalog's partitions were lost.
+    pub fn forget_lost(&self, lost: &[BlockId]) -> usize {
+        let deferred: Vec<Arc<TableMeta>> = self
+            .deferred
+            .lock()
             .iter()
-            .filter_map(|t| t.cached.as_ref().map(|m| m.drop_node(node)))
-            .sum()
+            .map(|d| d.table.clone())
+            .collect();
+        let mut forgotten = 0;
+        for table in self.read().cached_tables().iter().chain(&deferred) {
+            let Some(mem) = &table.cached else { continue };
+            for id in lost {
+                if let BlockId::Table {
+                    table: owner,
+                    partition,
+                } = *id
+                {
+                    if owner == mem.id() {
+                        *mem.stats[partition].write() = None;
+                        forgotten += 1;
+                    }
+                }
+            }
+        }
+        forgotten
     }
 
     /// Every registered table that has a memstore attached, sorted by name
@@ -916,11 +893,8 @@ impl Catalog {
             let Some(mem) = table.cached.as_ref() else {
                 continue;
             };
-            let partitions: Vec<usize> = (0..mem.num_partitions())
-                .filter(|&p| mem.is_loaded(p))
-                .collect();
             let rebuilds = mem.rebuilds();
-            let (_count, bytes) = mem.evict_all();
+            let (partitions, bytes) = mem.evict_all();
             records.push(ReclaimedDrop {
                 name: table.name.clone(),
                 partitions,
@@ -1054,7 +1028,7 @@ mod tests {
         assert!(mem.memory_bytes() > 0);
         assert_eq!(mem.total_rows(), 4);
         // Partitions 0 and 3 live on node 0 (round robin over 3 nodes).
-        let lost = catalog.drop_node(0);
+        let lost = catalog.forget_lost(&catalog.store().drop_node(0));
         assert_eq!(lost, 2);
         assert_eq!(mem.loaded_partitions(), 2);
         assert!(mem.get(0).is_none());
@@ -1076,7 +1050,7 @@ mod tests {
         let resident = mem.memory_bytes();
         assert!(resident > 0);
         let (partitions, bytes) = mem.evict_all();
-        assert_eq!(partitions, 4);
+        assert_eq!(partitions, vec![0, 1, 2, 3]);
         assert_eq!(bytes, resident);
         assert_eq!(mem.loaded_partitions(), 0);
         assert_eq!(mem.memory_bytes(), 0);
@@ -1084,7 +1058,7 @@ mod tests {
         // ordering still work over the evicted partitions.
         assert!(mem.stats(0).is_some());
         // Idempotent.
-        assert_eq!(mem.evict_all(), (0, 0));
+        assert_eq!(mem.evict_all(), (vec![], 0));
     }
 
     #[test]
@@ -1109,74 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_totals_equal_a_recount_after_any_mutation_sequence() {
-        // What the totals must equal: a walk over the partition slots.
-        fn recount(mem: &MemTable) -> (u64, usize, u64) {
-            (0..mem.num_partitions())
-                .filter_map(|p| mem.partitions[p].read().clone())
-                .fold((0, 0, 0), |(bytes, loaded, rows), c| {
-                    (
-                        bytes + c.memory_bytes() as u64,
-                        loaded + 1,
-                        rows + c.num_rows() as u64,
-                    )
-                })
-        }
-        let schema = Schema::from_pairs(&[("id", DataType::Int), ("name", DataType::Str)]);
-        for seed in 1u64..=8 {
-            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut next = move |bound: u64| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state % bound
-            };
-            let mem = MemTable::new(12, 3);
-            for step in 0..400 {
-                let p = next(12) as usize;
-                match next(8) {
-                    // put: fresh or replacing, with a partition whose size
-                    // differs from whatever the slot held (a spill promotion
-                    // is this same call with the fetched partition).
-                    0..=2 => {
-                        let rows: Vec<Row> = (0..next(40))
-                            .map(|i| row![i as i64, "n".repeat(next(12) as usize)])
-                            .collect();
-                        mem.put(p, Arc::new(ColumnarPartition::from_rows(&schema, &rows)));
-                    }
-                    3 => {
-                        let before = mem.partition_bytes(p);
-                        assert_eq!(mem.evict_partition(p), before);
-                    }
-                    4 => {
-                        let was_loaded = mem.is_loaded(p);
-                        assert_eq!(mem.take_partition(p).is_some(), was_loaded);
-                    }
-                    5 => {
-                        mem.drop_node(next(3) as usize);
-                    }
-                    6 if step % 7 == 0 => {
-                        let (bytes, loaded, _) = recount(&mem);
-                        assert_eq!(mem.evict_all(), (loaded, bytes));
-                    }
-                    // Retiring forbids rebuilds, not accounting.
-                    _ if step == 300 => mem.retire(),
-                    _ => {}
-                }
-                assert_eq!(
-                    (
-                        mem.memory_bytes(),
-                        mem.loaded_partitions(),
-                        mem.total_rows()
-                    ),
-                    recount(&mem),
-                    "seed {seed}, step {step}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn lru_candidates_order_follows_accesses() {
         let catalog = Catalog::new();
         let t = catalog.register(demo_table(true));
@@ -1188,23 +1094,17 @@ mod tests {
         // Touch 0 and 2 (via get); 1 and 3 keep their load-time ticks.
         assert!(mem.get(0).is_some());
         assert!(mem.get(2).is_some());
-        let mut candidates = mem.lru_candidates();
-        assert_eq!(candidates.len(), 4);
-        candidates.sort_by_key(|c| c.last_tick);
-        let order: Vec<usize> = candidates.iter().map(|c| c.partition).collect();
-        assert_eq!(order, vec![1, 3, 0, 2]);
+        let order = |store: &BlockStore| -> Vec<usize> {
+            store
+                .candidates()
+                .iter()
+                .map(|c| c.id.partition())
+                .collect()
+        };
+        assert_eq!(order(catalog.store()), vec![1, 3, 0, 2]);
         // is_loaded does not refresh the tick.
         assert!(mem.is_loaded(1));
-        let again = mem.lru_candidates();
-        let tick1 = again.iter().find(|c| c.partition == 1).unwrap().last_tick;
-        assert_eq!(
-            tick1,
-            candidates
-                .iter()
-                .find(|c| c.partition == 1)
-                .unwrap()
-                .last_tick
-        );
+        assert_eq!(order(catalog.store()), vec![1, 3, 0, 2]);
     }
 
     #[test]

@@ -41,9 +41,10 @@ struct Planned {
 
 impl SqlSession {
     /// Create a session with the given execution configuration and a
-    /// private catalog.
+    /// private catalog whose memtables live in the context's block store.
     pub fn new(ctx: RddContext, exec: ExecConfig) -> SqlSession {
-        SqlSession::with_catalog(ctx, exec, Arc::new(Catalog::new()))
+        let catalog = Arc::new(Catalog::with_store(ctx.cache().clone()));
+        SqlSession::with_catalog(ctx, exec, catalog)
     }
 
     /// Create a session over a *shared* catalog. Every session built from
@@ -354,14 +355,13 @@ impl SqlSession {
         Ok(table)
     }
 
-    /// Kill a simulated worker node: drops its RDD-cache and memstore
-    /// partitions and marks it failed on the cluster. Returns the number of
-    /// memstore partitions lost (they will be recovered through lineage on
-    /// the next scan).
+    /// Kill a simulated worker node: removes every block it held (RDD and
+    /// memstore partitions, dropped table versions included) and marks it
+    /// failed on the cluster. Returns the number of memstore partitions
+    /// lost (they will be recovered through lineage on the next scan).
     pub fn fail_node(&self, node: usize) -> usize {
-        let lost = self.catalog.drop_node(node);
-        self.ctx.fail_node(node);
-        lost
+        let lost = self.ctx.fail_node(node);
+        self.catalog.forget_lost(&lost)
     }
 
     fn create_table_as(
@@ -430,6 +430,7 @@ impl SqlSession {
             table = table.with_copartition(other);
         }
         let built = Arc::new(table);
+        self.catalog.bind(&built);
         if cache_requested {
             // Load the memstore *before* publishing the table: once it is
             // visible in a snapshot, no query may ever find a cached
@@ -850,6 +851,40 @@ mod tests {
             before.rows[0].get_int(0).unwrap(),
             after.rows[0].get_int(0).unwrap()
         );
+    }
+
+    #[test]
+    fn node_failure_reaches_a_dropped_version_an_open_cursor_pins() {
+        // 8 partitions on 4 nodes: node 0 holds partitions 0 and 4.
+        let s = SqlSession::new(RddContext::local(), ExecConfig::shark());
+        let schema = Schema::from_pairs(&[("k", DataType::Int)]);
+        s.register_table(
+            TableMeta::new("t", schema, 8, |p| {
+                (0..10).map(|i| row![(p * 10 + i) as i64]).collect()
+            })
+            .with_cache(4),
+        );
+        s.load_table("t").unwrap();
+        let mem = s.catalog().get("t").unwrap().cached.clone().unwrap();
+        let mut cursor = s.sql_stream("SELECT k FROM t").unwrap();
+        s.sql("DROP TABLE t").unwrap();
+        assert!(mem.is_retired());
+
+        assert_eq!(s.fail_node(0), 2);
+        let on_node_0: Vec<usize> = (0..8)
+            .filter(|&p| mem.placement(p) == 0 && mem.is_loaded(p))
+            .collect();
+        assert!(on_node_0.is_empty(), "still resident: {on_node_0:?}");
+        assert!(mem.stats(0).is_none() && mem.stats(4).is_none());
+
+        // The retired version reads its lost partitions through lineage.
+        let mut rows = Vec::new();
+        while let Some(batch) = cursor.next_batch().unwrap() {
+            rows.extend(batch.iter().map(|r| r.get_int(0).unwrap()));
+        }
+        rows.sort_unstable();
+        assert_eq!(rows, (0..80).collect::<Vec<i64>>());
+        assert!(!mem.is_loaded(0), "read-through must not repopulate");
     }
 
     #[test]

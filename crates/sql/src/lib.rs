@@ -29,8 +29,8 @@ pub mod vector;
 
 pub use aggregate::{AggExpr, AggFunc, AggState, AggStates};
 pub use catalog::{
-    Catalog, CatalogSnapshot, DdlRecord, MemTable, PartitionResidency, ReclaimedDrop, RowGenerator,
-    SpillSource, TableMeta,
+    Catalog, CatalogSnapshot, DdlRecord, MemTable, ReclaimedDrop, RowGenerator, SpillSource,
+    TableMeta,
 };
 pub use engine::SqlSession;
 pub use exec::{

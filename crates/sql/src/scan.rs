@@ -568,7 +568,7 @@ mod tests {
         let mem = meta.cached.as_ref().unwrap();
         let before = mem.loaded_partitions();
         // Node 0 holds partitions 0 and 3 (round robin over 3 nodes).
-        mem.drop_node(0);
+        assert_eq!(mem.store().drop_node(0).len(), 2);
         assert!(mem.loaded_partitions() < before);
         let rdd = MemTableScanRdd::create(
             &ctx,
