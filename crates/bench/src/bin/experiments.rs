@@ -9,6 +9,8 @@
 //! Figures: figure1, figure5, figure6, loading, figure7, figure8, figure9,
 //! figure10, figure11, figure12, figure13, memory, pruning, skew.
 
+#![forbid(unsafe_code)]
+
 use shark_cluster::{ClusterConfig, DfsModel, EngineProfile};
 use shark_columnar::ColumnarPartition;
 use shark_core::datasets::{register_ml_points, register_pavlo, register_tpch, register_warehouse};

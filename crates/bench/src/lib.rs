@@ -11,6 +11,8 @@
 //! of the medians (see the `SHARK_BENCH_JSON` hook in the vendored
 //! `criterion` stand-in) that seeds the performance trajectory.
 
+#![forbid(unsafe_code)]
+
 use shark_datagen::tpch::TpchConfig;
 use shark_datagen::warehouse::WarehouseConfig;
 

@@ -20,6 +20,8 @@
 //! [`RowStream::cancel`] to stop an expensive query without dropping the
 //! connection.
 
+#![forbid(unsafe_code)]
+
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;

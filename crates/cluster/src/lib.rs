@@ -26,6 +26,8 @@
 //!   speculative back-ups and node failures, and reports per-stage and
 //!   per-job simulated wall-clock times.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod cost;
 pub mod failure;

@@ -160,6 +160,12 @@ impl ClusterSim {
         self.failure = plan;
     }
 
+    /// Fail `node` at the current clock, adding to the failures already
+    /// planned.
+    pub fn fail_node_now(&mut self, node: usize) {
+        self.failure = std::mem::take(&mut self.failure).and_then(node, self.clock);
+    }
+
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config

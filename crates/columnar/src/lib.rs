@@ -21,6 +21,8 @@
 //! * [`footprint`] — a model of the per-object overhead a deserialized
 //!   row-object store would pay (the "JVM object" comparison of §3.2).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod column;
 pub mod encoding;

@@ -12,6 +12,8 @@
 //! [`codec`] holds the byte-level primitives and tag tables shared by every
 //! on-disk and wire format.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod error;
 pub mod hash;

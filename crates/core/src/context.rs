@@ -16,8 +16,6 @@ pub struct SharkConfig {
     pub default_partitions: usize,
     /// Ratio between simulated data volume and the in-process volume.
     pub sim_scale: f64,
-    /// Execute tasks of a stage on multiple OS threads.
-    pub parallel_tasks: bool,
     /// SQL execution configuration (Shark / Shark-disk / Hive, PDE knobs).
     pub exec: ExecConfig,
 }
@@ -28,7 +26,6 @@ impl Default for SharkConfig {
             cluster: ClusterConfig::small(4, 2),
             default_partitions: 8,
             sim_scale: 1.0,
-            parallel_tasks: false,
             exec: ExecConfig::shark(),
         }
     }
@@ -81,7 +78,6 @@ impl SharkContext {
             cluster: config.cluster.clone(),
             default_partitions: config.default_partitions,
             sim_scale: config.sim_scale,
-            parallel_tasks: config.parallel_tasks,
         };
         let ctx = RddContext::new(rdd_config);
         SharkContext {

@@ -22,6 +22,8 @@
 //! assert_eq!(result.rows.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod datasets;
 

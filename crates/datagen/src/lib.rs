@@ -17,6 +17,8 @@
 //! regenerating a partition after a simulated node failure yields identical
 //! data — the property lineage-based recovery relies on (§2.2, footnote 2).
 
+#![forbid(unsafe_code)]
+
 pub mod ml;
 pub mod pavlo;
 pub mod tpch;

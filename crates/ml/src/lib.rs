@@ -26,6 +26,8 @@
 //! charged the same simulated seconds. Weights, centers and
 //! `iteration_seconds` are therefore bit-identical to the per-point form.
 
+#![forbid(unsafe_code)]
+
 pub mod kmeans;
 pub mod linalg;
 pub mod linear;

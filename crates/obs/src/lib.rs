@@ -16,6 +16,8 @@
 //! recorder*), sized by the `SHARK_TRACE_RING` environment variable
 //! (default 4096 records); old records are overwritten, never reallocated.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod metrics;
 pub mod trace;

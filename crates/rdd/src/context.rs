@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use shark_cluster::{ClusterConfig, ClusterSim, CostModel, FailurePlan, InputSource, TaskSpec};
+use shark_cluster::{ClusterConfig, ClusterSim, CostModel, InputSource, TaskSpec};
 
 use crate::cache::{BlockId, BlockStore};
 use crate::rdd::{Data, GeneratorRdd, Rdd};
@@ -28,8 +28,6 @@ pub struct RddConfig {
     /// before entering the cost model, letting laptop-sized runs reproduce
     /// cluster-scale timings.
     pub sim_scale: f64,
-    /// Execute the tasks of a stage on multiple OS threads.
-    pub parallel_tasks: bool,
 }
 
 impl Default for RddConfig {
@@ -38,7 +36,6 @@ impl Default for RddConfig {
             cluster: ClusterConfig::small(4, 2),
             default_partitions: 8,
             sim_scale: 1.0,
-            parallel_tasks: false,
         }
     }
 }
@@ -50,7 +47,6 @@ impl RddConfig {
             cluster: ClusterConfig::paper_shark_cluster(),
             default_partitions: 64,
             sim_scale: 1.0,
-            parallel_tasks: false,
         }
     }
 
@@ -247,14 +243,10 @@ impl RddContext {
 
     /// Kill a node *now*: removes every block it held — table and RDD
     /// partitions, including dropped table versions still pinned — and
-    /// marks it failed for the remainder of the simulation. Returns the
-    /// blocks removed.
+    /// marks it failed for the remainder of the simulation, on top of any
+    /// node failed before. Returns the blocks removed.
     pub fn fail_node(&self, node: usize) -> Vec<BlockId> {
-        {
-            let mut cluster = self.state.cluster.lock();
-            let now = cluster.now();
-            cluster.set_failure_plan(FailurePlan::single(node, now));
-        }
+        self.state.cluster.lock().fail_node_now(node);
         self.state.cache.drop_node(node)
     }
 
@@ -286,25 +278,14 @@ impl RddContext {
         });
     }
 
-    /// Simulate an externally constructed stage (e.g. a table-load stage
-    /// built by the SQL layer) on the cluster, advancing the clock.
-    pub fn simulate_external_stage(
-        &self,
-        specs: &[shark_cluster::TaskSpec],
-    ) -> shark_cluster::StageSimResult {
-        self.state.cluster.lock().simulate_stage(specs)
-    }
-
     /// Price and record a finished job: replay its task logs on the
     /// simulated cluster — in order, once, under one lock, the only time a
     /// job touches the simulator — and advance the clock by their sum, the
-    /// job's simulated seconds, which are returned.
-    pub(crate) fn record_job(
-        &self,
-        name: &str,
-        mut stages: Vec<StageReport>,
-        real_duration: f64,
-    ) -> f64 {
+    /// job's simulated seconds, which are returned. The scheduler records
+    /// every action, stream and pre-shuffle here; a layer that runs its own
+    /// stage (the SQL layer's table load) logs the tasks and records it the
+    /// same way.
+    pub fn record_job(&self, name: &str, mut stages: Vec<StageReport>, real_duration: f64) -> f64 {
         {
             let mut cluster = self.state.cluster.lock();
             for stage in &mut stages {
@@ -442,6 +423,22 @@ mod tests {
         assert_eq!(ctx.alive_nodes(), before - 1);
         assert!(ctx.cache().contains(block(1)));
         assert!(!ctx.cache().contains(block(0)));
+        // A second failure adds to the first: both nodes stay dead, and no
+        // partition cached afterwards is placed on either.
+        ctx.fail_node(0);
+        assert_eq!(ctx.alive_nodes(), before - 2);
+        let rdd = ctx.parallelize((0i64..8).collect(), 8).cache();
+        assert_eq!(rdd.count().unwrap(), 8);
+        for partition in 0..8 {
+            let node = ctx.cache().location(BlockId::Rdd {
+                rdd: rdd.id(),
+                partition,
+            });
+            assert!(
+                matches!(node, Some(1 | 3)),
+                "partition {partition} cached on {node:?}"
+            );
+        }
     }
 
     #[test]

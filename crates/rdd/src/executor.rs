@@ -1,10 +1,10 @@
 //! The shared work-stealing task executor.
 //!
-//! Every job in the process — batch stages submitted through the DAG
-//! scheduler's [`run_tasks`](crate::scheduler) and streamed morsels pumped
-//! by [`PipelinedJob`](crate::PipelinedJob) — runs on one process-wide pool
-//! of worker threads instead of spawning a fresh `std::thread::scope` per
-//! query. A *morsel* is one partition task; workers keep their own deque
+//! The result-stage tasks a [`PipelinedJob`](crate::PipelinedJob) prefetches
+//! ahead of its consumer run as morsels on one process-wide pool of worker
+//! threads; everything else (map stages, the consumer's own position, every
+//! task of a job drained at prefetch 0) runs on the caller's thread. A
+//! *morsel* is one partition task; workers keep their own deque
 //! (newest-first, for cache locality) and steal the oldest morsel from a
 //! sibling when their own deque and the shared injector run dry, so a query
 //! with a single long partition cannot strand the other workers idle while
@@ -95,9 +95,9 @@ fn worker_loop(shared: Arc<ExecutorShared>, index: usize) {
                 let _guard = lock(&shared.sleep);
                 shared.wake.notify_one();
             }
-            // A panicking task must not take the worker down with it: the
-            // submitter observes the panic through its own completion state
-            // (e.g. `run_tasks` latches an execution error), and the worker
+            // A panicking task must not take the worker down with it. The
+            // scheduler's tasks already turn their panics into errors; this
+            // guards the pool against any other submitter's, and the worker
             // moves on to the next morsel.
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             continue;
@@ -175,11 +175,6 @@ impl Executor {
         self.shared.locals.len()
     }
 
-    /// Tasks queued but not yet picked up by a worker.
-    pub fn pending(&self) -> usize {
-        self.shared.pending.load(Ordering::SeqCst)
-    }
-
     /// How many tasks were stolen from another worker's deque — a liveness
     /// signal for the stealing path, surfaced for tests and diagnostics.
     pub fn steals(&self) -> u64 {
@@ -201,66 +196,6 @@ impl Executor {
             }
         });
         self.shared.push(Box::new(f), worker);
-    }
-
-    /// Run a batch of borrowed tasks to completion, blocking the caller
-    /// until every task has executed. The caller's thread helps drain the
-    /// batch, so this makes progress even when every pool worker is busy
-    /// with other queries — and it is what lets the DAG scheduler submit
-    /// stage tasks that borrow from the stack.
-    pub fn run_scoped<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        struct Batch {
-            queue: Mutex<VecDeque<Task>>,
-            done: Mutex<usize>,
-            cv: Condvar,
-        }
-        impl Batch {
-            fn run_one(&self) -> bool {
-                let task = lock(&self.queue).pop_front();
-                match task {
-                    Some(task) => {
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                        *lock(&self.done) += 1;
-                        self.cv.notify_all();
-                        true
-                    }
-                    None => false,
-                }
-            }
-        }
-        let n = tasks.len();
-        if n == 0 {
-            return;
-        }
-        // SAFETY: the borrowed closures are erased to 'static so pool
-        // workers can hold them, but this function does not return until
-        // `done == n`, i.e. until every closure has finished running — so
-        // no closure outlives the borrows it captures.
-        let tasks: VecDeque<Task> = tasks
-            .into_iter()
-            .map(|task| unsafe {
-                std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(task)
-            })
-            .collect();
-        let batch = Arc::new(Batch {
-            queue: Mutex::new(tasks),
-            done: Mutex::new(0),
-            cv: Condvar::new(),
-        });
-        // One ticket per task: a ticket runs at most one batch task, so the
-        // batch can never occupy more than `n` workers, and tickets finding
-        // the queue already drained (by the caller or siblings) are no-ops.
-        for _ in 0..n.min(self.threads()) {
-            let batch = batch.clone();
-            self.spawn(move || {
-                batch.run_one();
-            });
-        }
-        while batch.run_one() {}
-        let mut done = lock(&batch.done);
-        while *done < n {
-            done = batch.cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
     }
 }
 
@@ -318,24 +253,6 @@ mod tests {
             finished = done.1.wait(finished).unwrap();
         }
         assert_eq!(count.load(Ordering::SeqCst), 64);
-    }
-
-    #[test]
-    fn run_scoped_borrows_from_the_stack_and_waits_for_completion() {
-        let pool = Executor::new(3);
-        let results: Vec<AtomicUsize> = (0..32).map(|_| AtomicUsize::new(0)).collect();
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..32)
-            .map(|i| {
-                let results = &results;
-                Box::new(move || {
-                    results[i].store(i * 7 + 1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run_scoped(tasks);
-        for (i, slot) in results.iter().enumerate() {
-            assert_eq!(slot.load(Ordering::SeqCst), i * 7 + 1, "task {i}");
-        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //!   [`Rdd::compute_shared`] reads one in place, and only a caller that
 //!   must own the rows copies it.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod context;
 pub mod executor;

@@ -429,11 +429,13 @@ impl<T: Data> Rdd<T> {
     where
         F: Fn(T, T) -> T + Send + Sync + 'static,
     {
+        let f = Arc::new(f);
+        let task_f = f.clone();
         let (partials, _) =
-            scheduler::run_job(&self.ctx, self, "reduce", OutputSink::Collect, |v| {
-                Arc::unwrap_or_clone(v).into_iter().reduce(&f)
+            scheduler::run_job(&self.ctx, self, "reduce", OutputSink::Collect, move |v| {
+                Arc::unwrap_or_clone(v).into_iter().reduce(&*task_f)
             })?;
-        Ok(partials.into_iter().flatten().reduce(f))
+        Ok(partials.into_iter().flatten().reduce(&*f))
     }
 
     /// Return up to `n` elements (collects, then truncates — acceptable at

@@ -1,19 +1,20 @@
 //! The DAG scheduler.
 //!
-//! Actions call [`run_job`]: the scheduler walks the target RDD's lineage,
-//! runs the map stage of every shuffle dependency that is not yet
-//! materialized (in dependency order), then runs the result stage. Every
-//! task executes for real in-process; its measured metrics are converted to
-//! a simulated duration by the cost model and logged in its stage's
-//! [`StageReport`]; the job's task logs are replayed on the simulated
-//! cluster when the job is recorded, never while it runs.
+//! Every task runs one way, through `run_task`: compute the partition, apply
+//! the stage's work, turn a panic into an execution error, and price the
+//! task with the cost model. A shuffle map stage runs its tasks in partition
+//! order on the caller's thread. A result stage is a [`PipelinedJob`]:
+//! actions call [`run_job`], which walks the target RDD's lineage, runs the
+//! map stage of every shuffle dependency that is not yet materialized (in
+//! dependency order), then drains the result stage on the caller's thread.
+//! Each task's simulated duration is logged in its stage's [`StageReport`];
+//! the job's task logs are replayed on the simulated cluster when the job is
+//! recorded, never while it runs.
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use shark_cluster::{OutputSink, TaskSpec};
 use shark_common::{EstimateSize, Result, SharkError};
 
@@ -31,49 +32,6 @@ pub(crate) struct TaskOutcome<U> {
     pub bytes_in: u64,
 }
 
-/// Execute `n` tasks (optionally on the shared executor), preserving order.
-pub(crate) fn run_tasks<U, F>(parallel: bool, n: usize, f: F) -> Result<Vec<TaskOutcome<U>>>
-where
-    U: Send,
-    F: Fn(usize) -> Result<TaskOutcome<U>> + Send + Sync,
-{
-    if !parallel || n <= 1 {
-        return (0..n).map(&f).collect();
-    }
-    let slots: Mutex<Vec<Option<Result<TaskOutcome<U>>>>> =
-        Mutex::new((0..n).map(|_| None).collect());
-    let panicked = AtomicBool::new(false);
-    // Tasks adopt the caller's trace context so per-operator spans computed
-    // off-thread still land in the query's span tree.
-    let trace = shark_obs::current();
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-        .map(|i| {
-            let slots = &slots;
-            let panicked = &panicked;
-            let f = &f;
-            Box::new(move || {
-                let _trace = trace.as_ref().map(|t| t.attach());
-                // A panic in a user closure must not poison the shared
-                // worker pool; it is latched and reported as an execution
-                // error once the whole stage has drained.
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i))) {
-                    Ok(result) => slots.lock()[i] = Some(result),
-                    Err(_) => panicked.store(true, Ordering::SeqCst),
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    Executor::global().run_scoped(tasks);
-    if panicked.load(Ordering::SeqCst) {
-        return Err(SharkError::Execution("a task thread panicked".into()));
-    }
-    slots
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("task result missing"))
-        .collect()
-}
-
 /// Add a finished task to its stage's log and hand back the task's value.
 fn log_task<U>(stage: &mut StageReport, outcome: TaskOutcome<U>) -> U {
     stage.tasks.push(outcome.spec);
@@ -82,17 +40,49 @@ fn log_task<U>(stage: &mut StageReport, outcome: TaskOutcome<U>) -> U {
     outcome.value
 }
 
-/// Build a barrier stage's (unpriced) report plus the ordered task outputs.
-fn log_stage<U>(name: &str, outcomes: Vec<TaskOutcome<U>>) -> (StageReport, Vec<U>) {
-    let mut stage = StageReport {
-        name: name.to_string(),
-        ..StageReport::default()
-    };
-    let values = outcomes
-        .into_iter()
-        .map(|outcome| log_task(&mut stage, outcome))
-        .collect();
-    (stage, values)
+/// Run one task in-process, the one body of every map and result task:
+/// compute `rdd`'s `partition` (shared, so a cached partition is not
+/// copied), apply the stage's `work` (which records the task's output in its
+/// metrics), and price the task with the cost model for `sink`.
+///
+/// A task that panics (a user closure or UDF blowing up) returns
+/// [`SharkError::Execution`] like a task that fails: in a map stage or a
+/// result stage, on the caller's thread or an executor worker, a panic never
+/// unwinds through the driver. A failed result task ends its job, which is
+/// recorded with the partitions delivered before it; a failed map task fails
+/// the job before anything is recorded.
+fn run_task<T: Data, U>(
+    ctx: &RddContext,
+    rdd: &Rdd<T>,
+    partition: usize,
+    sink: OutputSink,
+    work: impl FnOnce(Arc<Vec<T>>, &mut TaskMetrics) -> Result<U>,
+) -> Result<TaskOutcome<U>> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut metrics = TaskMetrics::new();
+        let data = rdd.compute_shared(ctx, partition, &mut metrics)?;
+        let value = work(data, &mut metrics)?;
+        let cost = metrics.to_cost_input(ctx.config().sim_scale, sink);
+        Ok(TaskOutcome {
+            value,
+            spec: TaskSpec {
+                duration: ctx.cost_model().task_duration(&cost),
+                preferred_node: rdd.preferred_node(ctx, partition),
+            },
+            rows_in: metrics.rows_in,
+            bytes_in: metrics.bytes_in,
+        })
+    }))
+    .unwrap_or_else(|payload| {
+        let cause = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        Err(SharkError::Execution(format!(
+            "task for partition {partition} panicked: {cause}"
+        )))
+    })
 }
 
 /// Run the map stage of every shuffle dependency reachable from `lineage`
@@ -112,15 +102,21 @@ pub fn ensure_shuffle_deps(ctx: &RddContext, lineage: &dyn Lineage) -> Result<Ve
     Ok(reports)
 }
 
-/// Run an action over `rdd`: materialize its shuffle dependencies, execute
-/// the result stage applying `f` to each partition, record the job, and
-/// return the per-partition results in partition order plus the job's
-/// simulated seconds.
+/// Run an action over `rdd`: a [`PipelinedJob`] over every partition in
+/// order, drained at prefetch 0, so every task runs on the caller's thread.
+/// It materializes the shuffle dependencies, applies `f` to each partition,
+/// records the job under `name` (its shuffle stages, then one `result` stage
+/// in partition order), and returns the per-partition results in partition
+/// order plus the job's simulated seconds.
 ///
 /// `f` gets the partition shared ([`Rdd::compute_shared`]): an action that
 /// only reads (`count`, a fold) never copies a cached partition, and one
 /// that must own the rows takes them with `Arc::unwrap_or_clone`, which
 /// copies only a partition the cache also holds.
+///
+/// A task that fails or panics fails the action with an error; the recorded
+/// job then holds the result partitions delivered before the failure, as a
+/// failed stream's does.
 pub fn run_job<T, U, F>(
     ctx: &RddContext,
     rdd: &Rdd<T>,
@@ -130,76 +126,17 @@ pub fn run_job<T, U, F>(
 ) -> Result<(Vec<U>, f64)>
 where
     T: Data,
-    U: Send + EstimateSize,
-    F: Fn(Arc<Vec<T>>) -> U + Send + Sync,
+    U: Send + EstimateSize + 'static,
+    F: Fn(Arc<Vec<T>>) -> U + Send + Sync + 'static,
 {
-    let wall = Instant::now();
-    let mut stages = ensure_shuffle_deps(ctx, rdd)?;
-    let outcomes = run_tasks(
-        ctx.config().parallel_tasks,
-        rdd.num_partitions(),
-        |partition| run_partition_task(ctx, rdd, partition, sink, |data, _| f(data)),
-    )?;
-    let (report, values) = log_stage("result", outcomes);
-    stages.push(report);
-    let sim_seconds = ctx.record_job(name, stages, wall.elapsed().as_secs_f64());
-    Ok((values, sim_seconds))
-}
-
-/// Run one result-stage task in-process: compute the partition, apply `f`,
-/// and price the task with the cost model.
-fn run_partition_task<T, U, F>(
-    ctx: &RddContext,
-    rdd: &Rdd<T>,
-    partition: usize,
-    sink: OutputSink,
-    f: F,
-) -> Result<TaskOutcome<U>>
-where
-    T: Data,
-    U: Send + EstimateSize,
-    F: FnOnce(Arc<Vec<T>>, &mut TaskMetrics) -> U,
-{
-    let mut metrics = TaskMetrics::new();
-    let data = rdd.compute_shared(ctx, partition, &mut metrics)?;
-    let rows = data.len() as u64;
-    let value = f(data, &mut metrics);
-    metrics.record_output(rows, value.estimated_size() as u64);
-    let cost = metrics.to_cost_input(ctx.config().sim_scale, sink);
-    Ok(TaskOutcome {
-        value,
-        spec: TaskSpec {
-            duration: ctx.cost_model().task_duration(&cost),
-            preferred_node: rdd.preferred_node(ctx, partition),
-        },
-        rows_in: metrics.rows_in,
-        bytes_in: metrics.bytes_in,
-    })
-}
-
-/// [`run_partition_task`] with panics inside the task (a user closure
-/// blowing up) converted to execution errors, so the serial and the
-/// prefetched streaming paths fail the same way.
-fn execute_partition_task<T, U, F>(
-    ctx: &RddContext,
-    rdd: &Rdd<T>,
-    partition: usize,
-    sink: OutputSink,
-    f: F,
-) -> Result<TaskOutcome<U>>
-where
-    T: Data,
-    U: Send + EstimateSize,
-    F: FnOnce(Arc<Vec<T>>, &mut TaskMetrics) -> U,
-{
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_partition_task(ctx, rdd, partition, sink, f)
-    }))
-    .unwrap_or_else(|_| {
-        Err(SharkError::Execution(format!(
-            "stream task for partition {partition} panicked"
-        )))
-    })
+    let order = (0..rdd.num_partitions()).collect();
+    let mut job = PipelinedJob::new(ctx, rdd, name, order, sink, move |data, _| f(data))?;
+    let mut values = Vec::with_capacity(job.planned());
+    while let Some((_, value)) = job.next()? {
+        values.push(value);
+    }
+    job.finish();
+    Ok((values, job.sim_seconds()))
 }
 
 /// The per-partition transformation a [`PipelinedJob`] applies inside each
@@ -261,6 +198,18 @@ impl<T: Data, U: Send + EstimateSize + 'static> Prefetcher<T, U> {
         self.lock().cancelled = true;
         self.changed.notify_all();
     }
+
+    /// Run the result task at position `pos` of the order: `f` over the
+    /// partition, whose rows and value are the task's output.
+    fn run(&self, pos: usize) -> Result<TaskOutcome<U>> {
+        let apply = |data: Arc<Vec<T>>, metrics: &mut TaskMetrics| {
+            let rows = data.len() as u64;
+            let value = (self.f)(data, metrics);
+            metrics.record_output(rows, value.estimated_size() as u64);
+            Ok(value)
+        };
+        run_task(&self.ctx, &self.rdd, self.order[pos], self.sink, apply)
+    }
 }
 
 /// Claim every position currently allowed by the prefetch window and the
@@ -288,8 +237,7 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) 
         let env = env.clone();
         Executor::global().spawn(move || {
             let _trace = env.trace.as_ref().map(|t| t.attach());
-            let outcome =
-                execute_partition_task(&env.ctx, &env.rdd, env.order[pos], env.sink, &*env.f);
+            let outcome = env.run(pos);
             {
                 let mut state = env.lock();
                 state.in_flight -= 1;
@@ -312,12 +260,13 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) 
 /// partition's rows to the client as soon as that partition finishes instead
 /// of waiting for the whole stage barrier.
 ///
-/// Construction runs every shuffle map stage the target RDD depends on
-/// (exactly like [`run_job`] would). The delivered partitions are one result
-/// stage, logged in delivery order — for a full drain, the stage `run_job`
-/// records. Partitions that are never delivered are never logged — and,
-/// beyond the prefetch window, never computed — which is what lets a LIMIT
-/// query stop launching tasks once it has enough rows.
+/// It is the engine's one result-stage runner: an RDD action ([`run_job`])
+/// is this job over every partition, drained at prefetch 0. Construction
+/// runs every shuffle map stage the target RDD depends on. The delivered
+/// partitions are one result stage, logged in delivery order. Partitions
+/// that are never delivered are never logged — and, beyond the prefetch
+/// window, never computed — which is what lets a LIMIT query stop launching
+/// tasks once it has enough rows.
 ///
 /// The consumer helps: [`PipelinedJob::next`] runs the cursor's own position
 /// inline whenever no morsel has claimed it, and morsels — up to `prefetch`
@@ -361,7 +310,8 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
     /// Prepare a job delivering `order`'s partitions of `rdd` through the
     /// per-partition transformation `f`: materialize the shuffle
     /// dependencies now so every subsequent delivery is a pure result-stage
-    /// task.
+    /// task. `f` gets each partition shared, as [`run_job`]'s closure does;
+    /// one that must own the rows takes them with `Arc::unwrap_or_clone`.
     pub fn new<F>(
         ctx: &RddContext,
         rdd: &Rdd<T>,
@@ -371,7 +321,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
         f: F,
     ) -> Result<PipelinedJob<T, U>>
     where
-        F: Fn(Vec<T>, &mut TaskMetrics) -> U + Send + Sync + 'static,
+        F: Fn(Arc<Vec<T>>, &mut TaskMetrics) -> U + Send + Sync + 'static,
     {
         let wall = Instant::now();
         let mut stages = ensure_shuffle_deps(ctx, rdd)?;
@@ -388,7 +338,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             wall,
             order: Arc::new(order),
             sink,
-            f: Arc::new(move |data, metrics| f(Arc::unwrap_or_clone(data), metrics)),
+            f: Arc::new(f),
             prefetch: 0,
             pool: None,
             prefetch_hits: 0,
@@ -463,7 +413,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             return Ok(None);
         }
         let partition = self.order[self.delivered()];
-        let Some(outcome) = self.outcome_at_cursor(partition) else {
+        let Some(outcome) = self.outcome_at_cursor() else {
             // Cancelled with nothing in flight for this position.
             return Ok(None);
         };
@@ -487,7 +437,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
     /// morsel has claimed is claimed and run right here, after pumping
     /// morsels for the positions beyond it; a claimed one is taken from the
     /// prefetch channel, blocking until its morsel has parked it.
-    fn outcome_at_cursor(&mut self, partition: usize) -> Option<Result<TaskOutcome<U>>> {
+    fn outcome_at_cursor(&mut self) -> Option<Result<TaskOutcome<U>>> {
         let pool = self.ensure_pool();
         let mut state = pool.lock();
         let pos = state.deliver_pos;
@@ -498,8 +448,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
             state.in_flight += 1;
             drop(state);
             pump(&pool);
-            let outcome =
-                execute_partition_task(&self.ctx, &self.rdd, partition, self.sink, &*self.f);
+            let outcome = pool.run(pos);
             let mut state = pool.lock();
             state.in_flight -= 1;
             state.deliver_pos += 1;
@@ -588,83 +537,74 @@ impl<T: Data, U: Send + EstimateSize + 'static> Drop for PipelinedJob<T, U> {
     }
 }
 
-/// The one body of every shuffle map stage: compute each parent partition
-/// (shared — a cached one is not copied), charge `map_ops_per_row` for a
-/// `map` fused into the stage, `combine` the partition into `(key, value)`
-/// records, group them by reduce bucket, store the grouped output (which
-/// carries its per-bucket statistics) in the shuffle manager, and log the
-/// stage's tasks.
+/// The one body of every shuffle map stage: run a task per parent partition,
+/// in partition order, that charges `map_ops_per_row` for a `map` fused into
+/// the stage, `combine`s the (shared — a cached one is not copied) partition
+/// into `(key, value)` records, groups them by reduce bucket and stores the
+/// grouped output (which carries its per-bucket statistics) in the shuffle
+/// manager; log the stage's tasks. The first task that fails fails the stage.
 ///
 /// A fused `map` is charged exactly as the separate [`Rdd::map`] it
 /// replaces would be: the parent's rows and bytes in, one op per row
 /// charged before the shuffle's own, the parent's preferred node.
-fn run_map_stage_generic<T, K, S, F>(
+fn run_map_stage_generic<T, K, S>(
     ctx: &RddContext,
     parent: &Rdd<T>,
     shuffle_id: usize,
     num_buckets: usize,
     name: &str,
     map_ops_per_row: f64,
-    combine: F,
+    combine: impl Fn(Arc<Vec<T>>) -> Vec<(K, S)>,
 ) -> Result<StageReport>
 where
     T: Data,
     K: Data + Hash + Eq,
     S: Data,
-    F: Fn(Arc<Vec<T>>) -> Vec<(K, S)> + Send + Sync,
 {
     let num_map_tasks = parent.num_partitions();
     ctx.shuffle_manager()
         .register(shuffle_id, num_map_tasks, num_buckets);
-    let scale = ctx.config().sim_scale;
     let sort_shuffle = ctx.config().cluster.profile.sort_based_shuffle;
-
-    let outcomes = run_tasks(ctx.config().parallel_tasks, num_map_tasks, |partition| {
-        let mut metrics = TaskMetrics::new();
-        let data = parent.compute_shared(ctx, partition, &mut metrics)?;
-        let input_rows = data.len() as u64;
-        // `x + 0.0 == x`, so a stage with nothing fused charges as before.
-        metrics.add_ops(input_rows as f64 * map_ops_per_row);
-        let span = if shark_obs::active() {
-            shark_obs::span("shuffle-write")
-        } else {
-            None
+    let mut stage = StageReport {
+        name: name.to_string(),
+        ..StageReport::default()
+    };
+    for partition in 0..num_map_tasks {
+        let write = |data: Arc<Vec<T>>, metrics: &mut TaskMetrics| {
+            let input_rows = data.len() as u64;
+            // `x + 0.0 == x`, so a stage with nothing fused charges as before.
+            metrics.add_ops(input_rows as f64 * map_ops_per_row);
+            let span = if shark_obs::active() {
+                shark_obs::span("shuffle-write")
+            } else {
+                None
+            };
+            if let Some(span) = &span {
+                span.set_partition(partition);
+            }
+            let output = MapOutput::group(combine(data), num_buckets, |(k, _)| {
+                shark_common::hash::hash_partition(k, num_buckets)
+            });
+            let total_bytes = output.stats().total_bytes();
+            let total_rows = output.stats().total_rows();
+            if let Some(span) = &span {
+                span.set_rows(total_rows);
+                span.set_bytes(total_bytes);
+            }
+            drop(span);
+            // Hash-partitioning each record costs roughly one operation per row.
+            metrics.add_ops(input_rows as f64);
+            if sort_shuffle {
+                metrics.add_sort(total_rows);
+            }
+            metrics.record_output(total_rows, total_bytes);
+            ctx.shuffle_manager()
+                .put_map_output(shuffle_id, partition, output)
         };
-        if let Some(span) = &span {
-            span.set_partition(partition);
-        }
-        let output = MapOutput::group(combine(data), num_buckets, |(k, _)| {
-            shark_common::hash::hash_partition(k, num_buckets)
-        });
-        let total_bytes = output.stats().total_bytes();
-        let total_rows = output.stats().total_rows();
-        if let Some(span) = &span {
-            span.set_rows(total_rows);
-            span.set_bytes(total_bytes);
-        }
-        drop(span);
-        // Hash-partitioning each record costs roughly one operation per row.
-        metrics.add_ops(input_rows as f64);
-        if sort_shuffle {
-            metrics.add_sort(total_rows);
-        }
-        metrics.record_output(total_rows, total_bytes);
-        ctx.shuffle_manager()
-            .put_map_output(shuffle_id, partition, output)?;
-        let cost = metrics.to_cost_input(scale, OutputSink::Shuffle);
-        Ok(TaskOutcome {
-            value: (),
-            spec: TaskSpec {
-                duration: ctx.cost_model().task_duration(&cost),
-                preferred_node: parent.preferred_node(ctx, partition),
-            },
-            rows_in: metrics.rows_in,
-            bytes_in: metrics.bytes_in,
-        })
-    })?;
-
-    let (report, _) = log_stage::<()>(name, outcomes);
-    Ok(report)
+        let outcome = run_task(ctx, parent, partition, OutputSink::Shuffle, write)?;
+        log_task(&mut stage, outcome);
+    }
+    Ok(stage)
 }
 
 /// Map stage that hash-partitions records without combining.
@@ -697,7 +637,7 @@ pub(crate) fn run_shuffle_map_stage_combined<T, K, C>(
     shuffle_id: usize,
     num_buckets: usize,
     map_ops_per_row: f64,
-    combine: impl Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync,
+    combine: impl Fn(Arc<Vec<T>>) -> Vec<(K, C)>,
 ) -> Result<StageReport>
 where
     T: Data,
@@ -718,96 +658,74 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{RddConfig, RddContext};
-    use shark_cluster::ClusterConfig;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use crate::rdd::RddImpl;
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn run_tasks_sequential_and_parallel_agree() {
-        let f = |i: usize| {
-            Ok(TaskOutcome {
-                value: i * 2,
-                spec: TaskSpec::new(0.1),
-                rows_in: 1,
-                bytes_in: 8,
-            })
-        };
-        let seq = run_tasks(false, 16, f).unwrap();
-        let par = run_tasks(true, 16, f).unwrap();
-        let seq_vals: Vec<usize> = seq.into_iter().map(|o| o.value).collect();
-        let par_vals: Vec<usize> = par.into_iter().map(|o| o.value).collect();
-        assert_eq!(seq_vals, par_vals);
-        assert_eq!(seq_vals[7], 14);
-    }
+    /// A four-partition source whose task for partition 2 returns an error.
+    struct FailsOnTwo(usize);
 
-    #[test]
-    fn run_tasks_propagates_errors() {
-        let r = run_tasks(false, 4, |i| {
-            if i == 2 {
-                Err(SharkError::Execution("boom".into()))
-            } else {
-                Ok(TaskOutcome {
-                    value: (),
-                    spec: TaskSpec::new(0.0),
-                    rows_in: 0,
-                    bytes_in: 0,
-                })
+    impl RddImpl<i64> for FailsOnTwo {
+        fn id(&self) -> usize {
+            self.0
+        }
+        fn name(&self) -> String {
+            "fails_on_two".into()
+        }
+        fn num_partitions(&self) -> usize {
+            4
+        }
+        fn compute(&self, _: &RddContext, p: usize, _: &mut TaskMetrics) -> Result<Vec<i64>> {
+            if p == 2 {
+                return Err(SharkError::Execution("partition 2 failed".into()));
             }
-        });
-        assert!(r.is_err());
-        let r = run_tasks(true, 4, |i| {
-            if i == 2 {
-                Err(SharkError::Execution("boom".into()))
-            } else {
-                Ok(TaskOutcome {
-                    value: (),
-                    spec: TaskSpec::new(0.0),
-                    rows_in: 0,
-                    bytes_in: 0,
-                })
-            }
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn run_tasks_reports_panics_as_errors_even_when_every_worker_panics() {
-        // Every task panics, so every worker thread dies; run_tasks must
-        // still return an Execution error rather than propagate the panic
-        // out of the thread scope.
-        let r = std::panic::catch_unwind(|| {
-            run_tasks(true, 8, |_| -> Result<TaskOutcome<()>> {
-                panic!("task blew up");
-            })
-        });
-        let inner = r.expect("panic escaped run_tasks");
-        match inner {
-            Err(SharkError::Execution(msg)) => assert!(msg.contains("panicked")),
-            Err(other) => panic!("expected Execution error, got {other:?}"),
-            Ok(_) => panic!("expected Execution error, got Ok"),
+            Ok(vec![p as i64])
+        }
+        fn parents(&self) -> Vec<Arc<dyn Lineage>> {
+            Vec::new()
         }
     }
 
     #[test]
-    fn parallel_context_produces_same_results() {
-        let config = RddConfig {
-            cluster: ClusterConfig::small(4, 2),
-            default_partitions: 8,
-            sim_scale: 1.0,
-            parallel_tasks: true,
+    fn a_failed_or_panicking_task_fails_its_action_and_the_next_action_runs() {
+        let ctx = RddContext::local();
+        let panics_on_two = ctx.generate(6, shark_cluster::InputSource::Dfs, |p| {
+            if p == 2 {
+                panic!("partition 2 exploded");
+            }
+            vec![p as i64]
+        });
+        let always_panics = ctx.generate(4, shark_cluster::InputSource::Dfs, |_| -> Vec<i64> {
+            panic!("every task exploded")
+        });
+        let fails_on_two = Rdd::new(ctx.clone(), Arc::new(FailsOnTwo(ctx.next_rdd_id())));
+        let by_key = |rdd: &Rdd<i64>| rdd.map(|x| (x % 3, x)).reduce_by_key(2, |a, b| a + b);
+
+        // The failed action records the partitions it delivered before the
+        // failure, under the action's name.
+        let err = panics_on_two.count().unwrap_err();
+        let job = ctx.last_job().unwrap();
+        assert_eq!((job.name.as_str(), job.total_tasks()), ("count", 2));
+
+        let fails_then_next_action_runs = |what: &str, err: SharkError, says: &str| {
+            assert!(matches!(err, SharkError::Execution(_)), "{what}: {err:?}");
+            assert!(err.to_string().contains(says), "{what}: {err}");
+            let next = ctx.parallelize((0i64..100).collect(), 4).count();
+            assert_eq!(next.unwrap(), 100, "the action after {what}");
         };
-        let ctx = RddContext::new(config);
-        let rdd = ctx.parallelize((0i64..1000).collect(), 16);
-        let sum = rdd.map(|x| x * 3).reduce(|a, b| a + b).unwrap();
-        assert_eq!(sum, Some(3 * 999 * 1000 / 2));
-        let mut counts = rdd
-            .map(|x| (x % 7, 1i64))
-            .reduce_by_key(8, |a, b| a + b)
-            .collect()
-            .unwrap();
-        counts.sort();
-        assert_eq!(counts.iter().map(|(_, c)| c).sum::<i64>(), 1000);
+        fails_then_next_action_runs("count", err, "panicked: partition 2 exploded");
+        fails_then_next_action_runs("collect", panics_on_two.collect().unwrap_err(), "panicked");
+        let err = panics_on_two.reduce(|a, b| a + b).unwrap_err();
+        fails_then_next_action_runs("reduce", err, "panicked");
+        let err = by_key(&panics_on_two).collect().unwrap_err();
+        fails_then_next_action_runs("a panic in a map stage", err, "panicked");
+        let err = always_panics.count().unwrap_err();
+        fails_then_next_action_runs("every task panicking", err, "every task exploded");
+        let err = fails_on_two.count().unwrap_err();
+        fails_then_next_action_runs("a failed result task", err, "partition 2 failed");
+        let err = by_key(&fails_on_two).count().unwrap_err();
+        fails_then_next_action_runs("a failed map task", err, "partition 2 failed");
+        assert_eq!(ctx.shuffle_manager().registered(), 0);
     }
 
     /// Open a job delivering every partition of `rdd` unchanged.
@@ -823,7 +741,7 @@ mod tests {
             name,
             order,
             OutputSink::Collect,
-            |rows, _m| rows,
+            |rows, _m| Arc::unwrap_or_clone(rows),
         )
         .unwrap();
         job.set_prefetch(prefetch);

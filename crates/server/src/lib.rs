@@ -42,6 +42,8 @@
 //! manifest files, wire frames — goes through one codec,
 //! [`shark_common::codec`]; the formats here keep only their own layouts.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod memstore;
 pub mod metrics;

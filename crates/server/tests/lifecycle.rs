@@ -180,14 +180,38 @@ fn shuffle_map_outputs_do_not_outlive_their_queries() {
                 assert_eq!(rows, expected_groups);
             }
         }
-        // Failed mid-stream; and a blocking failure, which unwinds through
-        // the session on the caller's thread.
+        // Failed mid-stream, and failed blocking: a task's panic is an error.
         assert!(drain(&session, failing_join));
-        let blocking =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.sql(failing_join)));
-        assert!(blocking.is_err() || blocking.is_ok_and(|r| r.is_err()));
+        assert!(session.sql(failing_join).is_err());
         assert_eq!(shuffles(), 0, "round {round}");
     }
     assert_eq!(server.running_queries(), 0);
     assert!(server.pinned_tables().is_empty());
+}
+
+#[test]
+fn a_task_panic_in_a_map_stage_is_an_error_and_leaks_nothing() {
+    let server = server_with(&["t"], ServerConfig::default());
+    let session = session_with_boom(&server);
+    let groups = "SELECT grp, COUNT(*) FROM t GROUP BY grp";
+    // `boom` runs map-side in both: as the grouping key, and inside the
+    // partial aggregate.
+    for sql in [
+        "SELECT boom(k), COUNT(*) FROM t GROUP BY boom(k)",
+        "SELECT grp, SUM(boom(k)) FROM t GROUP BY grp",
+    ] {
+        assert!(session.sql(sql).is_err(), "{sql} (blocking)");
+        // Opening the cursor runs the map stage, so the error may surface
+        // there or at a batch.
+        let streamed = session.sql_stream(sql).and_then(|mut cursor| {
+            while cursor.next_batch()?.is_some() {}
+            Ok(())
+        });
+        assert!(streamed.is_err(), "{sql} (stream)");
+        assert_eq!(server.running_queries(), 0, "{sql}");
+        assert!(server.pinned_tables().is_empty(), "{sql}");
+        assert_eq!(server.context().shuffle_manager().registered(), 0, "{sql}");
+        let answer = session.sql(groups).unwrap();
+        assert_eq!(answer.result.rows.len(), 3, "the query after {sql}");
+    }
 }

@@ -22,7 +22,7 @@ use shark_cluster::{DfsModel, OutputSink};
 use shark_columnar::ColumnarPartition;
 use shark_common::size::estimate_slice;
 use shark_common::{Result, Row, Schema, SharkError, Value};
-use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, TaskMetrics};
+use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, StageReport, TaskMetrics};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{CatalogSnapshot, TableMeta};
@@ -222,27 +222,28 @@ pub fn estimate_table_bytes(table: &TableMeta) -> u64 {
     per * table.num_partitions as u64
 }
 
-/// Load a cached table's partitions into its memstore, charging the
-/// simulated cluster for the load stage. Safe to call repeatedly (already
-/// loaded partitions are skipped).
+/// Load a cached table's partitions into its memstore, recording the load
+/// stage as a job (`load(<table>)`) on the simulated cluster. Safe to call
+/// repeatedly (already loaded partitions are skipped).
 pub fn load_table(ctx: &RddContext, table: &Arc<TableMeta>) -> Result<LoadReport> {
     let mem = table.cached.clone().ok_or_else(|| {
         SharkError::Execution(format!("table '{}' is not marked as cached", table.name))
     })?;
+    let wall = Instant::now();
     let scale = ctx.config().sim_scale;
     let cost_model = ctx.cost_model().clone();
-    let mut specs = Vec::new();
-    let mut input_bytes = 0u64;
-    let mut rows_total = 0u64;
-    let mut newly_loaded = 0usize;
+    let mut stage = StageReport {
+        name: "load".to_string(),
+        ..StageReport::default()
+    };
     for p in 0..table.num_partitions {
         if mem.is_loaded(p) {
             continue;
         }
         let rows = (table.base)(p);
         let bytes = estimate_slice(&rows) as u64;
-        input_bytes += bytes;
-        rows_total += rows.len() as u64;
+        stage.bytes_in += bytes;
+        stage.rows_in += rows.len() as u64;
         let columnar = Arc::new(ColumnarPartition::from_rows(&table.schema, &rows));
         let cost = shark_cluster::TaskCostInput::new(
             (rows.len() as f64 * scale) as u64,
@@ -253,19 +254,20 @@ pub fn load_table(ctx: &RddContext, table: &Arc<TableMeta>) -> Result<LoadReport
             shark_cluster::OutputSink::Memory,
             4.0,
         );
-        specs.push(shark_cluster::TaskSpec::on_node(
+        stage.tasks.push(shark_cluster::TaskSpec::on_node(
             cost_model.task_duration(&cost),
             mem.placement(p),
         ));
         mem.put(p, columnar);
-        newly_loaded += 1;
     }
+    let (input_bytes, rows, newly_loaded) = (stage.bytes_in, stage.rows_in, stage.tasks.len());
+    let name = format!("load({})", table.name);
     Ok(LoadReport {
         table: table.name.clone(),
-        sim_seconds: ctx.simulate_external_stage(&specs).duration,
+        sim_seconds: ctx.record_job(&name, vec![stage], wall.elapsed().as_secs_f64()),
         input_bytes,
         stored_bytes: mem.memory_bytes(),
-        rows: rows_total,
+        rows,
         newly_loaded_partitions: newly_loaded,
     })
 }
@@ -858,7 +860,8 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         order = (0..partitions_total).collect();
     }
     let task_keys = keys.clone();
-    let task = move |mut rows: Vec<Row>, m: &mut TaskMetrics| {
+    let task = move |rows: Arc<Vec<Row>>, m: &mut TaskMetrics| {
+        let mut rows = Arc::unwrap_or_clone(rows);
         if task_keys.is_empty() {
             return rows;
         }

@@ -12,6 +12,8 @@
 //! them with `CREATE TABLE … TBLPROPERTIES("shark.cache"="true") AS SELECT`)
 //! and call [`SqlSession::sql`] or [`SqlSession::sql_to_rdd`].
 
+#![forbid(unsafe_code)]
+
 pub mod aggregate;
 pub mod ast;
 pub mod catalog;

@@ -324,3 +324,27 @@ fn concurrent_loads_report_their_own_seconds() {
         );
     }
 }
+
+#[test]
+fn a_load_is_the_last_job_and_its_seconds_are_the_jobs() {
+    let session = SqlSession::new(RddContext::new(RddConfig::default()), ExecConfig::shark());
+    let schema = Schema::from_pairs(&[("id", DataType::Int), ("v", DataType::Float)]);
+    session.register_table(
+        TableMeta::new("loaded", schema, 6, |p| {
+            (0..50)
+                .map(|i| row![(p * 50 + i) as i64, (mix(i as u64) % 100) as f64])
+                .collect()
+        })
+        .with_cache(4),
+    );
+    let load = session.load_table("loaded").unwrap();
+    let job = session.context().last_job().unwrap();
+    assert_eq!(job.name, "load(loaded)");
+    assert_eq!(job.stages.len(), 1);
+    assert_eq!(job.total_tasks(), 6);
+    assert_eq!(job.stages[0].rows_in, load.rows);
+    assert_eq!(job.stages[0].bytes_in, load.input_bytes);
+    assert!(load.sim_seconds > 0.0);
+    assert_eq!(job.sim_duration.to_bits(), load.sim_seconds.to_bits());
+    assert_eq!(ledger(&session.context().job_history()), load.sim_seconds);
+}

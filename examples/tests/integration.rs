@@ -36,7 +36,6 @@ fn pavlo_queries_agree_between_shark_and_hive_modes() {
             default_partitions: 8,
             sim_scale: 10_000.0,
             exec: ExecConfig::hive(),
-            ..SharkConfig::default()
         });
         register_pavlo(&s, &PavloConfig::tiny(), 8, false).unwrap();
         s
