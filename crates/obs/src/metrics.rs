@@ -4,7 +4,14 @@
 //!
 //! Metric handles are `Arc`-shared atomics — registration takes a lock,
 //! but updating a registered handle is a single atomic op, so hot paths
-//! register once (or look up once per query) and then update lock-free.
+//! register once and then update lock-free.
+//!
+//! A *scope* ([`MetricsRegistry::scoped`]) is a registry of its own whose
+//! counters and gauges also add into the same-named handle of the
+//! process-wide [`metrics`] registry: one update, two relaxed atomics, and
+//! the fact is readable both per scope (one engine context) and per
+//! process (the scrape endpoint). Histograms are process-only: a scope
+//! hands out the process handle.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -56,9 +63,13 @@ pub const WIRE_BUCKETS: &[f64] = &[
     16.0 * 1024.0 * 1024.0,
 ];
 
-/// Monotonically increasing counter.
+/// Monotonically increasing counter. A scope's counter also adds into its
+/// process-wide namesake.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub struct Counter {
+    value: AtomicU64,
+    parent: Option<Arc<Counter>>,
+}
 
 impl Counter {
     /// Increment by one.
@@ -68,33 +79,46 @@ impl Counter {
 
     /// Increment by `n`.
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(n);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
-/// Instantaneous signed value.
+/// Instantaneous signed value. A scope's gauge also moves its process-wide
+/// namesake by the same deltas.
 #[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
+pub struct Gauge {
+    value: AtomicI64,
+    parent: Option<Arc<Gauge>>,
+}
 
 impl Gauge {
     /// Set to an absolute value.
     pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
+        let old = self.value.swap(v, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(v - old);
+        }
     }
 
     /// Add a (possibly negative) delta.
     pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        if let Some(parent) = &self.parent {
+            parent.add(delta);
+        }
     }
 
     /// Current value.
     pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
+        self.value.load(Ordering::Relaxed)
     }
 }
 
@@ -220,12 +244,24 @@ impl MetricsSnapshot {
 #[derive(Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<String, (String, Metric)>>,
+    /// The process registry a scope forwards into (`None` for a root).
+    parent: Option<&'static MetricsRegistry>,
 }
 
 impl MetricsRegistry {
-    /// Create an empty registry (tests; production uses [`metrics`]).
+    /// Create an empty root registry (tests; production uses [`metrics`]).
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::default()
+    }
+
+    /// Create an empty scope: its counters and gauges also add into the
+    /// same-named handles of [`metrics`], registered there with the same
+    /// help text on first use.
+    pub fn scoped() -> MetricsRegistry {
+        MetricsRegistry {
+            parent: Some(metrics()),
+            ..MetricsRegistry::default()
+        }
     }
 
     /// Get or register a counter.
@@ -235,10 +271,11 @@ impl MetricsRegistry {
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
         let mut metrics = self.metrics.lock();
         let entry = metrics.entry(name.to_string()).or_insert_with(|| {
-            (
-                help.to_string(),
-                Metric::Counter(Arc::new(Counter::default())),
-            )
+            let counter = Counter {
+                parent: self.parent.map(|p| p.counter(name, help)),
+                ..Counter::default()
+            };
+            (help.to_string(), Metric::Counter(Arc::new(counter)))
         });
         match &entry.1 {
             Metric::Counter(c) => c.clone(),
@@ -252,9 +289,13 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
         let mut metrics = self.metrics.lock();
-        let entry = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| (help.to_string(), Metric::Gauge(Arc::new(Gauge::default()))));
+        let entry = metrics.entry(name.to_string()).or_insert_with(|| {
+            let gauge = Gauge {
+                parent: self.parent.map(|p| p.gauge(name, help)),
+                ..Gauge::default()
+            };
+            (help.to_string(), Metric::Gauge(Arc::new(gauge)))
+        });
         match &entry.1 {
             Metric::Gauge(g) => g.clone(),
             _ => panic!("metric {name} already registered with a different kind"),
@@ -262,11 +303,15 @@ impl MetricsRegistry {
     }
 
     /// Get or register a histogram with the given bucket upper bounds
-    /// (see [`LATENCY_BUCKETS`] / [`BYTES_BUCKETS`]).
+    /// (see [`LATENCY_BUCKETS`] / [`BYTES_BUCKETS`]). A scope returns the
+    /// process registry's handle.
     ///
     /// # Panics
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
+        if let Some(parent) = self.parent {
+            return parent.histogram(name, help, bounds);
+        }
         let mut metrics = self.metrics.lock();
         let entry = metrics.entry(name.to_string()).or_insert_with(|| {
             (
@@ -396,6 +441,31 @@ mod tests {
         assert!(text.contains("shark_exec_seconds_bucket{le=\"0.1\"} 1"));
         assert!(text.contains("shark_exec_seconds_bucket{le=\"+Inf\"} 2"));
         assert!(text.contains("shark_exec_seconds_count 2"));
+    }
+
+    #[test]
+    fn a_scope_adds_into_the_process_registry() {
+        let scope = MetricsRegistry::scoped();
+        let other = MetricsRegistry::scoped();
+        let name = "shark_test_scope_forwarding_total";
+        let before = metrics().snapshot().counter(name);
+        scope.counter(name, "Scope forwarding probe").add(3);
+        other.counter(name, "Scope forwarding probe").inc();
+        assert_eq!(scope.snapshot().counter(name), 3);
+        assert_eq!(other.snapshot().counter(name), 1);
+        assert_eq!(metrics().snapshot().counter(name) - before, 4);
+        let gauge = scope.gauge("shark_test_scope_gauge", "Scope gauge probe");
+        gauge.add(2);
+        gauge.set(5);
+        gauge.add(-1);
+        assert_eq!(gauge.get(), 4);
+        assert_eq!(metrics().snapshot().gauge("shark_test_scope_gauge"), 4);
+        let h = scope.histogram("shark_test_scope_seconds", "Scope histogram", &[1.0]);
+        assert!(Arc::ptr_eq(
+            &h,
+            &metrics().histogram("shark_test_scope_seconds", "Scope histogram", &[1.0])
+        ));
+        assert!(scope.snapshot().histograms.is_empty());
     }
 
     #[test]

@@ -154,9 +154,6 @@ pub struct BlockStore {
     clock: AtomicU64,
 }
 
-/// The name RDD-facing callers know the store by.
-pub type CacheManager = BlockStore;
-
 impl BlockStore {
     /// Create an empty store.
     pub fn new() -> BlockStore {

@@ -1,9 +1,10 @@
 //! The driver-side context.
 //!
 //! [`RddContext`] plays the role of Spark's `SparkContext`: it owns the
-//! simulated cluster, the shuffle manager, the block store and the cost model,
-//! hands out RDD and shuffle identifiers, creates source RDDs, and records a
-//! [`JobReport`] (stage timings, simulated duration) for every job it runs.
+//! simulated cluster, the shuffle manager, the block store, the cost model
+//! and the metrics scope, hands out RDD and shuffle identifiers, creates
+//! source RDDs, and records a [`JobReport`] (stage timings, simulated
+//! duration) for every job it runs.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -145,6 +146,7 @@ pub(crate) struct ContextState {
     pub(crate) cluster: Mutex<ClusterSim>,
     pub(crate) shuffle: Arc<ShuffleManager>,
     pub(crate) cache: Arc<BlockStore>,
+    metrics: shark_obs::MetricsRegistry,
     next_rdd_id: AtomicUsize,
     next_shuffle_id: AtomicUsize,
     reports: Mutex<VecDeque<JobReport>>,
@@ -174,6 +176,7 @@ impl RddContext {
                 cluster: Mutex::new(cluster),
                 shuffle: Arc::new(ShuffleManager::new()),
                 cache: Arc::default(),
+                metrics: shark_obs::MetricsRegistry::scoped(),
                 next_rdd_id: AtomicUsize::new(0),
                 next_shuffle_id: AtomicUsize::new(0),
                 reports: Mutex::new(VecDeque::with_capacity(JOB_HISTORY_CAP)),
@@ -208,6 +211,13 @@ impl RddContext {
     /// catalog built over this context.
     pub fn cache(&self) -> &Arc<BlockStore> {
         &self.state.cache
+    }
+
+    /// This context's metrics scope: what the engine layers over it count
+    /// (scans, a server's query log, net frontend, spill tier, …), each
+    /// update also adding into the process-wide [`shark_obs::metrics()`].
+    pub fn metrics(&self) -> &shark_obs::MetricsRegistry {
+        &self.state.metrics
     }
 
     /// The shuffle manager.

@@ -42,7 +42,7 @@ pub mod rdd;
 pub mod scheduler;
 pub mod shuffle;
 
-pub use cache::{BlockId, BlockStore, CacheManager, Candidate, Owner, Totals};
+pub use cache::{BlockId, BlockStore, Candidate, Owner, Totals};
 pub use context::{JobReport, RddConfig, RddContext, StageReport};
 pub use executor::Executor;
 pub use metrics::TaskMetrics;

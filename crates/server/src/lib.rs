@@ -19,9 +19,11 @@
 //!   copy: the partition is demoted to the spill tier when one is
 //!   configured, and otherwise, per Shark §2.2, recomputed from lineage
 //!   (the table's base generator) by the next scan that needs it.
-//! * **Metrics** ([`MetricsRegistry`]) — per-query queue wait, execution
-//!   time, cache-hit bytes, recomputes and evictions, aggregated per
-//!   session and server-wide into a [`ServerReport`].
+//! * **Metrics** ([`metrics`]) — one table of every server metric, each
+//!   counted once in the context's metrics scope (which also feeds the
+//!   process-wide `shark_*` families) or read from server state, projected
+//!   into a [`ServerReport`], its JSON and its text; per-query queue wait,
+//!   execution time and cache-hit bytes are also aggregated per session.
 //! * **Wire serving** ([`net`]) — a length-prefixed, checksummed TCP
 //!   protocol ([`net::frame`], spec in `docs/wire-protocol.md`) and a
 //!   thread-per-connection frontend ([`NetServer`]) that multiplexes
@@ -54,8 +56,8 @@ pub mod wal;
 
 pub use admission::{AdmissionController, AdmissionError, AdmissionPermit};
 pub use memstore::{EvictionEvent, MemstoreManager};
-pub use metrics::{MetricsRegistry, QueryMetrics, ServerReport, SessionStats};
-pub use net::{frame, NetConfig, NetCounters, NetServer, RateClass};
+pub use metrics::{QueryMetrics, ServerReport, SessionStats};
+pub use net::{frame, NetConfig, NetServer, RateClass};
 pub use server::{QueryCursor, ServerConfig, SessionHandle, SessionQueryResult, SharkServer};
 pub use spill::{SpillEvent, SpillManager, StoreOutcome};
 pub use wal::{

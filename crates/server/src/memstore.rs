@@ -39,6 +39,7 @@ use shark_sql::{Catalog, TableMeta};
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use crate::metrics::ServerMetrics;
 use crate::spill::SpillManager;
 
 /// One eviction performed while enforcing a budget or quota.
@@ -147,22 +148,6 @@ struct MemstoreState {
     /// deterministic, so this is a *provable* size for any future full load
     /// of the same table — the quota-infeasibility check keys off it.
     known_footprints: FxHashMap<String, u64>,
-    evictions: u64,
-    evicted_partitions: u64,
-    partial_evictions: u64,
-    evicted_bytes: u64,
-    lineage_recomputes: u64,
-    quota_hits: u64,
-    quota_evicted_partitions: u64,
-    quota_infeasible_rejections: u64,
-    /// Rebuild counts of tables since dropped from the catalog, folded in
-    /// so the server-wide rebuild metric stays monotonic.
-    retired_rebuilds: u64,
-    /// Dropped table versions whose storage was reclaimed after their last
-    /// referencing snapshot was released.
-    deferred_drops_reclaimed: u64,
-    /// Bytes those reclamations freed.
-    deferred_reclaimed_bytes: u64,
 }
 
 /// Which blocks one eviction pass may take.
@@ -199,17 +184,26 @@ pub struct MemstoreManager {
     /// eviction drops the partition and lineage recomputes it later.
     spill: Option<Arc<SpillManager>>,
     state: Mutex<MemstoreState>,
+    /// The metrics table its evictions, quota checks and reclamations
+    /// count in.
+    metrics: Arc<ServerMetrics>,
 }
 
 impl MemstoreManager {
     /// Create a manager enforcing `budget_bytes` across table memstore +
     /// RDD cache, with unlimited per-session quotas.
     pub fn new(budget_bytes: u64) -> MemstoreManager {
+        MemstoreManager::new_in(budget_bytes, ServerMetrics::standalone())
+    }
+
+    /// [`MemstoreManager::new`], counting in a server's metrics table.
+    pub(crate) fn new_in(budget_bytes: u64, metrics: Arc<ServerMetrics>) -> MemstoreManager {
         MemstoreManager {
             budget_bytes: budget_bytes.max(1),
             session_quota_bytes: u64::MAX,
             spill: None,
             state: Mutex::new(MemstoreState::default()),
+            metrics,
         }
     }
 
@@ -249,7 +243,7 @@ impl MemstoreManager {
     /// tables this query will actually recompute from lineage, since
     /// retained partition statistics may prune the evicted partitions
     /// before the scan ever needs them. The exact per-partition count is
-    /// the memtables' rebuild counter (`ServerReport::partition_rebuilds`).
+    /// the scans' rebuild counter (`ServerReport::partition_rebuilds`).
     pub fn pin(&self, tables: &[String]) -> usize {
         let mut state = self.state.lock();
         let mut recomputes = 0;
@@ -264,7 +258,10 @@ impl MemstoreManager {
                 recomputes += 1;
             }
         }
-        state.lineage_recomputes += recomputes as u64;
+        drop(state);
+        if recomputes > 0 {
+            self.metrics.lineage_recomputes.add(recomputes as u64);
+        }
         recomputes
     }
 
@@ -486,24 +483,18 @@ impl MemstoreManager {
                 }
             }
         }
+        let metrics = &self.metrics;
         for v in victims {
-            state.evictions += 1;
-            state.evicted_partitions += (v.demoted.len() + v.dropped.len()) as u64;
-            state.evicted_bytes += v.demoted_bytes + v.dropped_bytes;
+            metrics.evictions.inc();
+            metrics
+                .evicted_partitions
+                .add((v.demoted.len() + v.dropped.len()) as u64);
+            metrics.evicted_bytes.add(v.demoted_bytes + v.dropped_bytes);
             let Some(table) = v.table else {
-                let metrics = shark_obs::metrics();
                 metrics
-                    .counter(
-                        "shark_rdd_cache_evicted_partitions_total",
-                        "RDD-cache partitions evicted by the memory budget",
-                    )
+                    .rdd_cache_evicted_partitions
                     .add(v.dropped.len() as u64);
-                metrics
-                    .counter(
-                        "shark_rdd_cache_evicted_bytes_total",
-                        "RDD-cache bytes evicted by the memory budget",
-                    )
-                    .add(v.dropped_bytes);
+                metrics.rdd_cache_evicted_bytes.add(v.dropped_bytes);
                 let Owner::Rdd(id) = v.owner else {
                     unreachable!("only RDD blocks come without a table")
                 };
@@ -519,7 +510,7 @@ impl MemstoreManager {
                 .as_ref()
                 .is_some_and(|mem| mem.loaded_partitions() == 0);
             if !whole_table {
-                state.partial_evictions += 1;
+                metrics.partial_evictions.inc();
             }
             if !v.demoted.is_empty() {
                 events.push(EvictionEvent::Demoted {
@@ -629,7 +620,7 @@ impl MemstoreManager {
 
     /// Promotions scans performed since the last drain, aggregated into
     /// one [`EvictionEvent::Promoted`] per table — the server turns these
-    /// into trace events and report counters.
+    /// into trace events.
     pub fn drain_promotions(&self) -> Vec<EvictionEvent> {
         let Some(spill) = &self.spill else {
             return Vec::new();
@@ -672,7 +663,7 @@ impl MemstoreManager {
             }
             if !hit_recorded {
                 hit_recorded = true;
-                state.quota_hits += 1;
+                self.metrics.quota_hits.inc();
             }
             let need = owned - self.session_quota_bytes;
             let before = events.iter().map(EvictionEvent::partitions).sum::<usize>();
@@ -685,7 +676,9 @@ impl MemstoreManager {
                 &mut events,
             );
             let evicted_now = events.iter().map(EvictionEvent::partitions).sum::<usize>() - before;
-            state.quota_evicted_partitions += evicted_now as u64;
+            self.metrics
+                .quota_evicted_partitions
+                .add(evicted_now as u64);
             if freed == 0 {
                 // Everything the session still holds is pinned.
                 break;
@@ -734,20 +727,13 @@ impl MemstoreManager {
         if self.session_quota_bytes == u64::MAX {
             return None;
         }
-        let mut state = self.state.lock();
-        let footprint = *state.known_footprints.get(table)?;
+        let footprint = *self.state.lock().known_footprints.get(table)?;
         if footprint > self.session_quota_bytes {
-            state.quota_infeasible_rejections += 1;
+            self.metrics.quota_infeasible_rejections.inc();
             Some((footprint, self.session_quota_bytes))
         } else {
             None
         }
-    }
-
-    /// Loads rejected at admission time because their recorded footprint
-    /// provably exceeded the per-session quota.
-    pub fn quota_infeasible_rejections(&self) -> u64 {
-        self.state.lock().quota_infeasible_rejections
     }
 
     /// Reclaim every dropped table version whose last referencing catalog
@@ -766,14 +752,8 @@ impl MemstoreManager {
         catalog.reclaim_unreferenced();
         let mut events = Vec::new();
         for record in catalog.drain_reclaimed() {
-            let mut state = self.state.lock();
-            state.deferred_drops_reclaimed += 1;
-            state.deferred_reclaimed_bytes += record.bytes;
-            // The version's lineage rebuilds move from the catalog's
-            // deferred share into the retired total, keeping the
-            // server-wide rebuild counter monotonic across drop → reclaim.
-            state.retired_rebuilds += record.rebuilds;
-            drop(state);
+            self.metrics.deferred_drops_reclaimed.inc();
+            self.metrics.deferred_reclaimed_bytes.add(record.bytes);
             events.push(EvictionEvent::Dropped {
                 name: record.name,
                 partitions: record.partitions,
@@ -781,16 +761,6 @@ impl MemstoreManager {
             });
         }
         events
-    }
-
-    /// Dropped table versions reclaimed so far (deferred DDL reclamation).
-    pub fn deferred_drops_reclaimed(&self) -> u64 {
-        self.state.lock().deferred_drops_reclaimed
-    }
-
-    /// Bytes freed by deferred-drop reclamations.
-    pub fn deferred_reclaimed_bytes(&self) -> u64 {
-        self.state.lock().deferred_reclaimed_bytes
     }
 
     /// Forget the bookkeeping for a table (call when it is dropped from or
@@ -808,55 +778,6 @@ impl MemstoreManager {
         if let Some(spill) = &self.spill {
             spill.remove_table(table);
         }
-    }
-
-    /// Total eviction events recorded so far (one per victim table or RDD
-    /// per enforcement pass).
-    pub fn evictions(&self) -> u64 {
-        self.state.lock().evictions
-    }
-
-    /// Total individual partitions evicted by policy.
-    pub fn evicted_partitions(&self) -> u64 {
-        self.state.lock().evicted_partitions
-    }
-
-    /// Eviction events that left their table partially resident — the
-    /// partition-granular evictions the whole-table policy could not do.
-    pub fn partial_evictions(&self) -> u64 {
-        self.state.lock().partial_evictions
-    }
-
-    /// Total bytes freed by policy evictions.
-    pub fn evicted_bytes(&self) -> u64 {
-        self.state.lock().evicted_bytes
-    }
-
-    /// Times a session was found over its quota by
-    /// [`MemstoreManager::enforce_session_quota`].
-    pub fn quota_hits(&self) -> u64 {
-        self.state.lock().quota_hits
-    }
-
-    /// Partitions evicted because their owning session exceeded its quota.
-    pub fn quota_evicted_partitions(&self) -> u64 {
-        self.state.lock().quota_evicted_partitions
-    }
-
-    /// Tables whose eviction was later followed by a re-access. This is a
-    /// re-access signal, not an exact recompute count: map pruning over
-    /// retained statistics can satisfy the re-access without rebuilding
-    /// the evicted partitions. For the exact number of partitions rebuilt
-    /// from lineage, see `ServerReport::partition_rebuilds`.
-    pub fn lineage_recomputes(&self) -> u64 {
-        self.state.lock().lineage_recomputes
-    }
-
-    /// Rebuild counts of dropped table versions already reclaimed (folded
-    /// in by [`MemstoreManager::reclaim_dropped`]; versions still awaiting
-    /// reclamation are counted by `Catalog::deferred_drop_rebuilds`).
-    pub fn retired_rebuilds(&self) -> u64 {
-        self.state.lock().retired_rebuilds
     }
 
     /// Tables currently pinned by in-flight queries or open cursors,
@@ -979,13 +900,13 @@ mod tests {
         // b is partially resident: one partition evicted, one still loaded.
         let b = catalog.get("b").unwrap();
         assert_eq!(b.cached.as_ref().unwrap().loaded_partitions(), 1);
-        assert_eq!(manager.evictions(), 1);
-        assert_eq!(manager.evicted_partitions(), 1);
-        assert_eq!(manager.partial_evictions(), 1);
+        assert_eq!(manager.metrics.evictions.get(), 1);
+        assert_eq!(manager.metrics.evicted_partitions.get(), 1);
+        assert_eq!(manager.metrics.partial_evictions.get(), 1);
         assert_eq!(manager.awaiting_recompute(), vec!["b".to_string()]);
         // Re-accessing b counts as a lineage recompute.
         assert_eq!(manager.pin(&["b".into()]), 1);
-        assert_eq!(manager.lineage_recomputes(), 1);
+        assert_eq!(manager.metrics.lineage_recomputes.get(), 1);
         assert!(manager.awaiting_recompute().is_empty());
     }
 
@@ -1054,7 +975,7 @@ mod tests {
         load_all(&catalog);
         let manager = MemstoreManager::new(u64::MAX);
         assert!(manager.enforce(&catalog, catalog.store()).is_empty());
-        assert_eq!(manager.evictions(), 0);
+        assert_eq!(manager.metrics.evictions.get(), 0);
     }
 
     #[test]
@@ -1112,7 +1033,7 @@ mod tests {
                 .loaded_partitions(),
             2
         );
-        assert_eq!(manager.evicted_partitions(), 1);
+        assert_eq!(manager.metrics.evicted_partitions.get(), 1);
     }
 
     /// The blocks a global eviction pass would consider, in its order.
@@ -1333,11 +1254,11 @@ mod tests {
         // The other session's table is untouched.
         let theirs = catalog.get("theirs").unwrap();
         assert_eq!(theirs.cached.as_ref().unwrap().loaded_partitions(), 2);
-        assert_eq!(manager.quota_hits(), 1);
-        assert!(manager.quota_evicted_partitions() > 0);
+        assert_eq!(manager.metrics.quota_hits.get(), 1);
+        assert!(manager.metrics.quota_evicted_partitions.get() > 0);
         // Within quota now: enforcing again is a no-op.
         assert!(manager.enforce_session_quota(1, &catalog).is_empty());
-        assert_eq!(manager.quota_hits(), 1);
+        assert_eq!(manager.metrics.quota_hits.get(), 1);
     }
 
     #[test]
@@ -1359,13 +1280,13 @@ mod tests {
             manager.reject_infeasible_load("big"),
             Some((footprint, quota))
         );
-        assert_eq!(manager.quota_infeasible_rejections(), 1);
+        assert_eq!(manager.metrics.quota_infeasible_rejections.get(), 1);
         // Dropping the table clears the recorded footprint: a recreated
         // table of the same name starts clean.
         manager.forget("big");
         assert_eq!(manager.known_footprint("big"), None);
         assert_eq!(manager.reject_infeasible_load("big"), None);
-        assert_eq!(manager.quota_infeasible_rejections(), 1);
+        assert_eq!(manager.metrics.quota_infeasible_rejections.get(), 1);
     }
 
     #[test]
@@ -1379,7 +1300,7 @@ mod tests {
         let roomy = MemstoreManager::new(u64::MAX).with_session_quota(u64::MAX / 2);
         roomy.record_footprint_if_full(&table);
         assert_eq!(roomy.reject_infeasible_load("t"), None);
-        assert_eq!(roomy.quota_infeasible_rejections(), 0);
+        assert_eq!(roomy.metrics.quota_infeasible_rejections.get(), 0);
     }
 
     #[test]
@@ -1389,7 +1310,7 @@ mod tests {
         let manager = MemstoreManager::new(u64::MAX);
         manager.record_owner("a", 1);
         assert!(manager.enforce_session_quota(1, &catalog).is_empty());
-        assert_eq!(manager.quota_hits(), 0);
+        assert_eq!(manager.metrics.quota_hits.get(), 0);
     }
 
     #[test]
@@ -1422,8 +1343,8 @@ mod tests {
             }
             other => panic!("expected a dropped-table reclamation, got {other:?}"),
         }
-        assert_eq!(manager.deferred_drops_reclaimed(), 1);
-        assert_eq!(manager.deferred_reclaimed_bytes(), bytes);
+        assert_eq!(manager.metrics.deferred_drops_reclaimed.get(), 1);
+        assert_eq!(manager.metrics.deferred_reclaimed_bytes.get(), bytes);
         assert_eq!(catalog.deferred_drop_bytes(), 0);
         // Idempotent.
         assert!(manager.reclaim_dropped(&catalog).is_empty());
@@ -1571,7 +1492,7 @@ mod tests {
         assert!(manager.awaiting_recompute().is_empty());
         assert_eq!(manager.pin(&["a".into()]), 0);
         // Memory eviction counters still account the demotions.
-        assert_eq!(manager.evicted_partitions(), 2);
+        assert_eq!(manager.metrics.evicted_partitions.get(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,236 +52,33 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use shark_common::{Result, Row, Schema, SharkError};
 
+use crate::metrics::ServerMetrics;
 use crate::server::{SessionHandle, SharkServer};
 use frame::{Frame, FrameError};
 
-/// Cached unified-registry handles for the `shark_net_*` metric family.
-struct NetObs {
-    opened: Arc<shark_obs::Counter>,
-    closed: Arc<shark_obs::Counter>,
-    reaped: Arc<shark_obs::Counter>,
-    active: Arc<shark_obs::Gauge>,
-    bytes_sent: Arc<shark_obs::Counter>,
-    bytes_received: Arc<shark_obs::Counter>,
-    frames_sent: Arc<shark_obs::Counter>,
-    frames_received: Arc<shark_obs::Counter>,
-    protocol_errors: Arc<shark_obs::Counter>,
-    auth_failures: Arc<shark_obs::Counter>,
-    queries: Arc<shark_obs::Counter>,
-    prepared: Arc<shark_obs::Counter>,
-    cancels: Arc<shark_obs::Counter>,
-    frame_bytes: Arc<shark_obs::Histogram>,
-}
-
-fn net_obs() -> &'static NetObs {
-    static OBS: std::sync::OnceLock<NetObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = shark_obs::metrics();
-        NetObs {
-            opened: reg.counter(
-                "shark_net_connections_opened_total",
-                "TCP connections accepted by the serving frontend",
-            ),
-            closed: reg.counter(
-                "shark_net_connections_closed_total",
-                "TCP connections fully torn down (client close, error, or reap)",
-            ),
-            reaped: reg.counter(
-                "shark_net_connections_reaped_total",
-                "Connections closed for sitting idle past their deadline",
-            ),
-            active: reg.gauge(
-                "shark_net_connections_active",
-                "TCP connections currently open",
-            ),
-            bytes_sent: reg.counter(
-                "shark_net_bytes_sent_total",
-                "Frame bytes (header + payload) written to client sockets",
-            ),
-            bytes_received: reg.counter(
-                "shark_net_bytes_received_total",
-                "Frame bytes (header + payload) read from client sockets",
-            ),
-            frames_sent: reg.counter(
-                "shark_net_frames_sent_total",
-                "Protocol frames written to client sockets",
-            ),
-            frames_received: reg.counter(
-                "shark_net_frames_received_total",
-                "Protocol frames read from client sockets",
-            ),
-            protocol_errors: reg.counter(
-                "shark_net_protocol_errors_total",
-                "Malformed frames that closed their connection",
-            ),
-            auth_failures: reg.counter(
-                "shark_net_auth_failures_total",
-                "Hello handshakes rejected (magic, version, or token)",
-            ),
-            queries: reg.counter(
-                "shark_net_queries_total",
-                "Query and Execute frames processed",
-            ),
-            prepared: reg.counter(
-                "shark_net_prepared_statements_total",
-                "Prepare frames that registered a statement",
-            ),
-            cancels: reg.counter("shark_net_cancels_total", "Cancel frames honored mid-query"),
-            frame_bytes: reg.histogram(
-                "shark_net_frame_bytes",
-                "Size distribution of frames written to clients",
-                shark_obs::WIRE_BUCKETS,
-            ),
-        }
-    })
-}
-
-/// Wire-frontend counters, owned by [`crate::SharkServer`] so the
-/// [`crate::ServerReport`] always carries the `connections_*` /
-/// `wire_bytes_*` / `net_*` gauges (all zero until `serve` is called).
-/// Every mutation also feeds the `shark_net_*` unified-registry metrics.
-#[derive(Default)]
-pub struct NetCounters {
-    opened: AtomicU64,
-    closed: AtomicU64,
-    reaped: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    protocol_errors: AtomicU64,
-    auth_failures: AtomicU64,
-    queries: AtomicU64,
-    prepared_statements: AtomicU64,
-    cancels: AtomicU64,
-}
-
-impl NetCounters {
+/// The frontend's events, each one call on the server's metrics table
+/// (the `connections_*` / `wire_bytes_*` / `net_*` rows, all zero until
+/// `serve` is called).
+impl ServerMetrics {
     fn connection_opened(&self) {
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.opened.inc();
-        obs.active.add(1);
+        self.connections_opened.inc();
+        self.connections_active.add(1);
     }
 
     fn connection_closed(&self) {
-        self.closed.fetch_add(1, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.closed.inc();
-        obs.active.add(-1);
-    }
-
-    fn connection_reaped(&self) {
-        self.reaped.fetch_add(1, Ordering::Relaxed);
-        net_obs().reaped.inc();
+        self.connections_closed.inc();
+        self.connections_active.add(-1);
     }
 
     fn frame_sent(&self, bytes: u64) {
-        self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.frames_sent.inc();
-        obs.bytes_sent.add(bytes);
-        obs.frame_bytes.observe(bytes as f64);
+        self.net_frames_sent.inc();
+        self.wire_bytes_sent.add(bytes);
+        self.net_frame_bytes.observe(bytes as f64);
     }
 
     fn frame_received(&self, bytes: u64) {
-        self.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received.fetch_add(bytes, Ordering::Relaxed);
-        let obs = net_obs();
-        obs.frames_received.inc();
-        obs.bytes_received.add(bytes);
-    }
-
-    fn protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        net_obs().protocol_errors.inc();
-    }
-
-    fn auth_failure(&self) {
-        self.auth_failures.fetch_add(1, Ordering::Relaxed);
-        net_obs().auth_failures.inc();
-    }
-
-    fn query(&self) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        net_obs().queries.inc();
-    }
-
-    fn prepared(&self) {
-        self.prepared_statements.fetch_add(1, Ordering::Relaxed);
-        net_obs().prepared.inc();
-    }
-
-    fn cancel(&self) {
-        self.cancels.fetch_add(1, Ordering::Relaxed);
-        net_obs().cancels.inc();
-    }
-
-    /// Connections ever accepted.
-    pub fn opened(&self) -> u64 {
-        self.opened.load(Ordering::Relaxed)
-    }
-
-    /// Connections fully torn down.
-    pub fn closed(&self) -> u64 {
-        self.closed.load(Ordering::Relaxed)
-    }
-
-    /// Connections currently open (`opened - closed`).
-    pub fn active(&self) -> u64 {
-        self.opened().saturating_sub(self.closed())
-    }
-
-    /// Connections closed for idling past their deadline (also counted
-    /// closed).
-    pub fn reaped(&self) -> u64 {
-        self.reaped.load(Ordering::Relaxed)
-    }
-
-    /// Frame bytes written to clients.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Frame bytes read from clients.
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Frames written to clients.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Relaxed)
-    }
-
-    /// Frames read from clients.
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received.load(Ordering::Relaxed)
-    }
-
-    /// Malformed frames observed (each closed its connection).
-    pub fn protocol_errors(&self) -> u64 {
-        self.protocol_errors.load(Ordering::Relaxed)
-    }
-
-    /// Handshakes rejected.
-    pub fn auth_failures(&self) -> u64 {
-        self.auth_failures.load(Ordering::Relaxed)
-    }
-
-    /// Query + Execute frames processed.
-    pub fn queries(&self) -> u64 {
-        self.queries.load(Ordering::Relaxed)
-    }
-
-    /// Statements registered by Prepare frames.
-    pub fn prepared_statements(&self) -> u64 {
-        self.prepared_statements.load(Ordering::Relaxed)
-    }
-
-    /// Cancel frames honored.
-    pub fn cancels(&self) -> u64 {
-        self.cancels.load(Ordering::Relaxed)
+        self.net_frames_received.inc();
+        self.wire_bytes_received.add(bytes);
     }
 }
 
@@ -390,7 +187,8 @@ impl NetConfig {
 /// The running TCP frontend: accept loop and per-connection handler
 /// threads. Dropping it (or calling [`NetServer::shutdown`])
 /// stops accepting, force-closes every connection and joins all threads —
-/// after which [`NetCounters::active`] is zero or the teardown failed.
+/// after which the report's `connections_active` is zero or the teardown
+/// failed.
 pub struct NetServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -411,8 +209,8 @@ struct NetShared {
 }
 
 impl NetShared {
-    fn counters(&self) -> &NetCounters {
-        self.server.net_counters()
+    fn metrics(&self) -> &ServerMetrics {
+        self.server.metrics()
     }
 }
 
@@ -457,7 +255,7 @@ impl NetServer {
 
     /// Connections currently open.
     pub fn active_connections(&self) -> u64 {
-        self.shared.counters().active()
+        self.shared.metrics().connections_active.get().max(0) as u64
     }
 
     /// Stop accepting, force-close every open connection, and join the
@@ -490,16 +288,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                let counters = shared.counters();
-                counters.connection_opened();
-                if shared.counters().active() > shared.config.max_connections as u64 {
+                let metrics = shared.metrics();
+                metrics.connection_opened();
+                if metrics.connections_active.get() > shared.config.max_connections as i64 {
                     // Over capacity: answer with an Error frame and close.
-                    let _ = FrameWriter::new(&stream, counters).send(&Frame::Error {
+                    let _ = FrameWriter::new(&stream, metrics).send(&Frame::Error {
                         kind: "capacity".to_string(),
                         message: "server at connection capacity".to_string(),
                     });
                     let _ = stream.shutdown(Shutdown::Both);
-                    counters.connection_closed();
+                    metrics.connection_closed();
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
@@ -507,7 +305,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
                 let registry_stream = match stream.try_clone() {
                     Ok(clone) => clone,
                     Err(_) => {
-                        counters.connection_closed();
+                        metrics.connection_closed();
                         continue;
                     }
                 };
@@ -518,13 +316,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
                     .spawn(move || {
                         handle_connection(stream, handler_shared.clone());
                         handler_shared.connections.lock().remove(&id);
-                        handler_shared.counters().connection_closed();
+                        handler_shared.metrics().connection_closed();
                     });
                 match handle {
                     Ok(handle) => shared.handlers.lock().push(handle),
                     Err(_) => {
                         shared.connections.lock().remove(&id);
-                        counters.connection_closed();
+                        metrics.connection_closed();
                     }
                 }
             }
@@ -579,11 +377,11 @@ fn is_idle_timeout(err: &io::Error) -> bool {
 }
 
 /// A connection's outgoing frames. Frames are appended to one buffer and
-/// leave together on [`FrameWriter::flush`]; the counters are fed when the
+/// leave together on [`FrameWriter::flush`]; the metrics are fed when the
 /// bytes have actually been written.
 struct FrameWriter<'a> {
     stream: &'a TcpStream,
-    counters: &'a NetCounters,
+    metrics: &'a ServerMetrics,
     buf: Vec<u8>,
     /// Sizes of the frames sitting in `buf`.
     unsent: Vec<u64>,
@@ -594,10 +392,10 @@ struct FrameWriter<'a> {
 const FLUSH_THRESHOLD_BYTES: usize = 64 * 1024;
 
 impl<'a> FrameWriter<'a> {
-    fn new(stream: &'a TcpStream, counters: &'a NetCounters) -> FrameWriter<'a> {
+    fn new(stream: &'a TcpStream, metrics: &'a ServerMetrics) -> FrameWriter<'a> {
         FrameWriter {
             stream,
-            counters,
+            metrics,
             buf: Vec::new(),
             unsent: Vec::new(),
         }
@@ -619,7 +417,7 @@ impl<'a> FrameWriter<'a> {
         let sent = self.unsent.drain(..);
         written?;
         for bytes in sent {
-            self.counters.frame_sent(bytes);
+            self.metrics.frame_sent(bytes);
         }
         Ok(())
     }
@@ -646,7 +444,7 @@ enum ClientSignal {
 /// Peek the socket for a buffered client frame without blocking the
 /// stream. A complete or in-flight frame is consumed (the tail read
 /// blocks only for bytes the client has already committed to sending).
-fn poll_client(stream: &TcpStream, counters: &NetCounters) -> ClientSignal {
+fn poll_client(stream: &TcpStream, metrics: &ServerMetrics) -> ClientSignal {
     if stream.set_nonblocking(true).is_err() {
         return ClientSignal::Abort;
     }
@@ -659,19 +457,19 @@ fn poll_client(stream: &TcpStream, counters: &NetCounters) -> ClientSignal {
         Ok(0) => ClientSignal::Abort, // orderly disconnect mid-query
         Ok(_) => match frame::read_frame(&mut &*stream) {
             Ok((frame, bytes)) => {
-                counters.frame_received(bytes);
+                metrics.frame_received(bytes);
                 match frame {
                     Frame::Cancel => ClientSignal::Cancel,
                     Frame::Close => ClientSignal::Close,
                     _ => {
-                        counters.protocol_error();
+                        metrics.net_protocol_errors.inc();
                         ClientSignal::Abort
                     }
                 }
             }
             Err(FrameError::Io(_)) => ClientSignal::Abort,
             Err(FrameError::Protocol(_)) => {
-                counters.protocol_error();
+                metrics.net_protocol_errors.inc();
                 ClientSignal::Abort
             }
         },
@@ -690,25 +488,25 @@ enum After {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
-    let counters = shared.counters();
-    let mut out = FrameWriter::new(&stream, counters);
+    let metrics = shared.metrics();
+    let mut out = FrameWriter::new(&stream, metrics);
     // Until the handshake names a tenant the default class's deadline runs.
     set_idle_timeout(&stream, shared.config.default_class.idle_timeout);
 
     // --- Handshake -------------------------------------------------------
     let hello = match frame::read_frame(&mut &stream) {
         Ok((frame, bytes)) => {
-            counters.frame_received(bytes);
+            metrics.frame_received(bytes);
             frame
         }
         Err(FrameError::Io(err)) => {
             if is_idle_timeout(&err) {
-                counters.connection_reaped();
+                metrics.connections_reaped.inc();
             }
             return;
         }
         Err(FrameError::Protocol(_)) => {
-            counters.protocol_error();
+            metrics.net_protocol_errors.inc();
             let _ = out.send(&Frame::Error {
                 kind: "protocol".to_string(),
                 message: "malformed handshake frame".to_string(),
@@ -719,7 +517,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
     let (token, tenant) = match hello {
         Frame::Hello { token, tenant } => (token, tenant),
         _ => {
-            counters.protocol_error();
+            metrics.net_protocol_errors.inc();
             let _ = out.send(&Frame::Error {
                 kind: "protocol".to_string(),
                 message: "expected Hello as the first frame".to_string(),
@@ -729,7 +527,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
     };
     if let Some(expected) = &shared.config.auth_token {
         if &token != expected {
-            counters.auth_failure();
+            metrics.net_auth_failures.inc();
             let _ = out.send(&Frame::Error {
                 kind: "auth".to_string(),
                 message: "invalid auth token".to_string(),
@@ -760,19 +558,19 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
         }
         let request = match frame::read_frame(&mut &stream) {
             Ok((frame, bytes)) => {
-                counters.frame_received(bytes);
+                metrics.frame_received(bytes);
                 frame
             }
             // Idle past the deadline, disconnect, or torn frame: either way
             // the connection is done.
             Err(FrameError::Io(err)) => {
                 if is_idle_timeout(&err) {
-                    counters.connection_reaped();
+                    metrics.connections_reaped.inc();
                 }
                 return;
             }
             Err(FrameError::Protocol(msg)) => {
-                counters.protocol_error();
+                metrics.net_protocol_errors.inc();
                 let _ = out.send(&Frame::Error {
                     kind: "protocol".to_string(),
                     message: msg,
@@ -782,12 +580,12 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
         };
         let after = match request {
             Frame::Query { sql } => {
-                counters.query();
+                metrics.net_queries.inc();
                 run_statement(&mut out, &session, &class, &sql)
             }
             Frame::Prepare { sql } => match session.parse_statement(&sql) {
                 Ok(_) => {
-                    counters.prepared();
+                    metrics.net_prepared_statements.inc();
                     let statement_id = next_statement_id;
                     next_statement_id += 1;
                     let fingerprint = shark_sql::statement_fingerprint(&sql);
@@ -804,7 +602,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
             },
             Frame::Execute { statement_id } => match prepared.get(&statement_id).cloned() {
                 Some(sql) => {
-                    counters.query();
+                    metrics.net_queries.inc();
                     run_statement(&mut out, &session, &class, &sql)
                 }
                 None => {
@@ -819,7 +617,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<NetShared>) {
             Frame::Cancel => After::Continue,
             Frame::Close => After::Hangup,
             _ => {
-                counters.protocol_error();
+                metrics.net_protocol_errors.inc();
                 let _ = out.send(&Frame::Error {
                     kind: "protocol".to_string(),
                     message: "unexpected server-to-client frame type".to_string(),
@@ -968,10 +766,10 @@ fn write_result<S>(
         // Between batches is the cancellation point: a buffered Cancel or
         // Close stops the result; a cursor dropped with `source` releases
         // its permit, pins and prefetch grant.
-        match poll_client(out.stream, out.counters) {
+        match poll_client(out.stream, out.metrics) {
             ClientSignal::Idle => {}
             ClientSignal::Cancel => {
-                out.counters.cancel();
+                out.metrics.net_cancels.inc();
                 cancelled = true;
                 break;
             }

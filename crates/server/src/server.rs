@@ -33,13 +33,13 @@ use shark_sql::{
 
 use crate::admission::{AdmissionController, AdmissionPermit};
 use crate::memstore::{EvictionEvent, MemstoreManager};
-use crate::metrics::{MetricsRegistry, QueryMetrics, ServerReport};
-use crate::net::{NetConfig, NetCounters, NetServer};
+use crate::metrics::{QueryLog, QueryMetrics, ServerMetrics, ServerReport};
+use crate::net::{NetConfig, NetServer};
 use crate::spill::{SpillEvent, SpillManager};
 use crate::wal::{
-    read_manifest, read_snapshot, recovery_metrics, replay_wal, write_manifest, write_snapshot,
-    ManifestEntry, SnapshotFile, SpillManifest, TableRecord, WalRecord, WalWriter, MANIFEST_FILE,
-    SNAPSHOT_FILE, WAL_FILE,
+    read_manifest, read_snapshot, replay_wal, write_manifest, write_snapshot, ManifestEntry,
+    SnapshotFile, SpillManifest, TableRecord, WalRecord, WalWriter, MANIFEST_FILE, SNAPSHOT_FILE,
+    WAL_FILE,
 };
 
 /// Configuration of a [`SharkServer`].
@@ -175,56 +175,37 @@ impl ServerConfig {
 /// concurrent query boundaries serialize — the journals are drained *under*
 /// this lock, which is what keeps a table's `Created` record ahead of its
 /// partitions' `Demoted` records in the log.
-struct Durability {
+pub(crate) struct Durability {
     /// Directory the WAL, snapshot and manifest live in (the spill dir).
     dir: PathBuf,
     /// The open WAL appender (recreated fresh by every checkpoint).
-    wal: WalWriter,
+    pub(crate) wal: WalWriter,
     /// Fold the WAL into a snapshot after this many committed records.
     snapshot_every: u64,
     /// Records committed since the last checkpoint.
     records_since_snapshot: u64,
 }
 
-/// What one restore observed, frozen at construction and surfaced through
-/// [`ServerReport`].
-#[derive(Debug, Clone, Default)]
-struct RecoveryStats {
-    restored: bool,
-    wal_records_replayed: u64,
-    torn_wal_tail: bool,
-    tables_restored: u64,
-    placeholder_tables: u64,
-    frames_adopted: u64,
-    frames_rejected: u64,
-    orphans_swept: u64,
-}
-
+/// What a server shares with its sessions and its TCP frontend. The
+/// metrics table ([`crate::metrics`]) reads it when projecting a report.
 pub(crate) struct ServerShared {
-    ctx: RddContext,
-    catalog: Arc<Catalog>,
+    pub(crate) ctx: RddContext,
+    pub(crate) catalog: Arc<Catalog>,
     exec: ExecConfig,
-    admission: AdmissionController,
-    memstore: MemstoreManager,
-    metrics: MetricsRegistry,
+    pub(crate) admission: AdmissionController,
+    pub(crate) memstore: MemstoreManager,
+    /// The server's metrics table, registered in the context's scope.
+    pub(crate) metrics: Arc<ServerMetrics>,
+    log: QueryLog,
     next_session_id: AtomicU64,
     next_query_id: AtomicU64,
     max_total_prefetch: usize,
     prefetch_in_use: AtomicUsize,
     /// `Some` when a spill directory is configured and its WAL is writable.
-    durability: Option<Mutex<Durability>>,
-    /// What the restore that produced this server observed (all-default
-    /// for a fresh start).
-    recovery: RecoveryStats,
-    snapshots_written: AtomicU64,
-    wal_append_failures: AtomicU64,
+    pub(crate) durability: Option<Mutex<Durability>>,
     /// The shared prepared-statement / plan cache every session of this
     /// server participates in (`None` when disabled by configuration).
-    plan_cache: Option<Arc<PlanCache>>,
-    /// Wire/connection counters of the TCP frontend; all-zero until
-    /// [`SharkServer::serve`] is called, so [`SharkServer::report`] always
-    /// carries the gauges.
-    pub(crate) net: NetCounters,
+    pub(crate) plan_cache: Option<Arc<PlanCache>>,
 }
 
 impl ServerShared {
@@ -321,7 +302,7 @@ impl ServerShared {
                 // reach the log. Force a checkpoint: the snapshot captures
                 // the full current state, which re-covers whatever the
                 // failed append lost.
-                self.wal_append_failures.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_append_failures.inc();
                 self.checkpoint(&mut dur);
             }
         }
@@ -340,7 +321,7 @@ impl ServerShared {
             .map(|s| s.manifest_entries())
             .unwrap_or_default();
         if write_manifest(&dur.dir.join(MANIFEST_FILE), &SpillManifest { entries }).is_err() {
-            self.wal_append_failures.fetch_add(1, Ordering::Relaxed);
+            self.metrics.wal_append_failures.inc();
             return false;
         }
         let snapshot = SnapshotFile {
@@ -354,14 +335,14 @@ impl ServerShared {
                 .collect(),
         };
         if write_snapshot(&dur.dir.join(SNAPSHOT_FILE), &snapshot).is_err() {
-            self.wal_append_failures.fetch_add(1, Ordering::Relaxed);
+            self.metrics.wal_append_failures.inc();
             return false;
         }
         match WalWriter::create(dur.dir.join(WAL_FILE)) {
             Ok(wal) => {
                 dur.wal = wal;
                 dur.records_since_snapshot = 0;
-                self.snapshots_written.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_snapshots_written.inc();
                 shark_obs::event(
                     "checkpoint",
                     &[
@@ -372,7 +353,7 @@ impl ServerShared {
                 true
             }
             Err(_) => {
-                self.wal_append_failures.fetch_add(1, Ordering::Relaxed);
+                self.metrics.wal_append_failures.inc();
                 false
             }
         }
@@ -528,7 +509,7 @@ impl Admitted<'_> {
             plan_cache_hit: outcome.plan_cache_hit,
             failed: outcome.failed,
         };
-        shared.metrics.record(metrics.clone());
+        shared.log.record(metrics.clone());
         metrics
     }
 }
@@ -593,7 +574,9 @@ impl SharkServer {
         if let Some(threads) = config.executor_threads {
             shark_rdd::Executor::configure_global(threads);
         }
-        let mut memstore = MemstoreManager::new(config.memory_budget_bytes)
+        let ctx = RddContext::new(config.rdd);
+        let metrics = Arc::new(ServerMetrics::register(ctx.metrics()));
+        let mut memstore = MemstoreManager::new_in(config.memory_budget_bytes, metrics.clone())
             .with_session_quota(config.session_mem_quota_bytes);
         let mut spill = None;
         if let Some(dir) = &config.spill_dir {
@@ -601,27 +584,29 @@ impl SharkServer {
             // durability) rather than failing server start: queries then
             // see the pre-spill world (eviction = lineage recompute),
             // never an I/O error.
-            if let Ok(manager) = SpillManager::create(dir, config.spill_budget_bytes) {
+            if let Ok(manager) =
+                SpillManager::create_in(dir, config.spill_budget_bytes, metrics.clone())
+            {
                 let manager = Arc::new(manager);
                 memstore = memstore.with_spill(manager.clone());
                 spill = Some(manager);
             }
         }
-        let ctx = RddContext::new(config.rdd);
         // The catalog's memtables live in the context's block store, beside
-        // its cached RDD partitions: one store, one budget.
-        let catalog = Arc::new(Catalog::with_store(ctx.cache().clone()));
+        // its cached RDD partitions: one store, one budget, one scope.
+        let catalog = Arc::new(Catalog::with_context(&ctx));
         let num_nodes = ctx.config().cluster.num_nodes;
-        let recovery = match (&spill, resolver) {
-            (Some(spill), Some(resolver)) => restore_catalog(&catalog, spill, num_nodes, resolver),
+        match (&spill, resolver) {
+            (Some(spill), Some(resolver)) => {
+                restore_catalog(&catalog, spill, num_nodes, resolver, &metrics)
+            }
             (Some(spill), None) => {
                 // Fresh start: a previous incarnation's frames are orphans
                 // here, not recoverable data.
                 spill.sweep_orphans();
-                RecoveryStats::default()
             }
-            _ => RecoveryStats::default(),
-        };
+            _ => {}
+        }
         let durability = spill.as_ref().and_then(|spill| {
             // A WAL that cannot be created disables durability the same
             // way an unusable directory disables the tier.
@@ -638,7 +623,6 @@ impl SharkServer {
         });
         let server = SharkServer {
             shared: Arc::new(ServerShared {
-                ctx,
                 catalog,
                 exec: config.exec,
                 admission: AdmissionController::new(
@@ -646,18 +630,16 @@ impl SharkServer {
                     config.max_queued_queries,
                 ),
                 memstore,
-                metrics: MetricsRegistry::default(),
+                log: QueryLog::new(metrics.clone()),
+                metrics,
                 next_session_id: AtomicU64::new(1),
                 next_query_id: AtomicU64::new(1),
                 max_total_prefetch: config.max_total_prefetch,
                 prefetch_in_use: AtomicUsize::new(0),
                 durability,
-                recovery,
-                snapshots_written: AtomicU64::new(0),
-                wal_append_failures: AtomicU64::new(0),
                 plan_cache: (config.plan_cache_capacity > 0)
-                    .then(|| Arc::new(PlanCache::new(config.plan_cache_capacity))),
-                net: NetCounters::default(),
+                    .then(|| Arc::new(PlanCache::new(config.plan_cache_capacity, ctx.metrics()))),
+                ctx,
             }),
         };
         // Boot checkpoint: snapshot, manifest and (fresh) WAL now agree
@@ -733,10 +715,9 @@ impl SharkServer {
         self.shared.plan_cache.as_ref()
     }
 
-    /// Wire/connection counters of the TCP frontend (all-zero when
-    /// [`SharkServer::serve`] was never called).
-    pub(crate) fn net_counters(&self) -> &NetCounters {
-        &self.shared.net
+    /// The server's metrics table (the TCP frontend counts in it too).
+    pub(crate) fn metrics(&self) -> &ServerMetrics {
+        &self.shared.metrics
     }
 
     /// The shared catalog.
@@ -856,99 +837,14 @@ impl SharkServer {
         let shared = &self.shared;
         shared.memstore.reclaim_dropped(&shared.catalog);
         // A report is a durability point too: whatever the journals hold
-        // is committed, so the WAL numbers below are current.
+        // is committed, so the WAL numbers are current.
         shared.persist_durable();
-        let mut report = shared.metrics.aggregate();
-        report.peak_concurrent_queries = shared.admission.peak_running();
-        report.peak_queued_queries = shared.admission.peak_queued();
-        report.evictions = shared.memstore.evictions();
-        report.evicted_partitions = shared.memstore.evicted_partitions();
-        report.partial_evictions = shared.memstore.partial_evictions();
-        report.evicted_bytes = shared.memstore.evicted_bytes();
-        report.lineage_recomputes = shared.memstore.lineage_recomputes();
-        report.quota_hits = shared.memstore.quota_hits();
-        report.quota_evicted_partitions = shared.memstore.quota_evicted_partitions();
-        report.quota_infeasible_rejections = shared.memstore.quota_infeasible_rejections();
-        if let Some(cache) = &shared.plan_cache {
-            report.plan_cache_enabled = true;
-            report.plan_cache_hits = cache.hits();
-            report.plan_cache_misses = cache.misses();
-            report.plan_cache_stale_plans = cache.stale_plans();
-            report.plan_cache_entries = cache.entries() as u64;
-            report.plan_cache_capacity = cache.capacity() as u64;
-        }
-        report.connections_opened = shared.net.opened();
-        report.connections_closed = shared.net.closed();
-        report.connections_active = shared.net.active();
-        report.connections_reaped = shared.net.reaped();
-        report.wire_bytes_sent = shared.net.bytes_sent();
-        report.wire_bytes_received = shared.net.bytes_received();
-        report.net_frames_sent = shared.net.frames_sent();
-        report.net_frames_received = shared.net.frames_received();
-        report.net_protocol_errors = shared.net.protocol_errors();
-        report.net_auth_failures = shared.net.auth_failures();
-        report.net_queries = shared.net.queries();
-        report.net_prepared_statements = shared.net.prepared_statements();
-        report.net_cancels = shared.net.cancels();
-        // Live tables' rebuild counters, plus the frozen counts of versions
-        // awaiting deferred reclamation, plus the retired counts of
-        // versions already reclaimed — a rebuild moves between the three
-        // shares as its table is dropped and reclaimed, so the cumulative
-        // metric never decreases.
-        report.partition_rebuilds = shared.memstore.retired_rebuilds()
-            + shared.catalog.deferred_drop_rebuilds()
-            + shared
-                .catalog
-                .cached_tables()
-                .iter()
-                .filter_map(|t| t.cached.as_ref().map(|m| m.rebuilds()))
-                .sum::<u64>();
-        report.partition_promotions = shared
-            .catalog
-            .cached_tables()
-            .iter()
-            .filter_map(|t| t.cached.as_ref().map(|m| m.promotions()))
-            .sum::<u64>();
-        if let Some(spill) = shared.memstore.spill() {
-            report.spilled_partitions = spill.spilled_partition_count();
-            report.spill_disk_bytes = spill.disk_bytes();
-            report.spill_budget_bytes = spill.budget_bytes();
-            report.partitions_demoted = spill.spilled_partitions();
-            report.partitions_promoted = spill.promoted_partitions();
-            report.spill_bytes_written = spill.spilled_bytes();
-            report.spill_bytes_read = spill.promoted_bytes();
-            report.spill_poisoned_files = spill.poisoned_files();
-            report.spill_displaced_partitions = spill.displaced_partitions();
-        }
-        report.wal_enabled = shared.durability.is_some();
-        if let Some(dur) = &shared.durability {
-            report.wal_records = dur.lock().wal.record_count();
-        }
-        report.wal_snapshots_written = shared.snapshots_written.load(Ordering::Relaxed);
-        report.wal_append_failures = shared.wal_append_failures.load(Ordering::Relaxed);
-        report.restored = shared.recovery.restored;
-        report.recovery_wal_records_replayed = shared.recovery.wal_records_replayed;
-        report.recovery_torn_wal_tail = shared.recovery.torn_wal_tail;
-        report.recovery_tables_restored = shared.recovery.tables_restored;
-        report.recovery_placeholder_tables = shared.recovery.placeholder_tables;
-        report.recovery_frames_adopted = shared.recovery.frames_adopted;
-        report.recovery_frames_rejected = shared.recovery.frames_rejected;
-        report.recovery_orphans_swept = shared.recovery.orphans_swept;
-        report.memstore_bytes = shared.catalog.memstore_bytes();
-        report.rdd_cache_bytes = shared.ctx.cache().rdd_totals().bytes;
-        report.memory_budget_bytes = shared.memstore.budget_bytes();
-        report.session_quota_bytes = shared.memstore.session_quota_bytes();
-        report.catalog_epoch = shared.catalog.epoch();
-        report.live_snapshots = shared.catalog.live_snapshots();
-        report.deferred_drop_bytes = shared.catalog.deferred_drop_bytes();
-        report.deferred_drops_reclaimed = shared.memstore.deferred_drops_reclaimed();
-        report.deferred_reclaimed_bytes = shared.memstore.deferred_reclaimed_bytes();
-        report
+        shared.log.report(shared)
     }
 
     /// The raw per-query log, in completion order.
     pub fn query_log(&self) -> Vec<QueryMetrics> {
-        self.shared.metrics.query_log()
+        self.shared.log.query_log()
     }
 }
 
@@ -1021,7 +917,7 @@ impl SessionHandle {
         let _trace = root.as_ref().map(|r| r.context().attach());
         let acquired = {
             // Admission-queue wait as its own span; the always-on histogram
-            // counterpart is observed in `MetricsRegistry::record`.
+            // counterpart is observed in `QueryLog::record`.
             let _wait = shark_obs::span("admission-wait");
             shared.admission.acquire()
         };
@@ -1031,7 +927,7 @@ impl SessionHandle {
                 if let Some(root) = root.as_mut() {
                     root.annotate("rejected", "true");
                 }
-                shared.metrics.record_rejection(self.id);
+                shared.log.record_rejection(self.id);
                 return Err(SharkError::Execution(err.to_string()));
             }
         };
@@ -1066,10 +962,7 @@ impl SessionHandle {
                 shark_sql::ast::Statement::DropTable { name } => {
                     // The table is gone from the catalog; clear its LRU/pin/
                     // recompute/owner bookkeeping so a future table reusing
-                    // the name starts clean. Its lineage-rebuild count stays
-                    // visible through the catalog's deferred share until the
-                    // version is reclaimed, then moves into the retired
-                    // total — the server-wide metric never decreases.
+                    // the name starts clean.
                     shared.memstore.forget(&name.to_lowercase());
                 }
                 shark_sql::ast::Statement::CreateTableAs { name, .. } => {
@@ -1168,7 +1061,7 @@ impl SessionHandle {
 
     /// Record a query that never got past parsing.
     fn record_parse_failure(&self, text: &str) {
-        self.shared.metrics.record(QueryMetrics {
+        self.shared.log.record(QueryMetrics {
             session_id: self.id,
             query_id: self.shared.next_query_id.fetch_add(1, Ordering::Relaxed),
             statement: text.to_string(),
@@ -1203,7 +1096,7 @@ impl SessionHandle {
         // out through quota evictions. (The discovering first load is
         // always admitted — that is how the footprint becomes known.)
         if let Some((footprint, quota)) = shared.memstore.reject_infeasible_load(&lowered) {
-            shared.metrics.record_rejection(self.id);
+            shared.log.record_rejection(self.id);
             return Err(SharkError::Execution(format!(
                 "load of table '{lowered}' rejected: its full resident footprint \
                  ({footprint} bytes) provably exceeds the per-session memory quota \
@@ -1313,9 +1206,10 @@ fn restore_catalog(
     spill: &Arc<SpillManager>,
     num_nodes: usize,
     resolver: GeneratorResolver<'_>,
-) -> RecoveryStats {
+    metrics: &ServerMetrics,
+) {
     let started = Instant::now();
-    let mut root = if shark_obs::tracer().is_enabled() {
+    let root = if shark_obs::tracer().is_enabled() {
         Some(shark_obs::start_trace("restore"))
     } else {
         None
@@ -1326,12 +1220,13 @@ fn restore_catalog(
     let snapshot = read_snapshot(&dir.join(SNAPSHOT_FILE)).unwrap_or_default();
     let manifest = read_manifest(&dir.join(MANIFEST_FILE)).unwrap_or_default();
 
-    let mut stats = RecoveryStats {
-        restored: true,
-        wal_records_replayed: replay.records.len() as u64,
-        torn_wal_tail: replay.torn,
-        ..RecoveryStats::default()
-    };
+    metrics.restored.inc();
+    metrics
+        .recovery_wal_records_replayed
+        .add(replay.records.len() as u64);
+    if replay.torn {
+        metrics.recovery_torn_wal_tail.inc();
+    }
     let mut tables: Vec<TableRecord> = snapshot.tables;
     let mut expected: Vec<ManifestEntry> = manifest.entries;
     let mut max_epoch = snapshot.epoch;
@@ -1390,9 +1285,9 @@ fn restore_catalog(
             mem.set_spill_source(spill.clone());
         }
         catalog.register(meta);
-        stats.tables_restored += 1;
+        metrics.recovery_tables_restored.inc();
         if placeholder {
-            stats.placeholder_tables += 1;
+            metrics.recovery_placeholder_tables.inc();
         }
     }
     // Replayed registrations bumped the epoch from zero; land on the exact
@@ -1401,31 +1296,20 @@ fn restore_catalog(
     catalog.advance_epoch_to(max_epoch);
     catalog.drain_ddl();
 
-    let (adopted, rejected) = spill.adopt(&expected);
-    stats.frames_adopted = adopted;
-    stats.frames_rejected = rejected;
-    stats.orphans_swept = spill.sweep_orphans();
-
-    let metrics = recovery_metrics();
-    metrics.restores.inc();
-    metrics.wal_records_replayed.add(stats.wal_records_replayed);
-    if stats.torn_wal_tail {
-        metrics.torn_wal_tails.inc();
-    }
-    metrics.tables_restored.add(stats.tables_restored);
-    metrics.seconds.observe(started.elapsed().as_secs_f64());
-    if let Some(root) = root.as_mut() {
-        root.annotate("tables", &stats.tables_restored.to_string());
-        root.annotate("frames_adopted", &stats.frames_adopted.to_string());
+    let (adopted, _) = spill.adopt(&expected);
+    metrics.recovery_orphans_swept.add(spill.sweep_orphans());
+    metrics
+        .recovery_seconds
+        .observe(started.elapsed().as_secs_f64());
+    if let Some(mut root) = root {
+        root.annotate("tables", &tables.len().to_string());
+        root.annotate("frames_adopted", &adopted.to_string());
         root.annotate("epoch", &max_epoch.to_string());
-        if stats.torn_wal_tail {
+        if replay.torn {
             root.annotate("torn_wal_tail", "true");
         }
-    }
-    if let Some(root) = root {
         root.finish();
     }
-    stats
 }
 
 /// The generator a restored table falls back to when the resolver has

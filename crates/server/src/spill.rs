@@ -33,7 +33,6 @@ use std::fs;
 use std::io::Read as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -45,62 +44,8 @@ use shark_common::hash::{fnv1a, FxHashMap};
 use shark_common::{Result, SharkError};
 use shark_sql::SpillSource;
 
-use crate::wal::{recovery_metrics, ManifestEntry};
-
-/// Cached unified-registry handles for the spill tier's hot-path metrics.
-struct SpillMetrics {
-    write_seconds: Arc<shark_obs::Histogram>,
-    read_seconds: Arc<shark_obs::Histogram>,
-    demoted: Arc<shark_obs::Counter>,
-    promoted: Arc<shark_obs::Counter>,
-    bytes_written: Arc<shark_obs::Counter>,
-    bytes_read: Arc<shark_obs::Counter>,
-    poisoned: Arc<shark_obs::Counter>,
-    displaced: Arc<shark_obs::Counter>,
-}
-
-fn spill_metrics() -> &'static SpillMetrics {
-    static METRICS: std::sync::OnceLock<SpillMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = shark_obs::metrics();
-        SpillMetrics {
-            write_seconds: reg.histogram(
-                "shark_spill_write_seconds",
-                "Latency of writing one demoted partition's spill frame",
-                shark_obs::IO_BUCKETS,
-            ),
-            read_seconds: reg.histogram(
-                "shark_spill_read_seconds",
-                "Latency of reading one spill frame back during promotion",
-                shark_obs::IO_BUCKETS,
-            ),
-            demoted: reg.counter(
-                "shark_spill_partitions_demoted_total",
-                "Partitions demoted from the memstore to the spill tier",
-            ),
-            promoted: reg.counter(
-                "shark_spill_partitions_promoted_total",
-                "Partitions promoted from the spill tier back into memory",
-            ),
-            bytes_written: reg.counter(
-                "shark_spill_bytes_written_total",
-                "Spill-frame bytes written by demotions",
-            ),
-            bytes_read: reg.counter(
-                "shark_spill_bytes_read_total",
-                "Spill-frame bytes read by promotions",
-            ),
-            poisoned: reg.counter(
-                "shark_spill_poisoned_files_total",
-                "Spill files dropped because they failed frame validation",
-            ),
-            displaced: reg.counter(
-                "shark_spill_displaced_partitions_total",
-                "Spilled partitions deleted by disk-budget LRU displacement",
-            ),
-        }
-    })
-}
+use crate::metrics::ServerMetrics;
+use crate::wal::ManifestEntry;
 
 /// One spilled partition in the in-memory index.
 struct SpillEntry {
@@ -178,14 +123,8 @@ pub struct SpillManager {
     dir: PathBuf,
     budget_bytes: u64,
     state: Mutex<SpillState>,
-    // Lifetime counters, readable without the state lock.
-    spilled_partitions: AtomicU64,
-    spilled_bytes: AtomicU64,
-    promoted_partitions: AtomicU64,
-    promoted_bytes: AtomicU64,
-    displaced_partitions: AtomicU64,
-    poisoned_files: AtomicU64,
-    write_failures: AtomicU64,
+    /// The metrics table its lifetime movements count in.
+    metrics: Arc<ServerMetrics>,
 }
 
 impl SpillManager {
@@ -198,6 +137,15 @@ impl SpillManager {
     /// restores that install the manager lazily and destroyed re-adoptable
     /// frames.)
     pub fn create(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<SpillManager> {
+        SpillManager::create_in(dir, budget_bytes, ServerMetrics::standalone())
+    }
+
+    /// [`SpillManager::create`], counting in a server's metrics table.
+    pub(crate) fn create_in(
+        dir: impl Into<PathBuf>,
+        budget_bytes: u64,
+        metrics: Arc<ServerMetrics>,
+    ) -> Result<SpillManager> {
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| SharkError::Config(format!("spill dir {}: {e}", dir.display())))?;
@@ -220,13 +168,7 @@ impl SpillManager {
                 promotions: Vec::new(),
                 wal_events: Vec::new(),
             }),
-            spilled_partitions: AtomicU64::new(0),
-            spilled_bytes: AtomicU64::new(0),
-            promoted_partitions: AtomicU64::new(0),
-            promoted_bytes: AtomicU64::new(0),
-            displaced_partitions: AtomicU64::new(0),
-            poisoned_files: AtomicU64::new(0),
-            write_failures: AtomicU64::new(0),
+            metrics,
         })
     }
 
@@ -300,19 +242,17 @@ impl SpillManager {
         ));
         if let Err(e) = write(&tmp) {
             let _ = fs::remove_file(&tmp);
-            self.write_failures.fetch_add(1, Ordering::Relaxed);
+            self.metrics.spill_write_failures.inc();
             return Err(SharkError::Execution(format!(
                 "spill write {}: {e}",
                 final_path.display()
             )));
         }
-        spill_metrics()
-            .write_seconds
+        self.metrics
+            .spill_write_seconds
             .observe(started.elapsed().as_secs_f64());
-        spill_metrics().demoted.inc();
-        spill_metrics().bytes_written.add(spill_bytes);
-        self.spilled_partitions.fetch_add(1, Ordering::Relaxed);
-        self.spilled_bytes.fetch_add(spill_bytes, Ordering::Relaxed);
+        self.metrics.partitions_demoted.inc();
+        self.metrics.spill_bytes_written.add(spill_bytes);
         if shark_obs::active() {
             shark_obs::event(
                 "spill-write",
@@ -375,8 +315,7 @@ impl SpillManager {
                 state.disk_bytes -= e.bytes;
             }
             let _ = fs::remove_file(self.file_path(&victim.0, victim.1));
-            spill_metrics().displaced.inc();
-            self.displaced_partitions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.spill_displaced_partitions.inc();
             let own = victim.0 == table && victim.1 == partition;
             displaced.push(victim);
             if own {
@@ -464,7 +403,6 @@ impl SpillManager {
     /// manager is shared (restore runs single-threaded) and follow with
     /// [`SpillManager::sweep_orphans`].
     pub fn adopt(&self, expected: &[ManifestEntry]) -> (u64, u64) {
-        let recovery = recovery_metrics();
         let mut adopted = 0u64;
         let mut rejected = 0u64;
         for entry in expected {
@@ -499,8 +437,8 @@ impl SpillManager {
                 rejected += 1;
             }
         }
-        recovery.frames_adopted.add(adopted);
-        recovery.frames_rejected.add(rejected);
+        self.metrics.recovery_frames_adopted.add(adopted);
+        self.metrics.recovery_frames_rejected.add(rejected);
         (adopted, rejected)
     }
 
@@ -577,41 +515,6 @@ impl SpillManager {
             .contains_key(&(table.to_string(), partition))
     }
 
-    /// Lifetime demotions (partitions written to the tier).
-    pub fn spilled_partitions(&self) -> u64 {
-        self.spilled_partitions.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime spill-frame bytes written.
-    pub fn spilled_bytes(&self) -> u64 {
-        self.spilled_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime promotions (partitions read back).
-    pub fn promoted_partitions(&self) -> u64 {
-        self.promoted_partitions.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime spill-frame bytes read back.
-    pub fn promoted_bytes(&self) -> u64 {
-        self.promoted_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime partitions displaced by the disk budget.
-    pub fn displaced_partitions(&self) -> u64 {
-        self.displaced_partitions.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime spill files found corrupt and discarded.
-    pub fn poisoned_files(&self) -> u64 {
-        self.poisoned_files.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime demotions abandoned because the frame could not be written.
-    pub fn write_failures(&self) -> u64 {
-        self.write_failures.load(Ordering::Relaxed)
-    }
-
     /// Delete a poisoned frame and forget its entry.
     fn poison(&self, table: &str, partition: usize, detail: &str) {
         let mut state = self.state.lock();
@@ -620,8 +523,7 @@ impl SpillManager {
         }
         drop(state);
         let _ = fs::remove_file(self.file_path(table, partition));
-        spill_metrics().poisoned.inc();
-        self.poisoned_files.fetch_add(1, Ordering::Relaxed);
+        self.metrics.spill_poisoned_files.inc();
         if shark_obs::active() {
             shark_obs::event(
                 "spill-poisoned",
@@ -711,13 +613,11 @@ impl SpillSource for SpillManager {
         );
         drop(state);
         let _ = fs::remove_file(&path);
-        spill_metrics()
-            .read_seconds
+        self.metrics
+            .spill_read_seconds
             .observe(started.elapsed().as_secs_f64());
-        spill_metrics().promoted.inc();
-        spill_metrics().bytes_read.add(io_bytes);
-        self.promoted_partitions.fetch_add(1, Ordering::Relaxed);
-        self.promoted_bytes.fetch_add(io_bytes, Ordering::Relaxed);
+        self.metrics.partitions_promoted.inc();
+        self.metrics.spill_bytes_read.add(io_bytes);
         if shark_obs::active() {
             shark_obs::event(
                 "spill-read",
@@ -805,8 +705,8 @@ mod tests {
             ));
             assert!(mgr.drain_wal_events().is_empty());
         }
-        assert_eq!(mgr.promoted_partitions(), inputs.len() as u64);
-        assert_eq!(mgr.poisoned_files(), 0);
+        assert_eq!(mgr.metrics.partitions_promoted.get(), inputs.len() as u64);
+        assert_eq!(mgr.metrics.spill_poisoned_files.get(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -818,7 +718,7 @@ mod tests {
         mgr.store("t", 0, &p, 4).unwrap();
         // The table was dropped and recreated: scans now expect version 6.
         assert!(mgr.fetch("t", 0, 6).is_none());
-        assert_eq!(mgr.poisoned_files(), 1);
+        assert_eq!(mgr.metrics.spill_poisoned_files.get(), 1);
         assert!(!mgr.is_spilled("t", 0));
         assert!(mgr.drain_promotions().is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -844,7 +744,7 @@ mod tests {
         assert!(mgr.is_spilled("t", 1));
         assert!(mgr.is_spilled("t", 2));
         assert!(mgr.disk_bytes() <= frame_bytes * 2);
-        assert_eq!(mgr.displaced_partitions(), 1);
+        assert_eq!(mgr.metrics.spill_displaced_partitions.get(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -880,7 +780,7 @@ mod tests {
         fs::write(&file, &bytes).unwrap();
 
         assert!(mgr.fetch("t", 0, 1).is_none());
-        assert_eq!(mgr.poisoned_files(), 1);
+        assert_eq!(mgr.metrics.spill_poisoned_files.get(), 1);
         assert!(!mgr.is_spilled("t", 0));
         assert!(!file.exists(), "poisoned file must be deleted");
         // Poisoning is not a promotion.
@@ -941,7 +841,7 @@ mod tests {
         // …and is caught by the full checksum at fetch time: poisoned, not
         // served.
         assert!(mgr.fetch("t", 1, 2).is_none());
-        assert_eq!(mgr.poisoned_files(), 1);
+        assert_eq!(mgr.metrics.spill_poisoned_files.get(), 1);
         // Healthy adopted frames serve byte-identical rows.
         let (fetched, _) = mgr.fetch("t", 0, 2).unwrap();
         assert_eq!(fetched.to_rows(), p.to_rows());

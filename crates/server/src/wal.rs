@@ -128,57 +128,6 @@ fn wal_metrics() -> &'static WalMetrics {
     })
 }
 
-/// Cached unified-registry handles for restore/recovery metrics, shared by
-/// the WAL replayer, the spill manager's adoption pass and the server's
-/// restore path.
-pub(crate) struct RecoveryMetrics {
-    pub(crate) restores: Arc<shark_obs::Counter>,
-    pub(crate) wal_records_replayed: Arc<shark_obs::Counter>,
-    pub(crate) torn_wal_tails: Arc<shark_obs::Counter>,
-    pub(crate) tables_restored: Arc<shark_obs::Counter>,
-    pub(crate) frames_adopted: Arc<shark_obs::Counter>,
-    pub(crate) frames_rejected: Arc<shark_obs::Counter>,
-    pub(crate) seconds: Arc<shark_obs::Histogram>,
-}
-
-pub(crate) fn recovery_metrics() -> &'static RecoveryMetrics {
-    static METRICS: std::sync::OnceLock<RecoveryMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = shark_obs::metrics();
-        RecoveryMetrics {
-            restores: reg.counter(
-                "shark_recovery_restores_total",
-                "Server restores performed from snapshot + WAL",
-            ),
-            wal_records_replayed: reg.counter(
-                "shark_recovery_wal_records_replayed_total",
-                "WAL records replayed during restores",
-            ),
-            torn_wal_tails: reg.counter(
-                "shark_recovery_torn_wal_tails_total",
-                "Restores that truncated a torn or corrupt WAL tail",
-            ),
-            tables_restored: reg.counter(
-                "shark_recovery_tables_restored_total",
-                "Tables re-registered from snapshot + WAL during restores",
-            ),
-            frames_adopted: reg.counter(
-                "shark_recovery_frames_adopted_total",
-                "Spill frames re-adopted into the spill tier during restores",
-            ),
-            frames_rejected: reg.counter(
-                "shark_recovery_frames_rejected_total",
-                "Manifest entries rejected during restores (missing, corrupt or version-mismatched frames)",
-            ),
-            seconds: reg.histogram(
-                "shark_recovery_seconds",
-                "Wall-clock duration of server restores",
-                shark_obs::IO_BUCKETS,
-            ),
-        }
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Records
 // ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ fn eviction_events_record_the_partitions_that_went() {
     let total = mem.memory_bytes();
     let one = mem.partition_bytes(1);
     let manager = MemstoreManager::new(total - one);
-    let rdd_cache = shark_rdd::CacheManager::new();
+    let rdd_cache = shark_rdd::BlockStore::new();
     let events = manager.enforce(&catalog, &rdd_cache);
     assert_eq!(events.len(), 1);
     match &events[0] {

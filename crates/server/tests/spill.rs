@@ -306,6 +306,65 @@ fn demoted_faults_are_promotions_not_rebuilds() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `partition_promotions` is cumulative: the promotions a table served stay
+/// counted after the table is dropped and its storage reclaimed.
+#[test]
+fn promotions_stay_counted_after_drop_and_reclamation() {
+    let dir = scratch_dir("promote-drop");
+    let server = SharkServer::new(ServerConfig::default().with_spill_dir(&dir));
+    register_mixed(&server, "promo_drop");
+    server.load_table("promo_drop").unwrap();
+    server.demote_table("promo_drop");
+    let session = server.session();
+    fetch_blocking(&session, "SELECT k, grp, amount FROM promo_drop");
+    let promoted = server.report().partition_promotions;
+    assert_eq!(promoted, PARTITIONS as u64);
+
+    session.sql("DROP TABLE promo_drop").unwrap();
+    server.reclaim_dropped();
+    let report = server.report();
+    assert_eq!(
+        report.deferred_drop_bytes, 0,
+        "the dropped version is reclaimed"
+    );
+    assert_eq!(
+        report.partition_promotions, promoted,
+        "a cumulative counter must not fall when its table is dropped"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A demotion whose frame cannot be written becomes a plain drop: it is
+/// counted as a spill write failure, and the next scan answers the same
+/// rows through lineage.
+#[test]
+fn unwritable_spill_frames_are_counted_and_fall_back_to_lineage() {
+    let dir = scratch_dir("write-failure");
+    let server = SharkServer::new(ServerConfig::default().with_spill_dir(&dir));
+    register_mixed(&server, "wf_t");
+    register_mixed(&server, "wf_ref");
+    server.load_table("wf_t").unwrap();
+    let session = server.session();
+    let reference = fetch_blocking(&session, "SELECT k, grp, amount FROM wf_ref");
+    assert_eq!(server.report().spill_write_failures, 0, "a healthy tier");
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    let events = server.demote_table("wf_t");
+    assert_eq!(demoted_partition_count(&events), 0, "got {events:?}");
+    let before = server.report();
+    assert_eq!(before.spill_write_failures, PARTITIONS as u64);
+    assert_eq!(before.partitions_demoted, 0);
+
+    let rows = fetch_blocking(&session, "SELECT k, grp, amount FROM wf_t");
+    assert_eq!(rows, reference);
+    let after = server.report();
+    assert_eq!(
+        after.partition_rebuilds - before.partition_rebuilds,
+        PARTITIONS as u64
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Crash-mid-spill recovery: truncated and corrupted spill frames are
 /// poisoned on promotion and the partitions fall back to lineage
 /// recompute — the query sees byte-identical rows on every execution
@@ -427,7 +486,7 @@ fn tight_spill_budget_displaces_frames_and_queries_still_serve() {
         spill.disk_bytes()
     );
     assert!(
-        spill.displaced_partitions() > 0,
+        server.report().spill_displaced_partitions > 0,
         "a six-partition demotion into a two-frame budget must displace"
     );
 

@@ -16,7 +16,22 @@ use std::sync::{Arc, OnceLock, Weak};
 use parking_lot::{Mutex, RwLock};
 use shark_columnar::{ColumnarPartition, PartitionStats};
 use shark_common::{Result, Row, Schema, SharkError};
-use shark_rdd::{BlockId, BlockStore, Owner, Totals};
+use shark_obs::{Counter, MetricsRegistry};
+use shark_rdd::{BlockId, BlockStore, Owner, RddContext, Totals};
+
+/// Family and help of the scans' lineage rebuilds into live memtables,
+/// counted in the scope of the catalog's context.
+pub const PARTITION_REBUILDS: (&str, &str) = (
+    "shark_partition_rebuilds_total",
+    "Evicted/lost partitions rebuilt from lineage during scans",
+);
+
+/// Family and help of the scans' promotions of demoted partitions back
+/// into live memtables, counted in the scope of the catalog's context.
+pub const PARTITION_PROMOTIONS: (&str, &str) = (
+    "shark_partition_promotions_total",
+    "Demoted partitions faulted back in from the spill tier",
+);
 
 /// Deterministic per-partition row generator (the "files" of a table).
 pub type RowGenerator = Arc<dyn Fn(usize) -> Vec<Row> + Send + Sync>;
@@ -44,6 +59,31 @@ pub trait SpillSource: Send + Sync {
     ) -> Option<(Arc<ColumnarPartition>, u64)>;
 }
 
+/// Where a memtable lives: the block store holding its partitions and the
+/// scope counters its scans' recoveries add into.
+#[derive(Clone)]
+pub(crate) struct Binding {
+    store: Arc<BlockStore>,
+    rebuilds: Arc<Counter>,
+    promotions: Arc<Counter>,
+}
+
+impl Binding {
+    fn new(store: Arc<BlockStore>, scope: &MetricsRegistry) -> Binding {
+        Binding {
+            store,
+            rebuilds: scope.counter(PARTITION_REBUILDS.0, PARTITION_REBUILDS.1),
+            promotions: scope.counter(PARTITION_PROMOTIONS.0, PARTITION_PROMOTIONS.1),
+        }
+    }
+
+    /// A private store and scope, for a memtable or catalog without a
+    /// context.
+    fn private() -> Binding {
+        Binding::new(Arc::default(), &MetricsRegistry::scoped())
+    }
+}
+
 /// Memtable ids are unique in the process, so table blocks of different
 /// stores never share a [`BlockId`].
 static NEXT_MEMTABLE_ID: AtomicUsize = AtomicUsize::new(0);
@@ -62,9 +102,10 @@ static NEXT_MEMTABLE_ID: AtomicUsize = AtomicUsize::new(0);
 /// lineage) by the next scan that needs it.
 pub struct MemTable {
     id: usize,
-    /// The store holding the partitions: the catalog's, bound when the
-    /// table is installed; a private one if it is used before that.
-    store: OnceLock<Arc<BlockStore>>,
+    /// The store holding the partitions and the scope counting their
+    /// recoveries: the catalog's, bound when the table is installed; a
+    /// private one if it is used before that.
+    binding: OnceLock<Binding>,
     /// Per-partition statistics, retained across policy evictions (but not
     /// across node failures, which are treated as data loss).
     stats: Vec<RwLock<Option<Arc<PartitionStats>>>>,
@@ -92,7 +133,7 @@ impl MemTable {
     pub fn new(num_partitions: usize, num_nodes: usize) -> MemTable {
         MemTable {
             id: NEXT_MEMTABLE_ID.fetch_add(1, Ordering::Relaxed),
-            store: OnceLock::new(),
+            binding: OnceLock::new(),
             stats: (0..num_partitions).map(|_| RwLock::new(None)).collect(),
             placements: (0..num_partitions).map(|p| p % num_nodes.max(1)).collect(),
             rebuilds: AtomicU64::new(0),
@@ -108,15 +149,20 @@ impl MemTable {
         self.id
     }
 
-    /// Place this memtable's partitions in `store`. The first binding wins,
-    /// so a memtable never moves between stores.
-    pub(crate) fn bind(&self, store: &Arc<BlockStore>) {
-        let _ = self.store.set(store.clone());
+    /// Place this memtable's partitions in `binding`'s store and count its
+    /// recoveries in its scope. The first binding wins, so a memtable never
+    /// moves between stores.
+    pub(crate) fn bind(&self, binding: &Binding) {
+        let _ = self.binding.set(binding.clone());
+    }
+
+    fn binding(&self) -> &Binding {
+        self.binding.get_or_init(Binding::private)
     }
 
     /// The store holding this table's partitions.
     pub(crate) fn store(&self) -> &Arc<BlockStore> {
-        self.store.get_or_init(Arc::default)
+        &self.binding().store
     }
 
     fn block(&self, partition: usize) -> BlockId {
@@ -257,9 +303,11 @@ impl MemTable {
         self.stats[partition].read().clone()
     }
 
-    /// Record that a scan rebuilt a partition from the base generator.
+    /// Record that a scan rebuilt a partition from the base generator, in
+    /// this table's count and its scope's [`PARTITION_REBUILDS`].
     pub fn record_rebuild(&self) {
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
+        self.binding().rebuilds.inc();
     }
 
     /// Partitions rebuilt from lineage by scans (after eviction or failure).
@@ -267,9 +315,11 @@ impl MemTable {
         self.rebuilds.load(Ordering::Relaxed)
     }
 
-    /// Record one partition faulted back in from the spill tier.
+    /// Record one partition faulted back in from the spill tier, in this
+    /// table's count and its scope's [`PARTITION_PROMOTIONS`].
     pub fn record_promotion(&self) {
         self.promotions.fetch_add(1, Ordering::Relaxed);
+        self.binding().promotions.inc();
     }
 
     /// Partitions promoted from the spill tier by scans (vs. rebuilt from
@@ -489,9 +539,6 @@ pub struct ReclaimedDrop {
     pub partitions: Vec<usize>,
     /// Bytes reclaimed.
     pub bytes: u64,
-    /// Lineage rebuilds the version performed while it was live (folded
-    /// into the server-wide counter so it stays monotonic across drops).
-    pub rebuilds: u64,
 }
 
 /// Upper bound on undrained [`ReclaimedDrop`] records: standalone users
@@ -554,8 +601,9 @@ const DDL_JOURNAL_CAP: usize = 4096;
 /// [`Catalog::reclaim_unreferenced`]; shark-server's `MemstoreManager`
 /// drains the log for its byte/eviction accounting.
 pub struct Catalog {
-    /// Where installed tables' memtables keep their partitions.
-    store: Arc<BlockStore>,
+    /// Where installed tables' memtables keep their partitions and count
+    /// their recoveries.
+    binding: Binding,
     current: RwLock<Arc<CatalogSnapshot>>,
     /// Weak handles to every snapshot pinned via [`Catalog::snapshot`].
     live: Mutex<Vec<Weak<CatalogSnapshot>>>,
@@ -570,7 +618,7 @@ pub struct Catalog {
 impl Default for Catalog {
     fn default() -> Catalog {
         Catalog {
-            store: Arc::default(),
+            binding: Binding::private(),
             current: RwLock::new(Arc::new(CatalogSnapshot::empty())),
             live: Mutex::new(Vec::new()),
             deferred: Mutex::new(Vec::new()),
@@ -581,31 +629,32 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// Create an empty catalog over a private block store.
+    /// Create an empty catalog over a private block store and scope.
     pub fn new() -> Catalog {
         Catalog::default()
     }
 
     /// Create an empty catalog whose tables keep their memstore partitions
-    /// in `store` — the store of the context its sessions run on.
-    pub fn with_store(store: Arc<BlockStore>) -> Catalog {
+    /// in the block store of the context its sessions run on, and count
+    /// their scans' recoveries in its metrics scope.
+    pub fn with_context(ctx: &RddContext) -> Catalog {
         Catalog {
-            store,
+            binding: Binding::new(ctx.cache().clone(), ctx.metrics()),
             ..Catalog::default()
         }
     }
 
     /// The block store installed tables keep their partitions in.
     pub fn store(&self) -> &Arc<BlockStore> {
-        &self.store
+        &self.binding.store
     }
 
-    /// Place a cached table's memtable in this catalog's store. Installing
-    /// a table does this; CTAS does it first, to load the table before
-    /// publishing it.
+    /// Place a cached table's memtable in this catalog's store and scope.
+    /// Installing a table does this; CTAS does it first, to load the table
+    /// before publishing it.
     pub(crate) fn bind(&self, table: &TableMeta) {
         if let Some(mem) = &table.cached {
-            mem.bind(&self.store);
+            mem.bind(&self.binding);
         }
     }
 
@@ -893,13 +942,11 @@ impl Catalog {
             let Some(mem) = table.cached.as_ref() else {
                 continue;
             };
-            let rebuilds = mem.rebuilds();
             let (partitions, bytes) = mem.evict_all();
             records.push(ReclaimedDrop {
                 name: table.name.clone(),
                 partitions,
                 bytes,
-                rebuilds,
             });
         }
         let reclaimed = records.len();
@@ -914,7 +961,7 @@ impl Catalog {
     }
 
     /// Drain the log of reclaimed drops (the serving layer turns these into
-    /// eviction events and byte/rebuild accounting).
+    /// eviction events and byte accounting).
     pub fn drain_reclaimed(&self) -> Vec<ReclaimedDrop> {
         std::mem::take(&mut *self.reclaimed.lock())
     }
@@ -927,18 +974,6 @@ impl Catalog {
             .lock()
             .iter()
             .filter_map(|d| d.table.cached.as_ref().map(|m| m.memory_bytes()))
-            .sum()
-    }
-
-    /// Lineage rebuilds performed by versions currently awaiting deferred
-    /// reclamation. Retired memtables never record new rebuilds, so this is
-    /// the frozen in-flight share of the server-wide rebuild counter
-    /// (deferred here → folded into the retired total at reclaim).
-    pub fn deferred_drop_rebuilds(&self) -> u64 {
-        self.deferred
-            .lock()
-            .iter()
-            .filter_map(|d| d.table.cached.as_ref().map(|m| m.rebuilds()))
             .sum()
     }
 
@@ -1185,7 +1220,6 @@ mod tests {
         assert_eq!(records[0].name, "users");
         assert_eq!(records[0].bytes, resident);
         assert_eq!(records[0].partitions, vec![0, 1, 2, 3]);
-        assert_eq!(records[0].rebuilds, 0);
         assert_eq!(catalog.deferred_drop_bytes(), 0);
         assert!(catalog.deferred_dropped().is_empty());
         assert!(catalog.drain_reclaimed().is_empty());

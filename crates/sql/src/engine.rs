@@ -43,7 +43,7 @@ impl SqlSession {
     /// Create a session with the given execution configuration and a
     /// private catalog whose memtables live in the context's block store.
     pub fn new(ctx: RddContext, exec: ExecConfig) -> SqlSession {
-        let catalog = Arc::new(Catalog::with_store(ctx.cache().clone()));
+        let catalog = Arc::new(Catalog::with_context(&ctx));
         SqlSession::with_catalog(ctx, exec, catalog)
     }
 

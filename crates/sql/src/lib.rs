@@ -32,7 +32,7 @@ pub mod vector;
 pub use aggregate::{AggExpr, AggFunc, AggState, AggStates};
 pub use catalog::{
     Catalog, CatalogSnapshot, DdlRecord, MemTable, ReclaimedDrop, RowGenerator, SpillSource,
-    TableMeta,
+    TableMeta, PARTITION_PROMOTIONS, PARTITION_REBUILDS,
 };
 pub use engine::SqlSession;
 pub use exec::{
@@ -41,5 +41,8 @@ pub use exec::{
 pub use expr::{BoundExpr, ScalarFunc, UdfRegistry};
 pub use pde::{choose_join_strategy, coalesce_buckets, JoinStrategy};
 pub use plan::{plan_select, QueryPlan};
-pub use plancache::{statement_fingerprint, CachedStatement, PlanCache};
+pub use plancache::{
+    statement_fingerprint, CachedStatement, PlanCache, PLAN_CACHE_LOOKUP_HITS, PLAN_CACHE_MISSES,
+    PLAN_CACHE_STALE_PLANS,
+};
 pub use vector::FilterKernel;

@@ -25,11 +25,11 @@
 //!   share because parsing is UDF-independent.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shark_common::hash::{fnv1a_from, FNV_OFFSET};
+use shark_obs::{Counter, MetricsRegistry};
 
 use crate::ast::Statement;
 use crate::plan::QueryPlan;
@@ -114,6 +114,24 @@ impl CachedStatement {
     }
 }
 
+/// Family and help of the plan-tier lookups a cache answered.
+pub const PLAN_CACHE_LOOKUP_HITS: (&str, &str) = (
+    "shark_plan_cache_lookup_hits_total",
+    "Plan-tier lookups answered by a plan cached at the current epoch",
+);
+
+/// Family and help of the plan-tier lookups that had to compile.
+pub const PLAN_CACHE_MISSES: (&str, &str) = (
+    "shark_plan_cache_misses_total",
+    "Plan-tier lookups that had to compile (cold statements and epoch invalidations)",
+);
+
+/// Family and help of the plan-tier misses a DDL epoch bump caused.
+pub const PLAN_CACHE_STALE_PLANS: (&str, &str) = (
+    "shark_plan_cache_stale_plans_total",
+    "Plan-tier misses caused by a DDL epoch bump invalidating a cached plan",
+);
+
 /// Bounded, process-wide prepared-statement / plan cache. Shared by every
 /// session of a server via `Arc`; all methods take `&self`.
 pub struct PlanCache {
@@ -121,9 +139,9 @@ pub struct PlanCache {
     /// insertion-ordered (oldest fingerprint first) via `order`.
     entries: Mutex<CacheMap>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    stale_plans: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    stale_plans: Arc<Counter>,
 }
 
 #[derive(Default)]
@@ -134,14 +152,16 @@ struct CacheMap {
 
 impl PlanCache {
     /// A cache holding at most `capacity` statements (0 disables caching —
-    /// every lookup misses and nothing is stored).
-    pub fn new(capacity: usize) -> PlanCache {
+    /// every lookup misses and nothing is stored), counting its lookups in
+    /// `scope`.
+    pub fn new(capacity: usize, scope: &MetricsRegistry) -> PlanCache {
+        let counter = |(name, help): (&str, &str)| scope.counter(name, help);
         PlanCache {
             entries: Mutex::new(CacheMap::default()),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stale_plans: AtomicU64::new(0),
+            hits: counter(PLAN_CACHE_LOOKUP_HITS),
+            misses: counter(PLAN_CACHE_MISSES),
+            stale_plans: counter(PLAN_CACHE_STALE_PLANS),
         }
     }
 
@@ -185,28 +205,13 @@ impl PlanCache {
     /// misses.
     pub fn record_plan_lookup(&self, entry: Option<&CachedStatement>, hit: bool) {
         if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.inc();
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.misses.inc();
             if entry.is_some_and(|e| e.has_plan()) {
-                self.stale_plans.fetch_add(1, Ordering::Relaxed);
+                self.stale_plans.inc();
             }
         }
-    }
-
-    /// Plan-tier hits (executions that skipped parse *and* plan).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Plan-tier misses (cold statements and epoch invalidations).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Misses caused by a DDL epoch bump invalidating a cached plan.
-    pub fn stale_plans(&self) -> u64 {
-        self.stale_plans.load(Ordering::Relaxed)
     }
 
     /// Statements currently cached.
@@ -243,7 +248,7 @@ mod tests {
 
     #[test]
     fn cache_is_bounded_and_insertion_order_evicted() {
-        let cache = PlanCache::new(2);
+        let cache = PlanCache::new(2, &MetricsRegistry::new());
         let stmt = |text: &str| parser::parse(text).unwrap();
         cache.insert_statement(1, stmt("SELECT a FROM t"));
         cache.insert_statement(2, stmt("SELECT b FROM t"));
@@ -256,7 +261,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_storage() {
-        let cache = PlanCache::new(0);
+        let cache = PlanCache::new(0, &MetricsRegistry::new());
         cache.insert_statement(7, parser::parse("SELECT a FROM t").unwrap());
         assert_eq!(cache.entries(), 0);
         assert!(cache.statement(7).is_none());
@@ -264,11 +269,21 @@ mod tests {
 
     #[test]
     fn plan_tier_is_epoch_exact() {
-        let cache = PlanCache::new(4);
+        let scope = MetricsRegistry::new();
+        let cache = PlanCache::new(4, &scope);
+        let counts = || {
+            let snap = scope.snapshot();
+            let count = |(name, _): (&str, &str)| snap.counter(name);
+            (
+                count(PLAN_CACHE_LOOKUP_HITS),
+                count(PLAN_CACHE_MISSES),
+                count(PLAN_CACHE_STALE_PLANS),
+            )
+        };
         let entry = cache.insert_statement(9, parser::parse("SELECT a FROM t").unwrap());
         assert!(entry.plan_for_epoch(3).is_none());
         cache.record_plan_lookup(Some(&entry), false);
-        assert_eq!((cache.misses(), cache.stale_plans()), (1, 0));
+        assert_eq!(counts(), (0, 1, 0));
         // A stored plan answers only for its own epoch.
         let plan = Arc::new(crate::plan::QueryPlan {
             scans: vec![],
@@ -286,8 +301,6 @@ mod tests {
         assert!(entry.plan_for_epoch(4).is_none(), "DDL bumped the epoch");
         cache.record_plan_lookup(Some(&entry), true);
         cache.record_plan_lookup(Some(&entry), false);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.stale_plans(), 1);
+        assert_eq!(counts(), (1, 2, 1));
     }
 }

@@ -25,12 +25,11 @@ use crate::catalog::{MemTable, TableMeta};
 use crate::expr::BoundExpr;
 use crate::vector::{vector_partial_aggregate, FilterKernel};
 
-/// Cached unified-registry handles for the hot scan-path counters.
+/// Cached unified-registry handles for the hot scan-path counters (a
+/// memtable counts its rebuilds and promotions itself, in its scope).
 struct ScanMetrics {
     cache_hits: Arc<shark_obs::Counter>,
     cache_hit_bytes: Arc<shark_obs::Counter>,
-    rebuilds: Arc<shark_obs::Counter>,
-    promotions: Arc<shark_obs::Counter>,
 }
 
 fn scan_metrics() -> &'static ScanMetrics {
@@ -45,14 +44,6 @@ fn scan_metrics() -> &'static ScanMetrics {
             cache_hit_bytes: reg.counter(
                 "shark_memstore_cache_hit_bytes_total",
                 "Projected columnar bytes served from the memstore cache",
-            ),
-            rebuilds: reg.counter(
-                "shark_partition_rebuilds_total",
-                "Evicted/lost partitions rebuilt from lineage during scans",
-            ),
-            promotions: reg.counter(
-                "shark_partition_promotions_total",
-                "Demoted partitions faulted back in from the spill tier",
             ),
         }
     })
@@ -113,7 +104,6 @@ fn load_partition(
                 if !mem.is_retired() {
                     mem.put(original, spilled.clone());
                     mem.record_promotion();
-                    scan_metrics().promotions.inc();
                     if shark_obs::active() {
                         shark_obs::annotate("promote", "spill");
                     }
@@ -128,7 +118,6 @@ fn load_partition(
             if !mem.is_retired() {
                 mem.put(original, rebuilt.clone());
                 mem.record_rebuild();
-                scan_metrics().rebuilds.inc();
                 if shark_obs::active() {
                     shark_obs::annotate("rebuild", "lineage");
                 }
@@ -393,7 +382,6 @@ impl RddImpl<Row> for DfsScanRdd {
                 if !mem.is_retired() {
                     mem.put(partition, spilled.clone());
                     mem.record_promotion();
-                    scan_metrics().promotions.inc();
                     if shark_obs::active() {
                         shark_obs::annotate("promote", "spill");
                     }
