@@ -176,4 +176,48 @@ fn allocations_follow_the_data_touched_not_the_table_or_bucket_count() {
         ));
     }
     assert_within_ten_percent(per_buckets[0], per_buckets[1], "8 vs 256 fine buckets");
+
+    // Same ten winners from the same partitions, 10x the rows each: a
+    // top-k builds rows for its winners, not for every row it ranks.
+    let top_scores = "SELECT id, score FROM scores ORDER BY score DESC LIMIT 10";
+    let mut per_rows = Vec::new();
+    for rows_per_partition in [400usize, 4_000] {
+        let server = server_with_scores(rows_per_partition);
+        per_rows.push(allocations_per_statement(&server.session(), top_scores, 10));
+    }
+    assert!(
+        per_rows[1] < 2.0 * per_rows[0],
+        "400 vs 4,000 rows per partition: {:.0} vs {:.0} allocations per statement",
+        per_rows[0],
+        per_rows[1]
+    );
+}
+
+/// A `REGIONS`-partition cached table of `rows_per_partition` rows with a
+/// pseudorandom integer `score` and a string column beside it.
+fn server_with_scores(rows_per_partition: usize) -> SharkServer {
+    let server = SharkServer::new(ServerConfig::default());
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("score", DataType::Int),
+        ("city", DataType::Str),
+    ]);
+    server.register_table(
+        TableMeta::new("scores", schema, REGIONS, move |p| {
+            (0..rows_per_partition)
+                .map(|i| {
+                    let n = p * rows_per_partition + i;
+                    row![
+                        n as i64,
+                        (n.wrapping_mul(2_654_435_761) % 1_000_003) as i64,
+                        format!("city-{}", n % 37)
+                    ]
+                })
+                .collect()
+        })
+        .with_row_count_hint((REGIONS * rows_per_partition) as u64)
+        .with_cache(4),
+    );
+    server.load_table("scores").unwrap();
+    server
 }

@@ -5,7 +5,7 @@
 //! the row-at-a-time fallback, and whether it is fetched blocking or
 //! streamed.
 
-use shark_common::{row, DataType, Row, Schema};
+use shark_common::{row, DataType, Row, Schema, Value};
 use shark_server::{ServerConfig, SessionHandle, SharkServer};
 use shark_sql::{ExecConfig, TableMeta};
 
@@ -202,4 +202,140 @@ fn vectorized_path_actually_ran_fused_scans() {
         "expected a vectorized plan note, got {:?}",
         result.result.notes
     );
+}
+
+/// NULL-heavy table for the top-k grid: `k` repeats in plateaus of eight
+/// (heavy ties) with a NULL every eleventh row, `grp` is NULL every seventh
+/// row, and `amount` draws from a handful of values that include `-0.0`,
+/// `0.0` (equal under the sort order) and NULL.
+fn register_nulls(server: &SharkServer, name: &str) {
+    server.register_table(
+        TableMeta::new(name, schema(), PARTITIONS, |p| {
+            let mut rng = SEED ^ (p as u64).wrapping_mul(0x2545_f491_4f6c_dd1d);
+            (0..ROWS_PER_PARTITION)
+                .map(|i| {
+                    let r = splitmix(&mut rng);
+                    let global = p * ROWS_PER_PARTITION + i;
+                    let k = if i % 11 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int((global / 8) as i64)
+                    };
+                    let grp = if i % 7 == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(["a", "b", "c"][(r % 3) as usize])
+                    };
+                    let amount = match (r >> 8) % 6 {
+                        0 => Value::Float(-0.0),
+                        1 => Value::Float(0.0),
+                        2 => Value::Float(1.5),
+                        3 => Value::Float(-1.5),
+                        4 => Value::Null,
+                        _ => Value::Float(2.25),
+                    };
+                    Row::new(vec![k, grp, amount])
+                })
+                .collect()
+        })
+        .with_cache(PARTITIONS)
+        .with_row_count_hint((PARTITIONS * ROWS_PER_PARTITION) as u64),
+    );
+}
+
+/// ORDER BY … LIMIT shapes around the fused top-k scan's edges: mixed key
+/// directions, a string key, an expression projection beside a column key,
+/// an expression key (which keeps the row chain), `LIMIT 0`, `k` equal to
+/// half a partition (so a partition fills the `2k` buffer exactly), `k`
+/// above a partition's row count, and a filter that empties partitions.
+fn topk_grid_queries(table: &str) -> Vec<String> {
+    let half = ROWS_PER_PARTITION / 2;
+    let above = ROWS_PER_PARTITION + 20;
+    vec![
+        format!("SELECT k, grp, amount FROM {table} ORDER BY amount DESC, grp LIMIT 12"),
+        format!("SELECT grp, k FROM {table} ORDER BY grp, k DESC LIMIT 15"),
+        format!("SELECT grp, amount FROM {table} ORDER BY grp DESC LIMIT 10"),
+        format!("SELECT k * 2, amount FROM {table} ORDER BY amount LIMIT 5"),
+        format!("SELECT k * 2 AS d, amount FROM {table} ORDER BY d LIMIT 5"),
+        format!("SELECT k FROM {table} ORDER BY k LIMIT 0"),
+        format!("SELECT k, amount FROM {table} ORDER BY amount LIMIT {half}"),
+        format!("SELECT k, grp FROM {table} ORDER BY k DESC, grp LIMIT {above}"),
+        format!(
+            "SELECT k, amount FROM {table} WHERE k < 4 OR k >= 400 ORDER BY amount DESC, k LIMIT 6"
+        ),
+    ]
+}
+
+#[test]
+fn top_k_shapes_are_byte_identical_across_paths_and_tables() {
+    let server = SharkServer::new(ServerConfig::default());
+    register_mixed(&server, "mixed_full");
+    register_mixed(&server, "mixed_cold");
+    register_rle(&server, "rle_runs");
+    register_nulls(&server, "nulls_full");
+    register_nulls(&server, "nulls_cold");
+    let tables = [
+        "mixed_full",
+        "mixed_cold",
+        "rle_runs",
+        "nulls_full",
+        "nulls_cold",
+    ];
+    for t in tables {
+        server.load_table(t).unwrap();
+    }
+
+    let vectorized = server.session();
+    let mut row_path = server.session();
+    let mut row_exec = ExecConfig::shark();
+    row_exec.vectorized = false;
+    row_path.set_exec_config(row_exec);
+
+    for table in tables {
+        let cold = table.ends_with("_cold");
+        for query in topk_grid_queries(table) {
+            // Partially evicted: each run faults the same partitions back
+            // in from lineage mid-query.
+            let evict = || {
+                if cold {
+                    evict_some(&server, table, &[1, 3]);
+                }
+            };
+            evict();
+            let reference = fetch_blocking(&row_path, &query);
+            for (session, streamed, context) in [
+                (&vectorized, false, "vectorized blocking vs row"),
+                (&vectorized, true, "vectorized streamed vs row"),
+                (&row_path, true, "row streamed vs row"),
+            ] {
+                evict();
+                let rows = if streamed {
+                    fetch_streamed(session, &query)
+                } else {
+                    fetch_blocking(session, &query)
+                };
+                assert_same(rows, reference.clone(), &query, context);
+            }
+        }
+    }
+}
+
+#[test]
+fn top_k_over_a_cached_table_runs_the_fused_scan() {
+    // Guard against the top-k grid comparing the row chain with itself:
+    // bare-column keys take the fused scan, an expression key does not.
+    let server = SharkServer::new(ServerConfig::default());
+    register_nulls(&server, "nulls_full");
+    server.load_table("nulls_full").unwrap();
+    let session = server.session();
+    let fused = |sql: &str| {
+        let notes = session.sql(sql).unwrap().result.notes;
+        notes.iter().any(|n| n.contains("fused scan + top-k"))
+    };
+    assert!(fused(
+        "SELECT k * 2, amount FROM nulls_full ORDER BY amount LIMIT 5"
+    ));
+    assert!(!fused(
+        "SELECT k * 2 AS d, amount FROM nulls_full ORDER BY d LIMIT 5"
+    ));
 }

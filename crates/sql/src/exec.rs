@@ -29,7 +29,7 @@ use crate::catalog::{CatalogSnapshot, TableMeta};
 use crate::expr::BoundExpr;
 use crate::pde::{choose_join_strategy, coalesce_buckets, JoinStrategy};
 use crate::plan::{AggregateNode, OutputRef, QueryPlan, ScanNode};
-use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd};
+use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd, MemTopKScanRdd};
 
 /// Which engine the executor should emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -701,7 +701,9 @@ impl QueryStream {
             match best {
                 Some(i) => {
                     let (_, rows, cursor) = &mut self.runs[i];
-                    out.push(rows[*cursor].clone());
+                    // Rows behind a cursor are never read again (the skip
+                    // rule only counts runs before they are all gathered).
+                    out.push(std::mem::take(&mut rows[*cursor]));
                     *cursor += 1;
                 }
                 None => break,
@@ -745,11 +747,28 @@ impl QueryStream {
     }
 }
 
+/// Rows the per-partition top-k buffer sorts while keeping the first `k` of
+/// `n` rows: the buffer fills to `2k`, is sorted and cut back to `k`, and is
+/// sorted once more at the end. The one top-k sort charge, shared by
+/// [`topk_rows`] and the fused memstore top-k scan.
+pub(crate) fn topk_sort_rows(n: usize, k: usize) -> u64 {
+    if k == 0 {
+        return 0;
+    }
+    let (full_sorts, left) = if n < 2 * k {
+        (0, n)
+    } else {
+        (1 + (n - 2 * k) / k, k + (n - 2 * k) % k)
+    };
+    (full_sorts * 2 * k + left) as u64
+}
+
 /// Keep only the `k` first rows of `rows` under the stable ordering given by
 /// `keys`, using a bounded buffer of at most `2k` rows (the per-partition
 /// heap of top-k pushdown). Produces exactly the first `k` rows a full
 /// stable sort would.
 fn topk_rows(rows: Vec<Row>, k: usize, keys: &[(usize, bool)], m: &mut TaskMetrics) -> Vec<Row> {
+    m.add_sort(topk_sort_rows(rows.len(), k));
     if k == 0 {
         return Vec::new();
     }
@@ -758,12 +777,10 @@ fn topk_rows(rows: Vec<Row>, k: usize, keys: &[(usize, bool)], m: &mut TaskMetri
     for row in rows {
         buf.push(row);
         if buf.len() >= cap {
-            m.add_sort(buf.len() as u64);
             buf.sort_by(|a, b| compare_rows(a, b, keys));
             buf.truncate(k);
         }
     }
-    m.add_sort(buf.len() as u64);
     buf.sort_by(|a, b| compare_rows(a, b, keys));
     buf.truncate(k);
     buf
@@ -824,9 +841,12 @@ fn topk_partition_order(
 /// partitions on demand (ahead of demand, with a prefetch depth ≥ 1).
 pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<QueryStream> {
     let wall = Instant::now();
-    let table_rdd = {
+    let (table_rdd, fused_topk) = {
         let _span = shark_obs::span("optimize");
-        build_pipeline(ctx, plan, cfg)?
+        match build_fused_topk(ctx, plan, cfg)? {
+            Some(fused) => (fused, true),
+            None => (build_pipeline(ctx, plan, cfg)?, false),
+        }
     };
     let mut notes = table_rdd.notes;
     notes.push("result streaming: partitions delivered incrementally".into());
@@ -862,7 +882,8 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     let task_keys = keys.clone();
     let task = move |rows: Arc<Vec<Row>>, m: &mut TaskMetrics| {
         let mut rows = Arc::unwrap_or_clone(rows);
-        if task_keys.is_empty() {
+        // A fused top-k scan already delivers each partition's sorted run.
+        if task_keys.is_empty() || fused_topk {
             return rows;
         }
         match limit {
@@ -927,6 +948,65 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         delivered_scan: Vec::new(),
         done: false,
     })
+}
+
+/// When the plan is `scan → filter → project → ORDER BY … LIMIT k` over one
+/// cached table, vectorized, and every sort key is a projected bare column,
+/// fuse the scan and the per-partition top-k into a [`MemTopKScanRdd`]:
+/// each partition sorts on the encoded key columns and builds only its `k`
+/// winners. The pipeline keeps its single-scan identity, so statistics
+/// ordering, the skip rule and partition pins work as on the row chain.
+/// Streaming only: `sql2rdd` ([`build_pipeline`]) leaves ORDER BY unapplied.
+fn build_fused_topk(
+    ctx: &RddContext,
+    plan: &QueryPlan,
+    cfg: &ExecConfig,
+) -> Result<Option<TableRdd>> {
+    let (Some(k), Some(scan)) = (plan.limit, fusable_scan(plan, cfg)) else {
+        return Ok(None);
+    };
+    if plan.order_by.is_empty() || plan.aggregate.is_some() {
+        return Ok(None);
+    }
+    let keys: Option<Vec<(usize, bool)>> = plan
+        .order_by
+        .iter()
+        .map(|&(col, desc)| match plan.projections.get(col)? {
+            BoundExpr::Column(scanned) => Some((*scanned, desc)),
+            _ => None,
+        })
+        .collect();
+    let Some(keys) = keys else {
+        return Ok(None);
+    };
+    let mut notes = Vec::new();
+    let selected = pruned_partitions(scan, &mut notes);
+    let rdd = MemTopKScanRdd::create(
+        ctx,
+        scan.table.clone(),
+        selected.clone(),
+        scan.projection.clone(),
+        scan.filters.clone(),
+        plan.projections.clone(),
+        project_ops_per_row(plan),
+        keys,
+        k,
+    )?;
+    notes.push(format!(
+        "vectorized: fused scan + top-k on the encoded sort columns, late materialization of at most {k} rows per partition"
+    ));
+    Ok(Some(TableRdd {
+        rdd,
+        schema: plan.output_schema.clone(),
+        notes,
+        sim_seconds: 0.0,
+        single_scan: Some(SingleScanInfo {
+            table: scan.table.clone(),
+            selected,
+            projection: scan.projection.clone(),
+        }),
+        snapshot: None,
+    }))
 }
 
 /// Build the RDD pipeline for a plan without collecting it (the `sql2rdd`
@@ -1003,7 +1083,6 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         build_aggregation(cfg, &mut notes, &mut sim_seconds, combined, agg)?
     } else {
         let projections = plan.projections.clone();
-        let ops: f64 = projections.iter().map(BoundExpr::op_count).sum();
         let limit_push = if plan.limit_pushdown_allowed() {
             plan.limit
         } else {
@@ -1012,7 +1091,7 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
         if let Some(n) = limit_push {
             notes.push(format!("limit pushed down to partitions (limit={n})"));
         }
-        combined.map_partitions_named("project", ops.max(0.5), move |_, rows| {
+        combined.map_partitions_named("project", project_ops_per_row(plan), move |_, rows| {
             let mut out: Vec<Row> = rows
                 .iter()
                 .map(|r| Row::new(projections.iter().map(|p| p.eval(r)).collect()))
@@ -1051,15 +1130,7 @@ fn build_scan(
         }
     );
     if use_memstore && scan.table.is_cached() {
-        let mem = scan.table.cached.as_ref().unwrap();
-        let (selected, pruned) =
-            prune_partitions(&scan.table, mem, &scan.filters, &scan.projection);
-        if pruned > 0 {
-            notes.push(format!(
-                "map pruning: skipped {pruned}/{} partitions of {}",
-                scan.table.num_partitions, scan.table.name
-            ));
-        }
+        let selected = pruned_partitions(scan, notes);
         let full = selected.len() == scan.table.num_partitions;
         let rdd = MemTableScanRdd::create(
             ctx,
@@ -1390,6 +1461,50 @@ fn charge_hive_intermediate(ctx: &RddContext, plan: &QueryPlan, notes: &mut Vec<
     secs
 }
 
+/// The lone cached scan a fused columnar operator can read: vectorized
+/// execution over the memstore, one cached table, no join and no residual
+/// filter.
+fn fusable_scan<'a>(plan: &'a QueryPlan, cfg: &ExecConfig) -> Option<&'a ScanNode> {
+    let use_memstore = matches!(
+        cfg.mode,
+        ExecutionMode::Shark {
+            use_memstore: true,
+            ..
+        }
+    );
+    let fusable = cfg.vectorized
+        && use_memstore
+        && plan.scans.len() == 1
+        && plan.joins.is_empty()
+        && plan.residual_filter.is_none()
+        && plan.scans[0].table.is_cached();
+    fusable.then(|| &plan.scans[0])
+}
+
+/// Map-prune a cached scan's partitions, noting how many were skipped.
+fn pruned_partitions(scan: &ScanNode, notes: &mut Vec<String>) -> Vec<usize> {
+    let mem = scan
+        .table
+        .cached
+        .as_ref()
+        .expect("a memstore scan reads a cached table");
+    let (selected, pruned) = prune_partitions(&scan.table, mem, &scan.filters, &scan.projection);
+    if pruned > 0 {
+        notes.push(format!(
+            "map pruning: skipped {pruned}/{} partitions of {}",
+            scan.table.num_partitions, scan.table.name
+        ));
+    }
+    selected
+}
+
+/// Per-row expression cost of the final projection — charged identically by
+/// the row chain's `project` operator and the fused top-k scan.
+fn project_ops_per_row(plan: &QueryPlan) -> f64 {
+    let ops: f64 = plan.projections.iter().map(BoundExpr::op_count).sum();
+    ops.max(0.5)
+}
+
 /// Per-row expression cost of the partial-aggregation step (group keys plus
 /// aggregate arguments) — charged identically by the row path's
 /// `partial-aggregate` operator and the fused vectorized scan.
@@ -1413,34 +1528,10 @@ fn build_fused_aggregation(
     notes: &mut Vec<String>,
     sim_seconds: &mut f64,
 ) -> Result<Option<Rdd<Row>>> {
-    let use_memstore = matches!(
-        cfg.mode,
-        ExecutionMode::Shark {
-            use_memstore: true,
-            ..
-        }
-    );
-    let Some(agg) = &plan.aggregate else {
+    let (Some(agg), Some(scan)) = (&plan.aggregate, fusable_scan(plan, cfg)) else {
         return Ok(None);
     };
-    if !cfg.vectorized
-        || !use_memstore
-        || plan.scans.len() != 1
-        || !plan.joins.is_empty()
-        || plan.residual_filter.is_some()
-        || !plan.scans[0].table.is_cached()
-    {
-        return Ok(None);
-    }
-    let scan = &plan.scans[0];
-    let mem = scan.table.cached.as_ref().unwrap();
-    let (selected, pruned) = prune_partitions(&scan.table, mem, &scan.filters, &scan.projection);
-    if pruned > 0 {
-        notes.push(format!(
-            "map pruning: skipped {pruned}/{} partitions of {}",
-            scan.table.num_partitions, scan.table.name
-        ));
-    }
+    let selected = pruned_partitions(scan, notes);
     let pairs = MemAggScanRdd::create(
         ctx,
         scan.table.clone(),

@@ -8,20 +8,25 @@
 //!   columns' encoded bytes, applies pushed-down filters, and — if a
 //!   partition was lost to a node failure — rebuilds it from the table's
 //!   base generator (lineage recovery) while charging DFS I/O.
+//! * [`MemAggScanRdd`] and [`MemTopKScanRdd`] fuse a memstore scan with the
+//!   partial aggregate or the per-partition top-k that follows it, so the
+//!   batch stays columnar until the operator's few output rows.
 //! * [`DfsScanRdd`] reads the base generator directly ("data on HDFS"):
 //!   every column's bytes are read and deserialization is charged.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use shark_cluster::InputSource;
-use shark_columnar::{ColumnBatch, ColumnarPartition};
+use shark_columnar::{ColumnBatch, ColumnarPartition, Selection};
 use shark_common::size::estimate_slice;
-use shark_common::{Result, Row};
+use shark_common::{Result, Row, Value};
 use shark_rdd::rdd::{Lineage, RddImpl, ShuffleDepHandle};
 use shark_rdd::{Rdd, RddContext, TaskMetrics};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{MemTable, TableMeta};
+use crate::exec::topk_sort_rows;
 use crate::expr::BoundExpr;
 use crate::vector::{vector_partial_aggregate, FilterKernel};
 
@@ -57,107 +62,142 @@ fn apply_filters(rows: &mut Vec<Row>, filters: &[BoundExpr], metrics: &mut TaskM
     }
 }
 
-/// Fetch one partition of a cached table in columnar form, charging the
-/// memstore-hit or lineage-rebuild cost. Shared by the row and vectorized
-/// scan RDDs and by the fused aggregate scan — all three charge identically.
-///
-/// On a miss the partition is recomputed from the table's base generator
-/// (the lineage-recovery path of Figure 9, now also the partial-eviction
-/// reload path). Resident partitions are never touched. A *retired*
-/// memtable — its table version was dropped from the catalog and awaits
-/// deferred reclamation — is read through without repopulating it:
-/// rebuilding partitions into storage that is about to be reclaimed would
-/// leak bytes past the deferred-drop accounting and count rebuilds against
-/// a table that no longer exists.
-fn load_partition(
-    table: &TableMeta,
-    mem: &MemTable,
-    original: usize,
-    projection: &[usize],
-    metrics: &mut TaskMetrics,
-) -> Arc<ColumnarPartition> {
-    match mem.get(original) {
-        Some(c) => {
-            // Charge only the projected columns' encoded bytes (§3.2).
-            let bytes: usize = projection.iter().map(|&c2| c.column_bytes(c2)).sum();
-            metrics.record_input(
-                c.num_rows() as u64,
-                bytes as u64,
-                InputSource::CachedColumnar,
-            );
-            scan_metrics().cache_hits.inc();
-            scan_metrics().cache_hit_bytes.add(bytes as u64);
-            if shark_obs::active() {
-                shark_obs::annotate("cache", "hit");
-            }
-            c
-        }
-        None => {
-            // A demoted partition faults back in from the spill tier at pure
-            // I/O cost (no recompute): promotion. Only if no spill tier is
-            // installed, the partition was dropped rather than demoted, or
-            // its spill file is poisoned do we fall back to lineage.
-            if let Some((spilled, io_bytes)) =
-                mem.spill_fetch(&table.name, original, table.version())
-            {
-                metrics.record_input(spilled.num_rows() as u64, io_bytes, InputSource::Dfs);
-                if !mem.is_retired() {
-                    mem.put(original, spilled.clone());
-                    mem.record_promotion();
-                    if shark_obs::active() {
-                        shark_obs::annotate("promote", "spill");
-                    }
-                }
-                return spilled;
-            }
-            let rows = (table.base)(original);
-            let bytes = estimate_slice(&rows) as u64;
-            metrics.record_input(rows.len() as u64, bytes, InputSource::Dfs);
-            metrics.add_ops(rows.len() as f64 * 4.0); // rebuild columnar form
-            let rebuilt = Arc::new(ColumnarPartition::from_rows(&table.schema, &rows));
-            if !mem.is_retired() {
-                mem.put(original, rebuilt.clone());
-                mem.record_rebuild();
-                if shark_obs::active() {
-                    shark_obs::annotate("rebuild", "lineage");
-                }
-            }
-            rebuilt
-        }
-    }
+/// What every memstore scan reads: the cached table, the partitions map
+/// pruning kept, the projected columns and the pushed-down filters with
+/// their compiled batch kernels. The row and vectorized scans and the fused
+/// aggregate and top-k scans all load and filter through it, so they charge
+/// identically.
+struct CachedScan {
+    table: Arc<TableMeta>,
+    mem: Arc<MemTable>,
+    /// Original partition indices this scan reads (after map pruning).
+    selected: Vec<usize>,
+    /// Original column indices to project.
+    projection: Vec<usize>,
+    filters: Vec<BoundExpr>,
+    /// Batch kernels compiled from `filters`.
+    kernels: Vec<FilterKernel>,
 }
 
-/// Run the compiled filter kernels over a batch, charging exactly what the
-/// row path's [`apply_filters`] charges (each filter pays for the rows still
-/// alive when it runs), and annotate the operator span with the batch
-/// selectivity.
-fn apply_kernels(
-    batch: &mut ColumnBatch<'_>,
-    filters: &[BoundExpr],
-    kernels: &[FilterKernel],
-    metrics: &mut TaskMetrics,
-) {
-    for (f, kernel) in filters.iter().zip(kernels.iter()) {
-        metrics.add_ops(batch.num_selected() as f64 * f.op_count());
-        kernel.apply(batch);
+impl CachedScan {
+    fn new(
+        table: Arc<TableMeta>,
+        selected: Vec<usize>,
+        projection: Vec<usize>,
+        filters: Vec<BoundExpr>,
+    ) -> Result<CachedScan> {
+        let mem = table.cached.clone().ok_or_else(|| {
+            shark_common::SharkError::Plan(format!("table '{}' is not cached", table.name))
+        })?;
+        let kernels = filters.iter().map(FilterKernel::compile).collect();
+        Ok(CachedScan {
+            table,
+            mem,
+            selected,
+            projection,
+            filters,
+            kernels,
+        })
     }
-    if shark_obs::active() && !filters.is_empty() {
-        shark_obs::annotate("batch", &format!("selected={}", batch.num_selected()));
+
+    fn name(&self) -> String {
+        format!("memstore_scan({})", self.table.name)
+    }
+
+    /// Fetch result partition `partition` in columnar form, charging the
+    /// memstore-hit or lineage-rebuild cost.
+    ///
+    /// On a miss the partition is recomputed from the table's base generator
+    /// (the lineage-recovery path of Figure 9, now also the partial-eviction
+    /// reload path). Resident partitions are never touched. A *retired*
+    /// memtable — its table version was dropped from the catalog and awaits
+    /// deferred reclamation — is read through without repopulating it:
+    /// rebuilding partitions into storage that is about to be reclaimed would
+    /// leak bytes past the deferred-drop accounting and count rebuilds against
+    /// a table that no longer exists.
+    fn load(&self, partition: usize, metrics: &mut TaskMetrics) -> Arc<ColumnarPartition> {
+        let (table, mem) = (&self.table, &self.mem);
+        let original = self.selected[partition];
+        match mem.get(original) {
+            Some(c) => {
+                // Charge only the projected columns' encoded bytes (§3.2).
+                let bytes: usize = self.projection.iter().map(|&c2| c.column_bytes(c2)).sum();
+                metrics.record_input(
+                    c.num_rows() as u64,
+                    bytes as u64,
+                    InputSource::CachedColumnar,
+                );
+                scan_metrics().cache_hits.inc();
+                scan_metrics().cache_hit_bytes.add(bytes as u64);
+                if shark_obs::active() {
+                    shark_obs::annotate("cache", "hit");
+                }
+                c
+            }
+            None => {
+                // A demoted partition faults back in from the spill tier at pure
+                // I/O cost (no recompute): promotion. Only if no spill tier is
+                // installed, the partition was dropped rather than demoted, or
+                // its spill file is poisoned do we fall back to lineage.
+                if let Some((spilled, io_bytes)) =
+                    mem.spill_fetch(&table.name, original, table.version())
+                {
+                    metrics.record_input(spilled.num_rows() as u64, io_bytes, InputSource::Dfs);
+                    if !mem.is_retired() {
+                        mem.put(original, spilled.clone());
+                        mem.record_promotion();
+                        if shark_obs::active() {
+                            shark_obs::annotate("promote", "spill");
+                        }
+                    }
+                    return spilled;
+                }
+                let rows = (table.base)(original);
+                let bytes = estimate_slice(&rows) as u64;
+                metrics.record_input(rows.len() as u64, bytes, InputSource::Dfs);
+                metrics.add_ops(rows.len() as f64 * 4.0); // rebuild columnar form
+                let rebuilt = Arc::new(ColumnarPartition::from_rows(&table.schema, &rows));
+                if !mem.is_retired() {
+                    mem.put(original, rebuilt.clone());
+                    mem.record_rebuild();
+                    if shark_obs::active() {
+                        shark_obs::annotate("rebuild", "lineage");
+                    }
+                }
+                rebuilt
+            }
+        }
+    }
+
+    /// A projected batch over `columnar` with the compiled filter kernels
+    /// applied, charging exactly what the row path's [`apply_filters`]
+    /// charges (each filter pays for the rows still alive when it runs); the
+    /// operator span is annotated with the batch selectivity.
+    fn filtered<'a>(
+        &'a self,
+        columnar: &'a ColumnarPartition,
+        metrics: &mut TaskMetrics,
+    ) -> ColumnBatch<'a> {
+        let mut batch = ColumnBatch::new(columnar, &self.projection);
+        for (f, kernel) in self.filters.iter().zip(&self.kernels) {
+            metrics.add_ops(batch.num_selected() as f64 * f.op_count());
+            kernel.apply(&mut batch);
+        }
+        if shark_obs::active() && !self.filters.is_empty() {
+            shark_obs::annotate("batch", &format!("selected={}", batch.num_selected()));
+        }
+        batch
+    }
+
+    fn preferred_node(&self, partition: usize) -> Option<usize> {
+        Some(self.mem.placement(self.selected[partition]))
     }
 }
 
 /// Scan of a cached, columnar table (the Shark memstore path).
 pub struct MemTableScanRdd {
     id: usize,
-    table: Arc<TableMeta>,
-    mem: Arc<MemTable>,
-    /// Original partition indices this scan reads (after map pruning).
-    selected: Arc<Vec<usize>>,
-    /// Original column indices to project.
-    projection: Arc<Vec<usize>>,
-    filters: Arc<Vec<BoundExpr>>,
-    /// Batch kernels compiled from `filters` (used when `vectorized`).
-    kernels: Arc<Vec<FilterKernel>>,
+    scan: CachedScan,
     /// Batch-at-a-time execution over the compressed encodings (late
     /// materialization); false falls back to decode-then-filter rows.
     vectorized: bool,
@@ -173,18 +213,9 @@ impl MemTableScanRdd {
         filters: Vec<BoundExpr>,
         vectorized: bool,
     ) -> Result<Rdd<Row>> {
-        let mem = table.cached.clone().ok_or_else(|| {
-            shark_common::SharkError::Plan(format!("table '{}' is not cached", table.name))
-        })?;
-        let kernels = filters.iter().map(FilterKernel::compile).collect();
         let inner = MemTableScanRdd {
             id: ctx.next_rdd_id(),
-            table,
-            mem,
-            selected: Arc::new(selected),
-            projection: Arc::new(projection),
-            filters: Arc::new(filters),
-            kernels: Arc::new(kernels),
+            scan: CachedScan::new(table, selected, projection, filters)?,
             vectorized,
         };
         Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
@@ -196,10 +227,10 @@ impl RddImpl<Row> for MemTableScanRdd {
         self.id
     }
     fn name(&self) -> String {
-        format!("memstore_scan({})", self.table.name)
+        self.scan.name()
     }
     fn num_partitions(&self) -> usize {
-        self.selected.len()
+        self.scan.selected.len()
     }
     fn compute(
         &self,
@@ -207,17 +238,14 @@ impl RddImpl<Row> for MemTableScanRdd {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<Row>> {
-        let original = self.selected[partition];
-        let columnar = load_partition(&self.table, &self.mem, original, &self.projection, metrics);
+        let columnar = self.scan.load(partition, metrics);
         if self.vectorized {
             // Batch path: predicates narrow a selection vector over the
             // compressed encodings; rows are built only for survivors.
-            let mut batch = ColumnBatch::new(&columnar, &self.projection);
-            apply_kernels(&mut batch, &self.filters, &self.kernels, metrics);
-            Ok(batch.materialize())
+            Ok(self.scan.filtered(&columnar, metrics).materialize())
         } else {
-            let mut rows = columnar.project_rows(&self.projection);
-            apply_filters(&mut rows, &self.filters, metrics);
+            let mut rows = columnar.project_rows(&self.scan.projection);
+            apply_filters(&mut rows, &self.scan.filters, metrics);
             Ok(rows)
         }
     }
@@ -228,7 +256,7 @@ impl RddImpl<Row> for MemTableScanRdd {
         Vec::new()
     }
     fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
-        Some(self.mem.placement(self.selected[partition]))
+        self.scan.preferred_node(partition)
     }
 }
 
@@ -241,14 +269,9 @@ impl RddImpl<Row> for MemTableScanRdd {
 /// per-row partial-aggregate produces after its map-side combine.
 pub struct MemAggScanRdd {
     id: usize,
-    table: Arc<TableMeta>,
-    mem: Arc<MemTable>,
-    selected: Arc<Vec<usize>>,
-    projection: Arc<Vec<usize>>,
-    filters: Arc<Vec<BoundExpr>>,
-    kernels: Arc<Vec<FilterKernel>>,
-    group_exprs: Arc<Vec<BoundExpr>>,
-    aggs: Arc<Vec<AggExpr>>,
+    scan: CachedScan,
+    group_exprs: Vec<BoundExpr>,
+    aggs: Vec<AggExpr>,
     /// Expression cost per surviving row (matches the row path's
     /// partial-aggregate charge).
     agg_ops_per_row: f64,
@@ -267,20 +290,11 @@ impl MemAggScanRdd {
         aggs: Vec<AggExpr>,
         agg_ops_per_row: f64,
     ) -> Result<Rdd<(Row, AggStates)>> {
-        let mem = table.cached.clone().ok_or_else(|| {
-            shark_common::SharkError::Plan(format!("table '{}' is not cached", table.name))
-        })?;
-        let kernels = filters.iter().map(FilterKernel::compile).collect();
         let inner = MemAggScanRdd {
             id: ctx.next_rdd_id(),
-            table,
-            mem,
-            selected: Arc::new(selected),
-            projection: Arc::new(projection),
-            filters: Arc::new(filters),
-            kernels: Arc::new(kernels),
-            group_exprs: Arc::new(group_exprs),
-            aggs: Arc::new(aggs),
+            scan: CachedScan::new(table, selected, projection, filters)?,
+            group_exprs,
+            aggs,
             agg_ops_per_row,
         };
         Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
@@ -292,10 +306,10 @@ impl RddImpl<(Row, AggStates)> for MemAggScanRdd {
         self.id
     }
     fn name(&self) -> String {
-        format!("memstore_scan({})", self.table.name)
+        self.scan.name()
     }
     fn num_partitions(&self) -> usize {
-        self.selected.len()
+        self.scan.selected.len()
     }
     fn compute(
         &self,
@@ -303,10 +317,8 @@ impl RddImpl<(Row, AggStates)> for MemAggScanRdd {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<(Row, AggStates)>> {
-        let original = self.selected[partition];
-        let columnar = load_partition(&self.table, &self.mem, original, &self.projection, metrics);
-        let mut batch = ColumnBatch::new(&columnar, &self.projection);
-        apply_kernels(&mut batch, &self.filters, &self.kernels, metrics);
+        let columnar = self.scan.load(partition, metrics);
+        let batch = self.scan.filtered(&columnar, metrics);
         metrics.add_ops(batch.num_selected() as f64 * self.agg_ops_per_row);
         let groups = vector_partial_aggregate(&batch, &self.group_exprs, &self.aggs);
         if shark_obs::active() {
@@ -321,8 +333,186 @@ impl RddImpl<(Row, AggStates)> for MemAggScanRdd {
         Vec::new()
     }
     fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
-        Some(self.mem.placement(self.selected[partition]))
+        self.scan.preferred_node(partition)
     }
+}
+
+/// Fused scan → filter → top-k over a cached table: each partition picks its
+/// `k` winners on the encoded ORDER BY columns and builds `Row`s for those
+/// winners only (late materialization), instead of materializing and
+/// projecting every surviving row before keeping `k` of them. Emits exactly
+/// the sorted run the row chain `memstore_scan → project → top-k` emits —
+/// the first `k` rows of a stable sort of the partition's projected rows —
+/// and charges exactly what that chain charges.
+pub struct MemTopKScanRdd {
+    id: usize,
+    scan: CachedScan,
+    /// Output expressions over the scanned (projected) columns.
+    projections: Vec<BoundExpr>,
+    /// The scanned column behind each output column, when every output
+    /// expression is a bare column.
+    bare_columns: Option<Vec<usize>>,
+    /// Expression cost per surviving row of the projection it replaces.
+    project_ops_per_row: f64,
+    /// Sort keys as (scanned column, descending) pairs.
+    keys: Vec<(usize, bool)>,
+    k: usize,
+}
+
+impl MemTopKScanRdd {
+    /// Build a fused scan+top-k RDD over a cached table.
+    #[allow(clippy::too_many_arguments)]
+    pub fn create(
+        ctx: &RddContext,
+        table: Arc<TableMeta>,
+        selected: Vec<usize>,
+        projection: Vec<usize>,
+        filters: Vec<BoundExpr>,
+        projections: Vec<BoundExpr>,
+        project_ops_per_row: f64,
+        keys: Vec<(usize, bool)>,
+        k: usize,
+    ) -> Result<Rdd<Row>> {
+        let bare_columns = projections
+            .iter()
+            .map(|p| match p {
+                BoundExpr::Column(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        let inner = MemTopKScanRdd {
+            id: ctx.next_rdd_id(),
+            scan: CachedScan::new(table, selected, projection, filters)?,
+            projections,
+            bare_columns,
+            project_ops_per_row,
+            keys,
+            k,
+        };
+        Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
+    }
+
+    /// Output rows for the batch's selected rows, in selection order. Bare
+    /// column outputs move their gathered values into the rows; otherwise
+    /// the expressions evaluate over each selected row's scanned values.
+    fn build_rows(&self, batch: &ColumnBatch<'_>) -> Vec<Row> {
+        let Some(columns) = &self.bare_columns else {
+            return batch
+                .materialize()
+                .iter()
+                .map(|scanned| Row::new(self.projections.iter().map(|p| p.eval(scanned)).collect()))
+                .collect();
+        };
+        let mut gathered: Vec<_> = columns
+            .iter()
+            .map(|&c| batch.gather(c).into_iter())
+            .collect();
+        (0..batch.num_selected())
+            .map(|_| {
+                Row::new(
+                    gathered
+                        .iter_mut()
+                        .map(|column| column.next().expect("one gathered value per selected row"))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+}
+
+impl RddImpl<Row> for MemTopKScanRdd {
+    fn id(&self) -> usize {
+        self.id
+    }
+    fn name(&self) -> String {
+        self.scan.name()
+    }
+    fn num_partitions(&self) -> usize {
+        self.scan.selected.len()
+    }
+    fn compute(
+        &self,
+        _ctx: &RddContext,
+        partition: usize,
+        metrics: &mut TaskMetrics,
+    ) -> Result<Vec<Row>> {
+        let columnar = self.scan.load(partition, metrics);
+        let mut batch = self.scan.filtered(&columnar, metrics);
+        let n = batch.num_selected();
+        metrics.add_ops(n as f64 * self.project_ops_per_row);
+        let span = shark_obs::span("top-k");
+        metrics.add_sort(topk_sort_rows(n, self.k));
+        let keys: Vec<(Vec<Value>, bool)> = self
+            .keys
+            .iter()
+            .map(|&(col, desc)| (batch.gather(col), desc))
+            .collect();
+        let winners = first_k_positions(&keys, n, self.k);
+        // Partition rows of the winners, ascending (what the encoded-column
+        // walk needs), each tagged with its rank in the sorted run.
+        let selection = batch.selection();
+        let mut by_row: Vec<(u32, usize)> = winners
+            .iter()
+            .enumerate()
+            .map(|(rank, &pos)| {
+                let row = match selection {
+                    Selection::All(_) => pos,
+                    Selection::Rows(rows) => rows[pos as usize],
+                };
+                (row, rank)
+            })
+            .collect();
+        by_row.sort_unstable();
+        batch.set_selection(Selection::Rows(
+            by_row.iter().map(|&(row, _)| row).collect(),
+        ));
+        let mut out = vec![Row::default(); by_row.len()];
+        for (&(_, rank), row) in by_row.iter().zip(self.build_rows(&batch)) {
+            out[rank] = row;
+        }
+        if let Some(span) = &span {
+            span.set_rows(out.len() as u64);
+            span.annotate("k", &self.k.to_string());
+        }
+        Ok(out)
+    }
+    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
+        Vec::new()
+    }
+    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
+        Vec::new()
+    }
+    fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
+        self.scan.preferred_node(partition)
+    }
+}
+
+/// The first `k` of `n` selection positions under a stable sort by `keys`
+/// (each a gathered column and its direction), in sorted order. Ties keep
+/// selection order: the position itself is the last key, which makes the
+/// order total, so a partial selection plus a sort of the `k` winners picks
+/// exactly what a full stable sort would.
+fn first_k_positions(keys: &[(Vec<Value>, bool)], n: usize, k: usize) -> Vec<u32> {
+    let cmp = |a: &u32, b: &u32| {
+        for (column, desc) in keys {
+            let ord = column[*a as usize].total_cmp(&column[*b as usize]);
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        a.cmp(b)
+    };
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut positions: Vec<u32> = (0..n as u32).collect();
+    if k < n {
+        positions.select_nth_unstable_by(k, cmp);
+        positions.truncate(k);
+    }
+    positions.sort_unstable_by(cmp);
+    positions
 }
 
 /// Scan of a table straight from its base generator (the "on HDFS" path used
@@ -685,6 +875,115 @@ mod tests {
         for ((kf, sf), (kr, sr)) in fused.iter().zip(reference.iter()) {
             assert_eq!(kf, kr);
             assert_eq!(sf.finalize(), sr.finalize());
+        }
+    }
+
+    #[test]
+    fn topk_sort_charge_is_what_the_bounded_buffer_sorts() {
+        for k in 0..7usize {
+            for n in 0..40usize {
+                // The 2k buffer of the row chain's top-k, counting rows.
+                let mut charged = 0u64;
+                if k > 0 {
+                    let mut buffered = 0usize;
+                    for _ in 0..n {
+                        buffered += 1;
+                        if buffered >= 2 * k {
+                            charged += buffered as u64;
+                            buffered = k;
+                        }
+                    }
+                    charged += buffered as u64;
+                }
+                assert_eq!(topk_sort_rows(n, k), charged, "n={n} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_topk_scan_matches_the_row_chain_rows_and_charges() {
+        let meta = Arc::new(table());
+        load(&meta);
+        let projection = vec![0usize, 1, 2];
+        let projected = meta.schema.project(&projection);
+        let filters = vec![bind_filter("metric >= 4.0", &projected)];
+        // An expression beside the keys, and bare columns (one repeated):
+        // (metric * 2 > 30, country, metric) and (metric, country, metric).
+        let projection_lists = [
+            vec![
+                bind_filter("metric * 2.0 > 30.0", &projected),
+                BoundExpr::Column(1),
+                BoundExpr::Column(2),
+            ],
+            vec![
+                BoundExpr::Column(2),
+                BoundExpr::Column(1),
+                BoundExpr::Column(2),
+            ],
+        ];
+        // country DESC, then metric: output and scanned columns coincide.
+        let keys = vec![(1usize, true), (2usize, false)];
+        let ctx = RddContext::local();
+        let partitions: Vec<usize> = (0..meta.num_partitions).collect();
+        let rows = MemTableScanRdd::create(
+            &ctx,
+            meta.clone(),
+            partitions.clone(),
+            projection.clone(),
+            filters.clone(),
+            false,
+        )
+        .unwrap();
+        let cases = projection_lists
+            .iter()
+            .flat_map(|projections| [0usize, 3, 21, 42, 100].map(|k| (projections, k)));
+        for (projections, k) in cases {
+            let project_ops: f64 = projections.iter().map(BoundExpr::op_count).sum();
+            let fused = MemTopKScanRdd::create(
+                &ctx,
+                meta.clone(),
+                partitions.clone(),
+                projection.clone(),
+                filters.clone(),
+                projections.clone(),
+                project_ops.max(0.5),
+                keys.clone(),
+                k,
+            )
+            .unwrap();
+            for p in 0..partitions.len() {
+                let mut expected_metrics = TaskMetrics::new();
+                let scanned = rows
+                    .compute_partition(&ctx, p, &mut expected_metrics)
+                    .unwrap();
+                let n = scanned.len();
+                expected_metrics.add_ops(n as f64 * project_ops.max(0.5));
+                expected_metrics.add_sort(topk_sort_rows(n, k));
+                let mut expected: Vec<Row> = scanned
+                    .iter()
+                    .map(|r| Row::new(projections.iter().map(|e| e.eval(r)).collect()))
+                    .collect();
+                expected.sort_by(|a, b| {
+                    b.get(1)
+                        .total_cmp(a.get(1))
+                        .then(a.get(2).total_cmp(b.get(2)))
+                });
+                expected.truncate(k);
+
+                let mut metrics = TaskMetrics::new();
+                let out = fused.compute_partition(&ctx, p, &mut metrics).unwrap();
+                assert_eq!(out, expected, "k={k} partition {p}");
+                assert_eq!(
+                    (metrics.rows_in, metrics.bytes_in, metrics.sort_rows),
+                    (
+                        expected_metrics.rows_in,
+                        expected_metrics.bytes_in,
+                        expected_metrics.sort_rows
+                    ),
+                    "k={k} partition {p}"
+                );
+                assert_eq!(metrics.ops.to_bits(), expected_metrics.ops.to_bits());
+            }
         }
     }
 

@@ -111,13 +111,13 @@ fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
             "order-by",
             ExecConfig::shark(),
             "SELECT id, v FROM facts WHERE k < 10 ORDER BY v DESC",
-            None,
+            Some(0.010029284831894955),
         ),
         (
             "top-k",
             ExecConfig::shark(),
             "SELECT ts, id FROM facts ORDER BY ts LIMIT 5",
-            None,
+            Some(0.005044997629648856),
         ),
         (
             "limit",
@@ -347,4 +347,69 @@ fn a_load_is_the_last_job_and_its_seconds_are_the_jobs() {
     assert!(load.sim_seconds > 0.0);
     assert_eq!(job.sim_duration.to_bits(), load.sim_seconds.to_bits());
     assert_eq!(ledger(&session.context().job_history()), load.sim_seconds);
+}
+
+/// Top-k shapes around the per-partition buffer's edges (each partition
+/// holds 120 rows): fewer rows than `2k`, exactly `2k`, far more than `k`,
+/// `k = 0`, and a filter with an expression projection and mixed-direction
+/// keys.
+const TOPK_SHAPES: [&str; 5] = [
+    "SELECT id, v FROM facts ORDER BY v LIMIT 100",
+    "SELECT id, v FROM facts ORDER BY v DESC LIMIT 60",
+    "SELECT id, ts FROM facts ORDER BY ts DESC LIMIT 3",
+    "SELECT id FROM facts ORDER BY id LIMIT 0",
+    "SELECT id, v * 2 + 1, grp, v FROM facts WHERE k < 10 ORDER BY grp, v DESC LIMIT 7",
+];
+
+#[test]
+fn top_k_charges_the_same_on_the_vectorized_and_row_paths() {
+    let run = |vectorized: bool, sql: &str| {
+        let exec = ExecConfig {
+            vectorized,
+            ..ExecConfig::shark()
+        };
+        let s = session(exec, 2);
+        s.context().clear_job_history();
+        let result = s.sql(sql).unwrap();
+        (result, s.context().job_history())
+    };
+    for sql in TOPK_SHAPES {
+        let (vector_result, vector_jobs) = run(true, sql);
+        let (row_result, row_jobs) = run(false, sql);
+        assert_eq!(vector_result.rows, row_result.rows, "{sql}");
+        assert_eq!(
+            vector_result.sim_seconds.to_bits(),
+            row_result.sim_seconds.to_bits(),
+            "{sql}"
+        );
+        assert_eq!(vector_jobs.len(), row_jobs.len(), "{sql}");
+        for (vj, rj) in vector_jobs.iter().zip(&row_jobs) {
+            assert_eq!(vj.name, rj.name, "{sql}");
+            assert_eq!(
+                vj.sim_duration.to_bits(),
+                rj.sim_duration.to_bits(),
+                "{sql}"
+            );
+            assert_eq!(vj.stages.len(), rj.stages.len(), "{sql}");
+            for (vs, rs) in vj.stages.iter().zip(&rj.stages) {
+                let case = format!("{sql}: stage {}", vs.name);
+                assert_eq!(vs.name, rs.name, "{case}");
+                assert_eq!(
+                    (vs.rows_in, vs.bytes_in),
+                    (rs.rows_in, rs.bytes_in),
+                    "{case}"
+                );
+                assert_eq!(
+                    vs.sim_duration.to_bits(),
+                    rs.sim_duration.to_bits(),
+                    "{case}"
+                );
+                assert_eq!(vs.tasks.len(), rs.tasks.len(), "{case}");
+                for (vt, rt) in vs.tasks.iter().zip(&rs.tasks) {
+                    assert_eq!(vt.duration.to_bits(), rt.duration.to_bits(), "{case}");
+                    assert_eq!(vt.preferred_node, rt.preferred_node, "{case}");
+                }
+            }
+        }
+    }
 }
