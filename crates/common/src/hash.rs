@@ -5,6 +5,8 @@
 //! provides an FxHash-style hasher with a fixed seed rather than the
 //! randomly seeded `SipHash` used by `std::collections`.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A fast, deterministic, non-cryptographic hasher (FxHash-style).
@@ -105,9 +107,128 @@ pub fn hash_partition<T: Hash + ?Sized>(key: &T, num_partitions: usize) -> usize
     (fx_hash(key) % num_partitions as u64) as usize
 }
 
+/// Per-key states that keep the order their keys first appeared in: the
+/// one hash table behind every hashed keyed fold — a partial aggregate over
+/// a column batch, the map-side combine and both shuffle reducers. Each pair
+/// costs one probe (a first appearance looked up by reference adds the
+/// insert), and the groups come out in first-seen order, a function of the
+/// input alone rather than of a per-process hash seed.
+pub struct GroupTable<K, C> {
+    /// Each key's first-seen position and its state, which is `None` only
+    /// while a by-value merge holds it.
+    table: FxHashMap<K, (usize, Option<C>)>,
+}
+
+impl<K, C> Default for GroupTable<K, C> {
+    fn default() -> Self {
+        GroupTable {
+            table: FxHashMap::default(),
+        }
+    }
+}
+
+impl<K: Hash + Eq, C> GroupTable<K, C> {
+    /// Fold an owned pair: `create` the key's state at its first
+    /// appearance, `merge` the value into it after that.
+    pub fn fold<V>(
+        &mut self,
+        key: K,
+        value: V,
+        create: impl FnOnce(V) -> C,
+        merge: impl FnOnce(C, V) -> C,
+    ) {
+        let next = self.table.len();
+        match self.table.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let state = &mut slot.get_mut().1;
+                let merged = merge(state.take().expect("a state between merges"), value);
+                *state = Some(merged);
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((next, Some(create(value))));
+            }
+        }
+    }
+
+    /// Fold by reference: `merge` into the state of the key equal to `key`
+    /// in place, or — at its first appearance — start the group with
+    /// `new_group`, the only point where a key is built.
+    pub fn fold_ref<Q>(
+        &mut self,
+        key: &Q,
+        merge: impl FnOnce(&mut C),
+        new_group: impl FnOnce() -> (K, C),
+    ) where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        if let Some((_, Some(state))) = self.table.get_mut(key) {
+            merge(state);
+            return;
+        }
+        let (key, state) = new_group();
+        let next = self.table.len();
+        self.table.insert(key, (next, Some(state)));
+    }
+
+    /// The keys and their states, in the order the keys first appeared,
+    /// in a vector of exactly their number (a map output keeps it).
+    pub fn into_vec(self) -> Vec<(K, C)> {
+        let mut ordered: Vec<Option<(K, C)>> = (0..self.table.len()).map(|_| None).collect();
+        for (key, (at, state)) in self.table {
+            ordered[at] = Some((key, state.expect("a state between merges")));
+        }
+        ordered
+            .into_iter()
+            .map(|group| group.expect("one group per position"))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn group_table_folds_in_first_seen_order() {
+        let words = ["b", "a", "b", "c", "a", "b"];
+        let mut owned = GroupTable::default();
+        for (i, w) in words.iter().enumerate() {
+            owned.fold(
+                w.to_string(),
+                i,
+                |i| vec![i],
+                |mut c, i| {
+                    c.push(i);
+                    c
+                },
+            );
+        }
+        let expected = vec![
+            ("b".to_string(), vec![0, 2, 5]),
+            ("a".to_string(), vec![1, 4]),
+            ("c".to_string(), vec![3]),
+        ];
+        let groups = owned.into_vec();
+        assert_eq!(groups, expected);
+        assert_eq!(groups.capacity(), groups.len());
+
+        // By reference, looked up as `&str`: a key is built once per group.
+        let mut built = 0;
+        let mut borrowed: GroupTable<String, Vec<usize>> = GroupTable::default();
+        for (i, w) in words.iter().enumerate() {
+            borrowed.fold_ref(
+                *w,
+                |c| c.push(i),
+                || {
+                    built += 1;
+                    (w.to_string(), vec![i])
+                },
+            );
+        }
+        assert_eq!(built, 3);
+        assert_eq!(borrowed.into_vec(), expected);
+    }
 
     #[test]
     fn hashing_is_deterministic() {

@@ -222,6 +222,15 @@ impl From<Vec<Value>> for Row {
     }
 }
 
+/// A row is looked up in hash maps by its values: `Row`'s derived `Hash` and
+/// `Eq` are those of its value slice, so a `&[Value]` key finds its `Row`
+/// without building one.
+impl std::borrow::Borrow<[Value]> for Row {
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl std::ops::Index<usize> for Row {
     type Output = Value;
     fn index(&self, index: usize) -> &Value {

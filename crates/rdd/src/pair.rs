@@ -16,6 +16,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use shark_cluster::{InputSource, OutputSink};
+use shark_common::hash::GroupTable;
 use shark_common::Result;
 
 use crate::context::{RddContext, StageReport};
@@ -49,20 +50,14 @@ impl<V, C> Clone for Aggregator<V, C> {
 
 impl<V, C> Aggregator<V, C> {
     /// Combine `pairs` per key: `create` on a key's first value, then
-    /// `merge_value` for each further one, in input order.
+    /// `merge_value` for each further one, in input order. Keys come out
+    /// in first-seen order.
     fn combine<K: Hash + Eq>(&self, pairs: Vec<(K, V)>) -> Vec<(K, C)> {
-        let mut table: HashMap<K, C> = HashMap::new();
+        let mut groups = GroupTable::default();
         for (k, v) in pairs {
-            match table.remove(&k) {
-                Some(c) => {
-                    table.insert(k, (self.merge_value)(c, v));
-                }
-                None => {
-                    table.insert(k, (self.create)(v));
-                }
-            }
+            groups.fold(k, v, &*self.create, &*self.merge_value);
         }
-        table.into_iter().collect()
+        groups.into_vec()
     }
 
     /// Build an aggregator from the three combiner functions.
@@ -197,18 +192,11 @@ impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, C> {
             .fetch(self.dep.shuffle_id(), &[partition])?;
         metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
         metrics.add_ops(pairs.len() as f64 * 2.0);
-        let mut table: HashMap<K, C> = HashMap::new();
+        let mut groups = GroupTable::default();
         for (k, c) in pairs {
-            match table.remove(&k) {
-                Some(existing) => {
-                    table.insert(k, (self.merge)(existing, c));
-                }
-                None => {
-                    table.insert(k, c);
-                }
-            }
+            groups.fold(k, c, |c| c, &*self.merge);
         }
-        Ok(table.into_iter().collect())
+        Ok(groups.into_vec())
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         vec![self.dep.parent_lineage()]
@@ -346,18 +334,21 @@ impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadRdd<K, V> {
     }
 }
 
-/// Like [`ShuffleReadRdd`] but aggregates the fetched values per key with an
-/// [`Aggregator`] (the reduce side of a PDE-planned aggregation).
-pub struct ShuffleReadAggRdd<K: Data + Hash + Eq, V: Data, C: Data> {
+/// Like [`ShuffleReadRdd`] but merges the values of each key as it reads
+/// them in place (the reduce side of a PDE-planned aggregation): no pair is
+/// copied out of the map outputs, and a key and its state are cloned once,
+/// at the key's first appearance.
+pub struct ShuffleReadAggRdd<K: Data + Hash + Eq, V: Data> {
     id: usize,
     lease: Arc<ShuffleLease>,
     assignment: Arc<Vec<Vec<usize>>>,
-    aggregator: Aggregator<V, C>,
+    #[allow(clippy::type_complexity)]
+    merge: Arc<dyn Fn(&mut V, &V) + Send + Sync>,
     parent_lineage: Arc<dyn Lineage>,
     _marker: PhantomData<fn() -> K>,
 }
 
-impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffleReadAggRdd<K, V, C> {
+impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadAggRdd<K, V> {
     fn id(&self) -> usize {
         self.id
     }
@@ -372,24 +363,20 @@ impl<K: Data + Hash + Eq, V: Data, C: Data> RddImpl<(K, C)> for ShuffleReadAggRd
         ctx: &RddContext,
         partition: usize,
         metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(K, C)>> {
-        let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
-            .shuffle_manager()
-            .fetch(self.lease.id(), &self.assignment[partition])?;
-        metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
-        metrics.add_ops(pairs.len() as f64 * 2.0);
-        let mut table: HashMap<K, C> = HashMap::new();
-        for (k, v) in pairs {
-            match table.remove(&k) {
-                Some(c) => {
-                    table.insert(k, (self.aggregator.merge_value)(c, v));
+    ) -> Result<Vec<(K, V)>> {
+        let mut groups = GroupTable::default();
+        let (rows, bytes) = ctx.shuffle_manager().read(
+            self.lease.id(),
+            &self.assignment[partition],
+            |pairs: &[(K, V)]| {
+                for (k, v) in pairs {
+                    groups.fold_ref(k, |c| (self.merge)(c, v), || (k.clone(), v.clone()));
                 }
-                None => {
-                    table.insert(k, (self.aggregator.create)(v));
-                }
-            }
-        }
-        Ok(table.into_iter().collect())
+            },
+        )?;
+        metrics.record_input(rows as u64, bytes, shuffle_fetch_source(ctx));
+        metrics.add_ops(rows as f64 * 2.0);
+        Ok(groups.into_vec())
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         vec![self.parent_lineage.clone()]
@@ -452,18 +439,18 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
         self.read((0..self.num_buckets).map(|b| vec![b]).collect())
     }
 
-    /// Read the shuffle, aggregating values per key with `agg`, using an
-    /// explicit bucket assignment.
-    pub fn read_aggregated<C: Data>(
-        &self,
-        assignment: Vec<Vec<usize>>,
-        agg: Aggregator<V, C>,
-    ) -> Rdd<(K, C)> {
+    /// Read the shuffle with an explicit bucket assignment, merging each
+    /// key's values in fetch order with `merge` (into the first value, in
+    /// place) as they are read from the map outputs.
+    pub fn read_aggregated<M>(&self, assignment: Vec<Vec<usize>>, merge: M) -> Rdd<(K, V)>
+    where
+        M: Fn(&mut V, &V) + Send + Sync + 'static,
+    {
         let inner = ShuffleReadAggRdd {
             id: self.ctx.next_rdd_id(),
             lease: self.lease.clone(),
             assignment: Arc::new(assignment),
-            aggregator: agg,
+            merge: Arc::new(merge),
             parent_lineage: self.parent_lineage.clone(),
             _marker: PhantomData,
         };
@@ -703,17 +690,30 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
         num_buckets: usize,
         agg: Aggregator<V, C>,
     ) -> Result<PreShuffledRdd<K, C>> {
+        self.pre_shuffle_combined_with(num_buckets, |data| agg.combine(Arc::unwrap_or_clone(data)))
+    }
+
+    /// [`Rdd::pre_shuffle_combined`] for pairs that already are a map-side
+    /// combine — at most one per key per partition, as a fused partial
+    /// aggregate emits them — so they go into their buckets as they are.
+    /// It charges and names what `pre_shuffle_combined` does for the same
+    /// pairs: the combine it skips would return them unchanged.
+    pub fn pre_shuffle_precombined(&self, num_buckets: usize) -> Result<PreShuffledRdd<K, V>> {
+        self.pre_shuffle_combined_with(num_buckets, Arc::unwrap_or_clone)
+    }
+
+    /// The `pre_shuffle_combined` job with `combine` as its map-side step.
+    fn pre_shuffle_combined_with<C: Data>(
+        &self,
+        num_buckets: usize,
+        combine: impl Fn(Arc<Vec<(K, V)>>) -> Vec<(K, C)>,
+    ) -> Result<PreShuffledRdd<K, C>> {
         self.pre_shuffle_with(
             "pre_shuffle_combined",
             num_buckets,
             |shuffle_id, buckets| {
                 scheduler::run_shuffle_map_stage_combined(
-                    &self.ctx,
-                    self,
-                    shuffle_id,
-                    buckets,
-                    0.0,
-                    |data| agg.combine(Arc::unwrap_or_clone(data)),
+                    &self.ctx, self, shuffle_id, buckets, 0.0, combine,
                 )
             },
         )
@@ -937,7 +937,7 @@ mod tests {
         // Map-side combining means at most one record per (map task, key).
         assert!(pre.summary().total_rows <= 6);
         let mut out = pre
-            .read_aggregated(vec![(0..4).collect()], agg)
+            .read_aggregated(vec![(0..4).collect()], |c, v| *c += *v)
             .collect()
             .unwrap();
         out.sort();
@@ -979,8 +979,7 @@ mod tests {
         // The PDE handle: a reader keeps the buckets after the handle goes.
         let pre = source.pre_shuffle(4).unwrap();
         let reader = pre.read(vec![(0..4).collect()]);
-        let agg = Aggregator::new(|v: i64| v, |c, v| c + v, |a, b| a + b);
-        let agg_reader = pre.read_aggregated(vec![(0..4).collect()], agg);
+        let agg_reader = pre.read_aggregated(vec![(0..4).collect()], |c: &mut i64, v| *c += *v);
         drop(pre);
         assert_eq!(ctx.shuffle_manager().registered(), 1);
         assert_eq!(reader.collect().unwrap().len(), 6);

@@ -294,15 +294,18 @@ impl ShuffleManager {
             .ok_or_else(|| not_registered(shuffle_id))
     }
 
-    /// Fetch the rows of `buckets` (distinct reduce buckets) in one call:
-    /// bucket by bucket in the order given, each bucket's rows in map-task
-    /// order. Returns the rows plus the number of bytes fetched (for
-    /// metrics). Costs the buckets that hold rows, not the buckets asked for.
-    pub fn fetch<T: Clone + Send + Sync + 'static>(
+    /// Visit the rows of `buckets` (distinct reduce buckets) in place, one
+    /// slice per non-empty piece: bucket by bucket in the order given, each
+    /// bucket's rows in map-task order. Returns the number of rows and bytes
+    /// visited (for metrics). Costs the buckets that hold rows, not the
+    /// buckets asked for. The manager lock covers only cloning the map
+    /// outputs' handles, so `visit` blocks no other shuffle.
+    pub fn read<T: Send + Sync + 'static>(
         &self,
         shuffle_id: usize,
         buckets: &[usize],
-    ) -> Result<(Vec<T>, u64)> {
+        mut visit: impl FnMut(&[T]),
+    ) -> Result<(usize, u64)> {
         let ShuffleEntry {
             num_buckets,
             outputs,
@@ -337,12 +340,27 @@ impl ShuffleManager {
             }
         }
         pieces.sort_unstable_by_key(|&(position, mi, _, _)| (position, mi));
-        let mut out = Vec::with_capacity(pieces.iter().map(|p| p.2.len()).sum());
-        let mut bytes = 0u64;
-        for (_, _, rows, run_bytes) in pieces {
-            out.extend_from_slice(rows);
-            bytes += run_bytes;
+        let (mut rows, mut bytes) = (0usize, 0u64);
+        for (_, _, piece, piece_bytes) in pieces {
+            visit(piece);
+            rows += piece.len();
+            bytes += piece_bytes;
         }
+        Ok((rows, bytes))
+    }
+
+    /// [`ShuffleManager::read`] into an owned copy: the rows of `buckets` in
+    /// the same order, plus the bytes fetched. Only a reader that keeps or
+    /// consumes the rows themselves (a join side, a by-value merge) pays it.
+    pub fn fetch<T: Clone + Send + Sync + 'static>(
+        &self,
+        shuffle_id: usize,
+        buckets: &[usize],
+    ) -> Result<(Vec<T>, u64)> {
+        let mut out = Vec::new();
+        let (_, bytes) = self.read(shuffle_id, buckets, |rows: &[T]| {
+            out.extend_from_slice(rows)
+        })?;
         Ok((out, bytes))
     }
 

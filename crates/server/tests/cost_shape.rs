@@ -191,6 +191,26 @@ fn allocations_follow_the_data_touched_not_the_table_or_bucket_count() {
         per_rows[0],
         per_rows[1]
     );
+
+    // Same eight groups per partition, 10x the rows each: a GROUP BY on a
+    // bare column that is not dictionary-coded (an int, a run-length
+    // string) builds a key per group, not per row.
+    for sql in [
+        "SELECT bucket, COUNT(*), SUM(score) FROM grouped GROUP BY bucket",
+        "SELECT tier, COUNT(*), MAX(score) FROM grouped GROUP BY tier",
+    ] {
+        let mut per_rows = Vec::new();
+        for rows_per_partition in [400usize, 4_000] {
+            let server = server_with_groups(rows_per_partition);
+            per_rows.push(allocations_per_statement(&server.session(), sql, 8));
+        }
+        assert!(
+            per_rows[1] < 2.0 * per_rows[0],
+            "{sql}: 400 vs 4,000 rows per partition: {:.0} vs {:.0} allocations per statement",
+            per_rows[0],
+            per_rows[1]
+        );
+    }
 }
 
 /// A `REGIONS`-partition cached table of `rows_per_partition` rows with a
@@ -219,5 +239,37 @@ fn server_with_scores(rows_per_partition: usize) -> SharkServer {
         .with_cache(4),
     );
     server.load_table("scores").unwrap();
+    server
+}
+
+/// A `REGIONS`-partition cached table of `rows_per_partition` rows with a
+/// pseudorandom integer `score` and two eight-valued group columns that are
+/// not dictionary-coded: `bucket`, an int cycling row by row, and `tier`, a
+/// string in eight runs per partition (run-length encoded).
+fn server_with_groups(rows_per_partition: usize) -> SharkServer {
+    let server = SharkServer::new(ServerConfig::default());
+    let schema = Schema::from_pairs(&[
+        ("score", DataType::Int),
+        ("bucket", DataType::Int),
+        ("tier", DataType::Str),
+    ]);
+    let run = rows_per_partition / 8;
+    server.register_table(
+        TableMeta::new("grouped", schema, REGIONS, move |p| {
+            (0..rows_per_partition)
+                .map(|i| {
+                    let n = p * rows_per_partition + i;
+                    row![
+                        (n.wrapping_mul(2_654_435_761) % 1_000_003) as i64,
+                        (n % 8) as i64,
+                        format!("tier-{}", i / run)
+                    ]
+                })
+                .collect()
+        })
+        .with_row_count_hint((REGIONS * rows_per_partition) as u64)
+        .with_cache(4),
+    );
+    server.load_table("grouped").unwrap();
     server
 }

@@ -339,3 +339,98 @@ fn top_k_over_a_cached_table_runs_the_fused_scan() {
         "SELECT k * 2 AS d, amount FROM nulls_full ORDER BY d LIMIT 5"
     ));
 }
+
+/// Pavlo-shaped `uservisits` and `rankings` tables, six partitions each:
+/// `sourceIP` takes more distinct values per partition than a dictionary
+/// holds (a plain string column, like the benchmark's), and every visit's
+/// `destURL` names a ranked page.
+fn register_visits(server: &SharkServer) {
+    let visits = Schema::from_pairs(&[
+        ("sourceIP", DataType::Str),
+        ("destURL", DataType::Str),
+        ("adRevenue", DataType::Float),
+        ("visitDate", DataType::Int),
+        ("duration", DataType::Int),
+    ]);
+    server.register_table(
+        TableMeta::new("uservisits", visits, PARTITIONS, |p| {
+            let mut rng = SEED ^ (p as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (0..400)
+                .map(|_| {
+                    let r = splitmix(&mut rng);
+                    row![
+                        format!("10.{}.{}", r % 40, (r >> 8) % 50),
+                        format!("url-{}", (r >> 16) % 300),
+                        ((r >> 24) % 10_000) as f64 / 100.0,
+                        ((r >> 40) % 30) as i64,
+                        ((r >> 48) % 20) as i64
+                    ]
+                })
+                .collect()
+        })
+        .with_cache(PARTITIONS)
+        .with_row_count_hint((PARTITIONS * 400) as u64),
+    );
+    let rankings = Schema::from_pairs(&[("pageURL", DataType::Str), ("pageRank", DataType::Int)]);
+    server.register_table(
+        TableMeta::new("rankings", rankings, 2, |p| {
+            (0..150)
+                .map(|i| {
+                    let page = p * 150 + i;
+                    row![format!("url-{page}"), (page * 7 % 100) as i64]
+                })
+                .collect()
+        })
+        .with_cache(2)
+        .with_row_count_hint(300),
+    );
+    for table in ["uservisits", "rankings"] {
+        server.load_table(table).unwrap();
+    }
+}
+
+#[test]
+fn group_by_output_order_is_a_function_of_the_data() {
+    // A GROUP BY without ORDER BY promises no order, but the order it
+    // returns must not depend on the process: two servers built from the
+    // same tables, blocking or streamed, return the groups in one order —
+    // on the fused vectorized path and on the row path.
+    let queries = [
+        "SELECT sourceIP, SUM(adRevenue) FROM uservisits WHERE duration > 3 GROUP BY sourceIP",
+        "SELECT sourceIP, AVG(pageRank), SUM(adRevenue) AS totalRevenue \
+         FROM rankings R, uservisits UV \
+         WHERE R.pageURL = UV.destURL AND UV.visitDate BETWEEN 10 AND 17 \
+         GROUP BY UV.sourceIP",
+    ];
+    let servers = [
+        SharkServer::new(ServerConfig::default()),
+        SharkServer::new(ServerConfig::default()),
+    ];
+    for server in &servers {
+        register_visits(server);
+    }
+    for vectorized in [true, false] {
+        let sessions: Vec<SessionHandle> = servers
+            .iter()
+            .map(|server| {
+                let mut session = server.session();
+                session.set_exec_config(ExecConfig {
+                    vectorized,
+                    ..ExecConfig::shark()
+                });
+                session
+            })
+            .collect();
+        for query in queries {
+            let reference = fetch_blocking(&sessions[0], query);
+            assert!(reference.len() > 500, "{query}: {} groups", reference.len());
+            for (s, session) in sessions.iter().enumerate() {
+                let context = format!("server {s}, vectorized {vectorized}");
+                let blocking = fetch_blocking(session, query);
+                assert!(blocking == reference, "{context}, blocking: {query}");
+                let streamed = fetch_streamed(session, query);
+                assert!(streamed == reference, "{context}, streamed: {query}");
+            }
+        }
+    }
+}

@@ -256,12 +256,11 @@ impl AggStates {
         }
     }
 
-    /// Merge another group state into this one.
-    pub fn merge(mut self, other: &AggStates) -> AggStates {
+    /// Merge another group state into this one, in place.
+    pub fn merge_from(&mut self, other: &AggStates) {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             a.merge(b);
         }
-        self
     }
 
     /// Finalize all aggregates.
@@ -361,9 +360,9 @@ mod tests {
         for r in &rows[4..] {
             p2.update_row(&aggs, r);
         }
-        let merged = p1.merge(&p2);
-        assert_eq!(single.finalize(), merged.finalize());
-        assert_eq!(merged.finalize(), vec![Value::Float(45.0), Value::Int(10)]);
+        p1.merge_from(&p2);
+        assert_eq!(single.finalize(), p1.finalize());
+        assert_eq!(p1.finalize(), vec![Value::Float(45.0), Value::Int(10)]);
     }
 
     #[test]

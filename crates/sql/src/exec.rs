@@ -1547,7 +1547,7 @@ fn build_fused_aggregation(
         cfg,
         notes,
         sim_seconds,
-        pairs,
+        Partials::PerGroup(pairs),
         agg,
     )?))
 }
@@ -1576,7 +1576,17 @@ fn build_aggregation(
             })
             .collect::<Vec<(Row, AggStates)>>()
     });
-    finish_aggregation(cfg, notes, sim_seconds, pairs, agg)
+    finish_aggregation(cfg, notes, sim_seconds, Partials::PerRow(pairs), agg)
+}
+
+/// The `(group key, partial state)` pairs an aggregation builder produced.
+enum Partials {
+    /// One pair per input row (the row path): combined map-side per key.
+    PerRow(Rdd<(Row, AggStates)>),
+    /// At most one pair per group per partition (the fused scan's partial
+    /// aggregate): already the map-side combine, so they are bucketed as
+    /// they are.
+    PerGroup(Rdd<(Row, AggStates)>),
 }
 
 /// Shuffle the `(group key, partial state)` pairs, merge states per key, and
@@ -1586,18 +1596,21 @@ fn finish_aggregation(
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
     sim_seconds: &mut f64,
-    pairs: Rdd<(Row, AggStates)>,
+    partials: Partials,
     agg: &AggregateNode,
 ) -> Result<Rdd<Row>> {
-    let aggregator: Aggregator<AggStates, AggStates> = Aggregator::new(
-        |s| s,
-        |c: AggStates, s: AggStates| c.merge(&s),
-        |a: AggStates, b: AggStates| a.merge(&b),
-    );
+    let merge = |mut c: AggStates, s: AggStates| {
+        c.merge_from(&s);
+        c
+    };
+    let aggregator = Aggregator::new(|s: AggStates| s, merge, merge);
 
     let pde = matches!(cfg.mode, ExecutionMode::Shark { pde: true, .. });
     let aggregated: Rdd<(Row, AggStates)> = if pde {
-        let pre = pairs.pre_shuffle_combined(cfg.fine_buckets, aggregator.clone())?;
+        let pre = match partials {
+            Partials::PerRow(pairs) => pairs.pre_shuffle_combined(cfg.fine_buckets, aggregator)?,
+            Partials::PerGroup(pairs) => pairs.pre_shuffle_precombined(cfg.fine_buckets)?,
+        };
         *sim_seconds += pre.sim_seconds();
         let assignment = coalesce_buckets(
             &pre.summary().bucket_bytes,
@@ -1609,12 +1622,13 @@ fn finish_aggregation(
             pre.num_buckets(),
             assignment.len()
         ));
-        pre.read_aggregated(assignment, aggregator)
+        pre.read_aggregated(assignment, AggStates::merge_from)
     } else {
         notes.push(format!(
             "aggregation with {} (static) reduce tasks",
             cfg.default_reducers
         ));
+        let (Partials::PerRow(pairs) | Partials::PerGroup(pairs)) = partials;
         pairs.combine_by_key(cfg.default_reducers, aggregator)
     };
 

@@ -879,6 +879,110 @@ mod tests {
     }
 
     #[test]
+    fn fused_aggregate_emits_at_most_one_pair_per_key_in_every_encoding() {
+        use crate::aggregate::AggFunc;
+        use shark_columnar::EncodingKind;
+        use shark_common::Value;
+        // 300 rows per partition: `ip` has too many distinct values for a
+        // dictionary (plain), `region` few (dictionary), `tier` long runs
+        // (run-length); `n` is an int with NULLs and `x` a float whose keys
+        // include NULL, -0.0 and 0.0 (one group under `Value`'s equality).
+        let schema = Schema::from_pairs(&[
+            ("id", DataType::Int),
+            ("ip", DataType::Str),
+            ("region", DataType::Str),
+            ("tier", DataType::Str),
+            ("n", DataType::Int),
+            ("x", DataType::Float),
+        ]);
+        let meta = Arc::new(
+            TableMeta::new("mixed", schema, 4, |p| {
+                (0..300usize)
+                    .map(|i| {
+                        let id = p * 300 + i;
+                        let n = if id.is_multiple_of(9) {
+                            Value::Null
+                        } else {
+                            Value::Int((id % 5) as i64)
+                        };
+                        let x = match id % 4 {
+                            0 => Value::Float(-0.0),
+                            1 => Value::Float(0.0),
+                            2 => Value::Null,
+                            _ => Value::Float(1.5),
+                        };
+                        Row::new(vec![
+                            Value::Int(id as i64),
+                            Value::str(format!("10.0.{}", (id * 7919) % 280)),
+                            Value::str(["us", "eu", "apac"][(id * 31 + id / 7) % 3]),
+                            Value::str(["gold", "silver", "bronze"][(id / 50) % 3]),
+                            n,
+                            x,
+                        ])
+                    })
+                    .collect()
+            })
+            .with_cache(3),
+        );
+        load(&meta);
+        let part = meta.cached.as_ref().unwrap().get(0).unwrap();
+        assert_eq!(part.encoding(1), EncodingKind::Plain);
+        assert_eq!(part.encoding(2), EncodingKind::Dictionary);
+        assert_eq!(part.encoding(3), EncodingKind::RunLength);
+
+        let projection: Vec<usize> = (0..6).collect();
+        let projected = meta.schema.project(&projection);
+        let aggs = vec![AggExpr {
+            func: AggFunc::Count,
+            arg: None,
+        }];
+        let grouped_by = |exprs: &[&str]| -> Vec<BoundExpr> {
+            exprs.iter().map(|e| bind_filter(e, &projected)).collect()
+        };
+        for (keys, filter) in [
+            (vec!["ip"], None),
+            (vec!["region"], None),
+            (vec!["tier"], None),
+            (vec!["region", "tier"], None),
+            (vec!["n * 2"], None),
+            (vec!["n", "x"], None),
+            (vec![], None),
+            // Empties partitions 1 and 3 (ids 300..599 and 900..1199).
+            (vec!["region"], Some("id % 600 < 100")),
+        ] {
+            let filters: Vec<BoundExpr> =
+                filter.iter().map(|f| bind_filter(f, &projected)).collect();
+            let rdd = MemAggScanRdd::create(
+                &RddContext::local(),
+                meta.clone(),
+                (0..meta.num_partitions).collect(),
+                projection.clone(),
+                filters,
+                grouped_by(&keys),
+                aggs.clone(),
+                2.0,
+            )
+            .unwrap();
+            let per_partition = rdd
+                .map_partitions_with_index(|p, pairs| {
+                    let total = pairs.len();
+                    let distinct: std::collections::HashSet<Row> =
+                        pairs.into_iter().map(|(key, _)| key).collect();
+                    vec![(p, total, distinct.len())]
+                })
+                .collect()
+                .unwrap();
+            assert_eq!(per_partition.len(), meta.num_partitions, "{keys:?}");
+            for (p, total, distinct) in per_partition {
+                assert_eq!(total, distinct, "{keys:?} {filter:?}: partition {p}");
+                if filter.is_some() && p % 2 == 1 {
+                    assert_eq!(total, 0, "{keys:?} {filter:?}: partition {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn topk_sort_charge_is_what_the_bounded_buffer_sorts() {
         for k in 0..7usize {
             for n in 0..40usize {

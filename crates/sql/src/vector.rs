@@ -16,9 +16,8 @@
 //! All kernels produce exactly the rows `BoundExpr::eval_predicate` keeps, so
 //! the vectorized scan is byte-identical to the row scan.
 
-use std::collections::HashMap;
-
 use shark_columnar::{ColumnBatch, EncodedColumn, Selection};
+use shark_common::hash::GroupTable;
 use shark_common::{DataType, Row, Value};
 
 use crate::aggregate::{AggExpr, AggStates};
@@ -234,26 +233,30 @@ pub fn vector_partial_aggregate(
         .chain(agg_sources.iter())
         .any(ValueSource::needs_scratch);
 
-    let mut index: HashMap<Row, usize> = HashMap::new();
-    let mut groups: Vec<(Row, AggStates)> = Vec::new();
+    // Each row's key is built in one reused buffer and looked up as a
+    // slice: a group's `Row` is allocated once, at its first row.
+    let mut groups: GroupTable<Row, AggStates> = GroupTable::default();
+    let mut key: Vec<Value> = Vec::with_capacity(group_sources.len());
     for (k, i) in batch.selection().iter().enumerate() {
         let scratch = needs_scratch.then(|| batch.scratch_row(i));
-        let key = Row::new(
+        key.clear();
+        key.extend(
             group_sources
                 .iter()
-                .map(|s| s.value(k, scratch.as_ref()).expect("group value"))
-                .collect(),
+                .map(|s| s.value(k, scratch.as_ref()).expect("group value")),
         );
-        let slot = *index.entry(key).or_insert_with_key(|key| {
-            groups.push((key.clone(), AggStates::new(aggs)));
-            groups.len() - 1
+        let update = |states: &mut AggStates| {
+            for (state, source) in states.0.iter_mut().zip(agg_sources.iter()) {
+                state.update(source.value(k, scratch.as_ref()).as_ref());
+            }
+        };
+        groups.fold_ref(key.as_slice(), update, || {
+            let mut states = AggStates::new(aggs);
+            update(&mut states);
+            (Row::new(key.clone()), states)
         });
-        let states = &mut groups[slot].1;
-        for (state, source) in states.0.iter_mut().zip(agg_sources.iter()) {
-            state.update(source.value(k, scratch.as_ref()).as_ref());
-        }
     }
-    groups
+    groups.into_vec()
 }
 
 /// Dictionary-code group-by: one dense slot per dictionary entry.
@@ -313,6 +316,7 @@ mod tests {
     use crate::parser::parse_select;
     use shark_columnar::ColumnarPartition;
     use shark_common::{row, Schema};
+    use std::collections::HashMap;
 
     fn schema() -> Schema {
         Schema::from_pairs(&[

@@ -3,7 +3,7 @@
 //! result is collected or streamed, at any prefetch depth, and equal to what
 //! `job_history()` recorded for it.
 
-use shark_common::{row, DataType, Schema};
+use shark_common::{row, DataType, Row, Schema, Value};
 use shark_rdd::{JobReport, RddConfig, RddContext};
 use shark_sql::{ExecConfig, SqlSession, TableMeta};
 
@@ -410,6 +410,140 @@ fn top_k_charges_the_same_on_the_vectorized_and_row_paths() {
                     assert_eq!(vt.preferred_node, rt.preferred_node, "{case}");
                 }
             }
+        }
+    }
+}
+
+/// A fresh context (the same cluster as [`session`]) with one 8-partition
+/// cached `visits` table for the aggregation shapes. Per partition of 400
+/// rows: `ip` has more distinct values than a dictionary takes (plain),
+/// `region` few (dictionary), `tier` long runs (run-length); `n` is an int
+/// with NULLs and `x` a float whose values include NULL, -0.0 and 0.0.
+fn visits_session(exec: ExecConfig) -> SqlSession {
+    let session = SqlSession::new(RddContext::new(RddConfig::default()), exec);
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int),
+        ("ip", DataType::Str),
+        ("region", DataType::Str),
+        ("tier", DataType::Str),
+        ("n", DataType::Int),
+        ("x", DataType::Float),
+        ("v", DataType::Float),
+    ]);
+    session.register_table(
+        TableMeta::new("visits", schema, 8, |p| {
+            (0..400)
+                .map(|i| {
+                    let id = (p * 400 + i) as u64;
+                    let n = if id.is_multiple_of(9) {
+                        Value::Null
+                    } else {
+                        Value::Int((mix(id) % 5) as i64)
+                    };
+                    let x = match mix(id ^ 0x77) % 4 {
+                        0 => Value::Float(-0.0),
+                        1 => Value::Float(0.0),
+                        2 => Value::Null,
+                        _ => Value::Float(1.5),
+                    };
+                    Row::new(vec![
+                        Value::Int(id as i64),
+                        Value::str(format!("10.{}.{}", mix(id) % 60, mix(id ^ 0x33) % 50)),
+                        Value::str(["us", "eu", "apac", "latam"][(mix(id ^ 0xA5) % 4) as usize]),
+                        Value::str(["gold", "silver", "bronze"][(id / 50 % 3) as usize]),
+                        n,
+                        x,
+                        Value::Float((mix(id ^ 0x5A) % 1000) as f64 / 10.0),
+                    ])
+                })
+                .collect()
+        })
+        .with_cache(4)
+        .with_row_count_hint(8 * 400),
+    );
+    session.load_table("visits").unwrap();
+    session
+}
+
+/// GROUP BY shapes over `visits`, with the `sql().sim_seconds` the fused
+/// (vectorized) path and the row path reported before the aggregation
+/// shuffle read map outputs in place and the fused partial aggregate
+/// stopped being combined again map-side.
+const AGGREGATION_SHAPES: [(&str, &str, f64, f64); 9] = [
+    (
+        "high-cardinality string key",
+        "SELECT ip, COUNT(*), SUM(v) FROM visits GROUP BY ip",
+        0.0106877005,
+        0.0106879105,
+    ),
+    (
+        "dictionary key",
+        "SELECT region, AVG(v), MAX(x) FROM visits GROUP BY region",
+        0.010048326750000001,
+        0.01005426675,
+    ),
+    (
+        "run-length key",
+        "SELECT tier, COUNT(*), MIN(v) FROM visits GROUP BY tier",
+        0.010042541999999998,
+        0.010048497,
+    ),
+    (
+        "two-column key",
+        "SELECT region, tier, SUM(v) FROM visits GROUP BY region, tier",
+        0.010056900749999998,
+        0.010062720749999999,
+    ),
+    (
+        "expression key",
+        "SELECT id % 7, COUNT(*), SUM(v) FROM visits GROUP BY id % 7",
+        0.010056399,
+        0.010062294,
+    ),
+    (
+        "having",
+        "SELECT ip, SUM(v) FROM visits GROUP BY ip HAVING COUNT(*) > 1",
+        0.010613688500000001,
+        0.010613898500000002,
+    ),
+    (
+        "global aggregate",
+        "SELECT COUNT(*), SUM(v), AVG(x) FROM visits",
+        0.010041014999999999,
+        0.010046999999999999,
+    ),
+    (
+        "filter that empties partitions",
+        "SELECT region, COUNT(*), SUM(v) FROM visits WHERE id % 800 < 100 GROUP BY region",
+        0.010049518749999998,
+        0.01005095875,
+    ),
+    (
+        "NULL, -0.0 and 0.0 keys",
+        "SELECT n, x, COUNT(*), SUM(v) FROM visits GROUP BY n, x",
+        0.010066128999999998,
+        0.010071859,
+    ),
+];
+
+#[test]
+fn aggregation_shapes_report_the_seconds_they_reported_before() {
+    for (name, sql, fused, row) in AGGREGATION_SHAPES {
+        for (vectorized, before) in [(true, fused), (false, row)] {
+            let exec = ExecConfig {
+                vectorized,
+                ..ExecConfig::shark()
+            };
+            let result = visits_session(exec).sql(sql).unwrap();
+            assert!(!result.rows.is_empty(), "{name}");
+            let ran_fused = result.notes.iter().any(|n| n.contains("fused scan"));
+            assert_eq!(ran_fused, vectorized, "{name}: {:?}", result.notes);
+            assert_eq!(
+                result.sim_seconds.to_bits(),
+                before.to_bits(),
+                "{name} (vectorized: {vectorized}): {:?}",
+                result.sim_seconds
+            );
         }
     }
 }
