@@ -66,15 +66,22 @@ fn session(exec: ExecConfig, prefetch: usize) -> SqlSession {
 }
 
 const JOIN: &str = "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 50";
+const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 
-/// The eight statement shapes, each with the executor configuration that
-/// produces it and — for the shapes the refactor must not move — the
-/// `sql().sim_seconds` the commit before it reported (see
-/// `unmoved_shapes_report_the_seconds_they_reported_before`).
+/// The statement shapes, each with the executor configuration that produces
+/// it and — for the shapes a refactor must not move — the `sql().sim_seconds`
+/// the commit before it reported, to the bit (see
+/// `unmoved_shapes_report_the_seconds_they_reported_before`). The static
+/// (`shark_static`) and Hive rows pin the lazy shuffles: a GROUP BY through
+/// the row and the fused builder, and a shuffle join.
 fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
     let shuffle_join = ExecConfig {
         broadcast_threshold: 0,
         ..ExecConfig::shark()
+    };
+    let row_static = ExecConfig {
+        vectorized: false,
+        ..ExecConfig::shark_static()
     };
     vec![
         (
@@ -92,7 +99,7 @@ fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
         (
             "group-by",
             ExecConfig::shark(),
-            "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp",
+            GROUP_BY,
             Some(0.015032907500000005),
         ),
         (
@@ -124,6 +131,36 @@ fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
             ExecConfig::shark(),
             "SELECT id FROM facts LIMIT 7",
             None,
+        ),
+        (
+            "static group-by (row path)",
+            row_static,
+            GROUP_BY,
+            Some(0.05003189049999999),
+        ),
+        (
+            "static group-by (fused)",
+            ExecConfig::shark_static(),
+            GROUP_BY,
+            Some(0.05002841049999999),
+        ),
+        (
+            "static shuffle-join",
+            ExecConfig::shark_static(),
+            JOIN,
+            Some(0.05521903299999998),
+        ),
+        (
+            "hive group-by",
+            ExecConfig::hive(),
+            GROUP_BY,
+            Some(0.050213888999999984),
+        ),
+        (
+            "hive shuffle-join",
+            ExecConfig::hive(),
+            JOIN,
+            Some(0.05588544499999998),
         ),
     ]
 }
@@ -204,8 +241,7 @@ fn unmoved_shapes_report_the_seconds_they_reported_before() {
     for (name, exec, sql, before) in shapes() {
         let Some(before) = before else { continue };
         let now = session(exec, 2).sql(sql).unwrap().sim_seconds;
-        // A sum of stage durations where there was one clock subtraction.
-        assert_close(now, before, 1e-12, name);
+        assert_eq!(now.to_bits(), before.to_bits(), "{name}: {now:?}");
     }
 }
 
