@@ -100,8 +100,9 @@ pub fn fx_hash<T: Hash + ?Sized>(value: &T) -> u64 {
 
 /// Deterministically map a key to one of `num_partitions` shuffle partitions.
 ///
-/// This is the hash partitioner used by `reduce_by_key`, `group_by_key` and
-/// shuffle joins. It is stable across processes and re-executions.
+/// This is the hash partitioner of every shuffle (`reduce_by_key`,
+/// `combine_by_key_ref`, joins, PDE's pre-shuffles). It is stable across
+/// processes and re-executions.
 pub fn hash_partition<T: Hash + ?Sized>(key: &T, num_partitions: usize) -> usize {
     debug_assert!(num_partitions > 0, "partition count must be positive");
     (fx_hash(key) % num_partitions as u64) as usize

@@ -105,9 +105,9 @@ impl KMeans {
                             .filter_map(|(c, total)| Some((c as i64, total?)))
                             .collect()
                     },
-                    |(mut sa, ca), (sb, cb)| {
-                        add_assign(&mut sa, &sb);
-                        (sa, ca + cb)
+                    |(sa, ca), (sb, cb)| {
+                        add_assign(sa, sb);
+                        *ca += cb;
                     },
                 )
                 .collect()?;

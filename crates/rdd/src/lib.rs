@@ -18,9 +18,10 @@
 //!   creates source RDDs and runs jobs.
 //! * [`Rdd`] — lazily evaluated transformations plus actions (`collect`,
 //!   `count`, `reduce`, …) that trigger job execution.
-//! * Pair-RDD operations (`reduce_by_key`, `group_by_key`, `join`,
-//!   `partition_by`, `pre_shuffle`) in [`pair`].
-//! * [`pair::PreShuffledRdd`] + [`pair::ShuffleReadRdd`] — the hooks Partial
+//! * Pair-RDD operations (`reduce_by_key`, `combine_by_key_ref`, `join`,
+//!   `pre_shuffle`) in [`pair`]: one shuffle dependency, read back by one
+//!   bucket reader, [`pair::ShuffleReadRdd`], that merges in place.
+//! * [`pair::PairShuffle`] + [`pair::PreShuffledRdd`] — the hooks Partial
 //!   DAG Execution uses: materialize the map side of a shuffle, inspect the
 //!   per-bucket statistics, then decide the reduce-side plan (join strategy,
 //!   reducer count, bucket coalescing).
@@ -46,7 +47,7 @@ pub use cache::{BlockId, BlockStore, Candidate, Owner, Totals};
 pub use context::{JobReport, RddConfig, RddContext, StageReport};
 pub use executor::Executor;
 pub use metrics::TaskMetrics;
-pub use pair::{Aggregator, PreShuffledRdd};
+pub use pair::{PairShuffle, PreShuffledRdd};
 pub use rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
 pub use scheduler::PipelinedJob;
 pub use shuffle::{MapOutput, MapOutputStats, ShuffleManager, ShuffleSummary};

@@ -1,16 +1,24 @@
-//! Key/value (pair) RDD operations: shuffles, aggregations, joins, and the
-//! Partial-DAG-Execution hooks.
+//! Key/value (pair) RDD operations: the one shuffle, aggregations, joins,
+//! and the Partial-DAG-Execution hooks.
 //!
-//! The wide operations here introduce shuffle dependencies: `reduce_by_key`,
-//! `group_by_key`, `combine_by_key`, `partition_by`, `cogroup` and `join`.
-//! In addition, [`Rdd::pre_shuffle`] materializes just the *map side* of a
-//! shuffle and hands back a [`PreShuffledRdd`] whose statistics
-//! ([`crate::shuffle::ShuffleSummary`]) the query optimizer
-//! can inspect before deciding how to consume the shuffle — the mechanism
-//! behind the paper's partial DAG execution (§3.1): choosing map vs. shuffle
-//! joins, picking the number of reducers, and bin-packing skewed buckets.
+//! Every shuffle is one dependency: a parent RDD whose partitions a map task
+//! folds into `(key, combiner)` pairs — a map-side combine, or the pairs as
+//! they are for a repartition — and hash-partitions into buckets. Every
+//! shuffle is read back by one [`ShuffleReadRdd`], whose reduce partitions
+//! each read a list of buckets; a merging reader folds each key's
+//! combiners in place as it reads the map outputs.
+//!
+//! A lazy shuffle (`reduce_by_key`, `combine_by_key_ref`, `cogroup`, `join`,
+//! a static GROUP BY's [`PairShuffle::read_aggregated`]) registers its
+//! dependency in the lineage: the first job that reads it runs its map
+//! stage, and it reads one bucket per reduce partition. [`PairShuffle::run`]
+//! (and [`Rdd::pre_shuffle`]) runs the same dependency's map stage at once
+//! and hands back a [`PreShuffledRdd`] whose
+//! statistics ([`crate::shuffle::ShuffleSummary`]) the query optimizer can
+//! inspect before deciding how to read it — the mechanism behind the
+//! paper's partial DAG execution (§3.1): choosing map vs. shuffle joins,
+//! picking the number of reducers, and bin-packing skewed buckets.
 
-use std::collections::HashMap;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -25,56 +33,6 @@ use crate::rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
 use crate::scheduler;
 use crate::shuffle::{ShuffleLease, ShuffleSummary};
 
-/// Combiner functions used for shuffle-time aggregation, mirroring Spark's
-/// `Aggregator`: `create` turns the first value for a key into a combiner,
-/// `merge_value` folds further values in, and `merge_combiners` merges
-/// map-side partial aggregates on the reduce side.
-pub struct Aggregator<V, C> {
-    /// Create a combiner from the first value observed for a key.
-    pub create: Arc<dyn Fn(V) -> C + Send + Sync>,
-    /// Fold one more value into an existing combiner.
-    pub merge_value: Arc<dyn Fn(C, V) -> C + Send + Sync>,
-    /// Merge two partial combiners.
-    pub merge_combiners: Arc<dyn Fn(C, C) -> C + Send + Sync>,
-}
-
-impl<V, C> Clone for Aggregator<V, C> {
-    fn clone(&self) -> Self {
-        Aggregator {
-            create: self.create.clone(),
-            merge_value: self.merge_value.clone(),
-            merge_combiners: self.merge_combiners.clone(),
-        }
-    }
-}
-
-impl<V, C> Aggregator<V, C> {
-    /// Combine `pairs` per key: `create` on a key's first value, then
-    /// `merge_value` for each further one, in input order. Keys come out
-    /// in first-seen order.
-    fn combine<K: Hash + Eq>(&self, pairs: Vec<(K, V)>) -> Vec<(K, C)> {
-        let mut groups = GroupTable::default();
-        for (k, v) in pairs {
-            groups.fold(k, v, &*self.create, &*self.merge_value);
-        }
-        groups.into_vec()
-    }
-
-    /// Build an aggregator from the three combiner functions.
-    pub fn new<FC, FV, FM>(create: FC, merge_value: FV, merge_combiners: FM) -> Aggregator<V, C>
-    where
-        FC: Fn(V) -> C + Send + Sync + 'static,
-        FV: Fn(C, V) -> C + Send + Sync + 'static,
-        FM: Fn(C, C) -> C + Send + Sync + 'static,
-    {
-        Aggregator {
-            create: Arc::new(create),
-            merge_value: Arc::new(merge_value),
-            merge_combiners: Arc::new(merge_combiners),
-        }
-    }
-}
-
 /// The input source a reduce task reads shuffle data from, per the profile
 /// (§5: Shark keeps map output in memory, Hadoop spills it to disk).
 pub(crate) fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
@@ -85,27 +43,38 @@ pub(crate) fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
     }
 }
 
+/// A map task's step between its (shared) partition and its buckets.
+type PartitionFold<T, K, C> = Arc<dyn Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync>;
+
+/// A reduce-side merge: fold one map output's combiner into a key's
+/// running one, in place.
+type MergeFn<C> = Arc<dyn Fn(&mut C, &C) + Send + Sync>;
+
+/// The map stage's and the PDE job's names (each followed by the shuffle
+/// id) of a shuffle that buckets its pairs as they are…
+const REPARTITION: (&str, &str) = ("shuffle-map", "pre_shuffle");
+/// …and of one that buckets a map-side combine.
+const COMBINE: (&str, &str) = ("shuffle-map-combine", "pre_shuffle_combined");
+
 // ---------------------------------------------------------------------------
-// Shuffle dependencies
+// The shuffle dependency and its reader
 // ---------------------------------------------------------------------------
 
-/// The per-partition map-side combine of a [`CombineShuffleDep`].
-type CombineFn<T, K, C> = Arc<dyn Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync>;
-
-/// Shuffle dependency that combines each parent partition map-side into
-/// `(K, C)` pairs: with an [`Aggregator`] over a pair RDD
-/// ([`Rdd::combine_by_key`]), or with a by-reference fold that also absorbs
-/// a `map` ([`Rdd::combine_by_key_ref`]).
-pub struct CombineShuffleDep<T: Data, K: Data + Hash + Eq, C: Data> {
-    pub(crate) lease: Arc<ShuffleLease>,
-    pub(crate) num_buckets: usize,
-    pub(crate) parent: Rdd<T>,
+/// The one shuffle dependency: each map task charges `map_ops_per_row` for a
+/// fused `map`, folds its partition of `parent` into `(K, C)` pairs and
+/// buckets them by key.
+struct ShuffleDep<T: Data, K: Data + Hash + Eq, C: Data> {
+    lease: Arc<ShuffleLease>,
+    num_buckets: usize,
+    parent: Rdd<T>,
+    /// The map stage's name, before the shuffle id.
+    stage: &'static str,
     /// Ops charged per parent row for a fused `map` (0 when none is fused).
-    pub(crate) map_ops_per_row: f64,
-    pub(crate) combine: CombineFn<T, K, C>,
+    map_ops_per_row: f64,
+    fold: PartitionFold<T, K, C>,
 }
 
-impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for CombineShuffleDep<T, K, C> {
+impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for ShuffleDep<T, K, C> {
     fn shuffle_id(&self) -> usize {
         self.lease.id()
     }
@@ -119,67 +88,47 @@ impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for CombineShuffleD
         ctx.shuffle_manager().is_complete(self.lease.id())
     }
     fn run_map_stage(&self, ctx: &RddContext) -> Result<StageReport> {
-        scheduler::run_shuffle_map_stage_combined(
+        let id = self.lease.id();
+        scheduler::run_map_stage(
             ctx,
             &self.parent,
-            self.lease.id(),
+            id,
             self.num_buckets,
+            &format!("{}({id})", self.stage),
             self.map_ops_per_row,
-            &*self.combine,
+            &*self.fold,
         )
     }
 }
 
-/// Shuffle dependency without map-side combining (stores raw `(K, V)` pairs).
-pub struct RepartitionShuffleDep<K: Data + Hash + Eq, V: Data> {
-    pub(crate) lease: Arc<ShuffleLease>,
-    pub(crate) num_buckets: usize,
-    pub(crate) parent: Rdd<(K, V)>,
-}
-
-impl<K: Data + Hash + Eq, V: Data> ShuffleDepHandle for RepartitionShuffleDep<K, V> {
-    fn shuffle_id(&self) -> usize {
-        self.lease.id()
-    }
-    fn num_buckets(&self) -> usize {
-        self.num_buckets
-    }
-    fn parent_lineage(&self) -> Arc<dyn Lineage> {
-        self.parent.lineage()
-    }
-    fn is_materialized(&self, ctx: &RddContext) -> bool {
-        ctx.shuffle_manager().is_complete(self.lease.id())
-    }
-    fn run_map_stage(&self, ctx: &RddContext) -> Result<StageReport> {
-        scheduler::run_shuffle_map_stage_raw(ctx, &self.parent, self.lease.id(), self.num_buckets)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Wide RDD implementations
-// ---------------------------------------------------------------------------
-
-/// Result of `combine_by_key` / `combine_by_key_ref` / `reduce_by_key` /
-/// `group_by_key`: reads the map-side-combined shuffle output and merges
-/// combiners per key.
-pub struct ShuffledRdd<K: Data + Hash + Eq, C: Data> {
+/// The one reduce side of a shuffle: reduce partition `i` reads the buckets
+/// `assignment[i]` — one bucket each for a lazy shuffle, lists of coalesced
+/// buckets for PDE (§3.1.2) — bucket by bucket, each in map-task order.
+///
+/// With a `merge`, it folds each key's combiners in place as it reads them
+/// from the map outputs: no pair is copied, and a key and its state are
+/// cloned once, at the key's first appearance. Without one, it keeps the
+/// rows (a join side), copying them out.
+pub struct ShuffleReadRdd<K: Data + Hash + Eq, C: Data> {
     id: usize,
-    num_partitions: usize,
     dep: Arc<dyn ShuffleDepHandle>,
-    #[allow(clippy::type_complexity)]
-    merge: Arc<dyn Fn(C, C) -> C + Send + Sync>,
+    assignment: Arc<Vec<Vec<usize>>>,
+    merge: Option<MergeFn<C>>,
     _marker: PhantomData<fn() -> K>,
 }
 
-impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, C> {
+impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffleReadRdd<K, C> {
     fn id(&self) -> usize {
         self.id
     }
     fn name(&self) -> String {
-        "shuffled".to_string()
+        match self.merge {
+            Some(_) => "shuffle_read_agg".to_string(),
+            None => "shuffle_read".to_string(),
+        }
     }
     fn num_partitions(&self) -> usize {
-        self.num_partitions
+        self.assignment.len()
     }
     fn compute(
         &self,
@@ -187,15 +136,23 @@ impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, C> {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<(K, C)>> {
-        let (pairs, bytes): (Vec<(K, C)>, u64) = ctx
-            .shuffle_manager()
-            .fetch(self.dep.shuffle_id(), &[partition])?;
-        metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
-        metrics.add_ops(pairs.len() as f64 * 2.0);
+        let (shuffle_id, buckets) = (self.dep.shuffle_id(), &self.assignment[partition]);
+        let Some(merge) = &self.merge else {
+            let (pairs, bytes): (Vec<(K, C)>, u64) =
+                ctx.shuffle_manager().fetch(shuffle_id, buckets)?;
+            metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
+            return Ok(pairs);
+        };
         let mut groups = GroupTable::default();
-        for (k, c) in pairs {
-            groups.fold(k, c, |c| c, &*self.merge);
-        }
+        let (rows, bytes) =
+            ctx.shuffle_manager()
+                .read(shuffle_id, buckets, |pairs: &[(K, C)]| {
+                    for (k, c) in pairs {
+                        groups.fold_ref(k, |state| merge(state, c), || (k.clone(), c.clone()));
+                    }
+                })?;
+        metrics.record_input(rows as u64, bytes, shuffle_fetch_source(ctx));
+        metrics.add_ops(rows as f64 * 2.0);
         Ok(groups.into_vec())
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
@@ -206,49 +163,36 @@ impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffledRdd<K, C> {
     }
 }
 
-/// Result of `partition_by`: the same pairs, hash-partitioned by key.
-pub struct RepartitionedRdd<K: Data + Hash + Eq, V: Data> {
-    id: usize,
-    num_partitions: usize,
-    dep: Arc<RepartitionShuffleDep<K, V>>,
+/// A reader of `dep` with `assignment`, merging with `merge` when given.
+fn shuffle_read<K: Data + Hash + Eq, C: Data>(
+    ctx: &RddContext,
+    dep: Arc<dyn ShuffleDepHandle>,
+    assignment: Vec<Vec<usize>>,
+    merge: Option<MergeFn<C>>,
+) -> Rdd<(K, C)> {
+    let inner = ShuffleReadRdd {
+        id: ctx.next_rdd_id(),
+        dep,
+        assignment: Arc::new(assignment),
+        merge,
+        _marker: PhantomData,
+    };
+    Rdd::new(ctx.clone(), Arc::new(inner))
 }
 
-impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for RepartitionedRdd<K, V> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        "repartitioned".to_string()
-    }
-    fn num_partitions(&self) -> usize {
-        self.num_partitions
-    }
-    fn compute(
-        &self,
-        ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(K, V)>> {
-        let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
-            .shuffle_manager()
-            .fetch(self.dep.lease.id(), &[partition])?;
-        metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
-        Ok(pairs)
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        vec![self.dep.parent.lineage()]
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        vec![self.dep.clone()]
-    }
+/// One bucket per reduce partition: how a lazy shuffle is read.
+fn one_bucket_each(num_buckets: usize) -> Vec<Vec<usize>> {
+    (0..num_buckets).map(|b| vec![b]).collect()
 }
 
-/// Result of `cogroup`: for each key, the values from both sides.
+/// Result of `cogroup`: for each key, the values from both sides, keys in
+/// first-seen order (left side first).
 pub struct CoGroupedRdd<K: Data + Hash + Eq, V: Data, W: Data> {
     id: usize,
     num_partitions: usize,
-    left: Arc<RepartitionShuffleDep<K, V>>,
-    right: Arc<RepartitionShuffleDep<K, W>>,
+    left: Arc<dyn ShuffleDepHandle>,
+    right: Arc<dyn ShuffleDepHandle>,
+    _marker: PhantomData<fn(K, V, W)>,
 }
 
 impl<K: Data + Hash + Eq, V: Data, W: Data> RddImpl<(K, (Vec<V>, Vec<W>))>
@@ -271,132 +215,103 @@ impl<K: Data + Hash + Eq, V: Data, W: Data> RddImpl<(K, (Vec<V>, Vec<W>))>
     ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>> {
         let (lpairs, lbytes): (Vec<(K, V)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.left.lease.id(), &[partition])?;
+            .fetch(self.left.shuffle_id(), &[partition])?;
         let (rpairs, rbytes): (Vec<(K, W)>, u64) = ctx
             .shuffle_manager()
-            .fetch(self.right.lease.id(), &[partition])?;
+            .fetch(self.right.shuffle_id(), &[partition])?;
         let source = shuffle_fetch_source(ctx);
         metrics.record_input(lpairs.len() as u64, lbytes, source);
         metrics.record_input(rpairs.len() as u64, rbytes, source);
         metrics.add_ops((lpairs.len() + rpairs.len()) as f64 * 2.0);
 
-        let mut table: HashMap<K, (Vec<V>, Vec<W>)> = HashMap::new();
+        let mut groups = GroupTable::default();
         for (k, v) in lpairs {
-            table.entry(k).or_default().0.push(v);
+            groups.fold(
+                k,
+                v,
+                |v| (vec![v], Vec::new()),
+                |mut c, v| {
+                    c.0.push(v);
+                    c
+                },
+            );
         }
         for (k, w) in rpairs {
-            table.entry(k).or_default().1.push(w);
+            groups.fold(
+                k,
+                w,
+                |w| (Vec::new(), vec![w]),
+                |mut c, w| {
+                    c.1.push(w);
+                    c
+                },
+            );
         }
-        Ok(table.into_iter().collect())
+        Ok(groups.into_vec())
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        vec![self.left.parent.lineage(), self.right.parent.lineage()]
+        vec![self.left.parent_lineage(), self.right.parent_lineage()]
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
         vec![self.left.clone(), self.right.clone()]
     }
 }
 
-/// Reads an already-materialized shuffle with an arbitrary assignment of
-/// buckets to partitions (used by PDE to coalesce small buckets, §3.1.2).
-pub struct ShuffleReadRdd<K: Data + Hash + Eq, V: Data> {
-    id: usize,
-    lease: Arc<ShuffleLease>,
-    assignment: Arc<Vec<Vec<usize>>>,
-    parent_lineage: Arc<dyn Lineage>,
-    _marker: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadRdd<K, V> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        "shuffle_read".to_string()
-    }
-    fn num_partitions(&self) -> usize {
-        self.assignment.len()
-    }
-    fn compute(
-        &self,
-        ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(K, V)>> {
-        let (pairs, bytes): (Vec<(K, V)>, u64) = ctx
-            .shuffle_manager()
-            .fetch(self.lease.id(), &self.assignment[partition])?;
-        metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
-        Ok(pairs)
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        vec![self.parent_lineage.clone()]
-    }
-}
-
-/// Like [`ShuffleReadRdd`] but merges the values of each key as it reads
-/// them in place (the reduce side of a PDE-planned aggregation): no pair is
-/// copied out of the map outputs, and a key and its state are cloned once,
-/// at the key's first appearance.
-pub struct ShuffleReadAggRdd<K: Data + Hash + Eq, V: Data> {
-    id: usize,
-    lease: Arc<ShuffleLease>,
-    assignment: Arc<Vec<Vec<usize>>>,
-    #[allow(clippy::type_complexity)]
-    merge: Arc<dyn Fn(&mut V, &V) + Send + Sync>,
-    parent_lineage: Arc<dyn Lineage>,
-    _marker: PhantomData<fn() -> K>,
-}
-
-impl<K: Data + Hash + Eq, V: Data> RddImpl<(K, V)> for ShuffleReadAggRdd<K, V> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        "shuffle_read_agg".to_string()
-    }
-    fn num_partitions(&self) -> usize {
-        self.assignment.len()
-    }
-    fn compute(
-        &self,
-        ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(K, V)>> {
-        let mut groups = GroupTable::default();
-        let (rows, bytes) = ctx.shuffle_manager().read(
-            self.lease.id(),
-            &self.assignment[partition],
-            |pairs: &[(K, V)]| {
-                for (k, v) in pairs {
-                    groups.fold_ref(k, |c| (self.merge)(c, v), || (k.clone(), v.clone()));
-                }
-            },
-        )?;
-        metrics.record_input(rows as u64, bytes, shuffle_fetch_source(ctx));
-        metrics.add_ops(rows as f64 * 2.0);
-        Ok(groups.into_vec())
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        vec![self.parent_lineage.clone()]
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The PDE handle: a materialized map side
+// A shuffle before and after its map stage ran
 // ---------------------------------------------------------------------------
+
+/// A pair shuffle whose map stage has not run. Read it lazily
+/// ([`Self::read_aggregated`]: the first job that reads it runs the map
+/// stage) or run the map stage now ([`Self::run`]: the PDE hook) — the same
+/// dependency either way.
+pub struct PairShuffle<K: Data + Hash + Eq, C: Data> {
+    ctx: RddContext,
+    dep: Arc<dyn ShuffleDepHandle>,
+    /// The name of the job [`Self::run`] records, before the shuffle id.
+    job: &'static str,
+    _marker: PhantomData<fn() -> (K, C)>,
+}
+
+impl<K: Data + Hash + Eq, C: Data> PairShuffle<K, C> {
+    /// Read lazily, one bucket per reduce partition, merging each key's
+    /// combiners in place with `merge` in fetch order.
+    pub fn read_aggregated<M>(self, merge: M) -> Rdd<(K, C)>
+    where
+        M: Fn(&mut C, &C) + Send + Sync + 'static,
+    {
+        let assignment = one_bucket_each(self.dep.num_buckets());
+        shuffle_read(&self.ctx, self.dep, assignment, Some(Arc::new(merge)))
+    }
+
+    /// Run the map stage now — after any upstream map stages it needs, all
+    /// recorded as one job — and hand back its statistics.
+    pub fn run(self) -> Result<PreShuffledRdd<K, C>> {
+        let mut stages = scheduler::ensure_shuffle_deps(&self.ctx, &*self.dep.parent_lineage())?;
+        stages.push(self.dep.run_map_stage(&self.ctx)?);
+        let id = self.dep.shuffle_id();
+        let summary = self.ctx.shuffle_manager().summary(id)?;
+        let sim_seconds = self
+            .ctx
+            .record_job(&format!("{}({id})", self.job), stages, 0.0);
+        Ok(PreShuffledRdd {
+            ctx: self.ctx,
+            dep: self.dep,
+            summary,
+            sim_seconds,
+            _marker: PhantomData,
+        })
+    }
+}
 
 /// A shuffle whose map stage has already run. Exposes the gathered
 /// statistics and lets the caller choose how to read the reduce side — the
 /// run-time re-optimization point of Partial DAG Execution.
 pub struct PreShuffledRdd<K: Data + Hash + Eq, V: Data> {
     ctx: RddContext,
-    lease: Arc<ShuffleLease>,
-    num_buckets: usize,
+    dep: Arc<dyn ShuffleDepHandle>,
     summary: ShuffleSummary,
     sim_seconds: f64,
-    parent_lineage: Arc<dyn Lineage>,
     _marker: PhantomData<fn() -> (K, V)>,
 }
 
@@ -413,30 +328,18 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
 
     /// Number of fine-grained buckets produced by the map stage.
     pub fn num_buckets(&self) -> usize {
-        self.num_buckets
+        self.dep.num_buckets()
     }
 
     /// The shuffle id in the shuffle manager.
     pub fn shuffle_id(&self) -> usize {
-        self.lease.id()
+        self.dep.shuffle_id()
     }
 
     /// Read the shuffle with an explicit assignment of buckets to reduce
     /// partitions (each inner vector is one reduce task's bucket list).
     pub fn read(&self, assignment: Vec<Vec<usize>>) -> Rdd<(K, V)> {
-        let inner = ShuffleReadRdd {
-            id: self.ctx.next_rdd_id(),
-            lease: self.lease.clone(),
-            assignment: Arc::new(assignment),
-            parent_lineage: self.parent_lineage.clone(),
-            _marker: PhantomData,
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
-    }
-
-    /// Read the shuffle with one reduce partition per bucket.
-    pub fn read_identity(&self) -> Rdd<(K, V)> {
-        self.read((0..self.num_buckets).map(|b| vec![b]).collect())
+        shuffle_read(&self.ctx, self.dep.clone(), assignment, None)
     }
 
     /// Read the shuffle with an explicit bucket assignment, merging each
@@ -446,22 +349,19 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
     where
         M: Fn(&mut V, &V) + Send + Sync + 'static,
     {
-        let inner = ShuffleReadAggRdd {
-            id: self.ctx.next_rdd_id(),
-            lease: self.lease.clone(),
-            assignment: Arc::new(assignment),
-            merge: Arc::new(merge),
-            parent_lineage: self.parent_lineage.clone(),
-            _marker: PhantomData,
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
+        shuffle_read(
+            &self.ctx,
+            self.dep.clone(),
+            assignment,
+            Some(Arc::new(merge)),
+        )
     }
 
     /// Fetch the entire shuffle to the driver (used when PDE decides the
     /// relation is small enough to broadcast, §3.1.1), returning the pairs
     /// and the simulated seconds of the job that fetched them.
     pub fn collect_all(&self) -> Result<(Vec<(K, V)>, f64)> {
-        let rdd = self.read_identity();
+        let rdd = self.read(one_bucket_each(self.num_buckets()));
         let (parts, seconds) = scheduler::run_job(
             &self.ctx,
             &rdd,
@@ -474,15 +374,54 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
 }
 
 // ---------------------------------------------------------------------------
-// Combining shuffles on any Rdd<T>
+// Building shuffles
 // ---------------------------------------------------------------------------
 
+/// Merge the values of each key in `data` with `merge`, in row order; the
+/// keys come out in first-seen order.
+fn combine<K: Hash + Eq + Clone, V: Clone>(
+    data: Arc<Vec<(K, V)>>,
+    merge: impl Fn(V, V) -> V,
+) -> Vec<(K, V)> {
+    let mut groups = GroupTable::default();
+    for (k, v) in Arc::unwrap_or_clone(data) {
+        groups.fold(k, v, |v| v, &merge);
+    }
+    groups.into_vec()
+}
+
 impl<T: Data> Rdd<T> {
-    /// `self.map(g).combine_by_key(num_partitions, agg)` folded into the
-    /// map stage and reading each partition in place: `f` turns a whole
-    /// (shared, never copied) partition into its map-side-combined
-    /// `(key, combiner)` pairs — at most one per key — and `merge` merges
-    /// combiners of one key across partitions on the reduce side.
+    /// A shuffle of this RDD into `num_buckets` buckets whose map tasks
+    /// charge `map_ops_per_row` and bucket what `fold` makes of their
+    /// partition, named by `(stage, job)`. Mints the shuffle id.
+    fn shuffle_with<K: Data + Hash + Eq, C: Data>(
+        &self,
+        num_buckets: usize,
+        (stage, job): (&'static str, &'static str),
+        map_ops_per_row: f64,
+        fold: impl Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync + 'static,
+    ) -> PairShuffle<K, C> {
+        let dep = ShuffleDep {
+            lease: self.ctx.new_shuffle(),
+            num_buckets: num_buckets.max(1),
+            parent: self.clone(),
+            stage,
+            map_ops_per_row,
+            fold: Arc::new(fold),
+        };
+        PairShuffle {
+            ctx: self.ctx.clone(),
+            dep: Arc::new(dep),
+            job,
+            _marker: PhantomData,
+        }
+    }
+
+    /// `self.map(g)` then a map-side-combined shuffle, folded into the map
+    /// stage and reading each partition in place: `f` turns a whole (shared,
+    /// never copied) partition into its map-side-combined `(key, combiner)`
+    /// pairs — at most one per key — and `merge` folds the combiners of one
+    /// key across partitions on the reduce side, in place.
     ///
     /// It charges exactly what that chain charges, so task logs and
     /// simulated seconds do not move: the same rows and bytes in, the
@@ -499,130 +438,56 @@ impl<T: Data> Rdd<T> {
         K: Data + Hash + Eq,
         C: Data,
         F: Fn(&[T]) -> Vec<(K, C)> + Send + Sync + 'static,
-        M: Fn(C, C) -> C + Send + Sync + 'static,
+        M: Fn(&mut C, &C) + Send + Sync + 'static,
     {
-        self.combined_shuffle(
-            num_partitions,
-            1.0,
-            Arc::new(move |data| f(&data)),
-            Arc::new(merge),
-        )
-    }
-
-    /// A shuffle combining each partition map-side with `combine` (after
-    /// charging `map_ops_per_row` for a fused `map`), read back through the
-    /// one [`ShuffledRdd`] with `merge`.
-    fn combined_shuffle<K: Data + Hash + Eq, C: Data>(
-        &self,
-        num_partitions: usize,
-        map_ops_per_row: f64,
-        combine: CombineFn<T, K, C>,
-        merge: Arc<dyn Fn(C, C) -> C + Send + Sync>,
-    ) -> Rdd<(K, C)> {
-        let num_partitions = num_partitions.max(1);
-        let dep = Arc::new(CombineShuffleDep {
-            lease: self.ctx.new_shuffle(),
-            num_buckets: num_partitions,
-            parent: self.clone(),
-            map_ops_per_row,
-            combine,
-        });
-        let inner = ShuffledRdd {
-            id: self.ctx.next_rdd_id(),
-            num_partitions,
-            dep,
-            merge,
-            _marker: PhantomData,
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
+        self.shuffle_with(num_partitions, COMBINE, 1.0, move |data| f(&data))
+            .read_aggregated(merge)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pair operations on Rdd<(K, V)>
-// ---------------------------------------------------------------------------
-
 impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
-    /// Generic shuffle aggregation with map-side combining.
-    pub fn combine_by_key<C: Data>(
-        &self,
-        num_partitions: usize,
-        agg: Aggregator<V, C>,
-    ) -> Rdd<(K, C)> {
-        let merge = agg.merge_combiners.clone();
-        self.combined_shuffle(
-            num_partitions,
-            0.0,
-            Arc::new(move |data| agg.combine(Arc::unwrap_or_clone(data))),
-            merge,
-        )
-    }
-
-    /// Merge all values of each key with a binary function.
+    /// Merge all values of each key with a binary function: map-side by
+    /// value, then on the reduce side into a running value (`f` gets copies
+    /// of both).
     pub fn reduce_by_key<F>(&self, num_partitions: usize, f: F) -> Rdd<(K, V)>
     where
         F: Fn(V, V) -> V + Send + Sync + 'static,
     {
         let f = Arc::new(f);
-        let f1 = f.clone();
-        let f2 = f.clone();
-        self.combine_by_key(
-            num_partitions,
-            Aggregator::new(|v| v, move |c, v| f1(c, v), move |a, b| f2(a, b)),
-        )
+        let reduce = f.clone();
+        self.shuffle_with(num_partitions, COMBINE, 0.0, move |data| combine(data, &*f))
+            .read_aggregated(move |c, v| *c = reduce(c.clone(), v.clone()))
     }
 
-    /// Group all values of each key into a vector.
-    pub fn group_by_key(&self, num_partitions: usize) -> Rdd<(K, Vec<V>)> {
-        self.combine_by_key(
-            num_partitions,
-            Aggregator::new(
-                |v| vec![v],
-                |mut c: Vec<V>, v| {
-                    c.push(v);
-                    c
-                },
-                |mut a: Vec<V>, mut b: Vec<V>| {
-                    a.append(&mut b);
-                    a
-                },
-            ),
-        )
-    }
-
-    /// Hash-partition the pairs by key without aggregating (DISTRIBUTE BY /
-    /// co-partitioning, §3.4).
-    pub fn partition_by(&self, num_partitions: usize) -> Rdd<(K, V)> {
-        let num_partitions = num_partitions.max(1);
-        let dep = Arc::new(RepartitionShuffleDep {
-            lease: self.ctx.new_shuffle(),
-            num_buckets: num_partitions,
-            parent: self.clone(),
-        });
-        let inner = RepartitionedRdd {
-            id: self.ctx.next_rdd_id(),
-            num_partitions,
-            dep,
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
-    }
-
-    /// Transform the values, keeping the keys.
-    pub fn map_values<U: Data, F>(&self, f: F) -> Rdd<(K, U)>
+    /// A shuffle that merges each key's values map-side with `merge` first
+    /// (partial aggregation, §3.1), in row order.
+    pub fn shuffle_combined<M>(&self, num_buckets: usize, merge: M) -> PairShuffle<K, V>
     where
-        F: Fn(V) -> U + Send + Sync + 'static,
+        M: Fn(&mut V, &V) + Send + Sync + 'static,
     {
-        self.map(move |(k, v)| (k, f(v)))
+        self.shuffle_with(num_buckets, COMBINE, 0.0, move |data| {
+            combine(data, |mut c, v| {
+                merge(&mut c, &v);
+                c
+            })
+        })
     }
 
-    /// The keys of all pairs.
-    pub fn keys(&self) -> Rdd<K> {
-        self.map(|(k, _)| k)
+    /// [`Rdd::shuffle_combined`] for pairs that already are a map-side
+    /// combine — at most one per key per partition, as a fused partial
+    /// aggregate emits them — so they go into their buckets as they are.
+    /// It charges and names what `shuffle_combined` does for the same
+    /// pairs: the combine it skips would return them unchanged.
+    pub fn shuffle_precombined(&self, num_buckets: usize) -> PairShuffle<K, V> {
+        self.shuffle_with(num_buckets, COMBINE, 0.0, Arc::unwrap_or_clone)
     }
 
-    /// The values of all pairs.
-    pub fn values(&self) -> Rdd<V> {
-        self.map(|(_, v)| v)
+    /// Run the map side of a shuffle *now*, without aggregation, and return
+    /// a handle exposing its statistics (the PDE hook; the combining
+    /// shuffles run theirs with [`PairShuffle::run`]).
+    pub fn pre_shuffle(&self, num_buckets: usize) -> Result<PreShuffledRdd<K, V>> {
+        self.shuffle_with(num_buckets, REPARTITION, 0.0, Arc::unwrap_or_clone)
+            .run()
     }
 
     /// For each key, gather the values from both RDDs.
@@ -633,21 +498,14 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
         num_partitions: usize,
     ) -> Rdd<(K, (Vec<V>, Vec<W>))> {
         let num_partitions = num_partitions.max(1);
-        let left = Arc::new(RepartitionShuffleDep {
-            lease: self.ctx.new_shuffle(),
-            num_buckets: num_partitions,
-            parent: self.clone(),
-        });
-        let right = Arc::new(RepartitionShuffleDep {
-            lease: self.ctx.new_shuffle(),
-            num_buckets: num_partitions,
-            parent: other.clone(),
-        });
+        let left = self.shuffle_with(num_partitions, REPARTITION, 0.0, Arc::unwrap_or_clone);
+        let right = other.shuffle_with(num_partitions, REPARTITION, 0.0, Arc::unwrap_or_clone);
         let inner = CoGroupedRdd {
             id: self.ctx.next_rdd_id(),
             num_partitions,
-            left,
-            right,
+            left: left.dep,
+            right: right.dep,
+            _marker: PhantomData,
         };
         Rdd::new(self.ctx.clone(), Arc::new(inner))
     }
@@ -664,86 +522,6 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
                 }
                 out
             })
-    }
-
-    /// Count occurrences of each key on the driver.
-    pub fn count_by_key(&self) -> Result<HashMap<K, u64>> {
-        let counts = self
-            .map(|(k, _)| (k, 1u64))
-            .reduce_by_key(self.ctx.config().default_partitions, |a, b| a + b)
-            .collect()?;
-        Ok(counts.into_iter().collect())
-    }
-
-    /// Run the map side of a shuffle *now*, without aggregation, and return
-    /// a handle exposing its statistics (the PDE hook).
-    pub fn pre_shuffle(&self, num_buckets: usize) -> Result<PreShuffledRdd<K, V>> {
-        self.pre_shuffle_with("pre_shuffle", num_buckets, |shuffle_id, buckets| {
-            scheduler::run_shuffle_map_stage_raw(&self.ctx, self, shuffle_id, buckets)
-        })
-    }
-
-    /// Like [`Rdd::pre_shuffle`], but combines values map-side with `agg`
-    /// first (partial aggregation before the statistics are gathered).
-    pub fn pre_shuffle_combined<C: Data>(
-        &self,
-        num_buckets: usize,
-        agg: Aggregator<V, C>,
-    ) -> Result<PreShuffledRdd<K, C>> {
-        self.pre_shuffle_combined_with(num_buckets, |data| agg.combine(Arc::unwrap_or_clone(data)))
-    }
-
-    /// [`Rdd::pre_shuffle_combined`] for pairs that already are a map-side
-    /// combine — at most one per key per partition, as a fused partial
-    /// aggregate emits them — so they go into their buckets as they are.
-    /// It charges and names what `pre_shuffle_combined` does for the same
-    /// pairs: the combine it skips would return them unchanged.
-    pub fn pre_shuffle_precombined(&self, num_buckets: usize) -> Result<PreShuffledRdd<K, V>> {
-        self.pre_shuffle_combined_with(num_buckets, Arc::unwrap_or_clone)
-    }
-
-    /// The `pre_shuffle_combined` job with `combine` as its map-side step.
-    fn pre_shuffle_combined_with<C: Data>(
-        &self,
-        num_buckets: usize,
-        combine: impl Fn(Arc<Vec<(K, V)>>) -> Vec<(K, C)>,
-    ) -> Result<PreShuffledRdd<K, C>> {
-        self.pre_shuffle_with(
-            "pre_shuffle_combined",
-            num_buckets,
-            |shuffle_id, buckets| {
-                scheduler::run_shuffle_map_stage_combined(
-                    &self.ctx, self, shuffle_id, buckets, 0.0, combine,
-                )
-            },
-        )
-    }
-
-    /// Mint a shuffle, run its map stage with `run_map_stage(shuffle_id,
-    /// num_buckets)` and wrap the materialized map side.
-    fn pre_shuffle_with<S: Data>(
-        &self,
-        name: &str,
-        num_buckets: usize,
-        run_map_stage: impl FnOnce(usize, usize) -> Result<StageReport>,
-    ) -> Result<PreShuffledRdd<K, S>> {
-        let num_buckets = num_buckets.max(1);
-        let lease = self.ctx.new_shuffle();
-        let mut stages = scheduler::ensure_shuffle_deps(&self.ctx, self)?;
-        stages.push(run_map_stage(lease.id(), num_buckets)?);
-        let summary = self.ctx.shuffle_manager().summary(lease.id())?;
-        let sim_seconds = self
-            .ctx
-            .record_job(&format!("{name}({})", lease.id()), stages, 0.0);
-        Ok(PreShuffledRdd {
-            ctx: self.ctx.clone(),
-            lease,
-            num_buckets,
-            summary,
-            sim_seconds,
-            parent_lineage: self.lineage(),
-            _marker: PhantomData,
-        })
     }
 }
 
@@ -787,46 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key_collects_values() {
-        let ctx = ctx();
-        let mut out = word_pairs(&ctx).group_by_key(2).collect().unwrap();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        let a = &out[0];
-        assert_eq!(a.0, "a");
-        let mut vals = a.1.clone();
-        vals.sort();
-        assert_eq!(vals, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn partition_by_preserves_data_and_co_locates_keys() {
-        let ctx = ctx();
-        let parted = word_pairs(&ctx).partition_by(4);
-        assert_eq!(parted.num_partitions(), 4);
-        let mut out = parted.collect().unwrap();
-        out.sort();
-        assert_eq!(out.len(), 6);
-        // All pairs with the same key end up in the same partition: verify by
-        // computing each partition and checking key disjointness.
-        let (per_part, _) = scheduler::run_job(
-            &ctx,
-            &parted,
-            "inspect",
-            shark_cluster::OutputSink::Collect,
-            Arc::unwrap_or_clone,
-        )
-        .unwrap();
-        let mut seen: HashMap<String, usize> = HashMap::new();
-        for (pi, part) in per_part.iter().enumerate() {
-            for (k, _) in part {
-                if let Some(prev) = seen.insert(k.clone(), pi) {
-                    assert_eq!(prev, pi, "key {k} split across partitions");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn join_matches_keys() {
         let ctx = ctx();
         let left = ctx.parallelize(
@@ -860,27 +598,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], (1, (vec![10], vec![])));
         assert_eq!(out[1], (2, (vec![], vec![20])));
-    }
-
-    #[test]
-    fn map_values_keys_values() {
-        let ctx = ctx();
-        let rdd = ctx.parallelize(vec![(1i64, 2i64), (3, 4)], 1);
-        assert_eq!(
-            rdd.map_values(|v| v * 10).collect().unwrap(),
-            vec![(1, 20), (3, 40)]
-        );
-        assert_eq!(rdd.keys().collect().unwrap(), vec![1, 3]);
-        assert_eq!(rdd.values().collect().unwrap(), vec![2, 4]);
-    }
-
-    #[test]
-    fn count_by_key_counts() {
-        let ctx = ctx();
-        let counts = word_pairs(&ctx).count_by_key().unwrap();
-        assert_eq!(counts.get("a"), Some(&3));
-        assert_eq!(counts.get("b"), Some(&2));
-        assert_eq!(counts.get("c"), Some(&1));
     }
 
     #[test]
@@ -930,9 +647,9 @@ mod tests {
     #[test]
     fn pre_shuffle_combined_partially_aggregates() {
         let ctx = ctx();
-        let agg = Aggregator::new(|v: i64| v, |c, v| c + v, |a, b| a + b);
         let pre = word_pairs(&ctx)
-            .pre_shuffle_combined(4, agg.clone())
+            .shuffle_combined(4, |c, v| *c += *v)
+            .run()
             .unwrap();
         // Map-side combining means at most one record per (map task, key).
         assert!(pre.summary().total_rows <= 6);

@@ -1,7 +1,7 @@
 //! The RDD abstraction: lineage-tracked, immutable, partitioned collections.
 //!
 //! [`Rdd<T>`] is a cheap handle (an `Arc` to the underlying implementation
-//! plus the driver context). Transformations (`map`, `filter`, `union`,
+//! plus the driver context). Transformations (`map`, `filter`,
 //! `zip_partitions`, …) build new RDDs lazily; actions (`collect`, `count`,
 //! `reduce`, …) trigger the scheduler in [`crate::scheduler`], which runs
 //! every required shuffle map stage and then the result stage, timing both
@@ -361,15 +361,6 @@ impl<T: Data> Rdd<T> {
         Rdd::new(self.ctx.clone(), Arc::new(inner))
     }
 
-    /// Concatenate this RDD with another (partitions are appended).
-    pub fn union(&self, other: &Rdd<T>) -> Rdd<T> {
-        let inner = UnionRdd {
-            id: self.ctx.next_rdd_id(),
-            parents: vec![self.clone(), other.clone()],
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
-    }
-
     /// Combine corresponding partitions of two RDDs with a function. Both
     /// RDDs must have the same number of partitions. This is the narrow
     /// (no-shuffle) join primitive used for co-partitioned and broadcast
@@ -390,14 +381,6 @@ impl<T: Data> Rdd<T> {
             f: Arc::new(f),
         };
         Rdd::new(self.ctx.clone(), Arc::new(inner))
-    }
-
-    /// Turn each element into a `(key, element)` pair.
-    pub fn key_by<K: Data, F>(&self, f: F) -> Rdd<(K, T)>
-    where
-        F: Fn(&T) -> K + Send + Sync + 'static,
-    {
-        self.map(move |x| (f(&x), x))
     }
 
     // ----- actions --------------------------------------------------------------
@@ -532,56 +515,6 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
     }
 }
 
-/// Union of several RDDs: partitions are concatenated in order.
-pub struct UnionRdd<T: Data> {
-    id: usize,
-    parents: Vec<Rdd<T>>,
-}
-
-impl<T: Data> UnionRdd<T> {
-    fn locate(&self, partition: usize) -> (usize, usize) {
-        let mut p = partition;
-        for (i, parent) in self.parents.iter().enumerate() {
-            if p < parent.num_partitions() {
-                return (i, p);
-            }
-            p -= parent.num_partitions();
-        }
-        panic!("partition {partition} out of range for union");
-    }
-}
-
-impl<T: Data> RddImpl<T> for UnionRdd<T> {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        "union".to_string()
-    }
-    fn num_partitions(&self) -> usize {
-        self.parents.iter().map(|p| p.num_partitions()).sum()
-    }
-    fn compute(
-        &self,
-        ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<T>> {
-        let (pi, pp) = self.locate(partition);
-        self.parents[pi].compute_partition(ctx, pp, metrics)
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        self.parents.iter().map(|p| p.lineage()).collect()
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        self.parents.iter().flat_map(|p| p.shuffle_deps()).collect()
-    }
-    fn preferred_node(&self, ctx: &RddContext, partition: usize) -> Option<usize> {
-        let (pi, pp) = self.locate(partition);
-        self.parents[pi].preferred_node(ctx, pp)
-    }
-}
-
 /// Narrow, partition-wise combination of two RDDs (co-partitioned joins,
 /// broadcast joins, zipping features with labels, …).
 pub struct ZipPartitionsRdd<A: Data, B: Data, U: Data> {
@@ -679,17 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn union_concatenates() {
-        let ctx = ctx();
-        let a = ctx.parallelize(vec![1i64, 2], 2);
-        let b = ctx.parallelize(vec![3i64, 4, 5], 2);
-        let u = a.union(&b);
-        assert_eq!(u.num_partitions(), 4);
-        assert_eq!(u.collect().unwrap(), vec![1, 2, 3, 4, 5]);
-        assert_eq!(u.count().unwrap(), 5);
-    }
-
-    #[test]
     fn zip_partitions_joins_aligned_data() {
         let ctx = ctx();
         let a = ctx.parallelize((0i64..6).collect(), 3);
@@ -710,14 +632,6 @@ mod tests {
         let a = ctx.parallelize((0i64..6).collect(), 3);
         let b = ctx.parallelize((0i64..6).collect(), 2);
         let _ = a.zip_partitions(&b, |l, _| l);
-    }
-
-    #[test]
-    fn key_by_builds_pairs() {
-        let ctx = ctx();
-        let rdd = ctx.parallelize(vec![1i64, 2, 3], 1);
-        let pairs = rdd.key_by(|x| x % 2).collect().unwrap();
-        assert_eq!(pairs, vec![(1, 1), (0, 2), (1, 3)]);
     }
 
     #[test]

@@ -537,17 +537,18 @@ impl<T: Data, U: Send + EstimateSize + 'static> Drop for PipelinedJob<T, U> {
     }
 }
 
-/// The one body of every shuffle map stage: run a task per parent partition,
+/// The one shuffle map stage, named `name`: run a task per parent partition,
 /// in partition order, that charges `map_ops_per_row` for a `map` fused into
 /// the stage, `combine`s the (shared — a cached one is not copied) partition
-/// into `(key, value)` records, groups them by reduce bucket and stores the
-/// grouped output (which carries its per-bucket statistics) in the shuffle
-/// manager; log the stage's tasks. The first task that fails fails the stage.
+/// into `(key, value)` records (a map-side combine, or the pairs as they are
+/// for a repartition), groups them by reduce bucket and stores the grouped
+/// output (which carries its per-bucket statistics) in the shuffle manager;
+/// log the stage's tasks. The first task that fails fails the stage.
 ///
 /// A fused `map` is charged exactly as the separate [`Rdd::map`] it
 /// replaces would be: the parent's rows and bytes in, one op per row
 /// charged before the shuffle's own, the parent's preferred node.
-fn run_map_stage_generic<T, K, S>(
+pub(crate) fn run_map_stage<T, K, S>(
     ctx: &RddContext,
     parent: &Rdd<T>,
     shuffle_id: usize,
@@ -605,54 +606,6 @@ where
         log_task(&mut stage, outcome);
     }
     Ok(stage)
-}
-
-/// Map stage that hash-partitions records without combining.
-pub(crate) fn run_shuffle_map_stage_raw<K, V>(
-    ctx: &RddContext,
-    parent: &Rdd<(K, V)>,
-    shuffle_id: usize,
-    num_buckets: usize,
-) -> Result<StageReport>
-where
-    K: Data + Hash + Eq,
-    V: Data,
-{
-    run_map_stage_generic(
-        ctx,
-        parent,
-        shuffle_id,
-        num_buckets,
-        &format!("shuffle-map({shuffle_id})"),
-        0.0,
-        Arc::unwrap_or_clone,
-    )
-}
-
-/// Map stage that combines each partition map-side into `(key, combiner)`
-/// records before hash-partitioning them (partial aggregation, §3.1).
-pub(crate) fn run_shuffle_map_stage_combined<T, K, C>(
-    ctx: &RddContext,
-    parent: &Rdd<T>,
-    shuffle_id: usize,
-    num_buckets: usize,
-    map_ops_per_row: f64,
-    combine: impl Fn(Arc<Vec<T>>) -> Vec<(K, C)>,
-) -> Result<StageReport>
-where
-    T: Data,
-    K: Data + Hash + Eq,
-    C: Data,
-{
-    run_map_stage_generic(
-        ctx,
-        parent,
-        shuffle_id,
-        num_buckets,
-        &format!("shuffle-map-combine({shuffle_id})"),
-        map_ops_per_row,
-        combine,
-    )
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //!
 //! `map_partitions_ref` folding each partition, then `reduce`, must be priced
 //! like `map(..).reduce(..)`, and `combine_by_key_ref` like
-//! `map(..).combine_by_key(..)`: the same rows and bytes in, ops, bytes out,
+//! `map(..).reduce_by_key(..)`: the same rows and bytes in, ops, bytes out,
 //! preferred nodes, stage names and shuffle ids. Then every task log — and so
 //! every simulated second — is bit-identical, whichever way a job is written.
 //! The grid runs each pair over a cached parent, an uncached one, one with
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use shark_cluster::{ClusterConfig, InputSource};
 use shark_common::size::estimate_slice;
-use shark_rdd::{Aggregator, Rdd, RddContext, TaskMetrics};
+use shark_rdd::{Rdd, RddContext, TaskMetrics};
 
 fn context() -> RddContext {
     let mut cluster = ClusterConfig::paper_shark_cluster();
@@ -139,14 +139,9 @@ fn combine_by_key_ref_is_charged_like_map_then_combine_by_key() {
     assert_charged_alike(
         "combine_by_key_ref",
         |rdd| {
-            let agg = Aggregator::new(
-                |v: i64| (v, 1u64),
-                |(sum, n), v| (sum + v, n + 1),
-                |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
-            );
             sorted(
-                rdd.map(|x| (x % 4, x))
-                    .combine_by_key(3, agg)
+                rdd.map(|x| (x % 4, (x, 1u64)))
+                    .reduce_by_key(3, |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2))
                     .collect()
                     .unwrap(),
             )
@@ -163,7 +158,10 @@ fn combine_by_key_ref_is_charged_like_map_then_combine_by_key() {
                     }
                     table.into_iter().collect()
                 },
-                |(s1, n1), (s2, n2)| (s1 + s2, n1 + n2),
+                |(s1, n1), (s2, n2)| {
+                    *s1 += s2;
+                    *n1 += n2;
+                },
             );
             sorted(folded.collect().unwrap())
         },

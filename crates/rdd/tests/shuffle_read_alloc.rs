@@ -5,13 +5,15 @@
 //! keys. Merging by reference clones a key and its state once, at the key's
 //! first appearance, so the task allocates about the same at P = 2 and at
 //! P = 16. A copy of every fetched pair makes it allocate P times as many
-//! strings. This binary counts heap allocations (its own
-//! `#[global_allocator]`) during the reduce job only.
+//! strings. The reducer is the same for a PDE shuffle read with a bucket
+//! list and for the lazy `combine_by_key_ref` and `reduce_by_key`. This
+//! binary counts heap allocations (its own `#[global_allocator]`) during the
+//! reduce job only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use shark_rdd::{Aggregator, RddContext};
+use shark_rdd::{Rdd, RddContext};
 
 struct CountingAllocator;
 
@@ -43,22 +45,20 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const KEYS: usize = 2_000;
 
-/// Allocations of one reduce job that merges `map_tasks` map outputs, each
-/// holding every key once, into a single reduce task.
-fn reduce_allocations(map_tasks: usize) -> u64 {
-    let ctx = RddContext::local();
+/// `map_tasks` partitions, each holding every key once.
+fn keyed(ctx: &RddContext, map_tasks: usize) -> Rdd<(String, i64)> {
     let pairs: Vec<(String, i64)> = (0..map_tasks)
         .flat_map(|_| (0..KEYS).map(|k| (format!("key-{k:05}"), 1i64)))
         .collect();
-    let sum = Aggregator::new(|v: i64| v, |c, v| c + v, |a, b| a + b);
-    let pre = ctx
-        .parallelize(pairs, map_tasks)
-        .pre_shuffle_combined(1, sum)
-        .unwrap();
-    assert_eq!(pre.summary().num_map_tasks, map_tasks);
-    assert_eq!(pre.summary().total_rows, (map_tasks * KEYS) as u64);
-    let reduced = pre.read_aggregated(vec![vec![0]], |c: &mut i64, v| *c += *v);
-    // Warm-up: lazy statics and the context's first-job bookkeeping.
+    ctx.parallelize(pairs, map_tasks)
+}
+
+/// Allocations of one job of `reduced` — a single reduce task over
+/// `map_tasks` map outputs whose map stage has already run.
+fn reduce_allocations(reduced: Rdd<(String, i64)>, map_tasks: usize) -> u64 {
+    assert_eq!(reduced.num_partitions(), 1);
+    // Warm-up: runs a lazy shuffle's map stage, lazy statics and the
+    // context's first-job bookkeeping.
     reduced.count().unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let groups = reduced.collect().unwrap();
@@ -68,12 +68,38 @@ fn reduce_allocations(map_tasks: usize) -> u64 {
     allocations
 }
 
-#[test]
-fn a_reduce_task_allocates_per_group_not_per_map_output() {
-    let two = reduce_allocations(2);
-    let sixteen = reduce_allocations(16);
+/// Assert that a reduce task over 16 map outputs allocates less than 1.5×
+/// what one over 2 does.
+fn assert_per_group(reader: &str, reduced: impl Fn(usize) -> Rdd<(String, i64)>) {
+    let two = reduce_allocations(reduced(2), 2);
+    let sixteen = reduce_allocations(reduced(16), 16);
     assert!(
         (sixteen as f64) < 1.5 * two as f64,
-        "P=2 vs P=16 map outputs: {two} vs {sixteen} allocations per reduce job"
+        "{reader}, P=2 vs P=16 map outputs: {two} vs {sixteen} allocations per reduce job"
     );
+}
+
+// One test: the counter is process-wide, so a second test running on
+// another thread would count into this one's jobs.
+#[test]
+fn a_reduce_task_allocates_per_group_not_per_map_output() {
+    assert_per_group("pre-shuffled", |map_tasks| {
+        let pre = keyed(&RddContext::local(), map_tasks)
+            .shuffle_combined(1, |c, v| *c += *v)
+            .run()
+            .unwrap();
+        assert_eq!(pre.summary().num_map_tasks, map_tasks);
+        assert_eq!(pre.summary().total_rows, (map_tasks * KEYS) as u64);
+        pre.read_aggregated(vec![vec![0]], |c, v| *c += *v)
+    });
+    assert_per_group("combine_by_key_ref", |map_tasks| {
+        keyed(&RddContext::local(), map_tasks).combine_by_key_ref(
+            1,
+            |part| part.to_vec(),
+            |c, v| *c += *v,
+        )
+    });
+    assert_per_group("reduce_by_key", |map_tasks| {
+        keyed(&RddContext::local(), map_tasks).reduce_by_key(1, |a, b| a + b)
+    });
 }

@@ -434,3 +434,53 @@ fn group_by_output_order_is_a_function_of_the_data() {
         }
     }
 }
+
+#[test]
+fn static_join_output_order_is_a_function_of_the_data() {
+    // A shuffle join without ORDER BY promises no order either, but two
+    // servers built from the same tables return its rows in one order —
+    // under static plans and under Hive, whose joins group both sides per
+    // reduce task.
+    let query = "SELECT UV.destURL, UV.sourceIP, R.pageRank, UV.adRevenue \
+                 FROM rankings R, uservisits UV WHERE R.pageURL = UV.destURL";
+    let servers = [
+        SharkServer::new(ServerConfig::default()),
+        SharkServer::new(ServerConfig::default()),
+    ];
+    for server in &servers {
+        register_visits(server);
+    }
+    for exec in [ExecConfig::shark_static(), ExecConfig::hive()] {
+        let sessions: Vec<SessionHandle> = servers
+            .iter()
+            .map(|server| {
+                let mut session = server.session();
+                session.set_exec_config(exec.clone());
+                session
+            })
+            .collect();
+        let reference = sessions[0].sql(query).unwrap().result;
+        assert!(
+            reference
+                .notes
+                .iter()
+                .any(|n| n.contains("static shuffle join")),
+            "{:?}",
+            reference.notes
+        );
+        let keys: std::collections::HashSet<&Value> =
+            reference.rows.iter().map(|r| r.get(0)).collect();
+        assert!(keys.len() >= 50, "{} join keys", keys.len());
+        for (s, session) in sessions.iter().enumerate() {
+            let context = format!("server {s}, {:?}", exec.mode);
+            assert!(
+                fetch_blocking(session, query) == reference.rows,
+                "{context}, blocking"
+            );
+            assert!(
+                fetch_streamed(session, query) == reference.rows,
+                "{context}, streamed"
+            );
+        }
+    }
+}

@@ -86,11 +86,6 @@ impl SqlSession {
         &self.catalog
     }
 
-    /// The current execution configuration.
-    pub fn exec_config(&self) -> &ExecConfig {
-        &self.exec
-    }
-
     /// Replace the execution configuration (e.g. switch between the Shark
     /// and Hive emulation for a benchmark run).
     pub fn set_exec_config(&mut self, exec: ExecConfig) {
@@ -107,14 +102,6 @@ impl SqlSession {
     /// The session's streaming prefetch depth.
     pub fn stream_prefetch(&self) -> usize {
         self.exec.stream_prefetch
-    }
-
-    /// Toggle the vectorized batch execution path. When disabled, scans and
-    /// aggregations fall back to row-at-a-time evaluation — the two paths
-    /// produce byte-identical results, so this exists for A/B comparison and
-    /// regression testing.
-    pub fn set_vectorized(&mut self, vectorized: bool) {
-        self.exec.vectorized = vectorized;
     }
 
     /// Register a user-defined scalar function usable from SQL.

@@ -22,12 +22,14 @@ use shark_cluster::{DfsModel, OutputSink};
 use shark_columnar::ColumnarPartition;
 use shark_common::size::estimate_slice;
 use shark_common::{Result, Row, Schema, SharkError, Value};
-use shark_rdd::{Aggregator, PipelinedJob, Rdd, RddContext, StageReport, TaskMetrics};
+use shark_rdd::{PairShuffle, PipelinedJob, Rdd, RddContext, StageReport, TaskMetrics};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{CatalogSnapshot, TableMeta};
 use crate::expr::BoundExpr;
-use crate::pde::{choose_join_strategy, coalesce_buckets, JoinStrategy};
+use crate::pde::{
+    choose_join_strategy, coalesce_buckets, JoinStrategy, MAX_REDUCERS, TARGET_PARTITION_BYTES,
+};
 use crate::plan::{AggregateNode, OutputRef, QueryPlan, ScanNode};
 use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd, MemTopKScanRdd};
 
@@ -60,10 +62,6 @@ pub struct ExecConfig {
     pub fine_buckets: usize,
     /// Broadcast threshold in (in-process) bytes for map-join selection.
     pub broadcast_threshold: u64,
-    /// Target (in-process) bytes per coalesced reduce task.
-    pub target_partition_bytes: u64,
-    /// Upper bound on the number of reduce tasks.
-    pub max_reducers: usize,
     /// §6.3.2 "static + adaptive": pre-shuffle only the side the static
     /// optimizer predicts to be small, avoiding map tasks on the large table
     /// when a map join is chosen.
@@ -89,8 +87,6 @@ impl ExecConfig {
             default_reducers: 64,
             fine_buckets: 256,
             broadcast_threshold: 4 * 1024 * 1024,
-            target_partition_bytes: 256 * 1024,
-            max_reducers: 1000,
             pde_prioritize_small_side: true,
             stream_prefetch: 2,
             vectorized: true,
@@ -127,8 +123,6 @@ impl ExecConfig {
             default_reducers: 64,
             fine_buckets: 64,
             broadcast_threshold: 0,
-            target_partition_bytes: 256 * 1024,
-            max_reducers: 1000,
             pde_prioritize_small_side: false,
             stream_prefetch: 0,
             // Hive's scans are row-oriented from the DFS; the flag only
@@ -1253,8 +1247,7 @@ fn build_join(
         })
     };
 
-    let pde = matches!(cfg.mode, ExecutionMode::Shark { pde: true, .. });
-    if !pde {
+    if !uses_pde(cfg) {
         // Static shuffle join (Hive and the no-PDE ablation).
         notes.push(format!(
             "static shuffle join with {} reduce tasks",
@@ -1321,7 +1314,7 @@ fn build_join(
         } else {
             (pre, other_pre)
         };
-        return Ok(aligned_shuffle_join(cfg, notes, lpre, rpre));
+        return Ok(aligned_shuffle_join(notes, lpre, rpre));
     }
 
     // "Adaptive": pre-shuffle both sides, then decide from observed sizes.
@@ -1349,7 +1342,7 @@ fn build_join(
             ));
             broadcast_join(ctx, left_pairs, &rpre, true, sim_seconds)
         }
-        JoinStrategy::Shuffle => Ok(aligned_shuffle_join(cfg, notes, lpre, rpre)),
+        JoinStrategy::Shuffle => Ok(aligned_shuffle_join(notes, lpre, rpre)),
     }
 }
 
@@ -1395,7 +1388,6 @@ fn broadcast_join(
 /// size, read both sides with the same assignment, and hash-join per
 /// partition.
 fn aligned_shuffle_join(
-    cfg: &ExecConfig,
     notes: &mut Vec<String>,
     left: shark_rdd::PreShuffledRdd<Value, Row>,
     right: shark_rdd::PreShuffledRdd<Value, Row>,
@@ -1407,11 +1399,7 @@ fn aligned_shuffle_join(
         .zip(&right.summary().bucket_bytes)
         .map(|(a, b)| a + b)
         .collect();
-    let assignment = coalesce_buckets(
-        &combined_bytes,
-        cfg.target_partition_bytes,
-        cfg.max_reducers,
-    );
+    let assignment = coalesce_buckets(&combined_bytes, TARGET_PARTITION_BYTES, MAX_REDUCERS);
     notes.push(format!(
         "shuffle join: {} fine buckets coalesced into {} reduce tasks (skew factor {:.2})",
         combined_bytes.len(),
@@ -1543,11 +1531,14 @@ fn build_fused_aggregation(
         partial_agg_ops(agg),
     )?;
     notes.push("vectorized: fused scan + partial aggregation over columnar batches".into());
+    // At most one pair per group per partition: already the map-side
+    // combine, so the pairs are bucketed as they are.
+    let shuffle = pairs.shuffle_precombined(aggregation_buckets(cfg));
     Ok(Some(finish_aggregation(
         cfg,
         notes,
         sim_seconds,
-        Partials::PerGroup(pairs),
+        shuffle,
         agg,
     )?))
 }
@@ -1576,46 +1567,45 @@ fn build_aggregation(
             })
             .collect::<Vec<(Row, AggStates)>>()
     });
-    finish_aggregation(cfg, notes, sim_seconds, Partials::PerRow(pairs), agg)
+    // One pair per input row: combined map-side per key.
+    let shuffle = pairs.shuffle_combined(aggregation_buckets(cfg), AggStates::merge_from);
+    finish_aggregation(cfg, notes, sim_seconds, shuffle, agg)
 }
 
-/// The `(group key, partial state)` pairs an aggregation builder produced.
-enum Partials {
-    /// One pair per input row (the row path): combined map-side per key.
-    PerRow(Rdd<(Row, AggStates)>),
-    /// At most one pair per group per partition (the fused scan's partial
-    /// aggregate): already the map-side combine, so they are bucketed as
-    /// they are.
-    PerGroup(Rdd<(Row, AggStates)>),
+/// Whether PDE plans the reduce side at run time.
+fn uses_pde(cfg: &ExecConfig) -> bool {
+    matches!(cfg.mode, ExecutionMode::Shark { pde: true, .. })
 }
 
-/// Shuffle the `(group key, partial state)` pairs, merge states per key, and
+/// Buckets of an aggregation shuffle: PDE's fine buckets, to be coalesced,
+/// or one per static reduce task.
+fn aggregation_buckets(cfg: &ExecConfig) -> usize {
+    if uses_pde(cfg) {
+        cfg.fine_buckets
+    } else {
+        cfg.default_reducers
+    }
+}
+
+/// Run or read the `(group key, partial state)` shuffle an aggregation
+/// builder set up — PDE runs its map stage now and coalesces its buckets, a
+/// static plan reads it lazily — merging states per key in place, and
 /// finalize output rows in SELECT order (applying HAVING). Shared by the
 /// row-at-a-time and fused vectorized aggregation paths.
 fn finish_aggregation(
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
     sim_seconds: &mut f64,
-    partials: Partials,
+    shuffle: PairShuffle<Row, AggStates>,
     agg: &AggregateNode,
 ) -> Result<Rdd<Row>> {
-    let merge = |mut c: AggStates, s: AggStates| {
-        c.merge_from(&s);
-        c
-    };
-    let aggregator = Aggregator::new(|s: AggStates| s, merge, merge);
-
-    let pde = matches!(cfg.mode, ExecutionMode::Shark { pde: true, .. });
-    let aggregated: Rdd<(Row, AggStates)> = if pde {
-        let pre = match partials {
-            Partials::PerRow(pairs) => pairs.pre_shuffle_combined(cfg.fine_buckets, aggregator)?,
-            Partials::PerGroup(pairs) => pairs.pre_shuffle_precombined(cfg.fine_buckets)?,
-        };
+    let aggregated: Rdd<(Row, AggStates)> = if uses_pde(cfg) {
+        let pre = shuffle.run()?;
         *sim_seconds += pre.sim_seconds();
         let assignment = coalesce_buckets(
             &pre.summary().bucket_bytes,
-            cfg.target_partition_bytes,
-            cfg.max_reducers,
+            TARGET_PARTITION_BYTES,
+            MAX_REDUCERS,
         );
         notes.push(format!(
             "aggregation: {} fine buckets coalesced into {} reduce tasks",
@@ -1628,8 +1618,7 @@ fn finish_aggregation(
             "aggregation with {} (static) reduce tasks",
             cfg.default_reducers
         ));
-        let (Partials::PerRow(pairs) | Partials::PerGroup(pairs)) = partials;
-        pairs.combine_by_key(cfg.default_reducers, aggregator)
+        shuffle.read_aggregated(AggStates::merge_from)
     };
 
     // Finalize: build output rows in SELECT order, applying HAVING.

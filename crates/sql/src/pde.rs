@@ -47,6 +47,12 @@ pub fn choose_join_strategy(
     }
 }
 
+/// Target (in-process) bytes per coalesced reduce task.
+pub const TARGET_PARTITION_BYTES: u64 = 256 * 1024;
+
+/// Upper bound on the number of coalesced reduce tasks.
+pub const MAX_REDUCERS: usize = 1000;
+
 /// Greedy bin-packing of fine-grained buckets into coarse reduce partitions:
 /// buckets are sorted by decreasing size and each is placed into the
 /// currently smallest bin; the number of bins is chosen so the average bin
