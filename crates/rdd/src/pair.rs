@@ -35,7 +35,7 @@ use crate::shuffle::{ShuffleLease, ShuffleSummary};
 
 /// The input source a reduce task reads shuffle data from, per the profile
 /// (§5: Shark keeps map output in memory, Hadoop spills it to disk).
-pub(crate) fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
+fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
     if ctx.config().cluster.profile.shuffle_to_disk {
         InputSource::ShuffleDisk
     } else {

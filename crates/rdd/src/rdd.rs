@@ -1,7 +1,7 @@
 //! The RDD abstraction: lineage-tracked, immutable, partitioned collections.
 //!
 //! [`Rdd<T>`] is a cheap handle (an `Arc` to the underlying implementation
-//! plus the driver context). Transformations (`map`, `filter`,
+//! plus the driver context). Transformations (`map`, `filter`, `flat_map`,
 //! `zip_partitions`, …) build new RDDs lazily; actions (`collect`, `count`,
 //! `reduce`, …) trigger the scheduler in [`crate::scheduler`], which runs
 //! every required shuffle map stage and then the result stage, timing both
