@@ -66,7 +66,7 @@ fn pavlo_session(exec: ExecConfig, cached: bool, hive: bool) -> SharkContext {
 }
 
 fn run_query(shark: &SharkContext, sql: &str) -> (f64, usize, Vec<String>) {
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let r = shark.sql(sql).expect("query failed");
     (r.sim_seconds, r.rows.len(), r.notes)
 }
@@ -257,20 +257,14 @@ fn figure8() -> Vec<(f64, Vec<String>)> {
 /// Returns `[full reload, no failures, single failure, post-recovery]`.
 fn figure9() -> [f64; 4] {
     header("Figure 9 — query time with failures (paper: full reload ~38s, no-failure ~12s, single failure ~15s, post-recovery ~11s)");
-    let mut cluster = ClusterConfig::paper_shark_cluster();
-    cluster.num_nodes = 50;
-    let shark = SharkContext::new(
-        SharkConfig {
-            cluster,
-            default_partitions: 100,
-            ..SharkConfig::default()
-        }
-        .with_sim_scale(SCALE),
-    );
+    let mut config = SharkConfig::paper_shark().with_sim_scale(SCALE);
+    config.rdd.cluster.num_nodes = 50;
+    config.rdd.default_partitions = 100;
+    let shark = SharkContext::new(config);
     register_tpch(&shark, &TpchConfig::default(), 100, true).unwrap();
     let query = "SELECT l_shipmode, COUNT(*) FROM lineitem GROUP BY l_shipmode";
 
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let load = shark.load_table("lineitem").unwrap();
     row("Full reload of the table", load.sim_seconds, "");
     let healthy = run_query(&shark, query).0;
@@ -367,7 +361,7 @@ fn figure11_inner(headline_only: bool) -> Vec<f64> {
     register_ml_points(&shark, &cfg, 32, true).unwrap();
     shark.load_table("points").unwrap();
     let points = ml_points_rdd(&shark, cfg.dims);
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let (_, report) = LogisticRegression::default().train(&points).unwrap();
     let mut per_iteration = vec![report.mean_iteration_seconds()];
     row(
@@ -386,17 +380,9 @@ fn figure11_inner(headline_only: bool) -> Vec<f64> {
         ),
         ("Hadoop (text input) / iteration", EngineProfile::hadoop()),
     ] {
-        let mut cluster = ClusterConfig::paper_hive_cluster();
-        cluster.profile = profile;
-        let hadoop = SharkContext::new(
-            SharkConfig {
-                cluster,
-                default_partitions: 200,
-                exec: ExecConfig::hive(),
-                ..SharkConfig::default()
-            }
-            .with_sim_scale(SCALE),
-        );
+        let mut config = SharkConfig::paper_hive().with_sim_scale(SCALE);
+        config.rdd.cluster.profile = profile;
+        let hadoop = SharkContext::new(config);
         register_ml_points(&hadoop, &cfg, 32, false).unwrap();
         let points = {
             let table = hadoop.sql_to_rdd("SELECT * FROM points").unwrap();
@@ -410,7 +396,7 @@ fn figure11_inner(headline_only: bool) -> Vec<f64> {
             })
             // note: NOT cached — Hadoop re-reads the input every iteration
         };
-        hadoop.reset_simulation();
+        hadoop.context().reset_simulation();
         let (_, report) = LogisticRegression {
             iterations: 3,
             ..LogisticRegression::default()
@@ -437,7 +423,7 @@ fn figure12() -> Vec<f64> {
     register_ml_points(&shark, &cfg, 32, true).unwrap();
     shark.load_table("points").unwrap();
     let features = ml_points_rdd(&shark, cfg.dims).map(|(f, _)| f).cache();
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let (_, report) = KMeans::default().train(&features).unwrap();
     let mut per_iteration = vec![report.mean_iteration_seconds()];
     row("Shark — k-means / iteration", per_iteration[0], "");
@@ -448,17 +434,9 @@ fn figure12() -> Vec<f64> {
         ),
         ("Hadoop (text input) / iteration", EngineProfile::hadoop()),
     ] {
-        let mut cluster = ClusterConfig::paper_hive_cluster();
-        cluster.profile = profile;
-        let hadoop = SharkContext::new(
-            SharkConfig {
-                cluster,
-                default_partitions: 200,
-                exec: ExecConfig::hive(),
-                ..SharkConfig::default()
-            }
-            .with_sim_scale(SCALE),
-        );
+        let mut config = SharkConfig::paper_hive().with_sim_scale(SCALE);
+        config.rdd.cluster.profile = profile;
+        let hadoop = SharkContext::new(config);
         register_ml_points(&hadoop, &cfg, 32, false).unwrap();
         let table = hadoop.sql_to_rdd("SELECT * FROM points").unwrap();
         let dims = cfg.dims;
@@ -467,7 +445,7 @@ fn figure12() -> Vec<f64> {
                 .map(|i| row.get_float(i).unwrap_or(0.0))
                 .collect()
         });
-        hadoop.reset_simulation();
+        hadoop.context().reset_simulation();
         let (_, report) = KMeans {
             iterations: 3,
             ..KMeans::default()
@@ -559,7 +537,7 @@ fn skew() {
     header("§3.1.2 — skew handling: PDE bucket coalescing vs fixed reducers");
     // A skewed aggregation: 80% of rows share one key.
     let shark = shark_ctx(ExecConfig::shark(), true);
-    let nodes = shark.config().cluster.num_nodes;
+    let nodes = shark.config().rdd.cluster.num_nodes;
     shark.register_table(
         shark_sql::TableMeta::new(
             "events",
@@ -593,7 +571,7 @@ fn skew() {
     static_cfg.default_reducers = 8;
     let shark_static = {
         let s = shark_ctx(static_cfg, true);
-        let nodes = s.config().cluster.num_nodes;
+        let nodes = s.config().rdd.cluster.num_nodes;
         s.register_table(
             shark_sql::TableMeta::new(
                 "events",

@@ -1,60 +1,47 @@
 //! The [`SharkContext`]: one object that speaks SQL and runs ML.
 
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use shark_cluster::ClusterConfig;
-use shark_common::{Result, Value};
-use shark_rdd::{JobReport, Rdd, RddConfig, RddContext};
-use shark_sql::{ExecConfig, LoadReport, QueryResult, SqlSession, TableMeta, TableRdd};
+use shark_rdd::{RddConfig, RddContext};
+use shark_sql::{Catalog, ExecConfig, SqlSession};
 
-/// Configuration of a [`SharkContext`].
-#[derive(Debug, Clone)]
+/// Configuration of a [`SharkContext`]: the RDD context's and the SQL
+/// session's.
+#[derive(Debug, Clone, Default)]
 pub struct SharkConfig {
-    /// The simulated cluster and engine cost profile.
-    pub cluster: ClusterConfig,
-    /// Default number of partitions for derived tables and shuffles.
-    pub default_partitions: usize,
-    /// Ratio between simulated data volume and the in-process volume.
-    pub sim_scale: f64,
+    /// The simulated cluster, default partition count and simulation scale.
+    pub rdd: RddConfig,
     /// SQL execution configuration (Shark / Shark-disk / Hive, PDE knobs).
     pub exec: ExecConfig,
-}
-
-impl Default for SharkConfig {
-    fn default() -> Self {
-        SharkConfig {
-            cluster: ClusterConfig::small(4, 2),
-            default_partitions: 8,
-            sim_scale: 1.0,
-            exec: ExecConfig::shark(),
-        }
-    }
 }
 
 impl SharkConfig {
     /// The paper's 100-node Shark setup.
     pub fn paper_shark() -> SharkConfig {
-        SharkConfig {
-            cluster: ClusterConfig::paper_shark_cluster(),
-            default_partitions: 200,
-            exec: ExecConfig::shark(),
-            ..SharkConfig::default()
-        }
+        SharkConfig::paper(ClusterConfig::paper_shark_cluster(), ExecConfig::shark())
     }
 
     /// The paper's 100-node Hive/Hadoop baseline.
     pub fn paper_hive() -> SharkConfig {
+        SharkConfig::paper(ClusterConfig::paper_hive_cluster(), ExecConfig::hive())
+    }
+
+    fn paper(cluster: ClusterConfig, exec: ExecConfig) -> SharkConfig {
         SharkConfig {
-            cluster: ClusterConfig::paper_hive_cluster(),
-            default_partitions: 200,
-            exec: ExecConfig::hive(),
-            ..SharkConfig::default()
+            rdd: RddConfig {
+                cluster,
+                default_partitions: 200,
+                sim_scale: 1.0,
+            },
+            exec,
         }
     }
 
     /// Set the simulation scale factor.
     pub fn with_sim_scale(mut self, scale: f64) -> SharkConfig {
-        self.sim_scale = scale;
+        self.rdd.sim_scale = scale;
         self
     }
 
@@ -65,7 +52,11 @@ impl SharkConfig {
     }
 }
 
-/// The unified SQL + analytics driver (the paper's "master process").
+/// The unified SQL + analytics driver (the paper's "master process"): a
+/// [`SqlSession`] plus the configuration it was built with. It derefs to
+/// the session, so `sql`, `sql_to_rdd`, `load_table` and the catalog are
+/// the session's, and `context()` is the [`RddContext`] raw RDD programs
+/// run on.
 pub struct SharkContext {
     session: SqlSession,
     config: SharkConfig,
@@ -74,12 +65,7 @@ pub struct SharkContext {
 impl SharkContext {
     /// Create a context from a configuration.
     pub fn new(config: SharkConfig) -> SharkContext {
-        let rdd_config = RddConfig {
-            cluster: config.cluster.clone(),
-            default_partitions: config.default_partitions,
-            sim_scale: config.sim_scale,
-        };
-        let ctx = RddContext::new(rdd_config);
+        let ctx = RddContext::new(config.rdd.clone());
         SharkContext {
             session: SqlSession::new(ctx, config.exec.clone()),
             config,
@@ -98,31 +84,12 @@ impl SharkContext {
     pub fn with_shared(
         config: SharkConfig,
         ctx: RddContext,
-        catalog: Arc<shark_sql::Catalog>,
+        catalog: Arc<Catalog>,
     ) -> SharkContext {
         SharkContext {
             session: SqlSession::with_catalog(ctx, config.exec.clone(), catalog),
             config,
         }
-    }
-
-    /// The catalog backing this context's session.
-    pub fn catalog(&self) -> &Arc<shark_sql::Catalog> {
-        self.session.catalog()
-    }
-
-    /// Pin an immutable, epoch-versioned snapshot of the catalog. Everything
-    /// resolved against it sees one consistent set of table versions, and a
-    /// table dropped by a concurrent session keeps its memstore resident
-    /// until this (and every other) pin referencing it is released — the
-    /// lineage of a long analytics pipeline can never dangle mid-run.
-    pub fn catalog_snapshot(&self) -> Arc<shark_sql::CatalogSnapshot> {
-        self.session.catalog().snapshot()
-    }
-
-    /// The catalog's current epoch (bumped by every DDL).
-    pub fn catalog_epoch(&self) -> u64 {
-        self.session.catalog().epoch()
     }
 
     /// The configuration this context was built with.
@@ -135,77 +102,31 @@ impl SharkContext {
         self.session.context()
     }
 
-    /// The SQL session (catalog, UDFs, execution config).
-    pub fn session(&self) -> &SqlSession {
-        &self.session
-    }
-
-    /// Mutable access to the SQL session (e.g. to register UDFs or switch
-    /// the execution mode).
-    pub fn session_mut(&mut self) -> &mut SqlSession {
-        &mut self.session
-    }
-
-    /// Register a base table in the catalog.
-    pub fn register_table(&self, table: TableMeta) -> Arc<TableMeta> {
-        self.session.register_table(table)
-    }
-
-    /// Load a cached table into the columnar memstore now.
-    pub fn load_table(&self, name: &str) -> Result<LoadReport> {
-        self.session.load_table(name)
-    }
-
-    /// Execute a SQL statement and collect its result.
-    pub fn sql(&self, text: &str) -> Result<QueryResult> {
-        self.session.sql(text)
-    }
-
-    /// Execute a SQL query and keep the result as an RDD (`sql2rdd`, §4.1).
-    pub fn sql_to_rdd(&self, text: &str) -> Result<TableRdd> {
-        self.session.sql_to_rdd(text)
-    }
-
-    /// Register a user-defined scalar function.
-    pub fn register_udf<F>(&mut self, name: &str, f: F)
-    where
-        F: Fn(&[Value]) -> Value + Send + Sync + 'static,
-    {
-        self.session.register_udf(name, f);
-    }
-
-    /// Distribute an in-memory collection as an RDD.
-    pub fn parallelize<T: shark_rdd::Data>(&self, data: Vec<T>, partitions: usize) -> Rdd<T> {
-        self.rdd_context().parallelize(data, partitions)
-    }
-
-    /// Kill a simulated worker node (drops its cached partitions; subsequent
-    /// queries recover them through lineage). Returns memstore partitions
-    /// lost.
-    pub fn fail_node(&self, node: usize) -> usize {
-        self.session.fail_node(node)
-    }
-
     /// Current simulated time (seconds) since the last reset.
     pub fn simulated_time(&self) -> f64 {
-        self.rdd_context().simulated_time()
+        self.session.context().simulated_time()
     }
+}
 
-    /// Reset the simulated clock (start timing a new experiment).
-    pub fn reset_simulation(&self) {
-        self.rdd_context().reset_simulation();
+impl Deref for SharkContext {
+    type Target = SqlSession;
+
+    fn deref(&self) -> &SqlSession {
+        &self.session
     }
+}
 
-    /// Job-level execution reports recorded so far.
-    pub fn job_history(&self) -> Vec<JobReport> {
-        self.rdd_context().job_history()
+impl DerefMut for SharkContext {
+    fn deref_mut(&mut self) -> &mut SqlSession {
+        &mut self.session
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shark_common::{row, DataType, Schema};
+    use shark_common::{row, DataType, Schema, Value};
+    use shark_sql::TableMeta;
 
     fn people(shark: &SharkContext) {
         shark.register_table(
@@ -233,7 +154,7 @@ mod tests {
         assert_eq!(r.rows.len(), 1);
         assert!(r.rows[0].get_int(0).unwrap() > 0);
         assert!(shark.simulated_time() > 0.0);
-        shark.reset_simulation();
+        shark.context().reset_simulation();
         assert_eq!(shark.simulated_time(), 0.0);
     }
 
@@ -308,14 +229,14 @@ mod tests {
         // Build (but do not run) a pipeline, then drop the table from a
         // second context sharing the catalog.
         let table = a.sql_to_rdd("SELECT age FROM people").unwrap();
-        let epoch_at_plan = a.catalog_epoch();
+        let epoch_at_plan = a.catalog().epoch();
         let b = SharkContext::with_shared(
             SharkConfig::default(),
             a.rdd_context().clone(),
             a.catalog().clone(),
         );
         b.sql("DROP TABLE people").unwrap();
-        assert!(a.catalog_epoch() > epoch_at_plan);
+        assert!(a.catalog().epoch() > epoch_at_plan);
         assert!(!a.catalog().contains("people"));
         // The pipeline still runs: its plan pinned the snapshot it was
         // resolved against, so the dropped version stays resident.
@@ -333,8 +254,8 @@ mod tests {
         let shark_cfg = SharkConfig::paper_shark();
         let hive_cfg = SharkConfig::paper_hive();
         assert!(
-            hive_cfg.cluster.profile.task_launch_overhead
-                > shark_cfg.cluster.profile.task_launch_overhead * 100.0
+            hive_cfg.rdd.cluster.profile.task_launch_overhead
+                > shark_cfg.rdd.cluster.profile.task_launch_overhead * 100.0
         );
     }
 }

@@ -1,24 +1,23 @@
 //! Convenience registration of the paper's benchmark datasets (§6) into a
-//! [`SharkContext`], used by the examples and the experiment harness.
+//! [`SqlSession`] (a [`crate::SharkContext`] derefs to one), used by the
+//! examples and the experiment harness.
 
 use shark_common::Result;
 use shark_datagen::ml::MlConfig;
 use shark_datagen::pavlo::{self, PavloConfig};
 use shark_datagen::tpch::{self, TpchConfig};
 use shark_datagen::warehouse::{self, WarehouseConfig};
-use shark_sql::TableMeta;
-
-use crate::context::SharkContext;
+use shark_sql::{SqlSession, TableMeta};
 
 /// Register the Pavlo et al. benchmark tables (`rankings`, `uservisits`),
 /// optionally cached in the memstore.
 pub fn register_pavlo(
-    shark: &SharkContext,
+    session: &SqlSession,
     cfg: &PavloConfig,
     partitions: usize,
     cached: bool,
 ) -> Result<()> {
-    let nodes = shark.config().cluster.num_nodes;
+    let nodes = session.context().config().cluster.num_nodes;
     let c1 = cfg.clone();
     let mut rankings = TableMeta::new("rankings", pavlo::rankings_schema(), partitions, move |p| {
         pavlo::rankings_partition(&c1, partitions, p)
@@ -36,19 +35,19 @@ pub fn register_pavlo(
         rankings = rankings.with_cache(nodes);
         uservisits = uservisits.with_cache(nodes);
     }
-    shark.register_table(rankings);
-    shark.register_table(uservisits);
+    session.register_table(rankings);
+    session.register_table(uservisits);
     Ok(())
 }
 
 /// Register the TPC-H-like tables (`lineitem`, `supplier`, `orders`).
 pub fn register_tpch(
-    shark: &SharkContext,
+    session: &SqlSession,
     cfg: &TpchConfig,
     partitions: usize,
     cached: bool,
 ) -> Result<()> {
-    let nodes = shark.config().cluster.num_nodes;
+    let nodes = session.context().config().cluster.num_nodes;
     let c1 = cfg.clone();
     let mut lineitem = TableMeta::new("lineitem", tpch::lineitem_schema(), partitions, move |p| {
         tpch::lineitem_partition(&c1, partitions, p)
@@ -74,17 +73,17 @@ pub fn register_tpch(
         supplier = supplier.with_cache(nodes);
         orders = orders.with_cache(nodes);
     }
-    shark.register_table(lineitem);
-    shark.register_table(supplier);
-    shark.register_table(orders);
+    session.register_table(lineitem);
+    session.register_table(supplier);
+    session.register_table(orders);
     Ok(())
 }
 
 /// Register the video-analytics warehouse fact table (`sessions`), one
 /// partition per `(day, region)` slice so its natural clustering is
 /// preserved for map pruning.
-pub fn register_warehouse(shark: &SharkContext, cfg: &WarehouseConfig, cached: bool) -> Result<()> {
-    let nodes = shark.config().cluster.num_nodes;
+pub fn register_warehouse(session: &SqlSession, cfg: &WarehouseConfig, cached: bool) -> Result<()> {
+    let nodes = session.context().config().cluster.num_nodes;
     let c = cfg.clone();
     let partitions = cfg.num_partitions();
     let mut sessions = TableMeta::new(
@@ -97,19 +96,19 @@ pub fn register_warehouse(shark: &SharkContext, cfg: &WarehouseConfig, cached: b
     if cached {
         sessions = sessions.with_cache(nodes);
     }
-    shark.register_table(sessions);
+    session.register_table(sessions);
     Ok(())
 }
 
 /// Register the synthetic ML dataset in relational form (`points`), so the
 /// SQL → feature extraction → iterative ML pipeline of Listing 1 can run.
 pub fn register_ml_points(
-    shark: &SharkContext,
+    session: &SqlSession,
     cfg: &MlConfig,
     partitions: usize,
     cached: bool,
 ) -> Result<()> {
-    let nodes = shark.config().cluster.num_nodes;
+    let nodes = session.context().config().cluster.num_nodes;
     let c = cfg.clone();
     let mut points = TableMeta::new(
         "points",
@@ -121,13 +120,14 @@ pub fn register_ml_points(
     if cached {
         points = points.with_cache(nodes);
     }
-    shark.register_table(points);
+    session.register_table(points);
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SharkContext;
 
     #[test]
     fn registers_all_paper_datasets() {
@@ -136,7 +136,7 @@ mod tests {
         register_tpch(&shark, &TpchConfig::tiny(), 4, false).unwrap();
         register_warehouse(&shark, &WarehouseConfig::tiny(), true).unwrap();
         register_ml_points(&shark, &MlConfig::tiny(), 4, false).unwrap();
-        let names = shark.session().catalog().table_names();
+        let names = shark.catalog().table_names();
         for t in [
             "rankings",
             "uservisits",

@@ -4,7 +4,8 @@
 //! [`SharkContext`] that unifies SQL query processing and machine learning
 //! over the same simulated cluster, cached data, and lineage-based fault
 //! tolerance — the system described in *Shark: SQL and Rich Analytics at
-//! Scale* (SIGMOD 2013).
+//! Scale* (SIGMOD 2013). A `SharkContext` is a [`SqlSession`] plus the
+//! [`SharkConfig`] it was built with, and derefs to the session.
 //!
 //! ```
 //! use shark_core::SharkContext;
@@ -20,6 +21,10 @@
 //! ));
 //! let result = shark.sql("SELECT name FROM people WHERE age >= 21").unwrap();
 //! assert_eq!(result.rows.len(), 1);
+//!
+//! // `sql2rdd` (§4.1): the same query's rows as an RDD for an ML program.
+//! let ages = shark.sql_to_rdd("SELECT age FROM people").unwrap();
+//! assert_eq!(ages.rdd.count().unwrap(), 2);
 //! ```
 
 #![forbid(unsafe_code)]

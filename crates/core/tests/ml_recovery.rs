@@ -86,7 +86,7 @@ fn failing_before_job<T: Data>(f: &Features<T>, job: usize) -> (Rdd<T>, Arc<Atom
 /// Exactly the lost partitions were rebuilt — once, through the SQL scan —
 /// and everything is cached again.
 fn assert_recovered<T: Data>(f: &Features<T>, lost_table_partitions: usize) {
-    let nodes = f.shark.config().cluster.num_nodes;
+    let nodes = f.shark.config().rdd.cluster.num_nodes;
     let lost: Vec<usize> = (0..PARTITIONS).filter(|p| p % nodes == NODE).collect();
     assert!(!lost.is_empty());
     assert_eq!(lost_table_partitions, lost.len(), "table partitions lost");

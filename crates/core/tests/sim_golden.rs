@@ -19,7 +19,7 @@
 
 use shark_cluster::ClusterConfig;
 use shark_core::datasets::register_ml_points;
-use shark_core::{SharkConfig, SharkContext};
+use shark_core::{RddConfig, SharkConfig, SharkContext};
 use shark_datagen::ml::MlConfig;
 use shark_ml::{KMeans, LinearRegression, LogisticRegression};
 
@@ -28,8 +28,11 @@ use shark_ml::{KMeans, LinearRegression, LogisticRegression};
 fn ml_pipeline_figures(cluster: ClusterConfig) -> Vec<(String, f64)> {
     let shark = SharkContext::new(
         SharkConfig {
-            cluster,
-            default_partitions: 8,
+            rdd: RddConfig {
+                cluster,
+                default_partitions: 8,
+                sim_scale: 1.0,
+            },
             ..SharkConfig::default()
         }
         .with_sim_scale(20_000.0),
@@ -74,6 +77,7 @@ fn ml_pipeline_figures(cluster: ClusterConfig) -> Vec<(String, f64)> {
         out.push((format!("kmeans.iteration[{i}]"), *s));
     }
     let sums = shark
+        .context()
         .parallelize((0i64..4000).collect(), 48)
         .map(|x| (x % 37, x))
         .reduce_by_key(6, |a, b| a + b)
@@ -81,7 +85,7 @@ fn ml_pipeline_figures(cluster: ClusterConfig) -> Vec<(String, f64)> {
         .unwrap();
     assert_eq!(sums.len(), 37);
     out.push(("simulated_time".to_string(), shark.simulated_time()));
-    for (j, job) in shark.job_history().iter().enumerate() {
+    for (j, job) in shark.context().job_history().iter().enumerate() {
         for stage in &job.stages {
             out.push((
                 format!("job[{j}] {} / {}", job.name, stage.name),

@@ -42,15 +42,6 @@ impl Default for RddConfig {
 }
 
 impl RddConfig {
-    /// A config that simulates the paper's 100-node Shark cluster.
-    pub fn paper_shark() -> RddConfig {
-        RddConfig {
-            cluster: ClusterConfig::paper_shark_cluster(),
-            default_partitions: 64,
-            sim_scale: 1.0,
-        }
-    }
-
     /// Set the simulation scale factor.
     pub fn with_sim_scale(mut self, scale: f64) -> RddConfig {
         self.sim_scale = scale;

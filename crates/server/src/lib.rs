@@ -58,7 +58,9 @@ pub use admission::{AdmissionController, AdmissionError, AdmissionPermit};
 pub use memstore::{EvictionEvent, MemstoreManager};
 pub use metrics::{QueryMetrics, ServerReport, SessionStats};
 pub use net::{frame, NetConfig, NetServer, RateClass};
-pub use server::{QueryCursor, ServerConfig, SessionHandle, SessionQueryResult, SharkServer};
+pub use server::{
+    QueryCursor, RddLease, ServerConfig, SessionHandle, SessionQueryResult, SharkServer,
+};
 pub use spill::{SpillEvent, SpillManager, StoreOutcome};
 pub use wal::{
     read_manifest, read_snapshot, replay_wal, write_manifest, write_snapshot, ManifestEntry,

@@ -387,13 +387,8 @@ impl MemstoreManager {
             .filter(|t| !state.pins.contains_key(&t.name) && scope.covers(state, &t.name))
             .filter_map(|t| Some((t.cached.as_ref()?.id(), t)))
             .collect();
-        let mut blocks = store.candidates();
-        if !std::ptr::eq(catalog.store().as_ref(), store) {
-            // A catalog built without a context keeps its own store.
-            blocks.extend(catalog.store().candidates());
-            blocks.sort_unstable();
-        }
-        blocks
+        store
+            .candidates()
             .into_iter()
             .filter_map(|c| match c.id {
                 BlockId::Table { table, partition } => {

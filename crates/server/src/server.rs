@@ -25,10 +25,11 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use shark_common::{Result, Row, Schema, SharkError};
 use shark_rdd::{RddConfig, RddContext};
+use shark_sql::ast::{SelectStmt, Statement};
 use shark_sql::exec::LoadReport;
 use shark_sql::{
     Catalog, ExecConfig, PlanCache, QueryResult, QueryStream, RowGenerator, SqlSession,
-    StreamProgress, TableMeta,
+    StreamProgress, TableMeta, TableRdd,
 };
 
 use crate::admission::{AdmissionController, AdmissionPermit};
@@ -418,6 +419,7 @@ struct Admitted<'s> {
 }
 
 /// How an admitted query ended: the part only its caller knows.
+#[derive(Default)]
 struct Outcome {
     failed: bool,
     plan_cache_hit: bool,
@@ -896,9 +898,17 @@ impl SessionHandle {
     /// skips the parser). Parsing comes first so we know which tables to
     /// pin — and so a syntactically invalid query never occupies an
     /// execution slot; it still counts as a failed query in the metrics.
-    fn parse(&self, text: &str) -> Result<Arc<shark_sql::ast::Statement>> {
+    fn parse(&self, text: &str) -> Result<Arc<Statement>> {
         self.sql
             .parse_cached(text)
+            .inspect_err(|_| self.record_parse_failure(text))
+    }
+
+    /// The parsed statement as a SELECT; anything else counts as a failed
+    /// query that never got past parsing.
+    fn as_select<'p>(&self, text: &str, parsed: &'p Statement) -> Result<&'p SelectStmt> {
+        parsed
+            .as_select()
             .inspect_err(|_| self.record_parse_failure(text))
     }
 
@@ -956,16 +966,16 @@ impl SessionHandle {
         let statement = self.parse(text)?;
         let admitted = self.admit("query", text, pinned_tables_for(&statement))?;
         let _trace = admitted.attach();
-        let result = self.sql.execute_statement_cached(text, &statement);
+        let result = self.sql.execute_statement(text, &statement);
         if result.is_ok() {
             match statement.as_ref() {
-                shark_sql::ast::Statement::DropTable { name } => {
+                Statement::DropTable { name } => {
                     // The table is gone from the catalog; clear its LRU/pin/
                     // recompute/owner bookkeeping so a future table reusing
                     // the name starts clean.
                     shared.memstore.forget(&name.to_lowercase());
                 }
-                shark_sql::ast::Statement::CreateTableAs { name, .. } => {
+                Statement::CreateTableAs { name, .. } => {
                     // The new table's resident bytes are charged to the
                     // session that created it.
                     shared.memstore.record_owner(&name.to_lowercase(), self.id);
@@ -998,23 +1008,14 @@ impl SessionHandle {
     pub fn sql_stream(&self, text: &str) -> Result<QueryCursor<'_>> {
         let shared = &self.shared;
         let parsed = self.parse(text)?;
-        let statement = match parsed.as_ref() {
-            shark_sql::ast::Statement::Select(statement) => statement,
-            // The same error `parser::parse_select` would produce.
-            other => {
-                self.record_parse_failure(text);
-                return Err(SharkError::Parse(format!(
-                    "expected a SELECT statement, found {other:?}"
-                )));
-            }
-        };
+        let statement = self.as_select(text, &parsed)?;
         let mut admitted = self.admit("query-stream", text, statement.referenced_tables())?;
         let _trace = admitted.attach();
         // Clamp this cursor's prefetch under the server-wide budget while
         // the admission permit is already held, so total speculative work
         // stays bounded alongside total in-flight queries.
         let prefetch = shared.acquire_prefetch(self.sql.stream_prefetch());
-        match self.sql.sql_to_stream_cached(text, statement) {
+        match self.sql.sql_to_stream(text, statement) {
             Ok((stream, plan_cache_hit)) => {
                 let stream = stream.with_prefetch(prefetch);
                 // Single-scan streams swap the whole-table pin for
@@ -1042,10 +1043,34 @@ impl SessionHandle {
                 shared.release_prefetch(prefetch);
                 admitted.settle(Outcome {
                     failed: true,
-                    plan_cache_hit: false,
-                    sim_seconds: 0.0,
-                    progress: StreamProgress::default(),
-                    streamed: None,
+                    ..Outcome::default()
+                });
+                Err(err)
+            }
+        }
+    }
+
+    /// Execute a SELECT under admission control and keep its result as an
+    /// RDD — `sql2rdd` (§4.1) on a served session, so an ML program runs
+    /// under the same admission, pins and memory budget as every query, and
+    /// its cached partitions are blocks of the server's one store. The
+    /// returned [`RddLease`] derefs to the [`TableRdd`] and holds the
+    /// admission permit, whole-table pins on every table the query reads
+    /// and the catalog-snapshot pin until it drops.
+    pub fn sql_to_rdd(&self, text: &str) -> Result<RddLease<'_>> {
+        let parsed = self.parse(text)?;
+        let statement = self.as_select(text, &parsed)?;
+        let admitted = self.admit("query-rdd", text, statement.referenced_tables())?;
+        let _trace = admitted.attach();
+        match self.sql.select_to_rdd(text, statement) {
+            Ok((table, plan_cache_hit)) => Ok(RddLease {
+                open: Some((admitted, table)),
+                plan_cache_hit,
+            }),
+            Err(err) => {
+                admitted.settle(Outcome {
+                    failed: true,
+                    ..Outcome::default()
                 });
                 Err(err)
             }
@@ -1055,7 +1080,7 @@ impl SessionHandle {
     /// Parse a statement through the plan cache's parse tier without
     /// executing it — the wire frontend's Prepare path, which wants parse
     /// errors at prepare time and a warmed cache for the Executes after.
-    pub(crate) fn parse_statement(&self, text: &str) -> Result<Arc<shark_sql::ast::Statement>> {
+    pub(crate) fn parse_statement(&self, text: &str) -> Result<Arc<Statement>> {
         self.sql.parse_cached(text)
     }
 
@@ -1331,9 +1356,9 @@ fn placeholder_generator(name: &str) -> RowGenerator {
 /// reads, plus — for CTAS — the table it *creates*, so a concurrent budget
 /// enforcement cannot evict the target's freshly loaded memstore partitions
 /// mid-load.
-fn pinned_tables_for(statement: &shark_sql::ast::Statement) -> Vec<String> {
+fn pinned_tables_for(statement: &Statement) -> Vec<String> {
     let mut tables = statement.referenced_tables();
-    if let shark_sql::ast::Statement::CreateTableAs { name, .. } = statement {
+    if let Statement::CreateTableAs { name, .. } = statement {
         let target = name.to_lowercase();
         if !tables.contains(&target) {
             tables.push(target);
@@ -1526,5 +1551,47 @@ impl Drop for QueryCursor<'_> {
         // A cursor abandoned mid-stream still releases its pins and permit
         // and records what it streamed.
         self.finalize();
+    }
+}
+
+/// A query result kept as an RDD, handed out by
+/// [`SessionHandle::sql_to_rdd`]: a sibling of [`QueryCursor`] for ML
+/// programs. It derefs to the [`TableRdd`] and owns the statement's
+/// admission permit, table pins and catalog-snapshot pin.
+///
+/// Dropping the lease ends the statement — releases all three and records
+/// its [`QueryMetrics`] — even while clones of `.rdd` are still alive, just
+/// as dropping a `TableRdd` releases its snapshot pin. Keep the lease for as
+/// long as the program runs jobs over the RDD.
+pub struct RddLease<'s> {
+    /// The open statement and its pipeline; `None` once settled.
+    open: Option<(Admitted<'s>, TableRdd)>,
+    /// Whether the pipeline's plan came out of the shared plan cache.
+    plan_cache_hit: bool,
+}
+
+impl std::ops::Deref for RddLease<'_> {
+    type Target = TableRdd;
+
+    fn deref(&self) -> &TableRdd {
+        let (_, table) = self.open.as_ref().expect("a lease is open until it drops");
+        table
+    }
+}
+
+impl Drop for RddLease<'_> {
+    fn drop(&mut self) {
+        let Some((admitted, table)) = self.open.take() else {
+            return;
+        };
+        let sim_seconds = table.sim_seconds;
+        // Release the snapshot pin first, so a dropped table version only
+        // this pipeline still pinned is reclaimed when the statement settles.
+        drop(table);
+        admitted.settle(Outcome {
+            plan_cache_hit: self.plan_cache_hit,
+            sim_seconds,
+            ..Outcome::default()
+        });
     }
 }

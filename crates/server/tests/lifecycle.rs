@@ -1,6 +1,7 @@
 //! The query lifecycle, end to end: however a statement ends — answered,
-//! drained, abandoned, failed while planning or mid-stream, unparseable,
-//! turned away at admission — it is accounted exactly once and leaves
+//! drained, abandoned, kept as an RDD and released, failed while planning
+//! or mid-stream, unparseable, turned away at admission — it is accounted
+//! exactly once and leaves
 //! nothing behind: no execution slot, no table pin, no prefetch grant, and
 //! no shuffle map output.
 
@@ -140,6 +141,27 @@ fn every_way_a_query_ends_is_accounted_once_and_leaks_nothing() {
             let holder = session.sql_stream(all).unwrap();
             let other = server.session();
             let err = other.sql(all).unwrap_err();
+            assert!(err.to_string().contains("admission queue full"), "{err}");
+            drop(holder);
+        });
+        check("rdd lease dropped", 0, 0, &|| {
+            let lease = session.sql_to_rdd(all).unwrap();
+            let rows = lease.rdd.count().unwrap();
+            assert_eq!(rows, (PARTITIONS * ROWS_PER_PARTITION) as u64);
+            assert_eq!(server.running_queries(), 1);
+            assert_eq!(server.pinned_tables(), vec!["t".to_string()]);
+        });
+        check("plan error (rdd)", 1, 0, &|| {
+            assert!(session.sql_to_rdd("SELECT nope FROM t").is_err());
+        });
+        check("non-SELECT rdd", 1, 0, &|| {
+            assert!(session.sql_to_rdd("DROP TABLE t").is_err());
+        });
+        check("admission rejection (rdd)", 0, 1, &|| {
+            // An open lease holds the only slot.
+            let holder = session.sql_to_rdd(all).unwrap();
+            let other = server.session();
+            let err = other.sql_to_rdd(all).err().unwrap();
             assert!(err.to_string().contains("admission queue full"), "{err}");
             drop(holder);
         });

@@ -196,7 +196,8 @@ fn enforcement_evicts_roughly_the_overshoot_via_lru_partitions() {
 fn eviction_events_record_the_partitions_that_went() {
     // Manager-level: an enforcement pass needing one partition's worth of
     // bytes evicts exactly the LRU partition and says which one.
-    let catalog = std::sync::Arc::new(shark_sql::Catalog::new());
+    let ctx = shark_rdd::RddContext::local();
+    let catalog = std::sync::Arc::new(shark_sql::Catalog::with_context(&ctx));
     let schema = Schema::from_pairs(&[("x", DataType::Int)]);
     catalog.register(
         TableMeta::new("t", schema, 4, |p| {
@@ -224,8 +225,7 @@ fn eviction_events_record_the_partitions_that_went() {
     let total = mem.memory_bytes();
     let one = mem.partition_bytes(1);
     let manager = MemstoreManager::new(total - one);
-    let rdd_cache = shark_rdd::BlockStore::new();
-    let events = manager.enforce(&catalog, &rdd_cache);
+    let events = manager.enforce(&catalog, ctx.cache());
     assert_eq!(events.len(), 1);
     match &events[0] {
         EvictionEvent::Table {

@@ -1,6 +1,6 @@
 //! Abstract syntax tree for the HiveQL subset Shark's experiments use.
 
-use shark_common::Value;
+use shark_common::{Result, SharkError, Value};
 
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +45,17 @@ impl Statement {
             Statement::CreateTableAs { query, .. } => query.referenced_tables(),
             Statement::DropTable { .. } => Vec::new(),
             Statement::Explain { query, .. } => query.referenced_tables(),
+        }
+    }
+
+    /// The statement as a `SELECT`, or the parse error every entry point
+    /// that accepts only a query reports.
+    pub fn as_select(&self) -> Result<&SelectStmt> {
+        match self {
+            Statement::Select(stmt) => Ok(stmt),
+            other => Err(SharkError::Parse(format!(
+                "expected a SELECT statement, found {other:?}"
+            ))),
         }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use shark_common::{Result, Row, SharkError};
 use shark_rdd::RddContext;
 
-use crate::ast::Statement;
+use crate::ast::{SelectStmt, Statement};
 use crate::catalog::{Catalog, CatalogSnapshot, TableMeta};
 use crate::exec::{self, ExecConfig, LoadReport, QueryResult, QueryStream, TableRdd};
 use crate::expr::UdfRegistry;
@@ -132,7 +132,7 @@ impl SqlSession {
     /// Execute any supported SQL statement.
     pub fn sql(&self, text: &str) -> Result<QueryResult> {
         let statement = self.parse_cached(text)?;
-        Ok(self.execute_statement_cached(text, &statement)?.0)
+        Ok(self.execute_statement(text, &statement)?.0)
     }
 
     /// Parse a statement, reusing the plan cache's parse tier when one is
@@ -155,178 +155,73 @@ impl SqlSession {
         }
     }
 
-    /// Execute an already-parsed statement with plan-cache participation,
-    /// returning the result and whether a cached plan was reused (the
-    /// serving layer reports this per query and over the wire). `text` must
-    /// be the statement's original SQL — it keys the cache.
-    pub fn execute_statement_cached(
+    /// Execute an already-parsed statement (lets a serving layer parse once
+    /// for admission/cache bookkeeping and execute the same AST), returning
+    /// the result and whether a cached plan was reused. `text` must be the
+    /// statement's original SQL — it keys the plan cache.
+    pub fn execute_statement(
         &self,
         text: &str,
         statement: &Statement,
     ) -> Result<(QueryResult, bool)> {
-        match statement {
+        let result = match statement {
             Statement::Select(stmt) => {
-                let planned = self.plan_select_cached(Some(text), stmt)?;
-                let hit = planned.cache_hit;
-                Ok((self.execute_planned(planned)?, hit))
-            }
-            other => Ok((self.execute_statement(other)?, false)),
-        }
-    }
-
-    /// Execute an already-parsed statement (lets a serving layer parse once
-    /// for admission/cache bookkeeping and execute the same AST).
-    pub fn execute_statement(&self, statement: &Statement) -> Result<QueryResult> {
-        match statement {
-            Statement::Select(stmt) => {
-                let planned = self.plan_select_cached(None, stmt)?;
-                self.execute_planned(planned)
+                let planned = self.plan(Some(text), stmt)?;
+                let result = exec::execute(&self.ctx, &planned.plan, &self.exec)?;
+                return Ok((result, planned.cache_hit));
             }
             Statement::DropTable { name } => {
                 self.catalog.drop_table(name)?;
-                Ok(QueryResult {
+                QueryResult {
                     schema: shark_common::Schema::default(),
                     rows: vec![],
                     sim_seconds: 0.0,
                     real_seconds: 0.0,
                     plan: format!("drop_table({name})"),
                     notes: vec![],
-                })
+                }
             }
             Statement::CreateTableAs {
                 name,
                 properties,
                 query,
-            } => self.create_table_as(name, properties, query),
+            } => self.create_table_as(name, properties, query)?,
             Statement::Explain { analyze, query } => {
-                let snapshot = self.catalog.snapshot();
-                let plan = plan_select(query, &snapshot, &self.udfs)?;
-                if !*analyze {
-                    return Ok(crate::explain::explain_plan(&plan));
+                let planned = self.plan(None, query)?;
+                if *analyze {
+                    crate::explain::explain_analyze(
+                        &self.ctx,
+                        &planned.plan,
+                        &self.exec,
+                        planned.snapshot,
+                    )?
+                } else {
+                    crate::explain::explain_plan(&planned.plan)
                 }
-                crate::explain::explain_analyze(&self.ctx, &plan, &self.exec, snapshot)
             }
-        }
+        };
+        Ok((result, false))
     }
 
     /// Execute a SELECT incrementally, returning a [`QueryStream`] cursor
     /// that delivers row batches as partitions finish (and, for LIMIT
     /// queries, stops launching partitions once enough rows streamed).
     pub fn sql_stream(&self, text: &str) -> Result<QueryStream> {
-        if self.plan_cache.is_some() {
-            if let Statement::Select(stmt) = self.parse_cached(text)?.as_ref() {
-                return Ok(self.sql_to_stream_cached(text, stmt)?.0);
-            }
-        }
-        self.sql_to_stream(&parser::parse_select(text)?)
+        let statement = self.parse_cached(text)?;
+        Ok(self.sql_to_stream(text, statement.as_select()?)?.0)
     }
 
     /// Stream an already-parsed SELECT (the statement-level counterpart of
     /// [`SqlSession::sql_stream`], used by serving layers that parse once
-    /// for admission/pinning bookkeeping). The returned cursor pins the
-    /// catalog snapshot its plan resolved against until it closes, so a
-    /// concurrent `DROP TABLE` + recreate can never change what it drains.
-    pub fn sql_to_stream(&self, stmt: &crate::ast::SelectStmt) -> Result<QueryStream> {
-        let planned = self.plan_select_cached(None, stmt)?;
-        self.stream_planned(planned)
-    }
-
-    /// Stream an already-parsed SELECT with plan-cache participation,
-    /// returning the cursor and whether a cached plan was reused. `text`
-    /// must be the statement's original SQL — it keys the cache.
-    pub fn sql_to_stream_cached(
-        &self,
-        text: &str,
-        stmt: &crate::ast::SelectStmt,
-    ) -> Result<(QueryStream, bool)> {
-        let planned = self.plan_select_cached(Some(text), stmt)?;
-        let hit = planned.cache_hit;
-        Ok((self.stream_planned(planned)?, hit))
-    }
-
-    /// Pin a snapshot and produce the plan for `stmt` — from the cache when
-    /// `text` is provided, a cache is attached, the session has no UDFs, and
-    /// the cached plan's epoch matches the pinned snapshot's; compiled
-    /// fresh (and cached for the next execution) otherwise.
-    fn plan_select_cached(
-        &self,
-        text: Option<&str>,
-        stmt: &crate::ast::SelectStmt,
-    ) -> Result<Planned> {
-        // Pin one snapshot for the query's whole lifetime: every table
-        // resolves once against it, and a concurrent DROP TABLE can neither
-        // change what the running plan sees nor reclaim the dropped
-        // version's memstore before the query finishes. A cached plan is
-        // only reused at the exact epoch it was compiled at, so it holds
-        // the same `Arc<TableMeta>`s this snapshot resolves to.
-        let snapshot = self.catalog.snapshot();
-        if shark_obs::active() {
-            shark_obs::event("snapshot-pin", &[("epoch", &snapshot.epoch().to_string())]);
-        }
-        let cacheable = match (&self.plan_cache, text) {
-            (Some(cache), Some(text)) if self.udfs.is_empty() && cache.capacity() > 0 => {
-                Some((cache, text))
-            }
-            _ => None,
-        };
-        if let Some((cache, text)) = cacheable {
-            let fingerprint = statement_fingerprint(text);
-            let entry = match cache.statement(fingerprint) {
-                Some(entry) => entry,
-                None => cache.insert_statement(fingerprint, Statement::Select(stmt.clone())),
-            };
-            if let Some(plan) = entry.plan_for_epoch(snapshot.epoch()) {
-                cache.record_plan_lookup(Some(&entry), true);
-                if shark_obs::active() {
-                    shark_obs::event(
-                        "plan-cache-hit",
-                        &[("epoch", &snapshot.epoch().to_string())],
-                    );
-                }
-                return Ok(Planned {
-                    plan,
-                    snapshot,
-                    cache_hit: true,
-                });
-            }
-            let plan = {
-                let _span = shark_obs::span("plan");
-                Arc::new(plan_select(stmt, &snapshot, &self.udfs)?)
-            };
-            // Record the miss before storing the fresh plan: once the plan
-            // is in, `has_plan()` can no longer distinguish a cold miss
-            // from a DDL-staled one.
-            cache.record_plan_lookup(Some(&entry), false);
-            entry.store_plan(snapshot.epoch(), plan.clone());
-            return Ok(Planned {
-                plan,
-                snapshot,
-                cache_hit: false,
-            });
-        }
-        let plan = {
-            let _span = shark_obs::span("plan");
-            Arc::new(plan_select(stmt, &snapshot, &self.udfs)?)
-        };
-        Ok(Planned {
-            plan,
-            snapshot,
-            cache_hit: false,
-        })
-    }
-
-    /// Execute a planned SELECT while its snapshot pin is held.
-    fn execute_planned(&self, planned: Planned) -> Result<QueryResult> {
-        let result = exec::execute(&self.ctx, &planned.plan, &self.exec);
-        drop(planned.snapshot);
-        result
-    }
-
-    /// Turn a planned SELECT into a streaming cursor that keeps the
-    /// snapshot pinned until it closes.
-    fn stream_planned(&self, planned: Planned) -> Result<QueryStream> {
-        Ok(exec::execute_stream(&self.ctx, &planned.plan, &self.exec)?
-            .with_snapshot(planned.snapshot))
+    /// for admission/pinning bookkeeping), returning the cursor and whether
+    /// a cached plan was reused. `text` must be the statement's original
+    /// SQL — it keys the plan cache. The cursor pins the catalog snapshot
+    /// its plan resolved against until it closes, so a concurrent
+    /// `DROP TABLE` + recreate can never change what it drains.
+    pub fn sql_to_stream(&self, text: &str, stmt: &SelectStmt) -> Result<(QueryStream, bool)> {
+        let planned = self.plan(Some(text), stmt)?;
+        let stream = exec::execute_stream(&self.ctx, &planned.plan, &self.exec)?;
+        Ok((stream.with_snapshot(planned.snapshot), planned.cache_hit))
     }
 
     /// Execute a query and return its result as an RDD plus schema — the
@@ -334,12 +229,75 @@ impl SqlSession {
     /// returned [`TableRdd`] pins the catalog snapshot it was planned
     /// against, since ML pipelines may run it long after planning.
     pub fn sql_to_rdd(&self, text: &str) -> Result<TableRdd> {
-        let stmt = parser::parse_select(text)?;
+        let statement = self.parse_cached(text)?;
+        Ok(self.select_to_rdd(text, statement.as_select()?)?.0)
+    }
+
+    /// [`SqlSession::sql_to_rdd`] of an already-parsed SELECT, returning the
+    /// pipeline and whether a cached plan was reused. `text` must be the
+    /// statement's original SQL — it keys the plan cache.
+    pub fn select_to_rdd(&self, text: &str, stmt: &SelectStmt) -> Result<(TableRdd, bool)> {
+        let planned = self.plan(Some(text), stmt)?;
+        let mut table = exec::build_pipeline(&self.ctx, &planned.plan, &self.exec)?;
+        table.snapshot = Some(planned.snapshot);
+        Ok((table, planned.cache_hit))
+    }
+
+    /// The one way a statement gets a plan: pin a snapshot and plan `stmt`
+    /// against it — from the cache when `text` is provided, a cache is
+    /// attached, the session has no UDFs, and the cached plan's epoch
+    /// matches the pinned snapshot's; compiled fresh (and cached for the
+    /// next execution) otherwise.
+    fn plan(&self, text: Option<&str>, stmt: &SelectStmt) -> Result<Planned> {
+        // Pin one snapshot for the statement's whole lifetime: every table
+        // resolves once against it, and a concurrent DROP TABLE can neither
+        // change what the running plan sees nor reclaim the dropped
+        // version's memstore before the statement finishes. A cached plan
+        // is only reused at the exact epoch it was compiled at, so it holds
+        // the same `Arc<TableMeta>`s this snapshot resolves to.
         let snapshot = self.catalog.snapshot();
-        let plan = plan_select(&stmt, &snapshot, &self.udfs)?;
-        let mut table = exec::build_pipeline(&self.ctx, &plan, &self.exec)?;
-        table.snapshot = Some(snapshot);
-        Ok(table)
+        let epoch = snapshot.epoch();
+        if shark_obs::active() {
+            shark_obs::event("snapshot-pin", &[("epoch", &epoch.to_string())]);
+        }
+        let cached = match (&self.plan_cache, text) {
+            (Some(cache), Some(text)) if self.udfs.is_empty() && cache.capacity() > 0 => {
+                let fingerprint = statement_fingerprint(text);
+                let entry = match cache.statement(fingerprint) {
+                    Some(entry) => entry,
+                    None => cache.insert_statement(fingerprint, Statement::Select(stmt.clone())),
+                };
+                if let Some(plan) = entry.plan_for_epoch(epoch) {
+                    cache.record_plan_lookup(Some(&entry), true);
+                    if shark_obs::active() {
+                        shark_obs::event("plan-cache-hit", &[("epoch", &epoch.to_string())]);
+                    }
+                    return Ok(Planned {
+                        plan,
+                        snapshot,
+                        cache_hit: true,
+                    });
+                }
+                Some((cache, entry))
+            }
+            _ => None,
+        };
+        let plan = {
+            let _span = shark_obs::span("plan");
+            Arc::new(plan_select(stmt, &snapshot, &self.udfs)?)
+        };
+        if let Some((cache, entry)) = cached {
+            // Record the miss before storing the fresh plan: once the plan
+            // is in, `has_plan()` can no longer distinguish a cold miss
+            // from a DDL-staled one.
+            cache.record_plan_lookup(Some(&entry), false);
+            entry.store_plan(epoch, plan.clone());
+        }
+        Ok(Planned {
+            plan,
+            snapshot,
+            cache_hit: false,
+        })
     }
 
     /// Kill a simulated worker node: removes every block it held (RDD and
@@ -355,12 +313,8 @@ impl SqlSession {
         &self,
         name: &str,
         properties: &[(String, String)],
-        query: &crate::ast::SelectStmt,
+        query: &SelectStmt,
     ) -> Result<QueryResult> {
-        // Pin one snapshot for the whole CTAS: the source query resolves
-        // every table against it once, so a concurrent drop/replace of a
-        // source mid-CTAS cannot tear the new table's contents.
-        let snapshot = self.catalog.snapshot();
         // Fail fast before doing any work; the authoritative (atomic) check
         // is the `register_if_absent` below, which closes the window where
         // two concurrent CTAS statements both pass this one.
@@ -370,13 +324,17 @@ impl SqlSession {
             )));
         }
         let wall = std::time::Instant::now();
-        let plan = plan_select(query, &snapshot, &self.udfs)?;
+        // The source query resolves every table once against the snapshot
+        // the plan pins, so a concurrent drop/replace of a source mid-CTAS
+        // cannot tear the new table's contents.
+        let planned = self.plan(None, query)?;
+        let plan = &planned.plan;
         let schema = plan.output_schema.clone();
 
         // Stream the query and build the new table's partitions
         // incrementally — hash by the DISTRIBUTE BY column or round-robin —
         // instead of cloning a fully collected result set.
-        let mut stream = exec::execute_stream(&self.ctx, &plan, &self.exec)?;
+        let mut stream = exec::execute_stream(&self.ctx, plan, &self.exec)?;
         let num_partitions = self.ctx.config().default_partitions.max(1);
         let mut partitions: Vec<Vec<Row>> = vec![Vec::new(); num_partitions];
         let mut row_count = 0u64;

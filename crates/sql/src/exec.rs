@@ -168,7 +168,7 @@ pub struct TableRdd {
     pub notes: Vec<String>,
     /// Simulated seconds building the pipeline already cost (PDE's jobs
     /// and the fixed charges): where the statement's ledger starts.
-    pub(crate) sim_seconds: f64,
+    pub sim_seconds: f64,
     /// When the whole pipeline is a narrow chain over one memstore scan
     /// (result partition `i` is exactly scan partition `selected[i]`), the
     /// scan's identity — what top-k pushdown needs to consult partition
@@ -1215,19 +1215,8 @@ fn build_join(
         let lk = left_key.clone();
         let rk = right_key.clone();
         let joined = left.zip_partitions(&right, move |lrows, rrows| {
-            let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-            for r in &rrows {
-                table.entry(rk.eval(r)).or_default().push(r.clone());
-            }
-            let mut out = Vec::new();
-            for l in &lrows {
-                if let Some(matches) = table.get(&lk.eval(l)) {
-                    for r in matches {
-                        out.push(l.concat(r));
-                    }
-                }
-            }
-            out
+            let table = JoinTable::build(rrows.into_iter().map(|r| (rk.eval(&r), r)));
+            table.probe(lrows.into_iter().map(|l| (lk.eval(&l), l)), false)
         });
         return Ok(joined);
     }
@@ -1360,26 +1349,10 @@ fn broadcast_join(
     let (broadcast, collect_seconds) = build.collect_all()?;
     *sim_seconds += collect_seconds;
     *sim_seconds += ctx.charge_broadcast(estimate_slice(&broadcast) as u64);
-    let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-    for (k, r) in broadcast {
-        table.entry(k).or_default().push(r);
-    }
-    let table = Arc::new(table);
+    let table = Arc::new(JoinTable::build(broadcast));
     Ok(
         stream.map_partitions_named("map-join", 3.0, move |_, rows| {
-            let mut out = Vec::new();
-            for (k, row) in rows {
-                if let Some(matches) = table.get(&k) {
-                    for m in matches {
-                        out.push(if broadcast_is_right {
-                            row.concat(m)
-                        } else {
-                            m.concat(&row)
-                        });
-                    }
-                }
-            }
-            out
+            table.probe(rows, !broadcast_is_right)
         }),
     )
 }
@@ -1411,20 +1384,41 @@ fn aligned_shuffle_join(
     let left_rdd = left.read(assignment.clone());
     let right_rdd = right.read(assignment);
     left_rdd.zip_partitions(&right_rdd, |lrows, rrows| {
+        JoinTable::build(rrows).probe(lrows, false)
+    })
+}
+
+/// One side of an equi-join hashed by key — the build and probe every
+/// join strategy (co-partitioned, broadcast, shuffle) shares.
+struct JoinTable(HashMap<Value, Vec<Row>>);
+
+impl JoinTable {
+    /// Hash the build side's `(key, row)` pairs, keeping each key's rows
+    /// in arrival order.
+    fn build(rows: impl IntoIterator<Item = (Value, Row)>) -> JoinTable {
         let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-        for (k, r) in rrows {
+        for (k, r) in rows {
             table.entry(k).or_default().push(r);
         }
+        JoinTable(table)
+    }
+
+    /// Probe with each `(key, row)` in order: one joined row per match, in
+    /// build order. Left columns precede right ones, so the build row goes
+    /// first when the build side is the join's left input.
+    fn probe(&self, rows: impl IntoIterator<Item = (Value, Row)>, build_is_left: bool) -> Vec<Row> {
         let mut out = Vec::new();
-        for (k, l) in lrows {
-            if let Some(matches) = table.get(&k) {
-                for r in matches {
-                    out.push(l.concat(r));
-                }
+        for (k, row) in rows {
+            for m in self.0.get(&k).into_iter().flatten() {
+                out.push(if build_is_left {
+                    m.concat(&row)
+                } else {
+                    row.concat(m)
+                });
             }
         }
         out
-    })
+    }
 }
 
 /// Charge the Hive baseline for materializing intermediate results to the

@@ -28,12 +28,7 @@ pub fn parse(sql: &str) -> Result<Statement> {
 
 /// Parse a SQL string that must be a `SELECT`.
 pub fn parse_select(sql: &str) -> Result<SelectStmt> {
-    match parse(sql)? {
-        Statement::Select(s) => Ok(s),
-        other => Err(SharkError::Parse(format!(
-            "expected a SELECT statement, found {other:?}"
-        ))),
-    }
+    parse(sql)?.as_select().cloned()
 }
 
 struct Parser {

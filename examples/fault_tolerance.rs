@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p shark-examples --example fault_tolerance`
 
 use shark_core::datasets::register_tpch;
-use shark_core::{SharkConfig, SharkContext};
+use shark_core::{RddConfig, SharkConfig, SharkContext};
 use shark_datagen::tpch::TpchConfig;
 
 const QUERY: &str =
@@ -16,15 +16,17 @@ fn main() -> shark_common::Result<()> {
     let mut cluster = shark_core::ClusterConfig::paper_shark_cluster();
     cluster.num_nodes = 50;
     let shark = SharkContext::new(SharkConfig {
-        cluster,
-        default_partitions: 100,
-        sim_scale: 20_000.0,
+        rdd: RddConfig {
+            cluster,
+            default_partitions: 100,
+            sim_scale: 20_000.0,
+        },
         ..SharkConfig::default()
     });
     register_tpch(&shark, &TpchConfig::default(), 100, true)?;
 
     // Full load of the lineitem table into the memstore.
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let load = shark.load_table("lineitem")?;
     println!(
         "full load: {:.1}s simulated ({} rows, {} columnar bytes)",
@@ -32,7 +34,7 @@ fn main() -> shark_common::Result<()> {
     );
 
     // Query with no failures.
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let healthy = shark.sql(QUERY)?;
     println!("no failures:      {:.2}s simulated", healthy.sim_seconds);
 
@@ -42,7 +44,7 @@ fn main() -> shark_common::Result<()> {
 
     // The same query now recomputes the lost partitions from the base data
     // (lineage) as part of its scan, on the surviving 49 nodes.
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let with_failure = shark.sql(QUERY)?;
     println!(
         "single failure:   {:.2}s simulated",
@@ -51,7 +53,7 @@ fn main() -> shark_common::Result<()> {
 
     // After recovery the partitions are cached again; the next query is back
     // to normal speed.
-    shark.reset_simulation();
+    shark.context().reset_simulation();
     let post_recovery = shark.sql(QUERY)?;
     println!(
         "post-recovery:    {:.2}s simulated",

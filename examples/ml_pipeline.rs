@@ -5,15 +5,17 @@
 //! Run with: `cargo run --release -p shark-examples --example ml_pipeline`
 
 use shark_core::datasets::register_ml_points;
-use shark_core::{SharkConfig, SharkContext};
+use shark_core::{RddConfig, SharkConfig, SharkContext};
 use shark_datagen::ml::MlConfig;
 use shark_ml::{KMeans, LogisticRegression};
 
 fn main() -> shark_common::Result<()> {
     let shark = SharkContext::new(SharkConfig {
-        cluster: shark_core::ClusterConfig::small(16, 4),
-        default_partitions: 32,
-        sim_scale: 10_000.0, // each in-process point stands for 10k points
+        rdd: RddConfig {
+            cluster: shark_core::ClusterConfig::small(16, 4),
+            default_partitions: 32,
+            sim_scale: 10_000.0, // each in-process point stands for 10k points
+        },
         ..SharkConfig::default()
     });
     let ml_cfg = MlConfig {

@@ -32,7 +32,7 @@ fn run(label: &str, config: SharkConfig, cached: bool) -> shark_common::Result<(
         ("aggregation (1K groups)", AGG_COARSE),
         ("join", JOIN),
     ] {
-        shark.reset_simulation();
+        shark.context().reset_simulation();
         let r = shark.sql(sql)?;
         println!(
             "  {name:<42} {:>8.2}s simulated   ({} result rows)",

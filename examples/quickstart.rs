@@ -5,14 +5,17 @@
 //! Run with: `cargo run --release -p shark-examples --example quickstart`
 
 use shark_common::{row, DataType, Schema};
-use shark_core::{SharkConfig, SharkContext, TableMeta};
+use shark_core::{RddConfig, SharkConfig, SharkContext, TableMeta};
 use shark_ml::LogisticRegression;
 
 fn main() -> shark_common::Result<()> {
     // A small simulated cluster: 8 nodes x 4 cores, Shark engine profile.
     let mut shark = SharkContext::new(SharkConfig {
-        cluster: shark_core::ClusterConfig::small(8, 4),
-        default_partitions: 16,
+        rdd: RddConfig {
+            cluster: shark_core::ClusterConfig::small(8, 4),
+            default_partitions: 16,
+            sim_scale: 1.0,
+        },
         ..SharkConfig::default()
     });
 
@@ -62,7 +65,7 @@ fn main() -> shark_common::Result<()> {
     println!(
         "query took {:.3}s simulated on a {}-node cluster (plan: {})",
         result.sim_seconds,
-        shark.config().cluster.num_nodes,
+        shark.config().rdd.cluster.num_nodes,
         result.plan
     );
 

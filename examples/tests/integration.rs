@@ -2,7 +2,7 @@
 //! simulated cluster, exercising the paper's main claims end to end.
 
 use shark_core::datasets::{register_pavlo, register_tpch, register_warehouse};
-use shark_core::{ExecConfig, SharkConfig, SharkContext};
+use shark_core::{ExecConfig, RddConfig, SharkConfig, SharkContext};
 use shark_datagen::pavlo::PavloConfig;
 use shark_datagen::tpch::TpchConfig;
 use shark_datagen::warehouse::WarehouseConfig;
@@ -11,9 +11,11 @@ use shark_ml::LogisticRegression;
 fn shark_with_pavlo(exec: ExecConfig, cached: bool) -> SharkContext {
     let shark = SharkContext::new(
         SharkConfig {
-            cluster: shark_core::ClusterConfig::small(8, 2),
-            default_partitions: 8,
-            sim_scale: 10_000.0,
+            rdd: RddConfig {
+                cluster: shark_core::ClusterConfig::small(8, 2),
+                default_partitions: 8,
+                sim_scale: 10_000.0,
+            },
             ..SharkConfig::default()
         }
         .with_exec(exec),
@@ -31,10 +33,12 @@ fn pavlo_queries_agree_between_shark_and_hive_modes() {
     let shark = shark_with_pavlo(ExecConfig::shark(), true);
     let hive = {
         let s = SharkContext::new(SharkConfig {
-            cluster: shark_core::ClusterConfig::small(8, 2)
-                .with_profile(shark_core::EngineProfile::hadoop()),
-            default_partitions: 8,
-            sim_scale: 10_000.0,
+            rdd: RddConfig {
+                cluster: shark_core::ClusterConfig::small(8, 2)
+                    .with_profile(shark_core::EngineProfile::hadoop()),
+                default_partitions: 8,
+                sim_scale: 10_000.0,
+            },
             exec: ExecConfig::hive(),
         });
         register_pavlo(&s, &PavloConfig::tiny(), 8, false).unwrap();
@@ -68,9 +72,9 @@ fn shark_is_dramatically_faster_than_hive_on_cached_aggregations() {
     shark_full.load_table("rankings").unwrap();
 
     let sql = "SELECT COUNT(*) FROM rankings WHERE pageRank > 300";
-    shark_full.reset_simulation();
+    shark_full.context().reset_simulation();
     let fast = shark_full.sql(sql).unwrap();
-    hive.reset_simulation();
+    hive.context().reset_simulation();
     let slow = hive.sql(sql).unwrap();
     assert_eq!(fast.rows, slow.rows);
     let speedup = slow.sim_seconds / fast.sim_seconds;
@@ -110,10 +114,10 @@ fn pde_join_selection_beats_static_plan() {
     let sql = "SELECT l_orderkey, s_name FROM lineitem l JOIN supplier s \
                ON l.l_suppkey = s.s_suppkey WHERE is_special(s.s_address)";
     let adaptive = build(ExecConfig::shark());
-    adaptive.reset_simulation();
+    adaptive.context().reset_simulation();
     let a = adaptive.sql(sql).unwrap();
     let static_plan = build(ExecConfig::shark_static());
-    static_plan.reset_simulation();
+    static_plan.context().reset_simulation();
     let s = static_plan.sql(sql).unwrap();
     assert_eq!(a.rows.len(), s.rows.len(), "same join result");
     assert!(
@@ -151,8 +155,11 @@ fn map_pruning_reduces_scanned_partitions_and_preserves_answers() {
 #[test]
 fn mid_query_style_failure_recovery_preserves_results() {
     let shark = SharkContext::new(SharkConfig {
-        cluster: shark_core::ClusterConfig::small(10, 2),
-        default_partitions: 20,
+        rdd: RddConfig {
+            cluster: shark_core::ClusterConfig::small(10, 2),
+            default_partitions: 20,
+            sim_scale: 1.0,
+        },
         ..SharkConfig::default()
     });
     register_tpch(&shark, &TpchConfig::tiny(), 20, true).unwrap();

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p shark-examples --example warehouse_queries`
 
 use shark_core::datasets::register_warehouse;
-use shark_core::{SharkConfig, SharkContext};
+use shark_core::{RddConfig, SharkConfig, SharkContext};
 use shark_datagen::warehouse::WarehouseConfig;
 
 fn queries() -> Vec<(&'static str, String)> {
@@ -41,10 +41,12 @@ fn queries() -> Vec<(&'static str, String)> {
 
 fn main() -> shark_common::Result<()> {
     let shark = SharkContext::new(SharkConfig {
-        cluster: shark_core::ClusterConfig::paper_shark_cluster(),
-        default_partitions: 240,
-        // 1.7 TB / 30 days of data scaled down to the in-process generator.
-        sim_scale: 30_000.0,
+        rdd: RddConfig {
+            cluster: shark_core::ClusterConfig::paper_shark_cluster(),
+            default_partitions: 240,
+            // 1.7 TB / 30 days of data scaled down to the in-process generator.
+            sim_scale: 30_000.0,
+        },
         ..SharkConfig::default()
     });
     register_warehouse(&shark, &WarehouseConfig::default(), true)?;
@@ -55,7 +57,7 @@ fn main() -> shark_common::Result<()> {
     );
 
     for (name, sql) in queries() {
-        shark.reset_simulation();
+        shark.context().reset_simulation();
         let r = shark.sql(&sql)?;
         println!("{name}");
         println!(
