@@ -141,6 +141,9 @@ pub(crate) struct ContextState {
     next_rdd_id: AtomicUsize,
     next_shuffle_id: AtomicUsize,
     reports: Mutex<VecDeque<JobReport>>,
+    /// How many tasks of one drained stage run at once; `None` is the
+    /// global executor's thread count.
+    width: Option<usize>,
 }
 
 /// The driver: creates RDDs, runs jobs, owns cluster/shuffle/cache state.
@@ -152,8 +155,25 @@ pub struct RddContext {
 }
 
 impl RddContext {
-    /// Create a context with the given configuration.
+    /// Create a context with the given configuration. Its shuffle map stages
+    /// and actions run their tasks across the shared executor, as many at
+    /// once as it has threads.
     pub fn new(config: RddConfig) -> RddContext {
+        RddContext::with_width(config, None)
+    }
+
+    /// Create a context whose shuffle map stages and actions run every task
+    /// on the calling thread, one at a time. A server builds its context
+    /// this way: its concurrent statements already keep the cores busy, so
+    /// fanning one statement's stages out only makes them compete, while
+    /// its streamed result stages still run ahead at their prefetch grants.
+    pub fn serial(config: RddConfig) -> RddContext {
+        RddContext::with_width(config, Some(1))
+    }
+
+    /// Create a context whose drained stages run at most `width` tasks at
+    /// once (`None`: the global executor's thread count, read per stage).
+    pub(crate) fn with_width(config: RddConfig, width: Option<usize>) -> RddContext {
         config
             .cluster
             .validate()
@@ -171,6 +191,7 @@ impl RddContext {
                 next_rdd_id: AtomicUsize::new(0),
                 next_shuffle_id: AtomicUsize::new(0),
                 reports: Mutex::new(VecDeque::with_capacity(JOB_HISTORY_CAP)),
+                width: width.map(|w| w.max(1)),
             }),
         }
     }
@@ -191,6 +212,13 @@ impl RddContext {
     /// The context configuration.
     pub fn config(&self) -> &RddConfig {
         &self.state.config
+    }
+
+    /// How many tasks of one shuffle map stage or action run at once.
+    pub(crate) fn width(&self) -> usize {
+        self.state
+            .width
+            .unwrap_or_else(|| crate::Executor::global().threads())
     }
 
     /// The cost model in use.

@@ -1,10 +1,13 @@
 //! The shared work-stealing task executor.
 //!
-//! The result-stage tasks a [`PipelinedJob`](crate::PipelinedJob) prefetches
-//! ahead of its consumer run as morsels on one process-wide pool of worker
-//! threads; everything else (map stages, the consumer's own position, every
-//! task of a job drained at prefetch 0) runs on the caller's thread. A
-//! *morsel* is one partition task; workers keep their own deque
+//! Every stage's helpers run here: the scheduler's claim loop spawns at most
+//! `width − 1` helper morsels per drained stage (a shuffle map stage or an
+//! action's result stage) and a [`PipelinedJob`](crate::PipelinedJob)'s
+//! helpers up to its prefetch depth ahead of its consumer. A *morsel* is one
+//! helper, which claims and runs positions of its stage until none is left.
+//! The caller always claims too, so a one-task stage, and every drained
+//! stage of a context built with [`RddContext::serial`](crate::RddContext::serial)
+//! (a server's), runs on the caller's thread. Workers keep their own deque
 //! (newest-first, for cache locality) and steal the oldest morsel from a
 //! sibling when their own deque and the shared injector run dry, so a query
 //! with a single long partition cannot strand the other workers idle while

@@ -44,7 +44,7 @@ fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
 }
 
 /// A map task's step between its (shared) partition and its buckets.
-type PartitionFold<T, K, C> = Arc<dyn Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync>;
+pub(crate) type PartitionFold<T, K, C> = Arc<dyn Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync>;
 
 /// A reduce-side merge: fold one map output's combiner into a key's
 /// running one, in place.
@@ -96,7 +96,7 @@ impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for ShuffleDep<T, K
             self.num_buckets,
             &format!("{}({id})", self.stage),
             self.map_ops_per_row,
-            &*self.fold,
+            self.fold.clone(),
         )
     }
 }

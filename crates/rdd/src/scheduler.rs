@@ -2,17 +2,37 @@
 //!
 //! Every task runs one way, through `run_task`: compute the partition, apply
 //! the stage's work, turn a panic into an execution error, and price the
-//! task with the cost model. A shuffle map stage runs its tasks in partition
-//! order on the caller's thread. A result stage is a [`PipelinedJob`]:
-//! actions call [`run_job`], which walks the target RDD's lineage, runs the
-//! map stage of every shuffle dependency that is not yet materialized (in
-//! dependency order), then drains the result stage on the caller's thread.
-//! Each task's simulated duration is logged in its stage's [`StageReport`];
-//! the job's task logs are replayed on the simulated cluster when the job is
-//! recorded, never while it runs.
+//! task with the cost model. Every stage is scheduled one way too, by one
+//! claim loop over the positions of its planned order: the caller and helper
+//! morsels on the shared [`Executor`] each claim the next position, run its
+//! task and park the outcome in that position's slot. Task logs and values
+//! are taken from the slots in order, so they never depend on who ran a
+//! task or when.
+//!
+//! A stage runs one of two ways on that loop:
+//! - *Drained*: a shuffle map stage (each task writes a `MapOutput`) and
+//!   the result stage of an action ([`run_job`]). Up to `width − 1` helpers
+//!   claim beside the caller, which claims like a helper until nothing is
+//!   left and waits only on positions already claimed; so a one-task stage
+//!   never leaves the caller's thread, and a nested job or a saturated pool
+//!   cannot deadlock. The width is the context's: the executor's thread
+//!   count for [`RddContext::new`] (an in-process session, where one job
+//!   at a time should use every core), 1 for [`RddContext::serial`], which
+//!   a server builds: its concurrent statements already keep the cores
+//!   busy, so its map stages, PDE's pre-shuffles and broadcast collects run
+//!   on the handler's thread rather than compete for them.
+//! - *Streamed*: a [`PipelinedJob`]'s result stage, whose helpers run up to
+//!   its prefetch depth (a server statement's grant) ahead of the
+//!   consumer's cursor.
+//!
+//! A job ([`run_job`], [`PipelinedJob::new`]) first walks the target RDD's
+//! lineage and runs the map stage of every shuffle dependency that is not yet
+//! materialized, in dependency order. Each task's simulated duration is
+//! logged in its stage's [`StageReport`]; the job's task logs are replayed on
+//! the simulated cluster when the job is recorded, never while it runs.
 
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use shark_cluster::{OutputSink, TaskSpec};
@@ -21,6 +41,7 @@ use shark_common::{EstimateSize, Result, SharkError};
 use crate::context::{RddContext, StageReport};
 use crate::executor::Executor;
 use crate::metrics::TaskMetrics;
+use crate::pair::PartitionFold;
 use crate::rdd::{Data, Lineage, Rdd};
 use crate::shuffle::MapOutput;
 
@@ -102,21 +123,21 @@ pub fn ensure_shuffle_deps(ctx: &RddContext, lineage: &dyn Lineage) -> Result<Ve
     Ok(reports)
 }
 
-/// Run an action over `rdd`: a [`PipelinedJob`] over every partition in
-/// order, drained at prefetch 0, so every task runs on the caller's thread.
-/// It materializes the shuffle dependencies, applies `f` to each partition,
-/// records the job under `name` (its shuffle stages, then one `result` stage
-/// in partition order), and returns the per-partition results in partition
-/// order plus the job's simulated seconds.
+/// Run an action over `rdd`: materialize its shuffle dependencies, then
+/// drain a result stage of every partition at the context's width, applying
+/// `f` to each partition. Records the job under `name` (its shuffle stages,
+/// then one `result` stage in partition order) and returns the
+/// per-partition results in partition order plus the job's simulated
+/// seconds.
 ///
 /// `f` gets the partition shared ([`Rdd::compute_shared`]): an action that
 /// only reads (`count`, a fold) never copies a cached partition, and one
 /// that must own the rows takes them with `Arc::unwrap_or_clone`, which
 /// copies only a partition the cache also holds.
 ///
-/// A task that fails or panics fails the action with an error; the recorded
-/// job then holds the result partitions delivered before the failure, as a
-/// failed stream's does.
+/// A task that fails or panics fails the action with the error of the first
+/// failed partition in order; the recorded job then holds the result
+/// partitions before it, as a failed stream's does.
 pub fn run_job<T, U, F>(
     ctx: &RddContext,
     rdd: &Rdd<T>,
@@ -129,129 +150,251 @@ where
     U: Send + EstimateSize + 'static,
     F: Fn(Arc<Vec<T>>) -> U + Send + Sync + 'static,
 {
+    let wall = Instant::now();
+    let mut stages = ensure_shuffle_deps(ctx, rdd)?;
     let order = (0..rdd.num_partitions()).collect();
-    let mut job = PipelinedJob::new(ctx, rdd, name, order, sink, move |data, _| f(data))?;
-    let mut values = Vec::with_capacity(job.planned());
-    while let Some((_, value)) = job.next()? {
-        values.push(value);
-    }
-    job.finish();
-    Ok((values, job.sim_seconds()))
+    let body = Body::new(ctx, rdd, order, sink, result_work(move |data, _| f(data)));
+    let (result, values, outcome) = drain(body, "result", ctx.width());
+    stages.push(result);
+    let seconds = ctx.record_job(name, stages, wall.elapsed().as_secs_f64());
+    outcome.map(|()| (values, seconds))
 }
 
-/// The per-partition transformation a [`PipelinedJob`] applies inside each
-/// result task (it may charge extra work — e.g. a per-partition sort — to
-/// the task's metrics), over the shared partition.
-type TaskFn<T, U> = Arc<dyn Fn(Arc<Vec<T>>, &mut TaskMetrics) -> U + Send + Sync>;
+/// One task's work on its partition, given the partition number and the
+/// shared rows: a map task's bucketing, or a result task's transformation.
+type TaskFn<T, U> = Box<dyn Fn(usize, Arc<Vec<T>>, &mut TaskMetrics) -> Result<U> + Send + Sync>;
 
-/// The bounded, *ordered* channel between a [`PipelinedJob`]'s consumer and
-/// its morsels. Positions in the planned order are claimed exactly once: by
-/// a morsel while they are within the window of the consumer's cursor, or by
-/// the consumer itself when it arrives at a position nothing has claimed.
-/// Morsels park results in `ready`, and no new positions are claimed once
-/// `cancelled` is set.
-struct PrefetchState<U> {
-    /// Next unclaimed position (index into the order).
+/// A result task's work: `f` over the partition (it may charge extra work,
+/// e.g. a per-partition sort, to the task), whose rows and value are the
+/// task's output.
+fn result_work<T: Data, U: EstimateSize>(
+    f: impl Fn(Arc<Vec<T>>, &mut TaskMetrics) -> U + Send + Sync + 'static,
+) -> TaskFn<T, U> {
+    Box::new(move |_, data, metrics| {
+        let rows = data.len() as u64;
+        let value = f(data, metrics);
+        metrics.record_output(rows, value.estimated_size() as u64);
+        Ok(value)
+    })
+}
+
+/// What every task of a stage needs. Its stage holds it; a helper holds it
+/// only while running one of its tasks.
+struct Body<T: Data, U> {
+    ctx: RddContext,
+    rdd: Rdd<T>,
+    order: Vec<usize>,
+    sink: OutputSink,
+    work: TaskFn<T, U>,
+}
+
+impl<T: Data, U> Body<T, U> {
+    fn new(
+        ctx: &RddContext,
+        rdd: &Rdd<T>,
+        order: Vec<usize>,
+        sink: OutputSink,
+        work: TaskFn<T, U>,
+    ) -> Arc<Body<T, U>> {
+        Arc::new(Body {
+            ctx: ctx.clone(),
+            rdd: rdd.clone(),
+            order,
+            sink,
+            work,
+        })
+    }
+
+    /// Run the task at position `pos` of the order.
+    fn run(&self, pos: usize) -> Result<TaskOutcome<U>> {
+        let partition = self.order[pos];
+        run_task(
+            &self.ctx,
+            &self.rdd,
+            partition,
+            self.sink,
+            |data, metrics| (self.work)(partition, data, metrics),
+        )
+    }
+}
+
+/// One stage's outcomes, one slot per position of its order.
+type Slots<U> = Vec<Option<Result<TaskOutcome<U>>>>;
+
+/// The claim loop's state. Positions are claimed exactly once, in order;
+/// finished outcomes park in their position's slot until they are taken.
+struct ClaimState<T: Data, U> {
+    /// Taken when the stage ends, so a helper that starts late finds nothing
+    /// to run and holds nothing of the stage.
+    body: Option<Arc<Body<T, U>>>,
+    /// Next unclaimed position.
     next_claim: usize,
-    /// The consumer's cursor position.
-    deliver_pos: usize,
-    /// Completed outcomes keyed by position.
-    ready: std::collections::HashMap<usize, Result<TaskOutcome<U>>>,
-    /// Positions claimed (by a morsel or by the consumer) whose task has not
-    /// finished yet. [`PipelinedJob::finish`] waits for this to reach zero,
-    /// so cancellation-on-drop always drains in-flight work before the job
-    /// report is recorded.
+    /// A stream consumer's cursor: the next position to deliver.
+    cursor: usize,
+    slots: Slots<U>,
+    /// Positions claimed whose task has not finished yet. A stage ends only
+    /// once this is zero, so nothing of it runs after it has returned.
     in_flight: usize,
-    /// No new positions may be claimed (consumer dropped/stopped or a task
-    /// failed). Claimed in-flight morsels still park their result.
+    /// Helper morsels spawned and not yet exited.
+    helpers: usize,
+    /// No new positions may be claimed: a task failed or the stage ended.
     cancelled: bool,
 }
 
-/// Everything a prefetch morsel needs, shared between the consumer (which
-/// pumps after each delivery) and completed morsels (which pump to refill
-/// the window).
-struct Prefetcher<T: Data, U: Send + EstimateSize + 'static> {
-    ctx: RddContext,
-    rdd: Rdd<T>,
-    order: Arc<Vec<usize>>,
-    sink: OutputSink,
-    f: TaskFn<T, U>,
-    /// Consumer's trace context: morsels computed ahead on the shared
-    /// executor still attach their spans to the query's span tree.
-    trace: Option<shark_obs::TraceContext>,
-    /// How far past the consumer's cursor positions may be claimed.
+/// A stage's claim loop, shared between its caller and its helpers.
+struct Claims<T: Data, U> {
+    /// How far past the cursor positions may be claimed.
     window: usize,
-    /// Concurrency cap: at most this many of this job's tasks may be
-    /// claimed and unfinished at once — morsels queued or running on the
-    /// shared executor plus the position the consumer is running itself.
+    /// At most this many of the stage's tasks are claimed and unfinished at
+    /// once, the caller's own included.
     max_workers: usize,
-    state: std::sync::Mutex<PrefetchState<U>>,
-    changed: std::sync::Condvar,
+    /// The caller's trace context: tasks run by helpers still attach their
+    /// spans to the query's span tree.
+    trace: Option<shark_obs::TraceContext>,
+    state: Mutex<ClaimState<T, U>>,
+    changed: Condvar,
 }
 
-impl<T: Data, U: Send + EstimateSize + 'static> Prefetcher<T, U> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, PrefetchState<U>> {
+impl<T: Data, U: Send + 'static> Claims<T, U> {
+    fn new(body: Arc<Body<T, U>>, window: usize, max_workers: usize) -> Arc<Claims<T, U>> {
+        let planned = body.order.len();
+        Arc::new(Claims {
+            window,
+            max_workers: max_workers.min(planned).max(1),
+            trace: shark_obs::current(),
+            state: Mutex::new(ClaimState {
+                body: Some(body),
+                next_claim: 0,
+                cursor: 0,
+                slots: (0..planned).map(|_| None).collect(),
+                in_flight: 0,
+                helpers: 0,
+                cancelled: false,
+            }),
+            changed: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ClaimState<T, U>> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn cancel(&self) {
-        self.lock().cancelled = true;
-        self.changed.notify_all();
+    /// Claim the next position if it lies within `window` of the cursor and
+    /// the cap allows: the position and the body to run it with.
+    fn claim(
+        &self,
+        state: &mut ClaimState<T, U>,
+        window: usize,
+    ) -> Option<(usize, Arc<Body<T, U>>)> {
+        if state.cancelled
+            || state.next_claim >= state.slots.len()
+            || state.next_claim >= state.cursor.saturating_add(window)
+            || state.in_flight >= self.max_workers
+        {
+            return None;
+        }
+        let body = state.body.clone()?;
+        state.next_claim += 1;
+        state.in_flight += 1;
+        Some((state.next_claim - 1, body))
     }
 
-    /// Run the result task at position `pos` of the order: `f` over the
-    /// partition, whose rows and value are the task's output.
-    fn run(&self, pos: usize) -> Result<TaskOutcome<U>> {
-        let apply = |data: Arc<Vec<T>>, metrics: &mut TaskMetrics| {
-            let rows = data.len() as u64;
-            let value = (self.f)(data, metrics);
-            metrics.record_output(rows, value.estimated_size() as u64);
-            Ok(value)
-        };
-        run_task(&self.ctx, &self.rdd, self.order[pos], self.sink, apply)
+    /// Claim, run and park positions within `window` of the cursor until
+    /// none may be claimed; the caller (not a helper) spawns helpers for the
+    /// positions beyond each of its claims. Returns with the lock held.
+    fn work<'a>(
+        self: &'a Arc<Self>,
+        mut state: MutexGuard<'a, ClaimState<T, U>>,
+        window: usize,
+        caller: bool,
+    ) -> MutexGuard<'a, ClaimState<T, U>> {
+        while let Some((pos, body)) = self.claim(&mut state, window) {
+            if caller {
+                self.spawn_helpers(&mut state, 1);
+            }
+            drop(state);
+            let outcome = body.run(pos);
+            // Let go of the stage before parking: the last park may end it,
+            // and nothing of an ended stage may stay alive on this thread.
+            drop(body);
+            state = self.lock();
+            state.in_flight -= 1;
+            // Outcomes are taken in order, so an error surfaces at or before
+            // `pos`; work beyond it would be wasted.
+            state.cancelled |= outcome.is_err();
+            state.slots[pos] = Some(outcome);
+            // Only the caller waits, for the cursor's outcome or for the last
+            // claimed task, so a helper wakes it only then and its own parks
+            // wake nobody.
+            if !caller && (pos == state.cursor || state.in_flight == 0) {
+                self.changed.notify_all();
+            }
+        }
+        state
+    }
+
+    /// Spawn helpers for the positions that may be claimed now and that no
+    /// idle helper will take. `caller` is 1 while the caller holds a claim
+    /// of its own, which counts against the cap like a helper's.
+    fn spawn_helpers(self: &Arc<Self>, state: &mut ClaimState<T, U>, caller: usize) {
+        let end = state
+            .slots
+            .len()
+            .min(state.cursor.saturating_add(self.window));
+        let claimable = end
+            .saturating_sub(state.next_claim)
+            .min(self.max_workers.saturating_sub(state.in_flight));
+        // Helpers spawned and not running a task: queued, or about to claim.
+        let mut idle = state.helpers + caller - state.in_flight;
+        while !state.cancelled && idle < claimable && state.helpers + caller < self.max_workers {
+            state.helpers += 1;
+            idle += 1;
+            let env = self.clone();
+            Executor::global().spawn(move || {
+                let _trace = env.trace.as_ref().map(|t| t.attach());
+                env.work(env.lock(), env.window, false).helpers -= 1;
+            });
+        }
+    }
+
+    /// End the stage: claim nothing more, wait for every claimed task, let go
+    /// of the body, and hand back the slots. Idempotent.
+    fn end(&self) -> Slots<U> {
+        let mut state = self.lock();
+        state.cancelled = true;
+        while state.in_flight > 0 {
+            state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+        }
+        state.body = None;
+        std::mem::take(&mut state.slots)
     }
 }
 
-/// Claim every position currently allowed by the prefetch window and the
-/// concurrency cap, submitting one executor morsel per claim. Called by the
-/// consumer when the window moves (after it has claimed the cursor's own
-/// position for itself, so morsels only ever run positions beyond it) and by
-/// each finished morsel, so the window refills without any dedicated
-/// per-query threads.
-fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) {
-    loop {
-        let pos = {
-            let mut state = env.lock();
-            if state.cancelled
-                || state.next_claim >= env.order.len()
-                || state.next_claim >= state.deliver_pos + env.window
-                || state.in_flight >= env.max_workers
-            {
-                return;
-            }
-            let pos = state.next_claim;
-            state.next_claim += 1;
-            state.in_flight += 1;
-            pos
-        };
-        let env = env.clone();
-        Executor::global().spawn(move || {
-            let _trace = env.trace.as_ref().map(|t| t.attach());
-            let outcome = env.run(pos);
-            {
-                let mut state = env.lock();
-                state.in_flight -= 1;
-                if outcome.is_err() {
-                    // Delivery is ordered, so this error will surface at or
-                    // before `pos`; work beyond it would be wasted.
-                    state.cancelled = true;
-                }
-                state.ready.insert(pos, outcome);
-                env.changed.notify_all();
-            }
-            pump(&env);
-        });
+/// Run every task of `body` at `width`, the caller claiming like a helper
+/// until nothing is left, then log the outcomes in order into a stage named
+/// `name` up to the first failure: the stage, the values before the
+/// failure, and the failure.
+fn drain<T: Data, U: Send + 'static>(
+    body: Arc<Body<T, U>>,
+    name: &str,
+    width: usize,
+) -> (StageReport, Vec<U>, Result<()>) {
+    let env = Claims::new(body, usize::MAX, width);
+    drop(env.work(env.lock(), usize::MAX, true));
+    let mut stage = StageReport {
+        name: name.to_string(),
+        ..StageReport::default()
+    };
+    let mut values = Vec::new();
+    // Every position before the first failure was claimed, so ran; only
+    // positions after it may have none.
+    for outcome in env.end().into_iter().flatten() {
+        match outcome {
+            Ok(outcome) => values.push(log_task(&mut stage, outcome)),
+            Err(err) => return (stage, values, Err(err)),
+        }
     }
+    (stage, values, Ok(()))
 }
 
 /// The streaming job: result-stage partitions are delivered one at a time
@@ -260,32 +403,31 @@ fn pump<T: Data, U: Send + EstimateSize + 'static>(env: &Arc<Prefetcher<T, U>>) 
 /// partition's rows to the client as soon as that partition finishes instead
 /// of waiting for the whole stage barrier.
 ///
-/// It is the engine's one result-stage runner: an RDD action ([`run_job`])
-/// is this job over every partition, drained at prefetch 0. Construction
-/// runs every shuffle map stage the target RDD depends on. The delivered
-/// partitions are one result stage, logged in delivery order. Partitions
-/// that are never delivered are never logged — and, beyond the prefetch
-/// window, never computed — which is what lets a LIMIT query stop launching
-/// tasks once it has enough rows.
+/// It is the engine's one streamed result-stage runner; an RDD action
+/// ([`run_job`]) drains the same claim loop instead. Construction runs every
+/// shuffle map stage the target RDD depends on. The delivered partitions
+/// are one result stage, logged in delivery order. Partitions that are
+/// never delivered are never logged — and, beyond the prefetch window, never
+/// computed — which is what lets a LIMIT query stop launching tasks once it
+/// has enough rows.
 ///
 /// The consumer helps: [`PipelinedJob::next`] runs the cursor's own position
-/// inline whenever no morsel has claimed it, and morsels — up to `prefetch`
-/// positions ahead of the cursor, submitted to the shared work-stealing
-/// [`Executor`] and bounded, together with the consumer's own run, by the
-/// host's parallelism — only ever run positions beyond it. Helping changes
-/// who runs a task, not how many run at once. So a one-partition job never
-/// leaves the consumer's thread, a stream's first partition starts without
-/// waiting for a worker to wake, and `prefetch = 0` is simply the case where
-/// the consumer runs everything. Delivery order, results and the task log do
-/// not depend on who ran a partition or how far ahead.
+/// inline whenever no helper has claimed it, and helpers — claim loops on
+/// the shared work-stealing [`Executor`], up to `prefetch` positions ahead
+/// of the cursor and bounded, together with the consumer's own run, by the
+/// executor's thread count — only ever run positions beyond it. Helping
+/// changes who runs a task, not how many run at once. So a one-partition job
+/// never leaves the consumer's thread, a stream's first partition starts
+/// without waiting for a worker to wake, and `prefetch = 0` is simply the
+/// case where the consumer runs everything. Delivery order, results and the
+/// task log do not depend on who ran a partition or how far ahead.
 ///
 /// Dropping the job (or calling [`PipelinedJob::finish`]) cancels the
-/// stream: no further partitions are claimed, in-flight morsels are
+/// stream: no further partitions are claimed, in-flight tasks are
 /// drained, and the job — the up-front shuffle stages plus the *delivered*
 /// partitions — is recorded.
 pub struct PipelinedJob<T: Data, U: Send + EstimateSize + 'static> {
     ctx: RddContext,
-    rdd: Rdd<T>,
     name: String,
     /// The shuffle map stages run at construction, then the result stage,
     /// whose task log grows with every delivery. [`Self::finish`] records a
@@ -294,12 +436,10 @@ pub struct PipelinedJob<T: Data, U: Send + EstimateSize + 'static> {
     /// The recorded job's simulated seconds, once [`Self::finish`] has run.
     priced: Option<f64>,
     wall: Instant,
-    order: Arc<Vec<usize>>,
-    sink: OutputSink,
-    f: TaskFn<T, U>,
+    body: Arc<Body<T, U>>,
     prefetch: usize,
-    /// Set up lazily by the first [`Self::next`].
-    pool: Option<Arc<Prefetcher<T, U>>>,
+    /// Set up by the first [`Self::next`].
+    claims: Option<Arc<Claims<T, U>>>,
     prefetch_hits: u64,
     /// Set on error or explicit finish: no further partitions execute or
     /// deliver, so the recorded report stays accurate.
@@ -331,25 +471,22 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
         });
         Ok(PipelinedJob {
             ctx: ctx.clone(),
-            rdd: rdd.clone(),
             name: name.to_string(),
             stages,
             priced: None,
             wall,
-            order: Arc::new(order),
-            sink,
-            f: Arc::new(f),
+            body: Body::new(ctx, rdd, order, sink, result_work(f)),
             prefetch: 0,
-            pool: None,
+            claims: None,
             prefetch_hits: 0,
             latched: false,
         })
     }
 
     /// Set the prefetch depth. Only honored before the first partition is
-    /// delivered (the pool spins up lazily on the first [`Self::next`]).
+    /// delivered (the helpers start with the first [`Self::next`]).
     pub fn set_prefetch(&mut self, depth: usize) {
-        if self.pool.is_none() {
+        if self.claims.is_none() {
             self.prefetch = depth;
         }
     }
@@ -361,7 +498,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
 
     /// Partitions in the planned delivery order.
     pub fn planned(&self) -> usize {
-        self.order.len()
+        self.body.order.len()
     }
 
     /// Partitions delivered so far.
@@ -371,11 +508,11 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
 
     /// Total result-stage partitions of the underlying RDD.
     pub fn num_partitions(&self) -> usize {
-        self.rdd.num_partitions()
+        self.body.rdd.num_partitions()
     }
 
     /// Deliveries that found their partition already computed by a prefetch
-    /// worker (the consumer never had to wait for the claim).
+    /// helper (the consumer never had to wait for the claim).
     pub fn prefetch_hits(&self) -> u64 {
         self.prefetch_hits
     }
@@ -409,24 +546,22 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
     // ownership for cancellation/report bookkeeping.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(usize, U)>> {
-        if self.latched || self.delivered() >= self.order.len() {
+        if self.latched || self.delivered() >= self.planned() {
             return Ok(None);
         }
-        let partition = self.order[self.delivered()];
-        let Some(outcome) = self.outcome_at_cursor() else {
+        let partition = self.body.order[self.delivered()];
+        match self.outcome_at_cursor() {
             // Cancelled with nothing in flight for this position.
-            return Ok(None);
-        };
-        match outcome {
-            Ok(outcome) => {
+            None => Ok(None),
+            Some(Ok(outcome)) => {
                 let result = self.stages.last_mut().expect("result stage");
                 Ok(Some((partition, log_task(result, outcome))))
             }
-            Err(err) => {
-                // Latch and stop the pool: a failed stream never resumes.
+            Some(Err(err)) => {
+                // Latch and stop the helpers: a failed stream never resumes.
                 self.latched = true;
-                if let Some(pool) = &self.pool {
-                    pool.cancel();
+                if let Some(env) = &self.claims {
+                    env.end();
                 }
                 Err(err)
             }
@@ -434,100 +569,54 @@ impl<T: Data, U: Send + EstimateSize + 'static> PipelinedJob<T, U> {
     }
 
     /// Produce the outcome at the cursor and move the window. A position no
-    /// morsel has claimed is claimed and run right here, after pumping
-    /// morsels for the positions beyond it; a claimed one is taken from the
-    /// prefetch channel, blocking until its morsel has parked it.
+    /// helper has claimed is claimed and run right here, after spawning
+    /// helpers for the positions beyond it; a claimed one is waited for until
+    /// its outcome is parked.
     fn outcome_at_cursor(&mut self) -> Option<Result<TaskOutcome<U>>> {
-        let pool = self.ensure_pool();
-        let mut state = pool.lock();
-        let pos = state.deliver_pos;
-        let outcome = if state.next_claim == pos && !state.cancelled {
-            // The consumer's claim counts against the concurrency cap like
-            // a morsel's: helping must not run more tasks at once.
-            state.next_claim += 1;
-            state.in_flight += 1;
-            drop(state);
-            pump(&pool);
-            let outcome = pool.run(pos);
-            let mut state = pool.lock();
-            state.in_flight -= 1;
-            state.deliver_pos += 1;
-            drop(state);
-            Some(outcome)
-        } else {
-            if state.ready.contains_key(&pos) {
-                self.prefetch_hits += 1;
+        let env = self.claims.get_or_insert_with(|| {
+            // The window is how far execution may run ahead; concurrency
+            // beyond the executor's threads would not run in parallel.
+            let max_workers = self.prefetch.min(Executor::global().threads());
+            Claims::new(self.body.clone(), self.prefetch, max_workers)
+        });
+        let state = env.lock();
+        let pos = state.cursor;
+        if state.slots[pos].is_some() {
+            self.prefetch_hits += 1;
+        }
+        // Nothing is in flight when the cursor's position is unclaimed, so
+        // the consumer's own claim always fits under the cap.
+        let mut state = env.work(state, 1, true);
+        let outcome = loop {
+            if let Some(outcome) = state.slots[pos].take() {
+                break outcome;
             }
-            while !state.ready.contains_key(&pos) {
-                if state.cancelled && pos >= state.next_claim {
-                    return None;
-                }
-                state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+            if state.cancelled && pos >= state.next_claim {
+                return None;
             }
-            state.deliver_pos += 1;
-            let outcome = state.ready.remove(&pos);
-            drop(state);
-            outcome
+            state = env.changed.wait(state).unwrap_or_else(|e| e.into_inner());
         };
-        pump(&pool);
-        outcome
+        state.cursor += 1;
+        env.spawn_helpers(&mut state, 0);
+        Some(outcome)
     }
 
-    /// Stop the stream (draining in-flight morsels) and record the job
+    /// Stop the stream (draining in-flight tasks) and record the job
     /// report covering everything delivered so far. Latches the job: a
     /// later `next()` delivers nothing, so the recorded report stays
     /// accurate. Idempotent; also runs on drop.
     pub fn finish(&mut self) {
         self.latched = true;
-        if let Some(pool) = &self.pool {
-            pool.cancel();
-            // Claimed morsels still finish on the executor; wait for them
-            // so nothing of this job runs after finish() returns (callers
-            // release resources — e.g. pinned partitions — right after).
-            let mut state = pool.lock();
-            while state.in_flight > 0 {
-                state = pool.changed.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
+        // Claimed tasks still finish on the executor; wait for them so
+        // nothing of this job runs after finish() returns (callers release
+        // resources — e.g. pinned partitions — right after).
+        if let Some(env) = &self.claims {
+            env.end();
         }
         if self.priced.is_none() {
             let wall = self.wall.elapsed().as_secs_f64();
             self.priced = Some(self.ctx.record_job(&self.name, self.stages.clone(), wall));
         }
-    }
-
-    /// Set up the prefetch channel on first use.
-    fn ensure_pool(&mut self) -> Arc<Prefetcher<T, U>> {
-        if let Some(pool) = &self.pool {
-            return pool.clone();
-        }
-        // The *window* (how far execution may run ahead) is `prefetch`; the
-        // morsel concurrency is additionally capped by the host's
-        // parallelism — a single slot can still fill a deep window, extra
-        // concurrency only pays off when morsels actually run in parallel.
-        let parallelism = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(4);
-        let max_workers = self.prefetch.min(self.order.len()).min(parallelism).max(1);
-        let pool = Arc::new(Prefetcher {
-            ctx: self.ctx.clone(),
-            rdd: self.rdd.clone(),
-            order: self.order.clone(),
-            sink: self.sink,
-            f: self.f.clone(),
-            trace: shark_obs::current(),
-            window: self.prefetch,
-            max_workers,
-            state: std::sync::Mutex::new(PrefetchState {
-                next_claim: 0,
-                deliver_pos: 0,
-                ready: std::collections::HashMap::new(),
-                in_flight: 0,
-                cancelled: false,
-            }),
-            changed: std::sync::Condvar::new(),
-        });
-        self.pool = Some(pool.clone());
-        pool
     }
 }
 
@@ -537,13 +626,14 @@ impl<T: Data, U: Send + EstimateSize + 'static> Drop for PipelinedJob<T, U> {
     }
 }
 
-/// The one shuffle map stage, named `name`: run a task per parent partition,
-/// in partition order, that charges `map_ops_per_row` for a `map` fused into
-/// the stage, `combine`s the (shared — a cached one is not copied) partition
-/// into `(key, value)` records (a map-side combine, or the pairs as they are
-/// for a repartition), groups them by reduce bucket and stores the grouped
-/// output (which carries its per-bucket statistics) in the shuffle manager;
-/// log the stage's tasks. The first task that fails fails the stage.
+/// The one shuffle map stage, named `name`: a drained stage of one task per
+/// parent partition, at the context's width, that charges `map_ops_per_row`
+/// for a `map` fused into the stage, `combine`s the (shared — a cached one
+/// is not copied) partition into `(key, value)` records (a map-side combine,
+/// or the pairs as they are for a repartition), groups them by reduce
+/// bucket and stores the grouped output (which carries its per-bucket
+/// statistics) in the shuffle manager. The stage's tasks are logged in
+/// partition order; the first task in that order that fails fails the stage.
 ///
 /// A fused `map` is charged exactly as the separate [`Rdd::map`] it
 /// replaces would be: the parent's rows and bytes in, one op per row
@@ -555,7 +645,7 @@ pub(crate) fn run_map_stage<T, K, S>(
     num_buckets: usize,
     name: &str,
     map_ops_per_row: f64,
-    combine: impl Fn(Arc<Vec<T>>) -> Vec<(K, S)>,
+    combine: PartitionFold<T, K, S>,
 ) -> Result<StageReport>
 where
     T: Data,
@@ -566,51 +656,47 @@ where
     ctx.shuffle_manager()
         .register(shuffle_id, num_map_tasks, num_buckets);
     let sort_shuffle = ctx.config().cluster.profile.sort_based_shuffle;
-    let mut stage = StageReport {
-        name: name.to_string(),
-        ..StageReport::default()
-    };
-    for partition in 0..num_map_tasks {
-        let write = |data: Arc<Vec<T>>, metrics: &mut TaskMetrics| {
-            let input_rows = data.len() as u64;
-            // `x + 0.0 == x`, so a stage with nothing fused charges as before.
-            metrics.add_ops(input_rows as f64 * map_ops_per_row);
-            let span = if shark_obs::active() {
-                shark_obs::span("shuffle-write")
-            } else {
-                None
-            };
-            if let Some(span) = &span {
-                span.set_partition(partition);
-            }
-            let output = MapOutput::group(combine(data), num_buckets, |(k, _)| {
-                shark_common::hash::hash_partition(k, num_buckets)
-            });
-            let total_bytes = output.stats().total_bytes();
-            let total_rows = output.stats().total_rows();
-            if let Some(span) = &span {
-                span.set_rows(total_rows);
-                span.set_bytes(total_bytes);
-            }
-            drop(span);
-            // Hash-partitioning each record costs roughly one operation per row.
-            metrics.add_ops(input_rows as f64);
-            if sort_shuffle {
-                metrics.add_sort(total_rows);
-            }
-            metrics.record_output(total_rows, total_bytes);
-            ctx.shuffle_manager()
-                .put_map_output(shuffle_id, partition, output)
+    let shuffles = ctx.state.shuffle.clone();
+    let write = move |partition, data: Arc<Vec<T>>, metrics: &mut TaskMetrics| {
+        let input_rows = data.len() as u64;
+        // `x + 0.0 == x`, so a stage with nothing fused charges as before.
+        metrics.add_ops(input_rows as f64 * map_ops_per_row);
+        let span = if shark_obs::active() {
+            shark_obs::span("shuffle-write")
+        } else {
+            None
         };
-        let outcome = run_task(ctx, parent, partition, OutputSink::Shuffle, write)?;
-        log_task(&mut stage, outcome);
-    }
-    Ok(stage)
+        if let Some(span) = &span {
+            span.set_partition(partition);
+        }
+        let output = MapOutput::group(combine(data), num_buckets, |(k, _)| {
+            shark_common::hash::hash_partition(k, num_buckets)
+        });
+        let total_bytes = output.stats().total_bytes();
+        let total_rows = output.stats().total_rows();
+        if let Some(span) = &span {
+            span.set_rows(total_rows);
+            span.set_bytes(total_bytes);
+        }
+        drop(span);
+        // Hash-partitioning each record costs roughly one operation per row.
+        metrics.add_ops(input_rows as f64);
+        if sort_shuffle {
+            metrics.add_sort(total_rows);
+        }
+        metrics.record_output(total_rows, total_bytes);
+        shuffles.put_map_output(shuffle_id, partition, output)
+    };
+    let order = (0..num_map_tasks).collect();
+    let body = Body::new(ctx, parent, order, OutputSink::Shuffle, Box::new(write));
+    let (stage, _, outcome) = drain(body, name, ctx.width());
+    outcome.map(|()| stage)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::RddConfig;
     use crate::rdd::RddImpl;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -777,6 +863,24 @@ mod tests {
     }
 
     #[test]
+    fn a_one_task_drained_stage_never_leaves_the_callers_thread() {
+        let ctx = RddContext::with_width(RddConfig::default(), Some(4));
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let (in_map, in_result) = (ran_on.clone(), ran_on.clone());
+        let rdd = ctx.generate(1, shark_cluster::InputSource::Dfs, move |p| {
+            in_map.lock().push(std::thread::current().id());
+            vec![(p as i64, 1i64)]
+        });
+        let reduced = rdd.reduce_by_key(1, |a, b| a + b).map(move |pair| {
+            in_result.lock().push(std::thread::current().id());
+            pair
+        });
+        assert_eq!(reduced.count().unwrap(), 1);
+        // The map stage's task and the action's: both here, nothing handed off.
+        assert_eq!(*ran_on.lock(), vec![std::thread::current().id(); 2]);
+    }
+
+    #[test]
     fn pipelined_job_respects_custom_order_and_window_bound() {
         let order = vec![5usize, 1, 6, 0, 7, 2, 3, 4];
         let mut logged: Option<Vec<StageReport>> = None;
@@ -876,6 +980,203 @@ mod tests {
             // Latched: subsequent calls deliver nothing, ever.
             assert!(job.next().unwrap().is_none(), "prefetch={prefetch}");
             assert!(job.next().unwrap().is_none(), "prefetch={prefetch}");
+        }
+    }
+
+    /// An eight-partition source whose task for partition 2 panics after a
+    /// pause and whose task for partition 5 returns an error. Above width 1
+    /// the pause makes partition 5 usually fail first; the stage must name
+    /// partition 2 whatever the interleaving.
+    struct PanicsOnTwoFailsOnFive(usize);
+
+    impl RddImpl<i64> for PanicsOnTwoFailsOnFive {
+        fn id(&self) -> usize {
+            self.0
+        }
+        fn name(&self) -> String {
+            "panics_on_two_fails_on_five".into()
+        }
+        fn num_partitions(&self) -> usize {
+            8
+        }
+        fn compute(&self, _: &RddContext, p: usize, _: &mut TaskMetrics) -> Result<Vec<i64>> {
+            match p {
+                2 => {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("partition 2 exploded")
+                }
+                5 => Err(SharkError::Execution("partition 5 failed".into())),
+                _ => Ok(vec![p as i64]),
+            }
+        }
+        fn parents(&self) -> Vec<Arc<dyn Lineage>> {
+            Vec::new()
+        }
+    }
+
+    /// Holds every worker of the global executor until dropped, so that
+    /// helpers spawned meanwhile start only after it is.
+    struct BlockedExecutor(Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>);
+
+    impl BlockedExecutor {
+        fn new() -> BlockedExecutor {
+            let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+            let threads = Executor::global().threads();
+            let started = Arc::new(AtomicUsize::new(0));
+            for _ in 0..threads {
+                let (gate, started) = (gate.clone(), started.clone());
+                Executor::global().spawn(move || {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let mut open = gate.0.lock().unwrap();
+                    while !*open {
+                        open = gate.1.wait(open).unwrap();
+                    }
+                });
+            }
+            let blocked = BlockedExecutor(gate);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < threads {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "workers never freed up"
+                );
+                std::thread::yield_now();
+            }
+            blocked
+        }
+    }
+
+    impl Drop for BlockedExecutor {
+        fn drop(&mut self) {
+            *self.0 .0.lock().unwrap() = true;
+            self.0 .1.notify_all();
+        }
+    }
+
+    #[test]
+    fn drained_stages_book_and_fail_alike_at_every_width() {
+        type Run = (Vec<crate::context::JobReport>, Vec<i64>, f64);
+        let run = |width: usize| -> Run {
+            let ctx = RddContext::with_width(RddConfig::default(), Some(width));
+            let source = ctx.parallelize((0i64..2_000).collect(), 8);
+            let chained = source
+                .map(|x| (x % 37, x))
+                .reduce_by_key(6, |a, b| a + b)
+                .map(|(k, total)| (total % 5, k))
+                .reduce_by_key(3, |a, b| a + b);
+            let mut values = vec![chained.count().unwrap() as i64];
+            values.extend(
+                chained
+                    .collect()
+                    .unwrap()
+                    .into_iter()
+                    .flat_map(|(k, v)| [k, v]),
+            );
+            values.push(source.reduce(|a, b| a + b).unwrap().unwrap());
+
+            let faulty = Rdd::new(
+                ctx.clone(),
+                Arc::new(PanicsOnTwoFailsOnFive(ctx.next_rdd_id())),
+            );
+            let by_key = faulty.map(|x| (x % 3, x)).reduce_by_key(2, |a, b| a + b);
+            let errors = [
+                faulty.count().unwrap_err(),
+                faulty.collect().unwrap_err(),
+                faulty.reduce(|a, b| a + b).unwrap_err(),
+                by_key.count().unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    err.to_string().contains("partition 2 panicked"),
+                    "width {width}: {err}"
+                );
+            }
+            drop((chained, by_key));
+            assert_eq!(ctx.shuffle_manager().registered(), 0, "width {width}");
+            let mut jobs = ctx.job_history();
+            for job in &mut jobs {
+                job.real_duration = 0.0;
+            }
+            (jobs, values, ctx.simulated_time())
+        };
+        let serial = run(1);
+        // count, collect, reduce, and the failed count, collect and reduce
+        // (the failed map stage records nothing).
+        assert_eq!(serial.0.len(), 6);
+        assert_eq!(
+            serial.0[0].stages.len(),
+            3,
+            "both map stages, then the result"
+        );
+        assert_eq!(serial.0[3].total_tasks(), 2, "partitions 0 and 1 delivered");
+        for width in [2, 4] {
+            let wide = run(width);
+            assert_eq!(wide.0, serial.0, "width {width}: stage reports");
+            assert_eq!(wide.1, serial.1, "width {width}: values");
+            assert_eq!(
+                wide.2.to_bits(),
+                serial.2.to_bits(),
+                "width {width}: sim seconds"
+            );
+        }
+    }
+
+    #[test]
+    fn a_helper_that_starts_late_holds_nothing_of_its_job() {
+        let ctx = RddContext::with_width(RddConfig::default(), Some(4));
+        let held = Arc::new(());
+        let witness = held.clone();
+        let rdd = ctx.parallelize((0i64..64).collect(), 8).map(move |x| {
+            std::hint::black_box(&witness);
+            x
+        });
+        let pairs = rdd.map(|x| (x % 4, x));
+        let blocked = BlockedExecutor::new();
+        // Every helper the action and its map stage spawn is still queued:
+        // the caller runs every task itself, and returns.
+        let reduced = pairs.reduce_by_key(2, |a, b| a + b);
+        assert_eq!(reduced.count().unwrap(), 4);
+        assert_eq!(rdd.count().unwrap(), 64);
+        drop((rdd, pairs, reduced));
+        assert_eq!(
+            Arc::strong_count(&held),
+            1,
+            "a queued helper holds the closure"
+        );
+        assert_eq!(
+            ctx.shuffle_manager().registered(),
+            0,
+            "a queued helper holds the RDD"
+        );
+        drop(blocked);
+    }
+
+    #[test]
+    fn a_job_whose_tasks_run_nested_jobs_finishes_at_every_width() {
+        let full = Executor::global().threads();
+        let mut logged: Option<Vec<StageReport>> = None;
+        for width in [1, full, 2 * full] {
+            let ctx = RddContext::with_width(RddConfig::default(), Some(width));
+            let inner = ctx.parallelize((1i64..=100).collect(), 4);
+            let outer = ctx.parallelize((0i64..8).collect(), 8).map(move |x| {
+                let by_key = inner
+                    .map(move |y| (y % 3, y * x))
+                    .reduce_by_key(2, |a, b| a + b);
+                by_key
+                    .collect()
+                    .unwrap()
+                    .into_iter()
+                    .map(|(_, v)| v)
+                    .sum::<i64>()
+            });
+            let values = outer.collect().unwrap();
+            let expected: Vec<i64> = (0i64..8).map(|x| 5_050 * x).collect();
+            assert_eq!(values, expected, "width {width}");
+            let jobs = ctx.job_history();
+            assert_eq!(jobs.len(), 9, "eight nested jobs, then the outer one");
+            let outer_job = jobs.last().unwrap();
+            let booked = logged.get_or_insert_with(|| outer_job.stages.clone());
+            assert_eq!(&outer_job.stages, booked, "width {width}");
         }
     }
 

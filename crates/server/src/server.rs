@@ -576,7 +576,7 @@ impl SharkServer {
         if let Some(threads) = config.executor_threads {
             shark_rdd::Executor::configure_global(threads);
         }
-        let ctx = RddContext::new(config.rdd);
+        let ctx = RddContext::serial(config.rdd);
         let metrics = Arc::new(ServerMetrics::register(ctx.metrics()));
         let mut memstore = MemstoreManager::new_in(config.memory_budget_bytes, metrics.clone())
             .with_session_quota(config.session_mem_quota_bytes);
