@@ -73,7 +73,10 @@ const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 /// the commit before it reported, to the bit (see
 /// `unmoved_shapes_report_the_seconds_they_reported_before`). The static
 /// (`shark_static`) and Hive rows pin the lazy shuffles: a GROUP BY through
-/// the row and the fused builder, and a shuffle join.
+/// the row and the fused builder, and a shuffle join. The last three pin
+/// expression shapes the batch kernels evaluate: a `SUBSTR` group key, a
+/// `NOT IN` filter over a dictionary column and a `BETWEEN` filter under a
+/// shuffle join.
 fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
     let shuffle_join = ExecConfig {
         broadcast_threshold: 0,
@@ -110,7 +113,7 @@ fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
         ),
         (
             "shuffle-join",
-            shuffle_join,
+            shuffle_join.clone(),
             JOIN,
             Some(0.020188735000000003),
         ),
@@ -161,6 +164,24 @@ fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
             ExecConfig::hive(),
             JOIN,
             Some(0.05588544499999998),
+        ),
+        (
+            "substr group-by",
+            ExecConfig::shark(),
+            "SELECT SUBSTR(grp, 1, 2), SUM(v) FROM facts WHERE k > 5 GROUP BY SUBSTR(grp, 1, 2)",
+            Some(0.015046981500000004),
+        ),
+        (
+            "not-in group-by",
+            ExecConfig::shark(),
+            "SELECT grp, COUNT(*), SUM(v) FROM facts WHERE grp NOT IN ('alpha', 'delta') GROUP BY grp",
+            Some(0.015032183500000004),
+        ),
+        (
+            "between shuffle-join",
+            shuffle_join.clone(),
+            "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k WHERE f.ts BETWEEN 1100 AND 1700",
+            Some(0.015122370000000003),
         ),
     ]
 }
