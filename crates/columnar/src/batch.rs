@@ -7,10 +7,18 @@
 //! `Row`s are only built at the very end ([`ColumnBatch::materialize`]), which
 //! is the late-materialization discipline of vectorized engines: a selective
 //! scan never pays the per-row allocation cost for rows it is about to drop.
+//!
+//! Expressions over a batch read its columns as [`Vector`]s: one typed
+//! value per selected row (`i64`, `i32` dates, `f64`, `bool`, or a string
+//! borrowed from the column), or — for a dictionary or run-length column —
+//! the column's distinct entries plus one code per selected row, so an
+//! expression over them runs once per entry instead of once per row.
 
-use shark_common::{DataType, Row, Value};
+use std::sync::Arc;
 
-use crate::column::{unpack_bits, EncodedColumn};
+use shark_common::{DataType, Row, Value, ValueRef};
+
+use crate::column::{unpack_bits, EncodedColumn, NullMask};
 use crate::partition::ColumnarPartition;
 
 /// The set of partition rows still alive in a [`ColumnBatch`].
@@ -49,7 +57,8 @@ impl Selection {
 
     /// Keep only the selected rows for which `keep` returns true.
     pub fn retain(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        let rows: Vec<u32> = self.iter().filter(|&i| keep(i)).map(|i| i as u32).collect();
+        let mut rows = Vec::with_capacity(self.len());
+        rows.extend(self.iter().filter(|&i| keep(i)).map(|i| i as u32));
         *self = Selection::Rows(rows);
     }
 }
@@ -137,21 +146,107 @@ impl<'a> ColumnBatch<'a> {
         self.partition.value_at(row, self.projection[col])
     }
 
-    /// Build a full projected [`Row`] for one partition row (the scratch row
-    /// generic expression fallbacks evaluate against).
-    pub fn scratch_row(&self, row: usize) -> Row {
-        Row::new(
-            (0..self.projection.len())
-                .map(|c| self.value_at(row, c))
-                .collect(),
-        )
-    }
-
     /// Decode one projected column for exactly the selected rows, in
     /// selection order. Run-length encodings are walked with a single
     /// cursor rather than probed per value.
     pub fn gather(&self, col: usize) -> Vec<Value> {
         gather_column(self.column(col), self.column_type(col), &self.selection)
+    }
+
+    /// Projected column `col` as a [`Vector`] over the selection. A
+    /// dictionary or run-length column whose entries are no more than the
+    /// selected rows comes back coded: its entries (plus a NULL entry when
+    /// it has NULLs) and each selected row's entry.
+    pub fn vector(&self, col: usize) -> Vector<'a> {
+        let partition: &'a ColumnarPartition = self.partition;
+        let column = partition.column(self.projection[col]);
+        let data_type = self.column_type(col);
+        let sel = &self.selection;
+        let valid = |nulls: &NullMask| -> Option<Vec<bool>> {
+            nulls.as_ref().map(|m| sel.iter().map(|i| m[i]).collect())
+        };
+        let ints = |values: Vec<i64>, valid: Option<Vec<bool>>| {
+            let data = if data_type == DataType::Date {
+                VectorData::Date(values.into_iter().map(|v| v as i32).collect())
+            } else {
+                VectorData::Int(values)
+            };
+            Vector { data, valid }
+        };
+        // The entries, a NULL entry last if the column has NULLs, and each
+        // selected row's entry; decoded when the entries outnumber the rows.
+        let coded = |mut domain: Vector<'a>, codes: Vec<u32>, nulls: &NullMask| {
+            let entries = domain.len();
+            let codes = match nulls {
+                None => codes,
+                Some(mask) => {
+                    domain.push_null_entry();
+                    let null_code = entries as u32;
+                    sel.iter()
+                        .zip(codes)
+                        .map(|(i, c)| if mask[i] { c } else { null_code })
+                        .collect()
+                }
+            };
+            let coded = Vector::from(VectorData::Coded {
+                domain: Box::new(domain),
+                codes,
+            });
+            if entries <= sel.len() {
+                coded
+            } else {
+                coded.decoded()
+            }
+        };
+        match column {
+            EncodedColumn::IntPlain { values, nulls } => {
+                ints(sel.iter().map(|i| values[i]).collect(), valid(nulls))
+            }
+            EncodedColumn::IntBitPacked {
+                min,
+                bits,
+                words,
+                nulls,
+                ..
+            } => ints(
+                sel.iter()
+                    .map(|i| min + unpack_bits(words, *bits, i) as i64)
+                    .collect(),
+                valid(nulls),
+            ),
+            EncodedColumn::FloatPlain { values, nulls } => Vector {
+                data: VectorData::Float(sel.iter().map(|i| values[i]).collect()),
+                valid: valid(nulls),
+            },
+            EncodedColumn::BoolPacked { words, nulls, .. } => Vector {
+                data: VectorData::Bool(
+                    sel.iter()
+                        .map(|i| words[i / 64] >> (i % 64) & 1 == 1)
+                        .collect(),
+                ),
+                valid: valid(nulls),
+            },
+            EncodedColumn::StrPlain { values, nulls } => Vector {
+                data: VectorData::Str(sel.iter().map(|i| Text::Shared(&values[i])).collect()),
+                valid: valid(nulls),
+            },
+            EncodedColumn::IntRle { runs, nulls, .. } => coded(
+                ints(runs.iter().map(|&(v, _)| v).collect(), None),
+                run_of_each(runs.iter().map(|&(_, n)| n), sel),
+                nulls,
+            ),
+            EncodedColumn::StrRle { runs, nulls, .. } => coded(
+                VectorData::Str(runs.iter().map(|(s, _)| Text::Shared(s)).collect()).into(),
+                run_of_each(runs.iter().map(|&(_, n)| n), sel),
+                nulls,
+            ),
+            EncodedColumn::StrDict { dict, codes, nulls } => coded(
+                VectorData::Str(dict.iter().map(Text::Shared).collect()).into(),
+                sel.iter().map(|i| codes[i]).collect(),
+                nulls,
+            ),
+            EncodedColumn::AllNull { .. } => Vector::constant(Value::Null),
+        }
     }
 
     /// Late materialization: build output [`Row`]s for the surviving
@@ -172,45 +267,28 @@ fn gather_column(col: &EncodedColumn, data_type: DataType, selection: &Selection
         // Run-length columns: one forward walk over the runs serves the whole
         // ascending selection.
         EncodedColumn::IntRle { runs, nulls, .. } => {
-            let mut out = Vec::with_capacity(selection.len());
-            let mut run_idx = 0usize;
-            let mut run_start = 0usize;
-            for i in selection.iter() {
-                if is_null_at(nulls, i) {
-                    out.push(Value::Null);
-                    continue;
-                }
-                while run_idx < runs.len() && i >= run_start + runs[run_idx].1 as usize {
-                    run_start += runs[run_idx].1 as usize;
-                    run_idx += 1;
-                }
-                out.push(match runs.get(run_idx) {
+            let run_of = run_of_each(runs.iter().map(|&(_, n)| n), selection);
+            selection
+                .iter()
+                .zip(run_of)
+                .map(|(i, run)| match runs.get(run as usize) {
+                    _ if is_null_at(nulls, i) => Value::Null,
                     Some(&(v, _)) if data_type == DataType::Date => Value::Date(v as i32),
                     Some(&(v, _)) => Value::Int(v),
                     None => Value::Null,
-                });
-            }
-            out
+                })
+                .collect()
         }
         EncodedColumn::StrRle { runs, nulls, .. } => {
-            let mut out = Vec::with_capacity(selection.len());
-            let mut run_idx = 0usize;
-            let mut run_start = 0usize;
-            for i in selection.iter() {
-                if is_null_at(nulls, i) {
-                    out.push(Value::Null);
-                    continue;
-                }
-                while run_idx < runs.len() && i >= run_start + runs[run_idx].1 as usize {
-                    run_start += runs[run_idx].1 as usize;
-                    run_idx += 1;
-                }
-                out.push(match runs.get(run_idx) {
-                    Some((s, _)) => Value::Str(s.clone()),
-                    None => Value::Null,
-                });
-            }
-            out
+            let run_of = run_of_each(runs.iter().map(|&(_, n)| n), selection);
+            selection
+                .iter()
+                .zip(run_of)
+                .map(|(i, run)| match runs.get(run as usize) {
+                    Some((s, _)) if !is_null_at(nulls, i) => Value::Str(s.clone()),
+                    _ => Value::Null,
+                })
+                .collect()
         }
         EncodedColumn::IntBitPacked {
             min,
@@ -243,6 +321,364 @@ fn gather_column(col: &EncodedColumn, data_type: DataType, selection: &Selection
 
 fn is_null_at(mask: &Option<Vec<bool>>, i: usize) -> bool {
     mask.as_ref().map(|m| !m[i]).unwrap_or(false)
+}
+
+/// For each selected row (ascending), the index of the run that holds it
+/// (the run count past the last run): one forward walk over the run
+/// lengths.
+fn run_of_each(mut run_lens: impl Iterator<Item = u32>, selection: &Selection) -> Vec<u32> {
+    let mut out = Vec::with_capacity(selection.len());
+    let mut run = 0u32;
+    let mut run_end = run_lens.next().map_or(usize::MAX, |n| n as usize);
+    for i in selection.iter() {
+        while i >= run_end {
+            run += 1;
+            run_end = run_lens.next().map_or(usize::MAX, |n| run_end + n as usize);
+        }
+        out.push(run);
+    }
+    out
+}
+
+/// A string element of a [`Vector`]: a column's own string, a view into
+/// one (what `SUBSTR` yields), or a string an expression built.
+#[derive(Debug, Clone)]
+pub enum Text<'a> {
+    /// A string stored in the column.
+    Shared(&'a Arc<str>),
+    /// A slice of a string stored in the column.
+    View(&'a str),
+    /// A string built while evaluating an expression.
+    Owned(Arc<str>),
+}
+
+impl<'a> Text<'a> {
+    /// The string.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Text::Shared(s) => s,
+            Text::View(s) => s,
+            Text::Owned(s) => s,
+        }
+    }
+
+    /// The string as borrowed from the column, if it is (`None` for an
+    /// owned string).
+    pub fn column_str(&self) -> Option<&'a str> {
+        match self {
+            Text::Shared(s) => Some(s),
+            Text::View(s) => Some(s),
+            Text::Owned(_) => None,
+        }
+    }
+
+    /// An owned value: a shared or owned string is one more reference, a
+    /// view is copied.
+    pub fn to_value(&self) -> Value {
+        match self {
+            Text::Shared(s) => Value::Str(Arc::clone(s)),
+            Text::View(s) => Value::str(s),
+            Text::Owned(s) => Value::Str(s.clone()),
+        }
+    }
+}
+
+/// The values of one column or expression over a batch's selection.
+#[derive(Debug, Clone)]
+pub enum VectorData<'a> {
+    /// Integers.
+    Int(Vec<i64>),
+    /// Dates, as days since the epoch.
+    Date(Vec<i32>),
+    /// Floats.
+    Float(Vec<f64>),
+    /// Booleans.
+    Bool(Vec<bool>),
+    /// Strings.
+    Str(Vec<Text<'a>>),
+    /// Values of more than one type (NULLs in place).
+    Values(Vec<Value>),
+    /// One value for every row.
+    Const(Value),
+    /// Per row, an index into `domain`: the entries of a dictionary or
+    /// run-length column, or an expression evaluated once over them.
+    Coded {
+        /// The distinct entries.
+        domain: Box<Vector<'a>>,
+        /// Each selected row's entry.
+        codes: Vec<u32>,
+    },
+}
+
+/// One typed value per selected row of a [`ColumnBatch`], with validity:
+/// `valid[k] == false` marks row `k` NULL (`None`: no NULLs). The values
+/// under a NULL are placeholders. Strings borrow from the batch's columns.
+#[derive(Debug, Clone)]
+pub struct Vector<'a> {
+    /// The values.
+    pub data: VectorData<'a>,
+    /// Validity per row; `None` when no row is NULL.
+    pub valid: Option<Vec<bool>>,
+}
+
+impl<'a> From<VectorData<'a>> for Vector<'a> {
+    fn from(data: VectorData<'a>) -> Self {
+        Vector { data, valid: None }
+    }
+}
+
+impl<'a> Vector<'a> {
+    /// The same value for every row.
+    pub fn constant(value: Value) -> Vector<'a> {
+        VectorData::Const(value).into()
+    }
+
+    /// Number of values (`usize::MAX` for a constant, which has one for
+    /// any row).
+    pub fn len(&self) -> usize {
+        match &self.data {
+            VectorData::Int(v) => v.len(),
+            VectorData::Date(v) => v.len(),
+            VectorData::Float(v) => v.len(),
+            VectorData::Bool(v) => v.len(),
+            VectorData::Str(v) => v.len(),
+            VectorData::Values(v) => v.len(),
+            VectorData::Const(_) => usize::MAX,
+            VectorData::Coded { codes, .. } => codes.len(),
+        }
+    }
+
+    /// True when the vector holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether row `k` is NULL.
+    #[inline]
+    pub fn is_null(&self, k: usize) -> bool {
+        self.get(k).is_null()
+    }
+
+    /// The value of row `k`, borrowed.
+    #[inline]
+    pub fn get(&self, k: usize) -> ValueRef<'_> {
+        if let Some(valid) = &self.valid {
+            if !valid[k] {
+                return ValueRef::Null;
+            }
+        }
+        match &self.data {
+            VectorData::Int(v) => ValueRef::Int(v[k]),
+            VectorData::Date(v) => ValueRef::Date(v[k]),
+            VectorData::Float(v) => ValueRef::Float(v[k]),
+            VectorData::Bool(v) => ValueRef::Bool(v[k]),
+            VectorData::Str(v) => ValueRef::Str(v[k].as_str()),
+            VectorData::Values(v) => v[k].as_ref(),
+            VectorData::Const(v) => v.as_ref(),
+            VectorData::Coded { domain, codes } => domain.get(codes[k] as usize),
+        }
+    }
+
+    /// The string of row `k`, if it is a non-NULL string.
+    pub fn text(&self, k: usize) -> Option<Text<'a>> {
+        if self.valid.as_ref().is_some_and(|valid| !valid[k]) {
+            return None;
+        }
+        match &self.data {
+            VectorData::Str(v) => Some(v[k].clone()),
+            VectorData::Values(v) => match &v[k] {
+                Value::Str(s) => Some(Text::Owned(s.clone())),
+                _ => None,
+            },
+            VectorData::Const(Value::Str(s)) => Some(Text::Owned(s.clone())),
+            VectorData::Coded { domain, codes } => domain.text(codes[k] as usize),
+            _ => None,
+        }
+    }
+
+    /// The value of row `k`, owned: a column's string is shared, not copied.
+    pub fn value(&self, k: usize) -> Value {
+        match self.text(k) {
+            Some(text) => text.to_value(),
+            None => self.get(k).to_value(),
+        }
+    }
+
+    /// The rows of a coded vector as a plain one.
+    pub fn decoded(self) -> Vector<'a> {
+        let VectorData::Coded { domain, codes } = &self.data else {
+            return self;
+        };
+        let mut out = VectorBuilder::with_capacity(codes.len());
+        for &code in codes {
+            out.push_from(domain, code as usize);
+        }
+        out.finish()
+    }
+
+    /// Append a NULL entry (a coded column's entry for its NULL rows).
+    fn push_null_entry(&mut self) {
+        let n = self.len();
+        match &mut self.data {
+            VectorData::Int(v) => v.push(0),
+            VectorData::Date(v) => v.push(0),
+            VectorData::Str(v) => v.push(Text::View("")),
+            _ => unreachable!("column entries are integers, dates or strings"),
+        }
+        self.valid.get_or_insert_with(|| vec![true; n]).push(false);
+    }
+}
+
+/// Builds a [`Vector`] one row at a time. It takes the type of the first
+/// non-NULL value and falls back to [`VectorData::Values`] if a later value
+/// has another type.
+pub struct VectorBuilder<'a> {
+    /// `None` until the first non-NULL value.
+    data: Option<VectorData<'a>>,
+    valid: Vec<bool>,
+    /// Rows expected, the capacity of the typed vector once it starts.
+    rows: usize,
+}
+
+impl<'a> VectorBuilder<'a> {
+    /// An empty builder for `n` rows.
+    pub fn with_capacity(n: usize) -> VectorBuilder<'a> {
+        VectorBuilder {
+            data: None,
+            valid: Vec::with_capacity(n),
+            rows: n,
+        }
+    }
+
+    /// Append a NULL.
+    pub fn push_null(&mut self) {
+        match &mut self.data {
+            None => {}
+            Some(VectorData::Int(v)) => v.push(0),
+            Some(VectorData::Date(v)) => v.push(0),
+            Some(VectorData::Float(v)) => v.push(0.0),
+            Some(VectorData::Bool(v)) => v.push(false),
+            Some(VectorData::Str(v)) => v.push(Text::View("")),
+            Some(VectorData::Values(v)) => v.push(Value::Null),
+            Some(_) => unreachable!("a builder holds plain data"),
+        }
+        self.valid.push(false);
+    }
+
+    /// Append an owned value.
+    pub fn push_value(&mut self, value: Value) {
+        match (&mut self.data, value) {
+            (_, Value::Null) => return self.push_null(),
+            (Some(VectorData::Int(v)), Value::Int(x)) => v.push(x),
+            (Some(VectorData::Date(v)), Value::Date(x)) => v.push(x),
+            (Some(VectorData::Float(v)), Value::Float(x)) => v.push(x),
+            (Some(VectorData::Bool(v)), Value::Bool(x)) => v.push(x),
+            (Some(VectorData::Str(v)), Value::Str(x)) => v.push(Text::Owned(x)),
+            (Some(VectorData::Values(v)), x) => v.push(x),
+            (None, x) => {
+                let (nulls, rows) = (self.valid.len(), self.rows);
+                self.data = Some(match x {
+                    Value::Int(x) => VectorData::Int(with_first(rows, nulls, 0, x)),
+                    Value::Date(x) => VectorData::Date(with_first(rows, nulls, 0, x)),
+                    Value::Float(x) => VectorData::Float(with_first(rows, nulls, 0.0, x)),
+                    Value::Bool(x) => VectorData::Bool(with_first(rows, nulls, false, x)),
+                    Value::Str(x) => {
+                        VectorData::Str(with_first(rows, nulls, Text::View(""), Text::Owned(x)))
+                    }
+                    Value::Null => unreachable!("NULL returned above"),
+                });
+            }
+            (Some(_), x) => {
+                let mut values = self.take_values();
+                values.push(x);
+                self.data = Some(VectorData::Values(values));
+            }
+        }
+        self.valid.push(true);
+    }
+
+    /// Append a string.
+    pub fn push_text(&mut self, text: Text<'a>) {
+        match &mut self.data {
+            Some(VectorData::Str(v)) => v.push(text),
+            None => {
+                let (nulls, rows) = (self.valid.len(), self.rows);
+                self.data = Some(VectorData::Str(with_first(
+                    rows,
+                    nulls,
+                    Text::View(""),
+                    text,
+                )));
+            }
+            Some(_) => return self.push_value(text.to_value()),
+        }
+        self.valid.push(true);
+    }
+
+    /// Append row `k` of `vector`.
+    pub fn push_from(&mut self, vector: &Vector<'a>, k: usize) {
+        match vector.text(k) {
+            Some(text) => self.push_text(text),
+            None => self.push_value(vector.get(k).to_value()),
+        }
+    }
+
+    /// Everything pushed so far as owned values.
+    fn take_values(&mut self) -> Vec<Value> {
+        let data = self.data.take();
+        let valid = &self.valid;
+        let at = |k: usize, v: Value| if valid[k] { v } else { Value::Null };
+        match data {
+            None => vec![Value::Null; valid.len()],
+            Some(VectorData::Int(v)) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| at(k, Value::Int(x)))
+                .collect(),
+            Some(VectorData::Date(v)) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| at(k, Value::Date(x)))
+                .collect(),
+            Some(VectorData::Float(v)) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| at(k, Value::Float(x)))
+                .collect(),
+            Some(VectorData::Bool(v)) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| at(k, Value::Bool(x)))
+                .collect(),
+            Some(VectorData::Str(v)) => v
+                .iter()
+                .enumerate()
+                .map(|(k, x)| at(k, x.to_value()))
+                .collect(),
+            Some(VectorData::Values(v)) => v,
+            Some(_) => unreachable!("a builder holds plain data"),
+        }
+    }
+
+    /// The vector built.
+    pub fn finish(self) -> Vector<'a> {
+        let all_valid = self.valid.iter().all(|&v| v);
+        match self.data {
+            None => Vector::constant(Value::Null),
+            Some(data) => Vector {
+                data,
+                valid: (!all_valid).then_some(self.valid),
+            },
+        }
+    }
+}
+
+/// Room for `rows` values, holding `nulls` placeholders and then `first`.
+fn with_first<T: Clone>(rows: usize, nulls: usize, placeholder: T, first: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(rows.max(nulls + 1));
+    v.resize(nulls, placeholder);
+    v.push(first);
+    v
 }
 
 #[cfg(test)]
@@ -317,12 +753,50 @@ mod tests {
     }
 
     #[test]
-    fn scratch_row_matches_materialized_row() {
-        let part = partition(40);
-        let projection = [2usize, 0];
+    fn vectors_hold_the_gathered_values_for_every_encoding() {
+        // `day` is run-length with NULL rows, `mode` a dictionary with NULL
+        // rows, `id` bit-packed and `price` plain with NULLs.
+        let rows: Vec<Row> = (0..300)
+            .map(|i| {
+                let null_or = |v: Value| if i % 9 == 4 { Value::Null } else { v };
+                row![
+                    i as i64,
+                    null_or(Value::str(["AIR", "SHIP", "TRUCK"][i % 3])),
+                    null_or(Value::Float(i as f64 * 0.5)),
+                    null_or(Value::Date(10 + (i / 50) as i32))
+                ]
+            })
+            .collect();
+        let part = ColumnarPartition::from_rows(&schema(), &rows);
+        let projection: Vec<usize> = (0..part.num_columns()).collect();
+        for selection in [
+            Selection::All(300),
+            Selection::Rows(vec![0, 3, 4, 149, 150, 298]),
+            Selection::Rows(vec![13]),
+        ] {
+            let mut batch = ColumnBatch::new(&part, &projection);
+            batch.set_selection(selection);
+            for c in 0..part.num_columns() {
+                let gathered = batch.gather(c);
+                let vector = batch.vector(c);
+                for (k, expected) in gathered.iter().enumerate() {
+                    assert_eq!(&vector.value(k), expected, "col {c} position {k}");
+                    assert_eq!(vector.get(k).is_null(), expected.is_null());
+                }
+            }
+        }
+        // Every row selected: the dictionary and run-length columns come
+        // back coded, one entry per dictionary value or run plus the NULL
+        // entry.
         let batch = ColumnBatch::new(&part, &projection);
-        let rows = batch.materialize();
-        assert_eq!(batch.scratch_row(17), rows[17]);
+        for c in [1, 3] {
+            let VectorData::Coded { domain, codes } = batch.vector(c).data else {
+                panic!("column {c} is not coded");
+            };
+            assert_eq!(codes.len(), 300);
+            assert!(domain.len() < 100, "{domain:?}");
+            assert!(domain.get(domain.len() - 1).is_null());
+        }
     }
 
     #[test]

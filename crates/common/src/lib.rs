@@ -25,4 +25,4 @@ pub mod value;
 pub use error::{Result, SharkError};
 pub use row::{Field, Row, Schema};
 pub use size::EstimateSize;
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};

@@ -114,24 +114,12 @@ impl Value {
 
     /// Interpret the value as an `i64` if it is numeric.
     pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            Value::Date(v) => Some(*v as i64),
-            Value::Float(v) => Some(*v as i64),
-            Value::Bool(b) => Some(*b as i64),
-            _ => None,
-        }
+        self.as_ref().as_int()
     }
 
     /// Interpret the value as an `f64` if it is numeric.
     pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            Value::Date(v) => Some(*v as f64),
-            Value::Bool(b) => Some(*b as i64 as f64),
-            _ => None,
-        }
+        self.as_ref().as_float()
     }
 
     /// Interpret the value as a string slice if it is a string.
@@ -155,28 +143,122 @@ impl Value {
         matches!(self, Value::Bool(true))
     }
 
+    /// Compare two values with SQL-ish semantics (see
+    /// [`ValueRef::total_cmp`]).
+    pub fn total_cmp(&self, other: &Value) -> Ordering {
+        self.as_ref().total_cmp(other.as_ref())
+    }
+
+    /// Render the value the way the CLI and tests print result rows.
+    pub fn render(&self) -> String {
+        self.as_ref().render()
+    }
+
+    /// Borrow the value as a [`ValueRef`].
+    #[inline]
+    pub fn as_ref(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Float(v) => ValueRef::Float(*v),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Date(d) => ValueRef::Date(*d),
+        }
+    }
+}
+
+/// A borrowed [`Value`]: the same variants with the string as a `&str`, so
+/// a value read out of a column or cut out of a string costs no allocation.
+/// Every comparison and conversion of a `Value` is the one defined here.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Boolean.
+    Bool(bool),
+    /// Days since the Unix epoch.
+    Date(i32),
+}
+
+impl ValueRef<'_> {
+    /// An owned copy (a string is copied into a new allocation).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Float(v) => Value::Float(v),
+            ValueRef::Str(s) => Value::str(s),
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Date(d) => Value::Date(d),
+        }
+    }
+
+    /// True if this value is SQL NULL.
+    #[inline]
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// SQL truthiness: NULL and non-booleans are not truthy.
+    #[inline]
+    pub fn is_truthy(self) -> bool {
+        matches!(self, ValueRef::Bool(true))
+    }
+
+    /// Interpret the value as an `i64` if it is numeric.
+    #[inline]
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Int(v) => Some(v),
+            ValueRef::Date(v) => Some(v as i64),
+            ValueRef::Float(v) => Some(v as i64),
+            ValueRef::Bool(b) => Some(b as i64),
+            _ => None,
+        }
+    }
+
+    /// Interpret the value as an `f64` if it is numeric.
+    #[inline]
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            ValueRef::Int(v) => Some(v as f64),
+            ValueRef::Float(v) => Some(v),
+            ValueRef::Date(v) => Some(v as f64),
+            ValueRef::Bool(b) => Some(b as i64 as f64),
+            _ => None,
+        }
+    }
+
     /// Compare two values with SQL-ish semantics: NULL sorts first, numeric
     /// types compare numerically across int/float/date, strings and bools
     /// compare within their own type. Values of incomparable types order by
     /// their type tag so that the ordering stays total (required for sorting
     /// mixed data without panics).
-    pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
+    #[inline]
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Null, _) => Ordering::Less,
             (_, Null) => Ordering::Greater,
-            (Int(a), Int(b)) => a.cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.as_ref().cmp(b.as_ref()),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Date(a), Date(b)) => a.cmp(&b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Str(a), Str(b)) => a.cmp(b),
             (Float(a), Float(b)) => {
                 // `==` makes 0.0 and -0.0 equal (their hashes are normalized
                 // too); NaNs fall through to IEEE total ordering.
                 if a == b {
                     Ordering::Equal
                 } else {
-                    a.total_cmp(b)
+                    a.total_cmp(&b)
                 }
             }
             // Cross numeric comparisons go through f64.
@@ -188,35 +270,34 @@ impl Value {
     }
 
     /// Render the value the way the CLI and tests print result rows.
-    pub fn render(&self) -> String {
+    pub fn render(self) -> String {
         match self {
-            Value::Null => "NULL".to_string(),
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => {
+            ValueRef::Null => "NULL".to_string(),
+            ValueRef::Int(v) => v.to_string(),
+            ValueRef::Float(v) => {
                 if v.fract() == 0.0 && v.abs() < 1e15 {
                     format!("{v:.1}")
                 } else {
                     format!("{v}")
                 }
             }
-            Value::Str(s) => s.to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Date(d) => format!("date#{d}"),
+            ValueRef::Str(s) => s.to_string(),
+            ValueRef::Bool(b) => b.to_string(),
+            ValueRef::Date(d) => format!("date#{d}"),
         }
     }
 }
 
-fn type_rank(v: &Value) -> u8 {
+fn type_rank(v: ValueRef<'_>) -> u8 {
     match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) => 2,
-        Value::Float(_) => 3,
-        Value::Date(_) => 4,
-        Value::Str(_) => 5,
+        ValueRef::Null => 0,
+        ValueRef::Bool(_) => 1,
+        ValueRef::Int(_) => 2,
+        ValueRef::Float(_) => 3,
+        ValueRef::Date(_) => 4,
+        ValueRef::Str(_) => 5,
     }
 }
-
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.total_cmp(other) == Ordering::Equal

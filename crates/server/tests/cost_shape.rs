@@ -211,6 +211,23 @@ fn allocations_follow_the_data_touched_not_the_table_or_bucket_count() {
             per_rows[1]
         );
     }
+
+    // The same eight groups of an expression key over a plain string
+    // column (`GROUP BY SUBSTR(sourceIP, 1, 7)`-shaped), 10x the rows each:
+    // the filter, the key and the argument are compiled kernels over the
+    // batch, so no row builds a `Row`, a `Value` or a string.
+    let by_prefix = "SELECT SUBSTR(ip, 1, 4), SUM(score) FROM grouped \
+                     WHERE score > 1000 GROUP BY SUBSTR(ip, 1, 4)";
+    let mut per_rows = Vec::new();
+    for rows_per_partition in [400usize, 4_000] {
+        let server = server_with_groups(rows_per_partition);
+        per_rows.push(allocations_per_statement(&server.session(), by_prefix, 8));
+    }
+    assert_within_ten_percent(
+        per_rows[0],
+        per_rows[1],
+        "SUBSTR group key, 400 vs 4,000 rows per partition",
+    );
 }
 
 /// A `REGIONS`-partition cached table of `rows_per_partition` rows with a
@@ -245,13 +262,16 @@ fn server_with_scores(rows_per_partition: usize) -> SharkServer {
 /// A `REGIONS`-partition cached table of `rows_per_partition` rows with a
 /// pseudorandom integer `score` and two eight-valued group columns that are
 /// not dictionary-coded: `bucket`, an int cycling row by row, and `tier`, a
-/// string in eight runs per partition (run-length encoded).
+/// string in eight runs per partition (run-length encoded). `ip` is a
+/// distinct string per row (a plain column) whose first four characters
+/// take eight values.
 fn server_with_groups(rows_per_partition: usize) -> SharkServer {
     let server = SharkServer::new(ServerConfig::default());
     let schema = Schema::from_pairs(&[
         ("score", DataType::Int),
         ("bucket", DataType::Int),
         ("tier", DataType::Str),
+        ("ip", DataType::Str),
     ]);
     let run = rows_per_partition / 8;
     server.register_table(
@@ -262,7 +282,8 @@ fn server_with_groups(rows_per_partition: usize) -> SharkServer {
                     row![
                         (n.wrapping_mul(2_654_435_761) % 1_000_003) as i64,
                         (n % 8) as i64,
-                        format!("tier-{}", i / run)
+                        format!("tier-{}", i / run),
+                        format!("10.{}.{n}", n % 8)
                     ]
                 })
                 .collect()

@@ -204,6 +204,173 @@ fn vectorized_path_actually_ran_fused_scans() {
     );
 }
 
+/// Rows per partition of the expression table: more distinct `name`s than
+/// a dictionary holds, so `name` is a plain string column.
+const EXPR_ROWS_PER_PARTITION: usize = 300;
+
+/// Expression-grid table, four partitions: `k` an int with a NULL every
+/// 13th row; `name` a plain string column of multi-byte UTF-8 with a NULL
+/// every 17th row; `tag` a small multi-byte dictionary with a NULL every
+/// 11th row; `day` a date in runs of 20 (run-length) with a NULL every
+/// 50th row; `zone` a string in runs of 60; `amount` a float drawn from
+/// `-0.0`, `0.0`, NaN, NULL and a few others.
+fn register_exprs(server: &SharkServer, name: &str) {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("name", DataType::Str),
+        ("tag", DataType::Str),
+        ("day", DataType::Date),
+        ("zone", DataType::Str),
+        ("amount", DataType::Float),
+    ]);
+    server.register_table(
+        TableMeta::new(name, schema, 4, |p| {
+            let mut rng = SEED ^ (p as u64).wrapping_mul(0x6a09_e667_f3bc_c909);
+            (0..EXPR_ROWS_PER_PARTITION)
+                .map(|i| {
+                    let r = splitmix(&mut rng);
+                    let global = p * EXPR_ROWS_PER_PARTITION + i;
+                    let null_every = |n: usize, v: Value| if i % n == 0 { Value::Null } else { v };
+                    Row::new(vec![
+                        null_every(13, Value::Int(global as i64 - 500)),
+                        null_every(17, Value::str(format!("ü{global}-é{}", r % 7))),
+                        null_every(
+                            11,
+                            Value::str(
+                                ["ñandú", "crème", "zoë", "plain", "日本"][(r % 5) as usize],
+                            ),
+                        ),
+                        null_every(50, Value::Date(18_000 + (global / 20) as i32)),
+                        Value::str(["north", "south", "east", "west"][(global / 60) % 4]),
+                        match (r >> 8) % 7 {
+                            0 => Value::Float(-0.0),
+                            1 => Value::Float(0.0),
+                            2 => Value::Float(f64::NAN),
+                            3 => Value::Null,
+                            4 => Value::Float(-2.5),
+                            _ => Value::Float(((r >> 16) % 40) as f64 * 0.5),
+                        },
+                    ])
+                })
+                .collect()
+        })
+        .with_cache(4)
+        .with_row_count_hint((4 * EXPR_ROWS_PER_PARTITION) as u64),
+    );
+}
+
+/// Filters, group keys and aggregate arguments that are expressions, not
+/// bare columns: what the compiled kernels evaluate on typed vectors.
+fn expression_grid_queries(t: &str) -> Vec<String> {
+    vec![
+        // SUBSTR: multi-byte, start past the end, zero and negative length.
+        format!("SELECT SUBSTR(name, 2, 3), COUNT(*) FROM {t} GROUP BY SUBSTR(name, 2, 3)"),
+        format!("SELECT SUBSTR(tag, 2), SUM(amount) FROM {t} GROUP BY SUBSTR(tag, 2)"),
+        format!("SELECT SUBSTR(name, 40, 2), COUNT(*) FROM {t} GROUP BY SUBSTR(name, 40, 2)"),
+        format!(
+            "SELECT k, SUBSTR(name, 1, 0), SUBSTR(tag, 2, -1) FROM {t} \
+             WHERE SUBSTR(tag, 1, 1) = 'c' OR SUBSTR(name, 0, 2) = 'ü1'"
+        ),
+        // Arithmetic in keys and aggregate arguments.
+        format!("SELECT k % 7, SUM(amount * 2), COUNT(amount) FROM {t} GROUP BY k % 7"),
+        format!(
+            "SELECT tag, SUM(k * 3 + 1), MIN(amount), MAX(name) FROM {t} \
+             WHERE k % 5 <> 0 GROUP BY tag"
+        ),
+        format!("SELECT LENGTH(name) + k, COUNT(*) FROM {t} GROUP BY LENGTH(name) + k"),
+        // IN / NOT IN over dictionary, plain and run-length columns.
+        format!("SELECT k, tag FROM {t} WHERE tag IN ('crème', 'zoë')"),
+        format!("SELECT tag, COUNT(*) FROM {t} WHERE tag NOT IN ('crème', '日本') GROUP BY tag"),
+        format!("SELECT k FROM {t} WHERE name IN ('ü3-é1', 'ü10-é0', 'ü17-é2', 'x')"),
+        format!("SELECT k, amount FROM {t} WHERE amount IN (0.0, -2.5, NULL)"),
+        format!("SELECT k FROM {t} WHERE amount NOT IN (1.5, 2.0) AND k < 20"),
+        format!(
+            "SELECT zone, COUNT(*), SUM(k) FROM {t} WHERE zone IN ('north', 'west') GROUP BY zone"
+        ),
+        format!("SELECT k FROM {t} WHERE zone NOT IN ('south') AND k IN (1, 2, 3, 100, 400)"),
+        // NULL list entries.
+        format!("SELECT COUNT(*), SUM(k) FROM {t} WHERE tag NOT IN ('crème', NULL)"),
+        format!("SELECT k, tag FROM {t} WHERE tag IN (NULL, 'zoë') OR k IN (NULL, 7)"),
+        // BETWEEN: a run-length date column against int literals, NULL bounds.
+        format!("SELECT k, day FROM {t} WHERE day BETWEEN 18010 AND 18012"),
+        format!("SELECT day, COUNT(*) FROM {t} WHERE day NOT BETWEEN 18005 AND 18050 GROUP BY day"),
+        format!("SELECT COUNT(*) FROM {t} WHERE day BETWEEN NULL AND 18012"),
+        format!("SELECT k FROM {t} WHERE k NOT BETWEEN 10 AND NULL"),
+        format!("SELECT k, amount FROM {t} WHERE amount BETWEEN -1 AND k"),
+        // NULL rows, -0.0 / 0.0 and NaN keys.
+        format!("SELECT amount, COUNT(*) FROM {t} GROUP BY amount"),
+        format!("SELECT amount * 1, COUNT(*), SUM(k) FROM {t} GROUP BY amount * 1"),
+        format!("SELECT COUNT(*) FROM {t} WHERE k IS NULL AND tag IS NOT NULL"),
+        format!("SELECT UPPER(tag), COUNT(*) FROM {t} GROUP BY UPPER(tag)"),
+        format!("SELECT COALESCE(tag, name), COUNT(*) FROM {t} GROUP BY COALESCE(tag, name)"),
+        format!("SELECT tag, zone, AVG(amount) FROM {t} WHERE NOT (k < 0) GROUP BY tag, zone"),
+    ]
+}
+
+#[test]
+fn expression_grid_is_byte_identical_to_the_row_path() {
+    let server = SharkServer::new(ServerConfig::default());
+    register_exprs(&server, "exprs");
+    server.load_table("exprs").unwrap();
+    let vectorized = server.session();
+    let mut row_path = server.session();
+    row_path.set_exec_config(ExecConfig {
+        vectorized: false,
+        ..ExecConfig::shark()
+    });
+    for query in expression_grid_queries("exprs") {
+        let reference = fetch_blocking(&row_path, &query);
+        for (rows, context) in [
+            (
+                fetch_blocking(&vectorized, &query),
+                "vectorized blocking vs row",
+            ),
+            (
+                fetch_streamed(&vectorized, &query),
+                "vectorized streamed vs row",
+            ),
+        ] {
+            // Rendered, so NaN keys compare too.
+            let render = |rows: Vec<Row>| -> Vec<String> {
+                let mut rows: Vec<Row> = rows;
+                if query.contains("GROUP BY") {
+                    rows.sort();
+                }
+                rows.iter().map(|r| format!("{r:?}")).collect()
+            };
+            assert_eq!(
+                render(rows),
+                render(reference.clone()),
+                "{context}: {query}"
+            );
+        }
+    }
+    // The grid ran through the kernels: plain string, dictionary and
+    // run-length columns, all cached.
+    let encodings = server
+        .catalog()
+        .get("exprs")
+        .unwrap()
+        .cached
+        .clone()
+        .unwrap();
+    let part = encodings.get(0).unwrap();
+    let kinds: Vec<_> = (0..part.num_columns()).map(|c| part.encoding(c)).collect();
+    use shark_columnar::EncodingKind::*;
+    assert_eq!(kinds[1], Plain, "{kinds:?}");
+    assert_eq!(kinds[2], Dictionary, "{kinds:?}");
+    assert_eq!((kinds[3], kinds[4]), (RunLength, RunLength), "{kinds:?}");
+    let notes = vectorized
+        .sql(&expression_grid_queries("exprs")[0])
+        .unwrap()
+        .result
+        .notes;
+    assert!(
+        notes.iter().any(|n| n.contains("vectorized: fused")),
+        "{notes:?}"
+    );
+}
+
 /// NULL-heavy table for the top-k grid: `k` repeats in plateaus of eight
 /// (heavy ties) with a NULL every eleventh row, `grp` is NULL every seventh
 /// row, and `amount` draws from a handful of values that include `-0.0`,

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use shark_common::{EstimateSize, Value};
+use shark_common::{EstimateSize, Value, ValueRef};
 
 use crate::expr::BoundExpr;
 
@@ -120,6 +120,15 @@ impl AggState {
     /// Fold one input value into the state. `value = None` means `COUNT(*)`
     /// semantics (count the row regardless of nulls).
     pub fn update(&mut self, value: Option<&Value>) {
+        self.update_ref(value.map(Value::as_ref), || {
+            value.cloned().expect("an owned copy of a present value")
+        });
+    }
+
+    /// [`AggState::update`] over a borrowed value; `owned` copies it, and
+    /// runs only when the state keeps the value (a new minimum, maximum or
+    /// distinct value).
+    pub fn update_ref(&mut self, value: Option<ValueRef<'_>>, owned: impl FnOnce() -> Value) {
         match self {
             AggState::Count(c) => {
                 match value {
@@ -128,39 +137,37 @@ impl AggState {
                 };
             }
             AggState::CountDistinct(set) => {
-                if let Some(v) = value {
-                    if !v.is_null() {
-                        set.insert(v.clone());
-                    }
+                if value.is_some_and(|v| !v.is_null()) {
+                    set.insert(owned());
                 }
             }
             AggState::Sum { sum, seen } => {
-                if let Some(v) = value {
-                    if let Some(f) = v.as_float() {
-                        *sum += f;
-                        *seen = true;
-                    }
+                if let Some(f) = value.and_then(ValueRef::as_float) {
+                    *sum += f;
+                    *seen = true;
                 }
             }
             AggState::Avg { sum, count } => {
-                if let Some(v) = value {
-                    if let Some(f) = v.as_float() {
-                        *sum += f;
-                        *count += 1;
-                    }
+                if let Some(f) = value.and_then(ValueRef::as_float) {
+                    *sum += f;
+                    *count += 1;
                 }
             }
             AggState::Min(m) => {
-                if let Some(v) = value {
-                    if !v.is_null() && m.as_ref().map(|cur| v < cur).unwrap_or(true) {
-                        *m = Some(v.clone());
+                if let Some(v) = value.filter(|v| !v.is_null()) {
+                    if m.as_ref()
+                        .is_none_or(|cur| v.total_cmp(cur.as_ref()).is_lt())
+                    {
+                        *m = Some(owned());
                     }
                 }
             }
             AggState::Max(m) => {
-                if let Some(v) = value {
-                    if !v.is_null() && m.as_ref().map(|cur| v > cur).unwrap_or(true) {
-                        *m = Some(v.clone());
+                if let Some(v) = value.filter(|v| !v.is_null()) {
+                    if m.as_ref()
+                        .is_none_or(|cur| v.total_cmp(cur.as_ref()).is_gt())
+                    {
+                        *m = Some(owned());
                     }
                 }
             }

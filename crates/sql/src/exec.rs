@@ -32,6 +32,7 @@ use crate::pde::{
 };
 use crate::plan::{AggregateNode, OutputRef, QueryPlan, ScanNode};
 use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd, MemTopKScanRdd};
+use crate::vector::note_scalar_adapter;
 
 /// Which engine the executor should emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,8 +71,9 @@ pub struct ExecConfig {
     /// consumer (0 = serial: each partition runs inside `next_batch`).
     pub stream_prefetch: usize,
     /// Batch-at-a-time execution over the compressed columnar encodings
-    /// (selection vectors, run skipping, dictionary-coded group-by keys,
-    /// late materialization). Off falls back to the decode-then-filter row
+    /// (selection vectors, compiled expression kernels, once-per-entry
+    /// evaluation over dictionary and run-length columns, late
+    /// materialization). Off falls back to the decode-then-filter row
     /// path; both produce byte-identical results.
     pub vectorized: bool,
 }
@@ -989,6 +991,7 @@ fn build_fused_topk(
     notes.push(format!(
         "vectorized: fused scan + top-k on the encoded sort columns, late materialization of at most {k} rows per partition"
     ));
+    note_scalar_adapter(&mut notes, &scan.filters);
     Ok(Some(TableRdd {
         rdd,
         schema: plan.output_schema.clone(),
@@ -1134,6 +1137,9 @@ fn build_scan(
             scan.filters.clone(),
             cfg.vectorized,
         )?;
+        if cfg.vectorized {
+            note_scalar_adapter(notes, &scan.filters);
+        }
         let info = SingleScanInfo {
             table: scan.table.clone(),
             selected,
@@ -1525,6 +1531,11 @@ fn build_fused_aggregation(
         partial_agg_ops(agg),
     )?;
     notes.push("vectorized: fused scan + partial aggregation over columnar batches".into());
+    let args = agg.aggs.iter().filter_map(|a| a.arg.as_ref());
+    note_scalar_adapter(
+        notes,
+        scan.filters.iter().chain(&agg.group_exprs).chain(args),
+    );
     // At most one pair per group per partition: already the map-side
     // combine, so the pairs are bucketed as they are.
     let shuffle = pairs.shuffle_precombined(aggregation_buckets(cfg));

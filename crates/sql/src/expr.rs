@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use shark_common::{DataType, Result, Row, Schema, SharkError, Value};
+use std::cmp::Ordering;
+
+use shark_common::{DataType, Result, Row, Schema, SharkError, Value, ValueRef};
 
 use crate::ast::{BinaryOp, Expr};
 
@@ -304,11 +306,7 @@ impl BoundExpr {
             BoundExpr::Binary { left, op, right } => {
                 eval_binary(&left.eval(row), *op, &right.eval(row))
             }
-            BoundExpr::Not(e) => match e.eval(row) {
-                Value::Bool(b) => Value::Bool(!b),
-                Value::Null => Value::Null,
-                _ => Value::Bool(false),
-            },
+            BoundExpr::Not(e) => not(e.eval(row).as_ref()),
             BoundExpr::IsNull { expr, negated } => {
                 Value::Bool(expr.eval(row).is_null() != *negated)
             }
@@ -317,25 +315,23 @@ impl BoundExpr {
                 low,
                 high,
                 negated,
-            } => {
-                let v = expr.eval(row);
-                if v.is_null() {
-                    return Value::Null;
-                }
-                let within = v >= low.eval(row) && v <= high.eval(row);
-                Value::Bool(within != *negated)
-            }
+            } => between(
+                expr.eval(row).as_ref(),
+                low.eval(row).as_ref(),
+                high.eval(row).as_ref(),
+                *negated,
+            ),
             BoundExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
                 let v = expr.eval(row);
-                if v.is_null() {
-                    return Value::Null;
-                }
-                let found = list.iter().any(|e| e.eval(row) == v);
-                Value::Bool(found != *negated)
+                let entries = list.iter().map(|e| {
+                    let entry = e.eval(row);
+                    (!entry.is_null()).then(|| entry == v)
+                });
+                in_list(v.is_null(), entries, *negated)
             }
             BoundExpr::Func { func, args } => {
                 let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect();
@@ -412,36 +408,40 @@ impl BoundExpr {
         }
     }
 
-    /// Collect the row positions this expression reads.
-    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+    /// Visit this expression and every subexpression, parents first.
+    pub fn visit(&self, f: &mut dyn FnMut(&BoundExpr)) {
+        f(self);
         match self {
-            BoundExpr::Column(i) => out.push(*i),
-            BoundExpr::Literal(_) => {}
+            BoundExpr::Column(_) | BoundExpr::Literal(_) => {}
             BoundExpr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
+                left.visit(f);
+                right.visit(f);
             }
-            BoundExpr::Not(e) => e.referenced_columns(out),
-            BoundExpr::IsNull { expr, .. } => expr.referenced_columns(out),
+            BoundExpr::Not(e) | BoundExpr::IsNull { expr: e, .. } => e.visit(f),
             BoundExpr::Between {
                 expr, low, high, ..
             } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
+                expr.visit(f);
+                low.visit(f);
+                high.visit(f);
             }
             BoundExpr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
+                expr.visit(f);
+                list.iter().for_each(|e| e.visit(f));
             }
             BoundExpr::Func { args, .. } | BoundExpr::Udf { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
+                args.iter().for_each(|a| a.visit(f));
             }
         }
+    }
+
+    /// Collect the row positions this expression reads.
+    pub fn referenced_columns(&self, out: &mut Vec<usize>) {
+        self.visit(&mut |e| {
+            if let BoundExpr::Column(i) = e {
+                out.push(*i);
+            }
+        });
     }
 
     /// If this predicate is a simple range/equality condition on a single
@@ -514,61 +514,67 @@ pub(crate) fn flip(op: BinaryOp) -> BinaryOp {
 
 /// Evaluate a binary operation with SQL-ish NULL propagation.
 pub fn eval_binary(left: &Value, op: BinaryOp, right: &Value) -> Value {
+    eval_binary_ref(left.as_ref(), op, right.as_ref())
+}
+
+/// [`eval_binary`] over borrowed values: the one definition of every
+/// binary operator, shared by the row evaluator and the batch kernels.
+pub fn eval_binary_ref(left: ValueRef<'_>, op: BinaryOp, right: ValueRef<'_>) -> Value {
     use BinaryOp::*;
     match op {
         And => match (left, right) {
-            (Value::Bool(false), _) | (_, Value::Bool(false)) => Value::Bool(false),
-            (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
+            (ValueRef::Bool(false), _) | (_, ValueRef::Bool(false)) => Value::Bool(false),
+            (ValueRef::Bool(true), ValueRef::Bool(true)) => Value::Bool(true),
             _ => Value::Null,
         },
         Or => match (left, right) {
-            (Value::Bool(true), _) | (_, Value::Bool(true)) => Value::Bool(true),
-            (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
+            (ValueRef::Bool(true), _) | (_, ValueRef::Bool(true)) => Value::Bool(true),
+            (ValueRef::Bool(false), ValueRef::Bool(false)) => Value::Bool(false),
             _ => Value::Null,
         },
         _ if left.is_null() || right.is_null() => Value::Null,
-        Eq => Value::Bool(left == right),
-        NotEq => Value::Bool(left != right),
-        Lt => Value::Bool(left < right),
-        LtEq => Value::Bool(left <= right),
-        Gt => Value::Bool(left > right),
-        GtEq => Value::Bool(left >= right),
+        Eq | NotEq | Lt | LtEq | Gt | GtEq => Value::Bool(holds(op, left.total_cmp(right))),
         Plus | Minus | Multiply | Divide | Modulo => eval_arithmetic(left, op, right),
     }
 }
 
-fn eval_arithmetic(left: &Value, op: BinaryOp, right: &Value) -> Value {
+/// Whether comparison `op` holds between two values that order as `ord`.
+#[inline]
+pub(crate) fn holds(op: BinaryOp, ord: Ordering) -> bool {
+    match op {
+        BinaryOp::Eq => ord == Ordering::Equal,
+        BinaryOp::NotEq => ord != Ordering::Equal,
+        BinaryOp::Lt => ord == Ordering::Less,
+        BinaryOp::LtEq => ord != Ordering::Greater,
+        BinaryOp::Gt => ord == Ordering::Greater,
+        BinaryOp::GtEq => ord != Ordering::Less,
+        _ => unreachable!("{op:?} is not a comparison"),
+    }
+}
+
+/// Integer arithmetic wraps like Hive's `BIGINT` (and like a release
+/// build always did); division and remainder by zero, and the one
+/// overflowing division (`i64::MIN / -1`), are NULL.
+fn eval_arithmetic(left: ValueRef<'_>, op: BinaryOp, right: ValueRef<'_>) -> Value {
     use BinaryOp::*;
     // String concatenation with '+' is not SQL; ignore.
-    let both_int = matches!(left, Value::Int(_) | Value::Date(_))
-        && matches!(right, Value::Int(_) | Value::Date(_));
-    if both_int {
-        let a = left.as_int().unwrap_or(0);
-        let b = right.as_int().unwrap_or(0);
-        return match op {
-            Plus => Value::Int(a + b),
-            Minus => Value::Int(a - b),
-            Multiply => Value::Int(a * b),
-            Divide => {
-                if b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a / b)
-                }
-            }
-            Modulo => {
-                if b == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(a % b)
-                }
-            }
-            _ => Value::Null,
+    let int = |v: ValueRef<'_>| match v {
+        ValueRef::Int(x) => Some(x),
+        ValueRef::Date(d) => Some(i64::from(d)),
+        _ => None,
+    };
+    if let (Some(a), Some(b)) = (int(left), int(right)) {
+        let result = match op {
+            Plus => Some(a.wrapping_add(b)),
+            Minus => Some(a.wrapping_sub(b)),
+            Multiply => Some(a.wrapping_mul(b)),
+            Divide => a.checked_div(b),
+            Modulo => a.checked_rem(b),
+            _ => None,
         };
+        return result.map_or(Value::Null, Value::Int);
     }
-    let a = left.as_float();
-    let b = right.as_float();
-    match (a, b) {
+    match (left.as_float(), right.as_float()) {
         (Some(a), Some(b)) => match op {
             Plus => Value::Float(a + b),
             Minus => Value::Float(a - b),
@@ -593,74 +599,153 @@ fn eval_arithmetic(left: &Value, op: BinaryOp, right: &Value) -> Value {
     }
 }
 
-/// Evaluate a built-in scalar function.
-pub fn eval_scalar(func: ScalarFunc, args: &[Value]) -> Value {
-    match func {
-        ScalarFunc::Substr => {
-            let s = match args.first().and_then(|v| v.as_str()) {
-                Some(s) => s,
-                None => return Value::Null,
-            };
-            let start = args.get(1).and_then(|v| v.as_int()).unwrap_or(1).max(1) as usize;
-            let len = args.get(2).and_then(|v| v.as_int());
-            let chars: Vec<char> = s.chars().collect();
-            let begin = (start - 1).min(chars.len());
-            let end = match len {
-                Some(l) => (begin + l.max(0) as usize).min(chars.len()),
-                None => chars.len(),
-            };
-            Value::str(chars[begin..end].iter().collect::<String>())
+/// SQL `NOT`: NULL stays NULL, a non-boolean is false.
+pub(crate) fn not(v: ValueRef<'_>) -> Value {
+    match v {
+        ValueRef::Bool(b) => Value::Bool(!b),
+        ValueRef::Null => Value::Null,
+        _ => Value::Bool(false),
+    }
+}
+
+/// `x [NOT] BETWEEN low AND high` is `[NOT] (x >= low AND x <= high)`, so
+/// a NULL bound gives NULL unless the other bound already rules `x` out.
+pub(crate) fn between(
+    x: ValueRef<'_>,
+    low: ValueRef<'_>,
+    high: ValueRef<'_>,
+    negated: bool,
+) -> Value {
+    let above = eval_binary_ref(x, BinaryOp::GtEq, low);
+    let below = eval_binary_ref(x, BinaryOp::LtEq, high);
+    let within = eval_binary_ref(above.as_ref(), BinaryOp::And, below.as_ref());
+    if negated {
+        not(within.as_ref())
+    } else {
+        within
+    }
+}
+
+/// `x [NOT] IN (entries)`, given whether `x` is NULL and, per entry,
+/// whether it equals `x` (`None` for a NULL entry, not evaluated past the
+/// first match). No match and a NULL entry give NULL, as SQL's
+/// `x = e1 OR x = e2 …` does.
+pub(crate) fn in_list(
+    x_is_null: bool,
+    entries: impl Iterator<Item = Option<bool>>,
+    negated: bool,
+) -> Value {
+    if x_is_null {
+        return Value::Null;
+    }
+    let mut saw_null = false;
+    for matched in entries {
+        match matched {
+            Some(true) => return Value::Bool(!negated),
+            Some(false) => {}
+            None => saw_null = true,
         }
-        ScalarFunc::Upper => match args.first().and_then(|v| v.as_str()) {
-            Some(s) => Value::str(s.to_uppercase()),
-            None => Value::Null,
+    }
+    if saw_null {
+        Value::Null
+    } else {
+        Value::Bool(negated)
+    }
+}
+
+/// `SUBSTR(s, start, len)`: up to `len` characters of `s` from the
+/// 1-based character `start` (a start below 1 counts as 1, one past the end
+/// gives ""); no `len` runs to the end and a negative one takes nothing.
+/// The result borrows from `s`.
+pub fn substr(s: &str, start: Option<i64>, len: Option<i64>) -> &str {
+    let byte_of_char = |s: &str, n: usize| s.char_indices().nth(n).map_or(s.len(), |(b, _)| b);
+    let skip = (start.unwrap_or(1).max(1) - 1) as usize;
+    let rest = &s[byte_of_char(s, skip)..];
+    match len {
+        Some(len) => &rest[..byte_of_char(rest, len.max(0) as usize)],
+        None => rest,
+    }
+}
+
+/// A built-in scalar function's result over borrowed arguments.
+pub(crate) enum ScalarOut<'v> {
+    /// Argument `i`, unchanged (`COALESCE`, `IF`).
+    Arg(usize),
+    /// A slice of the first argument's string (`SUBSTR`).
+    Slice(&'v str),
+    /// A new value.
+    Value(Value),
+}
+
+/// Evaluate a built-in scalar function over `n` borrowed arguments: the
+/// one definition the row evaluator and the batch kernels share.
+pub(crate) fn eval_scalar_ref<'v>(
+    func: ScalarFunc,
+    n: usize,
+    arg: impl Fn(usize) -> ValueRef<'v>,
+) -> ScalarOut<'v> {
+    let get = |i: usize| if i < n { arg(i) } else { ValueRef::Null };
+    let string = |f: fn(&str) -> Value| match get(0) {
+        ValueRef::Str(s) => ScalarOut::Value(f(s)),
+        _ => ScalarOut::Value(Value::Null),
+    };
+    match func {
+        ScalarFunc::Substr => match get(0) {
+            ValueRef::Str(s) => ScalarOut::Slice(substr(s, get(1).as_int(), get(2).as_int())),
+            _ => ScalarOut::Value(Value::Null),
         },
-        ScalarFunc::Lower => match args.first().and_then(|v| v.as_str()) {
-            Some(s) => Value::str(s.to_lowercase()),
-            None => Value::Null,
-        },
-        ScalarFunc::Length => match args.first().and_then(|v| v.as_str()) {
-            Some(s) => Value::Int(s.chars().count() as i64),
-            None => Value::Null,
-        },
+        ScalarFunc::Upper => string(|s| Value::str(s.to_uppercase())),
+        ScalarFunc::Lower => string(|s| Value::str(s.to_lowercase())),
+        ScalarFunc::Length => string(|s| Value::Int(s.chars().count() as i64)),
         ScalarFunc::Concat => {
             let mut out = String::new();
-            for a in args {
+            for i in 0..n {
+                let a = get(i);
                 if a.is_null() {
-                    return Value::Null;
+                    return ScalarOut::Value(Value::Null);
                 }
                 out.push_str(&a.render());
             }
-            Value::str(out)
+            ScalarOut::Value(Value::str(out))
         }
-        ScalarFunc::Abs => match args.first() {
-            Some(Value::Int(v)) => Value::Int(v.abs()),
-            Some(Value::Float(v)) => Value::Float(v.abs()),
+        ScalarFunc::Abs => ScalarOut::Value(match get(0) {
+            ValueRef::Int(v) => Value::Int(v.wrapping_abs()),
+            ValueRef::Float(v) => Value::Float(v.abs()),
             _ => Value::Null,
+        }),
+        ScalarFunc::Round => ScalarOut::Value(
+            get(0)
+                .as_float()
+                .map_or(Value::Null, |v| Value::Int(v.round() as i64)),
+        ),
+        // days since 1970-01-01, ignoring leap-year drift (fine for
+        // grouping purposes).
+        ScalarFunc::Year => ScalarOut::Value(
+            get(0)
+                .as_int()
+                .map_or(Value::Null, |days| Value::Int(1970 + days / 365)),
+        ),
+        ScalarFunc::Coalesce => match (0..n).find(|&i| !get(i).is_null()) {
+            Some(i) => ScalarOut::Arg(i),
+            None => ScalarOut::Value(Value::Null),
         },
-        ScalarFunc::Round => match args.first().and_then(|v| v.as_float()) {
-            Some(v) => Value::Int(v.round() as i64),
-            None => Value::Null,
-        },
-        ScalarFunc::Year => match args.first().and_then(|v| v.as_int()) {
-            // days since 1970-01-01, ignoring leap-year drift (fine for
-            // grouping purposes).
-            Some(days) => Value::Int(1970 + days / 365),
-            None => Value::Null,
-        },
-        ScalarFunc::Coalesce => args
-            .iter()
-            .find(|v| !v.is_null())
-            .cloned()
-            .unwrap_or(Value::Null),
         ScalarFunc::If => {
-            let cond = args.first().map(|v| v.is_truthy()).unwrap_or(false);
-            if cond {
-                args.get(1).cloned().unwrap_or(Value::Null)
+            let pick = if get(0).is_truthy() { 1 } else { 2 };
+            if pick < n {
+                ScalarOut::Arg(pick)
             } else {
-                args.get(2).cloned().unwrap_or(Value::Null)
+                ScalarOut::Value(Value::Null)
             }
         }
+    }
+}
+
+/// Evaluate a built-in scalar function.
+pub fn eval_scalar(func: ScalarFunc, args: &[Value]) -> Value {
+    match eval_scalar_ref(func, args.len(), |i| args[i].as_ref()) {
+        ScalarOut::Arg(i) => args[i].clone(),
+        ScalarOut::Slice(s) => Value::str(s),
+        ScalarOut::Value(v) => v,
     }
 }
 
@@ -765,6 +850,67 @@ mod tests {
             eval_binary(&Value::Int(1), BinaryOp::Divide, &Value::Int(0)),
             Value::Null
         );
+    }
+
+    #[test]
+    fn between_is_two_comparisons_and_in_sees_null_entries() {
+        let k3 = row![3i64, "u", Value::Null];
+        let eval = |sql: &str| bind(sql).eval(&k3);
+        // BETWEEN is `x >= low AND x <= high`.
+        assert_eq!(eval("pagerank BETWEEN NULL AND 5"), Value::Null);
+        assert_eq!(eval("pagerank >= NULL AND pagerank <= 5"), Value::Null);
+        assert_eq!(eval("pagerank BETWEEN NULL AND 2"), Value::Bool(false));
+        assert_eq!(eval("pagerank NOT BETWEEN NULL AND 2"), Value::Bool(true));
+        assert_eq!(eval("pagerank NOT BETWEEN 1 AND NULL"), Value::Null);
+        assert_eq!(eval("revenue BETWEEN 1 AND 5"), Value::Null);
+        // No match and a NULL entry: NULL, so a filter drops the row.
+        assert_eq!(eval("pagerank IN (1, NULL)"), Value::Null);
+        assert_eq!(eval("pagerank NOT IN (1, NULL)"), Value::Null);
+        assert!(!bind("pagerank NOT IN (1, NULL)").eval_predicate(&k3));
+        // A match wins over a NULL entry.
+        assert_eq!(eval("pagerank IN (NULL, 3)"), Value::Bool(true));
+        assert_eq!(eval("pagerank NOT IN (NULL, 3)"), Value::Bool(false));
+        assert_eq!(eval("pagerank NOT IN (1, 2)"), Value::Bool(true));
+        assert_eq!(eval("revenue IN (1, 2)"), Value::Null);
+    }
+
+    #[test]
+    fn integer_arithmetic_wraps_and_overflowing_division_is_null() {
+        let k = row![2i64, "u", 0.0f64];
+        let eval = |sql: &str| bind(sql).eval(&k);
+        assert_eq!(
+            eval("(0 - 9223372036854775807 - 1) / -1 IS NULL"),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval("(0 - 9223372036854775807 - 1) % -1 IS NULL"),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval("pagerank * 9223372036854775807 = -2"),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval("9223372036854775807 + pagerank < 0"),
+            Value::Bool(true)
+        );
+        assert_eq!(
+            eval_binary(&Value::Int(7), BinaryOp::Modulo, &Value::Int(0)),
+            Value::Null
+        );
+    }
+
+    #[test]
+    fn substr_counts_characters_from_one() {
+        let cut = |s, start, len| substr(s, start, len);
+        assert_eq!(cut("10.20.30.40", Some(1), Some(7)), "10.20.3");
+        assert_eq!(cut("héllo", Some(2), Some(3)), "éll");
+        assert_eq!(cut("héllo", Some(0), Some(2)), "hé");
+        assert_eq!(cut("héllo", Some(-4), None), "héllo");
+        assert_eq!(cut("héllo", Some(9), Some(2)), "");
+        assert_eq!(cut("héllo", Some(2), Some(0)), "");
+        assert_eq!(cut("héllo", Some(2), Some(-1)), "");
+        assert_eq!(cut("héllo", None, Some(i64::MAX)), "héllo");
     }
 
     #[test]

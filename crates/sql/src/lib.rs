@@ -45,4 +45,4 @@ pub use plancache::{
     statement_fingerprint, CachedStatement, PlanCache, PLAN_CACHE_LOOKUP_HITS, PLAN_CACHE_MISSES,
     PLAN_CACHE_STALE_PLANS,
 };
-pub use vector::FilterKernel;
+pub use vector::Kernel;

@@ -28,7 +28,7 @@ use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{MemTable, TableMeta};
 use crate::exec::topk_sort_rows;
 use crate::expr::BoundExpr;
-use crate::vector::{vector_partial_aggregate, FilterKernel};
+use crate::vector::{vector_partial_aggregate, Kernel};
 
 /// Cached unified-registry handles for the hot scan-path counters (a
 /// memtable counts its rebuilds and promotions itself, in its scope).
@@ -76,7 +76,7 @@ struct CachedScan {
     projection: Vec<usize>,
     filters: Vec<BoundExpr>,
     /// Batch kernels compiled from `filters`.
-    kernels: Vec<FilterKernel>,
+    kernels: Vec<Kernel>,
 }
 
 impl CachedScan {
@@ -89,7 +89,7 @@ impl CachedScan {
         let mem = table.cached.clone().ok_or_else(|| {
             shark_common::SharkError::Plan(format!("table '{}' is not cached", table.name))
         })?;
-        let kernels = filters.iter().map(FilterKernel::compile).collect();
+        let kernels = filters.iter().map(Kernel::compile).collect();
         Ok(CachedScan {
             table,
             mem,
@@ -181,7 +181,7 @@ impl CachedScan {
         let mut batch = ColumnBatch::new(columnar, &self.projection);
         for (f, kernel) in self.filters.iter().zip(&self.kernels) {
             metrics.add_ops(batch.num_selected() as f64 * f.op_count());
-            kernel.apply(&mut batch);
+            kernel.filter(&mut batch);
         }
         if shark_obs::active() && !self.filters.is_empty() {
             shark_obs::annotate("batch", &format!("selected={}", batch.num_selected()));
@@ -262,15 +262,18 @@ impl RddImpl<Row> for MemTableScanRdd {
 
 /// Fused scan → filter → partial-aggregate over a cached table: the batch
 /// stays columnar from the memstore all the way into the per-group
-/// aggregation states, so group keys and aggregate inputs are never
-/// materialized as intermediate `Row`s (dictionary-coded group-by keys
-/// aggregate by code). Emits the same `(group key, partial state)` pairs —
+/// aggregation states: group keys and aggregate arguments are compiled
+/// kernels over the batch, never intermediate `Row`s, and a key's `Row` is
+/// built once per group. Emits the same `(group key, partial state)` pairs —
 /// one per group per partition, folded in row order — that the row path's
 /// per-row partial-aggregate produces after its map-side combine.
 pub struct MemAggScanRdd {
     id: usize,
     scan: CachedScan,
-    group_exprs: Vec<BoundExpr>,
+    /// Compiled group keys.
+    keys: Vec<Kernel>,
+    /// Each aggregate's compiled argument (`None` for `COUNT(*)`).
+    args: Vec<Option<Kernel>>,
     aggs: Vec<AggExpr>,
     /// Expression cost per surviving row (matches the row path's
     /// partial-aggregate charge).
@@ -293,7 +296,11 @@ impl MemAggScanRdd {
         let inner = MemAggScanRdd {
             id: ctx.next_rdd_id(),
             scan: CachedScan::new(table, selected, projection, filters)?,
-            group_exprs,
+            keys: group_exprs.iter().map(Kernel::compile).collect(),
+            args: aggs
+                .iter()
+                .map(|a| a.arg.as_ref().map(Kernel::compile))
+                .collect(),
             aggs,
             agg_ops_per_row,
         };
@@ -320,7 +327,7 @@ impl RddImpl<(Row, AggStates)> for MemAggScanRdd {
         let columnar = self.scan.load(partition, metrics);
         let batch = self.scan.filtered(&columnar, metrics);
         metrics.add_ops(batch.num_selected() as f64 * self.agg_ops_per_row);
-        let groups = vector_partial_aggregate(&batch, &self.group_exprs, &self.aggs);
+        let groups = vector_partial_aggregate(&batch, &self.keys, &self.args, &self.aggs);
         if shark_obs::active() {
             shark_obs::annotate("fused", "partial-aggregate");
         }

@@ -1,312 +1,471 @@
-//! Vectorized predicate kernels and batch-at-a-time partial aggregation.
+//! Compiled expressions over column batches, and batch-at-a-time partial
+//! aggregation.
 //!
-//! The row path evaluates every pushed-down filter against every decoded
-//! `Row`. The vectorized path instead compiles each filter into a
-//! [`FilterKernel`] that runs directly over a [`ColumnBatch`]'s compressed
-//! encodings, narrowing the batch's [`Selection`] without building rows:
+//! Each pushed-down filter, group key and aggregate argument is compiled
+//! once per plan into a [`Kernel`]: a tree that mirrors its
+//! [`BoundExpr`] and runs column-at-a-time over a [`ColumnBatch`]. Every
+//! node turns its children's [`Vector`]s into its own: one typed value per
+//! selected row (`i64`, `f64`, `bool`, or a string borrowed from the
+//! column, so `SUBSTR` of a column yields views and allocates nothing),
+//! with validity for NULLs. No `Row` and no per-row `Value` is built.
 //!
-//! * run-length columns evaluate the predicate once *per run* and skip whole
-//!   runs of non-matching values;
-//! * dictionary columns evaluate the predicate once *per dictionary entry*
-//!   and then test each row's code against the precomputed bitmap;
-//! * anything else falls back to per-selected-row evaluation, and filters
-//!   that are not a simple `column <op> literal` comparison fall back to the
-//!   row evaluator against a scratch row.
+//! * A node whose only input is one dictionary or run-length column runs
+//!   once per dictionary entry or run, and its result stays coded: each
+//!   row reads its entry's value by code. So `countryCode NOT IN (…)` is a
+//!   handful of comparisons and one lookup per row.
+//! * Comparisons of a column with a literal compare the typed values
+//!   directly; every other operator and function applies the one scalar
+//!   definition in `expr.rs` (`eval_binary_ref`, `eval_scalar_ref`,
+//!   `substr`, `between`, `in_list`) to the borrowed values, so the kernels
+//!   cannot drift from the row evaluator.
+//! * A UDF is called row by row with its arguments' values (the scalar
+//!   adapter); its arguments are kernels, so it reads only the columns they
+//!   reference. Plans note each such call ([`note_scalar_adapter`]).
 //!
-//! All kernels produce exactly the rows `BoundExpr::eval_predicate` keeps, so
-//! the vectorized scan is byte-identical to the row scan.
+//! Group keys are hashed and compared as bytes encoded from the typed
+//! values in one reused buffer, and a group's key `Row` is built at its
+//! first row. The kernels keep exactly the rows, and fold exactly the
+//! groups and states, that the row path does, so the vectorized scan is
+//! byte-identical to it; what they charge is set by the plan
+//! (`BoundExpr::op_count`), not by the kernel.
 
-use shark_columnar::{ColumnBatch, EncodedColumn, Selection};
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
+use shark_columnar::{ColumnBatch, Selection, Text, Vector, VectorBuilder, VectorData};
 use shark_common::hash::GroupTable;
-use shark_common::{DataType, Row, Value};
+use shark_common::{Row, Value, ValueRef};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::ast::BinaryOp;
-use crate::expr::{eval_binary, flip, BoundExpr};
+use crate::expr::{
+    between, eval_binary_ref, eval_scalar_ref, flip, holds, in_list, not, substr, BoundExpr,
+    ScalarFunc, ScalarOut, UdfFn,
+};
 
-/// A pushed-down filter compiled for batch execution.
-pub enum FilterKernel {
-    /// `column <op> literal` (or the flipped literal-first form): the shape
-    /// the encoding-aware kernels accelerate.
-    Cmp {
-        /// Projected column index the comparison reads.
-        col: usize,
-        /// Comparison operator, normalized to column-on-the-left.
-        op: BinaryOp,
-        /// The literal operand.
-        lit: Value,
-    },
-    /// Any other predicate: evaluated row-by-row against a scratch row.
-    Generic(BoundExpr),
+/// A [`BoundExpr`] compiled for batch execution.
+pub struct Kernel {
+    node: Node,
+    /// The one projected column this expression reads, when it reads
+    /// exactly one and calls no UDF: then it can run once per dictionary
+    /// entry or run of that column.
+    input: Option<usize>,
 }
 
-impl FilterKernel {
-    /// Compile one pushed-down filter.
-    pub fn compile(filter: &BoundExpr) -> FilterKernel {
-        if let BoundExpr::Binary { left, op, right } = filter {
-            if op.is_comparison() {
-                match (left.as_ref(), right.as_ref()) {
-                    (BoundExpr::Column(c), BoundExpr::Literal(v)) => {
-                        return FilterKernel::Cmp {
-                            col: *c,
-                            op: *op,
-                            lit: v.clone(),
-                        }
+enum Node {
+    Column(usize),
+    Literal(Value),
+    Binary(Box<Kernel>, BinaryOp, Box<Kernel>),
+    Not(Box<Kernel>),
+    IsNull(Box<Kernel>, bool),
+    /// `[expr, low, high]`, negated.
+    Between(Box<[Kernel; 3]>, bool),
+    InList(Box<Kernel>, Vec<Kernel>, bool),
+    Func(ScalarFunc, Vec<Kernel>),
+    Udf(UdfFn, Vec<Kernel>),
+}
+
+/// What a subtree reads: no column, one column, or more (or a UDF).
+#[derive(Clone, Copy, PartialEq)]
+enum Inputs {
+    None,
+    One(usize),
+    Many,
+}
+
+impl Inputs {
+    fn and(self, other: Inputs) -> Inputs {
+        match (self, other) {
+            (Inputs::None, x) | (x, Inputs::None) => x,
+            (Inputs::One(a), Inputs::One(b)) if a == b => Inputs::One(a),
+            _ => Inputs::Many,
+        }
+    }
+}
+
+/// A child's vector: borrowed when it is the one input column itself.
+type Input<'v, 'a> = Cow<'v, Vector<'a>>;
+
+impl Kernel {
+    /// Compile an expression over a batch's projected columns.
+    pub fn compile(expr: &BoundExpr) -> Kernel {
+        Self::compile_with_inputs(expr).0
+    }
+
+    fn compile_with_inputs(expr: &BoundExpr) -> (Kernel, Inputs) {
+        let mut inputs = Inputs::None;
+        let mut child = |e: &BoundExpr| {
+            let (kernel, reads) = Self::compile_with_inputs(e);
+            inputs = inputs.and(reads);
+            kernel
+        };
+        let node = match expr {
+            BoundExpr::Column(c) => {
+                inputs = Inputs::One(*c);
+                Node::Column(*c)
+            }
+            BoundExpr::Literal(v) => Node::Literal(v.clone()),
+            BoundExpr::Binary { left, op, right } => {
+                Node::Binary(Box::new(child(left)), *op, Box::new(child(right)))
+            }
+            BoundExpr::Not(e) => Node::Not(Box::new(child(e))),
+            BoundExpr::IsNull { expr, negated } => Node::IsNull(Box::new(child(expr)), *negated),
+            BoundExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Node::Between(Box::new([child(expr), child(low), child(high)]), *negated),
+            BoundExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let expr = Box::new(child(expr));
+                Node::InList(expr, list.iter().map(&mut child).collect(), *negated)
+            }
+            BoundExpr::Func { func, args } => Node::Func(*func, args.iter().map(child).collect()),
+            BoundExpr::Udf { f, args, .. } => {
+                let args = args.iter().map(&mut child).collect();
+                inputs = Inputs::Many;
+                Node::Udf(f.clone(), args)
+            }
+        };
+        let input = match inputs {
+            Inputs::One(c) => Some(c),
+            _ => None,
+        };
+        (Kernel { node, input }, inputs)
+    }
+
+    /// The expression's values over `batch`'s selection.
+    pub fn eval<'a>(&self, batch: &ColumnBatch<'a>) -> Vector<'a> {
+        match (&self.node, self.input) {
+            (Node::Column(c), _) => batch.vector(*c),
+            (_, Some(c)) => match batch.vector(c) {
+                Vector {
+                    data: VectorData::Coded { domain, codes },
+                    ..
+                } => {
+                    let n = domain.len();
+                    let entries = self.apply(n, &|k: &Kernel| k.over(&domain, n));
+                    VectorData::Coded {
+                        domain: Box::new(entries),
+                        codes,
                     }
-                    (BoundExpr::Literal(v), BoundExpr::Column(c)) => {
-                        return FilterKernel::Cmp {
-                            col: *c,
-                            op: flip(*op),
-                            lit: v.clone(),
-                        }
-                    }
-                    _ => {}
+                    .into()
                 }
+                column => {
+                    let n = batch.num_selected();
+                    self.apply(n, &|k: &Kernel| k.over(&column, n))
+                }
+            },
+            _ => self.apply(batch.num_selected(), &|k: &Kernel| {
+                Cow::Owned(k.eval(batch))
+            }),
+        }
+    }
+
+    /// Evaluate over the `n` values of `column`, this expression's one
+    /// input.
+    fn over<'v, 'a>(&self, column: &'v Vector<'a>, n: usize) -> Input<'v, 'a> {
+        match &self.node {
+            Node::Column(_) => Cow::Borrowed(column),
+            _ => Cow::Owned(self.apply(n, &|k: &Kernel| k.over(column, n))),
+        }
+    }
+
+    /// Evaluate this node over `n` rows, given how to evaluate a child.
+    fn apply<'v, 'a>(&self, n: usize, child: &dyn Fn(&Kernel) -> Input<'v, 'a>) -> Vector<'a> {
+        match &self.node {
+            Node::Column(_) => unreachable!("a column is read, not applied"),
+            Node::Literal(v) => Vector::constant(v.clone()),
+            Node::Binary(left, op, right) => {
+                let (left, right) = (child(left), child(right));
+                if op.is_comparison() {
+                    if let Some(out) = compare(&left, *op, &right) {
+                        return out;
+                    }
+                }
+                map(n, |k| eval_binary_ref(left.get(k), *op, right.get(k)))
+            }
+            Node::Not(e) => {
+                let e = child(e);
+                map(n, |k| not(e.get(k)))
+            }
+            Node::IsNull(e, negated) => {
+                let e = child(e);
+                VectorData::Bool((0..n).map(|k| e.is_null(k) != *negated).collect()).into()
+            }
+            Node::Between(parts, negated) => {
+                let [x, low, high] = parts.as_ref();
+                let (x, low, high) = (child(x), child(low), child(high));
+                if let Some(out) = between_literals(&x, &low, &high, *negated) {
+                    return out;
+                }
+                map(n, |k| between(x.get(k), low.get(k), high.get(k), *negated))
+            }
+            Node::InList(x, list, negated) => {
+                let x = child(x);
+                let list: Vec<Input<'v, 'a>> = list.iter().map(child).collect();
+                map(n, |k| {
+                    let v = x.get(k);
+                    let entries = list.iter().map(|e| {
+                        let entry = e.get(k);
+                        (!entry.is_null()).then(|| v.total_cmp(entry) == Ordering::Equal)
+                    });
+                    in_list(v.is_null(), entries, *negated)
+                })
+            }
+            Node::Func(ScalarFunc::Substr, args) => {
+                let args: Vec<Input<'v, 'a>> = args.iter().map(child).collect();
+                let arg = |i: usize, k: usize| args.get(i).and_then(|a| a.get(k).as_int());
+                let mut out = VectorBuilder::with_capacity(n);
+                for k in 0..n {
+                    match args.first().and_then(|s| s.text(k)) {
+                        // A view of the column's own string: no allocation.
+                        Some(text) => match text.column_str() {
+                            Some(s) => out.push_text(Text::View(substr(s, arg(1, k), arg(2, k)))),
+                            None => out.push_value(Value::str(substr(
+                                text.as_str(),
+                                arg(1, k),
+                                arg(2, k),
+                            ))),
+                        },
+                        None => out.push_null(),
+                    }
+                }
+                out.finish()
+            }
+            Node::Func(func, args) => {
+                let args: Vec<Input<'v, 'a>> = args.iter().map(child).collect();
+                let mut out = VectorBuilder::with_capacity(n);
+                for k in 0..n {
+                    match eval_scalar_ref(*func, args.len(), |i| args[i].get(k)) {
+                        ScalarOut::Arg(i) => out.push_from(&args[i], k),
+                        ScalarOut::Slice(s) => out.push_value(Value::str(s)),
+                        ScalarOut::Value(v) => out.push_value(v),
+                    }
+                }
+                out.finish()
+            }
+            // The scalar adapter: the UDF sees its arguments' values, row
+            // by row.
+            Node::Udf(f, args) => {
+                let args: Vec<Input<'v, 'a>> = args.iter().map(child).collect();
+                map(n, |k| {
+                    let values: Vec<Value> = args.iter().map(|a| a.value(k)).collect();
+                    f(&values)
+                })
             }
         }
-        FilterKernel::Generic(filter.clone())
     }
 
-    /// Narrow `batch`'s selection to the rows this filter keeps.
-    pub fn apply(&self, batch: &mut ColumnBatch<'_>) {
-        match self {
-            FilterKernel::Cmp { col, op, lit } => apply_cmp(batch, *col, *op, lit),
-            FilterKernel::Generic(expr) => {
-                let mut sel = batch.selection().clone();
-                sel.retain(|i| expr.eval_predicate(&batch.scratch_row(i)));
-                batch.set_selection(sel);
-            }
+    /// Narrow `batch`'s selection to the rows this predicate holds for
+    /// (NULL and non-boolean results drop the row).
+    pub fn filter(&self, batch: &mut ColumnBatch<'_>) {
+        let keep = self.eval(batch);
+        let selection = batch.selection();
+        let mut rows = Vec::with_capacity(selection.len());
+        rows.extend(
+            selection
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| keep.get(k).is_truthy())
+                .map(|(_, i)| i as u32),
+        );
+        batch.set_selection(Selection::Rows(rows));
+    }
+}
+
+/// A vector of `n` values, one computed per row.
+fn map<'a>(n: usize, mut value: impl FnMut(usize) -> Value) -> Vector<'a> {
+    let mut out = VectorBuilder::with_capacity(n);
+    for k in 0..n {
+        out.push_value(value(k));
+    }
+    out.finish()
+}
+
+/// A typed column compared with a non-NULL literal (either side): the
+/// comparison runs over the typed values, NULL rows stay NULL. `None` for
+/// any other shape.
+fn compare<'a>(left: &Vector<'a>, op: BinaryOp, right: &Vector<'a>) -> Option<Vector<'a>> {
+    let (column, op, literal) = match (&left.data, &right.data) {
+        (_, VectorData::Const(v)) if !v.is_null() => (left, op, v.as_ref()),
+        (VectorData::Const(v), _) if !v.is_null() => (right, flip(op), v.as_ref()),
+        _ => return None,
+    };
+    let test = |v: ValueRef<'_>| holds(op, v.total_cmp(literal));
+    let bools: Vec<bool> = match &column.data {
+        VectorData::Int(v) => v.iter().map(|&x| test(ValueRef::Int(x))).collect(),
+        VectorData::Date(v) => v.iter().map(|&x| test(ValueRef::Date(x))).collect(),
+        VectorData::Float(v) => v.iter().map(|&x| test(ValueRef::Float(x))).collect(),
+        VectorData::Str(v) => v.iter().map(|x| test(ValueRef::Str(x.as_str()))).collect(),
+        _ => return None,
+    };
+    Some(Vector {
+        data: VectorData::Bool(bools),
+        valid: column.valid.clone(),
+    })
+}
+
+/// `x [NOT] BETWEEN low AND high` for a typed column between two non-NULL
+/// literals: two typed comparisons, NULL rows stay NULL.
+fn between_literals<'a>(
+    x: &Vector<'a>,
+    low: &Vector<'a>,
+    high: &Vector<'a>,
+    negated: bool,
+) -> Option<Vector<'a>> {
+    if !matches!(low.data, VectorData::Const(_)) || !matches!(high.data, VectorData::Const(_)) {
+        return None;
+    }
+    let above = compare(x, BinaryOp::GtEq, low)?;
+    let below = compare(x, BinaryOp::LtEq, high)?;
+    let (VectorData::Bool(above), VectorData::Bool(below)) = (above.data, below.data) else {
+        unreachable!("comparisons are boolean");
+    };
+    let within = above.iter().zip(&below).map(|(&a, &b)| (a && b) != negated);
+    Some(Vector {
+        data: VectorData::Bool(within.collect()),
+        valid: x.valid.clone(),
+    })
+}
+
+/// Append `v` to a group key's bytes. Two typed values get the same bytes
+/// exactly when they are equal as `Value`s: an integral number is one
+/// integer whatever its type (so `-0.0` is `0`), another float is its bits,
+/// a string is length-prefixed.
+fn encode_key(buf: &mut Vec<u8>, v: ValueRef<'_>) {
+    let int = |buf: &mut Vec<u8>, x: i64| {
+        buf.push(2);
+        buf.extend_from_slice(&x.to_le_bytes());
+    };
+    match v {
+        ValueRef::Null => buf.push(0),
+        ValueRef::Bool(b) => buf.extend_from_slice(&[1, b as u8]),
+        ValueRef::Int(x) => int(buf, x),
+        ValueRef::Date(d) => int(buf, i64::from(d)),
+        ValueRef::Float(f) if f.fract() == 0.0 && (-9.2e18..9.2e18).contains(&f) => {
+            int(buf, f as i64)
+        }
+        ValueRef::Float(f) => {
+            buf.push(3);
+            buf.extend_from_slice(&f.to_bits().to_le_bytes());
+        }
+        ValueRef::Str(s) => {
+            buf.push(5);
+            buf.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            buf.extend_from_slice(s.as_bytes());
         }
     }
 }
 
-/// Run value of an integer-family RLE column under its logical type.
-fn make_int(v: i64, data_type: DataType) -> Value {
-    if data_type == DataType::Date {
-        Value::Date(v as i32)
-    } else {
-        Value::Int(v)
-    }
-}
-
-/// Apply a `column <op> literal` comparison kernel.
-fn apply_cmp(batch: &mut ColumnBatch<'_>, col: usize, op: BinaryOp, lit: &Value) {
-    let data_type = batch.column_type(col);
-    let mut sel = batch.selection().clone();
-    match batch.column(col) {
-        // Run-length columns: decide once per run, then sweep the selection
-        // with a single forward cursor — whole non-matching runs are skipped
-        // without ever decoding a value.
-        EncodedColumn::IntRle { runs, nulls, .. } => {
-            let keep_run: Vec<bool> = runs
-                .iter()
-                .map(|&(v, _)| eval_binary(&make_int(v, data_type), op, lit).is_truthy())
-                .collect();
-            retain_rle(&mut sel, runs.iter().map(|&(_, n)| n), &keep_run, nulls);
+/// Each selected row's group (numbered in first-seen order) and each
+/// group's key row, built at its first row. A single coded key looks each
+/// of its entries up once; no key is one group.
+fn assign_groups(keys: &[Vector<'_>], n: usize) -> (Vec<u32>, Vec<Row>) {
+    let mut table: GroupTable<Box<[u8]>, u32> = GroupTable::default();
+    let mut groups: Vec<Row> = Vec::new();
+    let mut buf = Vec::new();
+    let mut group_of_row = |k: usize, groups: &mut Vec<Row>| -> u32 {
+        buf.clear();
+        for key in keys {
+            encode_key(&mut buf, key.get(k));
         }
-        EncodedColumn::StrRle { runs, nulls, .. } => {
-            let keep_run: Vec<bool> = runs
-                .iter()
-                .map(|(s, _)| eval_binary(&Value::Str(s.clone()), op, lit).is_truthy())
-                .collect();
-            retain_rle(&mut sel, runs.iter().map(|(_, n)| *n), &keep_run, nulls);
-        }
-        // Dictionary columns: evaluate the predicate over the (small)
-        // dictionary once, then the per-row test is a single bitmap probe on
-        // the code — no string comparisons in the row loop.
-        EncodedColumn::StrDict {
-            dict, codes, nulls, ..
-        } => {
-            let keep_code: Vec<bool> = dict
-                .iter()
-                .map(|s| eval_binary(&Value::Str(s.clone()), op, lit).is_truthy())
-                .collect();
-            sel.retain(|i| !is_null_at(nulls, i) && keep_code[codes[i] as usize]);
-        }
-        // Comparing NULL with anything is never truthy.
-        EncodedColumn::AllNull { .. } => sel = Selection::Rows(Vec::new()),
-        // O(1)-access encodings: evaluate per selected row on the decoded
-        // value, still without building a scratch row.
-        other => {
-            sel.retain(|i| eval_binary(&other.value_at(i, data_type), op, lit).is_truthy());
-        }
-    }
-    batch.set_selection(sel);
-}
-
-/// Sweep an ascending selection across RLE runs, keeping rows whose run
-/// matched and whose null-mask bit (if any) marks them valid.
-fn retain_rle(
-    sel: &mut Selection,
-    run_lens: impl Iterator<Item = u32>,
-    keep_run: &[bool],
-    nulls: &Option<Vec<bool>>,
-) {
-    let ends: Vec<usize> = run_lens
-        .scan(0usize, |acc, n| {
-            *acc += n as usize;
-            Some(*acc)
+        let next = groups.len() as u32;
+        let mut found = None;
+        table.fold_ref(
+            &buf[..],
+            |group| found = Some(*group),
+            || (Box::from(&buf[..]), next),
+        );
+        found.unwrap_or_else(|| {
+            groups.push(Row::new(keys.iter().map(|key| key.value(k)).collect()));
+            next
         })
-        .collect();
-    let mut run_idx = 0usize;
-    sel.retain(|i| {
-        while run_idx < ends.len() && i >= ends[run_idx] {
-            run_idx += 1;
+    };
+    let group_of = match keys {
+        // No key: every row is in the one group.
+        [] => {
+            if n > 0 {
+                groups.push(Row::default());
+            }
+            vec![0; n]
         }
-        !is_null_at(nulls, i) && keep_run.get(run_idx).copied().unwrap_or(false)
-    });
-}
-
-fn is_null_at(mask: &Option<Vec<bool>>, i: usize) -> bool {
-    mask.as_ref().map(|m| !m[i]).unwrap_or(false)
-}
-
-/// Where a group key or aggregate argument comes from in the batch.
-enum ValueSource {
-    /// A bare column reference: gathered once for the whole selection.
-    Gathered(Vec<Value>),
-    /// Any other expression: evaluated against a per-row scratch row.
-    Expr(BoundExpr),
-    /// `COUNT(*)` — no argument.
-    Star,
-}
-
-impl ValueSource {
-    fn for_expr(batch: &ColumnBatch<'_>, expr: &BoundExpr) -> ValueSource {
-        match expr {
-            BoundExpr::Column(c) => ValueSource::Gathered(batch.gather(*c)),
-            other => ValueSource::Expr(other.clone()),
+        [Vector {
+            data: VectorData::Coded { domain, codes },
+            ..
+        }] => {
+            let mut of_entry = vec![u32::MAX; domain.len()];
+            let mut out = Vec::with_capacity(n);
+            for (k, &code) in codes.iter().enumerate() {
+                let entry = &mut of_entry[code as usize];
+                if *entry == u32::MAX {
+                    *entry = group_of_row(k, &mut groups);
+                }
+                out.push(*entry);
+            }
+            out
         }
-    }
-
-    fn needs_scratch(&self) -> bool {
-        matches!(self, ValueSource::Expr(_))
-    }
-
-    /// Value for the `k`-th selected row (`row` is its partition index).
-    fn value(&self, k: usize, scratch: Option<&Row>) -> Option<Value> {
-        match self {
-            ValueSource::Gathered(vals) => Some(vals[k].clone()),
-            ValueSource::Expr(e) => Some(e.eval(scratch.expect("scratch row"))),
-            ValueSource::Star => None,
+        _ => {
+            let mut out = Vec::with_capacity(n);
+            for k in 0..n {
+                out.push(group_of_row(k, &mut groups));
+            }
+            out
         }
-    }
+    };
+    (group_of, groups)
 }
 
 /// Batch-at-a-time partial aggregation: fold the selected rows of `batch`
-/// into per-group [`AggStates`], keyed by the evaluated group expressions.
+/// into per-group [`AggStates`], keyed by the compiled group expressions,
+/// with `args` the compiled argument of each of `aggs` (`None` for
+/// `COUNT(*)`).
 ///
 /// Groups are emitted in first-seen (row) order and each group's states are
 /// updated in row order, so the result is exactly what the row path's
 /// per-partition partial aggregation produces for the same input.
 pub fn vector_partial_aggregate(
     batch: &ColumnBatch<'_>,
-    group_exprs: &[BoundExpr],
+    keys: &[Kernel],
+    args: &[Option<Kernel>],
     aggs: &[AggExpr],
 ) -> Vec<(Row, AggStates)> {
-    // Fast path: a single dictionary-encoded group column aggregates by
-    // dictionary *code* — the hash map is replaced by a dense array indexed
-    // by code (plus one slot for NULL) and no group key is materialized until
-    // the group is first seen.
-    if let [BoundExpr::Column(c)] = group_exprs {
-        if let EncodedColumn::StrDict {
-            dict, codes, nulls, ..
-        } = batch.column(*c)
-        {
-            return dict_group_aggregate(batch, dict, codes, nulls, aggs);
+    let n = batch.num_selected();
+    let key_values: Vec<Vector<'_>> = keys.iter().map(|k| k.eval(batch)).collect();
+    let (group_of, groups) = assign_groups(&key_values, n);
+    let mut states = vec![AggStates::new(aggs); groups.len()];
+    for (i, arg) in args.iter().enumerate() {
+        let values = arg.as_ref().map(|a| a.eval(batch));
+        for (k, &group) in group_of.iter().enumerate() {
+            let state = &mut states[group as usize].0[i];
+            match &values {
+                Some(values) => state.update_ref(Some(values.get(k)), || values.value(k)),
+                None => state.update_ref(None, || Value::Null),
+            }
         }
     }
-
-    let group_sources: Vec<ValueSource> = group_exprs
-        .iter()
-        .map(|e| ValueSource::for_expr(batch, e))
-        .collect();
-    let agg_sources: Vec<ValueSource> = aggs
-        .iter()
-        .map(|a| match &a.arg {
-            Some(e) => ValueSource::for_expr(batch, e),
-            None => ValueSource::Star,
-        })
-        .collect();
-    let needs_scratch = group_sources
-        .iter()
-        .chain(agg_sources.iter())
-        .any(ValueSource::needs_scratch);
-
-    // Each row's key is built in one reused buffer and looked up as a
-    // slice: a group's `Row` is allocated once, at its first row.
-    let mut groups: GroupTable<Row, AggStates> = GroupTable::default();
-    let mut key: Vec<Value> = Vec::with_capacity(group_sources.len());
-    for (k, i) in batch.selection().iter().enumerate() {
-        let scratch = needs_scratch.then(|| batch.scratch_row(i));
-        key.clear();
-        key.extend(
-            group_sources
-                .iter()
-                .map(|s| s.value(k, scratch.as_ref()).expect("group value")),
-        );
-        let update = |states: &mut AggStates| {
-            for (state, source) in states.0.iter_mut().zip(agg_sources.iter()) {
-                state.update(source.value(k, scratch.as_ref()).as_ref());
-            }
-        };
-        groups.fold_ref(key.as_slice(), update, || {
-            let mut states = AggStates::new(aggs);
-            update(&mut states);
-            (Row::new(key.clone()), states)
-        });
-    }
-    groups.into_vec()
+    groups.into_iter().zip(states).collect()
 }
 
-/// Dictionary-code group-by: one dense slot per dictionary entry.
-fn dict_group_aggregate(
-    batch: &ColumnBatch<'_>,
-    dict: &[std::sync::Arc<str>],
-    codes: &[u32],
-    nulls: &Option<Vec<bool>>,
-    aggs: &[AggExpr],
-) -> Vec<(Row, AggStates)> {
-    let agg_sources: Vec<ValueSource> = aggs
-        .iter()
-        .map(|a| match &a.arg {
-            Some(e) => ValueSource::for_expr(batch, e),
-            None => ValueSource::Star,
-        })
-        .collect();
-    let needs_scratch = agg_sources.iter().any(ValueSource::needs_scratch);
-
-    // Slot per code, final slot for NULL keys; `order` preserves first-seen
-    // emission order so output matches the hash path exactly.
-    let null_slot = dict.len();
-    let mut slots: Vec<Option<AggStates>> = vec![None; dict.len() + 1];
-    let mut order: Vec<usize> = Vec::new();
-    for (k, i) in batch.selection().iter().enumerate() {
-        let slot = if is_null_at(nulls, i) {
-            null_slot
-        } else {
-            codes[i] as usize
-        };
-        let states = slots[slot].get_or_insert_with(|| {
-            order.push(slot);
-            AggStates::new(aggs)
+/// Note each UDF call among `exprs`: the kernels run it row by row on the
+/// scalar adapter.
+pub fn note_scalar_adapter<'e>(
+    notes: &mut Vec<String>,
+    exprs: impl IntoIterator<Item = &'e BoundExpr>,
+) {
+    for expr in exprs {
+        expr.visit(&mut |e| {
+            if let BoundExpr::Udf { .. } = e {
+                notes.push(format!(
+                    "vectorized: {e:?} runs row by row on the scalar adapter"
+                ));
+            }
         });
-        let scratch = needs_scratch.then(|| batch.scratch_row(i));
-        for (state, source) in states.0.iter_mut().zip(agg_sources.iter()) {
-            state.update(source.value(k, scratch.as_ref()).as_ref());
-        }
     }
-    order
-        .into_iter()
-        .map(|slot| {
-            let key = if slot == null_slot {
-                Value::Null
-            } else {
-                Value::Str(dict[slot].clone())
-            };
-            (Row::new(vec![key]), slots[slot].take().expect("seen slot"))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -315,7 +474,7 @@ mod tests {
     use crate::expr::{SchemaResolver, UdfRegistry};
     use crate::parser::parse_select;
     use shark_columnar::ColumnarPartition;
-    use shark_common::{row, Schema};
+    use shark_common::{row, DataType, Schema};
     use std::collections::HashMap;
 
     fn schema() -> Schema {
@@ -356,7 +515,7 @@ mod tests {
     fn kept(part: &ColumnarPartition, pred: &str) -> Vec<usize> {
         let projection: Vec<usize> = (0..part.num_columns()).collect();
         let mut batch = ColumnBatch::new(part, &projection);
-        FilterKernel::compile(&bind(pred)).apply(&mut batch);
+        Kernel::compile(&bind(pred)).filter(&mut batch);
         batch.selection().iter().collect()
     }
 
@@ -374,17 +533,38 @@ mod tests {
     fn kernels_match_row_evaluation_for_every_encoding() {
         let part = partition(240);
         for pred in [
-            "id < 100",         // bit-packed int
-            "100 > id",         // flipped literal-first form
-            "mode = 'SHIP'",    // dictionary
-            "mode <> 'AIR'",    // dictionary, negative
-            "price >= 60.0",    // plain float
-            "day > 12",         // int RLE under Date typing
-            "id % 2 = 0",       // generic fallback (arithmetic left side)
-            "mode = 'MISSING'", // empty result
+            "id < 100",                              // bit-packed int
+            "100 > id",                              // flipped literal-first form
+            "mode = 'SHIP'",                         // dictionary
+            "mode <> 'AIR'",                         // dictionary, negative
+            "price >= 60.0",                         // plain float
+            "day > 12",                              // int RLE under Date typing
+            "id % 2 = 0",                            // arithmetic left side
+            "mode = 'MISSING'",                      // empty result
+            "mode NOT IN ('AIR', 'TRUCK')",          // dictionary, per entry
+            "day BETWEEN 11 AND 13",                 // RLE dates against ints
+            "SUBSTR(mode, 2, 2) = 'HI' OR id < 3",   // two inputs
+            "price BETWEEN id AND 100",              // column bounds
+            "id IN (3, NULL, 7)",                    // NULL list entry
+            "NOT (id NOT IN (3, NULL))",             // NULL NOT IN
+            "day BETWEEN NULL AND 12",               // NULL bound
+            "LENGTH(UPPER(mode)) = 4 AND day <= 12", // functions
         ] {
             assert_eq!(kept(&part, pred), expected(&part, pred), "{pred}");
         }
+    }
+
+    #[test]
+    fn a_single_dictionary_input_runs_once_per_entry() {
+        let part = partition(240);
+        let projection: Vec<usize> = (0..part.num_columns()).collect();
+        let batch = ColumnBatch::new(&part, &projection);
+        let values = Kernel::compile(&bind("mode NOT IN ('AIR')")).eval(&batch);
+        let VectorData::Coded { domain, codes } = &values.data else {
+            panic!("expected a coded result, got {:?}", values.data);
+        };
+        assert_eq!(domain.len(), 3);
+        assert_eq!(codes.len(), 240);
     }
 
     #[test]
@@ -392,7 +572,6 @@ mod tests {
         let part = partition(240);
         let projection: Vec<usize> = (0..part.num_columns()).collect();
         let batch = ColumnBatch::new(&part, &projection);
-        let group = vec![BoundExpr::Column(1)];
         let aggs = vec![
             AggExpr {
                 func: crate::aggregate::AggFunc::Count,
@@ -400,26 +579,41 @@ mod tests {
             },
             AggExpr {
                 func: crate::aggregate::AggFunc::Sum,
-                arg: Some(BoundExpr::Column(2)),
+                arg: Some(bind("price * 2")),
+            },
+            AggExpr {
+                func: crate::aggregate::AggFunc::Max,
+                arg: Some(bind("SUBSTR(mode, 2)")),
             },
         ];
-        let result = vector_partial_aggregate(&batch, &group, &aggs);
+        let args: Vec<Option<Kernel>> = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(Kernel::compile))
+            .collect();
+        for group in [
+            vec![BoundExpr::Column(1)],
+            vec![bind("SUBSTR(mode, 1, 1)")],
+            vec![bind("id % 7"), BoundExpr::Column(3)],
+        ] {
+            let keys: Vec<Kernel> = group.iter().map(Kernel::compile).collect();
+            let result = vector_partial_aggregate(&batch, &keys, &args, &aggs);
 
-        // Row-path reference: fold rows in order into per-key states.
-        let mut index: HashMap<Row, usize> = HashMap::new();
-        let mut reference: Vec<(Row, AggStates)> = Vec::new();
-        for r in part.to_rows() {
-            let key = Row::new(vec![group[0].eval(&r)]);
-            let slot = *index.entry(key.clone()).or_insert_with(|| {
-                reference.push((key.clone(), AggStates::new(&aggs)));
-                reference.len() - 1
-            });
-            reference[slot].1.update_row(&aggs, &r);
-        }
-        assert_eq!(result.len(), reference.len());
-        for ((kv, sv), (kr, sr)) in result.iter().zip(reference.iter()) {
-            assert_eq!(kv, kr);
-            assert_eq!(sv.finalize(), sr.finalize());
+            // Row-path reference: fold rows in order into per-key states.
+            let mut index: HashMap<Row, usize> = HashMap::new();
+            let mut reference: Vec<(Row, AggStates)> = Vec::new();
+            for r in part.to_rows() {
+                let key = Row::new(group.iter().map(|g| g.eval(&r)).collect());
+                let slot = *index.entry(key.clone()).or_insert_with(|| {
+                    reference.push((key.clone(), AggStates::new(&aggs)));
+                    reference.len() - 1
+                });
+                reference[slot].1.update_row(&aggs, &r);
+            }
+            assert_eq!(result.len(), reference.len(), "{group:?}");
+            for ((kv, sv), (kr, sr)) in result.iter().zip(reference.iter()) {
+                assert_eq!(kv, kr);
+                assert_eq!(sv.finalize(), sr.finalize());
+            }
         }
     }
 }
