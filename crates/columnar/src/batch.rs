@@ -372,14 +372,19 @@ impl<'a> Text<'a> {
         }
     }
 
-    /// An owned value: a shared or owned string is one more reference, a
+    /// An owned string: a shared or owned string is one more reference, a
     /// view is copied.
-    pub fn to_value(&self) -> Value {
+    pub fn to_arc(&self) -> Arc<str> {
         match self {
-            Text::Shared(s) => Value::Str(Arc::clone(s)),
-            Text::View(s) => Value::str(s),
-            Text::Owned(s) => Value::Str(s.clone()),
+            Text::Shared(s) => Arc::clone(s),
+            Text::View(s) => Arc::from(*s),
+            Text::Owned(s) => s.clone(),
         }
+    }
+
+    /// [`Text::to_arc`] as a value.
+    pub fn to_value(&self) -> Value {
+        Value::Str(self.to_arc())
     }
 }
 

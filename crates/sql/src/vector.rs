@@ -31,6 +31,7 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use shark_columnar::{ColumnBatch, Selection, Text, Vector, VectorBuilder, VectorData};
 use shark_common::hash::GroupTable;
@@ -219,19 +220,25 @@ impl Kernel {
             }
             Node::Func(ScalarFunc::Substr, args) => {
                 let args: Vec<Input<'v, 'a>> = args.iter().map(child).collect();
-                let arg = |i: usize, k: usize| args.get(i).and_then(|a| a.get(k).as_int());
+                let constant = |i: usize| match args.get(i).map(|a| &a.data) {
+                    None => Some(None),
+                    Some(VectorData::Const(v)) => Some(v.as_int()),
+                    Some(_) => None,
+                };
+                // A string column cut at literal positions: one pass.
+                if let (Some(VectorData::Str(texts)), Some(start), Some(len)) =
+                    (args.first().map(|a| &a.data), constant(1), constant(2))
+                {
+                    return Vector {
+                        data: VectorData::Str(texts.iter().map(|t| cut(t, start, len)).collect()),
+                        valid: args[0].valid.clone(),
+                    };
+                }
+                let int = |i: usize, k: usize| args.get(i).and_then(|a| a.get(k).as_int());
                 let mut out = VectorBuilder::with_capacity(n);
                 for k in 0..n {
                     match args.first().and_then(|s| s.text(k)) {
-                        // A view of the column's own string: no allocation.
-                        Some(text) => match text.column_str() {
-                            Some(s) => out.push_text(Text::View(substr(s, arg(1, k), arg(2, k)))),
-                            None => out.push_value(Value::str(substr(
-                                text.as_str(),
-                                arg(1, k),
-                                arg(2, k),
-                            ))),
-                        },
+                        Some(text) => out.push_text(cut(&text, int(1, k), int(2, k))),
                         None => out.push_null(),
                     }
                 }
@@ -275,6 +282,15 @@ impl Kernel {
                 .map(|(_, i)| i as u32),
         );
         batch.set_selection(Selection::Rows(rows));
+    }
+}
+
+/// `SUBSTR` of one string: a view when the string is the column's, so
+/// nothing is allocated.
+fn cut<'a>(text: &Text<'a>, start: Option<i64>, len: Option<i64>) -> Text<'a> {
+    match text.column_str() {
+        Some(s) => Text::View(substr(s, start, len)),
+        None => Text::Owned(substr(text.as_str(), start, len).into()),
     }
 }
 
@@ -406,6 +422,39 @@ fn assign_groups(keys: &[Vector<'_>], n: usize) -> (Vec<u32>, Vec<Row>) {
                     *entry = group_of_row(k, &mut groups);
                 }
                 out.push(*entry);
+            }
+            out
+        }
+        // One string key: probe by the string itself; a new group's key
+        // shares its string with the group's `Row`.
+        [Vector {
+            data: VectorData::Str(texts),
+            valid,
+        }] => {
+            let mut by_str: GroupTable<Arc<str>, u32> = GroupTable::default();
+            let mut null_group = None;
+            let mut out = Vec::with_capacity(n);
+            for (k, text) in texts.iter().enumerate() {
+                let next = groups.len() as u32;
+                let group = if valid.as_ref().is_some_and(|v| !v[k]) {
+                    *null_group.get_or_insert_with(|| {
+                        groups.push(Row::new(vec![Value::Null]));
+                        next
+                    })
+                } else {
+                    let mut found = None;
+                    by_str.fold_ref(
+                        text.as_str(),
+                        |group| found = Some(*group),
+                        || {
+                            let s = text.to_arc();
+                            groups.push(Row::new(vec![Value::Str(s.clone())]));
+                            (s, next)
+                        },
+                    );
+                    found.unwrap_or(next)
+                };
+                out.push(group);
             }
             out
         }
