@@ -141,16 +141,11 @@ impl<'a> ColumnBatch<'a> {
         self.partition.column_type(self.projection[i])
     }
 
-    /// Decode the cell at partition row `row`, projected column `col`.
-    pub fn value_at(&self, row: usize, col: usize) -> Value {
-        self.partition.value_at(row, self.projection[col])
-    }
-
     /// Decode one projected column for exactly the selected rows, in
-    /// selection order. Run-length encodings are walked with a single
-    /// cursor rather than probed per value.
+    /// selection order (a dictionary or run-length column decodes each
+    /// entry once).
     pub fn gather(&self, col: usize) -> Vec<Value> {
-        gather_column(self.column(col), self.column_type(col), &self.selection)
+        self.vector(col).into_values(self.selection.len())
     }
 
     /// Projected column `col` as a [`Vector`] over the selection. A
@@ -259,68 +254,6 @@ impl<'a> ColumnBatch<'a> {
             .map(|r| Row::new(gathered.iter().map(|col| col[r].clone()).collect()))
             .collect()
     }
-}
-
-/// Decode `col` at the selected indices only.
-fn gather_column(col: &EncodedColumn, data_type: DataType, selection: &Selection) -> Vec<Value> {
-    match col {
-        // Run-length columns: one forward walk over the runs serves the whole
-        // ascending selection.
-        EncodedColumn::IntRle { runs, nulls, .. } => {
-            let run_of = run_of_each(runs.iter().map(|&(_, n)| n), selection);
-            selection
-                .iter()
-                .zip(run_of)
-                .map(|(i, run)| match runs.get(run as usize) {
-                    _ if is_null_at(nulls, i) => Value::Null,
-                    Some(&(v, _)) if data_type == DataType::Date => Value::Date(v as i32),
-                    Some(&(v, _)) => Value::Int(v),
-                    None => Value::Null,
-                })
-                .collect()
-        }
-        EncodedColumn::StrRle { runs, nulls, .. } => {
-            let run_of = run_of_each(runs.iter().map(|&(_, n)| n), selection);
-            selection
-                .iter()
-                .zip(run_of)
-                .map(|(i, run)| match runs.get(run as usize) {
-                    Some((s, _)) if !is_null_at(nulls, i) => Value::Str(s.clone()),
-                    _ => Value::Null,
-                })
-                .collect()
-        }
-        EncodedColumn::IntBitPacked {
-            min,
-            bits,
-            words,
-            nulls,
-            ..
-        } => selection
-            .iter()
-            .map(|i| {
-                if is_null_at(nulls, i) {
-                    Value::Null
-                } else {
-                    let v = min + unpack_bits(words, *bits, i) as i64;
-                    if data_type == DataType::Date {
-                        Value::Date(v as i32)
-                    } else {
-                        Value::Int(v)
-                    }
-                }
-            })
-            .collect(),
-        // O(1)-access encodings: random access per selected row.
-        other => selection
-            .iter()
-            .map(|i| other.value_at(i, data_type))
-            .collect(),
-    }
-}
-
-fn is_null_at(mask: &Option<Vec<bool>>, i: usize) -> bool {
-    mask.as_ref().map(|m| !m[i]).unwrap_or(false)
 }
 
 /// For each selected row (ascending), the index of the run that holds it
@@ -458,12 +391,6 @@ impl<'a> Vector<'a> {
         self.len() == 0
     }
 
-    /// Whether row `k` is NULL.
-    #[inline]
-    pub fn is_null(&self, k: usize) -> bool {
-        self.get(k).is_null()
-    }
-
     /// The value of row `k`, borrowed.
     #[inline]
     pub fn get(&self, k: usize) -> ValueRef<'_> {
@@ -519,6 +446,52 @@ impl<'a> Vector<'a> {
             out.push_from(domain, code as usize);
         }
         out.finish()
+    }
+
+    /// The values as owned `Value`s (`rows` of them for a constant).
+    pub fn into_values(self, rows: usize) -> Vec<Value> {
+        let Vector { data, valid } = self;
+        let is_valid = |k: usize| valid.as_ref().is_none_or(|v| v[k]);
+        let owned = |k: usize, v: Value| if is_valid(k) { v } else { Value::Null };
+        match data {
+            VectorData::Int(v) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| owned(k, Value::Int(x)))
+                .collect(),
+            VectorData::Date(v) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| owned(k, Value::Date(x)))
+                .collect(),
+            VectorData::Float(v) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| owned(k, Value::Float(x)))
+                .collect(),
+            VectorData::Bool(v) => v
+                .into_iter()
+                .enumerate()
+                .map(|(k, x)| owned(k, Value::Bool(x)))
+                .collect(),
+            VectorData::Str(v) => v
+                .iter()
+                .enumerate()
+                .map(|(k, x)| {
+                    if is_valid(k) {
+                        x.to_value()
+                    } else {
+                        Value::Null
+                    }
+                })
+                .collect(),
+            VectorData::Values(v) => v,
+            VectorData::Const(v) => vec![v; rows],
+            VectorData::Coded { domain, codes } => {
+                let entries = domain.into_values(0);
+                codes.iter().map(|&c| entries[c as usize].clone()).collect()
+            }
+        }
     }
 
     /// Append a NULL entry (a coded column's entry for its NULL rows).
@@ -630,38 +603,14 @@ impl<'a> VectorBuilder<'a> {
 
     /// Everything pushed so far as owned values.
     fn take_values(&mut self) -> Vec<Value> {
-        let data = self.data.take();
-        let valid = &self.valid;
-        let at = |k: usize, v: Value| if valid[k] { v } else { Value::Null };
-        match data {
-            None => vec![Value::Null; valid.len()],
-            Some(VectorData::Int(v)) => v
-                .into_iter()
-                .enumerate()
-                .map(|(k, x)| at(k, Value::Int(x)))
-                .collect(),
-            Some(VectorData::Date(v)) => v
-                .into_iter()
-                .enumerate()
-                .map(|(k, x)| at(k, Value::Date(x)))
-                .collect(),
-            Some(VectorData::Float(v)) => v
-                .into_iter()
-                .enumerate()
-                .map(|(k, x)| at(k, Value::Float(x)))
-                .collect(),
-            Some(VectorData::Bool(v)) => v
-                .into_iter()
-                .enumerate()
-                .map(|(k, x)| at(k, Value::Bool(x)))
-                .collect(),
-            Some(VectorData::Str(v)) => v
-                .iter()
-                .enumerate()
-                .map(|(k, x)| at(k, x.to_value()))
-                .collect(),
-            Some(VectorData::Values(v)) => v,
-            Some(_) => unreachable!("a builder holds plain data"),
+        let rows = self.valid.len();
+        match self.data.take() {
+            None => vec![Value::Null; rows],
+            Some(data) => Vector {
+                data,
+                valid: Some(self.valid.clone()),
+            }
+            .into_values(rows),
         }
     }
 

@@ -304,7 +304,21 @@ fn expression_grid_queries(t: &str) -> Vec<String> {
         format!("SELECT UPPER(tag), COUNT(*) FROM {t} GROUP BY UPPER(tag)"),
         format!("SELECT COALESCE(tag, name), COUNT(*) FROM {t} GROUP BY COALESCE(tag, name)"),
         format!("SELECT tag, zone, AVG(amount) FROM {t} WHERE NOT (k < 0) GROUP BY tag, zone"),
+        // A UDF, called row by row with its arguments' values.
+        format!("SELECT initial(name), SUM(k) FROM {t} WHERE initial(tag) <> 'c' GROUP BY initial(name)"),
     ]
+}
+
+/// `initial(s)`: the first character of a string, NULL otherwise.
+fn initial(args: &[Value]) -> Value {
+    match args
+        .first()
+        .and_then(|v| v.as_str())
+        .and_then(|s| s.chars().next())
+    {
+        Some(c) => Value::str(c.to_string()),
+        None => Value::Null,
+    }
 }
 
 #[test]
@@ -312,12 +326,14 @@ fn expression_grid_is_byte_identical_to_the_row_path() {
     let server = SharkServer::new(ServerConfig::default());
     register_exprs(&server, "exprs");
     server.load_table("exprs").unwrap();
-    let vectorized = server.session();
+    let mut vectorized = server.session();
     let mut row_path = server.session();
     row_path.set_exec_config(ExecConfig {
         vectorized: false,
         ..ExecConfig::shark()
     });
+    vectorized.register_udf("initial", initial);
+    row_path.register_udf("initial", initial);
     for query in expression_grid_queries("exprs") {
         let reference = fetch_blocking(&row_path, &query);
         for (rows, context) in [
@@ -360,15 +376,24 @@ fn expression_grid_is_byte_identical_to_the_row_path() {
     assert_eq!(kinds[1], Plain, "{kinds:?}");
     assert_eq!(kinds[2], Dictionary, "{kinds:?}");
     assert_eq!((kinds[3], kinds[4]), (RunLength, RunLength), "{kinds:?}");
-    let notes = vectorized
-        .sql(&expression_grid_queries("exprs")[0])
-        .unwrap()
-        .result
-        .notes;
+    let queries = expression_grid_queries("exprs");
+    let notes = vectorized.sql(&queries[0]).unwrap().result.notes;
     assert!(
         notes.iter().any(|n| n.contains("vectorized: fused")),
         "{notes:?}"
     );
+    // The plan names each UDF call the scalar adapter runs.
+    let notes = vectorized
+        .sql(queries.last().unwrap())
+        .unwrap()
+        .result
+        .notes;
+    let adapted: Vec<&String> = notes
+        .iter()
+        .filter(|n| n.contains("on the scalar adapter"))
+        .collect();
+    assert_eq!(adapted.len(), 2, "{notes:?}");
+    assert!(adapted.iter().all(|n| n.contains("initial(")), "{notes:?}");
 }
 
 /// NULL-heavy table for the top-k grid: `k` repeats in plateaus of eight

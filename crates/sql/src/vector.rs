@@ -196,7 +196,7 @@ impl Kernel {
             }
             Node::IsNull(e, negated) => {
                 let e = child(e);
-                VectorData::Bool((0..n).map(|k| e.is_null(k) != *negated).collect()).into()
+                VectorData::Bool((0..n).map(|k| e.get(k).is_null() != *negated).collect()).into()
             }
             Node::Between(parts, negated) => {
                 let [x, low, high] = parts.as_ref();
