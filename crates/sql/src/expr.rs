@@ -6,9 +6,8 @@
 //! Sync`, and are captured inside RDD closures for evaluation on every row
 //! (Shark's compiled-closure analogue of Hive's interpreted evaluators, §5).
 
-use std::sync::Arc;
-
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use shark_common::{DataType, Result, Row, Schema, SharkError, Value, ValueRef};
 
@@ -519,7 +518,7 @@ pub fn eval_binary(left: &Value, op: BinaryOp, right: &Value) -> Value {
 
 /// [`eval_binary`] over borrowed values: the one definition of every
 /// binary operator, shared by the row evaluator and the batch kernels.
-pub fn eval_binary_ref(left: ValueRef<'_>, op: BinaryOp, right: ValueRef<'_>) -> Value {
+pub(crate) fn eval_binary_ref(left: ValueRef<'_>, op: BinaryOp, right: ValueRef<'_>) -> Value {
     use BinaryOp::*;
     match op {
         And => match (left, right) {
@@ -657,7 +656,7 @@ pub(crate) fn in_list(
 /// 1-based character `start` (a start below 1 counts as 1, one past the end
 /// gives ""); no `len` runs to the end and a negative one takes nothing.
 /// The result borrows from `s`.
-pub fn substr(s: &str, start: Option<i64>, len: Option<i64>) -> &str {
+pub(crate) fn substr(s: &str, start: Option<i64>, len: Option<i64>) -> &str {
     let byte_of_char = |s: &str, n: usize| s.char_indices().nth(n).map_or(s.len(), |(b, _)| b);
     let skip = (start.unwrap_or(1).max(1) - 1) as usize;
     let rest = &s[byte_of_char(s, skip)..];

@@ -20,7 +20,7 @@
 //!   cannot drift from the row evaluator.
 //! * A UDF is called row by row with its arguments' values (the scalar
 //!   adapter); its arguments are kernels, so it reads only the columns they
-//!   reference. Plans note each such call ([`note_scalar_adapter`]).
+//!   reference. Plans note each such call (`note_scalar_adapter`).
 //!
 //! Group keys are hashed and compared as bytes encoded from the typed
 //! values in one reused buffer, and a group's key `Row` is built at its
@@ -502,7 +502,7 @@ pub fn vector_partial_aggregate(
 
 /// Note each UDF call among `exprs`: the kernels run it row by row on the
 /// scalar adapter.
-pub fn note_scalar_adapter<'e>(
+pub(crate) fn note_scalar_adapter<'e>(
     notes: &mut Vec<String>,
     exprs: impl IntoIterator<Item = &'e BoundExpr>,
 ) {
