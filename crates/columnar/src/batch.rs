@@ -183,14 +183,13 @@ impl<'a> ColumnBatch<'a> {
                         .collect()
                 }
             };
-            let coded = Vector::from(VectorData::Coded {
-                domain: Box::new(domain),
-                codes,
-            });
             if entries <= sel.len() {
-                coded
+                Vector::from(VectorData::Coded {
+                    domain: Box::new(domain),
+                    codes,
+                })
             } else {
-                coded.decoded()
+                Vector::take(&domain, &codes)
             }
         };
         match column {
@@ -273,51 +272,32 @@ fn run_of_each(mut run_lens: impl Iterator<Item = u32>, selection: &Selection) -
     out
 }
 
-/// A string element of a [`Vector`]: a column's own string, a view into
-/// one (what `SUBSTR` yields), or a string an expression built.
-#[derive(Debug, Clone)]
+/// A string element of a [`Vector`]: a column's own string, or a view into
+/// one (what `SUBSTR` yields).
+#[derive(Debug, Clone, Copy)]
 pub enum Text<'a> {
     /// A string stored in the column.
     Shared(&'a Arc<str>),
     /// A slice of a string stored in the column.
     View(&'a str),
-    /// A string built while evaluating an expression.
-    Owned(Arc<str>),
 }
 
 impl<'a> Text<'a> {
-    /// The string.
-    pub fn as_str(&self) -> &str {
+    /// The string, borrowed from the column.
+    pub fn as_str(self) -> &'a str {
         match self {
             Text::Shared(s) => s,
             Text::View(s) => s,
-            Text::Owned(s) => s,
         }
     }
 
-    /// The string as borrowed from the column, if it is (`None` for an
-    /// owned string).
-    pub fn column_str(&self) -> Option<&'a str> {
-        match self {
-            Text::Shared(s) => Some(s),
-            Text::View(s) => Some(s),
-            Text::Owned(_) => None,
-        }
-    }
-
-    /// An owned string: a shared or owned string is one more reference, a
-    /// view is copied.
-    pub fn to_arc(&self) -> Arc<str> {
+    /// An owned string: a shared string is one more reference, a view is
+    /// copied.
+    pub fn to_arc(self) -> Arc<str> {
         match self {
             Text::Shared(s) => Arc::clone(s),
-            Text::View(s) => Arc::from(*s),
-            Text::Owned(s) => s.clone(),
+            Text::View(s) => Arc::from(s),
         }
-    }
-
-    /// [`Text::to_arc`] as a value.
-    pub fn to_value(&self) -> Value {
-        Value::Str(self.to_arc())
     }
 }
 
@@ -332,9 +312,9 @@ pub enum VectorData<'a> {
     Float(Vec<f64>),
     /// Booleans.
     Bool(Vec<bool>),
-    /// Strings.
+    /// Strings of the batch's columns.
     Str(Vec<Text<'a>>),
-    /// Values of more than one type (NULLs in place).
+    /// Computed values of any type (NULLs in place).
     Values(Vec<Value>),
     /// One value for every row.
     Const(Value),
@@ -350,7 +330,7 @@ pub enum VectorData<'a> {
 
 /// One typed value per selected row of a [`ColumnBatch`], with validity:
 /// `valid[k] == false` marks row `k` NULL (`None`: no NULLs). The values
-/// under a NULL are placeholders. Strings borrow from the batch's columns.
+/// under a NULL are placeholders.
 #[derive(Debug, Clone)]
 pub struct Vector<'a> {
     /// The values.
@@ -411,41 +391,16 @@ impl<'a> Vector<'a> {
         }
     }
 
-    /// The string of row `k`, if it is a non-NULL string.
-    pub fn text(&self, k: usize) -> Option<Text<'a>> {
-        if self.valid.as_ref().is_some_and(|valid| !valid[k]) {
-            return None;
-        }
-        match &self.data {
-            VectorData::Str(v) => Some(v[k].clone()),
-            VectorData::Values(v) => match &v[k] {
-                Value::Str(s) => Some(Text::Owned(s.clone())),
-                _ => None,
-            },
-            VectorData::Const(Value::Str(s)) => Some(Text::Owned(s.clone())),
-            VectorData::Coded { domain, codes } => domain.text(codes[k] as usize),
-            _ => None,
-        }
-    }
-
     /// The value of row `k`, owned: a column's string is shared, not copied.
     pub fn value(&self, k: usize) -> Value {
-        match self.text(k) {
-            Some(text) => text.to_value(),
-            None => self.get(k).to_value(),
+        match &self.data {
+            _ if self.valid.as_ref().is_some_and(|valid| !valid[k]) => Value::Null,
+            VectorData::Str(v) => Value::Str(v[k].to_arc()),
+            VectorData::Values(v) => v[k].clone(),
+            VectorData::Const(v) => v.clone(),
+            VectorData::Coded { domain, codes } => domain.value(codes[k] as usize),
+            _ => self.get(k).to_value(),
         }
-    }
-
-    /// The rows of a coded vector as a plain one.
-    pub fn decoded(self) -> Vector<'a> {
-        let VectorData::Coded { domain, codes } = &self.data else {
-            return self;
-        };
-        let mut out = VectorBuilder::with_capacity(codes.len());
-        for &code in codes {
-            out.push_from(domain, code as usize);
-        }
-        out.finish()
     }
 
     /// The values as owned `Value`s (`rows` of them for a constant).
@@ -475,11 +430,11 @@ impl<'a> Vector<'a> {
                 .map(|(k, x)| owned(k, Value::Bool(x)))
                 .collect(),
             VectorData::Str(v) => v
-                .iter()
+                .into_iter()
                 .enumerate()
                 .map(|(k, x)| {
                     if is_valid(k) {
-                        x.to_value()
+                        Value::Str(x.to_arc())
                     } else {
                         Value::Null
                     }
@@ -494,6 +449,21 @@ impl<'a> Vector<'a> {
         }
     }
 
+    /// Each row's entry of a coded column's `entries`, as a plain vector.
+    fn take(entries: &Vector<'a>, codes: &[u32]) -> Vector<'a> {
+        let data = match &entries.data {
+            VectorData::Int(v) => VectorData::Int(codes.iter().map(|&c| v[c as usize]).collect()),
+            VectorData::Date(v) => VectorData::Date(codes.iter().map(|&c| v[c as usize]).collect()),
+            VectorData::Str(v) => VectorData::Str(codes.iter().map(|&c| v[c as usize]).collect()),
+            _ => unreachable!("column entries are integers, dates or strings"),
+        };
+        let valid = entries
+            .valid
+            .as_ref()
+            .map(|valid| codes.iter().map(|&c| valid[c as usize]).collect());
+        Vector { data, valid }
+    }
+
     /// Append a NULL entry (a coded column's entry for its NULL rows).
     fn push_null_entry(&mut self) {
         let n = self.len();
@@ -505,134 +475,6 @@ impl<'a> Vector<'a> {
         }
         self.valid.get_or_insert_with(|| vec![true; n]).push(false);
     }
-}
-
-/// Builds a [`Vector`] one row at a time. It takes the type of the first
-/// non-NULL value and falls back to [`VectorData::Values`] if a later value
-/// has another type.
-pub struct VectorBuilder<'a> {
-    /// `None` until the first non-NULL value.
-    data: Option<VectorData<'a>>,
-    valid: Vec<bool>,
-    /// Rows expected, the capacity of the typed vector once it starts.
-    rows: usize,
-}
-
-impl<'a> VectorBuilder<'a> {
-    /// An empty builder for `n` rows.
-    pub fn with_capacity(n: usize) -> VectorBuilder<'a> {
-        VectorBuilder {
-            data: None,
-            valid: Vec::with_capacity(n),
-            rows: n,
-        }
-    }
-
-    /// Append a NULL.
-    pub fn push_null(&mut self) {
-        match &mut self.data {
-            None => {}
-            Some(VectorData::Int(v)) => v.push(0),
-            Some(VectorData::Date(v)) => v.push(0),
-            Some(VectorData::Float(v)) => v.push(0.0),
-            Some(VectorData::Bool(v)) => v.push(false),
-            Some(VectorData::Str(v)) => v.push(Text::View("")),
-            Some(VectorData::Values(v)) => v.push(Value::Null),
-            Some(_) => unreachable!("a builder holds plain data"),
-        }
-        self.valid.push(false);
-    }
-
-    /// Append an owned value.
-    pub fn push_value(&mut self, value: Value) {
-        match (&mut self.data, value) {
-            (_, Value::Null) => return self.push_null(),
-            (Some(VectorData::Int(v)), Value::Int(x)) => v.push(x),
-            (Some(VectorData::Date(v)), Value::Date(x)) => v.push(x),
-            (Some(VectorData::Float(v)), Value::Float(x)) => v.push(x),
-            (Some(VectorData::Bool(v)), Value::Bool(x)) => v.push(x),
-            (Some(VectorData::Str(v)), Value::Str(x)) => v.push(Text::Owned(x)),
-            (Some(VectorData::Values(v)), x) => v.push(x),
-            (None, x) => {
-                let (nulls, rows) = (self.valid.len(), self.rows);
-                self.data = Some(match x {
-                    Value::Int(x) => VectorData::Int(with_first(rows, nulls, 0, x)),
-                    Value::Date(x) => VectorData::Date(with_first(rows, nulls, 0, x)),
-                    Value::Float(x) => VectorData::Float(with_first(rows, nulls, 0.0, x)),
-                    Value::Bool(x) => VectorData::Bool(with_first(rows, nulls, false, x)),
-                    Value::Str(x) => {
-                        VectorData::Str(with_first(rows, nulls, Text::View(""), Text::Owned(x)))
-                    }
-                    Value::Null => unreachable!("NULL returned above"),
-                });
-            }
-            (Some(_), x) => {
-                let mut values = self.take_values();
-                values.push(x);
-                self.data = Some(VectorData::Values(values));
-            }
-        }
-        self.valid.push(true);
-    }
-
-    /// Append a string.
-    pub fn push_text(&mut self, text: Text<'a>) {
-        match &mut self.data {
-            Some(VectorData::Str(v)) => v.push(text),
-            None => {
-                let (nulls, rows) = (self.valid.len(), self.rows);
-                self.data = Some(VectorData::Str(with_first(
-                    rows,
-                    nulls,
-                    Text::View(""),
-                    text,
-                )));
-            }
-            Some(_) => return self.push_value(text.to_value()),
-        }
-        self.valid.push(true);
-    }
-
-    /// Append row `k` of `vector`.
-    pub fn push_from(&mut self, vector: &Vector<'a>, k: usize) {
-        match vector.text(k) {
-            Some(text) => self.push_text(text),
-            None => self.push_value(vector.get(k).to_value()),
-        }
-    }
-
-    /// Everything pushed so far as owned values.
-    fn take_values(&mut self) -> Vec<Value> {
-        let rows = self.valid.len();
-        match self.data.take() {
-            None => vec![Value::Null; rows],
-            Some(data) => Vector {
-                data,
-                valid: Some(self.valid.clone()),
-            }
-            .into_values(rows),
-        }
-    }
-
-    /// The vector built.
-    pub fn finish(self) -> Vector<'a> {
-        let all_valid = self.valid.iter().all(|&v| v);
-        match self.data {
-            None => Vector::constant(Value::Null),
-            Some(data) => Vector {
-                data,
-                valid: (!all_valid).then_some(self.valid),
-            },
-        }
-    }
-}
-
-/// Room for `rows` values, holding `nulls` placeholders and then `first`.
-fn with_first<T: Clone>(rows: usize, nulls: usize, placeholder: T, first: T) -> Vec<T> {
-    let mut v = Vec::with_capacity(rows.max(nulls + 1));
-    v.resize(nulls, placeholder);
-    v.push(first);
-    v
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub mod partition;
 pub mod spill;
 pub mod stats;
 
-pub use batch::{ColumnBatch, Selection, Text, Vector, VectorBuilder, VectorData};
+pub use batch::{ColumnBatch, Selection, Text, Vector, VectorData};
 pub use column::EncodedColumn;
 pub use encoding::{choose_encoding, EncodingChoice, EncodingKind};
 pub use partition::ColumnarPartition;

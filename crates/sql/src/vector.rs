@@ -4,10 +4,12 @@
 //! Each pushed-down filter, group key and aggregate argument is compiled
 //! once per plan into a [`Kernel`]: a tree that mirrors its
 //! [`BoundExpr`] and runs column-at-a-time over a [`ColumnBatch`]. Every
-//! node turns its children's [`Vector`]s into its own: one typed value per
-//! selected row (`i64`, `f64`, `bool`, or a string borrowed from the
-//! column, so `SUBSTR` of a column yields views and allocates nothing),
-//! with validity for NULLs. No `Row` and no per-row `Value` is built.
+//! node turns its children's [`Vector`]s into its own, one value per
+//! selected row. Columns read as typed slices with validity (`i64`, `f64`,
+//! `bool`, strings borrowed from the column); a comparison with a literal
+//! yields booleans and `SUBSTR` of a column yields views into its strings,
+//! allocating nothing. Any other computed node holds plain `Value`s, which
+//! for numbers and booleans allocate nothing either. No `Row` is built.
 //!
 //! * A node whose only input is one dictionary or run-length column runs
 //!   once per dictionary entry or run, and its result stays coded: each
@@ -33,7 +35,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use shark_columnar::{ColumnBatch, Selection, Text, Vector, VectorBuilder, VectorData};
+use shark_columnar::{ColumnBatch, Selection, Text, Vector, VectorData};
 use shark_common::hash::GroupTable;
 use shark_common::{Row, Value, ValueRef};
 
@@ -218,43 +220,20 @@ impl Kernel {
                     in_list(v.is_null(), entries, *negated)
                 })
             }
-            Node::Func(ScalarFunc::Substr, args) => {
-                let args: Vec<Input<'v, 'a>> = args.iter().map(child).collect();
-                let constant = |i: usize| match args.get(i).map(|a| &a.data) {
-                    None => Some(None),
-                    Some(VectorData::Const(v)) => Some(v.as_int()),
-                    Some(_) => None,
-                };
-                // A string column cut at literal positions: one pass.
-                if let (Some(VectorData::Str(texts)), Some(start), Some(len)) =
-                    (args.first().map(|a| &a.data), constant(1), constant(2))
-                {
-                    return Vector {
-                        data: VectorData::Str(texts.iter().map(|t| cut(t, start, len)).collect()),
-                        valid: args[0].valid.clone(),
-                    };
-                }
-                let int = |i: usize, k: usize| args.get(i).and_then(|a| a.get(k).as_int());
-                let mut out = VectorBuilder::with_capacity(n);
-                for k in 0..n {
-                    match args.first().and_then(|s| s.text(k)) {
-                        Some(text) => out.push_text(cut(&text, int(1, k), int(2, k))),
-                        None => out.push_null(),
-                    }
-                }
-                out.finish()
-            }
             Node::Func(func, args) => {
                 let args: Vec<Input<'v, 'a>> = args.iter().map(child).collect();
-                let mut out = VectorBuilder::with_capacity(n);
-                for k in 0..n {
-                    match eval_scalar_ref(*func, args.len(), |i| args[i].get(k)) {
-                        ScalarOut::Arg(i) => out.push_from(&args[i], k),
-                        ScalarOut::Slice(s) => out.push_value(Value::str(s)),
-                        ScalarOut::Value(v) => out.push_value(v),
+                if *func == ScalarFunc::Substr {
+                    if let Some(cut) = substr_of_column(&args) {
+                        return cut;
                     }
                 }
-                out.finish()
+                map(n, |k| {
+                    match eval_scalar_ref(*func, args.len(), |i| args[i].get(k)) {
+                        ScalarOut::Arg(i) => args[i].value(k),
+                        ScalarOut::Slice(s) => Value::str(s),
+                        ScalarOut::Value(v) => v,
+                    }
+                })
             }
             // The scalar adapter: the UDF sees its arguments' values, row
             // by row.
@@ -285,22 +264,28 @@ impl Kernel {
     }
 }
 
-/// `SUBSTR` of one string: a view when the string is the column's, so
-/// nothing is allocated.
-fn cut<'a>(text: &Text<'a>, start: Option<i64>, len: Option<i64>) -> Text<'a> {
-    match text.column_str() {
-        Some(s) => Text::View(substr(s, start, len)),
-        None => Text::Owned(substr(text.as_str(), start, len).into()),
-    }
+/// `SUBSTR` of a string column at literal positions: views into the
+/// column's strings, so nothing is allocated. `None` for any other shape.
+fn substr_of_column<'a>(args: &[Input<'_, 'a>]) -> Option<Vector<'a>> {
+    let literal = |i: usize| match args.get(i).map(|a| &a.data) {
+        None => Some(None),
+        Some(VectorData::Const(v)) => Some(v.as_int()),
+        Some(_) => None,
+    };
+    let (VectorData::Str(texts), start, len) = (&args.first()?.data, literal(1)?, literal(2)?)
+    else {
+        return None;
+    };
+    let cut = |t: &Text<'a>| Text::View(substr(t.as_str(), start, len));
+    Some(Vector {
+        data: VectorData::Str(texts.iter().map(cut).collect()),
+        valid: args[0].valid.clone(),
+    })
 }
 
 /// A vector of `n` values, one computed per row.
-fn map<'a>(n: usize, mut value: impl FnMut(usize) -> Value) -> Vector<'a> {
-    let mut out = VectorBuilder::with_capacity(n);
-    for k in 0..n {
-        out.push_value(value(k));
-    }
-    out.finish()
+fn map<'a>(n: usize, value: impl FnMut(usize) -> Value) -> Vector<'a> {
+    VectorData::Values((0..n).map(value).collect()).into()
 }
 
 /// A typed column compared with a non-NULL literal (either side): the
