@@ -334,10 +334,10 @@ fn between_literals<'a>(
     })
 }
 
-/// Append `v` to a group key's bytes. Two typed values get the same bytes
-/// exactly when they are equal as `Value`s: an integral number is one
-/// integer whatever its type (so `-0.0` is `0`), another float is its bits,
-/// a string is length-prefixed.
+/// Append `v` to a group key's bytes. Two values of one type get the same
+/// bytes exactly when they are equal as `Value`s: an integral number is
+/// one integer whatever its type (so `-0.0` is `0`, and `3.0` matches
+/// `3`), another float is its bits, a string is length-prefixed.
 fn encode_key(buf: &mut Vec<u8>, v: ValueRef<'_>) {
     let int = |buf: &mut Vec<u8>, x: i64| {
         buf.push(2);
