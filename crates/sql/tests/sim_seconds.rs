@@ -65,21 +65,73 @@ fn session(exec: ExecConfig, prefetch: usize) -> SqlSession {
     session
 }
 
+/// A fresh context (the same cluster as [`session`]) with two cached
+/// 4-partition tables hash-partitioned by `ok` — partition `p` holds the
+/// keys `ok % 4 == p` — and declared co-partitioned, so a join on `ok`
+/// needs no shuffle (§3.4).
+fn copartitioned_session(exec: ExecConfig, prefetch: usize) -> SqlSession {
+    let mut session = SqlSession::new(RddContext::new(RddConfig::default()), exec);
+    session.set_stream_prefetch(prefetch);
+    let orders = Schema::from_pairs(&[("ok", DataType::Int), ("cust", DataType::Str)]);
+    session.register_table(
+        TableMeta::new("orders", orders, 4, |p| {
+            (0..60)
+                .map(|i| row![(i * 4 + p) as i64, format!("cust-{}", mix(i as u64) % 9)])
+                .collect()
+        })
+        .with_cache(4)
+        .with_distribute_by("ok")
+        .unwrap()
+        .with_copartition("lineitems")
+        .with_row_count_hint(240),
+    );
+    let lineitems = Schema::from_pairs(&[("ok", DataType::Int), ("qty", DataType::Int)]);
+    session.register_table(
+        TableMeta::new("lineitems", lineitems, 4, |p| {
+            (0..150)
+                .map(|i| {
+                    let id = (p * 150 + i) as u64;
+                    row![
+                        ((mix(id) % 60) * 4) as i64 + p as i64,
+                        (mix(id ^ 0x3C) % 50) as i64
+                    ]
+                })
+                .collect()
+        })
+        .with_cache(4)
+        .with_distribute_by("ok")
+        .unwrap()
+        .with_row_count_hint(600),
+    );
+    session.load_table("orders").unwrap();
+    session.load_table("lineitems").unwrap();
+    session
+}
+
+/// How a shape's session is built: [`session`] or [`copartitioned_session`].
+type Fixture = fn(ExecConfig, usize) -> SqlSession;
+
 const JOIN: &str = "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 50";
 const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 
-/// The statement shapes, each with the executor configuration that produces
-/// it and — for the shapes a refactor must not move — the `sql().sim_seconds`
+/// The statement shapes, each with its fixture, the executor configuration
+/// that produces it and — for the shapes a refactor must not move — the `sql().sim_seconds`
 /// the commit before it reported, to the bit (see
 /// `unmoved_shapes_report_the_seconds_they_reported_before`). The static
 /// (`shark_static`) and Hive rows pin the lazy shuffles: a GROUP BY through
-/// the row and the fused builder, and a shuffle join. The last three pin
+/// the row and the fused builder, and a shuffle join. Three more pin
 /// expression shapes the batch kernels evaluate: a `SUBSTR` group key, a
 /// `NOT IN` filter over a dictionary column and a `BETWEEN` filter under a
-/// shuffle join.
-fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
+/// shuffle join. The last two pin the join strategies the others leave
+/// out: the adaptive PDE join, which pre-shuffles both sides before it
+/// picks one, and a co-partitioned join over its own fixture.
+fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>)> {
     let shuffle_join = ExecConfig {
         broadcast_threshold: 0,
+        ..ExecConfig::shark()
+    };
+    let adaptive = ExecConfig {
+        pde_prioritize_small_side: false,
         ..ExecConfig::shark()
     };
     let row_static = ExecConfig {
@@ -89,99 +141,129 @@ fn shapes() -> Vec<(&'static str, ExecConfig, &'static str, Option<f64>)> {
     vec![
         (
             "selection",
+            session,
             ExecConfig::shark(),
             "SELECT id, v FROM facts WHERE v > 50",
             Some(0.010024488000000002),
         ),
         (
             "filter+projection",
+            session,
             ExecConfig::shark(),
             "SELECT id, v * 2 + 1, grp FROM facts WHERE k < 10 AND v > 10",
             Some(0.010028452500000003),
         ),
         (
             "group-by",
+            session,
             ExecConfig::shark(),
             GROUP_BY,
             Some(0.015032907500000005),
         ),
         (
             "broadcast-join",
+            session,
             ExecConfig::shark(),
             JOIN,
             Some(0.17504141400000003),
         ),
         (
             "shuffle-join",
+            session,
             shuffle_join.clone(),
             JOIN,
             Some(0.020188735000000003),
         ),
         (
             "order-by",
+            session,
             ExecConfig::shark(),
             "SELECT id, v FROM facts WHERE k < 10 ORDER BY v DESC",
             Some(0.010029284831894955),
         ),
         (
             "top-k",
+            session,
             ExecConfig::shark(),
             "SELECT ts, id FROM facts ORDER BY ts LIMIT 5",
             Some(0.005044997629648856),
         ),
         (
             "limit",
+            session,
             ExecConfig::shark(),
             "SELECT id FROM facts LIMIT 7",
             None,
         ),
         (
             "static group-by (row path)",
+            session,
             row_static,
             GROUP_BY,
             Some(0.05003189049999999),
         ),
         (
             "static group-by (fused)",
+            session,
             ExecConfig::shark_static(),
             GROUP_BY,
             Some(0.05002841049999999),
         ),
         (
             "static shuffle-join",
+            session,
             ExecConfig::shark_static(),
             JOIN,
             Some(0.05521903299999998),
         ),
         (
             "hive group-by",
+            session,
             ExecConfig::hive(),
             GROUP_BY,
             Some(0.050213888999999984),
         ),
         (
             "hive shuffle-join",
+            session,
             ExecConfig::hive(),
             JOIN,
             Some(0.05588544499999998),
         ),
         (
             "substr group-by",
+            session,
             ExecConfig::shark(),
             "SELECT SUBSTR(grp, 1, 2), SUM(v) FROM facts WHERE k > 5 GROUP BY SUBSTR(grp, 1, 2)",
             Some(0.015046981500000004),
         ),
         (
             "not-in group-by",
+            session,
             ExecConfig::shark(),
             "SELECT grp, COUNT(*), SUM(v) FROM facts WHERE grp NOT IN ('alpha', 'delta') GROUP BY grp",
             Some(0.015032183500000004),
         ),
         (
             "between shuffle-join",
+            session,
             shuffle_join.clone(),
             "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k WHERE f.ts BETWEEN 1100 AND 1700",
             Some(0.015122370000000003),
+        ),
+        (
+            "adaptive join",
+            session,
+            adaptive,
+            JOIN,
+            Some(0.18506665400000002),
+        ),
+        (
+            "co-partitioned join",
+            copartitioned_session,
+            ExecConfig::shark(),
+            "SELECT o.ok, o.cust, l.qty FROM orders o JOIN lineitems l ON o.ok = l.ok",
+            Some(0.0050221845000000005),
         ),
     ]
 }
@@ -202,13 +284,13 @@ fn assert_close(a: f64, b: f64, relative: f64, what: &str) {
 
 #[test]
 fn collected_streamed_and_recorded_seconds_are_one_number() {
-    for (name, exec, sql, _) in shapes() {
+    for (name, fixture, exec, sql, _) in shapes() {
         let mut at_depth_zero = None;
         for prefetch in PREFETCH_DEPTHS {
             let case = format!("{name} @ prefetch {prefetch}");
-            let blocking = session(exec.clone(), prefetch).sql(sql).unwrap();
+            let blocking = fixture(exec.clone(), prefetch).sql(sql).unwrap();
 
-            let s = session(exec.clone(), prefetch);
+            let s = fixture(exec.clone(), prefetch);
             let ctx = s.context();
             ctx.clear_job_history();
             let clock_before = ctx.simulated_time();
@@ -253,15 +335,20 @@ fn collected_streamed_and_recorded_seconds_are_one_number() {
                 assert_eq!(names.len(), 3, "{names:?}");
                 assert!(names[1].starts_with("pre_shuffle("), "{names:?}");
             }
+            if name == "co-partitioned join" {
+                // No shuffle: the result job zips the two tables' partitions.
+                assert_eq!(names, ["sql-stream"]);
+                assert!(blocking.notes[0].starts_with("co-partitioned join"));
+            }
         }
     }
 }
 
 #[test]
 fn unmoved_shapes_report_the_seconds_they_reported_before() {
-    for (name, exec, sql, before) in shapes() {
+    for (name, fixture, exec, sql, before) in shapes() {
         let Some(before) = before else { continue };
-        let now = session(exec, 2).sql(sql).unwrap().sim_seconds;
+        let now = fixture(exec, 2).sql(sql).unwrap().sim_seconds;
         assert_eq!(now.to_bits(), before.to_bits(), "{name}: {now:?}");
     }
 }
