@@ -1,5 +1,5 @@
-//! RDD shuffle micro-benchmark: reduce_by_key and pre_shuffle statistics
-//! collection (the substrate behind Figures 5, 7 and 13).
+//! RDD shuffle micro-benchmark: reduce_by_key and the statistics of a PDE
+//! pre-shuffle (the substrate behind Figures 5, 7 and 13).
 use criterion::{criterion_group, criterion_main, Criterion};
 use shark_rdd::RddContext;
 
@@ -22,7 +22,7 @@ fn bench_shuffle(c: &mut Criterion) {
             let ctx = RddContext::local();
             let n = shark_bench::scaled(50_000) as i64;
             let rdd = ctx.parallelize((0i64..n).collect(), 16);
-            let pre = rdd.map(|x| (x % 1000, x)).pre_shuffle(64).unwrap();
+            let pre = rdd.map(|x| (x % 1000, x)).shuffle(64).run().unwrap();
             pre.summary().skew_factor()
         })
     });

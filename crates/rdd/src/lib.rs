@@ -6,7 +6,8 @@
 //!
 //! An [`Rdd<T>`] is an immutable, partitioned collection created either from
 //! a source (generator or in-memory data) or by applying deterministic
-//! operators (`map`, `filter`, `reduce_by_key`, `join`, …) to other RDDs.
+//! operators (`map`, `filter`, `reduce_by_key`, `zip_partitions`, …) to
+//! other RDDs.
 //! Lineage is tracked per RDD; lost cached partitions are recomputed by
 //! re-running the deterministic operators that produced them, which is the
 //! fault-tolerance story evaluated in Figure 9.
@@ -18,9 +19,10 @@
 //!   creates source RDDs and runs jobs.
 //! * [`Rdd`] — lazily evaluated transformations plus actions (`collect`,
 //!   `count`, `reduce`, …) that trigger job execution.
-//! * Pair-RDD operations (`reduce_by_key`, `combine_by_key_ref`, `join`,
-//!   `pre_shuffle`) in [`pair`]: one shuffle dependency, read back by one
-//!   bucket reader, [`pair::ShuffleReadRdd`], that merges in place.
+//! * Pair-RDD operations (`reduce_by_key`, `combine_by_key_ref`,
+//!   `shuffle`, `shuffle_combined`) in [`pair`]: one shuffle dependency,
+//!   read back by one bucket reader, [`pair::ShuffleReadRdd`], that merges
+//!   in place or keeps the pairs.
 //! * [`pair::PairShuffle`] + [`pair::PreShuffledRdd`] — the hooks Partial
 //!   DAG Execution uses: materialize the map side of a shuffle, inspect the
 //!   per-bucket statistics, then decide the reduce-side plan (join strategy,

@@ -1,5 +1,5 @@
-//! Key/value (pair) RDD operations: the one shuffle, aggregations, joins,
-//! and the Partial-DAG-Execution hooks.
+//! Key/value (pair) RDD operations: the one shuffle, the aggregations and
+//! repartitions built on it, and the Partial-DAG-Execution hooks.
 //!
 //! Every shuffle is one dependency: a parent RDD whose partitions a map task
 //! folds into `(key, combiner)` pairs — a map-side combine, or the pairs as
@@ -8,12 +8,12 @@
 //! each read a list of buckets; a merging reader folds each key's
 //! combiners in place as it reads the map outputs.
 //!
-//! A lazy shuffle (`reduce_by_key`, `combine_by_key_ref`, `cogroup`, `join`,
-//! a static GROUP BY's [`PairShuffle::read_aggregated`]) registers its
-//! dependency in the lineage: the first job that reads it runs its map
-//! stage, and it reads one bucket per reduce partition. [`PairShuffle::run`]
-//! (and [`Rdd::pre_shuffle`]) runs the same dependency's map stage at once
-//! and hands back a [`PreShuffledRdd`] whose
+//! A lazy shuffle (`reduce_by_key`, `combine_by_key_ref`, a static GROUP
+//! BY's [`PairShuffle::read_aggregated`], a static join side's
+//! [`PairShuffle::read`]) registers its dependency in the lineage: the first
+//! job that reads it runs its map stage, and it reads one bucket per reduce
+//! partition. [`PairShuffle::run`] runs the same dependency's map stage at
+//! once and hands back a [`PreShuffledRdd`] whose
 //! statistics ([`crate::shuffle::ShuffleSummary`]) the query optimizer can
 //! inspect before deciding how to read it — the mechanism behind the
 //! paper's partial DAG execution (§3.1): choosing map vs. shuffle joins,
@@ -185,86 +185,14 @@ fn one_bucket_each(num_buckets: usize) -> Vec<Vec<usize>> {
     (0..num_buckets).map(|b| vec![b]).collect()
 }
 
-/// Result of `cogroup`: for each key, the values from both sides, keys in
-/// first-seen order (left side first).
-pub struct CoGroupedRdd<K: Data + Hash + Eq, V: Data, W: Data> {
-    id: usize,
-    num_partitions: usize,
-    left: Arc<dyn ShuffleDepHandle>,
-    right: Arc<dyn ShuffleDepHandle>,
-    _marker: PhantomData<fn(K, V, W)>,
-}
-
-impl<K: Data + Hash + Eq, V: Data, W: Data> RddImpl<(K, (Vec<V>, Vec<W>))>
-    for CoGroupedRdd<K, V, W>
-{
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        "cogroup".to_string()
-    }
-    fn num_partitions(&self) -> usize {
-        self.num_partitions
-    }
-    fn compute(
-        &self,
-        ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(K, (Vec<V>, Vec<W>))>> {
-        let (lpairs, lbytes): (Vec<(K, V)>, u64) = ctx
-            .shuffle_manager()
-            .fetch(self.left.shuffle_id(), &[partition])?;
-        let (rpairs, rbytes): (Vec<(K, W)>, u64) = ctx
-            .shuffle_manager()
-            .fetch(self.right.shuffle_id(), &[partition])?;
-        let source = shuffle_fetch_source(ctx);
-        metrics.record_input(lpairs.len() as u64, lbytes, source);
-        metrics.record_input(rpairs.len() as u64, rbytes, source);
-        metrics.add_ops((lpairs.len() + rpairs.len()) as f64 * 2.0);
-
-        let mut groups = GroupTable::default();
-        for (k, v) in lpairs {
-            groups.fold(
-                k,
-                v,
-                |v| (vec![v], Vec::new()),
-                |mut c, v| {
-                    c.0.push(v);
-                    c
-                },
-            );
-        }
-        for (k, w) in rpairs {
-            groups.fold(
-                k,
-                w,
-                |w| (Vec::new(), vec![w]),
-                |mut c, w| {
-                    c.1.push(w);
-                    c
-                },
-            );
-        }
-        Ok(groups.into_vec())
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        vec![self.left.parent_lineage(), self.right.parent_lineage()]
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        vec![self.left.clone(), self.right.clone()]
-    }
-}
-
 // ---------------------------------------------------------------------------
 // A shuffle before and after its map stage ran
 // ---------------------------------------------------------------------------
 
 /// A pair shuffle whose map stage has not run. Read it lazily
-/// ([`Self::read_aggregated`]: the first job that reads it runs the map
-/// stage) or run the map stage now ([`Self::run`]: the PDE hook) — the same
-/// dependency either way.
+/// ([`Self::read`], [`Self::read_aggregated`]: the first job that reads it
+/// runs the map stage) or run the map stage now ([`Self::run`]: the PDE
+/// hook) — the same dependency either way.
 pub struct PairShuffle<K: Data + Hash + Eq, C: Data> {
     ctx: RddContext,
     dep: Arc<dyn ShuffleDepHandle>,
@@ -274,6 +202,13 @@ pub struct PairShuffle<K: Data + Hash + Eq, C: Data> {
 }
 
 impl<K: Data + Hash + Eq, C: Data> PairShuffle<K, C> {
+    /// Read lazily, one bucket per reduce partition, keeping the pairs as
+    /// they are.
+    pub fn read(self) -> Rdd<(K, C)> {
+        let assignment = one_bucket_each(self.dep.num_buckets());
+        shuffle_read(&self.ctx, self.dep, assignment, None)
+    }
+
     /// Read lazily, one bucket per reduce partition, merging each key's
     /// combiners in place with `merge` in fetch order.
     pub fn read_aggregated<M>(self, merge: M) -> Rdd<(K, C)>
@@ -446,6 +381,13 @@ impl<T: Data> Rdd<T> {
 }
 
 impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
+    /// A repartition by key: the pairs go into their buckets as they are
+    /// (a join side). Read it lazily with [`PairShuffle::read`], or run its
+    /// map stage now with [`PairShuffle::run`].
+    pub fn shuffle(&self, num_buckets: usize) -> PairShuffle<K, V> {
+        self.shuffle_with(num_buckets, REPARTITION, 0.0, Arc::unwrap_or_clone)
+    }
+
     /// Merge all values of each key with a binary function: map-side by
     /// value, then on the reduce side into a running value (`f` gets copies
     /// of both).
@@ -480,48 +422,6 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     /// pairs: the combine it skips would return them unchanged.
     pub fn shuffle_precombined(&self, num_buckets: usize) -> PairShuffle<K, V> {
         self.shuffle_with(num_buckets, COMBINE, 0.0, Arc::unwrap_or_clone)
-    }
-
-    /// Run the map side of a shuffle *now*, without aggregation, and return
-    /// a handle exposing its statistics (the PDE hook; the combining
-    /// shuffles run theirs with [`PairShuffle::run`]).
-    pub fn pre_shuffle(&self, num_buckets: usize) -> Result<PreShuffledRdd<K, V>> {
-        self.shuffle_with(num_buckets, REPARTITION, 0.0, Arc::unwrap_or_clone)
-            .run()
-    }
-
-    /// For each key, gather the values from both RDDs.
-    #[allow(clippy::type_complexity)]
-    pub fn cogroup<W: Data>(
-        &self,
-        other: &Rdd<(K, W)>,
-        num_partitions: usize,
-    ) -> Rdd<(K, (Vec<V>, Vec<W>))> {
-        let num_partitions = num_partitions.max(1);
-        let left = self.shuffle_with(num_partitions, REPARTITION, 0.0, Arc::unwrap_or_clone);
-        let right = other.shuffle_with(num_partitions, REPARTITION, 0.0, Arc::unwrap_or_clone);
-        let inner = CoGroupedRdd {
-            id: self.ctx.next_rdd_id(),
-            num_partitions,
-            left: left.dep,
-            right: right.dep,
-            _marker: PhantomData,
-        };
-        Rdd::new(self.ctx.clone(), Arc::new(inner))
-    }
-
-    /// Inner equi-join on the key (shuffle join).
-    pub fn join<W: Data>(&self, other: &Rdd<(K, W)>, num_partitions: usize) -> Rdd<(K, (V, W))> {
-        self.cogroup(other, num_partitions)
-            .flat_map(|(k, (vs, ws))| {
-                let mut out = Vec::with_capacity(vs.len() * ws.len());
-                for v in &vs {
-                    for w in &ws {
-                        out.push((k.clone(), (v.clone(), w.clone())));
-                    }
-                }
-                out
-            })
     }
 }
 
@@ -565,45 +465,9 @@ mod tests {
     }
 
     #[test]
-    fn join_matches_keys() {
-        let ctx = ctx();
-        let left = ctx.parallelize(
-            vec![
-                (1i64, "l1".to_string()),
-                (2, "l2".to_string()),
-                (3, "l3".to_string()),
-            ],
-            2,
-        );
-        let right = ctx.parallelize(vec![(2i64, 20.0f64), (3, 30.0), (3, 33.0), (4, 40.0)], 2);
-        let mut joined = left.join(&right, 3).collect().unwrap();
-        joined.sort_by_key(|a| (a.0, a.1 .1 as i64));
-        assert_eq!(
-            joined,
-            vec![
-                (2, ("l2".to_string(), 20.0)),
-                (3, ("l3".to_string(), 30.0)),
-                (3, ("l3".to_string(), 33.0)),
-            ]
-        );
-    }
-
-    #[test]
-    fn cogroup_includes_unmatched_keys() {
-        let ctx = ctx();
-        let left = ctx.parallelize(vec![(1i64, 10i64)], 1);
-        let right = ctx.parallelize(vec![(2i64, 20i64)], 1);
-        let mut out = left.cogroup(&right, 2).collect().unwrap();
-        out.sort_by_key(|(k, _)| *k);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], (1, (vec![10], vec![])));
-        assert_eq!(out[1], (2, (vec![], vec![20])));
-    }
-
-    #[test]
     fn pre_shuffle_exposes_statistics_and_reads_back() {
         let ctx = ctx();
-        let pre = word_pairs(&ctx).pre_shuffle(8).unwrap();
+        let pre = word_pairs(&ctx).shuffle(8).run().unwrap();
         let summary = pre.summary();
         assert_eq!(summary.num_buckets, 8);
         assert_eq!(summary.total_rows, 6);
@@ -627,7 +491,8 @@ mod tests {
         let pre = word_pairs(&ctx)
             .reduce_by_key(4, |a, b| a + b)
             .map(|(word, total)| (total, word))
-            .pre_shuffle(8)
+            .shuffle(8)
+            .run()
             .unwrap();
         let history = ctx.job_history();
         assert_eq!(history.len(), 1);
@@ -685,16 +550,21 @@ mod tests {
         assert_eq!(ctx.shuffle_manager().registered(), 1);
         assert_eq!(reduced.count().unwrap(), first);
         assert_eq!(mapped.load(std::sync::atomic::Ordering::SeqCst), 6);
-        let joined = reduced.join(&source, 2);
-        joined.collect().unwrap();
-        assert_eq!(ctx.shuffle_manager().registered(), 3, "both cogroup sides");
-        drop(joined);
+        // Two lazy repartitions read side by side, as a static join reads
+        // them: each reader holds its own map output.
+        let zipped = reduced
+            .shuffle(2)
+            .read()
+            .zip_partitions(&source.shuffle(2).read(), |_, l, r| vec![l.len() + r.len()]);
+        assert_eq!(zipped.collect().unwrap().iter().sum::<usize>(), 3 + 6);
+        assert_eq!(ctx.shuffle_manager().registered(), 3, "both zipped sides");
+        drop(zipped);
         assert_eq!(ctx.shuffle_manager().registered(), 1);
         drop(reduced);
         assert_eq!(ctx.shuffle_manager().registered(), 0);
 
         // The PDE handle: a reader keeps the buckets after the handle goes.
-        let pre = source.pre_shuffle(4).unwrap();
+        let pre = source.shuffle(4).run().unwrap();
         let reader = pre.read(vec![(0..4).collect()]);
         let agg_reader = pre.read_aggregated(vec![(0..4).collect()], |c: &mut i64, v| *c += *v);
         drop(pre);

@@ -361,13 +361,14 @@ impl<T: Data> Rdd<T> {
         Rdd::new(self.ctx.clone(), Arc::new(inner))
     }
 
-    /// Combine corresponding partitions of two RDDs with a function. Both
-    /// RDDs must have the same number of partitions. This is the narrow
-    /// (no-shuffle) join primitive used for co-partitioned and broadcast
-    /// joins (§3.4).
+    /// Combine corresponding partitions of two RDDs with a function, which
+    /// may charge the task more than the one op per input row this charges.
+    /// Both RDDs must have the same number of partitions. It is the hash
+    /// joins' primitive: over co-partitioned tables (§3.4), or over two
+    /// shuffle reads with one bucket assignment.
     pub fn zip_partitions<B: Data, U: Data, F>(&self, other: &Rdd<B>, f: F) -> Rdd<U>
     where
-        F: Fn(Vec<T>, Vec<B>) -> Vec<U> + Send + Sync + 'static,
+        F: Fn(&mut TaskMetrics, Vec<T>, Vec<B>) -> Vec<U> + Send + Sync + 'static,
     {
         assert_eq!(
             self.num_partitions(),
@@ -515,14 +516,13 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
     }
 }
 
-/// Narrow, partition-wise combination of two RDDs (co-partitioned joins,
-/// broadcast joins, zipping features with labels, …).
+/// Narrow, partition-wise combination of two RDDs (the hash joins).
 pub struct ZipPartitionsRdd<A: Data, B: Data, U: Data> {
     id: usize,
     left: Rdd<A>,
     right: Rdd<B>,
     #[allow(clippy::type_complexity)]
-    f: Arc<dyn Fn(Vec<A>, Vec<B>) -> Vec<U> + Send + Sync>,
+    f: Arc<dyn Fn(&mut TaskMetrics, Vec<A>, Vec<B>) -> Vec<U> + Send + Sync>,
 }
 
 impl<A: Data, B: Data, U: Data> RddImpl<U> for ZipPartitionsRdd<A, B, U> {
@@ -544,7 +544,7 @@ impl<A: Data, B: Data, U: Data> RddImpl<U> for ZipPartitionsRdd<A, B, U> {
         let l = self.left.compute_partition(ctx, partition, metrics)?;
         let r = self.right.compute_partition(ctx, partition, metrics)?;
         metrics.add_ops((l.len() + r.len()) as f64);
-        Ok((self.f)(l, r))
+        Ok((self.f)(metrics, l, r))
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         vec![self.left.lineage(), self.right.lineage()]
@@ -616,7 +616,7 @@ mod tests {
         let ctx = ctx();
         let a = ctx.parallelize((0i64..6).collect(), 3);
         let b = ctx.parallelize((100i64..106).collect(), 3);
-        let z = a.zip_partitions(&b, |l, r| {
+        let z = a.zip_partitions(&b, |_, l, r| {
             l.into_iter()
                 .zip(r)
                 .map(|(x, y)| x + y)
@@ -631,7 +631,7 @@ mod tests {
         let ctx = ctx();
         let a = ctx.parallelize((0i64..6).collect(), 3);
         let b = ctx.parallelize((0i64..6).collect(), 2);
-        let _ = a.zip_partitions(&b, |l, _| l);
+        let _ = a.zip_partitions(&b, |_, l, _| l);
     }
 
     #[test]

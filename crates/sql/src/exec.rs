@@ -14,7 +14,7 @@
 //!   launch overhead, sort-based disk shuffle, inter-job DFS
 //!   materialization).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1220,7 +1220,7 @@ fn build_join(
         ));
         let lk = left_key.clone();
         let rk = right_key.clone();
-        let joined = left.zip_partitions(&right, move |lrows, rrows| {
+        let joined = left.zip_partitions(&right, move |_, lrows, rrows| {
             let table = JoinTable::build(rrows.into_iter().map(|r| (rk.eval(&r), r)));
             table.probe(lrows.into_iter().map(|l| (lk.eval(&l), l)), false)
         });
@@ -1248,9 +1248,20 @@ fn build_join(
             "static shuffle join with {} reduce tasks",
             cfg.default_reducers
         ));
-        let joined = left_pairs
-            .join(&right_pairs, cfg.default_reducers)
-            .map(|(_, (l, r))| l.concat(&r));
+        let reducers = cfg.default_reducers;
+        let joined = left_pairs.shuffle(reducers).read().zip_partitions(
+            &right_pairs.shuffle(reducers).read(),
+            |metrics, lpairs, rpairs| {
+                // What a reduce-side grouping of both sides charged: 2 ops
+                // per fetched pair (`zip_partitions` charges the first), 1.5
+                // per distinct key and 1 per joined row.
+                let keys: HashSet<&Value> = lpairs.iter().chain(&rpairs).map(|(k, _)| k).collect();
+                metrics.add_ops((lpairs.len() + rpairs.len()) as f64 + keys.len() as f64 * 1.5);
+                let rows = JoinTable::build(rpairs).probe(lpairs, false);
+                metrics.add_ops(rows.len() as f64);
+                rows
+            },
+        );
         if matches!(cfg.mode, ExecutionMode::Hive) {
             *sim_seconds += charge_hive_intermediate(ctx, plan, notes);
         }
@@ -1280,7 +1291,7 @@ fn build_join(
         } else {
             (left_pairs.clone(), false)
         };
-        let pre = small_pairs.pre_shuffle(cfg.fine_buckets)?;
+        let pre = small_pairs.shuffle(cfg.fine_buckets).run()?;
         *sim_seconds += pre.sim_seconds();
         let small_bytes = pre.summary().total_bytes;
         if small_bytes <= cfg.broadcast_threshold {
@@ -1299,9 +1310,9 @@ fn build_join(
         // Too large to broadcast: pre-shuffle the other side and do an
         // aligned shuffle join.
         let other_pre = if small_is_right {
-            left_pairs.pre_shuffle(cfg.fine_buckets)?
+            left_pairs.shuffle(cfg.fine_buckets).run()?
         } else {
-            right_pairs.pre_shuffle(cfg.fine_buckets)?
+            right_pairs.shuffle(cfg.fine_buckets).run()?
         };
         *sim_seconds += other_pre.sim_seconds();
         let (lpre, rpre) = if small_is_right {
@@ -1313,9 +1324,9 @@ fn build_join(
     }
 
     // "Adaptive": pre-shuffle both sides, then decide from observed sizes.
-    let lpre = left_pairs.pre_shuffle(cfg.fine_buckets)?;
+    let lpre = left_pairs.shuffle(cfg.fine_buckets).run()?;
     *sim_seconds += lpre.sim_seconds();
-    let rpre = right_pairs.pre_shuffle(cfg.fine_buckets)?;
+    let rpre = right_pairs.shuffle(cfg.fine_buckets).run()?;
     *sim_seconds += rpre.sim_seconds();
     let strategy = choose_join_strategy(
         lpre.summary().total_bytes,
@@ -1389,13 +1400,14 @@ fn aligned_shuffle_join(
     ));
     let left_rdd = left.read(assignment.clone());
     let right_rdd = right.read(assignment);
-    left_rdd.zip_partitions(&right_rdd, |lrows, rrows| {
+    left_rdd.zip_partitions(&right_rdd, |_, lrows, rrows| {
         JoinTable::build(rrows).probe(lrows, false)
     })
 }
 
 /// One side of an equi-join hashed by key — the build and probe every
-/// join strategy (co-partitioned, broadcast, shuffle) shares.
+/// join strategy (co-partitioned, broadcast, PDE and static shuffle)
+/// shares.
 struct JoinTable(HashMap<Value, Vec<Row>>);
 
 impl JoinTable {
