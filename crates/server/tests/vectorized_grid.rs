@@ -3,7 +3,8 @@
 //! (fully cached, partially evicted, RLE/dictionary-heavy) must return
 //! byte-identical rows whether it runs through the vectorized kernels or
 //! the row-at-a-time fallback, and whether it is fetched blocking or
-//! streamed.
+//! streamed. Every join strategy (broadcast, PDE and static shuffle,
+//! co-partitioned) must return the same rows, NULL keys matching nothing.
 
 use shark_common::{row, DataType, Row, Schema, Value};
 use shark_server::{ServerConfig, SessionHandle, SharkServer};
@@ -631,8 +632,9 @@ fn group_by_output_order_is_a_function_of_the_data() {
 fn static_join_output_order_is_a_function_of_the_data() {
     // A shuffle join without ORDER BY promises no order either, but two
     // servers built from the same tables return its rows in one order —
-    // under static plans and under Hive, whose joins group both sides per
-    // reduce task.
+    // under static plans and under Hive, whose reduce tasks emit the joined
+    // rows in probe order: each left row as fetched, with its matches in
+    // the order the right side was fetched.
     let query = "SELECT UV.destURL, UV.sourceIP, R.pageRank, UV.adRevenue \
                  FROM rankings R, uservisits UV WHERE R.pageURL = UV.destURL";
     let servers = [
@@ -675,4 +677,312 @@ fn static_join_output_order_is_a_function_of_the_data() {
             );
         }
     }
+}
+
+/// Rows per partition, and partitions, of each join-grid table.
+const JOIN_PARTITIONS: usize = 4;
+const JOIN_ROWS_PER_PARTITION: usize = 60;
+
+/// One side of the join grid, as whole-table rows `(i, s, v)`: `i` repeats
+/// (about five rows per key) and is NULL on every 13th row, `s` is one of
+/// seven strings and NULL on every 11th row, `v` an integer payload.
+fn join_rows(side: u64) -> Vec<Row> {
+    let mut rng = SEED ^ side.wrapping_mul(0xd134_2543_de82_ef95);
+    (0..JOIN_PARTITIONS * JOIN_ROWS_PER_PARTITION)
+        .map(|n| {
+            let r = splitmix(&mut rng);
+            let i = if n % 13 == 5 {
+                Value::Null
+            } else {
+                Value::Int((r % 50) as i64)
+            };
+            let s = if n % 11 == 3 {
+                Value::Null
+            } else {
+                Value::str(
+                    ["ant", "bee", "cat", "dog", "eel", "fox", "gnu"][((r >> 8) % 7) as usize],
+                )
+            };
+            Row::new(vec![i, s, Value::Int(((r >> 16) % 100) as i64)])
+        })
+        .collect()
+}
+
+/// The partition a co-partitioned table puts a key in: a hash of the key,
+/// with every NULL in partition 0.
+fn key_partition(key: &Value, partitions: usize) -> usize {
+    match key {
+        Value::Null => 0,
+        Value::Int(i) => i.rem_euclid(partitions as i64) as usize,
+        Value::Str(s) => s.bytes().map(usize::from).sum::<usize>() % partitions,
+        other => panic!("no join-grid key of type {other:?}"),
+    }
+}
+
+/// Register `rows` as table `name` over `partitions` partitions: split in
+/// row order, or — with `distribute_by` — really hash-partitioned by that
+/// column (see [`key_partition`]) and declared so, co-partitioned with
+/// `copartition` when given.
+fn register_join_table(
+    server: &SharkServer,
+    name: &str,
+    schema: Schema,
+    partitions: usize,
+    rows: Vec<Row>,
+    distribute_by: Option<&str>,
+    copartition: Option<&str>,
+) {
+    let key = distribute_by.map(|column| schema.resolve(column).unwrap());
+    let per_partition = rows.len().div_ceil(partitions);
+    let mut meta = TableMeta::new(name, schema, partitions, move |p| match key {
+        Some(column) => rows
+            .iter()
+            .filter(|row| key_partition(row.get(column), partitions) == p)
+            .cloned()
+            .collect(),
+        None => rows
+            .chunks(per_partition)
+            .nth(p)
+            .unwrap_or_default()
+            .to_vec(),
+    })
+    .with_cache(partitions);
+    if let Some(column) = distribute_by {
+        meta = meta.with_distribute_by(column).unwrap();
+    }
+    if let Some(other) = copartition {
+        meta = meta.with_copartition(other);
+    }
+    server.register_table(meta);
+    server.load_table(name).unwrap();
+}
+
+/// The join strategies every join query must agree across: each preset's
+/// own choice, PDE forced to a shuffle join, the adaptive PDE join that
+/// pre-shuffles both sides, and a co-partitioned join — with the note that
+/// shows the strategy ran and whether it reads the co-partitioned tables.
+fn join_strategies() -> Vec<(&'static str, ExecConfig, &'static str, bool)> {
+    vec![
+        ("shark", ExecConfig::shark(), "map join: broadcast", false),
+        (
+            "pde shuffle",
+            ExecConfig {
+                broadcast_threshold: 0,
+                ..ExecConfig::shark()
+            },
+            "shuffle join:",
+            false,
+        ),
+        (
+            "adaptive",
+            ExecConfig {
+                pde_prioritize_small_side: false,
+                ..ExecConfig::shark()
+            },
+            "bytes observed)",
+            false,
+        ),
+        (
+            "static",
+            ExecConfig::shark_static(),
+            "static shuffle join",
+            false,
+        ),
+        ("hive", ExecConfig::hive(), "static shuffle join", false),
+        (
+            "disk",
+            ExecConfig::shark_disk(),
+            "map join: broadcast",
+            false,
+        ),
+        (
+            "co-partitioned",
+            ExecConfig::shark(),
+            "co-partitioned join",
+            true,
+        ),
+    ]
+}
+
+/// Run `query` under every strategy, vectorized and row, blocking and
+/// streamed, and return the sorted rows all of them agree on. `tables`
+/// names the join's (left, right) tables; a co-partitioned strategy reads
+/// `co_tables` instead.
+fn run_join_grid(
+    server: &SharkServer,
+    query: &str,
+    tables: (&str, &str),
+    co_tables: (&str, &str),
+) -> Vec<Row> {
+    let mut agreed: Option<Vec<Row>> = None;
+    for (strategy, exec, note, copartitioned) in join_strategies() {
+        let (left, right) = if copartitioned { co_tables } else { tables };
+        let sql = query.replace("{l}", left).replace("{r}", right);
+        for vectorized in [true, false] {
+            let mut session = server.session();
+            session.set_exec_config(ExecConfig {
+                vectorized,
+                ..exec.clone()
+            });
+            let context = format!("{strategy}, vectorized {vectorized}: {sql}");
+            let blocking = session.sql(&sql).unwrap().result;
+            assert!(
+                blocking.notes.iter().any(|n| n.contains(note)),
+                "{context}: {:?}",
+                blocking.notes
+            );
+            let mut rows = blocking.rows;
+            rows.sort();
+            let mut streamed = fetch_streamed(&session, &sql);
+            streamed.sort();
+            assert_eq!(streamed, rows, "{context}, streamed vs blocking");
+            match &agreed {
+                Some(reference) => assert_eq!(&rows, reference, "{context}"),
+                None => agreed = Some(rows),
+            }
+        }
+    }
+    agreed.unwrap()
+}
+
+#[test]
+fn every_join_strategy_returns_the_same_rows() {
+    let server = SharkServer::new(ServerConfig::default());
+    let left = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("s", DataType::Str),
+        ("v", DataType::Int),
+    ]);
+    let right = Schema::from_pairs(&[
+        ("i", DataType::Int),
+        ("s", DataType::Str),
+        ("w", DataType::Int),
+    ]);
+    let (l, r) = (join_rows(1), join_rows(2));
+    register_join_table(
+        &server,
+        "jl",
+        left.clone(),
+        JOIN_PARTITIONS,
+        l.clone(),
+        None,
+        None,
+    );
+    register_join_table(
+        &server,
+        "jr",
+        right.clone(),
+        JOIN_PARTITIONS,
+        r.clone(),
+        None,
+        None,
+    );
+    for key in ["i", "s"] {
+        let (co_l, co_r) = (format!("jl_by_{key}"), format!("jr_by_{key}"));
+        register_join_table(
+            &server,
+            &co_l,
+            left.clone(),
+            JOIN_PARTITIONS,
+            l.clone(),
+            Some(key),
+            Some(&co_r),
+        );
+        register_join_table(
+            &server,
+            &co_r,
+            right.clone(),
+            JOIN_PARTITIONS,
+            r.clone(),
+            Some(key),
+            None,
+        );
+    }
+
+    // (join key, query, the rows a nested-loop join over the generated
+    // rows returns): duplicate keys on both sides, a string key, NULL keys
+    // on both sides throughout, a residual filter, and a join feeding a
+    // GROUP BY with integer aggregates.
+    let matches = |column: usize| -> Vec<(&Row, &Row)> {
+        l.iter()
+            .flat_map(|a| r.iter().map(move |b| (a, b)))
+            .filter(|(a, b)| !a.get(column).is_null() && a.get(column) == b.get(column))
+            .collect()
+    };
+    let (by_i, by_s) = (matches(0), matches(1));
+    let queries: Vec<(&str, &str, usize)> = vec![
+        (
+            "i",
+            "SELECT a.i, a.v, b.w FROM {l} a JOIN {r} b ON a.i = b.i",
+            by_i.len(),
+        ),
+        (
+            "s",
+            "SELECT a.s, a.v, b.w FROM {l} a JOIN {r} b ON a.s = b.s",
+            by_s.len(),
+        ),
+        (
+            "i",
+            "SELECT a.i, a.v, b.w FROM {l} a JOIN {r} b ON a.i = b.i WHERE a.v < b.w",
+            by_i.iter().filter(|(a, b)| a.get(2) < b.get(2)).count(),
+        ),
+        (
+            "i",
+            "SELECT a.i, COUNT(*), SUM(b.w), MIN(a.v), MAX(b.w) FROM {l} a JOIN {r} b \
+             ON a.i = b.i GROUP BY a.i",
+            by_i.iter()
+                .map(|(a, _)| a.get(0))
+                .collect::<std::collections::HashSet<_>>()
+                .len(),
+        ),
+    ];
+    for (key, query, expected) in queries {
+        let (co_l, co_r) = (format!("jl_by_{key}"), format!("jr_by_{key}"));
+        let rows = run_join_grid(&server, query, ("jl", "jr"), (&co_l, &co_r));
+        assert_eq!(rows.len(), expected, "{query}");
+        assert!(rows.iter().all(|row| !row.get(0).is_null()), "{query}");
+    }
+}
+
+#[test]
+fn a_null_join_key_matches_nothing_under_any_strategy() {
+    // 4,000 rows a side, keys unique but for 40 NULLs at the same rows of
+    // both: SQL's answer is 3,960 rows. Were NULL = NULL a match, it would
+    // be 3,960 + 40 × 40 = 5,560 — or, over co-partitioned tables whose
+    // NULLs were spread over partitions, whatever met in one partition.
+    let server = SharkServer::new(ServerConfig::default());
+    let rows = |payload: &str| -> Vec<Row> {
+        (0..4_000)
+            .map(|n| {
+                let key = if n % 100 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(n as i64)
+                };
+                Row::new(vec![key, Value::str(format!("{payload}-{n}"))])
+            })
+            .collect()
+    };
+    let schema = Schema::from_pairs(&[("i", DataType::Int), ("v", DataType::Str)]);
+    for (name, payload) in [("a", "x"), ("b", "y")] {
+        register_join_table(&server, name, schema.clone(), 8, rows(payload), None, None);
+    }
+    register_join_table(
+        &server,
+        "a_co",
+        schema.clone(),
+        8,
+        rows("x"),
+        Some("i"),
+        Some("b_co"),
+    );
+    register_join_table(&server, "b_co", schema, 8, rows("y"), Some("i"), None);
+    let joined = run_join_grid(
+        &server,
+        "SELECT a.i, b.v FROM {l} a JOIN {r} b ON a.i = b.i",
+        ("a", "b"),
+        ("a_co", "b_co"),
+    );
+    assert_eq!(joined.len(), 3_960);
+    assert!(joined.iter().all(|row| !row.get(0).is_null()));
 }

@@ -1412,10 +1412,11 @@ struct JoinTable(HashMap<Value, Vec<Row>>);
 
 impl JoinTable {
     /// Hash the build side's `(key, row)` pairs, keeping each key's rows
-    /// in arrival order.
+    /// in arrival order. A NULL key equals nothing in SQL, so its row is
+    /// left out and no probe can match it.
     fn build(rows: impl IntoIterator<Item = (Value, Row)>) -> JoinTable {
         let mut table: HashMap<Value, Vec<Row>> = HashMap::new();
-        for (k, r) in rows {
+        for (k, r) in rows.into_iter().filter(|(k, _)| !k.is_null()) {
             table.entry(k).or_default().push(r);
         }
         JoinTable(table)
