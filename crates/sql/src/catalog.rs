@@ -270,12 +270,13 @@ impl MemTable {
         self.spill.read().is_some()
     }
 
-    /// Ask the installed spill tier for a demoted partition, verified
-    /// against the owning table's version. Returns the partition plus the
-    /// spill-file bytes read, or `None` when no tier is installed, the
-    /// partition was never demoted, or its spill file is poisoned or was
-    /// written by a different table version (the caller then falls back to
-    /// lineage recompute).
+    /// Fault a demoted partition back in from the installed spill tier,
+    /// verified against the owning table's version. A fetch is a move, so
+    /// the partition goes back into this memtable — unless it is retired —
+    /// as a promotion. Returns the partition plus the spill-file bytes read,
+    /// or `None` when no tier is installed, the partition was never demoted,
+    /// or its spill file is poisoned or was written by a different table
+    /// version (the caller then falls back to lineage recompute).
     pub fn spill_fetch(
         &self,
         table: &str,
@@ -283,7 +284,15 @@ impl MemTable {
         expected_version: u64,
     ) -> Option<(Arc<ColumnarPartition>, u64)> {
         let source = self.spill.read().clone()?;
-        source.fetch(table, partition, expected_version)
+        let (data, io_bytes) = source.fetch(table, partition, expected_version)?;
+        if !self.is_retired() {
+            self.put(partition, data.clone());
+            self.record_promotion();
+            if shark_obs::active() {
+                shark_obs::annotate("promote", "spill");
+            }
+        }
+        Some((data, io_bytes))
     }
 
     /// Evict every loaded partition, returning the partitions freed (in
@@ -317,7 +326,7 @@ impl MemTable {
 
     /// Record one partition faulted back in from the spill tier, in this
     /// table's count and its scope's [`PARTITION_PROMOTIONS`].
-    pub fn record_promotion(&self) {
+    fn record_promotion(&self) {
         self.promotions.fetch_add(1, Ordering::Relaxed);
         self.binding().promotions.inc();
     }

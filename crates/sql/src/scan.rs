@@ -143,13 +143,6 @@ impl CachedScan {
                     mem.spill_fetch(&table.name, original, table.version())
                 {
                     metrics.record_input(spilled.num_rows() as u64, io_bytes, InputSource::Dfs);
-                    if !mem.is_retired() {
-                        mem.put(original, spilled.clone());
-                        mem.record_promotion();
-                        if shark_obs::active() {
-                            shark_obs::annotate("promote", "spill");
-                        }
-                    }
                     return spilled;
                 }
                 let rows = (table.base)(original);
@@ -565,26 +558,14 @@ impl RddImpl<Row> for DfsScanRdd {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<Row>> {
-        // Prefer a demoted partition over regenerating from the base data:
-        // a spill fetch is a *move*, so the fetched copy must go back into
-        // the memtable (unless retired) or the demoted bytes would be lost.
+        // Prefer a demoted partition over regenerating from the base data
+        // (the fetch puts it back into the memtable).
         let spilled = self
             .table
             .cached
             .as_ref()
             .filter(|mem| !mem.is_loaded(partition))
-            .and_then(|mem| {
-                let (spilled, io_bytes) =
-                    mem.spill_fetch(&self.table.name, partition, self.table.version())?;
-                if !mem.is_retired() {
-                    mem.put(partition, spilled.clone());
-                    mem.record_promotion();
-                    if shark_obs::active() {
-                        shark_obs::annotate("promote", "spill");
-                    }
-                }
-                Some((spilled, io_bytes))
-            });
+            .and_then(|mem| mem.spill_fetch(&self.table.name, partition, self.table.version()));
         let rows = match &spilled {
             Some((spilled, io_bytes)) => {
                 let rows = spilled.to_rows();
@@ -600,9 +581,10 @@ impl RddImpl<Row> for DfsScanRdd {
             }
         };
         metrics.add_ops(rows.len() as f64); // field extraction
-                                            // Skipping the projection is only sound when it is the identity
-                                            // mapping: a full-width *reorder* (e.g. [2, 0, 1]) has the same
-                                            // length as the schema but must still permute every row.
+
+        // Skipping the projection is only sound when it is the identity
+        // mapping: a full-width *reorder* (e.g. [2, 0, 1]) has the same
+        // length as the schema but must still permute every row.
         let is_identity = self.projection.len() == self.table.schema.len()
             && self.projection.iter().enumerate().all(|(i, &c)| i == c);
         let projected: Vec<Row> = if is_identity {
