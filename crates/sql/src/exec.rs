@@ -1252,9 +1252,10 @@ fn build_join(
         let joined = left_pairs.shuffle(reducers).read().zip_partitions(
             &right_pairs.shuffle(reducers).read(),
             |metrics, lpairs, rpairs| {
-                // What a reduce-side grouping of both sides charged: 2 ops
-                // per fetched pair (`zip_partitions` charges the first), 1.5
-                // per distinct key and 1 per joined row.
+                // Priced as Hive's reduce-side join runs: group both sides
+                // by key, then emit each key's cross product — 2 ops per
+                // fetched pair (`zip_partitions` charges the first), 1.5 per
+                // distinct key and 1 per joined row.
                 let keys: HashSet<&Value> = lpairs.iter().chain(&rpairs).map(|(k, _)| k).collect();
                 metrics.add_ops((lpairs.len() + rpairs.len()) as f64 + keys.len() as f64 * 1.5);
                 let rows = JoinTable::build(rpairs).probe(lpairs, false);
