@@ -108,10 +108,24 @@ fn copartitioned_session(exec: ExecConfig, prefetch: usize) -> SqlSession {
     session
 }
 
-/// How a shape's session is built: [`session`] or [`copartitioned_session`].
+/// [`session`] with two `facts` partitions evicted after the load: a scan
+/// rebuilds them from the table's base generator (lineage recovery).
+fn evicted_session(exec: ExecConfig, prefetch: usize) -> SqlSession {
+    let session = session(exec, prefetch);
+    let facts = session.catalog().get("facts").unwrap();
+    let mem = facts.cached.as_ref().unwrap();
+    for partition in [3, 10] {
+        assert!(mem.evict_partition(partition) > 0);
+    }
+    session
+}
+
+/// How a shape's session is built: [`session`], [`evicted_session`] or
+/// [`copartitioned_session`].
 type Fixture = fn(ExecConfig, usize) -> SqlSession;
 
 const JOIN: &str = "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k WHERE f.v > 50";
+const SELECTION: &str = "SELECT id, v FROM facts WHERE v > 50";
 const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 
 /// The statement shapes, each with its fixture, the executor configuration
@@ -124,7 +138,9 @@ const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 /// `NOT IN` filter over a dictionary column and a `BETWEEN` filter under a
 /// shuffle join. The last two pin the join strategies the others leave
 /// out: the adaptive PDE join, which pre-shuffles both sides before it
-/// picks one, and a co-partitioned join over its own fixture.
+/// picks one, and a co-partitioned join over its own fixture. The last two
+/// pin the scan paths no loaded fixture reaches: a memstore scan that
+/// rebuilds evicted partitions from lineage, and the DFS scan under PDE.
 fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>)> {
     let shuffle_join = ExecConfig {
         broadcast_threshold: 0,
@@ -143,7 +159,7 @@ fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>
             "selection",
             session,
             ExecConfig::shark(),
-            "SELECT id, v FROM facts WHERE v > 50",
+            SELECTION,
             Some(0.010024488000000002),
         ),
         (
@@ -265,6 +281,20 @@ fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>
             "SELECT o.ok, o.cust, l.qty FROM orders o JOIN lineitems l ON o.ok = l.ok",
             Some(0.0050221845000000005),
         ),
+        (
+            "selection (evicted partitions)",
+            evicted_session,
+            ExecConfig::shark(),
+            SELECTION,
+            Some(0.010120323000000004),
+        ),
+        (
+            "selection (disk)",
+            session,
+            ExecConfig::shark_disk(),
+            SELECTION,
+            Some(0.010206614),
+        ),
     ]
 }
 
@@ -339,6 +369,10 @@ fn collected_streamed_and_recorded_seconds_are_one_number() {
                 // No shuffle: the result job zips the two tables' partitions.
                 assert_eq!(names, ["sql-stream"]);
                 assert!(blocking.notes[0].starts_with("co-partitioned join"));
+            }
+            if name == "selection (evicted partitions)" {
+                let facts = s.catalog().get("facts").unwrap();
+                assert_eq!(facts.cached.as_ref().unwrap().rebuilds(), 2, "{case}");
             }
         }
     }
