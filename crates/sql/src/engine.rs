@@ -718,6 +718,59 @@ mod tests {
     }
 
     #[test]
+    fn ctas_of_min_and_max_reads_back_the_rows_the_select_returns() {
+        let s = session();
+        let schema = Schema::from_pairs(&[
+            ("g", DataType::Int),
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+            ("d", DataType::Date),
+        ]);
+        s.register_table(TableMeta::new("typed", schema, 3, |p| {
+            (0..20i64)
+                .map(|n| {
+                    let id = p as i64 * 20 + n;
+                    if id % 7 == 0 {
+                        return row![id % 4, Value::Null, Value::Null, Value::Null, Value::Null];
+                    }
+                    row![
+                        id % 4,
+                        id * 3 - 50,
+                        id as f64 / 8.0 - 2.0,
+                        ["east", "north", "west"][(id % 3) as usize],
+                        Value::Date(18_000 + (id * 11 % 40) as i32)
+                    ]
+                })
+                .collect()
+        }));
+        let select = "SELECT g, MIN(i), MAX(i), MIN(f), MAX(f), MIN(s), MAX(s), MIN(d), MAX(d) \
+                      FROM typed GROUP BY g";
+        let expected = s.sql(select).unwrap();
+        let types: Vec<DataType> = expected
+            .schema
+            .fields()
+            .iter()
+            .map(|f| f.data_type)
+            .collect();
+        use DataType::{Date, Float, Int, Str};
+        assert_eq!(types, [Int, Int, Int, Float, Float, Str, Str, Date, Date]);
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort_by_key(|r| r.get_int(0).unwrap());
+            rows
+        };
+        let expected = sorted(expected.rows);
+        for (table, cached) in [("mm_cached", true), ("mm_plain", false)] {
+            s.sql(&format!(
+                "CREATE TABLE {table} TBLPROPERTIES(\"shark.cache\" = \"{cached}\") AS {select}"
+            ))
+            .unwrap();
+            let back = s.sql(&format!("SELECT * FROM {table}")).unwrap();
+            assert_eq!(sorted(back.rows), expected, "{table}");
+        }
+    }
+
+    #[test]
     fn udfs_usable_in_queries() {
         let mut s = session();
         s.register_udf("bucket", |args| {

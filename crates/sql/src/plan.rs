@@ -563,7 +563,11 @@ pub fn plan_select(
                 let dtype = match func {
                     AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
                     AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                    AggFunc::Min | AggFunc::Max => DataType::Float,
+                    // One of the argument's values (or NULL).
+                    AggFunc::Min | AggFunc::Max => aggs[agg_index]
+                        .arg
+                        .as_ref()
+                        .map_or(DataType::Null, |a| a.data_type(&combined_schema)),
                 };
                 output_fields.push(Field::new(name, dtype));
                 order_source_exprs.push(expr.clone());
