@@ -89,12 +89,6 @@ impl TaskCostInput {
             sort_rows: 0,
         }
     }
-
-    /// Set the number of rows this task must sort.
-    pub fn with_sort(mut self, rows: u64) -> TaskCostInput {
-        self.sort_rows = rows;
-        self
-    }
 }
 
 /// Converts [`TaskCostInput`] measurements into simulated durations.

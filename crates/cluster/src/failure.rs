@@ -56,6 +56,17 @@ impl FailurePlan {
             .collect()
     }
 
+    /// The plan once a clock at `now` is reset to 0: a failure that has
+    /// already happened is in force from time 0, a later one keeps its time.
+    pub(crate) fn restarted_at(mut self, now: f64) -> FailurePlan {
+        for (_, at) in &mut self.failures {
+            if *at <= now {
+                *at = 0.0;
+            }
+        }
+        self
+    }
+
     /// Whether `node` has failed at or before `time`.
     pub fn is_failed(&self, node: usize, time: f64) -> bool {
         self.failures.iter().any(|(n, t)| *n == node && *t <= time)

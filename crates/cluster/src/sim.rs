@@ -137,7 +137,6 @@ pub struct ClusterSim {
     failure: FailurePlan,
     clock: f64,
     rng: StdRng,
-    total_tasks_launched: u64,
     total_stages: u64,
 }
 
@@ -150,7 +149,6 @@ impl ClusterSim {
             failure: FailurePlan::none(),
             clock: 0.0,
             rng: StdRng::seed_from_u64(seed),
-            total_tasks_launched: 0,
             total_stages: 0,
         }
     }
@@ -176,20 +174,16 @@ impl ClusterSim {
         self.clock
     }
 
-    /// Total tasks launched so far (including speculative copies and reruns).
-    pub fn tasks_launched(&self) -> u64 {
-        self.total_tasks_launched
-    }
-
     /// Number of stages simulated so far.
     pub fn stages_run(&self) -> u64 {
         self.total_stages
     }
 
-    /// Reset the clock and counters (a new job on the same cluster).
+    /// Reset the clock and counters (a new job on the same cluster). A node
+    /// that has already failed stays failed: from time 0 on.
     pub fn reset(&mut self) {
+        self.failure = std::mem::take(&mut self.failure).restarted_at(self.clock);
         self.clock = 0.0;
-        self.total_tasks_launched = 0;
         self.total_stages = 0;
         self.rng = StdRng::seed_from_u64(self.config.seed);
     }
@@ -322,12 +316,10 @@ impl ClusterSim {
                 if capped < run {
                     run = capped;
                     speculative += 1;
-                    self.total_tasks_launched += 1;
                 }
             }
 
             let finish = start + overhead + run;
-            self.total_tasks_launched += 1;
 
             // Did the node die while the task was running?
             if let Some((_, ft)) = self
@@ -409,6 +401,24 @@ mod tests {
         assert_eq!(s.stages_run(), 2);
         s.reset();
         assert_eq!(s.now(), 0.0);
+    }
+
+    #[test]
+    fn a_failed_node_stays_failed_after_a_reset() {
+        let mut s = sim(4, 2);
+        s.advance(3.0);
+        s.fail_node_now(2);
+        // A failure planned past the reset clock keeps its time.
+        let plan = std::mem::take(&mut s.failure).and_then(0, 5.0);
+        s.set_failure_plan(plan);
+        assert_eq!(s.alive_nodes(), [0, 1, 3]);
+        s.reset();
+        assert_eq!(s.alive_nodes(), [0, 1, 3]);
+        let r = s.simulate_uniform_stage(12, 1.0);
+        assert!(r.placements.iter().all(|&node| node != 2), "{r:?}");
+        assert!(r.placements.contains(&0));
+        s.advance(5.0);
+        assert_eq!(s.alive_nodes(), [1, 3]);
     }
 
     #[test]

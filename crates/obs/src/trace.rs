@@ -156,11 +156,6 @@ impl Tracer {
         InterestGuard { tracer: self }
     }
 
-    /// Flight-recorder capacity in records.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring.slots.len()
-    }
-
     /// Number of spans currently open (started but not recorded). Zero
     /// when every span of every finished trace closed properly.
     pub fn open_spans(&self) -> i64 {

@@ -253,11 +253,6 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Connections currently open.
-    pub fn active_connections(&self) -> u64 {
-        self.shared.metrics().connections_active.get().max(0) as u64
-    }
-
     /// Stop accepting, force-close every open connection, and join the
     /// accept and handler threads. Idempotent.
     pub fn shutdown(&mut self) {
