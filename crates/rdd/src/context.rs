@@ -12,9 +12,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use shark_cluster::{ClusterConfig, ClusterSim, CostModel, InputSource, TaskSpec};
+use shark_common::size::estimate_slice;
+use shark_common::Result;
 
 use crate::cache::{BlockId, BlockStore};
-use crate::rdd::{Data, GeneratorRdd, Rdd};
+use crate::metrics::TaskMetrics;
+use crate::rdd::{Data, Rdd, SourceRdd};
 use crate::shuffle::{ShuffleLease, ShuffleManager};
 
 /// Configuration of an [`RddContext`].
@@ -45,12 +48,6 @@ impl RddConfig {
     /// Set the simulation scale factor.
     pub fn with_sim_scale(mut self, scale: f64) -> RddConfig {
         self.sim_scale = scale;
-        self
-    }
-
-    /// Set the default partition count.
-    pub fn with_default_partitions(mut self, n: usize) -> RddConfig {
-        self.default_partitions = n.max(1);
         self
     }
 }
@@ -375,25 +372,37 @@ impl RddContext {
     pub fn parallelize<T: Data>(&self, data: Vec<T>, partitions: usize) -> Rdd<T> {
         let partitions = partitions.max(1);
         let chunks: Vec<Vec<T>> = split_into(data, partitions);
-        let chunks = Arc::new(chunks);
-        self.generate(partitions, InputSource::Local, move |p| chunks[p].clone())
+        self.source(
+            "source(Local)",
+            partitions,
+            |_| None,
+            move |p, metrics| {
+                let data = chunks[p].clone();
+                let bytes = estimate_slice(&data) as u64;
+                metrics.record_input(data.len() as u64, bytes, InputSource::Local);
+                Ok(data)
+            },
+        )
     }
 
-    /// Create a source RDD whose partition `p` is produced by `f(p)`.
-    ///
-    /// `source` declares where the data conceptually lives (DFS file,
-    /// cached columnar partition, …) so the cost model charges the right
-    /// I/O. Data generators use this to avoid materializing whole datasets
-    /// on the driver.
-    pub fn generate<T: Data, F>(&self, partitions: usize, source: InputSource, f: F) -> Rdd<T>
+    /// The one leaf RDD: an RDD named `name` with `partitions` partitions
+    /// and no parent. `body(p, metrics)` builds partition `p` and charges
+    /// its own input (rows, bytes and where they conceptually live, so the
+    /// cost model charges the right I/O), plus any work it does; `place(p)`
+    /// is the node partition `p` lives on, if it has one. Every table scan
+    /// of the SQL layer is such a body, and so is [`Self::parallelize`].
+    pub fn source<T, P, F>(&self, name: &str, partitions: usize, place: P, body: F) -> Rdd<T>
     where
-        F: Fn(usize) -> Vec<T> + Send + Sync + 'static,
+        T: Data,
+        P: Fn(usize) -> Option<usize> + Send + Sync + 'static,
+        F: Fn(usize, &mut TaskMetrics) -> Result<Vec<T>> + Send + Sync + 'static,
     {
-        let inner = GeneratorRdd {
+        let inner = SourceRdd {
             id: self.next_rdd_id(),
-            partitions: partitions.max(1),
-            source,
-            f: Arc::new(f),
+            name: name.to_string(),
+            partitions,
+            place: Box::new(place),
+            body: Box::new(body),
         };
         Rdd::new(self.clone(), Arc::new(inner))
     }
@@ -465,6 +474,29 @@ mod tests {
             });
             assert!(
                 matches!(node, Some(1 | 3)),
+                "partition {partition} cached on {node:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failed_node_stays_failed_after_a_reset() {
+        let ctx = RddContext::local();
+        ctx.charge("earlier work", 3.0);
+        ctx.fail_node(2);
+        assert_eq!(ctx.alive_nodes(), 3);
+        ctx.reset_simulation();
+        assert_eq!(ctx.alive_nodes(), 3);
+        // Nothing cached after the reset is placed on the dead node.
+        let rdd = ctx.parallelize((0i64..8).collect(), 8).cache();
+        assert_eq!(rdd.count().unwrap(), 8);
+        for partition in 0..8 {
+            let node = ctx.cache().location(BlockId::Rdd {
+                rdd: rdd.id(),
+                partition,
+            });
+            assert!(
+                matches!(node, Some(0 | 1 | 3)),
                 "partition {partition} cached on {node:?}"
             );
         }

@@ -5,9 +5,9 @@
 //! [`shark_cluster`].
 //!
 //! An [`Rdd<T>`] is an immutable, partitioned collection created either from
-//! a source (generator or in-memory data) or by applying deterministic
-//! operators (`map`, `filter`, `reduce_by_key`, `zip_partitions`, …) to
-//! other RDDs.
+//! a source (a partition body, or in-memory data) or by applying
+//! deterministic operators (`map`, `filter`, `reduce_by_key`,
+//! `zip_partitions`, …) to other RDDs.
 //! Lineage is tracked per RDD; lost cached partitions are recomputed by
 //! re-running the deterministic operators that produced them, which is the
 //! fault-tolerance story evaluated in Figure 9.
@@ -17,8 +17,15 @@
 //! * [`RddContext`] — the counterpart of Spark's `SparkContext`: owns the
 //!   shuffle manager, block store, cluster simulator, and cost model;
 //!   creates source RDDs and runs jobs.
+//! * One leaf RDD, [`RddContext::source`]: a named source with no parent
+//!   whose partition body charges its own input to the task's
+//!   [`TaskMetrics`] and may name a node per partition. `parallelize` is one
+//!   such body, and so is every table scan of the SQL layer.
 //! * [`Rdd`] — lazily evaluated transformations plus actions (`collect`,
-//!   `count`, `reduce`, …) that trigger job execution.
+//!   `count`, `reduce`, …) that trigger job execution. The trait behind it
+//!   and the lineage and shuffle-dependency handles the scheduler walks are
+//!   internal: every RDD is a leaf, a transformation or a shuffle read
+//!   built here.
 //! * Pair-RDD operations (`reduce_by_key`, `combine_by_key_ref`,
 //!   `shuffle`, `shuffle_combined`) in [`pair`]: one shuffle dependency,
 //!   read back by one bucket reader, [`pair::ShuffleReadRdd`], that merges
@@ -50,6 +57,6 @@ pub use context::{JobReport, RddConfig, RddContext, StageReport};
 pub use executor::Executor;
 pub use metrics::TaskMetrics;
 pub use pair::{PairShuffle, PreShuffledRdd};
-pub use rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
+pub use rdd::{Data, Rdd};
 pub use scheduler::PipelinedJob;
 pub use shuffle::{MapOutput, MapOutputStats, ShuffleManager, ShuffleSummary};

@@ -28,13 +28,7 @@ pub trait Data: Clone + Send + Sync + EstimateSize + 'static {}
 impl<T: Clone + Send + Sync + EstimateSize + 'static> Data for T {}
 
 /// Type-erased view of an RDD used for lineage traversal by the scheduler.
-pub trait Lineage: Send + Sync {
-    /// Unique id of the RDD.
-    fn id(&self) -> usize;
-    /// Descriptive name (operator type).
-    fn name(&self) -> String;
-    /// Number of partitions.
-    fn num_partitions(&self) -> usize;
+pub(crate) trait Lineage: Send + Sync {
     /// Direct parent RDDs (narrow dependencies).
     fn parents(&self) -> Vec<Arc<dyn Lineage>>;
     /// Direct shuffle (wide) dependencies.
@@ -43,7 +37,7 @@ pub trait Lineage: Send + Sync {
 
 /// Type-erased handle to a shuffle dependency: knows how to run its map
 /// stage and whether its output is already materialized.
-pub trait ShuffleDepHandle: Send + Sync {
+pub(crate) trait ShuffleDepHandle: Send + Sync {
     /// The shuffle's id in the shuffle manager.
     fn shuffle_id(&self) -> usize;
     /// Number of reduce-side buckets the map stage produces.
@@ -57,8 +51,9 @@ pub trait ShuffleDepHandle: Send + Sync {
     fn run_map_stage(&self, ctx: &RddContext) -> Result<crate::context::StageReport>;
 }
 
-/// The implementation trait behind [`Rdd<T>`].
-pub trait RddImpl<T: Data>: Send + Sync {
+/// The implementation trait behind [`Rdd<T>`]: a leaf
+/// ([`RddContext::source`]), a narrow transformation or a shuffle read.
+pub(crate) trait RddImpl<T: Data>: Send + Sync {
     /// Unique id of the RDD.
     fn id(&self) -> usize;
     /// Descriptive operator name.
@@ -103,15 +98,6 @@ impl<T: Data> Clone for Rdd<T> {
 }
 
 impl<T: Data> Lineage for Rdd<T> {
-    fn id(&self) -> usize {
-        self.inner.id()
-    }
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-    fn num_partitions(&self) -> usize {
-        self.inner.num_partitions()
-    }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         self.inner.parents()
     }
@@ -122,7 +108,7 @@ impl<T: Data> Lineage for Rdd<T> {
 
 impl<T: Data> Rdd<T> {
     /// Wrap an implementation into an RDD handle.
-    pub fn new(ctx: RddContext, inner: Arc<dyn RddImpl<T>>) -> Rdd<T> {
+    pub(crate) fn new(ctx: RddContext, inner: Arc<dyn RddImpl<T>>) -> Rdd<T> {
         Rdd {
             ctx,
             inner,
@@ -159,7 +145,7 @@ impl<T: Data> Rdd<T> {
     }
 
     /// A type-erased lineage handle for this RDD.
-    pub fn lineage(&self) -> Arc<dyn Lineage> {
+    pub(crate) fn lineage(&self) -> Arc<dyn Lineage> {
         Arc::new(self.clone())
     }
 
@@ -440,21 +426,26 @@ impl<T: Data> Rdd<T> {
 // Narrow RDD implementations
 // ---------------------------------------------------------------------------
 
-/// Source RDD whose partitions are produced by a generator function.
-pub struct GeneratorRdd<T: Data> {
+/// A partition body of a [`SourceRdd`]: builds the partition and charges
+/// its own input.
+type SourceBody<T> = dyn Fn(usize, &mut TaskMetrics) -> Result<Vec<T>> + Send + Sync;
+
+/// The one leaf RDD: a named source with no parent (see
+/// [`RddContext::source`]).
+pub(crate) struct SourceRdd<T: Data> {
     pub(crate) id: usize,
+    pub(crate) name: String,
     pub(crate) partitions: usize,
-    pub(crate) source: InputSource,
-    #[allow(clippy::type_complexity)]
-    pub(crate) f: Arc<dyn Fn(usize) -> Vec<T> + Send + Sync>,
+    pub(crate) place: Box<dyn Fn(usize) -> Option<usize> + Send + Sync>,
+    pub(crate) body: Box<SourceBody<T>>,
 }
 
-impl<T: Data> RddImpl<T> for GeneratorRdd<T> {
+impl<T: Data> RddImpl<T> for SourceRdd<T> {
     fn id(&self) -> usize {
         self.id
     }
     fn name(&self) -> String {
-        format!("source({:?})", self.source)
+        self.name.clone()
     }
     fn num_partitions(&self) -> usize {
         self.partitions
@@ -465,18 +456,18 @@ impl<T: Data> RddImpl<T> for GeneratorRdd<T> {
         partition: usize,
         metrics: &mut TaskMetrics,
     ) -> Result<Vec<T>> {
-        let data = (self.f)(partition);
-        let bytes = estimate_slice(&data) as u64;
-        metrics.record_input(data.len() as u64, bytes, self.source);
-        Ok(data)
+        (self.body)(partition, metrics)
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         Vec::new()
     }
+    fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
+        (self.place)(partition)
+    }
 }
 
 /// Narrow transformation applying a closure to each (shared) partition.
-pub struct MapPartitionsRdd<T: Data, U: Data> {
+struct MapPartitionsRdd<T: Data, U: Data> {
     id: usize,
     name: String,
     parent: Rdd<T>,
@@ -517,7 +508,7 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
 }
 
 /// Narrow, partition-wise combination of two RDDs (the hash joins).
-pub struct ZipPartitionsRdd<A: Data, B: Data, U: Data> {
+struct ZipPartitionsRdd<A: Data, B: Data, U: Data> {
     id: usize,
     left: Rdd<A>,
     right: Rdd<B>,
@@ -641,10 +632,15 @@ mod tests {
         let computed = Arc::new(AtomicUsize::new(0));
         let counter = computed.clone();
         let rdd = ctx
-            .generate(4, InputSource::Dfs, move |p| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                vec![p as i64]
-            })
+            .source(
+                "counted",
+                4,
+                |_| None,
+                move |p, _| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    Ok(vec![p as i64])
+                },
+            )
             .cache();
         assert!(rdd.is_cached());
         rdd.collect().unwrap();
@@ -666,10 +662,15 @@ mod tests {
         let computed = Arc::new(AtomicUsize::new(0));
         let counter = computed.clone();
         let rdd = ctx
-            .generate(8, InputSource::Dfs, move |p| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                vec![p as i64, p as i64 + 1]
-            })
+            .source(
+                "counted",
+                8,
+                |_| None,
+                move |p, _| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    Ok(vec![p as i64, p as i64 + 1])
+                },
+            )
             .cache();
         let full: Vec<i64> = rdd.collect().unwrap();
         assert_eq!(computed.load(Ordering::SeqCst), 8);
@@ -707,7 +708,8 @@ mod tests {
         let mapped = rdd.map(|x| x * 2);
         let lin = mapped.lineage();
         assert_eq!(lin.parents().len(), 1);
-        assert_eq!(lin.parents()[0].id(), rdd.id());
+        // The parent is the leaf: no parent, no shuffle of its own.
+        assert!(lin.parents()[0].parents().is_empty());
         assert!(lin.shuffle_deps().is_empty());
     }
 }

@@ -109,7 +109,10 @@ fn run_task<T: Data, U>(
 /// Run the map stage of every shuffle dependency reachable from `lineage`
 /// that has not been materialized yet, in dependency order. Returns the
 /// reports of the stages that were actually executed.
-pub fn ensure_shuffle_deps(ctx: &RddContext, lineage: &dyn Lineage) -> Result<Vec<StageReport>> {
+pub(crate) fn ensure_shuffle_deps(
+    ctx: &RddContext,
+    lineage: &dyn Lineage,
+) -> Result<Vec<StageReport>> {
     let mut reports = Vec::new();
     for parent in lineage.parents() {
         reports.extend(ensure_shuffle_deps(ctx, parent.as_ref())?);
@@ -697,47 +700,41 @@ where
 mod tests {
     use super::*;
     use crate::context::RddConfig;
-    use crate::rdd::RddImpl;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// A four-partition source whose task for partition 2 returns an error.
-    struct FailsOnTwo(usize);
-
-    impl RddImpl<i64> for FailsOnTwo {
-        fn id(&self) -> usize {
-            self.0
-        }
-        fn name(&self) -> String {
-            "fails_on_two".into()
-        }
-        fn num_partitions(&self) -> usize {
-            4
-        }
-        fn compute(&self, _: &RddContext, p: usize, _: &mut TaskMetrics) -> Result<Vec<i64>> {
-            if p == 2 {
-                return Err(SharkError::Execution("partition 2 failed".into()));
-            }
-            Ok(vec![p as i64])
-        }
-        fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-            Vec::new()
-        }
-    }
 
     #[test]
     fn a_failed_or_panicking_task_fails_its_action_and_the_next_action_runs() {
         let ctx = RddContext::local();
-        let panics_on_two = ctx.generate(6, shark_cluster::InputSource::Dfs, |p| {
-            if p == 2 {
-                panic!("partition 2 exploded");
-            }
-            vec![p as i64]
-        });
-        let always_panics = ctx.generate(4, shark_cluster::InputSource::Dfs, |_| -> Vec<i64> {
-            panic!("every task exploded")
-        });
-        let fails_on_two = Rdd::new(ctx.clone(), Arc::new(FailsOnTwo(ctx.next_rdd_id())));
+        let panics_on_two = ctx.source(
+            "panics_on_two",
+            6,
+            |_| None,
+            |p, _| {
+                if p == 2 {
+                    panic!("partition 2 exploded");
+                }
+                Ok(vec![p as i64])
+            },
+        );
+        let always_panics = ctx.source(
+            "always_panics",
+            4,
+            |_| None,
+            |_, _| -> Result<Vec<i64>> { panic!("every task exploded") },
+        );
+        // A four-partition source whose task for partition 2 returns an error.
+        let fails_on_two = ctx.source(
+            "fails_on_two",
+            4,
+            |_| None,
+            |p, _| {
+                if p == 2 {
+                    return Err(SharkError::Execution("partition 2 failed".into()));
+                }
+                Ok(vec![p as i64])
+            },
+        );
         let by_key = |rdd: &Rdd<i64>| rdd.map(|x| (x % 3, x)).reduce_by_key(2, |a, b| a + b);
 
         // The failed action records the partitions it delivered before the
@@ -848,10 +845,15 @@ mod tests {
             let ctx = RddContext::local();
             let ran_on = Arc::new(Mutex::new(Vec::new()));
             let recorder = ran_on.clone();
-            let rdd = ctx.generate(1, shark_cluster::InputSource::Dfs, move |p| {
-                recorder.lock().push(std::thread::current().id());
-                vec![p as i64]
-            });
+            let rdd = ctx.source(
+                "single",
+                1,
+                |_| None,
+                move |p, _| {
+                    recorder.lock().push(std::thread::current().id());
+                    Ok(vec![p as i64])
+                },
+            );
             let mut job = identity_job(&rdd, "single", vec![0], prefetch);
             assert_eq!(job.next().unwrap(), Some((0, vec![0])));
             assert!(job.next().unwrap().is_none());
@@ -867,10 +869,15 @@ mod tests {
         let ctx = RddContext::with_width(RddConfig::default(), Some(4));
         let ran_on = Arc::new(Mutex::new(Vec::new()));
         let (in_map, in_result) = (ran_on.clone(), ran_on.clone());
-        let rdd = ctx.generate(1, shark_cluster::InputSource::Dfs, move |p| {
-            in_map.lock().push(std::thread::current().id());
-            vec![(p as i64, 1i64)]
-        });
+        let rdd = ctx.source(
+            "single",
+            1,
+            |_| None,
+            move |p, _| {
+                in_map.lock().push(std::thread::current().id());
+                Ok(vec![(p as i64, 1i64)])
+            },
+        );
         let reduced = rdd.reduce_by_key(1, |a, b| a + b).map(move |pair| {
             in_result.lock().push(std::thread::current().id());
             pair
@@ -888,10 +895,15 @@ mod tests {
             let ctx = RddContext::local();
             let executed = Arc::new(AtomicUsize::new(0));
             let counter = executed.clone();
-            let rdd = ctx.generate(8, shark_cluster::InputSource::Dfs, move |p| {
-                counter.fetch_add(1, Ordering::SeqCst);
-                vec![p as i64]
-            });
+            let rdd = ctx.source(
+                "counted",
+                8,
+                |_| None,
+                move |p, _| {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    Ok(vec![p as i64])
+                },
+            );
             let mut job = identity_job(&rdd, "ordered", order.clone(), prefetch);
             for &expected in &order[..3] {
                 let (p, rows) = job.next().unwrap().expect("planned partition");
@@ -960,12 +972,17 @@ mod tests {
     #[test]
     fn pipelined_job_surfaces_worker_errors_in_order_and_latches() {
         let ctx = RddContext::local();
-        let rdd = ctx.generate(6, shark_cluster::InputSource::Dfs, |p| {
-            if p == 2 {
-                panic!("partition 2 exploded");
-            }
-            vec![p as i64]
-        });
+        let rdd = ctx.source(
+            "panics_on_two",
+            6,
+            |_| None,
+            |p, _| {
+                if p == 2 {
+                    panic!("partition 2 exploded");
+                }
+                Ok(vec![p as i64])
+            },
+        );
         for prefetch in [0usize, 3] {
             let mut job = identity_job(&rdd, "failing", (0..6).collect(), prefetch);
             // Partitions 0 and 1 deliver even though a worker may already
@@ -980,37 +997,6 @@ mod tests {
             // Latched: subsequent calls deliver nothing, ever.
             assert!(job.next().unwrap().is_none(), "prefetch={prefetch}");
             assert!(job.next().unwrap().is_none(), "prefetch={prefetch}");
-        }
-    }
-
-    /// An eight-partition source whose task for partition 2 panics after a
-    /// pause and whose task for partition 5 returns an error. Above width 1
-    /// the pause makes partition 5 usually fail first; the stage must name
-    /// partition 2 whatever the interleaving.
-    struct PanicsOnTwoFailsOnFive(usize);
-
-    impl RddImpl<i64> for PanicsOnTwoFailsOnFive {
-        fn id(&self) -> usize {
-            self.0
-        }
-        fn name(&self) -> String {
-            "panics_on_two_fails_on_five".into()
-        }
-        fn num_partitions(&self) -> usize {
-            8
-        }
-        fn compute(&self, _: &RddContext, p: usize, _: &mut TaskMetrics) -> Result<Vec<i64>> {
-            match p {
-                2 => {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    panic!("partition 2 exploded")
-                }
-                5 => Err(SharkError::Execution("partition 5 failed".into())),
-                _ => Ok(vec![p as i64]),
-            }
-        }
-        fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-            Vec::new()
         }
     }
 
@@ -1074,9 +1060,22 @@ mod tests {
             );
             values.push(source.reduce(|a, b| a + b).unwrap().unwrap());
 
-            let faulty = Rdd::new(
-                ctx.clone(),
-                Arc::new(PanicsOnTwoFailsOnFive(ctx.next_rdd_id())),
+            // Partition 2 panics after a pause and partition 5 returns an
+            // error: above width 1 the pause makes partition 5 usually fail
+            // first, and the stage must name partition 2 whatever the
+            // interleaving.
+            let faulty = ctx.source(
+                "panics_on_two_fails_on_five",
+                8,
+                |_| None,
+                |p, _| match p {
+                    2 => {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        panic!("partition 2 exploded")
+                    }
+                    5 => Err(SharkError::Execution("partition 5 failed".into())),
+                    _ => Ok(vec![p as i64]),
+                },
             );
             let by_key = faulty.map(|x| (x % 3, x)).reduce_by_key(2, |a, b| a + b);
             let errors = [

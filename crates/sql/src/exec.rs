@@ -31,7 +31,7 @@ use crate::pde::{
     choose_join_strategy, coalesce_buckets, JoinStrategy, MAX_REDUCERS, TARGET_PARTITION_BYTES,
 };
 use crate::plan::{AggregateNode, OutputRef, QueryPlan, ScanNode};
-use crate::scan::{prune_partitions, DfsScanRdd, MemAggScanRdd, MemTableScanRdd, MemTopKScanRdd};
+use crate::scan::{dfs_scan, prune_partitions, CachedScan};
 use crate::vector::note_scalar_adapter;
 
 /// Which engine the executor should emulate.
@@ -948,8 +948,8 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 
 /// When the plan is `scan → filter → project → ORDER BY … LIMIT k` over one
 /// cached table, vectorized, and every sort key is a projected bare column,
-/// fuse the scan and the per-partition top-k into a [`MemTopKScanRdd`]:
-/// each partition sorts on the encoded key columns and builds only its `k`
+/// fuse the scan and the per-partition top-k into one scan body
+/// (`CachedScan::top_k`): each partition sorts on the encoded key columns and builds only its `k`
 /// winners. The pipeline keeps its single-scan identity, so statistics
 /// ordering, the skip rule and partition pins work as on the row chain.
 /// Streaming only: `sql2rdd` ([`build_pipeline`]) leaves ORDER BY unapplied.
@@ -976,18 +976,14 @@ fn build_fused_topk(
         return Ok(None);
     };
     let mut notes = Vec::new();
-    let selected = pruned_partitions(scan, &mut notes);
-    let rdd = MemTopKScanRdd::create(
+    let (cached, info) = cached_scan(scan, &mut notes)?;
+    let rdd = cached.top_k(
         ctx,
-        scan.table.clone(),
-        selected.clone(),
-        scan.projection.clone(),
-        scan.filters.clone(),
         plan.projections.clone(),
         project_ops_per_row(plan),
         keys,
         k,
-    )?;
+    );
     notes.push(format!(
         "vectorized: fused scan + top-k on the encoded sort columns, late materialization of at most {k} rows per partition"
     ));
@@ -997,11 +993,7 @@ fn build_fused_topk(
         schema: plan.output_schema.clone(),
         notes,
         sim_seconds: 0.0,
-        single_scan: Some(SingleScanInfo {
-            table: scan.table.clone(),
-            selected,
-            projection: scan.projection.clone(),
-        }),
+        single_scan: Some(info),
         snapshot: None,
     }))
 }
@@ -1127,27 +1119,14 @@ fn build_scan(
         }
     );
     if use_memstore && scan.table.is_cached() {
-        let selected = pruned_partitions(scan, notes);
-        let full = selected.len() == scan.table.num_partitions;
-        let rdd = MemTableScanRdd::create(
-            ctx,
-            scan.table.clone(),
-            selected.clone(),
-            scan.projection.clone(),
-            scan.filters.clone(),
-            cfg.vectorized,
-        )?;
+        let (cached, info) = cached_scan(scan, notes)?;
+        let full = info.selected.len() == scan.table.num_partitions;
         if cfg.vectorized {
             note_scalar_adapter(notes, &scan.filters);
         }
-        let info = SingleScanInfo {
-            table: scan.table.clone(),
-            selected,
-            projection: scan.projection.clone(),
-        };
-        Ok((rdd, full, Some(info)))
+        Ok((cached.rows(ctx, cfg.vectorized), full, Some(info)))
     } else {
-        let rdd = DfsScanRdd::create(
+        let rdd = dfs_scan(
             ctx,
             scan.table.clone(),
             scan.projection.clone(),
@@ -1483,8 +1462,10 @@ fn fusable_scan<'a>(plan: &'a QueryPlan, cfg: &ExecConfig) -> Option<&'a ScanNod
     fusable.then(|| &plan.scans[0])
 }
 
-/// Map-prune a cached scan's partitions, noting how many were skipped.
-fn pruned_partitions(scan: &ScanNode, notes: &mut Vec<String>) -> Vec<usize> {
+/// Every memstore scan's start: map-prune the cached table's partitions
+/// (noting how many were skipped), then the loader the scan bodies read
+/// through and the scan identity top-k pushdown needs.
+fn cached_scan(scan: &ScanNode, notes: &mut Vec<String>) -> Result<(CachedScan, SingleScanInfo)> {
     let mem = scan
         .table
         .cached
@@ -1497,7 +1478,18 @@ fn pruned_partitions(scan: &ScanNode, notes: &mut Vec<String>) -> Vec<usize> {
             scan.table.num_partitions, scan.table.name
         ));
     }
-    selected
+    let info = SingleScanInfo {
+        table: scan.table.clone(),
+        selected: selected.clone(),
+        projection: scan.projection.clone(),
+    };
+    let cached = CachedScan::new(
+        scan.table.clone(),
+        selected,
+        scan.projection.clone(),
+        scan.filters.clone(),
+    )?;
+    Ok((cached, info))
 }
 
 /// Per-row expression cost of the final projection — charged identically by
@@ -1533,17 +1525,13 @@ fn build_fused_aggregation(
     let (Some(agg), Some(scan)) = (&plan.aggregate, fusable_scan(plan, cfg)) else {
         return Ok(None);
     };
-    let selected = pruned_partitions(scan, notes);
-    let pairs = MemAggScanRdd::create(
+    let (cached, _) = cached_scan(scan, notes)?;
+    let pairs = cached.partial_aggregate(
         ctx,
-        scan.table.clone(),
-        selected,
-        scan.projection.clone(),
-        scan.filters.clone(),
-        agg.group_exprs.clone(),
+        &agg.group_exprs,
         agg.aggs.clone(),
         partial_agg_ops(agg),
-    )?;
+    );
     notes.push("vectorized: fused scan + partial aggregation over columnar batches".into());
     let args = agg.aggs.iter().filter_map(|a| a.arg.as_ref());
     note_scalar_adapter(

@@ -1,18 +1,20 @@
-//! Table-scan RDD implementations.
+//! Table scans: each is a partition body of the one leaf RDD
+//! ([`RddContext::source`]).
 //!
 //! Two scan paths exist, matching the "Shark", "Shark (disk)" and "Hive"
 //! series of the paper's figures:
 //!
-//! * [`MemTableScanRdd`] reads the cached columnar memstore: it decodes only
-//!   the projected columns, charges `CachedColumnar` I/O for exactly those
+//! * A memstore scan, `memstore_scan(t)`, reads the cached columnar
+//!   memstore through one loader, `CachedScan`: it decodes only the
+//!   projected columns, charges `CachedColumnar` I/O for exactly those
 //!   columns' encoded bytes, applies pushed-down filters, and — if a
-//!   partition was lost to a node failure — rebuilds it from the table's
-//!   base generator (lineage recovery) while charging DFS I/O.
-//! * [`MemAggScanRdd`] and [`MemTopKScanRdd`] fuse a memstore scan with the
-//!   partial aggregate or the per-partition top-k that follows it, so the
-//!   batch stays columnar until the operator's few output rows.
-//! * [`DfsScanRdd`] reads the base generator directly ("data on HDFS"):
-//!   every column's bytes are read and deserialization is charged.
+//!   partition was lost to a node failure or evicted — rebuilds it from the
+//!   table's base generator (lineage recovery) while charging DFS I/O. It has
+//!   three bodies: the scanned rows (row path or vectorized), and the fused
+//!   partial aggregate and per-partition top-k, which keep the batch
+//!   columnar until the operator's few output rows.
+//! * A DFS scan, `dfs_scan(t)`, reads the base generator directly ("data on
+//!   HDFS"): every column's bytes are read and deserialization is charged.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -21,8 +23,7 @@ use shark_cluster::InputSource;
 use shark_columnar::{ColumnBatch, ColumnarPartition, Selection};
 use shark_common::size::estimate_slice;
 use shark_common::{Result, Row, Value};
-use shark_rdd::rdd::{Lineage, RddImpl, ShuffleDepHandle};
-use shark_rdd::{Rdd, RddContext, TaskMetrics};
+use shark_rdd::{Data, Rdd, RddContext, TaskMetrics};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{MemTable, TableMeta};
@@ -67,7 +68,7 @@ fn apply_filters(rows: &mut Vec<Row>, filters: &[BoundExpr], metrics: &mut TaskM
 /// their compiled batch kernels. The row and vectorized scans and the fused
 /// aggregate and top-k scans all load and filter through it, so they charge
 /// identically.
-struct CachedScan {
+pub(crate) struct CachedScan {
     table: Arc<TableMeta>,
     mem: Arc<MemTable>,
     /// Original partition indices this scan reads (after map pruning).
@@ -80,7 +81,10 @@ struct CachedScan {
 }
 
 impl CachedScan {
-    fn new(
+    /// A scan of `table`'s partitions `selected` (in result-partition
+    /// order) projected to `projection`, filtered by `filters`; an error if
+    /// the table is not cached.
+    pub(crate) fn new(
         table: Arc<TableMeta>,
         selected: Vec<usize>,
         projection: Vec<usize>,
@@ -98,10 +102,6 @@ impl CachedScan {
             filters,
             kernels,
         })
-    }
-
-    fn name(&self) -> String {
-        format!("memstore_scan({})", self.table.name)
     }
 
     /// Fetch result partition `partition` in columnar form, charging the
@@ -182,311 +182,173 @@ impl CachedScan {
         batch
     }
 
-    fn preferred_node(&self, partition: usize) -> Option<usize> {
-        Some(self.mem.placement(self.selected[partition]))
+    /// The leaf RDD whose partition `p` is `body` over the loaded columnar
+    /// partition `p`: named `memstore_scan(t)` and placed on the node the
+    /// memtable keeps the partition on.
+    fn source<T, F>(self, ctx: &RddContext, body: F) -> Rdd<T>
+    where
+        T: Data,
+        F: Fn(&CachedScan, &ColumnarPartition, &mut TaskMetrics) -> Vec<T> + Send + Sync + 'static,
+    {
+        let scan = Arc::new(self);
+        let placed = scan.clone();
+        ctx.source(
+            &format!("memstore_scan({})", scan.table.name),
+            scan.selected.len(),
+            move |p| Some(placed.mem.placement(placed.selected[p])),
+            move |p, metrics| {
+                let columnar = scan.load(p, metrics);
+                Ok(body(&scan, &columnar, metrics))
+            },
+        )
     }
-}
 
-/// Scan of a cached, columnar table (the Shark memstore path).
-pub struct MemTableScanRdd {
-    id: usize,
-    scan: CachedScan,
-    /// Batch-at-a-time execution over the compressed encodings (late
-    /// materialization); false falls back to decode-then-filter rows.
-    vectorized: bool,
-}
+    /// The scanned rows. Vectorized, batch-at-a-time over the compressed
+    /// encodings (late materialization): predicates narrow a selection
+    /// vector and rows are built only for survivors. Otherwise decode, then
+    /// filter rows.
+    pub(crate) fn rows(self, ctx: &RddContext, vectorized: bool) -> Rdd<Row> {
+        self.source(ctx, move |scan, columnar, metrics| {
+            if vectorized {
+                scan.filtered(columnar, metrics).materialize()
+            } else {
+                let mut rows = columnar.project_rows(&scan.projection);
+                apply_filters(&mut rows, &scan.filters, metrics);
+                rows
+            }
+        })
+    }
 
-impl MemTableScanRdd {
-    /// Build a memstore scan RDD.
-    pub fn create(
+    /// Fused scan → filter → partial aggregate: the batch stays columnar
+    /// from the memstore all the way into the per-group aggregation states.
+    /// Group keys and aggregate arguments are compiled kernels over the
+    /// batch, never intermediate `Row`s, and a key's `Row` is built once per
+    /// group. Emits the same `(group key, partial state)` pairs — one per
+    /// group per partition, folded in row order — that the row path's
+    /// per-row partial aggregate produces after its map-side combine, and
+    /// charges `agg_ops_per_row` per surviving row, as that operator does.
+    pub(crate) fn partial_aggregate(
+        self,
         ctx: &RddContext,
-        table: Arc<TableMeta>,
-        selected: Vec<usize>,
-        projection: Vec<usize>,
-        filters: Vec<BoundExpr>,
-        vectorized: bool,
-    ) -> Result<Rdd<Row>> {
-        let inner = MemTableScanRdd {
-            id: ctx.next_rdd_id(),
-            scan: CachedScan::new(table, selected, projection, filters)?,
-            vectorized,
-        };
-        Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
-    }
-}
-
-impl RddImpl<Row> for MemTableScanRdd {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        self.scan.name()
-    }
-    fn num_partitions(&self) -> usize {
-        self.scan.selected.len()
-    }
-    fn compute(
-        &self,
-        _ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<Row>> {
-        let columnar = self.scan.load(partition, metrics);
-        if self.vectorized {
-            // Batch path: predicates narrow a selection vector over the
-            // compressed encodings; rows are built only for survivors.
-            Ok(self.scan.filtered(&columnar, metrics).materialize())
-        } else {
-            let mut rows = columnar.project_rows(&self.scan.projection);
-            apply_filters(&mut rows, &self.scan.filters, metrics);
-            Ok(rows)
-        }
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        Vec::new()
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        Vec::new()
-    }
-    fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
-        self.scan.preferred_node(partition)
-    }
-}
-
-/// Fused scan → filter → partial-aggregate over a cached table: the batch
-/// stays columnar from the memstore all the way into the per-group
-/// aggregation states: group keys and aggregate arguments are compiled
-/// kernels over the batch, never intermediate `Row`s, and a key's `Row` is
-/// built once per group. Emits the same `(group key, partial state)` pairs —
-/// one per group per partition, folded in row order — that the row path's
-/// per-row partial-aggregate produces after its map-side combine.
-pub struct MemAggScanRdd {
-    id: usize,
-    scan: CachedScan,
-    /// Compiled group keys.
-    keys: Vec<Kernel>,
-    /// Each aggregate's compiled argument (`None` for `COUNT(*)`).
-    args: Vec<Option<Kernel>>,
-    aggs: Vec<AggExpr>,
-    /// Expression cost per surviving row (matches the row path's
-    /// partial-aggregate charge).
-    agg_ops_per_row: f64,
-}
-
-impl MemAggScanRdd {
-    /// Build a fused scan+aggregate RDD over a cached table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
-        ctx: &RddContext,
-        table: Arc<TableMeta>,
-        selected: Vec<usize>,
-        projection: Vec<usize>,
-        filters: Vec<BoundExpr>,
-        group_exprs: Vec<BoundExpr>,
+        group_exprs: &[BoundExpr],
         aggs: Vec<AggExpr>,
         agg_ops_per_row: f64,
-    ) -> Result<Rdd<(Row, AggStates)>> {
-        let inner = MemAggScanRdd {
-            id: ctx.next_rdd_id(),
-            scan: CachedScan::new(table, selected, projection, filters)?,
-            keys: group_exprs.iter().map(Kernel::compile).collect(),
-            args: aggs
-                .iter()
-                .map(|a| a.arg.as_ref().map(Kernel::compile))
-                .collect(),
-            aggs,
-            agg_ops_per_row,
-        };
-        Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
+    ) -> Rdd<(Row, AggStates)> {
+        let keys: Vec<Kernel> = group_exprs.iter().map(Kernel::compile).collect();
+        let args: Vec<Option<Kernel>> = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(Kernel::compile))
+            .collect();
+        self.source(ctx, move |scan, columnar, metrics| {
+            let batch = scan.filtered(columnar, metrics);
+            metrics.add_ops(batch.num_selected() as f64 * agg_ops_per_row);
+            let groups = vector_partial_aggregate(&batch, &keys, &args, &aggs);
+            if shark_obs::active() {
+                shark_obs::annotate("fused", "partial-aggregate");
+            }
+            groups
+        })
     }
-}
 
-impl RddImpl<(Row, AggStates)> for MemAggScanRdd {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        self.scan.name()
-    }
-    fn num_partitions(&self) -> usize {
-        self.scan.selected.len()
-    }
-    fn compute(
-        &self,
-        _ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(Row, AggStates)>> {
-        let columnar = self.scan.load(partition, metrics);
-        let batch = self.scan.filtered(&columnar, metrics);
-        metrics.add_ops(batch.num_selected() as f64 * self.agg_ops_per_row);
-        let groups = vector_partial_aggregate(&batch, &self.keys, &self.args, &self.aggs);
-        if shark_obs::active() {
-            shark_obs::annotate("fused", "partial-aggregate");
-        }
-        Ok(groups)
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        Vec::new()
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        Vec::new()
-    }
-    fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
-        self.scan.preferred_node(partition)
-    }
-}
-
-/// Fused scan → filter → top-k over a cached table: each partition picks its
-/// `k` winners on the encoded ORDER BY columns and builds `Row`s for those
-/// winners only (late materialization), instead of materializing and
-/// projecting every surviving row before keeping `k` of them. Emits exactly
-/// the sorted run the row chain `memstore_scan → project → top-k` emits —
-/// the first `k` rows of a stable sort of the partition's projected rows —
-/// and charges exactly what that chain charges.
-pub struct MemTopKScanRdd {
-    id: usize,
-    scan: CachedScan,
-    /// Output expressions over the scanned (projected) columns.
-    projections: Vec<BoundExpr>,
-    /// The scanned column behind each output column, when every output
-    /// expression is a bare column.
-    bare_columns: Option<Vec<usize>>,
-    /// Expression cost per surviving row of the projection it replaces.
-    project_ops_per_row: f64,
-    /// Sort keys as (scanned column, descending) pairs.
-    keys: Vec<(usize, bool)>,
-    k: usize,
-}
-
-impl MemTopKScanRdd {
-    /// Build a fused scan+top-k RDD over a cached table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn create(
+    /// Fused scan → filter → top-k: each partition picks its `k` winners on
+    /// the encoded ORDER BY columns (`keys`: scanned column, descending) and
+    /// builds `Row`s of the output expressions `projections` for those
+    /// winners only (late materialization), instead of materializing and
+    /// projecting every surviving row before keeping `k` of them. Emits
+    /// exactly the sorted run the row chain `memstore_scan → project →
+    /// top-k` emits — the first `k` rows of a stable sort of the partition's
+    /// projected rows — and charges exactly what that chain charges
+    /// (`project_ops_per_row` per surviving row for the projection).
+    pub(crate) fn top_k(
+        self,
         ctx: &RddContext,
-        table: Arc<TableMeta>,
-        selected: Vec<usize>,
-        projection: Vec<usize>,
-        filters: Vec<BoundExpr>,
         projections: Vec<BoundExpr>,
         project_ops_per_row: f64,
         keys: Vec<(usize, bool)>,
         k: usize,
-    ) -> Result<Rdd<Row>> {
-        let bare_columns = projections
+    ) -> Rdd<Row> {
+        let bare_columns: Option<Vec<usize>> = projections
             .iter()
             .map(|p| match p {
                 BoundExpr::Column(c) => Some(*c),
                 _ => None,
             })
             .collect();
-        let inner = MemTopKScanRdd {
-            id: ctx.next_rdd_id(),
-            scan: CachedScan::new(table, selected, projection, filters)?,
-            projections,
-            bare_columns,
-            project_ops_per_row,
-            keys,
-            k,
-        };
-        Ok(Rdd::new(ctx.clone(), Arc::new(inner)))
-    }
-
-    /// Output rows for the batch's selected rows, in selection order. Bare
-    /// column outputs move their gathered values into the rows; otherwise
-    /// the expressions evaluate over each selected row's scanned values.
-    fn build_rows(&self, batch: &ColumnBatch<'_>) -> Vec<Row> {
-        let Some(columns) = &self.bare_columns else {
-            return batch
-                .materialize()
+        self.source(ctx, move |scan, columnar, metrics| {
+            let mut batch = scan.filtered(columnar, metrics);
+            let n = batch.num_selected();
+            metrics.add_ops(n as f64 * project_ops_per_row);
+            let span = shark_obs::span("top-k");
+            metrics.add_sort(topk_sort_rows(n, k));
+            let keys: Vec<(Vec<Value>, bool)> = keys
                 .iter()
-                .map(|scanned| Row::new(self.projections.iter().map(|p| p.eval(scanned)).collect()))
+                .map(|&(col, desc)| (batch.gather(col), desc))
                 .collect();
-        };
-        let mut gathered: Vec<_> = columns
-            .iter()
-            .map(|&c| batch.gather(c).into_iter())
-            .collect();
-        (0..batch.num_selected())
-            .map(|_| {
-                Row::new(
-                    gathered
-                        .iter_mut()
-                        .map(|column| column.next().expect("one gathered value per selected row"))
-                        .collect(),
-                )
-            })
-            .collect()
+            let winners = first_k_positions(&keys, n, k);
+            // Partition rows of the winners, ascending (what the
+            // encoded-column walk needs), each tagged with its rank in the
+            // sorted run.
+            let selection = batch.selection();
+            let mut by_row: Vec<(u32, usize)> = winners
+                .iter()
+                .enumerate()
+                .map(|(rank, &pos)| {
+                    let row = match selection {
+                        Selection::All(_) => pos,
+                        Selection::Rows(rows) => rows[pos as usize],
+                    };
+                    (row, rank)
+                })
+                .collect();
+            by_row.sort_unstable();
+            batch.set_selection(Selection::Rows(
+                by_row.iter().map(|&(row, _)| row).collect(),
+            ));
+            let mut out = vec![Row::default(); by_row.len()];
+            let rows = build_rows(&batch, &projections, bare_columns.as_deref());
+            for (&(_, rank), row) in by_row.iter().zip(rows) {
+                out[rank] = row;
+            }
+            if let Some(span) = &span {
+                span.set_rows(out.len() as u64);
+                span.annotate("k", &k.to_string());
+            }
+            out
+        })
     }
 }
 
-impl RddImpl<Row> for MemTopKScanRdd {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        self.scan.name()
-    }
-    fn num_partitions(&self) -> usize {
-        self.scan.selected.len()
-    }
-    fn compute(
-        &self,
-        _ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<Row>> {
-        let columnar = self.scan.load(partition, metrics);
-        let mut batch = self.scan.filtered(&columnar, metrics);
-        let n = batch.num_selected();
-        metrics.add_ops(n as f64 * self.project_ops_per_row);
-        let span = shark_obs::span("top-k");
-        metrics.add_sort(topk_sort_rows(n, self.k));
-        let keys: Vec<(Vec<Value>, bool)> = self
-            .keys
+/// Output rows for the batch's selected rows, in selection order. Bare
+/// column outputs (`bare_columns`: the scanned column behind each output)
+/// move their gathered values into the rows; otherwise the expressions
+/// evaluate over each selected row's scanned values.
+fn build_rows(
+    batch: &ColumnBatch<'_>,
+    projections: &[BoundExpr],
+    bare_columns: Option<&[usize]>,
+) -> Vec<Row> {
+    let Some(columns) = bare_columns else {
+        return batch
+            .materialize()
             .iter()
-            .map(|&(col, desc)| (batch.gather(col), desc))
+            .map(|scanned| Row::new(projections.iter().map(|p| p.eval(scanned)).collect()))
             .collect();
-        let winners = first_k_positions(&keys, n, self.k);
-        // Partition rows of the winners, ascending (what the encoded-column
-        // walk needs), each tagged with its rank in the sorted run.
-        let selection = batch.selection();
-        let mut by_row: Vec<(u32, usize)> = winners
-            .iter()
-            .enumerate()
-            .map(|(rank, &pos)| {
-                let row = match selection {
-                    Selection::All(_) => pos,
-                    Selection::Rows(rows) => rows[pos as usize],
-                };
-                (row, rank)
-            })
-            .collect();
-        by_row.sort_unstable();
-        batch.set_selection(Selection::Rows(
-            by_row.iter().map(|&(row, _)| row).collect(),
-        ));
-        let mut out = vec![Row::default(); by_row.len()];
-        for (&(_, rank), row) in by_row.iter().zip(self.build_rows(&batch)) {
-            out[rank] = row;
-        }
-        if let Some(span) = &span {
-            span.set_rows(out.len() as u64);
-            span.annotate("k", &self.k.to_string());
-        }
-        Ok(out)
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        Vec::new()
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        Vec::new()
-    }
-    fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
-        self.scan.preferred_node(partition)
-    }
+    };
+    let mut gathered: Vec<_> = columns
+        .iter()
+        .map(|&c| batch.gather(c).into_iter())
+        .collect();
+    (0..batch.num_selected())
+        .map(|_| {
+            Row::new(
+                gathered
+                    .iter_mut()
+                    .map(|column| column.next().expect("one gathered value per selected row"))
+                    .collect(),
+            )
+        })
+        .collect()
 }
-
 /// The first `k` of `n` selection positions under a stable sort by `keys`
 /// (each a gathered column and its direction), in sorted order. Ties keep
 /// selection order: the position itself is the last key, which makes the
@@ -516,92 +378,55 @@ fn first_k_positions(keys: &[(Vec<Value>, bool)], n: usize, k: usize) -> Vec<u32
 }
 
 /// Scan of a table straight from its base generator (the "on HDFS" path used
-/// by "Shark (disk)" and the Hive baseline).
-pub struct DfsScanRdd {
-    id: usize,
+/// by "Shark (disk)" and the Hive baseline), over all its partitions.
+pub(crate) fn dfs_scan(
+    ctx: &RddContext,
     table: Arc<TableMeta>,
-    projection: Arc<Vec<usize>>,
-    filters: Arc<Vec<BoundExpr>>,
-}
-
-impl DfsScanRdd {
-    /// Build a DFS scan RDD over all partitions of the table.
-    pub fn create(
-        ctx: &RddContext,
-        table: Arc<TableMeta>,
-        projection: Vec<usize>,
-        filters: Vec<BoundExpr>,
-    ) -> Rdd<Row> {
-        let inner = DfsScanRdd {
-            id: ctx.next_rdd_id(),
-            table,
-            projection: Arc::new(projection),
-            filters: Arc::new(filters),
-        };
-        Rdd::new(ctx.clone(), Arc::new(inner))
-    }
-}
-
-impl RddImpl<Row> for DfsScanRdd {
-    fn id(&self) -> usize {
-        self.id
-    }
-    fn name(&self) -> String {
-        format!("dfs_scan({})", self.table.name)
-    }
-    fn num_partitions(&self) -> usize {
-        self.table.num_partitions
-    }
-    fn compute(
-        &self,
-        _ctx: &RddContext,
-        partition: usize,
-        metrics: &mut TaskMetrics,
-    ) -> Result<Vec<Row>> {
-        // Prefer a demoted partition over regenerating from the base data
-        // (the fetch puts it back into the memtable).
-        let spilled = self
-            .table
-            .cached
-            .as_ref()
-            .filter(|mem| !mem.is_loaded(partition))
-            .and_then(|mem| mem.spill_fetch(&self.table.name, partition, self.table.version()));
-        let rows = match &spilled {
-            Some((spilled, io_bytes)) => {
-                let rows = spilled.to_rows();
-                metrics.record_input(rows.len() as u64, *io_bytes, InputSource::Dfs);
+    projection: Vec<usize>,
+    filters: Vec<BoundExpr>,
+) -> Rdd<Row> {
+    // Skipping the projection is only sound when it is the identity
+    // mapping: a full-width *reorder* (e.g. [2, 0, 1]) has the same length
+    // as the schema but must still permute every row.
+    let is_identity = projection.len() == table.schema.len()
+        && projection.iter().enumerate().all(|(i, &c)| i == c);
+    let name = format!("dfs_scan({})", table.name);
+    ctx.source(
+        &name,
+        table.num_partitions,
+        |_| None,
+        move |partition, metrics| {
+            // Prefer a demoted partition over regenerating from the base data
+            // (the fetch puts it back into the memtable).
+            let spilled = table
+                .cached
+                .as_ref()
+                .filter(|mem| !mem.is_loaded(partition))
+                .and_then(|mem| mem.spill_fetch(&table.name, partition, table.version()));
+            let rows = match &spilled {
+                Some((spilled, io_bytes)) => {
+                    let rows = spilled.to_rows();
+                    metrics.record_input(rows.len() as u64, *io_bytes, InputSource::Dfs);
+                    rows
+                }
+                None => {
+                    let rows = (table.base)(partition);
+                    // Reading from the DFS pays for every column of every row.
+                    let bytes = estimate_slice(&rows) as u64;
+                    metrics.record_input(rows.len() as u64, bytes, InputSource::Dfs);
+                    rows
+                }
+            };
+            metrics.add_ops(rows.len() as f64); // field extraction
+            let mut out: Vec<Row> = if is_identity {
                 rows
-            }
-            None => {
-                let rows = (self.table.base)(partition);
-                // Reading from the DFS pays for every column of every row.
-                let bytes = estimate_slice(&rows) as u64;
-                metrics.record_input(rows.len() as u64, bytes, InputSource::Dfs);
-                rows
-            }
-        };
-        metrics.add_ops(rows.len() as f64); // field extraction
-
-        // Skipping the projection is only sound when it is the identity
-        // mapping: a full-width *reorder* (e.g. [2, 0, 1]) has the same
-        // length as the schema but must still permute every row.
-        let is_identity = self.projection.len() == self.table.schema.len()
-            && self.projection.iter().enumerate().all(|(i, &c)| i == c);
-        let projected: Vec<Row> = if is_identity {
-            rows
-        } else {
-            rows.iter().map(|r| r.project(&self.projection)).collect()
-        };
-        let mut out = projected;
-        apply_filters(&mut out, &self.filters, metrics);
-        Ok(out)
-    }
-    fn parents(&self) -> Vec<Arc<dyn Lineage>> {
-        Vec::new()
-    }
-    fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
-        Vec::new()
-    }
+            } else {
+                rows.iter().map(|r| r.project(&projection)).collect()
+            };
+            apply_filters(&mut out, &filters, metrics);
+            Ok(out)
+        },
+    )
 }
 
 /// Map pruning (§3.5): evaluate a scan's pushed-down filters against every
@@ -715,8 +540,9 @@ mod tests {
         let meta = Arc::new(table());
         load(&meta);
         let projection = vec![0usize, 2];
-        let rdd = MemTableScanRdd::create(&ctx, meta.clone(), vec![1, 4], projection, vec![], true)
-            .unwrap();
+        let rdd = CachedScan::new(meta.clone(), vec![1, 4], projection, vec![])
+            .unwrap()
+            .rows(&ctx, true);
         assert_eq!(rdd.num_partitions(), 2);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 100);
@@ -737,15 +563,14 @@ mod tests {
         // Node 0 holds partitions 0 and 3 (round robin over 3 nodes).
         assert_eq!(mem.store().drop_node(0).len(), 2);
         assert!(mem.loaded_partitions() < before);
-        let rdd = MemTableScanRdd::create(
-            &ctx,
+        let rdd = CachedScan::new(
             meta.clone(),
             (0..meta.num_partitions).collect(),
             vec![0, 1, 2],
             vec![],
-            true,
         )
-        .unwrap();
+        .unwrap()
+        .rows(&ctx, true);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 6 * 50);
         // Recovery reloaded the lost partitions into the memstore.
@@ -765,15 +590,14 @@ mod tests {
         assert!(mem.evict_partition(2) > 0);
         let resident_bytes = mem.memory_bytes();
         mem.retire();
-        let rdd = MemTableScanRdd::create(
-            &ctx,
+        let rdd = CachedScan::new(
             meta.clone(),
             (0..meta.num_partitions).collect(),
             vec![0, 1, 2],
             vec![],
-            true,
         )
-        .unwrap();
+        .unwrap()
+        .rows(&ctx, true);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 6 * 50);
         assert!(!mem.is_loaded(2), "read-through must not repopulate");
@@ -792,15 +616,14 @@ mod tests {
             let mut outputs = Vec::new();
             for vectorized in [false, true] {
                 let ctx = RddContext::local();
-                let rdd = MemTableScanRdd::create(
-                    &ctx,
+                let rdd = CachedScan::new(
                     meta.clone(),
                     (0..meta.num_partitions).collect(),
                     projection.clone(),
                     filters.clone(),
-                    vectorized,
                 )
-                .unwrap();
+                .unwrap()
+                .rows(&ctx, vectorized);
                 outputs.push(rdd.collect().unwrap());
             }
             assert_eq!(outputs[0], outputs[1], "{pred}");
@@ -827,17 +650,14 @@ mod tests {
                 arg: Some(BoundExpr::Column(2)),
             },
         ];
-        let rdd = MemAggScanRdd::create(
-            &ctx,
+        let rdd = CachedScan::new(
             meta.clone(),
             (0..meta.num_partitions).collect(),
             projection.clone(),
             filters.clone(),
-            group.clone(),
-            aggs.clone(),
-            3.0,
         )
-        .unwrap();
+        .unwrap()
+        .partial_aggregate(&ctx, &group, aggs.clone(), 3.0);
         let fused = rdd.collect().unwrap();
 
         // Reference: per-partition row scan, then fold per key in row order.
@@ -941,17 +761,19 @@ mod tests {
         ] {
             let filters: Vec<BoundExpr> =
                 filter.iter().map(|f| bind_filter(f, &projected)).collect();
-            let rdd = MemAggScanRdd::create(
-                &RddContext::local(),
+            let rdd = CachedScan::new(
                 meta.clone(),
                 (0..meta.num_partitions).collect(),
                 projection.clone(),
                 filters,
-                grouped_by(&keys),
+            )
+            .unwrap()
+            .partial_aggregate(
+                &RddContext::local(),
+                &grouped_by(&keys),
                 aggs.clone(),
                 2.0,
-            )
-            .unwrap();
+            );
             let per_partition = rdd
                 .map_partitions_with_index(|p, pairs| {
                     let total = pairs.len();
@@ -1018,32 +840,28 @@ mod tests {
         let keys = vec![(1usize, true), (2usize, false)];
         let ctx = RddContext::local();
         let partitions: Vec<usize> = (0..meta.num_partitions).collect();
-        let rows = MemTableScanRdd::create(
-            &ctx,
-            meta.clone(),
-            partitions.clone(),
-            projection.clone(),
-            filters.clone(),
-            false,
-        )
-        .unwrap();
+        let scan = || {
+            CachedScan::new(
+                meta.clone(),
+                partitions.clone(),
+                projection.clone(),
+                filters.clone(),
+            )
+            .unwrap()
+        };
+        let rows = scan().rows(&ctx, false);
         let cases = projection_lists
             .iter()
             .flat_map(|projections| [0usize, 3, 21, 42, 100].map(|k| (projections, k)));
         for (projections, k) in cases {
             let project_ops: f64 = projections.iter().map(BoundExpr::op_count).sum();
-            let fused = MemTopKScanRdd::create(
+            let fused = scan().top_k(
                 &ctx,
-                meta.clone(),
-                partitions.clone(),
-                projection.clone(),
-                filters.clone(),
                 projections.clone(),
                 project_ops.max(0.5),
                 keys.clone(),
                 k,
-            )
-            .unwrap();
+            );
             for p in 0..partitions.len() {
                 let mut expected_metrics = TaskMetrics::new();
                 let scanned = rows
@@ -1087,7 +905,7 @@ mod tests {
         // path), returning columns in table order.
         let ctx = RddContext::local();
         let meta = Arc::new(table());
-        let rdd = DfsScanRdd::create(&ctx, meta.clone(), vec![2, 1, 0], vec![]);
+        let rdd = dfs_scan(&ctx, meta.clone(), vec![2, 1, 0], vec![]);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 6 * 50);
         // Output order must be (metric, country, day), not table order.
@@ -1096,7 +914,7 @@ mod tests {
         assert_eq!(first.get_str(1).unwrap().as_ref(), "US");
         assert_eq!(first.get_int(2).unwrap(), 0);
         // The true identity projection still passes rows through unchanged.
-        let rdd = DfsScanRdd::create(&ctx, meta, vec![0, 1, 2], vec![]);
+        let rdd = dfs_scan(&ctx, meta, vec![0, 1, 2], vec![]);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows[0].get_int(0).unwrap(), 0);
     }
@@ -1108,7 +926,7 @@ mod tests {
         let projection = vec![0usize, 1];
         let projected = meta.schema.project(&projection);
         let filters = vec![bind_filter("country = 'US'", &projected)];
-        let rdd = DfsScanRdd::create(&ctx, meta.clone(), projection, filters);
+        let rdd = dfs_scan(&ctx, meta.clone(), projection, filters);
         assert_eq!(rdd.num_partitions(), 6);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 3 * 50);
