@@ -949,9 +949,10 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 /// When the plan is `scan → filter → project → ORDER BY … LIMIT k` over one
 /// cached table, vectorized, and every sort key is a projected bare column,
 /// fuse the scan and the per-partition top-k into one scan body
-/// (`CachedScan::top_k`): each partition sorts on the encoded key columns and builds only its `k`
-/// winners. The pipeline keeps its single-scan identity, so statistics
-/// ordering, the skip rule and partition pins work as on the row chain.
+/// (`CachedScan::top_k`): each partition sorts on the encoded key columns
+/// and builds only its `k` winners. The pipeline keeps its single-scan
+/// identity, so statistics ordering, the skip rule and partition pins work
+/// as on the row chain.
 /// Streaming only: `sql2rdd` ([`build_pipeline`]) leaves ORDER BY unapplied.
 fn build_fused_topk(
     ctx: &RddContext,
