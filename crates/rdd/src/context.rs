@@ -426,6 +426,28 @@ fn split_into<T>(mut data: Vec<T>, n: usize) -> Vec<Vec<T>> {
 }
 
 #[cfg(test)]
+impl RddContext {
+    /// A test leaf named `source(Dfs)` whose partition `p` is `f(p)`,
+    /// charged as DFS input (its rows and estimated bytes).
+    pub(crate) fn dfs_source<T: Data, F>(&self, partitions: usize, f: F) -> Rdd<T>
+    where
+        F: Fn(usize) -> Vec<T> + Send + Sync + 'static,
+    {
+        self.source(
+            "source(Dfs)",
+            partitions,
+            |_| None,
+            move |p, metrics| {
+                let data = f(p);
+                let bytes = estimate_slice(&data) as u64;
+                metrics.record_input(data.len() as u64, bytes, InputSource::Dfs);
+                Ok(data)
+            },
+        )
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -29,6 +29,9 @@ impl<T: Clone + Send + Sync + EstimateSize + 'static> Data for T {}
 
 /// Type-erased view of an RDD used for lineage traversal by the scheduler.
 pub(crate) trait Lineage: Send + Sync {
+    /// Unique id of the RDD (only the lineage tests read it).
+    #[cfg(test)]
+    fn id(&self) -> usize;
     /// Direct parent RDDs (narrow dependencies).
     fn parents(&self) -> Vec<Arc<dyn Lineage>>;
     /// Direct shuffle (wide) dependencies.
@@ -98,6 +101,10 @@ impl<T: Data> Clone for Rdd<T> {
 }
 
 impl<T: Data> Lineage for Rdd<T> {
+    #[cfg(test)]
+    fn id(&self) -> usize {
+        self.inner.id()
+    }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         self.inner.parents()
     }
@@ -632,15 +639,10 @@ mod tests {
         let computed = Arc::new(AtomicUsize::new(0));
         let counter = computed.clone();
         let rdd = ctx
-            .source(
-                "counted",
-                4,
-                |_| None,
-                move |p, _| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    Ok(vec![p as i64])
-                },
-            )
+            .dfs_source(4, move |p| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                vec![p as i64]
+            })
             .cache();
         assert!(rdd.is_cached());
         rdd.collect().unwrap();
@@ -662,15 +664,10 @@ mod tests {
         let computed = Arc::new(AtomicUsize::new(0));
         let counter = computed.clone();
         let rdd = ctx
-            .source(
-                "counted",
-                8,
-                |_| None,
-                move |p, _| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    Ok(vec![p as i64, p as i64 + 1])
-                },
-            )
+            .dfs_source(8, move |p| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                vec![p as i64, p as i64 + 1]
+            })
             .cache();
         let full: Vec<i64> = rdd.collect().unwrap();
         assert_eq!(computed.load(Ordering::SeqCst), 8);
@@ -708,8 +705,7 @@ mod tests {
         let mapped = rdd.map(|x| x * 2);
         let lin = mapped.lineage();
         assert_eq!(lin.parents().len(), 1);
-        // The parent is the leaf: no parent, no shuffle of its own.
-        assert!(lin.parents()[0].parents().is_empty());
+        assert_eq!(lin.parents()[0].id(), rdd.id());
         assert!(lin.shuffle_deps().is_empty());
     }
 }

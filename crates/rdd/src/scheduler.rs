@@ -706,23 +706,13 @@ mod tests {
     #[test]
     fn a_failed_or_panicking_task_fails_its_action_and_the_next_action_runs() {
         let ctx = RddContext::local();
-        let panics_on_two = ctx.source(
-            "panics_on_two",
-            6,
-            |_| None,
-            |p, _| {
-                if p == 2 {
-                    panic!("partition 2 exploded");
-                }
-                Ok(vec![p as i64])
-            },
-        );
-        let always_panics = ctx.source(
-            "always_panics",
-            4,
-            |_| None,
-            |_, _| -> Result<Vec<i64>> { panic!("every task exploded") },
-        );
+        let panics_on_two = ctx.dfs_source(6, |p| {
+            if p == 2 {
+                panic!("partition 2 exploded");
+            }
+            vec![p as i64]
+        });
+        let always_panics = ctx.dfs_source(4, |_| -> Vec<i64> { panic!("every task exploded") });
         // A four-partition source whose task for partition 2 returns an error.
         let fails_on_two = ctx.source(
             "fails_on_two",
@@ -845,15 +835,10 @@ mod tests {
             let ctx = RddContext::local();
             let ran_on = Arc::new(Mutex::new(Vec::new()));
             let recorder = ran_on.clone();
-            let rdd = ctx.source(
-                "single",
-                1,
-                |_| None,
-                move |p, _| {
-                    recorder.lock().push(std::thread::current().id());
-                    Ok(vec![p as i64])
-                },
-            );
+            let rdd = ctx.dfs_source(1, move |p| {
+                recorder.lock().push(std::thread::current().id());
+                vec![p as i64]
+            });
             let mut job = identity_job(&rdd, "single", vec![0], prefetch);
             assert_eq!(job.next().unwrap(), Some((0, vec![0])));
             assert!(job.next().unwrap().is_none());
@@ -869,15 +854,10 @@ mod tests {
         let ctx = RddContext::with_width(RddConfig::default(), Some(4));
         let ran_on = Arc::new(Mutex::new(Vec::new()));
         let (in_map, in_result) = (ran_on.clone(), ran_on.clone());
-        let rdd = ctx.source(
-            "single",
-            1,
-            |_| None,
-            move |p, _| {
-                in_map.lock().push(std::thread::current().id());
-                Ok(vec![(p as i64, 1i64)])
-            },
-        );
+        let rdd = ctx.dfs_source(1, move |p| {
+            in_map.lock().push(std::thread::current().id());
+            vec![(p as i64, 1i64)]
+        });
         let reduced = rdd.reduce_by_key(1, |a, b| a + b).map(move |pair| {
             in_result.lock().push(std::thread::current().id());
             pair
@@ -895,15 +875,10 @@ mod tests {
             let ctx = RddContext::local();
             let executed = Arc::new(AtomicUsize::new(0));
             let counter = executed.clone();
-            let rdd = ctx.source(
-                "counted",
-                8,
-                |_| None,
-                move |p, _| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    Ok(vec![p as i64])
-                },
-            );
+            let rdd = ctx.dfs_source(8, move |p| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                vec![p as i64]
+            });
             let mut job = identity_job(&rdd, "ordered", order.clone(), prefetch);
             for &expected in &order[..3] {
                 let (p, rows) = job.next().unwrap().expect("planned partition");
@@ -972,17 +947,12 @@ mod tests {
     #[test]
     fn pipelined_job_surfaces_worker_errors_in_order_and_latches() {
         let ctx = RddContext::local();
-        let rdd = ctx.source(
-            "panics_on_two",
-            6,
-            |_| None,
-            |p, _| {
-                if p == 2 {
-                    panic!("partition 2 exploded");
-                }
-                Ok(vec![p as i64])
-            },
-        );
+        let rdd = ctx.dfs_source(6, |p| {
+            if p == 2 {
+                panic!("partition 2 exploded");
+            }
+            vec![p as i64]
+        });
         for prefetch in [0usize, 3] {
             let mut job = identity_job(&rdd, "failing", (0..6).collect(), prefetch);
             // Partitions 0 and 1 deliver even though a worker may already
