@@ -719,7 +719,12 @@ mod tests {
 
     #[test]
     fn ctas_of_min_and_max_reads_back_the_rows_the_select_returns() {
-        let s = session();
+        let mut s = session();
+        s.register_udf("half", |args| {
+            args[0]
+                .as_float()
+                .map_or(Value::Null, |v| Value::Float(v / 2.0))
+        });
         let schema = Schema::from_pairs(&[
             ("g", DataType::Int),
             ("i", DataType::Int),
@@ -744,7 +749,8 @@ mod tests {
                 })
                 .collect()
         }));
-        let select = "SELECT g, MIN(i), MAX(i), MIN(f), MAX(f), MIN(s), MAX(s), MIN(d), MAX(d) \
+        let select = "SELECT g, MIN(i), MAX(i), MIN(f), MAX(f), MIN(s), MAX(s), MIN(d), MAX(d), \
+                      MIN(COALESCE(f, 0)), MAX(IF(i > 0, f, 0)), MAX(half(i)) \
                       FROM typed GROUP BY g";
         let expected = s.sql(select).unwrap();
         let types: Vec<DataType> = expected
@@ -754,7 +760,10 @@ mod tests {
             .map(|f| f.data_type)
             .collect();
         use DataType::{Date, Float, Int, Str};
-        assert_eq!(types, [Int, Int, Int, Float, Float, Str, Str, Date, Date]);
+        assert_eq!(
+            types,
+            [Int, Int, Int, Float, Float, Str, Str, Date, Date, Float, Float, Float]
+        );
         let sorted = |mut rows: Vec<Row>| {
             rows.sort_by_key(|r| r.get_int(0).unwrap());
             rows

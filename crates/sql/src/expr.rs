@@ -398,10 +398,18 @@ impl BoundExpr {
                     .first()
                     .map(|a| a.data_type(input))
                     .unwrap_or(DataType::Float),
-                ScalarFunc::Coalesce | ScalarFunc::If => args
-                    .last()
-                    .map(|a| a.data_type(input))
-                    .unwrap_or(DataType::Null),
+                // The widest of the arguments the result may be; IF's
+                // first argument is its condition.
+                ScalarFunc::Coalesce | ScalarFunc::If => {
+                    let results = if *func == ScalarFunc::If {
+                        args.get(1..).unwrap_or_default()
+                    } else {
+                        args
+                    };
+                    results
+                        .iter()
+                        .fold(DataType::Null, |t, a| t.widen(a.data_type(input)))
+                }
             },
             BoundExpr::Udf { .. } => DataType::Str,
         }
@@ -432,6 +440,13 @@ impl BoundExpr {
                 args.iter().for_each(|a| a.visit(f));
             }
         }
+    }
+
+    /// Whether this expression or a subexpression calls a UDF.
+    pub fn calls_udf(&self) -> bool {
+        let mut found = false;
+        self.visit(&mut |e| found |= matches!(e, BoundExpr::Udf { .. }));
+        found
     }
 
     /// Collect the row positions this expression reads.

@@ -563,11 +563,13 @@ pub fn plan_select(
                 let dtype = match func {
                     AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
                     AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                    // One of the argument's values (or NULL).
-                    AggFunc::Min | AggFunc::Max => aggs[agg_index]
-                        .arg
-                        .as_ref()
-                        .map_or(DataType::Null, |a| a.data_type(&combined_schema)),
+                    // One of the argument's values (or NULL). A UDF's result
+                    // type is unknown when planning: such a column is a number.
+                    AggFunc::Min | AggFunc::Max => match &aggs[agg_index].arg {
+                        None => DataType::Null,
+                        Some(a) if a.calls_udf() => DataType::Float,
+                        Some(a) => a.data_type(&combined_schema),
+                    },
                 };
                 output_fields.push(Field::new(name, dtype));
                 order_source_exprs.push(expr.clone());
