@@ -184,11 +184,11 @@ pub struct TableRdd {
 
 /// Identity of the lone memstore scan feeding a narrow result pipeline.
 pub(crate) struct SingleScanInfo {
-    table: Arc<TableMeta>,
+    pub(crate) table: Arc<TableMeta>,
     /// Original table-partition indices, aligned with result partitions.
-    selected: Vec<usize>,
+    pub(crate) selected: Vec<usize>,
     /// Original column index of each projected column.
-    projection: Vec<usize>,
+    pub(crate) projection: Vec<usize>,
 }
 
 /// Report of loading a table into the memstore (§3.3, §6.2.4).
@@ -977,7 +977,8 @@ fn build_fused_topk(
         return Ok(None);
     };
     let mut notes = Vec::new();
-    let (cached, info) = cached_scan(scan, &mut notes)?;
+    let cached = cached_scan(scan, &mut notes);
+    let info = cached.info();
     let rdd = cached.top_k(
         ctx,
         plan.projections.clone(),
@@ -1120,7 +1121,8 @@ fn build_scan(
         }
     );
     if use_memstore && scan.table.is_cached() {
-        let (cached, info) = cached_scan(scan, notes)?;
+        let cached = cached_scan(scan, notes);
+        let info = cached.info();
         let full = info.selected.len() == scan.table.num_partitions;
         if cfg.vectorized {
             note_scalar_adapter(notes, &scan.filters);
@@ -1465,32 +1467,27 @@ fn fusable_scan<'a>(plan: &'a QueryPlan, cfg: &ExecConfig) -> Option<&'a ScanNod
 
 /// Every memstore scan's start: map-prune the cached table's partitions
 /// (noting how many were skipped), then the loader the scan bodies read
-/// through and the scan identity top-k pushdown needs.
-fn cached_scan(scan: &ScanNode, notes: &mut Vec<String>) -> Result<(CachedScan, SingleScanInfo)> {
+/// through.
+fn cached_scan(scan: &ScanNode, notes: &mut Vec<String>) -> CachedScan {
     let mem = scan
         .table
         .cached
-        .as_ref()
+        .clone()
         .expect("a memstore scan reads a cached table");
-    let (selected, pruned) = prune_partitions(&scan.table, mem, &scan.filters, &scan.projection);
+    let (selected, pruned) = prune_partitions(&scan.table, &mem, &scan.filters, &scan.projection);
     if pruned > 0 {
         notes.push(format!(
             "map pruning: skipped {pruned}/{} partitions of {}",
             scan.table.num_partitions, scan.table.name
         ));
     }
-    let info = SingleScanInfo {
-        table: scan.table.clone(),
-        selected: selected.clone(),
-        projection: scan.projection.clone(),
-    };
-    let cached = CachedScan::new(
+    CachedScan::new(
         scan.table.clone(),
+        mem,
         selected,
         scan.projection.clone(),
         scan.filters.clone(),
-    )?;
-    Ok((cached, info))
+    )
 }
 
 /// Per-row expression cost of the final projection — charged identically by
@@ -1526,7 +1523,7 @@ fn build_fused_aggregation(
     let (Some(agg), Some(scan)) = (&plan.aggregate, fusable_scan(plan, cfg)) else {
         return Ok(None);
     };
-    let (cached, _) = cached_scan(scan, notes)?;
+    let cached = cached_scan(scan, notes);
     let pairs = cached.partial_aggregate(
         ctx,
         &agg.group_exprs,

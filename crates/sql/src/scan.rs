@@ -22,12 +22,12 @@ use std::sync::Arc;
 use shark_cluster::InputSource;
 use shark_columnar::{ColumnBatch, ColumnarPartition, Selection};
 use shark_common::size::estimate_slice;
-use shark_common::{Result, Row, Value};
+use shark_common::{Row, Value};
 use shark_rdd::{Data, Rdd, RddContext, TaskMetrics};
 
 use crate::aggregate::{AggExpr, AggStates};
 use crate::catalog::{MemTable, TableMeta};
-use crate::exec::topk_sort_rows;
+use crate::exec::{topk_sort_rows, SingleScanInfo};
 use crate::expr::BoundExpr;
 use crate::vector::{vector_partial_aggregate, Kernel};
 
@@ -82,26 +82,33 @@ pub(crate) struct CachedScan {
 
 impl CachedScan {
     /// A scan of `table`'s partitions `selected` (in result-partition
-    /// order) projected to `projection`, filtered by `filters`; an error if
-    /// the table is not cached.
+    /// order) of its memtable `mem`, projected to `projection` and filtered
+    /// by `filters`.
     pub(crate) fn new(
         table: Arc<TableMeta>,
+        mem: Arc<MemTable>,
         selected: Vec<usize>,
         projection: Vec<usize>,
         filters: Vec<BoundExpr>,
-    ) -> Result<CachedScan> {
-        let mem = table.cached.clone().ok_or_else(|| {
-            shark_common::SharkError::Plan(format!("table '{}' is not cached", table.name))
-        })?;
+    ) -> CachedScan {
         let kernels = filters.iter().map(Kernel::compile).collect();
-        Ok(CachedScan {
+        CachedScan {
             table,
             mem,
             selected,
             projection,
             filters,
             kernels,
-        })
+        }
+    }
+
+    /// The scan's identity, as top-k pushdown and partition pins read it.
+    pub(crate) fn info(&self) -> SingleScanInfo {
+        SingleScanInfo {
+            table: self.table.clone(),
+            selected: self.selected.clone(),
+            projection: self.projection.clone(),
+        }
     }
 
     /// Fetch result partition `partition` in columnar form, charging the
@@ -540,9 +547,14 @@ mod tests {
         let meta = Arc::new(table());
         load(&meta);
         let projection = vec![0usize, 2];
-        let rdd = CachedScan::new(meta.clone(), vec![1, 4], projection, vec![])
-            .unwrap()
-            .rows(&ctx, true);
+        let rdd = CachedScan::new(
+            meta.clone(),
+            meta.cached.clone().unwrap(),
+            vec![1, 4],
+            projection,
+            vec![],
+        )
+        .rows(&ctx, true);
         assert_eq!(rdd.num_partitions(), 2);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 100);
@@ -565,11 +577,11 @@ mod tests {
         assert!(mem.loaded_partitions() < before);
         let rdd = CachedScan::new(
             meta.clone(),
+            meta.cached.clone().unwrap(),
             (0..meta.num_partitions).collect(),
             vec![0, 1, 2],
             vec![],
         )
-        .unwrap()
         .rows(&ctx, true);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 6 * 50);
@@ -592,11 +604,11 @@ mod tests {
         mem.retire();
         let rdd = CachedScan::new(
             meta.clone(),
+            meta.cached.clone().unwrap(),
             (0..meta.num_partitions).collect(),
             vec![0, 1, 2],
             vec![],
         )
-        .unwrap()
         .rows(&ctx, true);
         let rows = rdd.collect().unwrap();
         assert_eq!(rows.len(), 6 * 50);
@@ -618,11 +630,11 @@ mod tests {
                 let ctx = RddContext::local();
                 let rdd = CachedScan::new(
                     meta.clone(),
+                    meta.cached.clone().unwrap(),
                     (0..meta.num_partitions).collect(),
                     projection.clone(),
                     filters.clone(),
                 )
-                .unwrap()
                 .rows(&ctx, vectorized);
                 outputs.push(rdd.collect().unwrap());
             }
@@ -652,11 +664,11 @@ mod tests {
         ];
         let rdd = CachedScan::new(
             meta.clone(),
+            meta.cached.clone().unwrap(),
             (0..meta.num_partitions).collect(),
             projection.clone(),
             filters.clone(),
         )
-        .unwrap()
         .partial_aggregate(&ctx, &group, aggs.clone(), 3.0);
         let fused = rdd.collect().unwrap();
 
@@ -763,11 +775,11 @@ mod tests {
                 filter.iter().map(|f| bind_filter(f, &projected)).collect();
             let rdd = CachedScan::new(
                 meta.clone(),
+                meta.cached.clone().unwrap(),
                 (0..meta.num_partitions).collect(),
                 projection.clone(),
                 filters,
             )
-            .unwrap()
             .partial_aggregate(
                 &RddContext::local(),
                 &grouped_by(&keys),
@@ -843,11 +855,11 @@ mod tests {
         let scan = || {
             CachedScan::new(
                 meta.clone(),
+                meta.cached.clone().unwrap(),
                 partitions.clone(),
                 projection.clone(),
                 filters.clone(),
             )
-            .unwrap()
         };
         let rows = scan().rows(&ctx, false);
         let cases = projection_lists
