@@ -136,7 +136,7 @@ const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 /// the row and the fused builder, and a shuffle join. Three more pin
 /// expression shapes the batch kernels evaluate: a `SUBSTR` group key, a
 /// `NOT IN` filter over a dictionary column and a `BETWEEN` filter under a
-/// shuffle join. The last two pin the join strategies the others leave
+/// shuffle join. The next two pin the join strategies the others leave
 /// out: the adaptive PDE join, which pre-shuffles both sides before it
 /// picks one, and a co-partitioned join over its own fixture. The last two
 /// pin the scan paths no loaded fixture reaches: a memstore scan that
