@@ -138,9 +138,12 @@ const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 /// `NOT IN` filter over a dictionary column and a `BETWEEN` filter under a
 /// shuffle join. The next two pin the join strategies the others leave
 /// out: the adaptive PDE join, which pre-shuffles both sides before it
-/// picks one, and a co-partitioned join over its own fixture. The last two
-/// pin the scan paths no loaded fixture reaches: a memstore scan that
-/// rebuilds evicted partitions from lineage, and the DFS scan under PDE.
+/// picks one, and a co-partitioned join over its own fixture. One pins the
+/// expressions over an aggregate's output: a HAVING aggregate no SELECT
+/// item computes, a group column in HAVING, and ORDER BY an aggregate's
+/// alias under LIMIT. The last two pin the scan paths no loaded fixture
+/// reaches: a memstore scan that rebuilds evicted partitions from lineage,
+/// and the DFS scan under PDE.
 fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>)> {
     let shuffle_join = ExecConfig {
         broadcast_threshold: 0,
@@ -280,6 +283,14 @@ fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>
             ExecConfig::shark(),
             "SELECT o.ok, o.cust, l.qty FROM orders o JOIN lineitems l ON o.ok = l.ok",
             Some(0.0050221845000000005),
+        ),
+        (
+            "having + order by aggregate",
+            session,
+            ExecConfig::shark(),
+            "SELECT grp, SUM(v) AS total FROM facts GROUP BY grp \
+             HAVING COUNT(*) > 1 AND grp <> 'alpha' ORDER BY total DESC LIMIT 3",
+            Some(0.015032883597750048),
         ),
         (
             "selection (evicted partitions)",
