@@ -66,9 +66,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the deterministic fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with the deterministic fast hasher.
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
-
 /// FNV-1a 64 offset basis: the hash of the empty input, and the value to
 /// start an incremental [`fnv1a_from`] chain with.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -7,8 +7,8 @@
 //! used throughout the system, the workspace-wide error type
 //! [`SharkError`], size-estimation helpers used by the cluster cost model,
 //! the fast non-cryptographic hash used by partitioners, and the lossy
-//! statistics sketches (log-encoded sizes, heavy hitters, approximate
-//! histograms) that Partial DAG Execution collects at shuffle boundaries.
+//! log-encoded sizes that Partial DAG Execution collects at shuffle
+//! boundaries.
 //! [`codec`] holds the byte-level primitives and tag tables shared by every
 //! on-disk and wire format.
 

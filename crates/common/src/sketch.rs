@@ -2,12 +2,9 @@
 //!
 //! The paper keeps per-task statistics to 1–2 KB by using lossy encodings:
 //! logarithmically encoded partition sizes (≤10 % error, 1 byte for sizes up
-//! to 32 GB), "heavy hitter" lists, and approximate histograms. This module
-//! implements those three sketches plus the merge operations the master uses
-//! when aggregating statistics from all map tasks.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! to 32 GB), "heavy hitter" lists, and approximate histograms. The shuffle
+//! records its bucket sizes with the first, [`LogSize`]; nothing reads the
+//! other two, so they are not implemented.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,179 +38,6 @@ impl LogSize {
     }
 }
 
-/// Misra–Gries style heavy-hitter sketch: tracks up to `capacity` frequently
-/// occurring keys with bounded memory.
-#[derive(Debug, Clone)]
-pub struct HeavyHitters<K: Eq + Hash + Clone> {
-    capacity: usize,
-    counters: HashMap<K, u64>,
-    total: u64,
-}
-
-impl<K: Eq + Hash + Clone> HeavyHitters<K> {
-    /// Create a sketch tracking at most `capacity` candidate keys.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "heavy hitter capacity must be positive");
-        HeavyHitters {
-            capacity,
-            counters: HashMap::with_capacity(capacity + 1),
-            total: 0,
-        }
-    }
-
-    /// Observe one occurrence of `key`.
-    pub fn observe(&mut self, key: K) {
-        self.observe_weighted(key, 1);
-    }
-
-    /// Observe `weight` occurrences of `key`.
-    pub fn observe_weighted(&mut self, key: K, weight: u64) {
-        self.total += weight;
-        if let Some(c) = self.counters.get_mut(&key) {
-            *c += weight;
-            return;
-        }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(key, weight);
-            return;
-        }
-        // Misra–Gries decrement step: reduce all counters, evict zeros.
-        let dec = weight;
-        self.counters.retain(|_, c| {
-            if *c > dec {
-                *c -= dec;
-                true
-            } else {
-                false
-            }
-        });
-    }
-
-    /// Total number of observations (exact).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Candidate heavy hitters with estimated counts, most frequent first.
-    pub fn hitters(&self) -> Vec<(K, u64)> {
-        let mut v: Vec<(K, u64)> = self.counters.iter().map(|(k, c)| (k.clone(), *c)).collect();
-        v.sort_by_key(|(_, count)| std::cmp::Reverse(*count));
-        v
-    }
-
-    /// Keys whose estimated frequency exceeds `fraction` of all observations.
-    pub fn above_fraction(&self, fraction: f64) -> Vec<K> {
-        let threshold = (self.total as f64 * fraction) as u64;
-        self.hitters()
-            .into_iter()
-            .filter(|(_, c)| *c >= threshold.max(1))
-            .map(|(k, _)| k)
-            .collect()
-    }
-
-    /// Merge another sketch into this one (master-side aggregation).
-    pub fn merge(&mut self, other: &HeavyHitters<K>) {
-        for (k, c) in &other.counters {
-            self.observe_weighted(k.clone(), *c);
-        }
-        // observe_weighted already added other's counter totals; fix up the
-        // exact total to account for observations other dropped.
-        self.total = self.total - other.counters.values().sum::<u64>() + other.total;
-    }
-}
-
-/// A fixed-bucket approximate histogram over `f64` keys (equi-width buckets
-/// between a configured min and max), used to estimate key distributions at
-/// shuffle boundaries.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ApproxHistogram {
-    min: f64,
-    max: f64,
-    buckets: Vec<u64>,
-    below: u64,
-    above: u64,
-    count: u64,
-}
-
-impl ApproxHistogram {
-    /// Create a histogram with `buckets` equi-width buckets over `[min, max)`.
-    pub fn new(min: f64, max: f64, buckets: usize) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(max > min, "histogram range must be non-empty");
-        ApproxHistogram {
-            min,
-            max,
-            buckets: vec![0; buckets],
-            below: 0,
-            above: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, v: f64) {
-        self.count += 1;
-        if v < self.min {
-            self.below += 1;
-        } else if v >= self.max {
-            self.above += 1;
-        } else {
-            let width = (self.max - self.min) / self.buckets.len() as f64;
-            let idx = ((v - self.min) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Estimated fraction of observations that are `<= v`.
-    pub fn estimate_cdf(&self, v: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        if v < self.min {
-            return 0.0;
-        }
-        let width = (self.max - self.min) / self.buckets.len() as f64;
-        let mut acc = self.below;
-        if v >= self.max {
-            acc += self.buckets.iter().sum::<u64>() + self.above;
-        } else {
-            let full = ((v - self.min) / width) as usize;
-            for b in &self.buckets[..full.min(self.buckets.len())] {
-                acc += b;
-            }
-            if full < self.buckets.len() {
-                let frac = ((v - self.min) - full as f64 * width) / width;
-                acc += (self.buckets[full] as f64 * frac) as u64;
-            }
-        }
-        acc as f64 / self.count as f64
-    }
-
-    /// Merge another histogram with identical bucket configuration.
-    pub fn merge(&mut self, other: &ApproxHistogram) {
-        assert_eq!(self.buckets.len(), other.buckets.len());
-        assert_eq!(self.min.to_bits(), other.min.to_bits());
-        assert_eq!(self.max.to_bits(), other.max.to_bits());
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += *b;
-        }
-        self.below += other.below;
-        self.above += other.above;
-        self.count += other.count;
-    }
-
-    /// The bucket counts (for tests and the optimizer).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,59 +56,5 @@ mod tests {
         let one_byte: u8 = LogSize::encode(1 << 35).code();
         assert!(one_byte > 0);
         assert!(LogSize::encode(1024).code() < LogSize::encode(1 << 20).code());
-    }
-
-    #[test]
-    fn heavy_hitters_finds_skewed_key() {
-        let mut hh = HeavyHitters::new(4);
-        for i in 0..1000u64 {
-            hh.observe(i % 100); // uniform noise
-        }
-        for _ in 0..5000 {
-            hh.observe(7u64); // the heavy key
-        }
-        let top = hh.hitters();
-        assert_eq!(top[0].0, 7);
-        assert!(hh.above_fraction(0.5).contains(&7));
-        assert_eq!(hh.total(), 6000);
-    }
-
-    #[test]
-    fn heavy_hitters_merge_accumulates_totals() {
-        let mut a = HeavyHitters::new(4);
-        let mut b = HeavyHitters::new(4);
-        for _ in 0..100 {
-            a.observe("x");
-            b.observe("x");
-            b.observe("y");
-        }
-        a.merge(&b);
-        assert_eq!(a.total(), 300);
-        assert_eq!(a.hitters()[0].0, "x");
-    }
-
-    #[test]
-    fn histogram_cdf_is_monotone_and_roughly_correct() {
-        let mut h = ApproxHistogram::new(0.0, 100.0, 20);
-        for i in 0..10_000 {
-            h.observe((i % 100) as f64);
-        }
-        let mid = h.estimate_cdf(50.0);
-        assert!((mid - 0.5).abs() < 0.05, "cdf(50) = {mid}");
-        assert!(h.estimate_cdf(25.0) < h.estimate_cdf(75.0));
-        assert_eq!(h.estimate_cdf(1000.0), 1.0);
-        assert_eq!(h.estimate_cdf(-5.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = ApproxHistogram::new(0.0, 10.0, 10);
-        let mut b = ApproxHistogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            a.observe(i as f64);
-            b.observe(i as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 20);
     }
 }

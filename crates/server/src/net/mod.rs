@@ -145,12 +145,6 @@ impl NetConfig {
         self
     }
 
-    /// Cap concurrently open connections.
-    pub fn with_max_connections(mut self, max: usize) -> NetConfig {
-        self.max_connections = max;
-        self
-    }
-
     /// Require this shared-secret token in every Hello.
     pub fn with_auth_token(mut self, token: impl Into<String>) -> NetConfig {
         self.auth_token = Some(token.into());

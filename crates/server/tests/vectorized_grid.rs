@@ -101,6 +101,19 @@ fn grid_queries(table: &str) -> Vec<String> {
         format!("SELECT grp, COUNT(*), SUM(amount), MIN(k), MAX(amount) FROM {table} GROUP BY grp"),
         format!("SELECT grp, AVG(amount) FROM {table} WHERE k > 50 GROUP BY grp ORDER BY grp"),
         format!("SELECT COUNT(*), SUM(k) FROM {table}"),
+        // Expressions over aggregates and group keys, in SELECT and HAVING.
+        format!(
+            "SELECT grp, SUM(amount) + 1, ROUND(AVG(amount)) FROM {table} \
+             GROUP BY grp HAVING COUNT(*) BETWEEN 2 AND 100000"
+        ),
+        format!(
+            "SELECT UPPER(grp), COUNT(*) * 2 - MIN(k) FROM {table} \
+             GROUP BY grp HAVING grp IN ('beta', 'delta', 'hot')"
+        ),
+        format!(
+            "SELECT {table}.grp, MAX(amount) - MIN(amount) AS spread FROM {table} \
+             GROUP BY {table}.grp HAVING grp <> 'gamma' ORDER BY spread DESC LIMIT 2"
+        ),
         // Top-k.
         format!("SELECT k, amount FROM {table} ORDER BY amount DESC LIMIT 9"),
         format!("SELECT k FROM {table} ORDER BY k LIMIT 5"),
@@ -203,6 +216,36 @@ fn vectorized_path_actually_ran_fused_scans() {
         "expected a vectorized plan note, got {:?}",
         result.result.notes
     );
+}
+
+#[test]
+fn expressions_over_aggregates_match_the_plain_aggregates() {
+    let server = SharkServer::new(ServerConfig::default());
+    register_mixed(&server, "mixed");
+    server.load_table("mixed").unwrap();
+    let session = server.session();
+    let sorted = |query: &str| {
+        let mut rows = fetch_blocking(&session, query);
+        rows.sort();
+        rows
+    };
+    let plain = sorted("SELECT grp, SUM(amount), COUNT(*) FROM mixed GROUP BY grp");
+    let derived = sorted(
+        "SELECT grp, SUM(amount) + 1, COUNT(*) * 2 FROM mixed GROUP BY grp HAVING grp <> 'alpha'",
+    );
+    let expected: Vec<Row> = plain
+        .iter()
+        .filter(|r| r.get(0).as_str() != Some("alpha"))
+        .map(|r| {
+            row![
+                r.get(0).clone(),
+                r.get(1).as_float().unwrap() + 1.0,
+                r.get_int(2).unwrap() * 2
+            ]
+        })
+        .collect();
+    assert_eq!(plain.len(), 4);
+    assert_eq!(derived, expected);
 }
 
 /// Rows per partition of the expression table: more distinct `name`s than

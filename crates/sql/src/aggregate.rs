@@ -8,7 +8,7 @@
 
 use std::collections::BTreeSet;
 
-use shark_common::{EstimateSize, Value, ValueRef};
+use shark_common::{DataType, EstimateSize, Schema, Value, ValueRef};
 
 use crate::expr::BoundExpr;
 
@@ -71,6 +71,21 @@ impl AggExpr {
     /// Evaluate the argument for one input row (`None` for `COUNT(*)`).
     pub fn arg_value(&self, row: &shark_common::Row) -> Option<Value> {
         self.arg.as_ref().map(|e| e.eval(row))
+    }
+
+    /// The type of the aggregate's value over rows of `input`.
+    pub fn data_type(&self, input: &Schema) -> DataType {
+        match self.func {
+            AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
+            AggFunc::Sum | AggFunc::Avg => DataType::Float,
+            // One of the argument's values (or NULL). A UDF's result type
+            // is unknown when planning: such a column is a number.
+            AggFunc::Min | AggFunc::Max => match &self.arg {
+                None => DataType::Null,
+                Some(a) if a.calls_udf() => DataType::Float,
+                Some(a) => a.data_type(input),
+            },
+        }
     }
 }
 

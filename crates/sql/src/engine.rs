@@ -750,7 +750,7 @@ mod tests {
                 .collect()
         }));
         let select = "SELECT g, MIN(i), MAX(i), MIN(f), MAX(f), MIN(s), MAX(s), MIN(d), MAX(d), \
-                      MIN(COALESCE(f, 0)), MAX(IF(i > 0, f, 0)), MAX(half(i)) \
+                      MIN(COALESCE(f, 0)), MAX(IF(i > 0, f, 0)), MAX(half(i)), MIN(d - d) \
                       FROM typed GROUP BY g";
         let expected = s.sql(select).unwrap();
         let types: Vec<DataType> = expected
@@ -762,7 +762,7 @@ mod tests {
         use DataType::{Date, Float, Int, Str};
         assert_eq!(
             types,
-            [Int, Int, Int, Float, Float, Str, Str, Date, Date, Float, Float, Float]
+            [Int, Int, Int, Float, Float, Str, Str, Date, Date, Float, Float, Float, Int]
         );
         let sorted = |mut rows: Vec<Row>| {
             rows.sort_by_key(|r| r.get_int(0).unwrap());

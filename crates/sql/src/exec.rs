@@ -30,7 +30,7 @@ use crate::expr::BoundExpr;
 use crate::pde::{
     choose_join_strategy, coalesce_buckets, JoinStrategy, MAX_REDUCERS, TARGET_PARTITION_BYTES,
 };
-use crate::plan::{AggregateNode, OutputRef, QueryPlan, ScanNode};
+use crate::plan::{AggregateNode, QueryPlan, ScanNode};
 use crate::scan::{dfs_scan, prune_partitions, CachedScan};
 use crate::vector::note_scalar_adapter;
 
@@ -1626,35 +1626,22 @@ fn finish_aggregation(
         shuffle.read_aggregated(AggStates::merge_from)
     };
 
-    // Finalize: build output rows in SELECT order, applying HAVING.
-    let output_refs = agg.output.clone();
-    let having = agg.having_internal.clone();
-    let num_groups = agg.group_exprs.len();
-    let final_ops = 2.0 + output_refs.len() as f64;
+    // Finalize: evaluate the SELECT items over each group's output row
+    // (group values ++ aggregate values), applying HAVING.
+    let output = agg.output.clone();
+    let having = agg.having.clone();
+    let final_ops = 2.0 + output.len() as f64;
     Ok(
         aggregated.map_partitions_named("finalize-aggregate", final_ops, move |_, groups| {
             let mut out = Vec::with_capacity(groups.len());
             for (key, states) in groups {
-                let finalized = states.finalize();
-                // Internal layout: group values ++ aggregate values.
-                let mut internal = key.into_values();
-                internal.extend(finalized);
-                let internal = Row::new(internal);
-                if let Some(h) = &having {
-                    if !h.eval_predicate(&internal) {
-                        continue;
-                    }
+                let mut values = key.into_values();
+                values.extend(states.finalize());
+                let row = Row::new(values);
+                if having.as_ref().is_some_and(|h| !h.eval_predicate(&row)) {
+                    continue;
                 }
-                let row = Row::new(
-                    output_refs
-                        .iter()
-                        .map(|r| match r {
-                            OutputRef::Group(i) => internal.get(*i).clone(),
-                            OutputRef::Agg(i) => internal.get(num_groups + *i).clone(),
-                        })
-                        .collect(),
-                );
-                out.push(row);
+                out.push(Row::new(output.iter().map(|e| e.eval(&row)).collect()));
             }
             out
         }),

@@ -13,8 +13,26 @@ use shark_common::{DataType, Result, Row, Schema, SharkError, Value, ValueRef};
 
 use crate::ast::{BinaryOp, Expr};
 
-/// A user-defined scalar function.
-pub type UdfFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
+/// A user-defined scalar function, equal to another when both are the same
+/// registered function.
+#[derive(Clone)]
+pub struct UdfFn(Arc<UdfBody>);
+
+type UdfBody = dyn Fn(&[Value]) -> Value + Send + Sync;
+
+impl PartialEq for UdfFn {
+    fn eq(&self, other: &UdfFn) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl std::ops::Deref for UdfFn {
+    type Target = UdfBody;
+
+    fn deref(&self) -> &UdfBody {
+        &*self.0
+    }
+}
 
 /// Registry of user-defined scalar functions, looked up by lower-case name.
 #[derive(Default, Clone)]
@@ -33,7 +51,7 @@ impl UdfRegistry {
     where
         F: Fn(&[Value]) -> Value + Send + Sync + 'static,
     {
-        self.funcs.insert(name.to_lowercase(), Arc::new(f));
+        self.funcs.insert(name.to_lowercase(), UdfFn(Arc::new(f)));
     }
 
     /// Look up a UDF.
@@ -96,8 +114,9 @@ impl ScalarFunc {
     }
 }
 
-/// An executable expression bound to a row layout.
-#[derive(Clone)]
+/// An executable expression bound to a row layout. Equality is
+/// structural.
+#[derive(Clone, PartialEq)]
 pub enum BoundExpr {
     /// A resolved column position.
     Column(usize),
@@ -190,6 +209,14 @@ impl std::fmt::Debug for BoundExpr {
 pub trait ColumnResolver {
     /// Resolve a possibly qualified column name to its position.
     fn resolve_column(&self, name: &str) -> Result<usize>;
+
+    /// Bind a whole subexpression before [`BoundExpr::bind`] descends into
+    /// it: `Some` is its binding, `None` lets `bind` go on. A resolver over
+    /// an aggregate's output row turns GROUP BY keys and aggregate calls
+    /// into its columns here.
+    fn resolve_expr(&self, _expr: &Expr, _udfs: &UdfRegistry) -> Result<Option<BoundExpr>> {
+        Ok(None)
+    }
 }
 
 /// A resolver over a plain schema (unqualified and `alias.col` suffix match).
@@ -217,13 +244,17 @@ impl ColumnResolver for SchemaResolver<'_> {
 }
 
 impl BoundExpr {
-    /// Bind an AST expression against a column resolver. Aggregate function
-    /// calls are rejected here — the planner handles them separately.
+    /// Bind an AST expression against a column resolver. An aggregate call
+    /// is an error unless the resolver binds it (see
+    /// [`ColumnResolver::resolve_expr`]).
     pub fn bind(
         expr: &Expr,
         resolver: &dyn ColumnResolver,
         udfs: &UdfRegistry,
     ) -> Result<BoundExpr> {
+        if let Some(bound) = resolver.resolve_expr(expr, udfs)? {
+            return Ok(bound);
+        }
         Ok(match expr {
             Expr::Column(name) => BoundExpr::Column(resolver.resolve_column(name)?),
             Expr::Literal(v) => BoundExpr::Literal(v.clone()),
@@ -382,7 +413,11 @@ impl BoundExpr {
                 if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
                     DataType::Bool
                 } else {
-                    left.data_type(input).widen(right.data_type(input))
+                    match left.data_type(input).widen(right.data_type(input)) {
+                        // Arithmetic over dates counts days.
+                        DataType::Date => DataType::Int,
+                        t => t,
+                    }
                 }
             }
             BoundExpr::Not(_)

@@ -11,12 +11,6 @@
 //!   fine-grained map-output buckets into fewer coarse reduce tasks with a
 //!   greedy bin-packing heuristic that equalizes task sizes.
 
-use shark_rdd::ShuffleSummary;
-
-/// Default broadcast threshold: relations smaller than this (serialized
-/// bytes, at simulation scale) are broadcast instead of shuffled.
-pub const DEFAULT_BROADCAST_THRESHOLD: u64 = 64 * 1024 * 1024;
-
 /// The join strategy chosen at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinStrategy {
@@ -97,20 +91,6 @@ pub fn coalesce_buckets(
         bucket_list.sort_unstable();
     }
     assignment
-}
-
-/// Pick the number of reduce tasks for a shuffle given its summary: enough
-/// tasks that each processes about `target_bytes`, but never more than
-/// `max_partitions` (the paper notes Spark comfortably runs thousands of
-/// small reduce tasks, §7).
-pub fn choose_reducer_count(
-    summary: &ShuffleSummary,
-    target_bytes: u64,
-    max_partitions: usize,
-) -> usize {
-    let total = summary.total_bytes.max(1);
-    let ideal = total.div_ceil(target_bytes.max(1)) as usize;
-    ideal.clamp(1, max_partitions.max(1))
 }
 
 #[cfg(test)]
@@ -244,20 +224,5 @@ mod tests {
         // And never more bins than buckets, however generous the cap.
         let assignment = coalesce_buckets(&[1, 1], 1, 1000);
         assert!(assignment.len() <= 2);
-    }
-
-    #[test]
-    fn reducer_count_scales_with_data() {
-        let summary = |bytes: u64| ShuffleSummary {
-            num_map_tasks: 4,
-            num_buckets: 100,
-            bucket_bytes: vec![],
-            bucket_rows: vec![],
-            total_bytes: bytes,
-            total_rows: 0,
-        };
-        assert_eq!(choose_reducer_count(&summary(50), 100, 1000), 1);
-        assert_eq!(choose_reducer_count(&summary(1000), 100, 1000), 10);
-        assert_eq!(choose_reducer_count(&summary(1 << 40), 100, 1000), 1000);
     }
 }

@@ -6,15 +6,22 @@
 //! limit. The structure mirrors the fixed pipeline Shark compiles Hive
 //! queries into: scan → filter → join* → aggregate → project → sort → limit.
 //!
+//! Every expression is bound by [`BoundExpr::bind`] against the row its
+//! operator reads. After GROUP BY that row is the aggregate's output row
+//! (`group values ++ aggregate values`): the SELECT items and HAVING bind
+//! through one resolver that maps GROUP BY keys and aggregate calls to its
+//! columns, so any expression over them plans.
+//!
 //! Rule-based optimizations applied here, as in the paper (§2.4): predicate
 //! pushdown to scans (which also feeds map pruning, §3.5), column pruning
 //! (only referenced columns are scanned from the columnar store), and LIMIT
 //! pushdown to individual partitions when no ordering or aggregation is
 //! present.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
-use shark_common::{DataType, Field, Result, Schema, SharkError, Value};
+use shark_common::{Field, Result, Schema, SharkError, Value};
 
 use crate::aggregate::{AggExpr, AggFunc};
 use crate::ast::{Expr, SelectItem, SelectStmt};
@@ -46,26 +53,19 @@ pub struct JoinNode {
     pub right_scan: usize,
 }
 
-/// How one output column of an aggregation is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutputRef {
-    /// The i-th GROUP BY expression.
-    Group(usize),
-    /// The i-th aggregate expression.
-    Agg(usize),
-}
-
-/// The aggregation step of a plan.
+/// The aggregation step of a plan. Its *output row* is the group values
+/// followed by the aggregate values; the SELECT items and HAVING are bound
+/// over it.
 pub struct AggregateNode {
     /// Grouping expressions over the combined (post-join) schema.
     pub group_exprs: Vec<BoundExpr>,
-    /// Aggregate expressions over the combined schema.
+    /// Aggregate expressions over the combined schema: every aggregate the
+    /// SELECT items and HAVING call, each once.
     pub aggs: Vec<AggExpr>,
-    /// How each output column maps to a group key or aggregate.
-    pub output: Vec<OutputRef>,
-    /// HAVING predicate over the *internal* layout
-    /// (`group values ++ aggregate values`).
-    pub having_internal: Option<BoundExpr>,
+    /// One expression per SELECT item, over the output row.
+    pub output: Vec<BoundExpr>,
+    /// HAVING predicate over the output row.
+    pub having: Option<BoundExpr>,
 }
 
 /// A fully analyzed query.
@@ -204,6 +204,67 @@ impl ColumnResolver for CombinedResolver<'_> {
         (self.combined_index)(si, ci).ok_or_else(|| {
             SharkError::Analysis(format!("column '{name}' was pruned from the plan"))
         })
+    }
+}
+
+/// Resolver over an aggregate's output row (`group values ++ aggregate
+/// values`). A subexpression that binds over the combined schema to a
+/// GROUP BY key is that key's column; an aggregate call is its aggregate's
+/// column, appended on first use and reused when written the same; any
+/// other column is an error.
+struct AggregateResolver<'a> {
+    combined: &'a dyn ColumnResolver,
+    group_exprs: &'a [BoundExpr],
+    /// Each aggregate as written, with its binding.
+    aggs: RefCell<Vec<(Expr, AggExpr)>>,
+}
+
+impl ColumnResolver for AggregateResolver<'_> {
+    fn resolve_column(&self, name: &str) -> Result<usize> {
+        // Only a column that is no GROUP BY key gets here.
+        self.combined.resolve_column(name)?;
+        Err(SharkError::Plan(format!(
+            "column '{name}' is neither an aggregate nor a GROUP BY expression"
+        )))
+    }
+
+    fn resolve_expr(&self, expr: &Expr, udfs: &UdfRegistry) -> Result<Option<BoundExpr>> {
+        let groups = self.group_exprs.len();
+        if let Expr::Function {
+            name,
+            args,
+            distinct,
+        } = expr
+        {
+            if let Some(func) = AggFunc::from_name(name) {
+                if let Some(i) = self.aggs.borrow().iter().position(|(e, _)| e == expr) {
+                    return Ok(Some(BoundExpr::Column(groups + i)));
+                }
+                let func = if *distinct && func == AggFunc::Count {
+                    AggFunc::CountDistinct
+                } else {
+                    func
+                };
+                let arg = match args.first() {
+                    None | Some(Expr::Star) => None,
+                    Some(a) => Some(BoundExpr::bind(a, self.combined, udfs)?),
+                };
+                let mut aggs = self.aggs.borrow_mut();
+                aggs.push((expr.clone(), AggExpr { func, arg }));
+                return Ok(Some(BoundExpr::Column(groups + aggs.len() - 1)));
+            }
+        }
+        if groups == 0 || expr.contains_aggregate() {
+            return Ok(None);
+        }
+        let Ok(bound) = BoundExpr::bind(expr, self.combined, udfs) else {
+            return Ok(None);
+        };
+        Ok(self
+            .group_exprs
+            .iter()
+            .position(|g| *g == bound)
+            .map(BoundExpr::Column))
     }
 }
 
@@ -509,112 +570,69 @@ pub fn plan_select(
     };
 
     let (aggregate, projections) = if is_aggregate {
-        let normalized_group_by: Vec<Expr> = stmt
+        let group_exprs = stmt
             .group_by
             .iter()
-            .map(|g| normalize_expr(g, &resolver))
-            .collect();
-        let mut group_exprs = Vec::new();
-        for g in &stmt.group_by {
-            group_exprs.push(BoundExpr::bind(g, &combined_resolver, udfs)?);
-        }
-        let mut aggs: Vec<AggExpr> = Vec::new();
-        let mut agg_asts: Vec<Expr> = Vec::new();
-        let mut output = Vec::new();
-
-        for (i, item) in stmt.projections.iter().enumerate() {
-            let (expr, alias) = match item {
-                SelectItem::Expr { expr, alias } => (expr, alias.clone()),
-                SelectItem::Wildcard => unreachable!("checked above"),
-            };
-            if expr.contains_aggregate() {
-                let (func, arg_ast, distinct) = match expr {
-                    Expr::Function {
-                        name,
-                        args,
-                        distinct,
-                    } => (
-                        AggFunc::from_name(name).ok_or_else(|| {
-                            SharkError::Plan(format!("unsupported aggregate '{name}'"))
-                        })?,
-                        args.first().cloned(),
-                        *distinct,
-                    ),
-                    other => {
-                        return Err(SharkError::Plan(format!(
-                            "aggregate expressions must be plain function calls, found {other:?}"
-                        )))
-                    }
-                };
-                let func = if distinct && func == AggFunc::Count {
-                    AggFunc::CountDistinct
-                } else {
-                    func
-                };
-                let arg = match &arg_ast {
-                    None | Some(Expr::Star) => None,
-                    Some(a) => Some(BoundExpr::bind(a, &combined_resolver, udfs)?),
-                };
-                let agg_index = aggs.len();
-                aggs.push(AggExpr { func, arg });
-                agg_asts.push(expr.clone());
-                output.push(OutputRef::Agg(agg_index));
-                let name = alias.unwrap_or_else(|| format!("{}_{i}", func.display_name()));
-                let dtype = match func {
-                    AggFunc::Count | AggFunc::CountDistinct => DataType::Int,
-                    AggFunc::Sum | AggFunc::Avg => DataType::Float,
-                    // One of the argument's values (or NULL). A UDF's result
-                    // type is unknown when planning: such a column is a number.
-                    AggFunc::Min | AggFunc::Max => match &aggs[agg_index].arg {
-                        None => DataType::Null,
-                        Some(a) if a.calls_udf() => DataType::Float,
-                        Some(a) => a.data_type(&combined_schema),
-                    },
-                };
-                output_fields.push(Field::new(name, dtype));
-                order_source_exprs.push(expr.clone());
-            } else {
-                // Must match one of the GROUP BY expressions (compared after
-                // normalizing qualified vs. unqualified column names).
-                let normalized = normalize_expr(expr, &resolver);
-                let gi = normalized_group_by
-                    .iter()
-                    .position(|g| *g == normalized)
-                    .ok_or_else(|| {
-                        SharkError::Plan(format!(
-                            "projection {expr:?} is neither an aggregate nor a GROUP BY expression"
-                        ))
-                    })?;
-                output.push(OutputRef::Group(gi));
-                let name = alias.unwrap_or_else(|| match expr {
-                    Expr::Column(c) => c.rsplit('.').next().unwrap_or(c).to_string(),
-                    _ => format!("group_{i}"),
-                });
-                let dtype = group_exprs[gi].data_type(&combined_schema);
-                output_fields.push(Field::new(name, dtype));
-                order_source_exprs.push(expr.clone());
-            }
-        }
-
-        // HAVING over the internal layout (group values ++ agg values).
-        let having_internal = match &stmt.having {
-            None => None,
-            Some(h) => Some(bind_having(
-                h,
-                &stmt.group_by,
-                &mut aggs,
-                &mut agg_asts,
-                &combined_resolver,
-                udfs,
-            )?),
+            .map(|g| BoundExpr::bind(g, &combined_resolver, udfs))
+            .collect::<Result<Vec<_>>>()?;
+        let output_row = AggregateResolver {
+            combined: &combined_resolver,
+            group_exprs: &group_exprs,
+            aggs: RefCell::default(),
         };
+        let items: Vec<(&Expr, &Option<String>)> = stmt
+            .projections
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, alias } => (expr, alias),
+                SelectItem::Wildcard => unreachable!("checked above"),
+            })
+            .collect();
+        let output = items
+            .iter()
+            .map(|(expr, _)| BoundExpr::bind(expr, &output_row, udfs))
+            .collect::<Result<Vec<_>>>()?;
+        let having = match &stmt.having {
+            None => None,
+            Some(h) => Some(BoundExpr::bind(h, &output_row, udfs)?),
+        };
+        let aggs: Vec<AggExpr> = output_row
+            .aggs
+            .into_inner()
+            .into_iter()
+            .map(|(_, a)| a)
+            .collect();
+
+        // The output row's types: each key's, then each aggregate's.
+        let row_schema = Schema::new(
+            group_exprs
+                .iter()
+                .map(|g| g.data_type(&combined_schema))
+                .chain(aggs.iter().map(|a| a.data_type(&combined_schema)))
+                .map(|t| Field::new("", t))
+                .collect(),
+        );
+        for (i, ((expr, alias), bound)) in items.into_iter().zip(&output).enumerate() {
+            let name = alias.clone().unwrap_or_else(|| match (bound, expr) {
+                (BoundExpr::Column(c), _) if *c >= group_exprs.len() => {
+                    format!("{}_{i}", aggs[c - group_exprs.len()].func.display_name())
+                }
+                (BoundExpr::Column(_), Expr::Column(c)) => {
+                    c.rsplit('.').next().unwrap_or(c).to_string()
+                }
+                (BoundExpr::Column(_), _) => format!("group_{i}"),
+                _ => format!("col_{i}"),
+            });
+            output_fields.push(Field::new(name, bound.data_type(&row_schema)));
+            order_source_exprs.push(expr.clone());
+        }
 
         (
             Some(AggregateNode {
                 group_exprs,
                 aggs,
                 output,
-                having_internal,
+                having,
             }),
             Vec::new(),
         )
@@ -678,127 +696,6 @@ pub fn plan_select(
     })
 }
 
-/// Rewrite every column reference in an expression into its canonical
-/// `(scan, column)` form so that `sourceip` and `uv.sourceip` compare equal
-/// when matching SELECT items against GROUP BY expressions.
-fn normalize_expr(expr: &Expr, resolver: &NameResolver<'_>) -> Expr {
-    match expr {
-        Expr::Column(name) => match resolver.resolve(name) {
-            Ok((si, ci)) => Expr::Column(format!("#{si}.{ci}")),
-            Err(_) => expr.clone(),
-        },
-        Expr::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(normalize_expr(left, resolver)),
-            op: *op,
-            right: Box::new(normalize_expr(right, resolver)),
-        },
-        Expr::Not(e) => Expr::Not(Box::new(normalize_expr(e, resolver))),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(normalize_expr(expr, resolver)),
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => Expr::Between {
-            expr: Box::new(normalize_expr(expr, resolver)),
-            low: Box::new(normalize_expr(low, resolver)),
-            high: Box::new(normalize_expr(high, resolver)),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => Expr::InList {
-            expr: Box::new(normalize_expr(expr, resolver)),
-            list: list.iter().map(|e| normalize_expr(e, resolver)).collect(),
-            negated: *negated,
-        },
-        Expr::Function {
-            name,
-            args,
-            distinct,
-        } => Expr::Function {
-            name: name.clone(),
-            args: args.iter().map(|e| normalize_expr(e, resolver)).collect(),
-            distinct: *distinct,
-        },
-        Expr::Literal(_) | Expr::Star => expr.clone(),
-    }
-}
-
-/// Bind a HAVING predicate against the internal aggregation layout
-/// (`group values ++ aggregate values`), adding aggregates it references
-/// that are not already computed.
-fn bind_having(
-    having: &Expr,
-    group_by: &[Expr],
-    aggs: &mut Vec<AggExpr>,
-    agg_asts: &mut Vec<Expr>,
-    combined_resolver: &dyn ColumnResolver,
-    udfs: &UdfRegistry,
-) -> Result<BoundExpr> {
-    match having {
-        Expr::Function { name, args, .. } if AggFunc::from_name(name).is_some() => {
-            // Reuse an existing aggregate if the AST matches, else add one.
-            let idx = match agg_asts.iter().position(|a| a == having) {
-                Some(i) => i,
-                None => {
-                    let func = AggFunc::from_name(name).unwrap();
-                    let arg = match args.first() {
-                        None | Some(Expr::Star) => None,
-                        Some(a) => Some(BoundExpr::bind(a, combined_resolver, udfs)?),
-                    };
-                    aggs.push(AggExpr { func, arg });
-                    agg_asts.push(having.clone());
-                    aggs.len() - 1
-                }
-            };
-            Ok(BoundExpr::Column(group_by.len() + idx))
-        }
-        Expr::Column(_) => {
-            let gi = group_by.iter().position(|g| g == having).ok_or_else(|| {
-                SharkError::Plan("HAVING may only reference GROUP BY columns and aggregates".into())
-            })?;
-            Ok(BoundExpr::Column(gi))
-        }
-        Expr::Literal(v) => Ok(BoundExpr::Literal(v.clone())),
-        Expr::Binary { left, op, right } => Ok(BoundExpr::Binary {
-            left: Box::new(bind_having(
-                left,
-                group_by,
-                aggs,
-                agg_asts,
-                combined_resolver,
-                udfs,
-            )?),
-            op: *op,
-            right: Box::new(bind_having(
-                right,
-                group_by,
-                aggs,
-                agg_asts,
-                combined_resolver,
-                udfs,
-            )?),
-        }),
-        Expr::Not(e) => Ok(BoundExpr::Not(Box::new(bind_having(
-            e,
-            group_by,
-            aggs,
-            agg_asts,
-            combined_resolver,
-            udfs,
-        )?))),
-        other => Err(SharkError::Plan(format!(
-            "unsupported HAVING expression {other:?}"
-        ))),
-    }
-}
-
 /// Resolve an ORDER BY expression to an output column index.
 fn resolve_output_column(
     expr: &Expr,
@@ -836,7 +733,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::parser::parse_select;
-    use shark_common::row;
+    use shark_common::{row, DataType};
 
     fn catalog() -> Catalog {
         let c = Catalog::new();
@@ -893,7 +790,7 @@ mod tests {
         let agg = p.aggregate.as_ref().unwrap();
         assert_eq!(agg.group_exprs.len(), 1);
         assert_eq!(agg.aggs.len(), 1);
-        assert_eq!(agg.output, vec![OutputRef::Group(0), OutputRef::Agg(0)]);
+        assert_eq!(agg.output, vec![BoundExpr::Column(0), BoundExpr::Column(1)]);
         assert_eq!(p.output_schema.names(), vec!["sourceip", "rev"]);
         assert_eq!(p.order_by, vec![(1, true)]);
         assert_eq!(p.limit, Some(5));
@@ -944,7 +841,68 @@ mod tests {
         let agg = p.aggregate.as_ref().unwrap();
         assert_eq!(agg.output.len(), 1);
         assert_eq!(agg.aggs.len(), 1, "hidden aggregate for HAVING");
-        assert!(agg.having_internal.is_some());
+        assert!(agg.having.is_some());
+    }
+
+    #[test]
+    fn select_items_and_having_bind_over_the_aggregate_output_row() {
+        // The output row is `sourceip ++ SUM(adrevenue) ++ AVG(adrevenue)`.
+        let p = plan(
+            "SELECT sourceIP, SUM(adRevenue) + 1, ROUND(AVG(adRevenue)), UPPER(sourceIP) \
+             FROM uservisits GROUP BY sourceIP",
+        );
+        let agg = p.aggregate.as_ref().unwrap();
+        assert_eq!(
+            format!("{:?}", agg.output),
+            "[#0, (#1 Plus 1), Round([#2]), Upper([#0])]"
+        );
+        assert_eq!(
+            p.output_schema.names(),
+            vec!["sourceip", "col_1", "col_2", "col_3"]
+        );
+        let types: Vec<DataType> = p
+            .output_schema
+            .fields()
+            .iter()
+            .map(|f| f.data_type)
+            .collect();
+        use DataType::{Float, Int, Str};
+        assert_eq!(types, [Str, Float, Int, Str]);
+        // HAVING binds by the same rule; an aggregate written twice is
+        // computed once.
+        for (sql, having) in [
+            (
+                "SELECT sourceIP FROM uservisits GROUP BY sourceIP HAVING sourceIP IN ('a', 'b')",
+                "#0 IN [a, b]",
+            ),
+            (
+                "SELECT sourceIP, COUNT(*) FROM uservisits GROUP BY sourceIP \
+                 HAVING COUNT(*) BETWEEN 1 AND 1000",
+                "#1 BETWEEN 1 AND 1000",
+            ),
+            (
+                "SELECT sourceIP FROM uservisits GROUP BY sourceIP HAVING UPPER(sourceIP) <> 'X'",
+                "(Upper([#0]) NotEq X)",
+            ),
+            (
+                "SELECT uv.sourceIP FROM uservisits uv GROUP BY uv.sourceIP HAVING sourceIP <> 'x'",
+                "(#0 NotEq x)",
+            ),
+            (
+                "SELECT sourceIP, SUM(adRevenue), SUM(adRevenue) FROM uservisits \
+                 GROUP BY sourceIP HAVING SUM(adRevenue) > 1",
+                "(#1 Gt 1)",
+            ),
+        ] {
+            let p = plan(sql);
+            let agg = p.aggregate.as_ref().unwrap();
+            assert_eq!(
+                format!("{:?}", agg.having.as_ref().unwrap()),
+                having,
+                "{sql}"
+            );
+            assert!(agg.aggs.len() <= 1, "{sql}");
+        }
     }
 
     #[test]
@@ -964,6 +922,19 @@ mod tests {
         assert!(bad("SELECT x FROM missing_table").is_err());
         assert!(bad("SELECT nosuchcol FROM rankings").is_err());
         assert!(bad("SELECT pageURL, SUM(pageRank) FROM rankings").is_err()); // non-grouped column
+        assert!(bad("SELECT UPPER(pageURL), COUNT(*) FROM rankings GROUP BY pageRank").is_err());
+        assert!(bad("SELECT pageRank + avgDuration FROM rankings GROUP BY pageRank").is_err());
+        assert!(
+            bad("SELECT pageRank FROM rankings GROUP BY pageRank HAVING avgDuration > 1").is_err()
+        );
+        assert!(bad("SELECT pageRank FROM rankings GROUP BY pageRank HAVING nosuch > 1").is_err());
+        assert!(bad("SELECT pageURL FROM rankings WHERE SUM(pageRank) > 1").is_err()); // aggregate in WHERE
+        assert!(bad("SELECT COUNT(*) FROM rankings GROUP BY SUM(pageRank)").is_err());
+        assert!(bad("SELECT SUM(COUNT(*)) FROM rankings").is_err()); // nested aggregate
+        assert!(
+            bad("SELECT pageRank, MAX(SUM(avgDuration)) FROM rankings GROUP BY pageRank").is_err()
+        );
+        assert!(bad("SELECT * FROM rankings GROUP BY pageRank").is_err());
         assert!(
             bad("SELECT * FROM rankings r JOIN uservisits u ON r.pageRank > u.adRevenue").is_err()
         );
