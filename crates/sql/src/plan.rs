@@ -903,6 +903,11 @@ mod tests {
             );
             assert!(agg.aggs.len() <= 1, "{sql}");
         }
+        // A HAVING aggregate no SELECT item computes keeps its DISTINCT.
+        let p = plan(
+            "SELECT sourceIP FROM uservisits GROUP BY sourceIP HAVING COUNT(DISTINCT destURL) > 1",
+        );
+        assert_eq!(p.aggregate.unwrap().aggs[0].func, AggFunc::CountDistinct);
     }
 
     #[test]
