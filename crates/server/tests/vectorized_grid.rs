@@ -246,6 +246,25 @@ fn expressions_over_aggregates_match_the_plain_aggregates() {
         .collect();
     assert_eq!(plain.len(), 4);
     assert_eq!(derived, expected);
+    // `k / 2` divides integers and `k / 2.0` does not: two aggregates, each
+    // its own sum (halves of integers add up exactly in a float).
+    let halves = sorted("SELECT grp, SUM(k / 2), SUM(k / 2.0) FROM mixed GROUP BY grp");
+    let ks = fetch_blocking(&session, "SELECT grp, k FROM mixed");
+    let expected: Vec<Row> = plain
+        .iter()
+        .map(|r| {
+            let k = ks
+                .iter()
+                .filter(|q| q.get(0) == r.get(0))
+                .map(|q| q.get_int(1).unwrap());
+            let (int_halves, halves) = k.fold((0.0, 0.0), |(a, b), k| {
+                (a + (k / 2) as f64, b + k as f64 / 2.0)
+            });
+            row![r.get(0).clone(), int_halves, halves]
+        })
+        .collect();
+    assert_ne!(expected[0].get(1), expected[0].get(2));
+    assert_eq!(halves, expected);
 }
 
 /// Rows per partition of the expression table: more distinct `name`s than

@@ -59,7 +59,7 @@ impl AggFunc {
 /// A bound aggregate expression: the function plus its (optional) argument
 /// expression over the pre-aggregation row layout. `COUNT(*)` has no
 /// argument.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggExpr {
     /// The aggregate function.
     pub func: AggFunc,

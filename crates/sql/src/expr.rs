@@ -114,9 +114,8 @@ impl ScalarFunc {
     }
 }
 
-/// An executable expression bound to a row layout. Equality is
-/// structural.
-#[derive(Clone, PartialEq)]
+/// An executable expression bound to a row layout.
+#[derive(Clone)]
 pub enum BoundExpr {
     /// A resolved column position.
     Column(usize),
@@ -176,6 +175,66 @@ pub enum BoundExpr {
         /// Arguments.
         args: Vec<BoundExpr>,
     },
+}
+
+/// Structural equality in which two literals are equal only when they are
+/// of one type: `v / 2` divides integers and `v / 2.0` does not, though
+/// `Value` calls `2` and `2.0` equal.
+impl PartialEq for BoundExpr {
+    fn eq(&self, other: &BoundExpr) -> bool {
+        use BoundExpr as B;
+        match (self, other) {
+            (B::Column(a), B::Column(b)) => a == b,
+            (B::Literal(a), B::Literal(b)) => {
+                std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
+            }
+            (
+                B::Binary { left, op, right },
+                B::Binary {
+                    left: l,
+                    op: o,
+                    right: r,
+                },
+            ) => op == o && left == l && right == r,
+            (B::Not(a), B::Not(b)) => a == b,
+            (
+                B::IsNull { expr, negated },
+                B::IsNull {
+                    expr: e,
+                    negated: n,
+                },
+            ) => negated == n && expr == e,
+            (
+                B::Between {
+                    expr,
+                    low,
+                    high,
+                    negated,
+                },
+                B::Between {
+                    expr: e,
+                    low: l,
+                    high: h,
+                    negated: n,
+                },
+            ) => negated == n && expr == e && low == l && high == h,
+            (
+                B::InList {
+                    expr,
+                    list,
+                    negated,
+                },
+                B::InList {
+                    expr: e,
+                    list: l,
+                    negated: n,
+                },
+            ) => negated == n && expr == e && list == l,
+            (B::Func { func, args }, B::Func { func: f, args: a }) => func == f && args == a,
+            (B::Udf { f, args, .. }, B::Udf { f: g, args: a, .. }) => f == g && args == a,
+            _ => false,
+        }
+    }
 }
 
 impl std::fmt::Debug for BoundExpr {

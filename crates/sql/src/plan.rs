@@ -210,13 +210,12 @@ impl ColumnResolver for CombinedResolver<'_> {
 /// Resolver over an aggregate's output row (`group values ++ aggregate
 /// values`). A subexpression that binds over the combined schema to a
 /// GROUP BY key is that key's column; an aggregate call is its aggregate's
-/// column, appended on first use and reused when written the same; any
+/// column, appended on first use and reused when it binds the same; any
 /// other column is an error.
 struct AggregateResolver<'a> {
     combined: &'a dyn ColumnResolver,
     group_exprs: &'a [BoundExpr],
-    /// Each aggregate as written, with its binding.
-    aggs: RefCell<Vec<(Expr, AggExpr)>>,
+    aggs: RefCell<Vec<AggExpr>>,
 }
 
 impl ColumnResolver for AggregateResolver<'_> {
@@ -237,9 +236,6 @@ impl ColumnResolver for AggregateResolver<'_> {
         } = expr
         {
             if let Some(func) = AggFunc::from_name(name) {
-                if let Some(i) = self.aggs.borrow().iter().position(|(e, _)| e == expr) {
-                    return Ok(Some(BoundExpr::Column(groups + i)));
-                }
                 let func = if *distinct && func == AggFunc::Count {
                     AggFunc::CountDistinct
                 } else {
@@ -249,9 +245,16 @@ impl ColumnResolver for AggregateResolver<'_> {
                     None | Some(Expr::Star) => None,
                     Some(a) => Some(BoundExpr::bind(a, self.combined, udfs)?),
                 };
+                let agg = AggExpr { func, arg };
                 let mut aggs = self.aggs.borrow_mut();
-                aggs.push((expr.clone(), AggExpr { func, arg }));
-                return Ok(Some(BoundExpr::Column(groups + aggs.len() - 1)));
+                let i = match aggs.iter().position(|a| *a == agg) {
+                    Some(i) => i,
+                    None => {
+                        aggs.push(agg);
+                        aggs.len() - 1
+                    }
+                };
+                return Ok(Some(BoundExpr::Column(groups + i)));
             }
         }
         if groups == 0 || expr.contains_aggregate() {
@@ -596,12 +599,7 @@ pub fn plan_select(
             None => None,
             Some(h) => Some(BoundExpr::bind(h, &output_row, udfs)?),
         };
-        let aggs: Vec<AggExpr> = output_row
-            .aggs
-            .into_inner()
-            .into_iter()
-            .map(|(_, a)| a)
-            .collect();
+        let aggs = output_row.aggs.into_inner();
 
         // The output row's types: each key's, then each aggregate's.
         let row_schema = Schema::new(
@@ -868,8 +866,8 @@ mod tests {
             .collect();
         use DataType::{Float, Int, Str};
         assert_eq!(types, [Str, Float, Int, Str]);
-        // HAVING binds by the same rule; an aggregate written twice is
-        // computed once.
+        // HAVING binds by the same rule; an aggregate that binds the same
+        // twice is computed once.
         for (sql, having) in [
             (
                 "SELECT sourceIP FROM uservisits GROUP BY sourceIP HAVING sourceIP IN ('a', 'b')",
@@ -908,6 +906,26 @@ mod tests {
             "SELECT sourceIP FROM uservisits GROUP BY sourceIP HAVING COUNT(DISTINCT destURL) > 1",
         );
         assert_eq!(p.aggregate.unwrap().aggs[0].func, AggFunc::CountDistinct);
+        // A literal matches only a literal of its type: `pageRank / 2`
+        // divides integers, `pageRank / 2.0` does not.
+        let p = plan("SELECT SUM(pageRank / 2), SUM(pageRank / 2.0) FROM rankings");
+        let agg = p.aggregate.as_ref().unwrap();
+        assert_eq!(agg.aggs.len(), 2);
+        assert_eq!(format!("{:?}", agg.output), "[#0, #1]");
+        let p =
+            plan("SELECT pageRank / 2 FROM rankings GROUP BY pageRank / 2 HAVING pageRank / 2 > 1");
+        assert_eq!(
+            format!("{:?}", p.aggregate.unwrap().having.unwrap()),
+            "(#0 Gt 1)"
+        );
+        let snap = catalog().snapshot();
+        let udfs = UdfRegistry::new();
+        let bad = |sql: &str| plan_select(&parse_select(sql).unwrap(), &snap, &udfs);
+        assert!(bad("SELECT pageRank / 2.0 FROM rankings GROUP BY pageRank / 2").is_err());
+        assert!(bad(
+            "SELECT pageRank / 2 FROM rankings GROUP BY pageRank / 2 HAVING pageRank / 2.0 > 1"
+        )
+        .is_err());
     }
 
     #[test]
