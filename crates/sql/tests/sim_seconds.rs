@@ -293,6 +293,28 @@ fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>
             Some(0.015032883597750048),
         ),
         (
+            "implicit join + cross-scan residual",
+            session,
+            ExecConfig::shark(),
+            "SELECT f.id, d.name FROM facts f, dims d \
+             WHERE f.k = d.k AND f.v > d.k AND f.ts > 1100 ORDER BY 1 LIMIT 5",
+            Some(0.17511068199557261),
+        ),
+        (
+            "wildcard + order by output name",
+            session,
+            ExecConfig::shark(),
+            "SELECT * FROM dims WHERE k < 25 ORDER BY name DESC",
+            Some(0.005004218271237957),
+        ),
+        (
+            "order by an expression",
+            session,
+            ExecConfig::shark(),
+            "SELECT id, v * 2 FROM facts WHERE k < 10 ORDER BY v * 2 DESC LIMIT 4",
+            Some(0.010037406164793247),
+        ),
+        (
             "selection (evicted partitions)",
             evicted_session,
             ExecConfig::shark(),
