@@ -184,16 +184,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Total task slots in the cluster.
-    pub fn total_slots(&self) -> usize {
-        self.num_nodes * self.cores_per_node
-    }
-
-    /// Total memstore capacity of the cluster in bytes.
-    pub fn total_memory(&self) -> u64 {
-        self.memory_per_node * self.num_nodes as u64
-    }
-
     /// Validate configuration invariants.
     pub fn validate(&self) -> shark_common::Result<()> {
         if self.num_nodes == 0 || self.cores_per_node == 0 {
@@ -234,10 +224,8 @@ mod tests {
     #[test]
     fn paper_cluster_shape() {
         let c = ClusterConfig::paper_shark_cluster();
-        assert_eq!(c.total_slots(), 800);
         assert_eq!(c.num_nodes, 100);
         assert!(c.validate().is_ok());
-        assert_eq!(c.total_memory(), 100 * 68 * 1024 * 1024 * 1024);
     }
 
     #[test]

@@ -160,17 +160,6 @@ impl CostModel {
 
         input_time + cpu_time + sort_time + output_time
     }
-
-    /// Duration of the shuffle-sort work Hadoop performs on the map side.
-    /// Returns zero for hash-based shuffles.
-    pub fn map_side_sort(&self, rows: u64) -> f64 {
-        if self.profile.sort_based_shuffle && rows > 1 {
-            let n = rows as f64;
-            n * n.log2() * self.profile.sort_cmp_cost
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,14 +223,6 @@ mod tests {
             ..mem
         };
         assert!(m.task_duration(&dfs) > m.task_duration(&mem) * 5.0);
-    }
-
-    #[test]
-    fn sort_based_shuffle_adds_cost() {
-        let hadoop = CostModel::new(EngineProfile::hadoop());
-        let spark = CostModel::new(EngineProfile::spark());
-        assert!(hadoop.map_side_sort(1_000_000) > 0.0);
-        assert_eq!(spark.map_side_sort(1_000_000), 0.0);
     }
 
     #[test]

@@ -42,15 +42,6 @@ impl DfsModel {
         }
     }
 
-    /// Number of blocks (and therefore data-local map tasks) for a file of
-    /// `bytes` bytes.
-    pub fn num_blocks(&self, bytes: u64) -> usize {
-        if bytes == 0 {
-            return 0;
-        }
-        bytes.div_ceil(self.block_size) as usize
-    }
-
     /// Simulated time to write `bytes` bytes into the DFS using every node in
     /// parallel. Each byte is written to the local disk plus `replication-1`
     /// remote copies which traverse both the network and remote disks.
@@ -68,16 +59,6 @@ impl DfsModel {
     pub fn read_seconds(&self, cluster: &ClusterConfig, bytes: u64) -> f64 {
         let nodes = cluster.num_nodes.max(1) as f64;
         (bytes as f64 / nodes) / cluster.profile.disk_bw
-    }
-
-    /// Aggregate write throughput in bytes/second.
-    pub fn write_throughput(&self, cluster: &ClusterConfig, bytes: u64) -> f64 {
-        let secs = self.write_seconds(cluster, bytes);
-        if secs == 0.0 {
-            f64::INFINITY
-        } else {
-            bytes as f64 / secs
-        }
     }
 }
 
@@ -102,16 +83,6 @@ mod tests {
     use crate::config::ClusterConfig;
 
     #[test]
-    fn block_counts() {
-        let dfs = DfsModel::default();
-        assert_eq!(dfs.num_blocks(0), 0);
-        assert_eq!(dfs.num_blocks(1), 1);
-        assert_eq!(dfs.num_blocks(DEFAULT_BLOCK_SIZE), 1);
-        assert_eq!(dfs.num_blocks(DEFAULT_BLOCK_SIZE + 1), 2);
-        assert_eq!(dfs.num_blocks(10 * DEFAULT_BLOCK_SIZE), 10);
-    }
-
-    #[test]
     fn replication_slows_writes() {
         let cluster = ClusterConfig::paper_hive_cluster();
         let r1 = DfsModel::new(DEFAULT_BLOCK_SIZE, 1);
@@ -134,16 +105,6 @@ mod tests {
             ratio > 2.0 && ratio < 20.0,
             "expected memstore ingest a few times faster, ratio = {ratio}"
         );
-    }
-
-    #[test]
-    fn throughput_is_inverse_of_time() {
-        let cluster = ClusterConfig::paper_hive_cluster();
-        let dfs = DfsModel::default();
-        let bytes = 1u64 << 30;
-        let t = dfs.write_seconds(&cluster, bytes);
-        let thr = dfs.write_throughput(&cluster, bytes);
-        assert!((thr * t - bytes as f64).abs() / (bytes as f64) < 1e-9);
     }
 
     #[test]

@@ -51,12 +51,6 @@ pub fn object_store_bytes(rows: &[Row]) -> usize {
         .sum()
 }
 
-/// Modelled number of heap objects the deserialized representation creates
-/// (drives the GC-pressure argument: GC time grows with object count).
-pub fn object_store_object_count(rows: &[Row]) -> usize {
-    rows.iter().map(|r| 1 + r.len()).sum()
-}
-
 /// Footprint of the compact serialized representation (option 2 above).
 pub fn serialized_bytes(rows: &[Row]) -> usize {
     rows.iter().map(|r| r.estimated_size()).sum()
@@ -117,7 +111,6 @@ mod tests {
     #[test]
     fn object_count_counts_rows_and_values() {
         let rows = vec![row![1i64, "a"], row![2i64, "b"]];
-        assert_eq!(object_store_object_count(&rows), 2 * 3);
         assert!(object_store_bytes(&rows) > serialized_bytes(&rows));
     }
 }

@@ -102,11 +102,6 @@ impl ColumnStats {
         }
         true
     }
-
-    /// Whether every row of the column is NULL.
-    pub fn all_null(&self) -> bool {
-        self.null_count == self.row_count && self.row_count > 0
-    }
 }
 
 /// Statistics for every column of one partition.
@@ -200,13 +195,11 @@ mod tests {
     #[test]
     fn nulls_and_empty_columns() {
         let stats = ColumnStats::from_values(&[Value::Null, Value::Null]);
-        assert!(stats.all_null());
         assert!(stats.might_equal(&Value::Null));
         assert!(!stats.might_equal(&Value::Int(1)));
         assert!(!stats.might_overlap(Some(&Value::Int(0)), None));
 
         let empty = ColumnStats::from_values(&[]);
-        assert!(!empty.all_null());
         assert!(!empty.might_equal(&Value::Int(0)));
     }
 

@@ -35,11 +35,6 @@ pub enum DataType {
 }
 
 impl DataType {
-    /// Whether this type is numeric (int, float, or date).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float | DataType::Date)
-    }
-
     /// The "wider" of two numeric types used for arithmetic coercion.
     pub fn widen(self, other: DataType) -> DataType {
         use DataType::*;
@@ -452,8 +447,6 @@ mod tests {
         assert_eq!(DataType::Int.widen(DataType::Float), DataType::Float);
         assert_eq!(DataType::Int.widen(DataType::Int), DataType::Int);
         assert_eq!(DataType::Null.widen(DataType::Str), DataType::Str);
-        assert!(DataType::Date.is_numeric());
-        assert!(!DataType::Str.is_numeric());
     }
 
     #[test]

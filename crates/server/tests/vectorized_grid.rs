@@ -86,7 +86,8 @@ fn evict_some(server: &SharkServer, table: &str, partitions: &[usize]) {
 /// Queries over table `$t` covering the vectorized operator surface:
 /// numeric + string filters (conjunctions hit the run-skipping path on RLE
 /// data), projections with reordering and expressions, dictionary-keyed
-/// group-by with every aggregate kind, and top-k in both directions.
+/// group-by with every aggregate kind, top-k in both directions and an
+/// ORDER BY expression.
 fn grid_queries(table: &str) -> Vec<String> {
     [
         // Filters.
@@ -117,6 +118,11 @@ fn grid_queries(table: &str) -> Vec<String> {
         // Top-k.
         format!("SELECT k, amount FROM {table} ORDER BY amount DESC LIMIT 9"),
         format!("SELECT k FROM {table} ORDER BY k LIMIT 5"),
+        // ORDER BY an expression, bound and matched to the SELECT item.
+        format!(
+            "SELECT k, amount * 2 FROM {table} WHERE k < 300 \
+             ORDER BY {table}.amount * 2 DESC, k LIMIT 7"
+        ),
     ]
     .into_iter()
     .collect()

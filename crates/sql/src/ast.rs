@@ -284,38 +284,6 @@ impl Expr {
         }
     }
 
-    /// Collect all column names referenced by the expression.
-    pub fn referenced_columns(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Column(name) => out.push(name.clone()),
-            Expr::Binary { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            Expr::Not(e) => e.referenced_columns(out),
-            Expr::IsNull { expr, .. } => expr.referenced_columns(out),
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.referenced_columns(out);
-                low.referenced_columns(out);
-                high.referenced_columns(out);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.referenced_columns(out);
-                for e in list {
-                    e.referenced_columns(out);
-                }
-            }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.referenced_columns(out);
-                }
-            }
-            Expr::Literal(_) | Expr::Star => {}
-        }
-    }
-
     /// Split a predicate into its top-level `AND` conjuncts.
     pub fn split_conjuncts(self) -> Vec<Expr> {
         match self {
@@ -352,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn referenced_columns_and_aggregates() {
+    fn contains_aggregate_looks_inside_arguments() {
         let e = Expr::Function {
             name: "sum".into(),
             args: vec![Expr::binary(
@@ -363,9 +331,12 @@ mod tests {
             distinct: false,
         };
         assert!(e.contains_aggregate());
-        let mut cols = Vec::new();
-        e.referenced_columns(&mut cols);
-        assert_eq!(cols, vec!["revenue".to_string(), "rate".to_string()]);
+        let upper = Expr::Function {
+            name: "upper".into(),
+            args: vec![e],
+            distinct: false,
+        };
+        assert!(upper.contains_aggregate());
         assert!(!Expr::col("a").contains_aggregate());
     }
 }

@@ -492,6 +492,22 @@ mod tests {
     }
 
     #[test]
+    fn having_without_group_by_filters_the_one_group() {
+        let s = session();
+        let rows = |sql: &str| s.sql(sql).unwrap().rows;
+        let r = rows("SELECT COUNT(*) FROM sales HAVING COUNT(*) > 1");
+        assert_eq!(r.len(), 1);
+        assert_eq!(r[0].get_int(0).unwrap(), 120);
+        assert!(rows("SELECT COUNT(*) FROM sales HAVING COUNT(*) > 120").is_empty());
+        // HAVING alone makes the statement an aggregation: one row, not
+        // one per input row.
+        assert_eq!(rows("SELECT 1 FROM sales HAVING COUNT(*) > 1").len(), 1);
+        assert!(s
+            .sql("SELECT store FROM sales HAVING COUNT(*) > 1")
+            .is_err());
+    }
+
+    #[test]
     fn streamed_order_by_merge_matches_collected_result() {
         let s = session();
         s.load_table("sales").unwrap();

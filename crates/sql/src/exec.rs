@@ -1071,7 +1071,14 @@ pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
 
     // ----- aggregation or projection --------------------------------------------
     let output = if let Some(agg) = &plan.aggregate {
-        build_aggregation(cfg, &mut notes, &mut sim_seconds, combined, agg)?
+        build_aggregation(
+            cfg,
+            &mut notes,
+            &mut sim_seconds,
+            combined,
+            agg,
+            &plan.projections,
+        )?
     } else {
         let projections = plan.projections.clone();
         let limit_push = if plan.limit_pushdown_allowed() {
@@ -1545,6 +1552,7 @@ fn build_fused_aggregation(
         sim_seconds,
         shuffle,
         agg,
+        &plan.projections,
     )?))
 }
 
@@ -1555,6 +1563,7 @@ fn build_aggregation(
     sim_seconds: &mut f64,
     input: Rdd<Row>,
     agg: &AggregateNode,
+    output: &[BoundExpr],
 ) -> Result<Rdd<Row>> {
     let group_exprs = agg.group_exprs.clone();
     let agg_exprs: Vec<AggExpr> = agg.aggs.clone();
@@ -1574,7 +1583,7 @@ fn build_aggregation(
     });
     // One pair per input row: combined map-side per key.
     let shuffle = pairs.shuffle_combined(aggregation_buckets(cfg), AggStates::merge_from);
-    finish_aggregation(cfg, notes, sim_seconds, shuffle, agg)
+    finish_aggregation(cfg, notes, sim_seconds, shuffle, agg, output)
 }
 
 /// Whether PDE plans the reduce side at run time.
@@ -1603,6 +1612,7 @@ fn finish_aggregation(
     sim_seconds: &mut f64,
     shuffle: PairShuffle<Row, AggStates>,
     agg: &AggregateNode,
+    output: &[BoundExpr],
 ) -> Result<Rdd<Row>> {
     let aggregated: Rdd<(Row, AggStates)> = if uses_pde(cfg) {
         let pre = shuffle.run()?;
@@ -1628,7 +1638,7 @@ fn finish_aggregation(
 
     // Finalize: evaluate the SELECT items over each group's output row
     // (group values ++ aggregate values), applying HAVING.
-    let output = agg.output.clone();
+    let output = output.to_vec();
     let having = agg.having.clone();
     let final_ops = 2.0 + output.len() as f64;
     Ok(

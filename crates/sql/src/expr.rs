@@ -552,6 +552,35 @@ impl BoundExpr {
         });
     }
 
+    /// Move every column reference to the position `new_position` gives
+    /// it: the planner binds over one row layout, then prunes it.
+    pub fn renumber_columns(&mut self, new_position: &dyn Fn(usize) -> usize) {
+        let renumber = |e: &mut BoundExpr| e.renumber_columns(new_position);
+        match self {
+            BoundExpr::Column(i) => *i = new_position(*i),
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Binary { left, right, .. } => {
+                renumber(left);
+                renumber(right);
+            }
+            BoundExpr::Not(e) | BoundExpr::IsNull { expr: e, .. } => renumber(e),
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                renumber(expr);
+                renumber(low);
+                renumber(high);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                renumber(expr);
+                list.iter_mut().for_each(renumber);
+            }
+            BoundExpr::Func { args, .. } | BoundExpr::Udf { args, .. } => {
+                args.iter_mut().for_each(renumber)
+            }
+        }
+    }
+
     /// If this predicate is a simple range/equality condition on a single
     /// column (`col op literal`, `col BETWEEN a AND b`, `col IN (...)`),
     /// return `(column, lower_bound, upper_bound, equalities)` for use by

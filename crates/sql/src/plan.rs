@@ -6,17 +6,22 @@
 //! limit. The structure mirrors the fixed pipeline Shark compiles Hive
 //! queries into: scan → filter → join* → aggregate → project → sort → limit.
 //!
-//! Every expression is bound by [`BoundExpr::bind`] against the row its
-//! operator reads. After GROUP BY that row is the aggregate's output row
-//! (`group values ++ aggregate values`): the SELECT items and HAVING bind
-//! through one resolver that maps GROUP BY keys and aggregate calls to its
-//! columns, so any expression over them plans.
+//! Planning binds first and rewrites after, as in the paper (§2.4). Every
+//! name resolves once, over the *joined row* (every column of every scan,
+//! in FROM/JOIN order), and every clause is bound by [`BoundExpr::bind`]:
+//! WHERE conjuncts, join keys, GROUP BY, aggregate arguments and the SELECT
+//! items. After GROUP BY the SELECT items and HAVING bind over the
+//! aggregate's output row (`group values ++ aggregate values`) through one
+//! resolver that maps GROUP BY keys and aggregate calls to its columns.
+//! ORDER BY binds through the SELECT items' resolver and names the item it
+//! equals.
 //!
-//! Rule-based optimizations applied here, as in the paper (§2.4): predicate
-//! pushdown to scans (which also feeds map pruning, §3.5), column pruning
-//! (only referenced columns are scanned from the columnar store), and LIMIT
-//! pushdown to individual partitions when no ordering or aggregation is
-//! present.
+//! Rule-based optimizations then run over the bound expressions: predicate
+//! pushdown to scans (which also feeds map pruning, §3.5), chosen by the
+//! scans a conjunct's columns belong to; column pruning, one pass that
+//! keeps only the columns the bound plan reads and renumbers every
+//! expression to the pruned layout; and LIMIT pushdown to individual
+//! partitions when no ordering or aggregation is present.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -24,7 +29,7 @@ use std::sync::Arc;
 use shark_common::{Field, Result, Schema, SharkError, Value};
 
 use crate::aggregate::{AggExpr, AggFunc};
-use crate::ast::{Expr, SelectItem, SelectStmt};
+use crate::ast::{BinaryOp, Expr, SelectItem, SelectStmt};
 use crate::catalog::{CatalogSnapshot, TableMeta};
 use crate::expr::{BoundExpr, ColumnResolver, UdfRegistry};
 
@@ -54,16 +59,14 @@ pub struct JoinNode {
 }
 
 /// The aggregation step of a plan. Its *output row* is the group values
-/// followed by the aggregate values; the SELECT items and HAVING are bound
-/// over it.
+/// followed by the aggregate values; the plan's projections and HAVING are
+/// bound over it.
 pub struct AggregateNode {
     /// Grouping expressions over the combined (post-join) schema.
     pub group_exprs: Vec<BoundExpr>,
     /// Aggregate expressions over the combined schema: every aggregate the
     /// SELECT items and HAVING call, each once.
     pub aggs: Vec<AggExpr>,
-    /// One expression per SELECT item, over the output row.
-    pub output: Vec<BoundExpr>,
     /// HAVING predicate over the output row.
     pub having: Option<BoundExpr>,
 }
@@ -77,10 +80,11 @@ pub struct QueryPlan {
     /// Residual WHERE predicate over the combined schema (conjuncts that
     /// could not be pushed to a single scan).
     pub residual_filter: Option<BoundExpr>,
-    /// Aggregation, if the query groups or uses aggregate functions.
+    /// Aggregation, if the query groups, uses aggregate functions or has a
+    /// HAVING clause.
     pub aggregate: Option<AggregateNode>,
-    /// Final projections over the combined schema (only when there is no
-    /// aggregation).
+    /// One expression per output column: over the combined schema, or over
+    /// the aggregate's output row when there is an aggregation.
     pub projections: Vec<BoundExpr>,
     /// Schema of the query result.
     pub output_schema: Schema,
@@ -94,15 +98,6 @@ pub struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// The combined (post-join, pre-aggregation) schema.
-    pub fn combined_schema(&self) -> Schema {
-        let mut schema = Schema::default();
-        for scan in &self.scans {
-            schema = schema.join(&scan.projected_schema);
-        }
-        schema
-    }
-
     /// Whether the LIMIT can be applied inside each partition (the paper's
     /// "pushing LIMIT down to individual partitions" rule).
     pub fn limit_pushdown_allowed(&self) -> bool {
@@ -149,26 +144,50 @@ impl QueryPlan {
 // Name resolution
 // ---------------------------------------------------------------------------
 
+/// One table of the FROM and JOIN clauses, with the qualifier its columns
+/// answer to.
 struct ScanBinding {
     qualifier: String,
     table: Arc<TableMeta>,
     alias: Option<String>,
-    /// Columns referenced (original indices).
-    referenced: Vec<usize>,
 }
 
-/// Resolves `[qualifier.]column` to `(scan index, original column index)`.
-struct NameResolver<'a> {
-    scans: &'a [ScanBinding],
+/// The joined row every clause before GROUP BY binds over: every column of
+/// every scan, scan `s`'s column `c` at `offsets[s] + c`.
+struct JoinedRow {
+    scans: Vec<ScanBinding>,
+    offsets: Vec<usize>,
+    schema: Schema,
 }
 
-impl NameResolver<'_> {
-    fn resolve(&self, name: &str) -> Result<(usize, usize)> {
+impl JoinedRow {
+    /// The scans an expression over the joined row reads, ascending.
+    fn scans_of(&self, expr: &BoundExpr) -> Vec<usize> {
+        let mut columns = Vec::new();
+        expr.referenced_columns(&mut columns);
+        let mut scans: Vec<usize> = columns
+            .into_iter()
+            .map(|c| self.offsets.partition_point(|&o| o <= c) - 1)
+            .collect();
+        scans.sort_unstable();
+        scans.dedup();
+        scans
+    }
+
+    /// `expr`, which reads only scan `si`, over that scan's row.
+    fn in_scan(&self, si: usize, mut expr: BoundExpr) -> BoundExpr {
+        expr.renumber_columns(&|c| c - self.offsets[si]);
+        expr
+    }
+}
+
+/// Resolves `[qualifier.]column` to its joined-row position.
+impl ColumnResolver for JoinedRow {
+    fn resolve_column(&self, name: &str) -> Result<usize> {
         if let Some((qual, col)) = name.split_once('.') {
             for (si, scan) in self.scans.iter().enumerate() {
                 if scan.qualifier.eq_ignore_ascii_case(qual) {
-                    let ci = scan.table.schema.resolve(col)?;
-                    return Ok((si, ci));
+                    return Ok(self.offsets[si] + scan.table.schema.resolve(col)?);
                 }
             }
             return Err(SharkError::Analysis(format!(
@@ -183,37 +202,20 @@ impl NameResolver<'_> {
                         "ambiguous column '{name}': qualify it with a table alias"
                     )));
                 }
-                found = Some((si, ci));
+                found = Some(self.offsets[si] + ci);
             }
         }
         found.ok_or_else(|| SharkError::Analysis(format!("unknown column '{name}'")))
     }
 }
 
-/// Resolver used when binding expressions against the *combined* projected
-/// schema.
-struct CombinedResolver<'a> {
-    resolver: &'a NameResolver<'a>,
-    /// (scan, original column) -> combined index.
-    combined_index: &'a dyn Fn(usize, usize) -> Option<usize>,
-}
-
-impl ColumnResolver for CombinedResolver<'_> {
-    fn resolve_column(&self, name: &str) -> Result<usize> {
-        let (si, ci) = self.resolver.resolve(name)?;
-        (self.combined_index)(si, ci).ok_or_else(|| {
-            SharkError::Analysis(format!("column '{name}' was pruned from the plan"))
-        })
-    }
-}
-
 /// Resolver over an aggregate's output row (`group values ++ aggregate
-/// values`). A subexpression that binds over the combined schema to a
-/// GROUP BY key is that key's column; an aggregate call is its aggregate's
-/// column, appended on first use and reused when it binds the same; any
-/// other column is an error.
+/// values`). A subexpression that binds over the joined row to a GROUP BY
+/// key is that key's column; an aggregate call is its aggregate's column,
+/// appended on first use and reused when it binds the same; any other
+/// column is an error.
 struct AggregateResolver<'a> {
-    combined: &'a dyn ColumnResolver,
+    joined: &'a JoinedRow,
     group_exprs: &'a [BoundExpr],
     aggs: RefCell<Vec<AggExpr>>,
 }
@@ -221,7 +223,7 @@ struct AggregateResolver<'a> {
 impl ColumnResolver for AggregateResolver<'_> {
     fn resolve_column(&self, name: &str) -> Result<usize> {
         // Only a column that is no GROUP BY key gets here.
-        self.combined.resolve_column(name)?;
+        self.joined.resolve_column(name)?;
         Err(SharkError::Plan(format!(
             "column '{name}' is neither an aggregate nor a GROUP BY expression"
         )))
@@ -243,7 +245,7 @@ impl ColumnResolver for AggregateResolver<'_> {
                 };
                 let arg = match args.first() {
                     None | Some(Expr::Star) => None,
-                    Some(a) => Some(BoundExpr::bind(a, self.combined, udfs)?),
+                    Some(a) => Some(BoundExpr::bind(a, self.joined, udfs)?),
                 };
                 let agg = AggExpr { func, arg };
                 let mut aggs = self.aggs.borrow_mut();
@@ -260,7 +262,7 @@ impl ColumnResolver for AggregateResolver<'_> {
         if groups == 0 || expr.contains_aggregate() {
             return Ok(None);
         }
-        let Ok(bound) = BoundExpr::bind(expr, self.combined, udfs) else {
+        let Ok(bound) = BoundExpr::bind(expr, self.joined, udfs) else {
             return Ok(None);
         };
         Ok(self
@@ -268,29 +270,6 @@ impl ColumnResolver for AggregateResolver<'_> {
             .iter()
             .position(|g| *g == bound)
             .map(BoundExpr::Column))
-    }
-}
-
-/// Resolver used when binding a pushed-down filter against one scan's
-/// projected schema.
-struct ScanLocalResolver<'a> {
-    resolver: &'a NameResolver<'a>,
-    scan: usize,
-    projection: &'a [usize],
-}
-
-impl ColumnResolver for ScanLocalResolver<'_> {
-    fn resolve_column(&self, name: &str) -> Result<usize> {
-        let (si, ci) = self.resolver.resolve(name)?;
-        if si != self.scan {
-            return Err(SharkError::Analysis(format!(
-                "column '{name}' does not belong to this scan"
-            )));
-        }
-        self.projection
-            .iter()
-            .position(|&c| c == ci)
-            .ok_or_else(|| SharkError::Analysis(format!("column '{name}' not projected")))
     }
 }
 
@@ -312,23 +291,23 @@ pub fn plan_select(
     })?;
 
     // Resolve tables.
-    let mut scans: Vec<ScanBinding> = Vec::new();
-    let mut add_scan = |tref: &crate::ast::TableRef| -> Result<()> {
+    let mut joined = JoinedRow {
+        scans: Vec::new(),
+        offsets: Vec::new(),
+        schema: Schema::default(),
+    };
+    for tref in std::iter::once(from).chain(stmt.joins.iter().map(|j| &j.table)) {
         let table = catalog.get(&tref.name)?;
-        scans.push(ScanBinding {
+        joined.offsets.push(joined.schema.len());
+        joined.schema = joined.schema.join(&table.schema);
+        joined.scans.push(ScanBinding {
             qualifier: tref
                 .alias
                 .clone()
                 .unwrap_or_else(|| tref.name.to_lowercase()),
             table,
             alias: tref.alias.clone(),
-            referenced: Vec::new(),
         });
-        Ok(())
-    };
-    add_scan(from)?;
-    for j in &stmt.joins {
-        add_scan(&j.table)?;
     }
 
     let has_wildcard = stmt
@@ -336,6 +315,7 @@ pub fn plan_select(
         .iter()
         .any(|p| matches!(p, SelectItem::Wildcard));
     let is_aggregate = !stmt.group_by.is_empty()
+        || stmt.having.is_some()
         || stmt.projections.iter().any(|p| match p {
             SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
             SelectItem::Wildcard => false,
@@ -346,330 +326,183 @@ pub fn plan_select(
         ));
     }
 
-    // ----- collect referenced columns per scan -------------------------------
-    {
-        let mut names: Vec<String> = Vec::new();
-        for item in &stmt.projections {
-            if let SelectItem::Expr { expr, .. } = item {
-                expr.referenced_columns(&mut names);
-            }
-        }
-        for j in &stmt.joins {
-            j.on.referenced_columns(&mut names);
-        }
-        if let Some(w) = &stmt.selection {
-            w.referenced_columns(&mut names);
-        }
-        for g in &stmt.group_by {
-            g.referenced_columns(&mut names);
-        }
-        if let Some(h) = &stmt.having {
-            h.referenced_columns(&mut names);
-        }
-        for (o, _) in &stmt.order_by {
-            o.referenced_columns(&mut names);
-        }
-        let resolver = NameResolver { scans: &scans };
-        let mut resolved: Vec<(usize, usize)> = Vec::new();
-        for name in &names {
-            // Names that do not resolve here may be output aliases (e.g. in
-            // ORDER BY); genuinely unknown columns are caught when the
-            // expressions are bound.
-            if let Ok(rc) = resolver.resolve(name) {
-                resolved.push(rc);
-            }
-        }
-        for (si, ci) in resolved {
-            if !scans[si].referenced.contains(&ci) {
-                scans[si].referenced.push(ci);
-            }
-        }
-    }
-    if has_wildcard {
-        for scan in scans.iter_mut() {
-            scan.referenced = (0..scan.table.schema.len()).collect();
-        }
-    }
-    for scan in scans.iter_mut() {
-        if scan.referenced.is_empty() {
-            // Always scan at least one column so row counts are preserved.
-            scan.referenced.push(0);
-        }
-        scan.referenced.sort_unstable();
-    }
-
-    // Combined-schema offsets.
-    let offsets: Vec<usize> = {
-        let mut offs = Vec::with_capacity(scans.len());
-        let mut acc = 0usize;
-        for scan in &scans {
-            offs.push(acc);
-            acc += scan.referenced.len();
-        }
-        offs
-    };
-    let combined_index = |si: usize, ci: usize| -> Option<usize> {
-        scans[si]
-            .referenced
-            .iter()
-            .position(|&c| c == ci)
-            .map(|p| offsets[si] + p)
-    };
-
-    let resolver = NameResolver { scans: &scans };
-    let combined_resolver = CombinedResolver {
-        resolver: &resolver,
-        combined_index: &combined_index,
-    };
-
-    // Build scan nodes (filters filled below).
-    let mut scan_nodes: Vec<ScanNode> = scans
-        .iter()
-        .map(|s| ScanNode {
-            table: s.table.clone(),
-            alias: s.alias.clone(),
-            projection: s.referenced.clone(),
-            projected_schema: s.table.schema.project(&s.referenced),
-            filters: Vec::new(),
-        })
-        .collect();
-
     // ----- WHERE: split, push down, keep residual -----------------------------
-    let mut residual: Vec<Expr> = Vec::new();
-    let mut join_candidates: Vec<Expr> = Vec::new();
+    let mut filters: Vec<Vec<BoundExpr>> = vec![Vec::new(); joined.scans.len()];
+    let mut residual: Vec<BoundExpr> = Vec::new();
+    let mut join_candidates: Vec<BoundExpr> = Vec::new();
     if let Some(selection) = stmt.selection.clone() {
         for conjunct in selection.split_conjuncts() {
-            let mut names = Vec::new();
-            conjunct.referenced_columns(&mut names);
-            let mut scans_touched: Vec<usize> = Vec::new();
-            for n in &names {
-                let (si, _) = resolver.resolve(n)?;
-                if !scans_touched.contains(&si) {
-                    scans_touched.push(si);
-                }
-            }
-            match scans_touched.len() {
-                0 | 1 => {
-                    let si = scans_touched.first().copied().unwrap_or(0);
-                    let local = ScanLocalResolver {
-                        resolver: &resolver,
-                        scan: si,
-                        projection: &scans[si].referenced,
-                    };
-                    let bound = BoundExpr::bind(&conjunct, &local, udfs)?;
-                    scan_nodes[si].filters.push(bound);
-                }
-                2 => {
-                    // Potential implicit join condition (FROM a, b WHERE a.x = b.y).
-                    join_candidates.push(conjunct);
-                }
-                _ => residual.push(conjunct),
+            let bound = BoundExpr::bind(&conjunct, &joined, udfs)?;
+            match joined.scans_of(&bound)[..] {
+                [] => filters[0].push(bound),
+                [si] => filters[si].push(joined.in_scan(si, bound)),
+                // Potential implicit join condition (FROM a, b WHERE a.x = b.y).
+                [_, _] => join_candidates.push(bound),
+                _ => residual.push(bound),
             }
         }
     }
 
     // ----- joins ---------------------------------------------------------------
-    let mut join_nodes: Vec<JoinNode> = Vec::new();
+    let mut joins: Vec<JoinNode> = Vec::new();
     for (ji, clause) in stmt.joins.iter().enumerate() {
         let right_scan = ji + 1;
-        let mut on = clause.on.clone();
-        if matches!(on, Expr::Literal(Value::Bool(true))) {
+        let on = if matches!(clause.on, Expr::Literal(Value::Bool(true))) {
             // Comma join: find an implicit equality condition in WHERE.
             let pos = join_candidates
                 .iter()
-                .position(|e| {
-                    let mut names = Vec::new();
-                    e.referenced_columns(&mut names);
-                    names.iter().any(|n| {
-                        resolver
-                            .resolve(n)
-                            .map(|(si, _)| si == right_scan)
-                            .unwrap_or(false)
-                    })
-                })
+                .position(|e| joined.scans_of(e).contains(&right_scan))
                 .ok_or_else(|| {
                     SharkError::Plan(format!(
                         "no join condition found for table '{}'",
                         clause.table.name
                     ))
                 })?;
-            on = join_candidates.remove(pos);
-        }
-        let (left_expr, right_expr) = match &on {
-            Expr::Binary {
+            join_candidates.remove(pos)
+        } else {
+            BoundExpr::bind(&clause.on, &joined, udfs)?
+        };
+        let (left, right) = match on {
+            BoundExpr::Binary {
                 left,
-                op: crate::ast::BinaryOp::Eq,
+                op: BinaryOp::Eq,
                 right,
-            } => (left.as_ref().clone(), right.as_ref().clone()),
+            } => (*left, *right),
             other => {
                 return Err(SharkError::Plan(format!(
                     "only equi-joins are supported, found {other:?}"
                 )))
             }
         };
-        // Figure out which side belongs to the right scan.
-        let side_of = |e: &Expr| -> Result<bool> {
-            let mut names = Vec::new();
-            e.referenced_columns(&mut names);
-            let mut right = false;
-            let mut left = false;
-            for n in &names {
-                let (si, _) = resolver.resolve(n)?;
-                if si == right_scan {
-                    right = true;
-                } else {
-                    left = true;
-                }
-            }
-            if right && left {
-                return Err(SharkError::Plan(
-                    "join keys must reference only one side each".into(),
-                ));
-            }
-            Ok(right)
-        };
-        let (left_ast, right_ast) = if side_of(&left_expr)? {
-            (right_expr, left_expr)
+        // The side that reads the right scan is its key, and it may read
+        // nothing else: it is evaluated over that scan's rows alone.
+        let (left_key, right_key) = if joined.scans_of(&left).contains(&right_scan) {
+            (right, left)
         } else {
-            (left_expr, right_expr)
+            (left, right)
         };
-        let left_key = BoundExpr::bind(&left_ast, &combined_resolver, udfs)?;
-        let right_key = {
-            let local = ScanLocalResolver {
-                resolver: &resolver,
-                scan: right_scan,
-                projection: &scans[right_scan].referenced,
-            };
-            BoundExpr::bind(&right_ast, &local, udfs)?
-        };
-        join_nodes.push(JoinNode {
+        if joined.scans_of(&right_key).iter().any(|&s| s != right_scan) {
+            return Err(SharkError::Plan(
+                "join keys must reference only one side each".into(),
+            ));
+        }
+        joins.push(JoinNode {
             left_key,
-            right_key,
+            right_key: joined.in_scan(right_scan, right_key),
             right_scan,
         });
     }
     // Any remaining cross-scan conjuncts become residual filters.
     residual.extend(join_candidates);
-    let residual_filter = match residual.len() {
-        0 => None,
-        _ => {
-            let combined = residual
-                .into_iter()
-                .reduce(|a, b| Expr::binary(a, crate::ast::BinaryOp::And, b))
-                .unwrap();
-            Some(BoundExpr::bind(&combined, &combined_resolver, udfs)?)
-        }
+    let residual_filter = residual.into_iter().reduce(|a, b| BoundExpr::Binary {
+        left: Box::new(a),
+        op: BinaryOp::And,
+        right: Box::new(b),
+    });
+
+    // ----- GROUP BY, SELECT items and HAVING ------------------------------------
+    let group_exprs = stmt
+        .group_by
+        .iter()
+        .map(|g| BoundExpr::bind(g, &joined, udfs))
+        .collect::<Result<Vec<_>>>()?;
+    let output_row = AggregateResolver {
+        joined: &joined,
+        group_exprs: &group_exprs,
+        aggs: RefCell::default(),
     };
-
-    // ----- aggregation / projection -------------------------------------------
-    let mut output_fields: Vec<Field> = Vec::new();
-    let mut order_source_exprs: Vec<Expr> = Vec::new(); // AST of each output column
-    let combined_schema = {
-        let mut s = Schema::default();
-        for node in &scan_nodes {
-            s = s.join(&node.projected_schema);
-        }
-        s
-    };
-
-    let (aggregate, projections) = if is_aggregate {
-        let group_exprs = stmt
-            .group_by
-            .iter()
-            .map(|g| BoundExpr::bind(g, &combined_resolver, udfs))
-            .collect::<Result<Vec<_>>>()?;
-        let output_row = AggregateResolver {
-            combined: &combined_resolver,
-            group_exprs: &group_exprs,
-            aggs: RefCell::default(),
-        };
-        let items: Vec<(&Expr, &Option<String>)> = stmt
-            .projections
-            .iter()
-            .map(|item| match item {
-                SelectItem::Expr { expr, alias } => (expr, alias),
-                SelectItem::Wildcard => unreachable!("checked above"),
-            })
-            .collect();
-        let output = items
-            .iter()
-            .map(|(expr, _)| BoundExpr::bind(expr, &output_row, udfs))
-            .collect::<Result<Vec<_>>>()?;
-        let having = match &stmt.having {
-            None => None,
-            Some(h) => Some(BoundExpr::bind(h, &output_row, udfs)?),
-        };
-        let aggs = output_row.aggs.into_inner();
-
-        // The output row's types: each key's, then each aggregate's.
-        let row_schema = Schema::new(
-            group_exprs
-                .iter()
-                .map(|g| g.data_type(&combined_schema))
-                .chain(aggs.iter().map(|a| a.data_type(&combined_schema)))
-                .map(|t| Field::new("", t))
-                .collect(),
-        );
-        for (i, ((expr, alias), bound)) in items.into_iter().zip(&output).enumerate() {
-            let name = alias.clone().unwrap_or_else(|| match (bound, expr) {
-                (BoundExpr::Column(c), _) if *c >= group_exprs.len() => {
-                    format!("{}_{i}", aggs[c - group_exprs.len()].func.display_name())
-                }
-                (BoundExpr::Column(_), Expr::Column(c)) => {
-                    c.rsplit('.').next().unwrap_or(c).to_string()
-                }
-                (BoundExpr::Column(_), _) => format!("group_{i}"),
-                _ => format!("col_{i}"),
-            });
-            output_fields.push(Field::new(name, bound.data_type(&row_schema)));
-            order_source_exprs.push(expr.clone());
-        }
-
-        (
-            Some(AggregateNode {
-                group_exprs,
-                aggs,
-                output,
-                having,
-            }),
-            Vec::new(),
-        )
-    } else {
-        let mut projections = Vec::new();
-        for (i, item) in stmt.projections.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for (si, node) in scan_nodes.iter().enumerate() {
-                        for (pi, field) in node.projected_schema.fields().iter().enumerate() {
-                            projections.push(BoundExpr::Column(offsets[si] + pi));
-                            output_fields.push(field.clone());
-                            order_source_exprs.push(Expr::Column(field.name.clone()));
-                        }
+    let items: &dyn ColumnResolver = if is_aggregate { &output_row } else { &joined };
+    let groups = group_exprs.len();
+    let mut projections: Vec<BoundExpr> = Vec::new();
+    let mut names: Vec<String> = Vec::new();
+    for (i, item) in stmt.projections.iter().enumerate() {
+        let (expr, alias) = match item {
+            SelectItem::Expr { expr, alias } => (expr, alias),
+            SelectItem::Wildcard => {
+                for (si, scan) in joined.scans.iter().enumerate() {
+                    for (ci, field) in scan.table.schema.fields().iter().enumerate() {
+                        projections.push(BoundExpr::Column(joined.offsets[si] + ci));
+                        names.push(field.name.clone());
                     }
                 }
-                SelectItem::Expr { expr, alias } => {
-                    let bound = BoundExpr::bind(expr, &combined_resolver, udfs)?;
-                    let name = alias.clone().unwrap_or_else(|| match expr {
-                        Expr::Column(c) => c.rsplit('.').next().unwrap_or(c).to_string(),
-                        _ => format!("col_{i}"),
-                    });
-                    output_fields.push(Field::new(name, bound.data_type(&combined_schema)));
-                    projections.push(bound);
-                    order_source_exprs.push(expr.clone());
-                }
+                continue;
             }
-        }
-        (None, projections)
+        };
+        let bound = BoundExpr::bind(expr, items, udfs)?;
+        names.push(alias.clone().unwrap_or_else(|| match (&bound, expr) {
+            (BoundExpr::Column(c), _) if is_aggregate && *c >= groups => {
+                let func = output_row.aggs.borrow()[c - groups].func;
+                format!("{}_{i}", func.display_name())
+            }
+            (_, Expr::Column(c)) => c.rsplit('.').next().unwrap_or(c).to_string(),
+            (BoundExpr::Column(_), _) if is_aggregate => format!("group_{i}"),
+            _ => format!("col_{i}"),
+        }));
+        projections.push(bound);
+    }
+    let having = match &stmt.having {
+        None => None,
+        Some(h) => Some(BoundExpr::bind(h, &output_row, udfs)?),
     };
 
-    let output_schema = Schema::new(output_fields);
+    // The projections' input row: the joined row, or the aggregate's output
+    // row (each key's type, then each aggregate's).
+    let input_schema = if is_aggregate {
+        Schema::new(
+            group_exprs
+                .iter()
+                .map(|g| g.data_type(&joined.schema))
+                .chain(
+                    output_row
+                        .aggs
+                        .borrow()
+                        .iter()
+                        .map(|a| a.data_type(&joined.schema)),
+                )
+                .map(|t| Field::new("", t))
+                .collect(),
+        )
+    } else {
+        joined.schema.clone()
+    };
+    let output_schema = Schema::new(
+        names
+            .into_iter()
+            .zip(&projections)
+            .map(|(name, p)| Field::new(name, p.data_type(&input_schema)))
+            .collect(),
+    );
 
-    // ----- ORDER BY ------------------------------------------------------------
+    // ----- ORDER BY: a position, an output name, or a SELECT item ---------------
     let mut order_by = Vec::new();
     for (expr, desc) in &stmt.order_by {
-        let idx = resolve_output_column(expr, &output_schema, &order_source_exprs)?;
+        let by_name = match expr {
+            Expr::Literal(Value::Int(n)) => {
+                let idx = usize::try_from(*n)
+                    .ok()
+                    .filter(|i| (1..=output_schema.len()).contains(i))
+                    .ok_or_else(|| {
+                        SharkError::Plan(format!("ORDER BY position {n} out of range"))
+                    })?;
+                Some(idx - 1)
+            }
+            // Output names are unqualified: `t.c` names a column of `t`.
+            Expr::Column(name) if !name.contains('.') => output_schema.index_of(name),
+            _ => None,
+        };
+        let idx = by_name
+            .or_else(|| {
+                let bound = BoundExpr::bind(expr, items, udfs).ok()?;
+                projections.iter().position(|p| *p == bound)
+            })
+            .ok_or_else(|| {
+                SharkError::Plan(format!(
+                    "ORDER BY expression {expr:?} must reference an output column"
+                ))
+            })?;
         order_by.push((idx, *desc));
     }
+    let aggs = output_row.aggs.into_inner();
 
     // ----- DISTRIBUTE BY --------------------------------------------------------
     let distribute_by = match &stmt.distribute_by {
@@ -681,9 +514,26 @@ pub fn plan_select(
         })?),
     };
 
-    Ok(QueryPlan {
-        scans: scan_nodes,
-        joins: join_nodes,
+    let scans = joined
+        .scans
+        .into_iter()
+        .zip(filters)
+        .map(|(scan, filters)| ScanNode {
+            projection: (0..scan.table.schema.len()).collect(),
+            projected_schema: scan.table.schema.clone(),
+            table: scan.table,
+            alias: scan.alias,
+            filters,
+        })
+        .collect();
+    let aggregate = is_aggregate.then_some(AggregateNode {
+        group_exprs,
+        aggs,
+        having,
+    });
+    let mut plan = QueryPlan {
+        scans,
+        joins,
         residual_filter,
         aggregate,
         projections,
@@ -691,39 +541,93 @@ pub fn plan_select(
         order_by,
         limit: stmt.limit,
         distribute_by,
-    })
+    };
+    prune_columns(&mut plan);
+    Ok(plan)
 }
 
-/// Resolve an ORDER BY expression to an output column index.
-fn resolve_output_column(
-    expr: &Expr,
-    output_schema: &Schema,
-    output_sources: &[Expr],
-) -> Result<usize> {
-    // Positional reference (1-based).
-    if let Expr::Literal(Value::Int(n)) = expr {
-        let idx = *n as usize;
-        if idx >= 1 && idx <= output_schema.len() {
-            return Ok(idx - 1);
+/// Column pruning (§2.4), a rewrite of a bound plan: each scan keeps only
+/// the columns the plan reads, ascending and at least one (so row counts
+/// hold), and every expression is renumbered to the pruned layout. Scan
+/// filters and right join keys read their scan's row; the other
+/// expressions before the aggregate read the joined row.
+fn prune_columns(plan: &mut QueryPlan) {
+    let QueryPlan {
+        scans,
+        joins,
+        residual_filter,
+        aggregate,
+        projections,
+        ..
+    } = plan;
+    // Scan `s`'s columns sit at `offsets[s]..offsets[s] + widths[s]` of
+    // the joined row.
+    let widths: Vec<usize> = scans.iter().map(|s| s.projection.len()).collect();
+    let offsets: Vec<usize> = widths
+        .iter()
+        .scan(0, |end, width| {
+            *end += width;
+            Some(*end - width)
+        })
+        .collect();
+
+    // Each expression, with the scan whose row it reads (`None`: the
+    // joined row).
+    let mut exprs: Vec<(Option<usize>, &mut BoundExpr)> = Vec::new();
+    for (si, scan) in scans.iter_mut().enumerate() {
+        exprs.extend(scan.filters.iter_mut().map(|f| (Some(si), f)));
+    }
+    for join in joins.iter_mut() {
+        exprs.push((None, &mut join.left_key));
+        exprs.push((Some(join.right_scan), &mut join.right_key));
+    }
+    exprs.extend(residual_filter.iter_mut().map(|e| (None, e)));
+    match aggregate {
+        Some(agg) => {
+            exprs.extend(agg.group_exprs.iter_mut().map(|e| (None, e)));
+            exprs.extend(
+                agg.aggs
+                    .iter_mut()
+                    .filter_map(|a| Some((None, a.arg.as_mut()?))),
+            );
         }
-        return Err(SharkError::Plan(format!(
-            "ORDER BY position {n} out of range"
-        )));
+        None => exprs.extend(projections.iter_mut().map(|e| (None, e))),
     }
-    // By output column name / alias.
-    if let Expr::Column(name) = expr {
-        let bare = name.rsplit('.').next().unwrap_or(name);
-        if let Some(i) = output_schema.index_of(bare) {
-            return Ok(i);
+
+    let joined_position = |scan: Option<usize>, c: usize| scan.map_or(0, |s| offsets[s]) + c;
+    let mut read = vec![false; widths.iter().sum()];
+    for (scan, e) in &exprs {
+        e.visit(&mut |e| {
+            if let BoundExpr::Column(c) = e {
+                read[joined_position(*scan, *c)] = true;
+            }
+        });
+    }
+    // The columns each scan keeps, each kept column's pruned joined-row
+    // position, and each scan's first pruned position.
+    let mut kept = Vec::with_capacity(widths.len());
+    let mut position = vec![0; read.len()];
+    let mut starts = Vec::with_capacity(widths.len());
+    let mut width = 0;
+    for (&offset, &len) in offsets.iter().zip(&widths) {
+        let mut columns: Vec<usize> = (0..len).filter(|&c| read[offset + c]).collect();
+        if columns.is_empty() {
+            columns.push(0);
         }
+        for (p, &c) in columns.iter().enumerate() {
+            position[offset + c] = width + p;
+        }
+        starts.push(width);
+        width += columns.len();
+        kept.push(columns);
     }
-    // By structural match with a select item.
-    if let Some(i) = output_sources.iter().position(|s| s == expr) {
-        return Ok(i);
+    for (scan, e) in exprs {
+        e.renumber_columns(&|c| position[joined_position(scan, c)] - scan.map_or(0, |s| starts[s]));
     }
-    Err(SharkError::Plan(format!(
-        "ORDER BY expression {expr:?} must reference an output column"
-    )))
+    for (scan, columns) in scans.iter_mut().zip(kept) {
+        scan.projected_schema = scan.projected_schema.project(&columns);
+        scan.projection = columns.iter().map(|&c| scan.projection[c]).collect();
+    }
 }
 
 #[cfg(test)]
@@ -788,7 +692,10 @@ mod tests {
         let agg = p.aggregate.as_ref().unwrap();
         assert_eq!(agg.group_exprs.len(), 1);
         assert_eq!(agg.aggs.len(), 1);
-        assert_eq!(agg.output, vec![BoundExpr::Column(0), BoundExpr::Column(1)]);
+        assert_eq!(
+            p.projections,
+            vec![BoundExpr::Column(0), BoundExpr::Column(1)]
+        );
         assert_eq!(p.output_schema.names(), vec!["sourceip", "rev"]);
         assert_eq!(p.order_by, vec![(1, true)]);
         assert_eq!(p.limit, Some(5));
@@ -837,7 +744,7 @@ mod tests {
         let p =
             plan("SELECT sourceIP FROM uservisits GROUP BY sourceIP HAVING SUM(adRevenue) > 100");
         let agg = p.aggregate.as_ref().unwrap();
-        assert_eq!(agg.output.len(), 1);
+        assert_eq!(p.projections.len(), 1);
         assert_eq!(agg.aggs.len(), 1, "hidden aggregate for HAVING");
         assert!(agg.having.is_some());
     }
@@ -849,9 +756,8 @@ mod tests {
             "SELECT sourceIP, SUM(adRevenue) + 1, ROUND(AVG(adRevenue)), UPPER(sourceIP) \
              FROM uservisits GROUP BY sourceIP",
         );
-        let agg = p.aggregate.as_ref().unwrap();
         assert_eq!(
-            format!("{:?}", agg.output),
+            format!("{:?}", p.projections),
             "[#0, (#1 Plus 1), Round([#2]), Upper([#0])]"
         );
         assert_eq!(
@@ -911,7 +817,7 @@ mod tests {
         let p = plan("SELECT SUM(pageRank / 2), SUM(pageRank / 2.0) FROM rankings");
         let agg = p.aggregate.as_ref().unwrap();
         assert_eq!(agg.aggs.len(), 2);
-        assert_eq!(format!("{:?}", agg.output), "[#0, #1]");
+        assert_eq!(format!("{:?}", p.projections), "[#0, #1]");
         let p =
             plan("SELECT pageRank / 2 FROM rankings GROUP BY pageRank / 2 HAVING pageRank / 2 > 1");
         assert_eq!(
@@ -935,6 +841,39 @@ mod tests {
         let p = plan("SELECT pageURL, pageRank FROM rankings ORDER BY 2 DESC LIMIT 3");
         assert_eq!(p.order_by, vec![(1, true)]);
         assert!(!p.limit_pushdown_allowed());
+        // ORDER BY binds and names the SELECT item it equals: `pageRank /
+        // 2.0` is not the integer division `pageRank / 2`.
+        let p = plan("SELECT pageRank / 2, pageRank / 2.0 FROM rankings ORDER BY pageRank / 2.0");
+        assert_eq!(p.order_by, vec![(1, false)]);
+        // A qualified name is a table's column, not an output name.
+        let p = plan(
+            "SELECT r.pageRank AS avgduration, r.avgDuration FROM rankings r ORDER BY r.avgDuration",
+        );
+        assert_eq!(p.order_by, vec![(1, false)]);
+    }
+
+    #[test]
+    fn column_pruning_keeps_the_columns_the_bound_plan_reads() {
+        // An output alias that is also a column name reads no column.
+        let p = plan("SELECT pageURL AS pagerank FROM rankings ORDER BY pagerank");
+        assert_eq!(p.scans[0].projection, vec![0]);
+        assert_eq!(p.order_by, vec![(0, false)]);
+        // Scan filters and the right join key are renumbered to their scan's
+        // columns, everything else to the pruned joined row.
+        let p = plan(
+            "SELECT UV.adRevenue, R.avgDuration FROM rankings R JOIN uservisits UV \
+             ON R.pageURL = UV.destURL WHERE UV.visitDate > 10 AND R.avgDuration > UV.adRevenue",
+        );
+        assert_eq!(p.scans[0].projection, vec![0, 2]);
+        assert_eq!(p.scans[1].projection, vec![1, 2, 3]);
+        assert_eq!(format!("{:?}", p.scans[1].filters), "[(#1 Gt 10)]");
+        assert_eq!(format!("{:?}", p.joins[0].left_key), "#0");
+        assert_eq!(format!("{:?}", p.joins[0].right_key), "#0");
+        assert_eq!(format!("{:?}", p.residual_filter.unwrap()), "(#1 Gt #4)");
+        assert_eq!(format!("{:?}", p.projections), "[#4, #1]");
+        // A scan nothing reads still scans one column.
+        let p = plan("SELECT COUNT(*) FROM rankings");
+        assert_eq!(p.scans[0].projection, vec![0]);
     }
 
     #[test]
@@ -958,6 +897,9 @@ mod tests {
             bad("SELECT pageRank, MAX(SUM(avgDuration)) FROM rankings GROUP BY pageRank").is_err()
         );
         assert!(bad("SELECT * FROM rankings GROUP BY pageRank").is_err());
+        // HAVING makes a statement an aggregation.
+        assert!(bad("SELECT pageRank FROM rankings HAVING pageRank > 100").is_err());
+        assert!(bad("SELECT pageRank FROM rankings HAVING COUNT(*) > 100").is_err());
         assert!(
             bad("SELECT * FROM rankings r JOIN uservisits u ON r.pageRank > u.adRevenue").is_err()
         );
