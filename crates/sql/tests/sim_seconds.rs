@@ -141,9 +141,11 @@ const GROUP_BY: &str = "SELECT grp, COUNT(*), SUM(v) FROM facts GROUP BY grp";
 /// picks one, and a co-partitioned join over its own fixture. One pins the
 /// expressions over an aggregate's output: a HAVING aggregate no SELECT
 /// item computes, a group column in HAVING, and ORDER BY an aggregate's
-/// alias under LIMIT. The last two pin the scan paths no loaded fixture
-/// reaches: a memstore scan that rebuilds evicted partitions from lineage,
-/// and the DFS scan under PDE.
+/// alias under LIMIT. Two pin the scan paths no loaded fixture reaches: a
+/// memstore scan that rebuilds evicted partitions from lineage, and the DFS
+/// scan under PDE. The last two pin operator chains no fused scan can
+/// absorb: the row top-k after a join, and the chain's aggregation over a
+/// DFS scan.
 fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>)> {
     let shuffle_join = ExecConfig {
         broadcast_threshold: 0,
@@ -327,6 +329,21 @@ fn shapes() -> Vec<(&'static str, Fixture, ExecConfig, &'static str, Option<f64>
             ExecConfig::shark_disk(),
             SELECTION,
             Some(0.010206614),
+        ),
+        (
+            "join + order by limit",
+            session,
+            ExecConfig::shark(),
+            "SELECT f.id, d.name FROM facts f JOIN dims d ON f.k = d.k \
+             WHERE f.v > 50 ORDER BY d.name DESC, f.id LIMIT 6",
+            Some(0.1750722034421145),
+        ),
+        (
+            "group-by (disk)",
+            session,
+            ExecConfig::shark_disk(),
+            GROUP_BY,
+            Some(0.015218386),
         ),
     ]
 }
