@@ -137,7 +137,6 @@ pub struct ClusterSim {
     failure: FailurePlan,
     clock: f64,
     rng: StdRng,
-    total_stages: u64,
 }
 
 impl ClusterSim {
@@ -149,7 +148,6 @@ impl ClusterSim {
             failure: FailurePlan::none(),
             clock: 0.0,
             rng: StdRng::seed_from_u64(seed),
-            total_stages: 0,
         }
     }
 
@@ -174,17 +172,11 @@ impl ClusterSim {
         self.clock
     }
 
-    /// Number of stages simulated so far.
-    pub fn stages_run(&self) -> u64 {
-        self.total_stages
-    }
-
     /// Reset the clock and counters (a new job on the same cluster). A node
     /// that has already failed stays failed: from time 0 on.
     pub fn reset(&mut self) {
         self.failure = std::mem::take(&mut self.failure).restarted_at(self.clock);
         self.clock = 0.0;
-        self.total_stages = 0;
         self.rng = StdRng::seed_from_u64(self.config.seed);
     }
 
@@ -231,7 +223,6 @@ impl ClusterSim {
 
     /// Place one stage's tasks on the cluster and advance the clock.
     fn place_stage(&mut self, tasks: &[TaskSpec]) -> StageSimResult {
-        self.total_stages += 1;
         let stage_start = self.clock;
         if tasks.is_empty() {
             return StageSimResult {
@@ -398,7 +389,6 @@ mod tests {
         let t1 = s.now();
         s.simulate_uniform_stage(4, 5.0);
         assert!(s.now() > t1);
-        assert_eq!(s.stages_run(), 2);
         s.reset();
         assert_eq!(s.now(), 0.0);
     }
@@ -496,9 +486,9 @@ mod tests {
         s.simulate_uniform_stage(900, 2.0);
         let map: Vec<TaskSpec> = (0..1200).map(|i| TaskSpec::new(1.0 + i as f64)).collect();
         let reduce = vec![TaskSpec::new(3.0); 40];
-        let (clock, stages) = (s.now(), s.stages_run());
+        let clock = s.now();
         let preview = s.preview([&map[..], &reduce[..]]);
-        assert_eq!((s.now(), s.stages_run()), (clock, stages));
+        assert_eq!(s.now(), clock);
         let charged = s.simulate_stage(&map).duration + s.simulate_stage(&reduce).duration;
         assert_eq!(preview, charged);
     }

@@ -91,12 +91,6 @@ impl JsonWriter {
         self.out.push_str(&value.to_string());
     }
 
-    /// Write `"key":<i64>`.
-    pub fn field_i64(&mut self, key: &str, value: i64) {
-        self.key(key);
-        self.out.push_str(&value.to_string());
-    }
-
     /// Write `"key":<f64>` (non-finite values become `null`).
     pub fn field_f64(&mut self, key: &str, value: f64) {
         self.key(key);
@@ -119,13 +113,6 @@ impl JsonWriter {
     pub fn field_bool(&mut self, key: &str, value: bool) {
         self.key(key);
         self.out.push_str(if value { "true" } else { "false" });
-    }
-
-    /// Open a `{` object under the given key.
-    pub fn begin_object_field(&mut self, key: &str) {
-        self.key(key);
-        self.out.push('{');
-        self.needs_comma.push(false);
     }
 }
 
@@ -155,24 +142,22 @@ mod tests {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_u64("a", 1);
-        w.begin_object_field("inner");
         w.field_str("s", "x\"y\\z\n");
         w.field_f64("f", 1.5);
         w.field_f64("nan", f64::NAN);
-        w.end_object();
         w.begin_array_field("arr");
         w.begin_object();
         w.field_bool("b", false);
         w.end_object();
         w.begin_object();
-        w.field_i64("n", -2);
+        w.field_u64("n", 2);
         w.end_object();
         w.end_array();
         w.field_u64("tail", 9);
         w.end_object();
         assert_eq!(
             w.finish(),
-            r#"{"a":1,"inner":{"s":"x\"y\\z\n","f":1.5,"nan":null},"arr":[{"b":false},{"n":-2}],"tail":9}"#
+            r#"{"a":1,"s":"x\"y\\z\n","f":1.5,"nan":null,"arr":[{"b":false},{"n":2}],"tail":9}"#
         );
     }
 }

@@ -139,12 +139,6 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
-    /// Bind address (e.g. `"127.0.0.1:4848"`).
-    pub fn with_addr(mut self, addr: impl Into<String>) -> NetConfig {
-        self.addr = addr.into();
-        self
-    }
-
     /// Require this shared-secret token in every Hello.
     pub fn with_auth_token(mut self, token: impl Into<String>) -> NetConfig {
         self.auth_token = Some(token.into());

@@ -432,35 +432,6 @@ impl WalWriter {
         })
     }
 
-    /// Reopen an existing WAL for appending after [`replay_wal`] validated
-    /// it, truncating any torn tail past `replay.valid_bytes`. A replay
-    /// that found nothing valid (missing file, bad header) falls back to
-    /// creating a fresh WAL.
-    pub fn open_after_replay(path: impl Into<PathBuf>, replay: &WalReplay) -> Result<WalWriter> {
-        let path = path.into();
-        if replay.valid_bytes < WAL_HEADER_BYTES as u64 {
-            return WalWriter::create(path);
-        }
-        let file = fs::OpenOptions::new()
-            .write(true)
-            .open(&path)
-            .map_err(|e| io_err("wal open", &path, e))?;
-        file.set_len(replay.valid_bytes)
-            .and_then(|_| file.sync_data())
-            .map_err(|e| io_err("wal truncate", &path, e))?;
-        // Appends go through write_all at the cursor; position it past the
-        // validated prefix.
-        use std::io::Seek as _;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::Start(replay.valid_bytes))
-            .map_err(|e| io_err("wal seek", &path, e))?;
-        Ok(WalWriter {
-            file,
-            path,
-            records: replay.records.len() as u64,
-        })
-    }
-
     /// Append a batch of records and fsync once. An empty batch is a no-op
     /// (no write, no fsync).
     pub fn append_batch(&mut self, records: &[WalRecord]) -> Result<()> {
@@ -515,8 +486,8 @@ impl WalWriter {
 }
 
 /// The outcome of replaying a WAL file: every validated record in order,
-/// the byte length of the validated prefix (where an appender must
-/// truncate to), and whether a torn or corrupt tail was cut off.
+/// the byte length of the validated prefix, and whether a torn or corrupt
+/// tail was cut off.
 #[derive(Debug)]
 pub struct WalReplay {
     /// Validated records, oldest first.
@@ -864,17 +835,6 @@ mod tests {
             assert_eq!(replay.valid_bytes, third_end as u64, "cut at {cut}");
         }
         assert_eq!(clean.records.len(), 4);
-
-        // Reopening after a torn replay truncates, and appending resumes.
-        fs::write(&path, &full[..third_end + 5]).unwrap();
-        let replay = replay_wal(&path);
-        let mut wal = WalWriter::open_after_replay(&path, &replay).unwrap();
-        assert_eq!(wal.record_count(), 3);
-        wal.append_batch(&records[3..]).unwrap();
-        drop(wal);
-        let replay = replay_wal(&path);
-        assert!(!replay.torn);
-        assert_eq!(replay.records, records);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -907,13 +867,6 @@ mod tests {
         let replay = replay_wal(&path);
         assert!(replay.torn);
         assert_eq!(replay.valid_bytes, 0);
-        // open_after_replay falls back to a fresh WAL.
-        let mut wal = WalWriter::open_after_replay(&path, &replay).unwrap();
-        wal.append_batch(&sample_records()[..1]).unwrap();
-        drop(wal);
-        let replay = replay_wal(&path);
-        assert!(!replay.torn);
-        assert_eq!(replay.records.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -985,20 +985,6 @@ impl Catalog {
             .filter_map(|d| d.table.cached.as_ref().map(|m| m.memory_bytes()))
             .sum()
     }
-
-    /// Names of table versions awaiting deferred reclamation, sorted
-    /// (duplicates possible when the same name was dropped and recreated
-    /// repeatedly).
-    pub fn deferred_dropped(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .deferred
-            .lock()
-            .iter()
-            .map(|d| d.table.name.clone())
-            .collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -1214,7 +1200,6 @@ mod tests {
         // The drop is deferred: bytes stay resident, the memtable is
         // retired, nothing is reclaimable while either snapshot lives.
         assert_eq!(catalog.deferred_drop_bytes(), resident);
-        assert_eq!(catalog.deferred_dropped(), vec!["users".to_string()]);
         assert!(mem.is_retired());
         assert_eq!(catalog.reclaim_unreferenced(), 0);
         assert_eq!(catalog.deferred_drop_bytes(), resident);
@@ -1230,7 +1215,6 @@ mod tests {
         assert_eq!(records[0].bytes, resident);
         assert_eq!(records[0].partitions, vec![0, 1, 2, 3]);
         assert_eq!(catalog.deferred_drop_bytes(), 0);
-        assert!(catalog.deferred_dropped().is_empty());
         assert!(catalog.drain_reclaimed().is_empty());
     }
 

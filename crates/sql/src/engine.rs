@@ -330,6 +330,16 @@ impl SqlSession {
         let planned = self.plan(None, query)?;
         let plan = &planned.plan;
         let schema = plan.output_schema.clone();
+        // A table's columns are found by name, so a second column with a
+        // name already taken could never be read (Hive rejects it too).
+        for (i, field) in schema.fields().iter().enumerate() {
+            if schema.index_of(&field.name) != Some(i) {
+                return Err(SharkError::Analysis(format!(
+                    "CREATE TABLE {name} AS SELECT: duplicate column name '{}'",
+                    field.name
+                )));
+            }
+        }
 
         // Stream the query and build the new table's partitions
         // incrementally — hash by the DISTRIBUTE BY column or round-robin —
@@ -860,6 +870,36 @@ mod tests {
             .unwrap()
             .unwrap_or(0.0);
         assert!(total > 0.0);
+    }
+
+    #[test]
+    fn sql_to_rdd_applies_no_order_by_or_top_k() {
+        let s = session();
+        s.load_table("sales").unwrap();
+        let table = s
+            .sql_to_rdd("SELECT day, amount FROM sales ORDER BY amount DESC LIMIT 3")
+            .unwrap();
+        let all = s.sql("SELECT day, amount FROM sales").unwrap();
+        assert_eq!(all.rows.len(), 120);
+        assert_eq!(table.rdd.collect().unwrap(), all.rows);
+    }
+
+    #[test]
+    fn ctas_with_duplicate_column_names_is_rejected_before_it_runs() {
+        let s = session();
+        s.context().clear_job_history();
+        for sql in [
+            "CREATE TABLE both_days AS SELECT a.day, b.day FROM sales a JOIN sales b ON a.store = b.store",
+            "CREATE TABLE both_days AS SELECT day, amount AS DAY FROM sales",
+        ] {
+            let err = s.sql(sql).err().map(|e| e.to_string());
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("duplicate column name")),
+                "{sql}: {err:?}"
+            );
+        }
+        assert!(!s.catalog().contains("both_days"));
+        assert!(s.context().job_history().is_empty());
     }
 
     #[test]

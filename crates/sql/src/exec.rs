@@ -13,6 +13,13 @@
 //!   broadcast decisions, run under the Hadoop cost profile (high task
 //!   launch overhead, sort-based disk shuffle, inter-job DFS
 //!   materialization).
+//!
+//! One builder, `build`, chooses every operator of a statement, streamed
+//! ([`execute_stream`]) or left as an RDD ([`build_pipeline`], which applies
+//! no ORDER BY): a memstore or DFS scan per table, a fused scan when one
+//! vectorized memstore scan can absorb the aggregation or the top-k, and
+//! the operator chain (joins, residual filter, aggregation or projection)
+//! otherwise. It also keeps the statement's ledger of simulated seconds.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -24,14 +31,14 @@ use shark_common::size::estimate_slice;
 use shark_common::{Result, Row, Schema, SharkError, Value};
 use shark_rdd::{PairShuffle, PipelinedJob, Rdd, RddContext, StageReport, TaskMetrics};
 
-use crate::aggregate::{AggExpr, AggStates};
+use crate::aggregate::AggStates;
 use crate::catalog::{CatalogSnapshot, TableMeta};
 use crate::expr::BoundExpr;
 use crate::pde::{
     choose_join_strategy, coalesce_buckets, JoinStrategy, MAX_REDUCERS, TARGET_PARTITION_BYTES,
 };
 use crate::plan::{AggregateNode, QueryPlan, ScanNode};
-use crate::scan::{dfs_scan, prune_partitions, CachedScan};
+use crate::scan::{dfs_scan, first_k, prune_partitions, CachedScan};
 use crate::vector::note_scalar_adapter;
 
 /// Which engine the executor should emulate.
@@ -760,26 +767,20 @@ pub(crate) fn topk_sort_rows(n: usize, k: usize) -> u64 {
 }
 
 /// Keep only the `k` first rows of `rows` under the stable ordering given by
-/// `keys`, using a bounded buffer of at most `2k` rows (the per-partition
-/// heap of top-k pushdown). Produces exactly the first `k` rows a full
-/// stable sort would.
-fn topk_rows(rows: Vec<Row>, k: usize, keys: &[(usize, bool)], m: &mut TaskMetrics) -> Vec<Row> {
+/// `keys` (the per-partition heap of top-k pushdown), picked by the fused
+/// top-k scan's selection and charged as its bounded buffer sorts.
+fn topk_rows(
+    mut rows: Vec<Row>,
+    k: usize,
+    keys: &[(usize, bool)],
+    m: &mut TaskMetrics,
+) -> Vec<Row> {
     m.add_sort(topk_sort_rows(rows.len(), k));
-    if k == 0 {
-        return Vec::new();
-    }
-    let cap = 2 * k;
-    let mut buf: Vec<Row> = Vec::with_capacity(cap.min(rows.len()));
-    for row in rows {
-        buf.push(row);
-        if buf.len() >= cap {
-            buf.sort_by(|a, b| compare_rows(a, b, keys));
-            buf.truncate(k);
-        }
-    }
-    buf.sort_by(|a, b| compare_rows(a, b, keys));
-    buf.truncate(k);
-    buf
+    let winners = first_k(rows.len(), k, |a, b| compare_rows(&rows[a], &rows[b], keys));
+    winners
+        .into_iter()
+        .map(|i| std::mem::take(&mut rows[i as usize]))
+        .collect()
 }
 
 /// Plan a statistics-driven execution order for a top-k stream over a
@@ -837,12 +838,9 @@ fn topk_partition_order(
 /// partitions on demand (ahead of demand, with a prefetch depth ≥ 1).
 pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<QueryStream> {
     let wall = Instant::now();
-    let (table_rdd, fused_topk) = {
+    let (table_rdd, sorted_runs) = {
         let _span = shark_obs::span("optimize");
-        match build_fused_topk(ctx, plan, cfg)? {
-            Some(fused) => (fused, true),
-            None => (build_pipeline(ctx, plan, cfg)?, false),
-        }
+        build(ctx, plan, cfg, true)?
     };
     let mut notes = table_rdd.notes;
     notes.push("result streaming: partitions delivered incrementally".into());
@@ -879,7 +877,7 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     let task = move |rows: Arc<Vec<Row>>, m: &mut TaskMetrics| {
         let mut rows = Arc::unwrap_or_clone(rows);
         // A fused top-k scan already delivers each partition's sorted run.
-        if task_keys.is_empty() || fused_topk {
+        if task_keys.is_empty() || sorted_runs {
             return rows;
         }
         match limit {
@@ -946,204 +944,226 @@ pub fn execute_stream(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> R
     })
 }
 
-/// When the plan is `scan → filter → project → ORDER BY … LIMIT k` over one
-/// cached table, vectorized, and every sort key is a projected bare column,
-/// fuse the scan and the per-partition top-k into one scan body
-/// (`CachedScan::top_k`): each partition sorts on the encoded key columns
-/// and builds only its `k` winners. The pipeline keeps its single-scan
-/// identity, so statistics ordering, the skip rule and partition pins work
-/// as on the row chain.
-/// Streaming only: `sql2rdd` ([`build_pipeline`]) leaves ORDER BY unapplied.
-fn build_fused_topk(
+/// Build the RDD pipeline for a plan without collecting it (the `sql2rdd`
+/// path). ORDER BY and LIMIT-with-ORDER-BY are not applied; per-partition
+/// LIMIT pushdown is.
+pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<TableRdd> {
+    Ok(build(ctx, plan, cfg, false)?.0)
+}
+
+/// The one physical builder: every operator of a statement's pipeline is
+/// chosen here. Each scan is a [`memstore_scan`] or a DFS scan. A lone
+/// vectorized memstore scan (no join, no residual filter) absorbs the
+/// aggregation or, when `ordered` (the caller applies ORDER BY), an ORDER BY
+/// of bare projected columns with LIMIT `k`; anything else is the operator
+/// chain: joins, residual filter, then aggregation or projection. Returns
+/// the pipeline and whether each partition already delivers its sorted
+/// top-k run.
+fn build(
     ctx: &RddContext,
     plan: &QueryPlan,
     cfg: &ExecConfig,
-) -> Result<Option<TableRdd>> {
-    let (Some(k), Some(scan)) = (plan.limit, fusable_scan(plan, cfg)) else {
-        return Ok(None);
+    ordered: bool,
+) -> Result<(TableRdd, bool)> {
+    let mut notes = Vec::new();
+    // The statement's ledger: every PDE job and fixed charge below adds
+    // the simulated seconds it cost.
+    let mut sim_seconds = 0.0;
+    let lone = cfg.vectorized && plan.scans.len() == 1 && plan.residual_filter.is_none();
+    let (rdd, single_scan, sorted_runs) = 'built: {
+        // ----- scans -----------------------------------------------------------
+        // Each with whether it covers every partition of its table (the
+        // co-partitioned join needs that).
+        let mut scans: Vec<(Rdd<Row>, bool)> = Vec::new();
+        let mut single_scan = None;
+        for scan in &plan.scans {
+            let Some(cached) = memstore_scan(scan, cfg, &mut notes) else {
+                let (table, projection) = (scan.table.clone(), scan.projection.clone());
+                scans.push((dfs_scan(ctx, table, projection, scan.filters.clone()), true));
+                continue;
+            };
+            let info = cached.info();
+            if lone {
+                // The batch stays columnar from the cache straight into the
+                // per-group partial states: no intermediate `Row`s.
+                if let Some(agg) = &plan.aggregate {
+                    let ops = partial_agg_ops(agg);
+                    let pairs =
+                        cached.partial_aggregate(ctx, &agg.group_exprs, agg.aggs.clone(), ops);
+                    notes.push(
+                        "vectorized: fused scan + partial aggregation over columnar batches".into(),
+                    );
+                    let args = agg.aggs.iter().filter_map(|a| a.arg.as_ref());
+                    note_scalar_adapter(
+                        &mut notes,
+                        scan.filters.iter().chain(&agg.group_exprs).chain(args),
+                    );
+                    // At most one pair per group per partition: already the
+                    // map-side combine, so the pairs are bucketed as they are.
+                    let shuffle = pairs.shuffle_precombined(aggregation_buckets(cfg));
+                    let rdd = finish_aggregation(
+                        cfg,
+                        &mut notes,
+                        &mut sim_seconds,
+                        shuffle,
+                        agg,
+                        &plan.projections,
+                    )?;
+                    break 'built (rdd, None, false);
+                }
+                // Each partition sorts on the encoded key columns and builds
+                // only its `k` winners; the pipeline keeps its single-scan
+                // identity for statistics ordering, the skip rule and pins.
+                if let Some((keys, k)) = topk_keys(plan).filter(|_| ordered) {
+                    let rdd = cached.top_k(
+                        ctx,
+                        plan.projections.clone(),
+                        project_ops_per_row(plan),
+                        keys,
+                        k,
+                    );
+                    notes.push(format!(
+                        "vectorized: fused scan + top-k on the encoded sort columns, late materialization of at most {k} rows per partition"
+                    ));
+                    note_scalar_adapter(&mut notes, &scan.filters);
+                    break 'built (rdd, Some(info), true);
+                }
+            }
+            if cfg.vectorized {
+                note_scalar_adapter(&mut notes, &scan.filters);
+            }
+            let full = info.selected.len() == scan.table.num_partitions;
+            scans.push((cached.rows(ctx, cfg.vectorized), full));
+            single_scan = Some(info);
+        }
+        // Result partitions map 1:1 onto the scan's partitions only while
+        // the pipeline stays narrow: one scan, no joins, no aggregation.
+        let narrow = plan.scans.len() == 1 && plan.aggregate.is_none();
+
+        // ----- joins -----------------------------------------------------------
+        let mut combined = scans[0].0.clone();
+        for (ji, join) in plan.joins.iter().enumerate() {
+            combined = build_join(
+                ctx,
+                plan,
+                cfg,
+                &mut notes,
+                &mut sim_seconds,
+                combined,
+                scans[join.right_scan].0.clone(),
+                ji,
+                scans[0].1 && scans[join.right_scan].1,
+            )?;
+        }
+
+        // ----- residual filter -------------------------------------------------
+        if let Some(pred) = &plan.residual_filter {
+            let p = pred.clone();
+            combined = combined.map_partitions_named("filter", pred.op_count(), move |_, rows| {
+                rows.into_iter().filter(|r| p.eval_predicate(r)).collect()
+            });
+        }
+
+        // ----- aggregation or projection ---------------------------------------
+        let rdd = if let Some(agg) = &plan.aggregate {
+            let group_exprs = agg.group_exprs.clone();
+            let aggs = agg.aggs.clone();
+            // Each row to (group key, single-row partial state).
+            let pairs = combined.map_partitions_named(
+                "partial-aggregate",
+                partial_agg_ops(agg),
+                move |_, rows| {
+                    rows.into_iter()
+                        .map(|r| {
+                            let key = Row::new(group_exprs.iter().map(|g| g.eval(&r)).collect());
+                            let mut state = AggStates::new(&aggs);
+                            state.update_row(&aggs, &r);
+                            (key, state)
+                        })
+                        .collect::<Vec<(Row, AggStates)>>()
+                },
+            );
+            // One pair per input row: combined map-side per key.
+            let shuffle = pairs.shuffle_combined(aggregation_buckets(cfg), AggStates::merge_from);
+            finish_aggregation(
+                cfg,
+                &mut notes,
+                &mut sim_seconds,
+                shuffle,
+                agg,
+                &plan.projections,
+            )?
+        } else {
+            let projections = plan.projections.clone();
+            let limit_push = plan.limit.filter(|_| plan.limit_pushdown_allowed());
+            if let Some(n) = limit_push {
+                notes.push(format!("limit pushed down to partitions (limit={n})"));
+            }
+            combined.map_partitions_named("project", project_ops_per_row(plan), move |_, rows| {
+                let mut out: Vec<Row> = rows
+                    .iter()
+                    .map(|r| Row::new(projections.iter().map(|p| p.eval(r)).collect()))
+                    .collect();
+                if let Some(n) = limit_push {
+                    out.truncate(n);
+                }
+                out
+            })
+        };
+        (rdd, single_scan.filter(|_| narrow), false)
     };
-    if plan.order_by.is_empty() || plan.aggregate.is_some() {
-        return Ok(None);
+    let table = TableRdd {
+        rdd,
+        schema: plan.output_schema.clone(),
+        notes,
+        sim_seconds,
+        single_scan,
+        snapshot: None,
+    };
+    Ok((table, sorted_runs))
+}
+
+/// The memstore scan of `scan`, when the engine reads the columnar memstore
+/// and the table is cached (`None`: the scan reads the DFS): map-prune the
+/// table's partitions (noting how many were skipped), then the loader the
+/// scan bodies read through.
+fn memstore_scan(scan: &ScanNode, cfg: &ExecConfig, notes: &mut Vec<String>) -> Option<CachedScan> {
+    let ExecutionMode::Shark {
+        use_memstore: true, ..
+    } = cfg.mode
+    else {
+        return None;
+    };
+    let mem = scan.table.cached.clone()?;
+    let (selected, pruned) = prune_partitions(&scan.table, &mem, &scan.filters, &scan.projection);
+    if pruned > 0 {
+        notes.push(format!(
+            "map pruning: skipped {pruned}/{} partitions of {}",
+            scan.table.num_partitions, scan.table.name
+        ));
     }
-    let keys: Option<Vec<(usize, bool)>> = plan
+    Some(CachedScan::new(
+        scan.table.clone(),
+        mem,
+        selected,
+        scan.projection.clone(),
+        scan.filters.clone(),
+    ))
+}
+
+/// A fused top-k's sort keys (scanned column, descending) and `k`: the plan
+/// has ORDER BY … LIMIT `k` and every sort key is a bare projected column.
+fn topk_keys(plan: &QueryPlan) -> Option<(Vec<(usize, bool)>, usize)> {
+    let k = plan.limit.filter(|_| !plan.order_by.is_empty())?;
+    let keys = plan
         .order_by
         .iter()
         .map(|&(col, desc)| match plan.projections.get(col)? {
             BoundExpr::Column(scanned) => Some((*scanned, desc)),
             _ => None,
         })
-        .collect();
-    let Some(keys) = keys else {
-        return Ok(None);
-    };
-    let mut notes = Vec::new();
-    let cached = cached_scan(scan, &mut notes);
-    let info = cached.info();
-    let rdd = cached.top_k(
-        ctx,
-        plan.projections.clone(),
-        project_ops_per_row(plan),
-        keys,
-        k,
-    );
-    notes.push(format!(
-        "vectorized: fused scan + top-k on the encoded sort columns, late materialization of at most {k} rows per partition"
-    ));
-    note_scalar_adapter(&mut notes, &scan.filters);
-    Ok(Some(TableRdd {
-        rdd,
-        schema: plan.output_schema.clone(),
-        notes,
-        sim_seconds: 0.0,
-        single_scan: Some(info),
-        snapshot: None,
-    }))
-}
-
-/// Build the RDD pipeline for a plan without collecting it (the `sql2rdd`
-/// path). ORDER BY and LIMIT-with-ORDER-BY are not applied; per-partition
-/// LIMIT pushdown is.
-pub fn build_pipeline(ctx: &RddContext, plan: &QueryPlan, cfg: &ExecConfig) -> Result<TableRdd> {
-    let mut notes = Vec::new();
-    // The statement's ledger: every PDE job and fixed charge below adds
-    // the simulated seconds it cost.
-    let mut sim_seconds = 0.0;
-
-    // ----- fused vectorized scan + partial aggregate ----------------------------
-    // A single-table memstore aggregation keeps the batch columnar from the
-    // cache straight into the per-group partial states: no intermediate
-    // `Row`s, dictionary-coded group-by keys aggregate by code.
-    if let Some(rdd) = build_fused_aggregation(ctx, plan, cfg, &mut notes, &mut sim_seconds)? {
-        return Ok(TableRdd {
-            rdd,
-            schema: plan.output_schema.clone(),
-            notes,
-            sim_seconds,
-            single_scan: None,
-            snapshot: None,
-        });
-    }
-
-    // ----- scans ---------------------------------------------------------------
-    let mut scan_rdds: Vec<Rdd<Row>> = Vec::new();
-    let mut scan_all_partitions: Vec<bool> = Vec::new();
-    let mut scan_infos: Vec<Option<SingleScanInfo>> = Vec::new();
-    for scan in &plan.scans {
-        let (rdd, full, info) = build_scan(ctx, scan, cfg, &mut notes)?;
-        scan_rdds.push(rdd);
-        scan_all_partitions.push(full);
-        scan_infos.push(info);
-    }
-    // Result partitions map 1:1 onto the scan's partitions only while the
-    // pipeline stays narrow: one scan, no joins, no aggregation.
-    let single_scan = if plan.scans.len() == 1 && plan.joins.is_empty() && plan.aggregate.is_none()
-    {
-        scan_infos.pop().flatten()
-    } else {
-        None
-    };
-
-    // ----- joins ---------------------------------------------------------------
-    let mut combined = scan_rdds[0].clone();
-    for (ji, join) in plan.joins.iter().enumerate() {
-        let right = scan_rdds[join.right_scan].clone();
-        combined = build_join(
-            ctx,
-            plan,
-            cfg,
-            &mut notes,
-            &mut sim_seconds,
-            combined,
-            right,
-            ji,
-            scan_all_partitions[0] && scan_all_partitions[join.right_scan],
-        )?;
-    }
-
-    // ----- residual filter ------------------------------------------------------
-    if let Some(pred) = &plan.residual_filter {
-        let p = pred.clone();
-        let ops = pred.op_count();
-        combined = combined.map_partitions_named("filter", ops, move |_, rows| {
-            rows.into_iter().filter(|r| p.eval_predicate(r)).collect()
-        });
-    }
-
-    // ----- aggregation or projection --------------------------------------------
-    let output = if let Some(agg) = &plan.aggregate {
-        build_aggregation(
-            cfg,
-            &mut notes,
-            &mut sim_seconds,
-            combined,
-            agg,
-            &plan.projections,
-        )?
-    } else {
-        let projections = plan.projections.clone();
-        let limit_push = if plan.limit_pushdown_allowed() {
-            plan.limit
-        } else {
-            None
-        };
-        if let Some(n) = limit_push {
-            notes.push(format!("limit pushed down to partitions (limit={n})"));
-        }
-        combined.map_partitions_named("project", project_ops_per_row(plan), move |_, rows| {
-            let mut out: Vec<Row> = rows
-                .iter()
-                .map(|r| Row::new(projections.iter().map(|p| p.eval(r)).collect()))
-                .collect();
-            if let Some(n) = limit_push {
-                out.truncate(n);
-            }
-            out
-        })
-    };
-
-    Ok(TableRdd {
-        rdd: output,
-        schema: plan.output_schema.clone(),
-        notes,
-        sim_seconds,
-        single_scan,
-        snapshot: None,
-    })
-}
-
-/// Build a scan RDD; returns the RDD, whether it covers every partition of
-/// the table (needed for the co-partitioned join fast path), and — for
-/// memstore scans — the scan identity top-k pushdown needs.
-fn build_scan(
-    ctx: &RddContext,
-    scan: &ScanNode,
-    cfg: &ExecConfig,
-    notes: &mut Vec<String>,
-) -> Result<(Rdd<Row>, bool, Option<SingleScanInfo>)> {
-    let use_memstore = matches!(
-        cfg.mode,
-        ExecutionMode::Shark {
-            use_memstore: true,
-            ..
-        }
-    );
-    if use_memstore && scan.table.is_cached() {
-        let cached = cached_scan(scan, notes);
-        let info = cached.info();
-        let full = info.selected.len() == scan.table.num_partitions;
-        if cfg.vectorized {
-            note_scalar_adapter(notes, &scan.filters);
-        }
-        Ok((cached.rows(ctx, cfg.vectorized), full, Some(info)))
-    } else {
-        let rdd = dfs_scan(
-            ctx,
-            scan.table.clone(),
-            scan.projection.clone(),
-            scan.filters.clone(),
-        );
-        Ok((rdd, true, None))
-    }
+        .collect::<Option<Vec<_>>>()?;
+    Some((keys, k))
 }
 
 /// Whether the i-th join can use the co-partitioned fast path (§3.4).
@@ -1452,51 +1472,6 @@ fn charge_hive_intermediate(ctx: &RddContext, plan: &QueryPlan, notes: &mut Vec<
     secs
 }
 
-/// The lone cached scan a fused columnar operator can read: vectorized
-/// execution over the memstore, one cached table, no join and no residual
-/// filter.
-fn fusable_scan<'a>(plan: &'a QueryPlan, cfg: &ExecConfig) -> Option<&'a ScanNode> {
-    let use_memstore = matches!(
-        cfg.mode,
-        ExecutionMode::Shark {
-            use_memstore: true,
-            ..
-        }
-    );
-    let fusable = cfg.vectorized
-        && use_memstore
-        && plan.scans.len() == 1
-        && plan.joins.is_empty()
-        && plan.residual_filter.is_none()
-        && plan.scans[0].table.is_cached();
-    fusable.then(|| &plan.scans[0])
-}
-
-/// Every memstore scan's start: map-prune the cached table's partitions
-/// (noting how many were skipped), then the loader the scan bodies read
-/// through.
-fn cached_scan(scan: &ScanNode, notes: &mut Vec<String>) -> CachedScan {
-    let mem = scan
-        .table
-        .cached
-        .clone()
-        .expect("a memstore scan reads a cached table");
-    let (selected, pruned) = prune_partitions(&scan.table, &mem, &scan.filters, &scan.projection);
-    if pruned > 0 {
-        notes.push(format!(
-            "map pruning: skipped {pruned}/{} partitions of {}",
-            scan.table.num_partitions, scan.table.name
-        ));
-    }
-    CachedScan::new(
-        scan.table.clone(),
-        mem,
-        selected,
-        scan.projection.clone(),
-        scan.filters.clone(),
-    )
-}
-
 /// Per-row expression cost of the final projection — charged identically by
 /// the row chain's `project` operator and the fused top-k scan.
 fn project_ops_per_row(plan: &QueryPlan) -> f64 {
@@ -1515,75 +1490,6 @@ fn partial_agg_ops(agg: &AggregateNode) -> f64 {
             .filter_map(|a| a.arg.as_ref().map(BoundExpr::op_count))
             .sum::<f64>()
         + 2.0
-}
-
-/// When the whole plan is `scan → filter → aggregate` over one cached table
-/// and vectorized execution is on, fuse the scan and the partial aggregation
-/// into a single columnar operator and return the finished pipeline.
-fn build_fused_aggregation(
-    ctx: &RddContext,
-    plan: &QueryPlan,
-    cfg: &ExecConfig,
-    notes: &mut Vec<String>,
-    sim_seconds: &mut f64,
-) -> Result<Option<Rdd<Row>>> {
-    let (Some(agg), Some(scan)) = (&plan.aggregate, fusable_scan(plan, cfg)) else {
-        return Ok(None);
-    };
-    let cached = cached_scan(scan, notes);
-    let pairs = cached.partial_aggregate(
-        ctx,
-        &agg.group_exprs,
-        agg.aggs.clone(),
-        partial_agg_ops(agg),
-    );
-    notes.push("vectorized: fused scan + partial aggregation over columnar batches".into());
-    let args = agg.aggs.iter().filter_map(|a| a.arg.as_ref());
-    note_scalar_adapter(
-        notes,
-        scan.filters.iter().chain(&agg.group_exprs).chain(args),
-    );
-    // At most one pair per group per partition: already the map-side
-    // combine, so the pairs are bucketed as they are.
-    let shuffle = pairs.shuffle_precombined(aggregation_buckets(cfg));
-    Ok(Some(finish_aggregation(
-        cfg,
-        notes,
-        sim_seconds,
-        shuffle,
-        agg,
-        &plan.projections,
-    )?))
-}
-
-/// Build the aggregation stage.
-fn build_aggregation(
-    cfg: &ExecConfig,
-    notes: &mut Vec<String>,
-    sim_seconds: &mut f64,
-    input: Rdd<Row>,
-    agg: &AggregateNode,
-    output: &[BoundExpr],
-) -> Result<Rdd<Row>> {
-    let group_exprs = agg.group_exprs.clone();
-    let agg_exprs: Vec<AggExpr> = agg.aggs.clone();
-    let ops = partial_agg_ops(agg);
-
-    // Map each row to (group key, single-row partial state).
-    let agg_for_map = agg_exprs.clone();
-    let pairs = input.map_partitions_named("partial-aggregate", ops, move |_, rows| {
-        rows.into_iter()
-            .map(|r| {
-                let key = Row::new(group_exprs.iter().map(|g| g.eval(&r)).collect());
-                let mut state = AggStates::new(&agg_for_map);
-                state.update_row(&agg_for_map, &r);
-                (key, state)
-            })
-            .collect::<Vec<(Row, AggStates)>>()
-    });
-    // One pair per input row: combined map-side per key.
-    let shuffle = pairs.shuffle_combined(aggregation_buckets(cfg), AggStates::merge_from);
-    finish_aggregation(cfg, notes, sim_seconds, shuffle, agg, output)
 }
 
 /// Whether PDE plans the reduce side at run time.

@@ -487,7 +487,9 @@ pub fn plan_select(
                 Some(idx - 1)
             }
             // Output names are unqualified: `t.c` names a column of `t`.
-            Expr::Column(name) if !name.contains('.') => output_schema.index_of(name),
+            Expr::Column(name) if !name.contains('.') => {
+                output_column(&output_schema, name, "ORDER BY")?
+            }
             _ => None,
         };
         let idx = by_name
@@ -507,11 +509,13 @@ pub fn plan_select(
     // ----- DISTRIBUTE BY --------------------------------------------------------
     let distribute_by = match &stmt.distribute_by {
         None => None,
-        Some(col) => Some(output_schema.resolve(col).map_err(|_| {
-            SharkError::Plan(format!(
-                "DISTRIBUTE BY column '{col}' is not part of the query output"
-            ))
-        })?),
+        Some(col) => Some(
+            output_column(&output_schema, col, "DISTRIBUTE BY")?.ok_or_else(|| {
+                SharkError::Plan(format!(
+                    "DISTRIBUTE BY column '{col}' is not part of the query output"
+                ))
+            })?,
+        ),
     };
 
     let scans = joined
@@ -544,6 +548,20 @@ pub fn plan_select(
     };
     prune_columns(&mut plan);
     Ok(plan)
+}
+
+/// The output column `clause` names by `name` (case-insensitive), if any.
+/// A name two output columns share, as `SELECT *` over a join can give, is
+/// ambiguous.
+fn output_column(schema: &Schema, name: &str, clause: &str) -> Result<Option<usize>> {
+    let mut named = (0..schema.len()).filter(|&i| schema.field(i).name.eq_ignore_ascii_case(name));
+    let first = named.next();
+    if named.next().is_some() {
+        return Err(SharkError::Plan(format!(
+            "{clause} column '{name}' is ambiguous: more than one output column has that name"
+        )));
+    }
+    Ok(first)
 }
 
 /// Column pruning (§2.4), a rewrite of a bound plan: each scan keeps only
@@ -903,6 +921,16 @@ mod tests {
         assert!(
             bad("SELECT * FROM rankings r JOIN uservisits u ON r.pageRank > u.adRevenue").is_err()
         );
+        // An output name two output columns share is ambiguous.
+        let ambiguous = |sql: &str| {
+            let err = bad(sql).err().map(|e| e.to_string());
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("ambiguous")),
+                "{sql}: {err:?}"
+            );
+        };
+        ambiguous("SELECT * FROM rankings r JOIN rankings s ON r.pageURL = s.pageURL ORDER BY pageRank DESC");
+        ambiguous("SELECT pageURL AS u, destURL AS u FROM rankings JOIN uservisits ON pageURL = destURL DISTRIBUTE BY u");
     }
 
     #[test]

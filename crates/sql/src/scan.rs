@@ -291,7 +291,19 @@ impl CachedScan {
                 .iter()
                 .map(|&(col, desc)| (batch.gather(col), desc))
                 .collect();
-            let winners = first_k_positions(&keys, n, k);
+            let winners = first_k(n, k, |a, b| {
+                keys.iter()
+                    .map(|(column, desc)| {
+                        let ord = column[a].total_cmp(&column[b]);
+                        if *desc {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    })
+                    .find(|ord| ord.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            });
             // Partition rows of the winners, ascending (what the
             // encoded-column walk needs), each tagged with its rank in the
             // sorted run.
@@ -356,22 +368,14 @@ fn build_rows(
         })
         .collect()
 }
-/// The first `k` of `n` selection positions under a stable sort by `keys`
-/// (each a gathered column and its direction), in sorted order. Ties keep
-/// selection order: the position itself is the last key, which makes the
-/// order total, so a partial selection plus a sort of the `k` winners picks
-/// exactly what a full stable sort would.
-fn first_k_positions(keys: &[(Vec<Value>, bool)], n: usize, k: usize) -> Vec<u32> {
-    let cmp = |a: &u32, b: &u32| {
-        for (column, desc) in keys {
-            let ord = column[*a as usize].total_cmp(&column[*b as usize]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        a.cmp(b)
-    };
+
+/// The first `k` of `n` positions under a stable sort by `cmp`, in sorted
+/// order. Ties keep position order: the position itself is the last key,
+/// which makes the order total, so a partial selection plus a sort of the
+/// `k` winners picks exactly what a full stable sort would. The one top-k
+/// selection of the fused scan and the row chain's `topk_rows`.
+pub(crate) fn first_k(n: usize, k: usize, cmp: impl Fn(usize, usize) -> Ordering) -> Vec<u32> {
+    let cmp = |a: &u32, b: &u32| cmp(*a as usize, *b as usize).then(a.cmp(b));
     if k == 0 {
         return Vec::new();
     }
