@@ -25,25 +25,12 @@ use crate::failure::FailurePlan;
 pub struct TaskSpec {
     /// Simulated execution duration (excluding launch overhead), seconds.
     pub duration: f64,
-    /// Preferred node (data locality), if any.
-    pub preferred_node: Option<usize>,
 }
 
 impl TaskSpec {
-    /// A task with the given duration and no locality preference.
+    /// A task with the given duration.
     pub fn new(duration: f64) -> TaskSpec {
-        TaskSpec {
-            duration,
-            preferred_node: None,
-        }
-    }
-
-    /// A task preferring to run on `node` (e.g. its cached partition lives there).
-    pub fn on_node(duration: f64, node: usize) -> TaskSpec {
-        TaskSpec {
-            duration,
-            preferred_node: Some(node),
-        }
+        TaskSpec { duration }
     }
 }
 

@@ -235,7 +235,9 @@ impl ValueRef<'_> {
     /// types compare numerically across int/float/date, strings and bools
     /// compare within their own type. Values of incomparable types order by
     /// their type tag so that the ordering stays total (required for sorting
-    /// mixed data without panics).
+    /// mixed data without panics). An integer and a float compare exactly,
+    /// as real numbers, so equality is transitive: `-0.0` equals `0`, and
+    /// `2^53 + 1` does not equal the float `2^53`.
     #[inline]
     pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
         use ValueRef::*;
@@ -256,9 +258,10 @@ impl ValueRef<'_> {
                     a.total_cmp(&b)
                 }
             }
-            // Cross numeric comparisons go through f64.
-            (a, b) => match (a.as_float(), b.as_float()) {
-                (Some(x), Some(y)) => x.total_cmp(&y),
+            (a, b) => match (a, b, integer(a), integer(b)) {
+                (_, _, Some(x), Some(y)) => x.cmp(&y),
+                (_, Float(f), Some(x), _) => cmp_int_float(x, f),
+                (Float(f), _, _, Some(y)) => cmp_int_float(y, f).reverse(),
                 _ => type_rank(a).cmp(&type_rank(b)),
             },
         }
@@ -280,6 +283,34 @@ impl ValueRef<'_> {
             ValueRef::Bool(b) => b.to_string(),
             ValueRef::Date(d) => format!("date#{d}"),
         }
+    }
+}
+
+/// An `Int`, `Date` or `Bool` (0 or 1) as the integer it compares as.
+fn integer(v: ValueRef<'_>) -> Option<i64> {
+    match v {
+        ValueRef::Int(v) => Some(v),
+        ValueRef::Date(v) => Some(i64::from(v)),
+        ValueRef::Bool(b) => Some(i64::from(b)),
+        _ => None,
+    }
+}
+
+/// Compare an integer with a float exactly. A float inside `i64` range
+/// compares by its integral part, then its fraction (so an integral float,
+/// `-0.0` included, compares as that integer); one outside is beyond every
+/// integer; a NaN keeps its `f64::total_cmp` place.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        (i as f64).total_cmp(&f)
+    } else if f >= TWO_POW_63 {
+        Ordering::Less
+    } else if f < -TWO_POW_63 {
+        Ordering::Greater
+    } else {
+        i.cmp(&(f.trunc() as i64))
+            .then_with(|| 0.0.partial_cmp(&f.fract()).unwrap_or(Ordering::Equal))
     }
 }
 
@@ -417,6 +448,65 @@ mod tests {
     fn negative_zero_hashes_like_zero() {
         assert_eq!(Value::Float(0.0), Value::Float(-0.0));
         assert_eq!(hash_of(&Value::Float(0.0)), hash_of(&Value::Float(-0.0)));
+    }
+
+    #[test]
+    fn numeric_comparison_is_a_total_order_across_types() {
+        let p53 = 1i64 << 53;
+        let values = [
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Date(0),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(1),
+            Value::Float(0.5),
+            Value::Float(-0.5),
+            Value::Int(-1),
+            Value::Date(-1),
+            Value::Int(p53),
+            Value::Int(p53 + 1),
+            Value::Float(p53 as f64),
+            Value::Float((p53 + 2) as f64),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MIN as f64),
+            Value::Float(-(i64::MIN as f64)),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Null,
+            Value::str("0"),
+        ];
+        for a in &values {
+            for b in &values {
+                let ab = a.total_cmp(b);
+                assert_eq!(ab, b.total_cmp(a).reverse(), "{a:?} vs {b:?}");
+                // A `Bool` compares as 0 or 1 but hashes as a bool.
+                let boolean = |v: &Value| matches!(v, Value::Bool(_));
+                if ab == Ordering::Equal && !boolean(a) && !boolean(b) {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?}");
+                }
+                for c in &values {
+                    let bc = b.total_cmp(c);
+                    if ab == bc {
+                        assert_eq!(a.total_cmp(c), ab, "{a:?}, {b:?}, {c:?}");
+                    }
+                    if ab != Ordering::Greater && bc != Ordering::Greater {
+                        assert_ne!(a.total_cmp(c), Ordering::Greater, "{a:?}, {b:?}, {c:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(Value::Int(0), Value::Float(-0.0));
+        assert_ne!(Value::Int(p53 + 1), Value::Float(p53 as f64));
+        assert!(Value::Int(p53 + 1) > Value::Float(p53 as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(-(i64::MIN as f64)));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(-f64::NAN));
     }
 
     #[test]

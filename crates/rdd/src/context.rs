@@ -59,8 +59,8 @@ impl RddConfig {
 pub struct StageReport {
     /// Descriptive stage name (e.g. `"shuffle-map(3)"` or `"result"`).
     pub name: String,
-    /// The task log (cost-model duration, preferred node), in partition
-    /// order — delivery order for a streamed result stage.
+    /// The task log (cost-model durations), in partition order —
+    /// delivery order for a streamed result stage.
     pub tasks: Vec<TaskSpec>,
     /// Simulated stage duration in seconds.
     pub sim_duration: f64,
@@ -372,36 +372,29 @@ impl RddContext {
     pub fn parallelize<T: Data>(&self, data: Vec<T>, partitions: usize) -> Rdd<T> {
         let partitions = partitions.max(1);
         let chunks: Vec<Vec<T>> = split_into(data, partitions);
-        self.source(
-            "source(Local)",
-            partitions,
-            |_| None,
-            move |p, metrics| {
-                let data = chunks[p].clone();
-                let bytes = estimate_slice(&data) as u64;
-                metrics.record_input(data.len() as u64, bytes, InputSource::Local);
-                Ok(data)
-            },
-        )
+        self.source("source(Local)", partitions, move |p, metrics| {
+            let data = chunks[p].clone();
+            let bytes = estimate_slice(&data) as u64;
+            metrics.record_input(data.len() as u64, bytes, InputSource::Local);
+            Ok(data)
+        })
     }
 
     /// The one leaf RDD: an RDD named `name` with `partitions` partitions
     /// and no parent. `body(p, metrics)` builds partition `p` and charges
     /// its own input (rows, bytes and where they conceptually live, so the
-    /// cost model charges the right I/O), plus any work it does; `place(p)`
-    /// is the node partition `p` lives on, if it has one. Every table scan
-    /// of the SQL layer is such a body, and so is [`Self::parallelize`].
-    pub fn source<T, P, F>(&self, name: &str, partitions: usize, place: P, body: F) -> Rdd<T>
+    /// cost model charges the right I/O), plus any work it does. Every
+    /// table scan of the SQL layer is such a body, and so is
+    /// [`Self::parallelize`].
+    pub fn source<T, F>(&self, name: &str, partitions: usize, body: F) -> Rdd<T>
     where
         T: Data,
-        P: Fn(usize) -> Option<usize> + Send + Sync + 'static,
         F: Fn(usize, &mut TaskMetrics) -> Result<Vec<T>> + Send + Sync + 'static,
     {
         let inner = SourceRdd {
             id: self.next_rdd_id(),
             name: name.to_string(),
             partitions,
-            place: Box::new(place),
             body: Box::new(body),
         };
         Rdd::new(self.clone(), Arc::new(inner))
@@ -433,17 +426,12 @@ impl RddContext {
     where
         F: Fn(usize) -> Vec<T> + Send + Sync + 'static,
     {
-        self.source(
-            "source(Dfs)",
-            partitions,
-            |_| None,
-            move |p, metrics| {
-                let data = f(p);
-                let bytes = estimate_slice(&data) as u64;
-                metrics.record_input(data.len() as u64, bytes, InputSource::Dfs);
-                Ok(data)
-            },
-        )
+        self.source("source(Dfs)", partitions, move |p, metrics| {
+            let data = f(p);
+            let bytes = estimate_slice(&data) as u64;
+            metrics.record_input(data.len() as u64, bytes, InputSource::Dfs);
+            Ok(data)
+        })
     }
 }
 

@@ -361,7 +361,7 @@ impl<T: Data> Rdd<T> {
     /// It charges exactly what that chain charges, so task logs and
     /// simulated seconds do not move: the same rows and bytes in, the
     /// absorbed `map`'s one op per row before the shuffle's own, the same
-    /// bytes out, preferred node, stage name and shuffle id. Only the
+    /// bytes out, stage name and shuffle id. Only the
     /// per-element `map` output and its copy of a cached partition are gone.
     pub fn combine_by_key_ref<K, C, F, M>(
         &self,

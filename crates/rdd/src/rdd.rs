@@ -76,10 +76,6 @@ pub(crate) trait RddImpl<T: Data>: Send + Sync {
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
         Vec::new()
     }
-    /// Preferred node for a partition (data locality), if any.
-    fn preferred_node(&self, _ctx: &RddContext, _partition: usize) -> Option<usize> {
-        None
-    }
 }
 
 /// A Resilient Distributed Dataset: an immutable, partitioned, lineage-
@@ -172,14 +168,6 @@ impl<T: Data> Rdd<T> {
     pub fn uncache(&self) {
         self.cache_flag.store(false, Ordering::Relaxed);
         self.ctx.cache().remove_owner(Owner::Rdd(self.id()));
-    }
-
-    /// Preferred node for `partition`: the node caching it, or a parent's
-    /// preference.
-    pub fn preferred_node(&self, ctx: &RddContext, partition: usize) -> Option<usize> {
-        ctx.cache()
-            .location(self.block(partition))
-            .or_else(|| self.inner.preferred_node(ctx, partition))
     }
 
     /// Compute one partition as an owned vector: [`Rdd::compute_shared`],
@@ -328,11 +316,11 @@ impl<T: Data> Rdd<T> {
     /// A named partition-wise transformation that reads its input in place:
     /// `f` borrows the shared partition, so a cached input is never copied.
     /// It is the same RDD as [`Rdd::map_partitions_named`] and charges the
-    /// same: the input rows and bytes, `ops_per_row` per input row, the
-    /// parent's preferred node. So `map_partitions_ref("map", 1.0, ..)`
-    /// folding each partition to its partial result, then [`Rdd::reduce`],
-    /// is charged exactly like `map(..).reduce(..)`: a result task is priced
-    /// on the bytes it returns, which are the same partial, not on rows.
+    /// same: the input rows and bytes and `ops_per_row` per input row. So
+    /// `map_partitions_ref("map", 1.0, ..)` folding each partition to its
+    /// partial result, then [`Rdd::reduce`], is charged exactly like
+    /// `map(..).reduce(..)`: a result task is priced on the bytes it
+    /// returns, which are the same partial, not on rows.
     pub fn map_partitions_ref<U: Data, F>(&self, name: &str, ops_per_row: f64, f: F) -> Rdd<U>
     where
         F: Fn(&[T]) -> Vec<U> + Send + Sync + 'static,
@@ -443,7 +431,6 @@ pub(crate) struct SourceRdd<T: Data> {
     pub(crate) id: usize,
     pub(crate) name: String,
     pub(crate) partitions: usize,
-    pub(crate) place: Box<dyn Fn(usize) -> Option<usize> + Send + Sync>,
     pub(crate) body: Box<SourceBody<T>>,
 }
 
@@ -467,9 +454,6 @@ impl<T: Data> RddImpl<T> for SourceRdd<T> {
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         Vec::new()
-    }
-    fn preferred_node(&self, _ctx: &RddContext, partition: usize) -> Option<usize> {
-        (self.place)(partition)
     }
 }
 
@@ -508,9 +492,6 @@ impl<T: Data, U: Data> RddImpl<U> for MapPartitionsRdd<T, U> {
     }
     fn shuffle_deps(&self) -> Vec<Arc<dyn ShuffleDepHandle>> {
         self.parent.shuffle_deps()
-    }
-    fn preferred_node(&self, ctx: &RddContext, partition: usize) -> Option<usize> {
-        self.parent.preferred_node(ctx, partition)
     }
 }
 
@@ -551,11 +532,6 @@ impl<A: Data, B: Data, U: Data> RddImpl<U> for ZipPartitionsRdd<A, B, U> {
         let mut deps = self.left.shuffle_deps();
         deps.extend(self.right.shuffle_deps());
         deps
-    }
-    fn preferred_node(&self, ctx: &RddContext, partition: usize) -> Option<usize> {
-        self.left
-            .preferred_node(ctx, partition)
-            .or_else(|| self.right.preferred_node(ctx, partition))
     }
 }
 

@@ -86,10 +86,7 @@ fn run_task<T: Data, U>(
         let cost = metrics.to_cost_input(ctx.config().sim_scale, sink);
         Ok(TaskOutcome {
             value,
-            spec: TaskSpec {
-                duration: ctx.cost_model().task_duration(&cost),
-                preferred_node: rdd.preferred_node(ctx, partition),
-            },
+            spec: TaskSpec::new(ctx.cost_model().task_duration(&cost)),
             rows_in: metrics.rows_in,
             bytes_in: metrics.bytes_in,
         })
@@ -640,7 +637,7 @@ impl<T: Data, U: Send + EstimateSize + 'static> Drop for PipelinedJob<T, U> {
 ///
 /// A fused `map` is charged exactly as the separate [`Rdd::map`] it
 /// replaces would be: the parent's rows and bytes in, one op per row
-/// charged before the shuffle's own, the parent's preferred node.
+/// charged before the shuffle's own.
 pub(crate) fn run_map_stage<T, K, S>(
     ctx: &RddContext,
     parent: &Rdd<T>,
@@ -714,17 +711,12 @@ mod tests {
         });
         let always_panics = ctx.dfs_source(4, |_| -> Vec<i64> { panic!("every task exploded") });
         // A four-partition source whose task for partition 2 returns an error.
-        let fails_on_two = ctx.source(
-            "fails_on_two",
-            4,
-            |_| None,
-            |p, _| {
-                if p == 2 {
-                    return Err(SharkError::Execution("partition 2 failed".into()));
-                }
-                Ok(vec![p as i64])
-            },
-        );
+        let fails_on_two = ctx.source("fails_on_two", 4, |p, _| {
+            if p == 2 {
+                return Err(SharkError::Execution("partition 2 failed".into()));
+            }
+            Ok(vec![p as i64])
+        });
         let by_key = |rdd: &Rdd<i64>| rdd.map(|x| (x % 3, x)).reduce_by_key(2, |a, b| a + b);
 
         // The failed action records the partitions it delivered before the
@@ -1034,19 +1026,14 @@ mod tests {
             // error: above width 1 the pause makes partition 5 usually fail
             // first, and the stage must name partition 2 whatever the
             // interleaving.
-            let faulty = ctx.source(
-                "panics_on_two_fails_on_five",
-                8,
-                |_| None,
-                |p, _| match p {
-                    2 => {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        panic!("partition 2 exploded")
-                    }
-                    5 => Err(SharkError::Execution("partition 5 failed".into())),
-                    _ => Ok(vec![p as i64]),
-                },
-            );
+            let faulty = ctx.source("panics_on_two_fails_on_five", 8, |p, _| match p {
+                2 => {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("partition 2 exploded")
+                }
+                5 => Err(SharkError::Execution("partition 5 failed".into())),
+                _ => Ok(vec![p as i64]),
+            });
             let by_key = faulty.map(|x| (x % 3, x)).reduce_by_key(2, |a, b| a + b);
             let errors = [
                 faulty.count().unwrap_err(),

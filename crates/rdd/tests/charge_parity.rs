@@ -4,7 +4,7 @@
 //! `map_partitions_ref` folding each partition, then `reduce`, must be priced
 //! like `map(..).reduce(..)`, and `combine_by_key_ref` like
 //! `map(..).reduce_by_key(..)`: the same rows and bytes in, ops, bytes out,
-//! preferred nodes, stage names and shuffle ids. Then every task log — and so
+//! stage names and shuffle ids. Then every task log — and so
 //! every simulated second — is bit-identical, whichever way a job is written.
 //! The grid runs each pair over a cached parent, an uncached one, one with
 //! empty partitions and one behind a shuffle, each side on a fresh context of
@@ -60,18 +60,14 @@ fn parent(ctx: &RddContext, kind: Parent) -> Rdd<i64> {
 }
 
 /// Everything the job history says about cost — job and stage names, every
-/// task's duration (bits) and preferred node, rows and bytes in, simulated
+/// task's duration (bits), rows and bytes in, simulated
 /// seconds (bits), speculation and reruns — leaving out only wall time.
 fn charges(ctx: &RddContext) -> Vec<String> {
     let mut out = Vec::new();
     for job in ctx.job_history() {
         out.push(format!("{}: {:x}", job.name, job.sim_duration.to_bits()));
         for stage in &job.stages {
-            let tasks: Vec<(u64, Option<usize>)> = stage
-                .tasks
-                .iter()
-                .map(|t| (t.duration.to_bits(), t.preferred_node))
-                .collect();
+            let tasks: Vec<u64> = stage.tasks.iter().map(|t| t.duration.to_bits()).collect();
             out.push(format!(
                 "  {} {:x}: rows_in {} bytes_in {} speculative {} rerun {} tasks {tasks:?}",
                 stage.name,

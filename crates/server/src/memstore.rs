@@ -36,7 +36,6 @@ use parking_lot::Mutex;
 use shark_common::hash::FxHashMap;
 use shark_rdd::{BlockId, BlockStore, Candidate, Owner};
 use shark_sql::{Catalog, TableMeta};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::metrics::ServerMetrics;
@@ -136,9 +135,6 @@ struct MemstoreState {
     pins: FxHashMap<String, usize>,
     /// Finer-grained pins on individual partitions.
     partition_pins: FxHashMap<(String, usize), usize>,
-    /// Partitions evicted by policy whose reload has not yet been observed;
-    /// touching their table counts as a lineage recompute.
-    awaiting_recompute: FxHashMap<String, HashSet<usize>>,
     /// The sessions charged for each table: every session that loaded,
     /// created, or faulted it in. Each owner is charged a proportional
     /// share of the table's resident bytes.
@@ -238,31 +234,12 @@ impl MemstoreManager {
     }
 
     /// Mark `tables` as in use by a starting query: pins them (whole-table)
-    /// against eviction until [`MemstoreManager::unpin`]. Returns how many
-    /// of them had partitions evicted earlier — an *upper bound* on the
-    /// tables this query will actually recompute from lineage, since
-    /// retained partition statistics may prune the evicted partitions
-    /// before the scan ever needs them. The exact per-partition count is
-    /// the scans' rebuild counter (`ServerReport::partition_rebuilds`).
-    pub fn pin(&self, tables: &[String]) -> usize {
+    /// against eviction until [`MemstoreManager::unpin`].
+    pub fn pin(&self, tables: &[String]) {
         let mut state = self.state.lock();
-        let mut recomputes = 0;
         for name in tables {
             *state.pins.entry(name.clone()).or_insert(0) += 1;
-            if state
-                .awaiting_recompute
-                .remove(name)
-                .map(|parts| !parts.is_empty())
-                .unwrap_or(false)
-            {
-                recomputes += 1;
-            }
         }
-        drop(state);
-        if recomputes > 0 {
-            self.metrics.lineage_recomputes.add(recomputes as u64);
-        }
-        recomputes
     }
 
     /// Release the pins taken by [`MemstoreManager::pin`].
@@ -310,16 +287,6 @@ impl MemstoreManager {
             .entry(table.to_string())
             .or_default()
             .insert(session_id);
-    }
-
-    /// The sessions charged for a table, in ascending id order.
-    pub fn owners(&self, table: &str) -> Vec<u64> {
-        self.state
-            .lock()
-            .owners
-            .get(table)
-            .map(|set| set.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Resident bytes currently charged to one session: each owned table's
@@ -434,7 +401,7 @@ impl MemstoreManager {
             }
             let partition = candidate.id.partition();
             let evicted = match &table {
-                Some(table) => self.evict_table_partition(state, table, partition),
+                Some(table) => self.evict_table_partition(table, partition),
                 None => store.remove(candidate.id).map(|(_, bytes)| (bytes, None)),
             };
             // `None`: a failure-path drop raced us; nothing freed here.
@@ -466,13 +433,6 @@ impl MemstoreManager {
                     victim.spill_bytes += spill_bytes;
                 }
                 None => {
-                    if let Some(table) = &victim.table {
-                        state
-                            .awaiting_recompute
-                            .entry(table.name.clone())
-                            .or_default()
-                            .insert(partition);
-                    }
                     victim.dropped.push(partition);
                     victim.dropped_bytes += bytes;
                 }
@@ -535,7 +495,6 @@ impl MemstoreManager {
     /// never surfaces an I/O error.
     fn evict_table_partition(
         &self,
-        state: &mut MemstoreState,
         table: &TableMeta,
         partition: usize,
     ) -> Option<(u64, Option<u64>)> {
@@ -554,13 +513,13 @@ impl MemstoreManager {
         let Ok(outcome) = spill.store(&table.name, partition, &columnar, table.version()) else {
             return Some((bytes, None));
         };
-        let mut self_displaced = false;
-        for (dt, dp) in outcome.displaced {
-            // Whatever the disk budget displaced lost its last copy:
-            // lineage recompute ahead.
-            self_displaced |= dt == table.name && dp == partition;
-            state.awaiting_recompute.entry(dt).or_default().insert(dp);
-        }
+        // Whatever the disk budget displaced lost its last copy: the next
+        // scan rebuilds it from lineage. A frame displaced at once makes
+        // this eviction a plain drop.
+        let self_displaced = outcome
+            .displaced
+            .iter()
+            .any(|(dt, dp)| *dt == table.name && *dp == partition);
         Some((bytes, (!self_displaced).then_some(outcome.spill_bytes)))
     }
 
@@ -704,12 +663,6 @@ impl MemstoreManager {
             .insert(table.name.clone(), bytes);
     }
 
-    /// The recorded exact full-load footprint of a table, if a full load
-    /// has been observed since the table (version) was created.
-    pub fn known_footprint(&self, table: &str) -> Option<u64> {
-        self.state.lock().known_footprints.get(table).copied()
-    }
-
     /// Quota-feasibility check for an explicit full load: when the table's
     /// recorded footprint provably exceeds the per-session quota, admitting
     /// the load could only thrash — every loaded partition would be evicted
@@ -764,7 +717,6 @@ impl MemstoreManager {
     /// took them still own them and release them when they finish.
     pub fn forget(&self, table: &str) {
         let mut state = self.state.lock();
-        state.awaiting_recompute.remove(table);
         state.owners.remove(table);
         state.known_footprints.remove(table);
         drop(state);
@@ -796,20 +748,6 @@ impl MemstoreManager {
             .collect();
         parts.sort_unstable();
         parts
-    }
-
-    /// Tables with evicted-and-not-yet-reloaded partitions, sorted by name.
-    pub fn awaiting_recompute(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .state
-            .lock()
-            .awaiting_recompute
-            .iter()
-            .filter(|(_, parts)| !parts.is_empty())
-            .map(|(name, _)| name.clone())
-            .collect();
-        names.sort();
-        names
     }
 }
 
@@ -898,11 +836,6 @@ mod tests {
         assert_eq!(manager.metrics.evictions.get(), 1);
         assert_eq!(manager.metrics.evicted_partitions.get(), 1);
         assert_eq!(manager.metrics.partial_evictions.get(), 1);
-        assert_eq!(manager.awaiting_recompute(), vec!["b".to_string()]);
-        // Re-accessing b counts as a lineage recompute.
-        assert_eq!(manager.pin(&["b".into()]), 1);
-        assert_eq!(manager.metrics.lineage_recomputes.get(), 1);
-        assert!(manager.awaiting_recompute().is_empty());
     }
 
     #[test]
@@ -1265,11 +1198,10 @@ mod tests {
         // Nothing recorded yet: the first (discovering) load must be
         // admitted — that is how the footprint becomes known.
         manager.record_footprint_if_full(&table);
-        assert_eq!(manager.known_footprint("big"), None);
         assert_eq!(manager.reject_infeasible_load("big"), None);
         load_all(&catalog);
         manager.record_footprint_if_full(&table);
-        let footprint = manager.known_footprint("big").unwrap();
+        let footprint = table.cached.as_ref().unwrap().memory_bytes();
         assert!(footprint > quota, "test table must exceed the tiny quota");
         assert_eq!(
             manager.reject_infeasible_load("big"),
@@ -1279,7 +1211,6 @@ mod tests {
         // Dropping the table clears the recorded footprint: a recreated
         // table of the same name starts clean.
         manager.forget("big");
-        assert_eq!(manager.known_footprint("big"), None);
         assert_eq!(manager.reject_infeasible_load("big"), None);
         assert_eq!(manager.metrics.quota_infeasible_rejections.get(), 1);
     }
@@ -1347,13 +1278,20 @@ mod tests {
 
     #[test]
     fn owner_sets_accumulate_and_are_forgotten_on_drop() {
+        let catalog = catalog_with_tables(&["t"]);
+        load_all(&catalog);
+        let bytes = catalog.memstore_bytes();
         let manager = MemstoreManager::new(u64::MAX);
         manager.record_owner("t", 3);
         manager.record_owner("t", 9);
-        manager.record_owner("t", 3); // re-faulting the same table is idempotent
-        assert_eq!(manager.owners("t"), vec![3, 9]);
+        // Re-faulting the same table is idempotent: two owners, each
+        // charged half.
+        manager.record_owner("t", 3);
+        assert_eq!(manager.session_bytes(3, &catalog), bytes / 2 + bytes % 2);
+        assert_eq!(manager.session_bytes(9, &catalog), bytes / 2);
         manager.forget("t");
-        assert!(manager.owners("t").is_empty());
+        assert_eq!(manager.session_bytes(3, &catalog), 0);
+        assert_eq!(manager.session_bytes(9, &catalog), 0);
     }
 
     #[test]
@@ -1435,12 +1373,11 @@ mod tests {
         // Session 1 closes: the survivor is charged the whole table, not a
         // stale half.
         manager.release_session(1);
-        assert_eq!(manager.owners("shared"), vec![2]);
         assert_eq!(manager.session_bytes(2, &catalog), bytes);
         assert_eq!(manager.session_bytes(1, &catalog), 0);
         // The last owner closing clears the set entirely.
         manager.release_session(2);
-        assert!(manager.owners("shared").is_empty());
+        assert_eq!(manager.session_bytes(2, &catalog), 0);
     }
 
     fn spill_manager(tag: &str) -> (Arc<crate::spill::SpillManager>, std::path::PathBuf) {
@@ -1480,12 +1417,10 @@ mod tests {
             }
             other => panic!("expected a demotion, got {other:?}"),
         }
-        // Demoted partitions are on the tier, not awaiting lineage
-        // recompute: re-pinning the table is not a recompute signal.
+        // Demoted partitions are on the tier, for the next scan to promote
+        // instead of rebuilding them from lineage.
         assert!(spill.is_spilled("a", 0));
         assert!(spill.is_spilled("a", 1));
-        assert!(manager.awaiting_recompute().is_empty());
-        assert_eq!(manager.pin(&["a".into()]), 0);
         // Memory eviction counters still account the demotions.
         assert_eq!(manager.metrics.evicted_partitions.get(), 2);
         let _ = std::fs::remove_dir_all(&dir);

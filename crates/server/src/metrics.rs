@@ -27,7 +27,7 @@ use shark_sql::{PLAN_CACHE_LOOKUP_HITS, PLAN_CACHE_MISSES, PLAN_CACHE_STALE_PLAN
 use crate::server::ServerShared;
 
 /// What one query cost, observed by the serving layer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
     /// Session that issued the query.
     pub session_id: u64,
@@ -64,9 +64,6 @@ pub struct QueryMetrics {
     /// Resident columnar bytes of the referenced cached tables at admission
     /// time — the bytes the scans could serve straight from the memstore.
     pub cache_hit_bytes: u64,
-    /// Referenced tables that had been evicted and were recomputed from
-    /// lineage by this query.
-    pub recomputed_tables: usize,
     /// Evictions this query's budget enforcement triggered on completion.
     pub evictions_triggered: usize,
     /// Partitions evicted on completion because this query pushed its
@@ -411,12 +408,6 @@ server_metrics! {
             "shark_memstore_evicted_bytes_total",
             "Memory bytes freed by policy evictions"
         ),
-        /// Evicted tables later re-accessed — a re-access signal, not an
-        /// exact recompute count (see `partition_rebuilds` for that).
-        lineage_recomputes: u64 = counter(
-            "shark_memstore_lineage_recomputes_total",
-            "Tables re-accessed after a policy eviction dropped some of their partitions"
-        ),
     }
     "quota" {
         /// Times a session was found over its memory quota.
@@ -643,20 +634,10 @@ server_metrics! {
     extra {
         /// Result rows delivered to clients, streamed or not.
         rows_delivered = counter("shark_rows_delivered_total", "Result rows delivered to clients"),
-        /// Referenced tables queries recomputed after an eviction.
-        recomputed_tables = counter(
-            "shark_lineage_recomputed_tables_total",
-            "Referenced tables recomputed from lineage after eviction"
-        ),
         /// Eviction events queries' completions triggered.
         evictions_triggered = counter(
             "shark_evictions_triggered_total",
             "Eviction events triggered by query-completion budget enforcement"
-        ),
-        /// Partitions queries' completions evicted for their session's quota.
-        quota_evicted = counter(
-            "shark_quota_evicted_partitions_total",
-            "Partitions evicted because a session exceeded its memory quota"
         ),
         /// Queries that ran on a cached plan and succeeded (the plan cache's
         /// own lookup count is `plan_cache_hits`).
@@ -788,9 +769,7 @@ impl QueryLog {
         m.rows_delivered.add(q.rows_streamed);
         m.prefetch_hits.add(q.prefetch_hits);
         m.cache_hit_bytes.add(q.cache_hit_bytes);
-        m.recomputed_tables.add(q.recomputed_tables as u64);
         m.evictions_triggered.add(q.evictions_triggered as u64);
-        m.quota_evicted.add(q.quota_evictions as u64);
         if q.plan_cache_hit {
             m.query_plan_cache_hits.inc();
         }
@@ -853,7 +832,6 @@ mod tests {
     fn q(session: u64, wait_ms: u64, hit: u64, failed: bool) -> QueryMetrics {
         QueryMetrics {
             session_id: session,
-            query_id: 0,
             statement: "SELECT 1".into(),
             queue_wait: Duration::from_millis(wait_ms),
             exec_time: Duration::from_millis(5),
@@ -866,11 +844,8 @@ mod tests {
             prefetch_depth: 2,
             prefetch_hits: 1,
             cache_hit_bytes: hit,
-            recomputed_tables: 0,
-            evictions_triggered: 0,
-            quota_evictions: 0,
-            plan_cache_hit: false,
             failed,
+            ..QueryMetrics::default()
         }
     }
 

@@ -370,11 +370,10 @@ struct PinGuard<'a> {
 }
 
 impl<'a> PinGuard<'a> {
-    /// Pin `tables`; returns the guard plus the recompute signal
-    /// [`MemstoreManager::pin`] reports.
-    fn pin(memstore: &'a MemstoreManager, tables: Vec<String>) -> (PinGuard<'a>, usize) {
-        let recomputes = memstore.pin(&tables);
-        (PinGuard { memstore, tables }, recomputes)
+    /// Pin `tables` until the guard drops.
+    fn pin(memstore: &'a MemstoreManager, tables: Vec<String>) -> PinGuard<'a> {
+        memstore.pin(&tables);
+        PinGuard { memstore, tables }
     }
 
     /// Unpin one table ahead of the guard's drop (a single-scan cursor
@@ -397,9 +396,9 @@ impl Drop for PinGuard<'_> {
 /// A query holding an execution slot. [`SessionHandle::admit`] and
 /// [`Admitted::settle`] are *the* query lifecycle: every statement a
 /// session runs — blocking, streamed, failed while planning, failed
-/// mid-stream, abandoned — is opened by the one and ended by the other, so
-/// there is exactly one place that gives back what a query held and records
-/// that it ran.
+/// mid-stream, abandoned, or a table load — is opened by the one and ended
+/// by the other, so there is exactly one place that gives back what a query
+/// held and records that it ran.
 struct Admitted<'s> {
     session: &'s SessionHandle,
     statement: String,
@@ -411,10 +410,9 @@ struct Admitted<'s> {
     pins: PinGuard<'s>,
     queue_wait: Duration,
     admitted_at: Instant,
-    recomputed_tables: usize,
-    cache_hit_bytes: u64,
-    /// Referenced tables' resident bytes at admission, for fault-in
-    /// ownership attribution when the query settles.
+    /// Referenced tables' resident bytes at admission: their sum is the
+    /// query's cache-hit bytes, and each table's growth since is charged to
+    /// the session when the query settles.
     residency_before: Vec<(String, u64)>,
 }
 
@@ -438,8 +436,9 @@ impl Admitted<'_> {
         self.root.as_ref().map(|r| r.context().attach())
     }
 
-    /// End the query: release its pins, charge what it faulted in to its
-    /// session, bring the session back under its quota (its own LRU
+    /// End the query: charge what it faulted in to its session while its
+    /// pins still hold (so a full load's footprint is seen whole), release
+    /// the pins, bring the session back under its quota (its own LRU
     /// partitions go first) and the server under its budget while the
     /// permit is still held — so concurrent enforcement stays bounded —
     /// reclaim dropped table versions nothing pins any more, free the
@@ -457,8 +456,8 @@ impl Admitted<'_> {
         } else {
             None
         };
-        drop(self.pins);
         charge_faulted_tables(shared, session_id, &self.residency_before);
+        drop(self.pins);
         let quota_events = shared
             .memstore
             .enforce_session_quota(session_id, &shared.catalog);
@@ -504,8 +503,7 @@ impl Admitted<'_> {
             streamed: outcome.streamed.is_some(),
             prefetch_depth: outcome.streamed.unwrap_or(0),
             prefetch_hits: progress.prefetch_hits,
-            cache_hit_bytes: self.cache_hit_bytes,
-            recomputed_tables: self.recomputed_tables,
+            cache_hit_bytes: self.residency_before.iter().map(|(_, bytes)| bytes).sum(),
             evictions_triggered: evictions.len(),
             quota_evictions: quota_events.iter().map(EvictionEvent::partitions).sum(),
             plan_cache_hit: outcome.plan_cache_hit,
@@ -734,10 +732,10 @@ impl SharkServer {
 
     /// Register a base table in the shared catalog (admin path — not gated
     /// by admission control). Replacing an existing cached table displaces
-    /// the old version: its name-keyed bookkeeping (owner, pins, recompute
-    /// tracking) is cleared — like a DROP TABLE — and it is reclaimed
-    /// immediately unless a pinned snapshot (an in-flight query or open
-    /// cursor) still references it.
+    /// the old version: its name-keyed bookkeeping (owners, recorded
+    /// footprint, spill frames) is cleared — like a DROP TABLE — and it is
+    /// reclaimed immediately unless a pinned snapshot (an in-flight query
+    /// or open cursor) still references it.
     pub fn register_table(&self, table: TableMeta) -> Arc<TableMeta> {
         let replacing = self.shared.catalog.contains(&table.name);
         let registered = self.shared.catalog.register(table);
@@ -756,7 +754,7 @@ impl SharkServer {
         // Pin before loading so a concurrent enforcement cannot evict the
         // table out from under the load. (Recency is tracked by the block
         // store: the load's puts give each partition a fresh tick.)
-        let (pins, _) = PinGuard::pin(&self.shared.memstore, vec![table.name.clone()]);
+        let pins = PinGuard::pin(&self.shared.memstore, vec![table.name.clone()]);
         let report = shark_sql::exec::load_table(&self.shared.ctx, &table);
         // Record the exact full-load footprint while every partition is
         // still resident (before enforcement may evict): it is the provable
@@ -941,8 +939,7 @@ impl SessionHandle {
                 return Err(SharkError::Execution(err.to_string()));
             }
         };
-        let (pins, recomputed_tables) = PinGuard::pin(&shared.memstore, tables);
-        let cache_hit_bytes = cache_hit_bytes(&shared.catalog, &pins.tables);
+        let pins = PinGuard::pin(&shared.memstore, tables);
         let residency_before = table_residency(&shared.catalog, &pins.tables);
         Ok(Admitted {
             session: self,
@@ -952,8 +949,6 @@ impl SessionHandle {
             pins,
             queue_wait,
             admitted_at: Instant::now(),
-            recomputed_tables,
-            cache_hit_bytes,
             residency_before,
         })
     }
@@ -970,9 +965,9 @@ impl SessionHandle {
         if result.is_ok() {
             match statement.as_ref() {
                 Statement::DropTable { name } => {
-                    // The table is gone from the catalog; clear its LRU/pin/
-                    // recompute/owner bookkeeping so a future table reusing
-                    // the name starts clean.
+                    // The table is gone from the catalog; clear its owner,
+                    // footprint and spill bookkeeping so a future table
+                    // reusing the name starts clean.
                     shared.memstore.forget(&name.to_lowercase());
                 }
                 Statement::CreateTableAs { name, .. } => {
@@ -1090,27 +1085,14 @@ impl SessionHandle {
             session_id: self.id,
             query_id: self.shared.next_query_id.fetch_add(1, Ordering::Relaxed),
             statement: text.to_string(),
-            queue_wait: Duration::ZERO,
-            exec_time: Duration::ZERO,
-            sim_seconds: 0.0,
-            time_to_first_row: Duration::ZERO,
-            rows_streamed: 0,
-            partitions_streamed: 0,
-            partitions_total: 0,
-            streamed: false,
-            prefetch_depth: 0,
-            prefetch_hits: 0,
-            cache_hit_bytes: 0,
-            recomputed_tables: 0,
-            evictions_triggered: 0,
-            quota_evictions: 0,
-            plan_cache_hit: false,
             failed: true,
+            ..QueryMetrics::default()
         });
     }
 
-    /// Eagerly load a cached table through this session (admission-gated
-    /// like any other statement would be).
+    /// Eagerly load a cached table through this session: admitted, traced,
+    /// logged and settled like any other statement, and charged to this
+    /// session.
     pub fn load_table(&self, name: &str) -> Result<LoadReport> {
         let shared = &self.shared;
         let lowered = name.to_lowercase();
@@ -1128,30 +1110,22 @@ impl SessionHandle {
                  ({quota} bytes); the load could only thrash through quota evictions"
             )));
         }
-        let (permit, _wait) = shared
-            .admission
-            .acquire()
-            .map_err(|e| SharkError::Execution(e.to_string()))?;
-        // Pin before loading so a concurrent enforcement cannot evict the
-        // table out from under the load; charge the load to this session.
-        let (pins, _) = PinGuard::pin(&shared.memstore, vec![lowered.clone()]);
+        // The table stays pinned from admission to settlement, so no
+        // concurrent enforcement evicts it out from under the load, and
+        // settling records its exact footprint while every partition is
+        // still resident.
+        let text = format!("load({lowered})");
+        let admitted = self.admit("load", &text, vec![lowered.clone()])?;
+        let _trace = admitted.attach();
         let report = self.sql.load_table(name);
         if report.is_ok() {
             shared.memstore.record_owner(&lowered, self.id);
-            // Record the exact full-load footprint while every partition is
-            // still resident (quota enforcement below may evict some): it
-            // becomes the provable bound future feasibility checks use.
-            if let Ok(table) = shared.catalog.get(&lowered) {
-                shared.memstore.record_footprint_if_full(&table);
-            }
         }
-        drop(pins);
-        shared
-            .memstore
-            .enforce_session_quota(self.id, &shared.catalog);
-        shared.memstore.enforce(&shared.catalog, shared.ctx.cache());
-        drop(permit);
-        shared.persist_durable();
+        admitted.settle(Outcome {
+            failed: report.is_err(),
+            sim_seconds: report.as_ref().map_or(0.0, |r| r.sim_seconds),
+            ..Outcome::default()
+        });
         report
     }
 
@@ -1367,18 +1341,10 @@ fn pinned_tables_for(statement: &Statement) -> Vec<String> {
     tables
 }
 
-/// Resident columnar bytes of the referenced cached tables (the bytes the
-/// scans could serve straight from the memstore).
-fn cache_hit_bytes(catalog: &Catalog, tables: &[String]) -> u64 {
-    tables
-        .iter()
-        .filter_map(|name| catalog.get(name).ok())
-        .filter_map(|t| t.cached.as_ref().map(|m| m.memory_bytes()))
-        .sum()
-}
-
 /// Per-table resident bytes of the referenced cached tables, snapshotted
-/// before a query runs so [`charge_faulted_tables`] can attribute growth.
+/// before a query runs: the bytes its scans could serve straight from the
+/// memstore, and the baseline [`charge_faulted_tables`] attributes growth
+/// against.
 fn table_residency(catalog: &Catalog, tables: &[String]) -> Vec<(String, u64)> {
     tables
         .iter()

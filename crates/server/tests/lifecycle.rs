@@ -1,7 +1,7 @@
 //! The query lifecycle, end to end: however a statement ends — answered,
-//! drained, abandoned, kept as an RDD and released, failed while planning
-//! or mid-stream, unparseable, turned away at admission — it is accounted
-//! exactly once and leaves
+//! drained, abandoned, kept as an RDD and released, a table load, failed
+//! while planning or mid-stream, unparseable, turned away at admission — it
+//! is accounted exactly once and leaves
 //! nothing behind: no execution slot, no table pin, no prefetch grant, and
 //! no shuffle map output.
 
@@ -12,26 +12,31 @@ use shark_sql::TableMeta;
 const PARTITIONS: usize = 4;
 const ROWS_PER_PARTITION: usize = 50;
 
+/// Register a cached table of `PARTITIONS` partitions, not yet loaded.
+fn register(server: &SharkServer, name: &str) {
+    let schema = Schema::from_pairs(&[
+        ("k", DataType::Int),
+        ("grp", DataType::Str),
+        ("amount", DataType::Float),
+    ]);
+    server.register_table(
+        TableMeta::new(name, schema, PARTITIONS, move |p| {
+            (0..ROWS_PER_PARTITION)
+                .map(|i| {
+                    let k = p * ROWS_PER_PARTITION + i;
+                    row![k as i64, ["alpha", "beta", "gamma"][i % 3], k as f64 * 0.5]
+                })
+                .collect()
+        })
+        .with_cache(PARTITIONS)
+        .with_row_count_hint((PARTITIONS * ROWS_PER_PARTITION) as u64),
+    );
+}
+
 fn server_with(names: &[&str], config: ServerConfig) -> SharkServer {
     let server = SharkServer::new(config);
     for name in names {
-        let schema = Schema::from_pairs(&[
-            ("k", DataType::Int),
-            ("grp", DataType::Str),
-            ("amount", DataType::Float),
-        ]);
-        server.register_table(
-            TableMeta::new(name, schema, PARTITIONS, move |p| {
-                (0..ROWS_PER_PARTITION)
-                    .map(|i| {
-                        let k = p * ROWS_PER_PARTITION + i;
-                        row![k as i64, ["alpha", "beta", "gamma"][i % 3], k as f64 * 0.5]
-                    })
-                    .collect()
-            })
-            .with_cache(PARTITIONS)
-            .with_row_count_hint((PARTITIONS * ROWS_PER_PARTITION) as u64),
-        );
+        register(&server, name);
         server.load_table(name).unwrap();
     }
     server
@@ -165,8 +170,60 @@ fn every_way_a_query_ends_is_accounted_once_and_leaks_nothing() {
             assert!(err.to_string().contains("admission queue full"), "{err}");
             drop(holder);
         });
+        check("table load", 0, 0, &|| {
+            session.load_table("t").unwrap();
+        });
+        check("load of an unknown table", 1, 0, &|| {
+            assert!(session.load_table("nope").is_err());
+        });
+        check("admission rejection (load)", 0, 1, &|| {
+            let holder = session.sql_stream(all).unwrap();
+            let other = server.session();
+            let err = other.load_table("t").unwrap_err();
+            assert!(err.to_string().contains("admission queue full"), "{err}");
+            drop(holder);
+        });
     }
     shark_obs::tracer().set_enabled(false);
+}
+
+#[test]
+fn a_session_load_is_logged_once_with_its_simulated_seconds() {
+    let server = SharkServer::new(ServerConfig::default().with_admission(1, 0));
+    register(&server, "fresh");
+    let session = server.session();
+    let report = session.load_table("fresh").unwrap();
+    assert_eq!(report.newly_loaded_partitions, PARTITIONS);
+    assert!(report.sim_seconds > 0.0);
+    assert_eq!(server.running_queries(), 0);
+    assert!(server.pinned_tables().is_empty());
+    let log = server.query_log();
+    assert_eq!(log.len(), 1);
+    let load = &log[0];
+    assert_eq!(load.statement, "load(fresh)");
+    assert_eq!(load.session_id, session.id());
+    assert!(!load.failed);
+    assert_eq!(load.sim_seconds.to_bits(), report.sim_seconds.to_bits());
+    // Nothing of the table was resident when the load was admitted.
+    assert_eq!(load.cache_hit_bytes, 0);
+    // The loaded bytes are charged to the loading session.
+    assert_eq!(session.resident_bytes(), report.stored_bytes);
+    let summary = server.report();
+    assert_eq!((summary.total_queries, summary.rejected_queries), (1, 0));
+
+    // A query's cache-hit bytes are the resident bytes of every cached
+    // table it references, read at admission.
+    register(&server, "other");
+    server.load_table("other").unwrap();
+    let resident = |name: &str| {
+        let table = server.catalog().get(name).unwrap();
+        table.cached.as_ref().unwrap().memory_bytes()
+    };
+    let expected = resident("fresh") + resident("other");
+    let joined = session
+        .sql("SELECT COUNT(*) FROM fresh JOIN other ON fresh.k = other.k")
+        .unwrap();
+    assert_eq!(joined.metrics.cache_hit_bytes, expected);
 }
 
 #[test]

@@ -806,6 +806,37 @@ mod tests {
     }
 
     #[test]
+    fn count_distinct_over_mixed_numerics_does_not_depend_on_row_order() {
+        // `0`, `-0.0` and `0.0` are one value, so however the rows arrive,
+        // `COALESCE(i, f)` has one distinct value over them.
+        let rows = [
+            row![0i64, Value::Null],
+            row![Value::Null, -0.0],
+            row![Value::Null, 0.0],
+        ];
+        let schema = Schema::from_pairs(&[("i", DataType::Int), ("f", DataType::Float)]);
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let s = session();
+            let ordered: Vec<Row> = order.iter().map(|&i| rows[i].clone()).collect();
+            s.register_table(TableMeta::new("zeros", schema.clone(), 1, move |_| {
+                ordered.clone()
+            }));
+            let r = s
+                .sql("SELECT COUNT(DISTINCT COALESCE(i, f)) FROM zeros")
+                .unwrap();
+            assert_eq!(r.rows[0].get_int(0).unwrap(), 1, "row order {order:?}");
+        }
+    }
+
+    #[test]
     fn udfs_usable_in_queries() {
         let mut s = session();
         s.register_udf("bucket", |args| {

@@ -125,18 +125,13 @@ impl ExecConfig {
         }
     }
 
-    /// The Hive baseline.
+    /// The Hive baseline: static plans over DFS scans, which read none of
+    /// the PDE, broadcast or vectorized settings.
     pub fn hive() -> ExecConfig {
         ExecConfig {
             mode: ExecutionMode::Hive,
-            default_reducers: 64,
-            fine_buckets: 64,
-            broadcast_threshold: 0,
-            pde_prioritize_small_side: false,
             stream_prefetch: 0,
-            // Hive's scans are row-oriented from the DFS; the flag only
-            // affects memstore scans and is kept off for fidelity.
-            vectorized: false,
+            ..ExecConfig::shark()
         }
     }
 }
@@ -257,9 +252,8 @@ pub fn load_table(ctx: &RddContext, table: &Arc<TableMeta>) -> Result<LoadReport
             shark_cluster::OutputSink::Memory,
             4.0,
         );
-        stage.tasks.push(shark_cluster::TaskSpec::on_node(
+        stage.tasks.push(shark_cluster::TaskSpec::new(
             cost_model.task_duration(&cost),
-            mem.placement(p),
         ));
         mem.put(p, columnar);
     }

@@ -190,19 +190,16 @@ impl CachedScan {
     }
 
     /// The leaf RDD whose partition `p` is `body` over the loaded columnar
-    /// partition `p`: named `memstore_scan(t)` and placed on the node the
-    /// memtable keeps the partition on.
+    /// partition `p`, named `memstore_scan(t)`.
     fn source<T, F>(self, ctx: &RddContext, body: F) -> Rdd<T>
     where
         T: Data,
         F: Fn(&CachedScan, &ColumnarPartition, &mut TaskMetrics) -> Vec<T> + Send + Sync + 'static,
     {
         let scan = Arc::new(self);
-        let placed = scan.clone();
         ctx.source(
             &format!("memstore_scan({})", scan.table.name),
             scan.selected.len(),
-            move |p| Some(placed.mem.placement(placed.selected[p])),
             move |p, metrics| {
                 let columnar = scan.load(p, metrics);
                 Ok(body(&scan, &columnar, metrics))
@@ -402,42 +399,37 @@ pub(crate) fn dfs_scan(
     let is_identity = projection.len() == table.schema.len()
         && projection.iter().enumerate().all(|(i, &c)| i == c);
     let name = format!("dfs_scan({})", table.name);
-    ctx.source(
-        &name,
-        table.num_partitions,
-        |_| None,
-        move |partition, metrics| {
-            // Prefer a demoted partition over regenerating from the base data
-            // (the fetch puts it back into the memtable).
-            let spilled = table
-                .cached
-                .as_ref()
-                .filter(|mem| !mem.is_loaded(partition))
-                .and_then(|mem| mem.spill_fetch(&table.name, partition, table.version()));
-            let rows = match &spilled {
-                Some((spilled, io_bytes)) => {
-                    let rows = spilled.to_rows();
-                    metrics.record_input(rows.len() as u64, *io_bytes, InputSource::Dfs);
-                    rows
-                }
-                None => {
-                    let rows = (table.base)(partition);
-                    // Reading from the DFS pays for every column of every row.
-                    let bytes = estimate_slice(&rows) as u64;
-                    metrics.record_input(rows.len() as u64, bytes, InputSource::Dfs);
-                    rows
-                }
-            };
-            metrics.add_ops(rows.len() as f64); // field extraction
-            let mut out: Vec<Row> = if is_identity {
+    ctx.source(&name, table.num_partitions, move |partition, metrics| {
+        // Prefer a demoted partition over regenerating from the base data
+        // (the fetch puts it back into the memtable).
+        let spilled = table
+            .cached
+            .as_ref()
+            .filter(|mem| !mem.is_loaded(partition))
+            .and_then(|mem| mem.spill_fetch(&table.name, partition, table.version()));
+        let rows = match &spilled {
+            Some((spilled, io_bytes)) => {
+                let rows = spilled.to_rows();
+                metrics.record_input(rows.len() as u64, *io_bytes, InputSource::Dfs);
                 rows
-            } else {
-                rows.iter().map(|r| r.project(&projection)).collect()
-            };
-            apply_filters(&mut out, &filters, metrics);
-            Ok(out)
-        },
-    )
+            }
+            None => {
+                let rows = (table.base)(partition);
+                // Reading from the DFS pays for every column of every row.
+                let bytes = estimate_slice(&rows) as u64;
+                metrics.record_input(rows.len() as u64, bytes, InputSource::Dfs);
+                rows
+            }
+        };
+        metrics.add_ops(rows.len() as f64); // field extraction
+        let mut out: Vec<Row> = if is_identity {
+            rows
+        } else {
+            rows.iter().map(|r| r.project(&projection)).collect()
+        };
+        apply_filters(&mut out, &filters, metrics);
+        Ok(out)
+    })
 }
 
 /// Map pruning (§3.5): evaluate a scan's pushed-down filters against every
