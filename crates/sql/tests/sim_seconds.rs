@@ -692,83 +692,143 @@ fn visits_session(exec: ExecConfig) -> SqlSession {
     session
 }
 
-/// GROUP BY shapes over `visits`, with the `sql().sim_seconds` the fused
-/// (vectorized) path and the row path reported before the aggregation
-/// shuffle read map outputs in place and the fused partial aggregate
-/// stopped being combined again map-side.
-const AGGREGATION_SHAPES: [(&str, &str, f64, f64); 9] = [
-    (
-        "high-cardinality string key",
-        "SELECT ip, COUNT(*), SUM(v) FROM visits GROUP BY ip",
-        0.0106877005,
-        0.0106879105,
-    ),
-    (
-        "dictionary key",
-        "SELECT region, AVG(v), MAX(x) FROM visits GROUP BY region",
-        0.010048326750000001,
-        0.01005426675,
-    ),
-    (
-        "run-length key",
-        "SELECT tier, COUNT(*), MIN(v) FROM visits GROUP BY tier",
-        0.010042541999999998,
-        0.010048497,
-    ),
-    (
-        "two-column key",
-        "SELECT region, tier, SUM(v) FROM visits GROUP BY region, tier",
-        0.010056900749999998,
-        0.010062720749999999,
-    ),
-    (
-        "expression key",
-        "SELECT id % 7, COUNT(*), SUM(v) FROM visits GROUP BY id % 7",
-        0.010056399,
-        0.010062294,
-    ),
-    (
-        "having",
-        "SELECT ip, SUM(v) FROM visits GROUP BY ip HAVING COUNT(*) > 1",
-        0.010613688500000001,
-        0.010613898500000002,
-    ),
-    (
-        "global aggregate",
-        "SELECT COUNT(*), SUM(v), AVG(x) FROM visits",
-        0.010041014999999999,
-        0.010046999999999999,
-    ),
-    (
-        "filter that empties partitions",
-        "SELECT region, COUNT(*), SUM(v) FROM visits WHERE id % 800 < 100 GROUP BY region",
-        0.010049518749999998,
-        0.01005095875,
-    ),
-    (
-        "NULL, -0.0 and 0.0 keys",
-        "SELECT n, x, COUNT(*), SUM(v) FROM visits GROUP BY n, x",
-        0.010066128999999998,
-        0.010071859,
-    ),
+/// GROUP BY shapes over `visits`, with the `sql().sim_seconds` each
+/// engine reported before the aggregation shuffle moved to flat group
+/// blocks: Shark's fused (vectorized) path and row path, the static-plan
+/// (no PDE) fused path, and Hive.
+const AGGREGATION_SHAPES: [AggregationShape; 11] = [
+    AggregationShape {
+        name: "high-cardinality string key",
+        sql: "SELECT ip, COUNT(*), SUM(v) FROM visits GROUP BY ip",
+        fused: 0.0106877005,
+        row: 0.0106879105,
+        static_fused: 0.04515715799999999,
+        hive: 0.04557075849999999,
+    },
+    AggregationShape {
+        name: "dictionary key",
+        sql: "SELECT region, AVG(v), MAX(x) FROM visits GROUP BY region",
+        fused: 0.010048326750000001,
+        row: 0.01005426675,
+        static_fused: 0.04504579374999999,
+        hive: 0.045466629499999994,
+    },
+    AggregationShape {
+        name: "run-length key",
+        sql: "SELECT tier, COUNT(*), MIN(v) FROM visits GROUP BY tier",
+        fused: 0.010042541999999998,
+        row: 0.010048497,
+        static_fused: 0.04504136599999999,
+        hive: 0.045463485,
+    },
+    AggregationShape {
+        name: "two-column key",
+        sql: "SELECT region, tier, SUM(v) FROM visits GROUP BY region, tier",
+        fused: 0.010056900749999998,
+        row: 0.010062720749999999,
+        static_fused: 0.04504630074999998,
+        hive: 0.04546786549999999,
+    },
+    AggregationShape {
+        name: "expression key",
+        sql: "SELECT id % 7, COUNT(*), SUM(v) FROM visits GROUP BY id % 7",
+        fused: 0.010056399,
+        row: 0.010062294,
+        static_fused: 0.045056426999999996,
+        hive: 0.04547841899999999,
+    },
+    AggregationShape {
+        name: "having",
+        sql: "SELECT ip, SUM(v) FROM visits GROUP BY ip HAVING COUNT(*) > 1",
+        fused: 0.010613688500000001,
+        row: 0.010613898500000002,
+        static_fused: 0.045145173999999996,
+        hive: 0.045558774499999996,
+    },
+    AggregationShape {
+        name: "global aggregate",
+        sql: "SELECT COUNT(*), SUM(v), AVG(x) FROM visits",
+        fused: 0.010041014999999999,
+        row: 0.010046999999999999,
+        static_fused: 0.04504104299999999,
+        hive: 0.04546234299999999,
+    },
+    AggregationShape {
+        name: "filter that empties partitions",
+        sql: "SELECT region, COUNT(*), SUM(v) FROM visits WHERE id % 800 < 100 GROUP BY region",
+        fused: 0.010049518749999998,
+        row: 0.01005095875,
+        static_fused: 0.04504825574999999,
+        hive: 0.0454652235,
+    },
+    AggregationShape {
+        name: "NULL, -0.0 and 0.0 keys",
+        sql: "SELECT n, x, COUNT(*), SUM(v) FROM visits GROUP BY n, x",
+        fused: 0.010066128999999998,
+        row: 0.010071859,
+        static_fused: 0.045054679,
+        hive: 0.045475582,
+    },
+    AggregationShape {
+        name: "count distinct",
+        sql: "SELECT region, COUNT(DISTINCT ip) FROM visits GROUP BY region",
+        fused: 0.010107112499999998,
+        row: 0.0101130525,
+        static_fused: 0.045074825999999985,
+        hive: 0.04549497249999999,
+    },
+    AggregationShape {
+        name: "string min and max",
+        sql: "SELECT tier, MIN(ip), MAX(ip) FROM visits GROUP BY tier",
+        fused: 0.010047364,
+        row: 0.010053318999999998,
+        static_fused: 0.045046108999999994,
+        hive: 0.04546666099999999,
+    },
 ];
+
+/// One GROUP BY shape and the seconds each engine reported for it.
+struct AggregationShape {
+    name: &'static str,
+    sql: &'static str,
+    fused: f64,
+    row: f64,
+    static_fused: f64,
+    hive: f64,
+}
 
 #[test]
 fn aggregation_shapes_report_the_seconds_they_reported_before() {
-    for (name, sql, fused, row) in AGGREGATION_SHAPES {
-        for (vectorized, before) in [(true, fused), (false, row)] {
-            let exec = ExecConfig {
-                vectorized,
-                ..ExecConfig::shark()
-            };
-            let result = visits_session(exec).sql(sql).unwrap();
+    for shape in &AGGREGATION_SHAPES {
+        let name = shape.name;
+        let engines = [
+            ("fused", ExecConfig::shark(), true, shape.fused),
+            (
+                "row",
+                ExecConfig {
+                    vectorized: false,
+                    ..ExecConfig::shark()
+                },
+                false,
+                shape.row,
+            ),
+            (
+                "static",
+                ExecConfig::shark_static(),
+                true,
+                shape.static_fused,
+            ),
+            ("hive", ExecConfig::hive(), false, shape.hive),
+        ];
+        for (engine, exec, fused, before) in engines {
+            let result = visits_session(exec).sql(shape.sql).unwrap();
             assert!(!result.rows.is_empty(), "{name}");
             let ran_fused = result.notes.iter().any(|n| n.contains("fused scan"));
-            assert_eq!(ran_fused, vectorized, "{name}: {:?}", result.notes);
+            assert_eq!(ran_fused, fused, "{name} ({engine}): {:?}", result.notes);
             assert_eq!(
                 result.sim_seconds.to_bits(),
                 before.to_bits(),
-                "{name} (vectorized: {vectorized}): {:?}",
+                "{name} ({engine}): {:?}",
                 result.sim_seconds
             );
         }
