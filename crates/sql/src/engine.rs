@@ -837,6 +837,132 @@ mod tests {
     }
 
     #[test]
+    fn a_group_keeps_its_first_seen_key_and_its_sums_in_every_path() {
+        // `COALESCE(i, f)` is `Int(3)` in partition 0 and `Float(3.0)` in
+        // partition 1: one group, keyed by the value seen first. `-0.0`,
+        // `0.0` and `0` are one group too, first seen as `-0.0`; NaN and
+        // NULL are a group each.
+        let schema = Schema::from_pairs(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("v", DataType::Float),
+        ]);
+        let table = || {
+            TableMeta::new("keys", schema.clone(), 3, |p| {
+                let keys: [(Value, Value); 5] = match p {
+                    0 => [
+                        (Value::Int(3), Value::Null),
+                        (Value::Null, Value::Float(-0.0)),
+                        (Value::Null, Value::Float(f64::NAN)),
+                        (Value::Null, Value::Null),
+                        (Value::Int(3), Value::Null),
+                    ],
+                    1 => [
+                        (Value::Null, Value::Float(3.0)),
+                        (Value::Null, Value::Float(0.0)),
+                        (Value::Int(0), Value::Null),
+                        (Value::Null, Value::Float(f64::NAN)),
+                        (Value::Null, Value::Null),
+                    ],
+                    _ => [
+                        (Value::Null, Value::Float(0.0)),
+                        (Value::Null, Value::Float(3.0)),
+                        (Value::Null, Value::Float(-0.0)),
+                        (Value::Null, Value::Null),
+                        (Value::Int(3), Value::Null),
+                    ],
+                };
+                (0..40)
+                    .map(|n| {
+                        let (i, f) = keys[n % 5].clone();
+                        let v = (p * 40 + n) as f64 * 0.1 + 1.0 / 3.0;
+                        Row::new(vec![i, f, Value::Float(v)])
+                    })
+                    .collect()
+            })
+            .with_cache(4)
+            .with_row_count_hint(120)
+        };
+        let select = "SELECT COALESCE(i, f) AS k, COUNT(*), SUM(v), AVG(v), MIN(v) \
+                      FROM keys GROUP BY COALESCE(i, f)";
+        let run = |exec: ExecConfig| {
+            let s = SqlSession::new(RddContext::new(RddConfig::default()), exec);
+            s.register_table(table());
+            s.load_table("keys").unwrap();
+            s.sql(select).unwrap().rows
+        };
+        let vectorized = run(ExecConfig::shark());
+        let row = run(ExecConfig {
+            vectorized: false,
+            ..ExecConfig::shark()
+        });
+        let bits = |rows: &[Row]| -> Vec<(String, i64, [u64; 3])> {
+            rows.iter()
+                .map(|r| {
+                    let float = |c: usize| r.get(c).as_float().unwrap().to_bits();
+                    let key = format!("{:?}", r.get(0));
+                    (key, r.get_int(1).unwrap(), [float(2), float(3), float(4)])
+                })
+                .collect()
+        };
+        assert_eq!(bits(&vectorized), bits(&row));
+        // SUM, AVG and MIN of `v` per group, as the engine summed them
+        // before the aggregation shuffle moved to flat group blocks.
+        let expected: [(&str, i64, [u64; 3]); 4] = [
+            (
+                "Float(-0.0)",
+                40,
+                [
+                    4643635773908853282,
+                    4619571070774975747,
+                    4601477859272014780,
+                ],
+            ),
+            (
+                "Float(NaN)",
+                16,
+                [
+                    4634579316533187925,
+                    4616564918023705941,
+                    4602979059147804945,
+                ],
+            ),
+            (
+                "Int(3)",
+                40,
+                [
+                    4643018874584895763,
+                    4618737904843912207,
+                    4599676419421066581,
+                ],
+            ),
+            (
+                "Null",
+                24,
+                [
+                    4639622409865920512,
+                    4618910542829628075,
+                    4603879779073279044,
+                ],
+            ),
+        ];
+        let expected: Vec<(String, i64, [u64; 3])> = expected
+            .iter()
+            .map(|&(key, count, sums)| (key.to_string(), count, sums))
+            .collect();
+        for exec in [
+            ExecConfig::shark(),
+            ExecConfig::shark_static(),
+            ExecConfig::shark_disk(),
+            ExecConfig::hive(),
+        ] {
+            let mut groups = bits(&run(exec.clone()));
+            groups.sort();
+            assert_eq!(groups, expected, "{:?}", exec.mode);
+        }
+    }
+
+    #[test]
     fn udfs_usable_in_queries() {
         let mut s = session();
         s.register_udf("bucket", |args| {
