@@ -106,8 +106,8 @@ pub fn hash_partition<T: Hash + ?Sized>(key: &T, num_partitions: usize) -> usize
 }
 
 /// Per-key states that keep the order their keys first appeared in: the
-/// one hash table behind every hashed keyed fold — a partial aggregate over
-/// a column batch, the map-side combine and both shuffle reducers. Each pair
+/// hash table behind the pair shuffles' keyed folds — `reduce_by_key`'s
+/// map-side combine and the merging pair reducers. Each pair
 /// costs one probe (a first appearance looked up by reference adds the
 /// insert), and the groups come out in first-seen order, a function of the
 /// input alone rather than of a per-process hash seed.

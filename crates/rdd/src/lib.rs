@@ -26,12 +26,14 @@
 //!   and the lineage and shuffle-dependency handles the scheduler walks are
 //!   internal: every RDD is a leaf, a transformation or a shuffle read
 //!   built here.
-//! * Pair-RDD operations (`reduce_by_key`, `combine_by_key_ref`,
-//!   `shuffle`, `shuffle_combined`) in [`pair`]: one shuffle dependency,
-//!   read back by one bucket reader, [`pair::ShuffleReadRdd`], that merges
-//!   in place or keeps the pairs.
-//! * [`pair::PairShuffle`] + [`pair::PreShuffledRdd`] — the hooks Partial
-//!   DAG Execution uses: materialize the map side of a shuffle, inspect the
+//! * Shuffles in [`pair`]: one shuffle dependency, whose map tasks each
+//!   write one [`ShuffleBlock`] (`(key, value)` pairs, or a block the
+//!   caller builds, as SQL's partial aggregate does), read back by one
+//!   bucket reader, [`pair::ShuffleReadRdd`], that folds the runs it reads
+//!   in place or keeps the pairs. The pair operations (`reduce_by_key`,
+//!   `combine_by_key_ref`, `shuffle`) are built on it.
+//! * [`pair::Shuffle`] + [`pair::PreShuffled`] — the hooks Partial DAG
+//!   Execution uses: materialize the map side of a shuffle, inspect the
 //!   per-bucket statistics, then decide the reduce-side plan (join strategy,
 //!   reducer count, bucket coalescing).
 //! * [`cache::BlockStore`] — the one store of resident partitions (cached
@@ -56,7 +58,9 @@ pub use cache::{BlockId, BlockStore, Candidate, Owner, Totals};
 pub use context::{JobReport, RddConfig, RddContext, StageReport};
 pub use executor::Executor;
 pub use metrics::TaskMetrics;
-pub use pair::{PairShuffle, PreShuffledRdd};
+pub use pair::{PairShuffle, PreShuffled, PreShuffledRdd, Shuffle};
 pub use rdd::{Data, Rdd};
 pub use scheduler::PipelinedJob;
-pub use shuffle::{MapOutput, MapOutputStats, ShuffleManager, ShuffleSummary};
+pub use shuffle::{
+    MapOutput, MapOutputStats, ShuffleBlock, ShuffleManager, ShuffleRead, ShuffleSummary,
+};

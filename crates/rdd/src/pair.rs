@@ -1,23 +1,25 @@
-//! Key/value (pair) RDD operations: the one shuffle, the aggregations and
-//! repartitions built on it, and the Partial-DAG-Execution hooks.
+//! Shuffles: the one shuffle dependency, its one reader, and the pair
+//! operations and Partial-DAG-Execution hooks built on them.
 //!
-//! Every shuffle is one dependency: a parent RDD whose partitions a map task
-//! folds into `(key, combiner)` pairs — a map-side combine, or the pairs as
-//! they are for a repartition — and hash-partitions into buckets. Every
-//! shuffle is read back by one [`ShuffleReadRdd`], whose reduce partitions
-//! each read a list of buckets; a merging reader folds each key's
-//! combiners in place as it reads the map outputs.
+//! Every shuffle is one dependency: a parent RDD whose partitions each map
+//! task writes into one block ([`ShuffleBlock`]) — the `(key, combiner)`
+//! pairs of a map-side combine, the pairs as they are for a repartition, or
+//! a block the caller builds (SQL's flat group block) — bucketed record by
+//! record. Every shuffle is read back by one [`ShuffleReadRdd`], whose
+//! reduce partitions each read a list of buckets in place: a merging reader
+//! folds the runs it reads into its output, a keeping reader copies the
+//! pairs out.
 //!
 //! A lazy shuffle (`reduce_by_key`, `combine_by_key_ref`, a static GROUP
-//! BY's [`PairShuffle::read_aggregated`], a static join side's
-//! [`PairShuffle::read`]) registers its dependency in the lineage: the first
-//! job that reads it runs its map stage, and it reads one bucket per reduce
-//! partition. [`PairShuffle::run`] runs the same dependency's map stage at
-//! once and hands back a [`PreShuffledRdd`] whose
-//! statistics ([`crate::shuffle::ShuffleSummary`]) the query optimizer can
-//! inspect before deciding how to read it — the mechanism behind the
-//! paper's partial DAG execution (§3.1): choosing map vs. shuffle joins,
-//! picking the number of reducers, and bin-packing skewed buckets.
+//! BY's [`Shuffle::reduce`], a static join side's [`PairShuffle::read`])
+//! registers its dependency in the lineage: the first job that reads it
+//! runs its map stage, and it reads one bucket per reduce partition.
+//! [`Shuffle::run`] runs the same dependency's map stage at once and hands
+//! back a [`PreShuffled`] shuffle whose statistics
+//! ([`crate::shuffle::ShuffleSummary`]) the query optimizer can inspect
+//! before deciding how to read it — the mechanism behind the paper's
+//! partial DAG execution (§3.1): choosing map vs. shuffle joins, picking
+//! the number of reducers, and bin-packing skewed buckets.
 
 use std::hash::Hash;
 use std::marker::PhantomData;
@@ -31,7 +33,7 @@ use crate::context::{RddContext, StageReport};
 use crate::metrics::TaskMetrics;
 use crate::rdd::{Data, Lineage, Rdd, RddImpl, ShuffleDepHandle};
 use crate::scheduler;
-use crate::shuffle::{ShuffleLease, ShuffleSummary};
+use crate::shuffle::{ShuffleBlock, ShuffleLease, ShuffleRead, ShuffleSummary};
 
 /// The input source a reduce task reads shuffle data from, per the profile
 /// (§5: Shark keeps map output in memory, Hadoop spills it to disk).
@@ -43,12 +45,11 @@ fn shuffle_fetch_source(ctx: &RddContext) -> InputSource {
     }
 }
 
-/// A map task's step between its (shared) partition and its buckets.
-pub(crate) type PartitionFold<T, K, C> = Arc<dyn Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync>;
+/// A map task's step between its (shared) partition and its block.
+pub(crate) type PartitionFold<T, B> = Arc<dyn Fn(Arc<Vec<T>>) -> B + Send + Sync>;
 
-/// A reduce-side merge: fold one map output's combiner into a key's
-/// running one, in place.
-type MergeFn<C> = Arc<dyn Fn(&mut C, &C) + Send + Sync>;
+/// A reduce partition's fold of the runs it read into its output.
+type Reduce<B, U> = Arc<dyn Fn(&ShuffleRead<B>) -> Vec<U> + Send + Sync>;
 
 /// The map stage's and the PDE job's names (each followed by the shuffle
 /// id) of a shuffle that buckets its pairs as they are…
@@ -60,21 +61,22 @@ const COMBINE: (&str, &str) = ("shuffle-map-combine", "pre_shuffle_combined");
 // The shuffle dependency and its reader
 // ---------------------------------------------------------------------------
 
-/// The one shuffle dependency: each map task charges `map_ops_per_row` for a
-/// fused `map`, folds its partition of `parent` into `(K, C)` pairs and
-/// buckets them by key.
-struct ShuffleDep<T: Data, K: Data + Hash + Eq, C: Data> {
+/// The one shuffle dependency: each map task charges `map_ops_per_row` per
+/// record of its partition (`records` counts them) for the work fused into
+/// the stage, writes the partition into a block with `fold` and buckets it.
+struct ShuffleDep<T: Data, B: ShuffleBlock> {
     lease: Arc<ShuffleLease>,
     num_buckets: usize,
     parent: Rdd<T>,
     /// The map stage's name, before the shuffle id.
     stage: &'static str,
-    /// Ops charged per parent row for a fused `map` (0 when none is fused).
+    /// Ops charged per parent record for fused work (0 when none is fused).
     map_ops_per_row: f64,
-    fold: PartitionFold<T, K, C>,
+    records: fn(&[T]) -> usize,
+    fold: PartitionFold<T, B>,
 }
 
-impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for ShuffleDep<T, K, C> {
+impl<T: Data, B: ShuffleBlock> ShuffleDepHandle for ShuffleDep<T, B> {
     fn shuffle_id(&self) -> usize {
         self.lease.id()
     }
@@ -95,7 +97,7 @@ impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for ShuffleDep<T, K
             id,
             self.num_buckets,
             &format!("{}({id})", self.stage),
-            self.map_ops_per_row,
+            (self.map_ops_per_row, self.records),
             self.fold.clone(),
         )
     }
@@ -103,28 +105,29 @@ impl<T: Data, K: Data + Hash + Eq, C: Data> ShuffleDepHandle for ShuffleDep<T, K
 
 /// The one reduce side of a shuffle: reduce partition `i` reads the buckets
 /// `assignment[i]` — one bucket each for a lazy shuffle, lists of coalesced
-/// buckets for PDE (§3.1.2) — bucket by bucket, each in map-task order.
+/// buckets for PDE (§3.1.2) — bucket by bucket, each in map-task order, in
+/// place, and `reduce` turns the runs it read into the partition.
 ///
-/// With a `merge`, it folds each key's combiners in place as it reads them
-/// from the map outputs: no pair is copied, and a key and its state are
-/// cloned once, at the key's first appearance. Without one, it keeps the
-/// rows (a join side), copying them out.
-pub struct ShuffleReadRdd<K: Data + Hash + Eq, C: Data> {
+/// A merging reader (named `shuffle_read_agg`, charged two ops per record
+/// read) folds the runs; a keeping one (`shuffle_read`, a join side)
+/// copies the pairs out.
+pub struct ShuffleReadRdd<B, U> {
     id: usize,
     dep: Arc<dyn ShuffleDepHandle>,
     assignment: Arc<Vec<Vec<usize>>>,
-    merge: Option<MergeFn<C>>,
-    _marker: PhantomData<fn() -> K>,
+    merges: bool,
+    reduce: Reduce<B, U>,
 }
 
-impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffleReadRdd<K, C> {
+impl<B: ShuffleBlock, U: Data> RddImpl<U> for ShuffleReadRdd<B, U> {
     fn id(&self) -> usize {
         self.id
     }
     fn name(&self) -> String {
-        match self.merge {
-            Some(_) => "shuffle_read_agg".to_string(),
-            None => "shuffle_read".to_string(),
+        if self.merges {
+            "shuffle_read_agg".to_string()
+        } else {
+            "shuffle_read".to_string()
         }
     }
     fn num_partitions(&self) -> usize {
@@ -135,25 +138,15 @@ impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffleReadRdd<K, C> {
         ctx: &RddContext,
         partition: usize,
         metrics: &mut TaskMetrics,
-    ) -> Result<Vec<(K, C)>> {
-        let (shuffle_id, buckets) = (self.dep.shuffle_id(), &self.assignment[partition]);
-        let Some(merge) = &self.merge else {
-            let (pairs, bytes): (Vec<(K, C)>, u64) =
-                ctx.shuffle_manager().fetch(shuffle_id, buckets)?;
-            metrics.record_input(pairs.len() as u64, bytes, shuffle_fetch_source(ctx));
-            return Ok(pairs);
-        };
-        let mut groups = GroupTable::default();
-        let (rows, bytes) =
-            ctx.shuffle_manager()
-                .read(shuffle_id, buckets, |pairs: &[(K, C)]| {
-                    for (k, c) in pairs {
-                        groups.fold_ref(k, |state| merge(state, c), || (k.clone(), c.clone()));
-                    }
-                })?;
-        metrics.record_input(rows as u64, bytes, shuffle_fetch_source(ctx));
-        metrics.add_ops(rows as f64 * 2.0);
-        Ok(groups.into_vec())
+    ) -> Result<Vec<U>> {
+        let read: ShuffleRead<B> = ctx
+            .shuffle_manager()
+            .read(self.dep.shuffle_id(), &self.assignment[partition])?;
+        metrics.record_input(read.rows() as u64, read.bytes(), shuffle_fetch_source(ctx));
+        if self.merges {
+            metrics.add_ops(read.rows() as f64 * 2.0);
+        }
+        Ok((self.reduce)(&read))
     }
     fn parents(&self) -> Vec<Arc<dyn Lineage>> {
         vec![self.dep.parent_lineage()]
@@ -163,19 +156,20 @@ impl<K: Data + Hash + Eq, C: Data> RddImpl<(K, C)> for ShuffleReadRdd<K, C> {
     }
 }
 
-/// A reader of `dep` with `assignment`, merging with `merge` when given.
-fn shuffle_read<K: Data + Hash + Eq, C: Data>(
+/// A reader of `dep` with `assignment` (see [`ShuffleReadRdd`]).
+fn shuffle_read<B: ShuffleBlock, U: Data>(
     ctx: &RddContext,
     dep: Arc<dyn ShuffleDepHandle>,
     assignment: Vec<Vec<usize>>,
-    merge: Option<MergeFn<C>>,
-) -> Rdd<(K, C)> {
+    merges: bool,
+    reduce: Reduce<B, U>,
+) -> Rdd<U> {
     let inner = ShuffleReadRdd {
         id: ctx.next_rdd_id(),
         dep,
         assignment: Arc::new(assignment),
-        merge,
-        _marker: PhantomData,
+        merges,
+        reduce,
     };
     Rdd::new(ctx.clone(), Arc::new(inner))
 }
@@ -185,43 +179,65 @@ fn one_bucket_each(num_buckets: usize) -> Vec<Vec<usize>> {
     (0..num_buckets).map(|b| vec![b]).collect()
 }
 
+/// A keeping reader's fold: copy the pairs out.
+fn keep_pairs<K: Data, C: Data>() -> Reduce<Vec<(K, C)>, (K, C)> {
+    Arc::new(ShuffleRead::to_vec)
+}
+
+/// A merging pair reader's fold: each key's combiners merged in place with
+/// `merge` in read order. No pair is copied; a key and its combiner are
+/// cloned once, at the key's first appearance.
+fn merge_pairs<K: Data + Hash + Eq, C: Data>(
+    merge: impl Fn(&mut C, &C) + Send + Sync + 'static,
+) -> Reduce<Vec<(K, C)>, (K, C)> {
+    Arc::new(move |read| {
+        let mut groups = GroupTable::default();
+        for (block, records) in read.runs() {
+            for (k, c) in &block[records] {
+                groups.fold_ref(k, |state| merge(state, c), || (k.clone(), c.clone()));
+            }
+        }
+        groups.into_vec()
+    })
+}
+
 // ---------------------------------------------------------------------------
 // A shuffle before and after its map stage ran
 // ---------------------------------------------------------------------------
 
-/// A pair shuffle whose map stage has not run. Read it lazily
-/// ([`Self::read`], [`Self::read_aggregated`]: the first job that reads it
-/// runs the map stage) or run the map stage now ([`Self::run`]: the PDE
-/// hook) — the same dependency either way.
-pub struct PairShuffle<K: Data + Hash + Eq, C: Data> {
+/// A shuffle whose map stage has not run. Read it lazily ([`Self::reduce`],
+/// [`PairShuffle::read`]: the first job that reads it runs the map stage)
+/// or run the map stage now ([`Self::run`]: the PDE hook) — the same
+/// dependency either way.
+pub struct Shuffle<B> {
     ctx: RddContext,
     dep: Arc<dyn ShuffleDepHandle>,
     /// The name of the job [`Self::run`] records, before the shuffle id.
     job: &'static str,
-    _marker: PhantomData<fn() -> (K, C)>,
+    _marker: PhantomData<fn() -> B>,
 }
 
-impl<K: Data + Hash + Eq, C: Data> PairShuffle<K, C> {
-    /// Read lazily, one bucket per reduce partition, keeping the pairs as
-    /// they are.
-    pub fn read(self) -> Rdd<(K, C)> {
-        let assignment = one_bucket_each(self.dep.num_buckets());
-        shuffle_read(&self.ctx, self.dep, assignment, None)
+/// A shuffle of `(key, value)` pairs.
+pub type PairShuffle<K, C> = Shuffle<Vec<(K, C)>>;
+
+impl<B: ShuffleBlock> Shuffle<B> {
+    /// Read lazily, one bucket per reduce partition, merging: `reduce`
+    /// folds each partition's runs into its output.
+    pub fn reduce<U: Data>(
+        self,
+        reduce: impl Fn(&ShuffleRead<B>) -> Vec<U> + Send + Sync + 'static,
+    ) -> Rdd<U> {
+        self.reduce_with(Arc::new(reduce))
     }
 
-    /// Read lazily, one bucket per reduce partition, merging each key's
-    /// combiners in place with `merge` in fetch order.
-    pub fn read_aggregated<M>(self, merge: M) -> Rdd<(K, C)>
-    where
-        M: Fn(&mut C, &C) + Send + Sync + 'static,
-    {
+    fn reduce_with<U: Data>(self, reduce: Reduce<B, U>) -> Rdd<U> {
         let assignment = one_bucket_each(self.dep.num_buckets());
-        shuffle_read(&self.ctx, self.dep, assignment, Some(Arc::new(merge)))
+        shuffle_read(&self.ctx, self.dep, assignment, true, reduce)
     }
 
     /// Run the map stage now — after any upstream map stages it needs, all
     /// recorded as one job — and hand back its statistics.
-    pub fn run(self) -> Result<PreShuffledRdd<K, C>> {
+    pub fn run(self) -> Result<PreShuffled<B>> {
         let mut stages = scheduler::ensure_shuffle_deps(&self.ctx, &*self.dep.parent_lineage())?;
         stages.push(self.dep.run_map_stage(&self.ctx)?);
         let id = self.dep.shuffle_id();
@@ -229,7 +245,7 @@ impl<K: Data + Hash + Eq, C: Data> PairShuffle<K, C> {
         let sim_seconds = self
             .ctx
             .record_job(&format!("{}({id})", self.job), stages, 0.0);
-        Ok(PreShuffledRdd {
+        Ok(PreShuffled {
             ctx: self.ctx,
             dep: self.dep,
             summary,
@@ -239,18 +255,30 @@ impl<K: Data + Hash + Eq, C: Data> PairShuffle<K, C> {
     }
 }
 
+impl<K: Data + Hash + Eq, C: Data> PairShuffle<K, C> {
+    /// Read lazily, one bucket per reduce partition, keeping the pairs as
+    /// they are.
+    pub fn read(self) -> Rdd<(K, C)> {
+        let assignment = one_bucket_each(self.dep.num_buckets());
+        shuffle_read(&self.ctx, self.dep, assignment, false, keep_pairs())
+    }
+}
+
 /// A shuffle whose map stage has already run. Exposes the gathered
 /// statistics and lets the caller choose how to read the reduce side — the
 /// run-time re-optimization point of Partial DAG Execution.
-pub struct PreShuffledRdd<K: Data + Hash + Eq, V: Data> {
+pub struct PreShuffled<B> {
     ctx: RddContext,
     dep: Arc<dyn ShuffleDepHandle>,
     summary: ShuffleSummary,
     sim_seconds: f64,
-    _marker: PhantomData<fn() -> (K, V)>,
+    _marker: PhantomData<fn() -> B>,
 }
 
-impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
+/// A pair shuffle whose map stage has already run.
+pub type PreShuffledRdd<K, V> = PreShuffled<Vec<(K, V)>>;
+
+impl<B: ShuffleBlock> PreShuffled<B> {
     /// Aggregated map-output statistics (sizes and record counts per bucket).
     pub fn summary(&self) -> &ShuffleSummary {
         &self.summary
@@ -272,24 +300,28 @@ impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
     }
 
     /// Read the shuffle with an explicit assignment of buckets to reduce
-    /// partitions (each inner vector is one reduce task's bucket list).
-    pub fn read(&self, assignment: Vec<Vec<usize>>) -> Rdd<(K, V)> {
-        shuffle_read(&self.ctx, self.dep.clone(), assignment, None)
-    }
-
-    /// Read the shuffle with an explicit bucket assignment, merging each
-    /// key's values in fetch order with `merge` (into the first value, in
-    /// place) as they are read from the map outputs.
-    pub fn read_aggregated<M>(&self, assignment: Vec<Vec<usize>>, merge: M) -> Rdd<(K, V)>
-    where
-        M: Fn(&mut V, &V) + Send + Sync + 'static,
-    {
+    /// partitions (each inner vector is one reduce task's bucket list),
+    /// merging: `reduce` folds each partition's runs into its output.
+    pub fn reduce<U: Data>(
+        &self,
+        assignment: Vec<Vec<usize>>,
+        reduce: impl Fn(&ShuffleRead<B>) -> Vec<U> + Send + Sync + 'static,
+    ) -> Rdd<U> {
         shuffle_read(
             &self.ctx,
             self.dep.clone(),
             assignment,
-            Some(Arc::new(merge)),
+            true,
+            Arc::new(reduce),
         )
+    }
+}
+
+impl<K: Data + Hash + Eq, V: Data> PreShuffledRdd<K, V> {
+    /// Read the shuffle with an explicit assignment of buckets to reduce
+    /// partitions, keeping the pairs as they are.
+    pub fn read(&self, assignment: Vec<Vec<usize>>) -> Rdd<(K, V)> {
+        shuffle_read(&self.ctx, self.dep.clone(), assignment, false, keep_pairs())
     }
 
     /// Fetch the entire shuffle to the driver (used when PDE decides the
@@ -327,29 +359,50 @@ fn combine<K: Hash + Eq + Clone, V: Clone>(
 
 impl<T: Data> Rdd<T> {
     /// A shuffle of this RDD into `num_buckets` buckets whose map tasks
-    /// charge `map_ops_per_row` and bucket what `fold` makes of their
-    /// partition, named by `(stage, job)`. Mints the shuffle id.
-    fn shuffle_with<K: Data + Hash + Eq, C: Data>(
+    /// charge `map_ops_per_row` per record `records` counts and bucket the
+    /// block `fold` makes of their partition, named by `(stage, job)`.
+    /// Mints the shuffle id.
+    fn shuffle_with<B: ShuffleBlock>(
         &self,
         num_buckets: usize,
         (stage, job): (&'static str, &'static str),
-        map_ops_per_row: f64,
-        fold: impl Fn(Arc<Vec<T>>) -> Vec<(K, C)> + Send + Sync + 'static,
-    ) -> PairShuffle<K, C> {
+        (map_ops_per_row, records): (f64, fn(&[T]) -> usize),
+        fold: impl Fn(Arc<Vec<T>>) -> B + Send + Sync + 'static,
+    ) -> Shuffle<B> {
         let dep = ShuffleDep {
             lease: self.ctx.new_shuffle(),
             num_buckets: num_buckets.max(1),
             parent: self.clone(),
             stage,
             map_ops_per_row,
+            records,
             fold: Arc::new(fold),
         };
-        PairShuffle {
+        Shuffle {
             ctx: self.ctx.clone(),
             dep: Arc::new(dep),
             job,
             _marker: PhantomData,
         }
+    }
+
+    /// A shuffle whose map tasks each write their (shared, never copied)
+    /// partition into one block with `write` — a partial aggregate, say —
+    /// charging `map_ops_per_row` per row for it. Named and charged as a
+    /// map-side combine: the same stage and PDE job names, and one op per
+    /// row for bucketing.
+    pub fn shuffle_block<B: ShuffleBlock>(
+        &self,
+        num_buckets: usize,
+        map_ops_per_row: f64,
+        write: impl Fn(&[T]) -> B + Send + Sync + 'static,
+    ) -> Shuffle<B> {
+        self.shuffle_with(
+            num_buckets,
+            COMBINE,
+            (map_ops_per_row, <[T]>::len),
+            move |data| write(&data),
+        )
     }
 
     /// `self.map(g)` then a map-side-combined shuffle, folded into the map
@@ -375,17 +428,35 @@ impl<T: Data> Rdd<T> {
         F: Fn(&[T]) -> Vec<(K, C)> + Send + Sync + 'static,
         M: Fn(&mut C, &C) + Send + Sync + 'static,
     {
-        self.shuffle_with(num_partitions, COMBINE, 1.0, move |data| f(&data))
-            .read_aggregated(merge)
+        self.shuffle_block(num_partitions, 1.0, f)
+            .reduce_with(merge_pairs(merge))
+    }
+}
+
+impl<B: ShuffleBlock + Data + Default> Rdd<B> {
+    /// A shuffle of the blocks this RDD's partitions already are — one
+    /// block (or none) per partition, as a fused SQL partial aggregate
+    /// writes them — bucketed as they are and charged one op per record.
+    pub fn shuffle_blocks(&self, num_buckets: usize) -> Shuffle<B> {
+        let records = |blocks: &[B]| blocks.iter().map(ShuffleBlock::len).sum();
+        self.shuffle_with(num_buckets, COMBINE, (0.0, records), |data| {
+            debug_assert!(data.len() <= 1, "one block per partition");
+            Arc::unwrap_or_clone(data).pop().unwrap_or_default()
+        })
     }
 }
 
 impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     /// A repartition by key: the pairs go into their buckets as they are
     /// (a join side). Read it lazily with [`PairShuffle::read`], or run its
-    /// map stage now with [`PairShuffle::run`].
+    /// map stage now with [`Shuffle::run`].
     pub fn shuffle(&self, num_buckets: usize) -> PairShuffle<K, V> {
-        self.shuffle_with(num_buckets, REPARTITION, 0.0, Arc::unwrap_or_clone)
+        self.shuffle_with(
+            num_buckets,
+            REPARTITION,
+            (0.0, <[(K, V)]>::len),
+            Arc::unwrap_or_clone,
+        )
     }
 
     /// Merge all values of each key with a binary function: map-side by
@@ -397,31 +468,15 @@ impl<K: Data + Hash + Eq, V: Data> Rdd<(K, V)> {
     {
         let f = Arc::new(f);
         let reduce = f.clone();
-        self.shuffle_with(num_partitions, COMBINE, 0.0, move |data| combine(data, &*f))
-            .read_aggregated(move |c, v| *c = reduce(c.clone(), v.clone()))
-    }
-
-    /// A shuffle that merges each key's values map-side with `merge` first
-    /// (partial aggregation, §3.1), in row order.
-    pub fn shuffle_combined<M>(&self, num_buckets: usize, merge: M) -> PairShuffle<K, V>
-    where
-        M: Fn(&mut V, &V) + Send + Sync + 'static,
-    {
-        self.shuffle_with(num_buckets, COMBINE, 0.0, move |data| {
-            combine(data, |mut c, v| {
-                merge(&mut c, &v);
-                c
-            })
-        })
-    }
-
-    /// [`Rdd::shuffle_combined`] for pairs that already are a map-side
-    /// combine — at most one per key per partition, as a fused partial
-    /// aggregate emits them — so they go into their buckets as they are.
-    /// It charges and names what `shuffle_combined` does for the same
-    /// pairs: the combine it skips would return them unchanged.
-    pub fn shuffle_precombined(&self, num_buckets: usize) -> PairShuffle<K, V> {
-        self.shuffle_with(num_buckets, COMBINE, 0.0, Arc::unwrap_or_clone)
+        self.shuffle_with(
+            num_partitions,
+            COMBINE,
+            (0.0, <[(K, V)]>::len),
+            move |data| combine(data, &*f),
+        )
+        .reduce_with(merge_pairs(move |c: &mut V, v: &V| {
+            *c = reduce(c.clone(), v.clone())
+        }))
     }
 }
 
@@ -432,6 +487,17 @@ mod tests {
 
     fn ctx() -> RddContext {
         RddContext::local()
+    }
+
+    /// A merging reader's fold that sums each word's counts, in place.
+    fn summed(read: &ShuffleRead<Vec<(String, i64)>>) -> Vec<(String, i64)> {
+        let mut groups = GroupTable::default();
+        for (block, records) in read.runs() {
+            for (word, n) in &block[records] {
+                groups.fold_ref(word, |total| *total += n, || (word.clone(), *n));
+            }
+        }
+        groups.into_vec()
     }
 
     fn word_pairs(ctx: &RddContext) -> Rdd<(String, i64)> {
@@ -510,18 +576,25 @@ mod tests {
     }
 
     #[test]
-    fn pre_shuffle_combined_partially_aggregates() {
+    fn a_block_shuffle_partially_aggregates_and_reads_back_merged() {
         let ctx = ctx();
+        // Each map task writes one block: its partition's map-side combine.
         let pre = word_pairs(&ctx)
-            .shuffle_combined(4, |c, v| *c += *v)
+            .shuffle_block(4, 0.0, |part: &[(String, i64)]| {
+                combine(Arc::new(part.to_vec()), |a, b| a + b)
+            })
             .run()
             .unwrap();
         // Map-side combining means at most one record per (map task, key).
         assert!(pre.summary().total_rows <= 6);
-        let mut out = pre
-            .read_aggregated(vec![(0..4).collect()], |c, v| *c += *v)
-            .collect()
-            .unwrap();
+        let job = ctx.last_job().unwrap();
+        assert_eq!(
+            job.name,
+            format!("pre_shuffle_combined({})", pre.shuffle_id())
+        );
+        let reduced = pre.reduce(vec![(0..4).collect()], summed);
+        assert_eq!(reduced.name(), "shuffle_read_agg");
+        let mut out = reduced.collect().unwrap();
         out.sort();
         assert_eq!(
             out,
@@ -566,7 +639,7 @@ mod tests {
         // The PDE handle: a reader keeps the buckets after the handle goes.
         let pre = source.shuffle(4).run().unwrap();
         let reader = pre.read(vec![(0..4).collect()]);
-        let agg_reader = pre.read_aggregated(vec![(0..4).collect()], |c: &mut i64, v| *c += *v);
+        let agg_reader = pre.reduce(vec![(0..4).collect()], summed);
         drop(pre);
         assert_eq!(ctx.shuffle_manager().registered(), 1);
         assert_eq!(reader.collect().unwrap().len(), 6);

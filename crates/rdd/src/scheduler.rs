@@ -31,7 +31,6 @@
 //! logged in its stage's [`StageReport`]; the job's task logs are replayed on
 //! the simulated cluster when the job is recorded, never while it runs.
 
-use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -43,7 +42,7 @@ use crate::executor::Executor;
 use crate::metrics::TaskMetrics;
 use crate::pair::PartitionFold;
 use crate::rdd::{Data, Lineage, Rdd};
-use crate::shuffle::MapOutput;
+use crate::shuffle::{MapOutput, ShuffleBlock};
 
 /// The result of executing one task in-process.
 pub(crate) struct TaskOutcome<U> {
@@ -628,37 +627,33 @@ impl<T: Data, U: Send + EstimateSize + 'static> Drop for PipelinedJob<T, U> {
 
 /// The one shuffle map stage, named `name`: a drained stage of one task per
 /// parent partition, at the context's width, that charges `map_ops_per_row`
-/// for a `map` fused into the stage, `combine`s the (shared — a cached one
-/// is not copied) partition into `(key, value)` records (a map-side combine,
-/// or the pairs as they are for a repartition), groups them by reduce
-/// bucket and stores the grouped output (which carries its per-bucket
-/// statistics) in the shuffle manager. The stage's tasks are logged in
-/// partition order; the first task in that order that fails fails the stage.
+/// per record of the partition (`records` counts them) for the work fused
+/// into the stage, `write`s the (shared — a cached one is not copied)
+/// partition into one block (a map-side combine, the pairs as they are for
+/// a repartition, a partial aggregate), puts the block in bucket-run order
+/// and stores it (with its per-bucket statistics) in the shuffle manager.
+/// The stage's tasks are logged in partition order; the first task in that
+/// order that fails fails the stage.
 ///
-/// A fused `map` is charged exactly as the separate [`Rdd::map`] it
-/// replaces would be: the parent's rows and bytes in, one op per row
-/// charged before the shuffle's own.
-pub(crate) fn run_map_stage<T, K, S>(
+/// Fused work is charged exactly as the separate operator it replaces
+/// would be: the parent's rows and bytes in, its ops per row charged
+/// before the shuffle's own.
+pub(crate) fn run_map_stage<T: Data, B: ShuffleBlock>(
     ctx: &RddContext,
     parent: &Rdd<T>,
     shuffle_id: usize,
     num_buckets: usize,
     name: &str,
-    map_ops_per_row: f64,
-    combine: PartitionFold<T, K, S>,
-) -> Result<StageReport>
-where
-    T: Data,
-    K: Data + Hash + Eq,
-    S: Data,
-{
+    (map_ops_per_row, records): (f64, fn(&[T]) -> usize),
+    write: PartitionFold<T, B>,
+) -> Result<StageReport> {
     let num_map_tasks = parent.num_partitions();
     ctx.shuffle_manager()
         .register(shuffle_id, num_map_tasks, num_buckets);
     let sort_shuffle = ctx.config().cluster.profile.sort_based_shuffle;
     let shuffles = ctx.state.shuffle.clone();
     let write = move |partition, data: Arc<Vec<T>>, metrics: &mut TaskMetrics| {
-        let input_rows = data.len() as u64;
+        let input_rows = records(&data) as u64;
         // `x + 0.0 == x`, so a stage with nothing fused charges as before.
         metrics.add_ops(input_rows as f64 * map_ops_per_row);
         let span = if shark_obs::active() {
@@ -669,9 +664,11 @@ where
         if let Some(span) = &span {
             span.set_partition(partition);
         }
-        let output = MapOutput::group(combine(data), num_buckets, |(k, _)| {
-            shark_common::hash::hash_partition(k, num_buckets)
-        });
+        let block = write(data);
+        let buckets = (0..block.len())
+            .map(|i| block.bucket(i, num_buckets))
+            .collect();
+        let output = MapOutput::group(block, num_buckets, buckets);
         let total_bytes = output.stats().total_bytes();
         let total_rows = output.stats().total_rows();
         if let Some(span) = &span {

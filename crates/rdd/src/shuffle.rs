@@ -1,35 +1,90 @@
 //! The shuffle manager.
 //!
-//! Map tasks partition their output into one bucket per reduce task and
-//! register those buckets here together with per-bucket statistics (sizes
-//! and record counts). Reduce tasks fetch and concatenate the buckets for
-//! their partition. The per-bucket statistics are exactly what Partial DAG
-//! Execution inspects at the shuffle boundary (§3.1): they drive join
-//! strategy selection, reducer-count selection and skew-aware coalescing.
+//! Each map task writes one block of records ([`ShuffleBlock`]): the
+//! `(key, value)` pairs of a repartition or a map-side combine, or the SQL
+//! layer's flat group block. The block is put in bucket-run order — one
+//! contiguous run per non-empty reduce bucket — and registered here
+//! together with per-bucket statistics (sizes and record counts). Reduce
+//! tasks read the runs of their buckets in place. The per-bucket statistics
+//! are exactly what Partial DAG Execution inspects at the shuffle boundary
+//! (§3.1): they drive join strategy selection, reducer-count selection and
+//! skew-aware coalescing.
 //!
 //! Following §5 ("memory-based shuffle"), map output lives in memory; the
 //! Hadoop baseline's disk-based shuffle is charged by the cost model rather
 //! than modelled with real files.
 
 use std::any::Any;
+use std::hash::Hash;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use shark_common::hash::FxHashMap;
-use shark_common::size::estimate_slice;
+use shark_common::hash::{hash_partition, FxHashMap};
 use shark_common::sketch::LogSize;
 use shark_common::{EstimateSize, Result, SharkError};
 
-/// One non-empty bucket of a map task's output: where its rows sit in the
-/// task's contiguous output and how large they are.
+/// The records one map task writes to a shuffle, as one block: the map
+/// stage buckets each record, puts the block in bucket-run order and
+/// measures each run.
+pub trait ShuffleBlock: Send + Sync + 'static {
+    /// Number of records.
+    fn len(&self) -> usize;
+    /// Whether the block holds no record.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// The reduce bucket, below `num_buckets`, of record `i`.
+    fn bucket(&self, i: usize, num_buckets: usize) -> usize;
+    /// The serialized-size estimate of record `i`.
+    fn record_bytes(&self, i: usize) -> usize;
+    /// Move each record `i` to position `dest[i]` (a permutation).
+    fn permute(&mut self, dest: Vec<usize>);
+}
+
+/// Pairs are bucketed by the `hash_partition` of their key.
+impl<K, C> ShuffleBlock for Vec<(K, C)>
+where
+    K: Hash + EstimateSize + Send + Sync + 'static,
+    C: EstimateSize + Send + Sync + 'static,
+{
+    fn len(&self) -> usize {
+        <[(K, C)]>::len(self)
+    }
+    fn bucket(&self, i: usize, num_buckets: usize) -> usize {
+        hash_partition(&self[i].0, num_buckets)
+    }
+    fn record_bytes(&self, i: usize) -> usize {
+        self[i].estimated_size()
+    }
+    fn permute(&mut self, mut dest: Vec<usize>) {
+        // Follow the permutation's cycles.
+        for i in 0..self.len() {
+            while dest[i] != i {
+                let d = dest[i];
+                self.swap(i, d);
+                dest.swap(i, d);
+            }
+        }
+    }
+}
+
+/// One non-empty bucket of a map task's output: where its records sit in
+/// the task's block and how large they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BucketRun {
     bucket: usize,
-    /// Index of the bucket's first row in [`MapOutput::rows`].
+    /// Index of the bucket's first record in the block.
     offset: usize,
     rows: usize,
-    /// Exact serialized-size estimate of the bucket's rows.
+    /// Exact serialized-size estimate of the bucket's records.
     bytes: u64,
+}
+
+impl BucketRun {
+    fn records(&self) -> Range<usize> {
+        self.offset..self.offset + self.rows
+    }
 }
 
 /// Statistics for one map task's output, bucketed by reduce partition.
@@ -72,28 +127,22 @@ impl MapOutputStats {
     }
 }
 
-/// One map task's shuffle output: every row in one contiguous vector,
-/// grouped by reduce bucket, plus the statistics gathered in the same pass.
-/// Empty buckets occupy nothing.
+/// One map task's shuffle output: its block in bucket-run order, plus the
+/// statistics gathered in the same pass. Empty buckets occupy nothing.
 #[derive(Debug)]
-pub struct MapOutput<T> {
-    rows: Vec<T>,
+pub struct MapOutput<B> {
+    block: B,
     stats: MapOutputStats,
 }
 
-impl<T: EstimateSize> MapOutput<T> {
-    /// Group `rows` by `bucket_of` (which must return an index below
-    /// `num_buckets`), keeping each bucket's rows in their input order, and
-    /// measure every non-empty bucket. The rows are permuted in place.
-    pub fn group(
-        mut rows: Vec<T>,
-        num_buckets: usize,
-        bucket_of: impl Fn(&T) -> usize,
-    ) -> MapOutput<T> {
-        // Counting sort: bucket sizes, then each row's final index.
+impl<B: ShuffleBlock> MapOutput<B> {
+    /// Put `block` in bucket-run order — record `i` goes to bucket
+    /// `buckets[i]`, below `num_buckets`, and each bucket keeps its records
+    /// in block order — and measure every non-empty bucket.
+    pub fn group(mut block: B, num_buckets: usize, mut buckets: Vec<usize>) -> MapOutput<B> {
+        // Counting sort: bucket sizes, then each record's final index.
         let mut next = vec![0usize; num_buckets];
-        let mut dest: Vec<usize> = rows.iter().map(&bucket_of).collect();
-        for &bucket in &dest {
+        for &bucket in &buckets {
             next[bucket] += 1;
         }
         let mut runs = Vec::new();
@@ -110,49 +159,91 @@ impl<T: EstimateSize> MapOutput<T> {
                 offset += count;
             }
         }
-        for d in dest.iter_mut() {
+        for d in buckets.iter_mut() {
             let bucket = *d;
             *d = next[bucket];
             next[bucket] += 1;
         }
-        // Apply the permutation by following its cycles.
-        for i in 0..rows.len() {
-            while dest[i] != i {
-                let d = dest[i];
-                rows.swap(i, d);
-                dest.swap(i, d);
-            }
-        }
+        block.permute(buckets);
         for run in &mut runs {
-            run.bytes = estimate_slice(&rows[run.offset..run.offset + run.rows]) as u64;
+            run.bytes = run.records().map(|i| block.record_bytes(i) as u64).sum();
         }
         MapOutput {
-            rows,
+            block,
             stats: MapOutputStats { num_buckets, runs },
         }
     }
 }
 
-impl<T> MapOutput<T> {
+impl<B> MapOutput<B> {
     /// The per-bucket statistics of this output.
     pub fn stats(&self) -> &MapOutputStats {
         &self.stats
     }
+}
 
-    fn run_rows(&self, run: &BucketRun) -> &[T] {
-        &self.rows[run.offset..run.offset + run.rows]
+/// What the manager reads from a stored map output without knowing its
+/// block type (the block itself is reached by downcasting).
+trait StoredOutput: Send + Sync {
+    fn stats(&self) -> &MapOutputStats;
+    fn into_any(self: Arc<Self>) -> Arc<dyn Any + Send + Sync>;
+}
+
+impl<B: Send + Sync + 'static> StoredOutput for MapOutput<B> {
+    fn stats(&self) -> &MapOutputStats {
+        &self.stats
+    }
+    fn into_any(self: Arc<Self>) -> Arc<dyn Any + Send + Sync> {
+        self
     }
 }
 
-/// What the manager reads from a stored map output without knowing its row
-/// type (the rows themselves are reached by downcasting).
-trait StoredOutput: Any + Send + Sync {
-    fn stats(&self) -> &MapOutputStats;
+/// What one reduce task reads: the runs of its buckets in every map task's
+/// block, in place — bucket by bucket in the order asked for, each bucket's
+/// runs in map-task order.
+pub struct ShuffleRead<B> {
+    outputs: Vec<Arc<MapOutput<B>>>,
+    /// (position of the bucket in the request, map task, records).
+    runs: Vec<(usize, usize, Range<usize>)>,
+    buckets: Vec<usize>,
+    rows: usize,
+    bytes: u64,
 }
 
-impl<T: Send + Sync + 'static> StoredOutput for MapOutput<T> {
-    fn stats(&self) -> &MapOutputStats {
-        &self.stats
+impl<B> ShuffleRead<B> {
+    /// Each non-empty run read: its map task's block and the run's records
+    /// in it.
+    pub fn runs(&self) -> impl Iterator<Item = (&B, Range<usize>)> + '_ {
+        self.runs
+            .iter()
+            .map(|(_, map, records)| (&self.outputs[*map].block, records.clone()))
+    }
+
+    /// The buckets read, in the order asked for.
+    pub fn buckets(&self) -> &[usize] {
+        &self.buckets
+    }
+
+    /// The number of records read.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The bytes read (the runs' serialized-size estimates).
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+impl<T: Clone> ShuffleRead<Vec<T>> {
+    /// An owned copy of every record read, in read order. Only a reader
+    /// that keeps the records themselves (a join side) pays it.
+    pub fn to_vec(&self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.rows);
+        for (block, records) in self.runs() {
+            out.extend_from_slice(&block[records]);
+        }
+        out
     }
 }
 
@@ -244,11 +335,11 @@ impl ShuffleManager {
     }
 
     /// Store one map task's grouped output.
-    pub fn put_map_output<T: Send + Sync + 'static>(
+    pub fn put_map_output<B: Send + Sync + 'static>(
         &self,
         shuffle_id: usize,
         map_task: usize,
-        output: MapOutput<T>,
+        output: MapOutput<B>,
     ) -> Result<()> {
         let mut guard = self.shuffles.write();
         let entry = guard
@@ -285,7 +376,7 @@ impl ShuffleManager {
 
     /// A snapshot of a shuffle's entry. The manager lock is held only to
     /// clone the map outputs' handles: whatever the caller does with the
-    /// rows (copying a join side, say) blocks no other shuffle.
+    /// records (copying a join side, say) blocks no other shuffle.
     fn snapshot(&self, shuffle_id: usize) -> Result<ShuffleEntry> {
         self.shuffles
             .read()
@@ -294,18 +385,16 @@ impl ShuffleManager {
             .ok_or_else(|| not_registered(shuffle_id))
     }
 
-    /// Visit the rows of `buckets` (distinct reduce buckets) in place, one
-    /// slice per non-empty piece: bucket by bucket in the order given, each
-    /// bucket's rows in map-task order. Returns the number of rows and bytes
-    /// visited (for metrics). Costs the buckets that hold rows, not the
-    /// buckets asked for. The manager lock covers only cloning the map
-    /// outputs' handles, so `visit` blocks no other shuffle.
-    pub fn read<T: Send + Sync + 'static>(
+    /// Read the runs of `buckets` (distinct reduce buckets) in place: the
+    /// one way a reduce task reads a shuffle. Costs the buckets that hold
+    /// records, not the buckets asked for. The manager lock covers only
+    /// cloning the map outputs' handles, so what the reader does with the
+    /// records blocks no other shuffle.
+    pub fn read<B: Send + Sync + 'static>(
         &self,
         shuffle_id: usize,
         buckets: &[usize],
-        mut visit: impl FnMut(&[T]),
-    ) -> Result<(usize, u64)> {
+    ) -> Result<ShuffleRead<B>> {
         let ShuffleEntry {
             num_buckets,
             outputs,
@@ -318,50 +407,36 @@ impl ShuffleManager {
         // (bucket, position in the requested order), searchable by bucket.
         let mut wanted: Vec<(usize, usize)> = buckets.iter().copied().zip(0..).collect();
         wanted.sort_unstable();
-        // (position, map task, rows, bytes) of every non-empty wanted bucket.
-        let mut pieces: Vec<(usize, usize, &[T], u64)> = Vec::new();
-        for (mi, output) in outputs.iter().enumerate() {
-            let output = output.as_deref().ok_or_else(|| {
+        let mut read = ShuffleRead {
+            outputs: Vec::with_capacity(outputs.len()),
+            runs: Vec::new(),
+            buckets: buckets.to_vec(),
+            rows: 0,
+            bytes: 0,
+        };
+        for (mi, output) in outputs.into_iter().enumerate() {
+            let output = output.ok_or_else(|| {
                 SharkError::Execution(format!(
                     "shuffle {shuffle_id}: map task {mi} output missing (stage not run?)"
                 ))
             })?;
-            let typed = (output as &dyn Any)
-                .downcast_ref::<MapOutput<T>>()
-                .ok_or_else(|| {
-                    SharkError::Execution(format!(
-                        "shuffle {shuffle_id}: map output has unexpected element type"
-                    ))
-                })?;
+            let typed = output.into_any().downcast::<MapOutput<B>>().map_err(|_| {
+                SharkError::Execution(format!(
+                    "shuffle {shuffle_id}: map output has unexpected block type"
+                ))
+            })?;
             for run in &typed.stats.runs {
                 if let Ok(at) = wanted.binary_search_by_key(&run.bucket, |&(bucket, _)| bucket) {
-                    pieces.push((wanted[at].1, mi, typed.run_rows(run), run.bytes));
+                    read.runs.push((wanted[at].1, mi, run.records()));
+                    read.rows += run.rows;
+                    read.bytes += run.bytes;
                 }
             }
+            read.outputs.push(typed);
         }
-        pieces.sort_unstable_by_key(|&(position, mi, _, _)| (position, mi));
-        let (mut rows, mut bytes) = (0usize, 0u64);
-        for (_, _, piece, piece_bytes) in pieces {
-            visit(piece);
-            rows += piece.len();
-            bytes += piece_bytes;
-        }
-        Ok((rows, bytes))
-    }
-
-    /// [`ShuffleManager::read`] into an owned copy: the rows of `buckets` in
-    /// the same order, plus the bytes fetched. Only a reader that keeps or
-    /// consumes the rows themselves (a join side, a by-value merge) pays it.
-    pub fn fetch<T: Clone + Send + Sync + 'static>(
-        &self,
-        shuffle_id: usize,
-        buckets: &[usize],
-    ) -> Result<(Vec<T>, u64)> {
-        let mut out = Vec::new();
-        let (_, bytes) = self.read(shuffle_id, buckets, |rows: &[T]| {
-            out.extend_from_slice(rows)
-        })?;
-        Ok((out, bytes))
+        read.runs
+            .sort_unstable_by_key(|&(position, mi, _)| (position, mi));
+        Ok(read)
     }
 
     /// Master-side aggregated statistics of a completed map stage.
@@ -419,10 +494,22 @@ impl ShuffleManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shark_common::size::estimate_slice;
 
     /// Group `(bucket, value)` pairs by their first field.
-    fn grouped(pairs: Vec<(usize, i64)>, num_buckets: usize) -> MapOutput<(usize, i64)> {
-        MapOutput::group(pairs, num_buckets, |&(bucket, _)| bucket)
+    fn grouped(pairs: Vec<(usize, i64)>, num_buckets: usize) -> MapOutput<Vec<(usize, i64)>> {
+        let buckets = pairs.iter().map(|&(bucket, _)| bucket).collect();
+        MapOutput::group(pairs, num_buckets, buckets)
+    }
+
+    /// [`ShuffleManager::read`] into an owned copy, plus the bytes read.
+    fn fetch<T: Clone + Send + Sync + 'static>(
+        m: &ShuffleManager,
+        shuffle_id: usize,
+        buckets: &[usize],
+    ) -> Result<(Vec<T>, u64)> {
+        let read = m.read::<Vec<T>>(shuffle_id, buckets)?;
+        Ok((read.to_vec(), read.bytes()))
     }
 
     #[test]
@@ -434,10 +521,10 @@ mod tests {
             .unwrap();
         m.put_map_output(1, 1, grouped(vec![(0, 4)], 2)).unwrap();
         assert!(m.is_complete(1));
-        let (bucket0, bytes0): (Vec<(usize, i64)>, u64) = m.fetch(1, &[0]).unwrap();
+        let (bucket0, bytes0): (Vec<(usize, i64)>, u64) = fetch(&m, 1, &[0]).unwrap();
         assert_eq!(bucket0, vec![(0, 1), (0, 4)]);
         assert_eq!(bytes0, 32);
-        let (bucket1, _): (Vec<(usize, i64)>, u64) = m.fetch(1, &[1]).unwrap();
+        let (bucket1, _): (Vec<(usize, i64)>, u64) = fetch(&m, 1, &[1]).unwrap();
         assert_eq!(bucket1, vec![(1, 2), (1, 3)]);
         let s = m.summary(1).unwrap();
         assert_eq!(s.total_rows, 4);
@@ -468,11 +555,11 @@ mod tests {
         // out-of-range map task
         assert!(m.put_map_output(5, 3, grouped(vec![(0, 1)], 2)).is_err());
         // fetching before map stage ran
-        let r: Result<(Vec<(usize, i64)>, u64)> = m.fetch(5, &[0]);
+        let r: Result<(Vec<(usize, i64)>, u64)> = fetch(&m, 5, &[0]);
         assert!(r.is_err());
         // out-of-range reduce bucket
         m.put_map_output(5, 0, grouped(vec![(0, 1)], 2)).unwrap();
-        let r: Result<(Vec<(usize, i64)>, u64)> = m.fetch(5, &[0, 2]);
+        let r: Result<(Vec<(usize, i64)>, u64)> = fetch(&m, 5, &[0, 2]);
         assert!(r.is_err());
     }
 
@@ -481,7 +568,7 @@ mod tests {
         let m = ShuffleManager::new();
         m.register(2, 1, 1);
         m.put_map_output(2, 0, grouped(vec![(0, 1)], 1)).unwrap();
-        let r: Result<(Vec<String>, u64)> = m.fetch(2, &[0]);
+        let r: Result<(Vec<String>, u64)> = fetch(&m, 2, &[0]);
         assert!(r.is_err());
     }
 
@@ -616,9 +703,11 @@ mod tests {
                     let m = ShuffleManager::new();
                     m.register(1, num_maps, num_buckets);
                     for (map, rows) in inputs.iter().enumerate() {
-                        let output = MapOutput::group(rows.clone(), num_buckets, |(key, _)| {
-                            *key as usize % num_buckets
-                        });
+                        let buckets = rows
+                            .iter()
+                            .map(|(key, _)| *key as usize % num_buckets)
+                            .collect();
+                        let output = MapOutput::group(rows.clone(), num_buckets, buckets);
                         assert_eq!(output.stats().bucket_bytes(), reference.bucket_bytes(map));
                         assert_eq!(output.stats().bucket_rows(), reference.bucket_rows(map));
                         m.put_map_output(1, map, output).unwrap();
@@ -631,7 +720,7 @@ mod tests {
                         "{case}"
                     );
                     for bucket in 0..num_buckets {
-                        let got: (Vec<(u64, String)>, u64) = m.fetch(1, &[bucket]).unwrap();
+                        let got: (Vec<(u64, String)>, u64) = fetch(&m, 1, &[bucket]).unwrap();
                         assert_eq!(got, reference.fetch(&[bucket]), "{case}, bucket {bucket}");
                     }
                     // Whole lists: everything, a strided subset, and an
@@ -640,7 +729,7 @@ mod tests {
                     let strided: Vec<usize> = (0..num_buckets).step_by(3).collect();
                     let reversed: Vec<usize> = (0..num_buckets).rev().collect();
                     for list in [&all, &strided, &reversed] {
-                        let got: (Vec<(u64, String)>, u64) = m.fetch(1, list).unwrap();
+                        let got: (Vec<(u64, String)>, u64) = fetch(&m, 1, list).unwrap();
                         assert_eq!(got, reference.fetch(list), "{case}, list {list:?}");
                     }
                 }
@@ -682,11 +771,11 @@ mod tests {
             entered: entered_tx,
             release: Arc::new(std::sync::Mutex::new(release_rx)),
         };
-        m.put_map_output(1, 0, MapOutput::group(vec![row], 1, |_| 0))
+        m.put_map_output(1, 0, MapOutput::group(vec![(0usize, row)], 1, vec![0]))
             .unwrap();
         std::thread::scope(|scope| {
             let fetcher = scope.spawn(|| {
-                let (rows, _): (Vec<ParkedClone>, u64) = m.fetch(1, &[0]).unwrap();
+                let (rows, _): (Vec<(usize, ParkedClone)>, u64) = fetch(&m, 1, &[0]).unwrap();
                 rows.len()
             });
             // The fetch on shuffle 1 is now inside `T::clone`.
@@ -695,7 +784,7 @@ mod tests {
             // filling shuffle 2, and removing it again.
             m.register(2, 1, 1);
             m.put_map_output(2, 0, grouped(vec![(0, 1)], 1)).unwrap();
-            let (rows, _): (Vec<(usize, i64)>, u64) = m.fetch(2, &[0]).unwrap();
+            let (rows, _): (Vec<(usize, i64)>, u64) = fetch(&m, 2, &[0]).unwrap();
             assert_eq!(rows, vec![(0, 1)]);
             m.remove(2);
             release_tx.send(()).unwrap();

@@ -5,15 +5,16 @@
 //! keys. Merging by reference clones a key and its state once, at the key's
 //! first appearance, so the task allocates about the same at P = 2 and at
 //! P = 16. A copy of every fetched pair makes it allocate P times as many
-//! strings. The reducer is the same for a PDE shuffle read with a bucket
-//! list and for the lazy `combine_by_key_ref` and `reduce_by_key`. This
-//! binary counts heap allocations (its own `#[global_allocator]`) during the
-//! reduce job only.
+//! strings. That holds for a PDE read of a block shuffle with a bucket
+//! list, whose reducer folds the runs it reads in place, and for the lazy
+//! `combine_by_key_ref` and `reduce_by_key`. This binary counts heap
+//! allocations (its own `#[global_allocator]`) during the reduce job only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use shark_rdd::{Rdd, RddContext};
+use shark_common::hash::GroupTable;
+use shark_rdd::{Rdd, RddContext, ShuffleRead};
 
 struct CountingAllocator;
 
@@ -83,14 +84,22 @@ fn assert_per_group(reader: &str, reduced: impl Fn(usize) -> Rdd<(String, i64)>)
 // another thread would count into this one's jobs.
 #[test]
 fn a_reduce_task_allocates_per_group_not_per_map_output() {
-    assert_per_group("pre-shuffled", |map_tasks| {
+    assert_per_group("pre-shuffled block", |map_tasks| {
         let pre = keyed(&RddContext::local(), map_tasks)
-            .shuffle_combined(1, |c, v| *c += *v)
+            .shuffle_block(1, 0.0, |part: &[(String, i64)]| part.to_vec())
             .run()
             .unwrap();
         assert_eq!(pre.summary().num_map_tasks, map_tasks);
         assert_eq!(pre.summary().total_rows, (map_tasks * KEYS) as u64);
-        pre.read_aggregated(vec![vec![0]], |c, v| *c += *v)
+        pre.reduce(vec![vec![0]], |read: &ShuffleRead<Vec<(String, i64)>>| {
+            let mut groups = GroupTable::default();
+            for (block, records) in read.runs() {
+                for (key, n) in &block[records] {
+                    groups.fold_ref(key, |total| *total += n, || (key.clone(), *n));
+                }
+            }
+            groups.into_vec()
+        })
     });
     assert_per_group("combine_by_key_ref", |map_tasks| {
         keyed(&RddContext::local(), map_tasks).combine_by_key_ref(

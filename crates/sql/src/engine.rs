@@ -479,6 +479,49 @@ mod tests {
     }
 
     #[test]
+    fn a_global_aggregate_over_no_rows_is_one_row_in_every_engine() {
+        let empty = vec![Value::Int(0), Value::Null, Value::Null, Value::Int(0)];
+        for exec in [
+            ExecConfig::shark(),
+            ExecConfig {
+                vectorized: false,
+                ..ExecConfig::shark()
+            },
+            ExecConfig::shark_disk(),
+            ExecConfig::hive(),
+        ] {
+            let mut s = session();
+            s.set_exec_config(exec.clone());
+            s.load_table("sales").unwrap();
+            let case = format!("{:?}, vectorized: {}", exec.mode, exec.vectorized);
+            let select =
+                "SELECT COUNT(*), AVG(amount), MAX(store), COUNT(DISTINCT store) FROM sales";
+            // A filter no row passes, and one that map pruning answers by
+            // skipping every partition (on a memstore scan).
+            for filter in ["WHERE day % 1000 = 1001", "WHERE day > 100"] {
+                let r = s.sql(&format!("{select} {filter}")).unwrap();
+                assert_eq!(r.rows, vec![Row::new(empty.clone())], "{case}: {filter}");
+                let having = s
+                    .sql(&format!("{select} {filter} HAVING COUNT(*) > 0"))
+                    .unwrap();
+                assert!(having.rows.is_empty(), "{case}: {filter}");
+            }
+            let pruned = s.sql(&format!("{select} WHERE day > 100")).unwrap();
+            if exec.mode == ExecConfig::shark().mode {
+                assert!(
+                    pruned.notes.iter().any(|n| n.contains("map pruning")),
+                    "{case}: {:?}",
+                    pruned.notes
+                );
+            }
+            // With rows, still exactly one.
+            let r = s.sql(&format!("{select} WHERE day = 1")).unwrap();
+            assert_eq!(r.rows.len(), 1, "{case}");
+            assert_eq!(r.rows[0].get_int(0).unwrap(), 30, "{case}");
+        }
+    }
+
+    #[test]
     fn order_by_and_limit() {
         let s = session();
         let r = s

@@ -27,11 +27,12 @@ use std::time::{Duration, Instant};
 
 use shark_cluster::{DfsModel, OutputSink};
 use shark_columnar::ColumnarPartition;
+use shark_common::hash::hash_partition;
 use shark_common::size::estimate_slice;
 use shark_common::{Result, Row, Schema, SharkError, Value};
-use shark_rdd::{PairShuffle, PipelinedJob, Rdd, RddContext, StageReport, TaskMetrics};
+use shark_rdd::{PipelinedJob, Rdd, RddContext, Shuffle, ShuffleRead, StageReport, TaskMetrics};
 
-use crate::aggregate::AggStates;
+use crate::aggregate::{partial_aggregate_rows, GroupBlock, GroupFold};
 use crate::catalog::{CatalogSnapshot, TableMeta};
 use crate::expr::BoundExpr;
 use crate::pde::{
@@ -979,10 +980,10 @@ fn build(
             let info = cached.info();
             if lone {
                 // The batch stays columnar from the cache straight into the
-                // per-group partial states: no intermediate `Row`s.
+                // partition's group block: no intermediate `Row`s.
                 if let Some(agg) = &plan.aggregate {
                     let ops = partial_agg_ops(agg);
-                    let pairs =
+                    let blocks =
                         cached.partial_aggregate(ctx, &agg.group_exprs, agg.aggs.clone(), ops);
                     notes.push(
                         "vectorized: fused scan + partial aggregation over columnar batches".into(),
@@ -992,9 +993,8 @@ fn build(
                         &mut notes,
                         scan.filters.iter().chain(&agg.group_exprs).chain(args),
                     );
-                    // At most one pair per group per partition: already the
-                    // map-side combine, so the pairs are bucketed as they are.
-                    let shuffle = pairs.shuffle_precombined(aggregation_buckets(cfg));
+                    // Each partition is already its map task's block.
+                    let shuffle = blocks.shuffle_blocks(aggregation_buckets(cfg));
                     let rdd = finish_aggregation(
                         cfg,
                         &mut notes,
@@ -1062,23 +1062,12 @@ fn build(
         let rdd = if let Some(agg) = &plan.aggregate {
             let group_exprs = agg.group_exprs.clone();
             let aggs = agg.aggs.clone();
-            // Each row to (group key, single-row partial state).
-            let pairs = combined.map_partitions_named(
-                "partial-aggregate",
+            // Each map task folds its rows into its partition's group block.
+            let shuffle = combined.shuffle_block(
+                aggregation_buckets(cfg),
                 partial_agg_ops(agg),
-                move |_, rows| {
-                    rows.into_iter()
-                        .map(|r| {
-                            let key = Row::new(group_exprs.iter().map(|g| g.eval(&r)).collect());
-                            let mut state = AggStates::new(&aggs);
-                            state.update_row(&aggs, &r);
-                            (key, state)
-                        })
-                        .collect::<Vec<(Row, AggStates)>>()
-                },
+                move |rows| partial_aggregate_rows(rows, &group_exprs, &aggs),
             );
-            // One pair per input row: combined map-side per key.
-            let shuffle = pairs.shuffle_combined(aggregation_buckets(cfg), AggStates::merge_from);
             finish_aggregation(
                 cfg,
                 &mut notes,
@@ -1492,29 +1481,47 @@ fn uses_pde(cfg: &ExecConfig) -> bool {
 }
 
 /// Buckets of an aggregation shuffle: PDE's fine buckets, to be coalesced,
-/// or one per static reduce task.
+/// or one per static reduce task (at least one).
 fn aggregation_buckets(cfg: &ExecConfig) -> usize {
-    if uses_pde(cfg) {
+    let buckets = if uses_pde(cfg) {
         cfg.fine_buckets
     } else {
         cfg.default_reducers
-    }
+    };
+    buckets.max(1)
 }
 
-/// Run or read the `(group key, partial state)` shuffle an aggregation
-/// builder set up — PDE runs its map stage now and coalesces its buckets, a
-/// static plan reads it lazily — merging states per key in place, and
-/// finalize output rows in SELECT order (applying HAVING). Shared by the
+/// Run or read the group-block shuffle an aggregation builder set up — PDE
+/// runs its map stage now and coalesces its buckets, a static plan reads it
+/// lazily — folding each reduce task's runs into one block, and finalize
+/// output rows in SELECT order (applying HAVING). Shared by the
 /// row-at-a-time and fused vectorized aggregation paths.
+///
+/// Without GROUP BY the one group is the empty key's, in one bucket: the
+/// reduce task that reads that bucket returns the empty states' row when
+/// no map task wrote the group, so an aggregate over no rows is one row.
 fn finish_aggregation(
     cfg: &ExecConfig,
     notes: &mut Vec<String>,
     sim_seconds: &mut f64,
-    shuffle: PairShuffle<Row, AggStates>,
+    shuffle: Shuffle<GroupBlock>,
     agg: &AggregateNode,
     output: &[BoundExpr],
 ) -> Result<Rdd<Row>> {
-    let aggregated: Rdd<(Row, AggStates)> = if uses_pde(cfg) {
+    let (width, aggs) = (agg.group_exprs.len(), agg.aggs.clone());
+    let empty_key_bucket =
+        (width == 0).then(|| hash_partition(&Row::default(), aggregation_buckets(cfg)));
+    let reduce = move |read: &ShuffleRead<GroupBlock>| {
+        let mut fold = GroupFold::new(width, &aggs);
+        for (block, run) in read.runs() {
+            fold.merge_run(block, run);
+        }
+        if empty_key_bucket.is_some_and(|b| read.buckets().contains(&b)) {
+            fold.ensure_empty_key();
+        }
+        fold.finish().into_rows()
+    };
+    let aggregated = if uses_pde(cfg) {
         let pre = shuffle.run()?;
         *sim_seconds += pre.sim_seconds();
         let assignment = coalesce_buckets(
@@ -1527,13 +1534,13 @@ fn finish_aggregation(
             pre.num_buckets(),
             assignment.len()
         ));
-        pre.read_aggregated(assignment, AggStates::merge_from)
+        pre.reduce(assignment, reduce)
     } else {
         notes.push(format!(
             "aggregation with {} (static) reduce tasks",
             cfg.default_reducers
         ));
-        shuffle.read_aggregated(AggStates::merge_from)
+        shuffle.reduce(reduce)
     };
 
     // Finalize: evaluate the SELECT items over each group's output row
@@ -1543,17 +1550,11 @@ fn finish_aggregation(
     let final_ops = 2.0 + output.len() as f64;
     Ok(
         aggregated.map_partitions_named("finalize-aggregate", final_ops, move |_, groups| {
-            let mut out = Vec::with_capacity(groups.len());
-            for (key, states) in groups {
-                let mut values = key.into_values();
-                values.extend(states.finalize());
-                let row = Row::new(values);
-                if having.as_ref().is_some_and(|h| !h.eval_predicate(&row)) {
-                    continue;
-                }
-                out.push(Row::new(output.iter().map(|e| e.eval(&row)).collect()));
-            }
-            out
+            groups
+                .iter()
+                .filter(|row| having.as_ref().is_none_or(|h| h.eval_predicate(row)))
+                .map(|row| Row::new(output.iter().map(|e| e.eval(row)).collect()))
+                .collect()
         }),
     )
 }

@@ -29,7 +29,7 @@ pub mod plancache;
 pub mod scan;
 pub mod vector;
 
-pub use aggregate::{AggExpr, AggFunc, AggState, AggStates};
+pub use aggregate::{AggExpr, AggFunc, GroupBlock, GroupFold};
 pub use catalog::{
     Catalog, CatalogSnapshot, DdlRecord, MemTable, ReclaimedDrop, RowGenerator, SpillSource,
     TableMeta, PARTITION_PROMOTIONS, PARTITION_REBUILDS,

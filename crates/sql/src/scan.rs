@@ -25,7 +25,7 @@ use shark_common::size::estimate_slice;
 use shark_common::{Row, Value};
 use shark_rdd::{Data, Rdd, RddContext, TaskMetrics};
 
-use crate::aggregate::{AggExpr, AggStates};
+use crate::aggregate::{AggExpr, GroupBlock};
 use crate::catalog::{MemTable, TableMeta};
 use crate::exec::{topk_sort_rows, SingleScanInfo};
 use crate::expr::BoundExpr;
@@ -224,12 +224,11 @@ impl CachedScan {
     }
 
     /// Fused scan → filter → partial aggregate: the batch stays columnar
-    /// from the memstore all the way into the per-group aggregation states.
+    /// from the memstore all the way into the partition's flat group block.
     /// Group keys and aggregate arguments are compiled kernels over the
-    /// batch, never intermediate `Row`s, and a key's `Row` is built once per
-    /// group. Emits the same `(group key, partial state)` pairs — one per
-    /// group per partition, folded in row order — that the row path's
-    /// per-row partial aggregate produces after its map-side combine, and
+    /// batch, never intermediate `Row`s, and a key's values are kept once
+    /// per group. Each partition is one block — the same groups, folded in
+    /// row order, that the row path's partial aggregate writes — and it
     /// charges `agg_ops_per_row` per surviving row, as that operator does.
     pub(crate) fn partial_aggregate(
         self,
@@ -237,7 +236,7 @@ impl CachedScan {
         group_exprs: &[BoundExpr],
         aggs: Vec<AggExpr>,
         agg_ops_per_row: f64,
-    ) -> Rdd<(Row, AggStates)> {
+    ) -> Rdd<GroupBlock> {
         let keys: Vec<Kernel> = group_exprs.iter().map(Kernel::compile).collect();
         let args: Vec<Option<Kernel>> = aggs
             .iter()
@@ -246,11 +245,11 @@ impl CachedScan {
         self.source(ctx, move |scan, columnar, metrics| {
             let batch = scan.filtered(columnar, metrics);
             metrics.add_ops(batch.num_selected() as f64 * agg_ops_per_row);
-            let groups = vector_partial_aggregate(&batch, &keys, &args, &aggs);
+            let block = vector_partial_aggregate(&batch, &keys, &args, &aggs);
             if shark_obs::active() {
                 shark_obs::annotate("fused", "partial-aggregate");
             }
-            groups
+            vec![block]
         })
     }
 
@@ -478,6 +477,7 @@ pub fn prune_partitions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::partial_aggregate_rows;
     use crate::expr::{BoundExpr, SchemaResolver, UdfRegistry};
     use crate::parser::parse_select;
     use shark_common::{row, DataType, Schema};
@@ -668,30 +668,16 @@ mod tests {
         .partial_aggregate(&ctx, &group, aggs.clone(), 3.0);
         let fused = rdd.collect().unwrap();
 
-        // Reference: per-partition row scan, then fold per key in row order.
-        let mut reference: Vec<(Row, AggStates)> = Vec::new();
-        for p in 0..meta.num_partitions {
-            let mut index = std::collections::HashMap::new();
-            let mut groups: Vec<(Row, AggStates)> = Vec::new();
+        // Reference: per-partition row scan, then the row path's fold.
+        assert_eq!(fused.len(), meta.num_partitions);
+        for (p, block) in fused.into_iter().enumerate() {
             let rows: Vec<Row> = (meta.base)(p)
                 .iter()
                 .map(|r| r.project(&projection))
                 .filter(|r| filters.iter().all(|f| f.eval_predicate(r)))
                 .collect();
-            for r in rows {
-                let key = Row::new(vec![group[0].eval(&r)]);
-                let slot = *index.entry(key.clone()).or_insert_with(|| {
-                    groups.push((key.clone(), AggStates::new(&aggs)));
-                    groups.len() - 1
-                });
-                groups[slot].1.update_row(&aggs, &r);
-            }
-            reference.extend(groups);
-        }
-        assert_eq!(fused.len(), reference.len());
-        for ((kf, sf), (kr, sr)) in fused.iter().zip(reference.iter()) {
-            assert_eq!(kf, kr);
-            assert_eq!(sf.finalize(), sr.finalize());
+            let reference = partial_aggregate_rows(&rows, &group, &aggs);
+            assert_eq!(block.into_rows(), reference.into_rows(), "partition {p}");
         }
     }
 
@@ -783,11 +769,13 @@ mod tests {
                 2.0,
             );
             let per_partition = rdd
-                .map_partitions_with_index(|p, pairs| {
-                    let total = pairs.len();
-                    let distinct: std::collections::HashSet<Row> =
-                        pairs.into_iter().map(|(key, _)| key).collect();
-                    vec![(p, total, distinct.len())]
+                .map_partitions_with_index(|p, blocks| {
+                    // Each group's row is its key, then its count.
+                    let rows: Vec<Row> =
+                        blocks.into_iter().flat_map(GroupBlock::into_rows).collect();
+                    let distinct: std::collections::HashSet<&[Value]> =
+                        rows.iter().map(|r| &r.values()[..r.len() - 1]).collect();
+                    vec![(p, rows.len(), distinct.len())]
                 })
                 .collect()
                 .unwrap();

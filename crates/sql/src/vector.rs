@@ -25,21 +25,20 @@
 //!   reference. Plans note each such call (`note_scalar_adapter`).
 //!
 //! Group keys are hashed and compared as bytes encoded from the typed
-//! values in one reused buffer, and a group's key `Row` is built at its
-//! first row. The kernels keep exactly the rows, and fold exactly the
+//! values in one reused buffer, and a group's key values are kept at its
+//! first row, in the flat group block the partial aggregate builds. The kernels keep exactly the rows, and fold exactly the
 //! groups and states, that the row path does, so the vectorized scan is
 //! byte-identical to it; what they charge is set by the plan
 //! (`BoundExpr::op_count`), not by the kernel.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use shark_columnar::{ColumnBatch, Selection, Text, Vector, VectorData};
-use shark_common::hash::GroupTable;
-use shark_common::{Row, Value, ValueRef};
+use shark_common::hash::fx_hash;
+use shark_common::{Value, ValueRef};
 
-use crate::aggregate::{AggExpr, AggStates};
+use crate::aggregate::{AggExpr, GroupBlock, GroupFold};
 use crate::ast::BinaryOp;
 use crate::expr::{
     between, eval_binary_ref, eval_scalar_ref, flip, holds, in_list, not, substr, BoundExpr,
@@ -338,7 +337,7 @@ fn between_literals<'a>(
 /// bytes exactly when they are equal as `Value`s: an integral number is
 /// one integer whatever its type (so `-0.0` is `0`, and `3.0` matches
 /// `3`), another float is its bits, a string is length-prefixed.
-fn encode_key(buf: &mut Vec<u8>, v: ValueRef<'_>) {
+pub(crate) fn encode_key(buf: &mut Vec<u8>, v: ValueRef<'_>) {
     let int = |buf: &mut Vec<u8>, x: i64| {
         buf.push(2);
         buf.extend_from_slice(&x.to_le_bytes());
@@ -363,38 +362,20 @@ fn encode_key(buf: &mut Vec<u8>, v: ValueRef<'_>) {
     }
 }
 
-/// Each selected row's group (numbered in first-seen order) and each
-/// group's key row, built at its first row. A single coded key looks each
-/// of its entries up once; no key is one group.
-fn assign_groups(keys: &[Vector<'_>], n: usize) -> (Vec<u32>, Vec<Row>) {
-    let mut table: GroupTable<Box<[u8]>, u32> = GroupTable::default();
-    let mut groups: Vec<Row> = Vec::new();
+/// Each selected row's group in `fold` (numbered in first-seen order); a
+/// group's key values are kept at its first row. A single coded key looks
+/// each of its entries up once; no key is one group.
+fn assign_groups(keys: &[Vector<'_>], n: usize, fold: &mut GroupFold) -> Vec<u32> {
     let mut buf = Vec::new();
-    let mut group_of_row = |k: usize, groups: &mut Vec<Row>| -> u32 {
+    let mut group_of_row = |k: usize, fold: &mut GroupFold| -> u32 {
         buf.clear();
         for key in keys {
             encode_key(&mut buf, key.get(k));
         }
-        let next = groups.len() as u32;
-        let mut found = None;
-        table.fold_ref(
-            &buf[..],
-            |group| found = Some(*group),
-            || (Box::from(&buf[..]), next),
-        );
-        found.unwrap_or_else(|| {
-            groups.push(Row::new(keys.iter().map(|key| key.value(k)).collect()));
-            next
-        })
+        let values = |out: &mut Vec<Value>| out.extend(keys.iter().map(|key| key.value(k)));
+        fold.group(fx_hash(&buf[..]), &buf, values) as u32
     };
-    let group_of = match keys {
-        // No key: every row is in the one group.
-        [] => {
-            if n > 0 {
-                groups.push(Row::default());
-            }
-            vec![0; n]
-        }
+    match keys {
         [Vector {
             data: VectorData::Coded { domain, codes },
             ..
@@ -404,85 +385,47 @@ fn assign_groups(keys: &[Vector<'_>], n: usize) -> (Vec<u32>, Vec<Row>) {
             for (k, &code) in codes.iter().enumerate() {
                 let entry = &mut of_entry[code as usize];
                 if *entry == u32::MAX {
-                    *entry = group_of_row(k, &mut groups);
+                    *entry = group_of_row(k, fold);
                 }
                 out.push(*entry);
             }
             out
         }
-        // One string key: probe by the string itself; a new group's key
-        // shares its string with the group's `Row`.
-        [Vector {
-            data: VectorData::Str(texts),
-            valid,
-        }] => {
-            let mut by_str: GroupTable<Arc<str>, u32> = GroupTable::default();
-            let mut null_group = None;
-            let mut out = Vec::with_capacity(n);
-            for (k, text) in texts.iter().enumerate() {
-                let next = groups.len() as u32;
-                let group = if valid.as_ref().is_some_and(|v| !v[k]) {
-                    *null_group.get_or_insert_with(|| {
-                        groups.push(Row::new(vec![Value::Null]));
-                        next
-                    })
-                } else {
-                    let mut found = None;
-                    by_str.fold_ref(
-                        text.as_str(),
-                        |group| found = Some(*group),
-                        || {
-                            let s = text.to_arc();
-                            groups.push(Row::new(vec![Value::Str(s.clone())]));
-                            (s, next)
-                        },
-                    );
-                    found.unwrap_or(next)
-                };
-                out.push(group);
-            }
-            out
-        }
-        _ => {
-            let mut out = Vec::with_capacity(n);
-            for k in 0..n {
-                out.push(group_of_row(k, &mut groups));
-            }
-            out
-        }
-    };
-    (group_of, groups)
+        // No key: every row is in the one group.
+        [] if n > 0 => vec![group_of_row(0, fold); n],
+        _ => (0..n).map(|k| group_of_row(k, fold)).collect(),
+    }
 }
 
 /// Batch-at-a-time partial aggregation: fold the selected rows of `batch`
-/// into per-group [`AggStates`], keyed by the compiled group expressions,
-/// with `args` the compiled argument of each of `aggs` (`None` for
-/// `COUNT(*)`).
+/// into a [`GroupBlock`], keyed by the compiled group expressions, with
+/// `args` the compiled argument of each of `aggs` (`None` for `COUNT(*)`).
 ///
-/// Groups are emitted in first-seen (row) order and each group's states are
-/// updated in row order, so the result is exactly what the row path's
-/// per-partition partial aggregation produces for the same input.
+/// Groups are numbered in first-seen (row) order and each group's states
+/// are updated in row order, so the block is exactly what the row path's
+/// `partial_aggregate_rows` builds for the same input.
 pub fn vector_partial_aggregate(
     batch: &ColumnBatch<'_>,
     keys: &[Kernel],
     args: &[Option<Kernel>],
     aggs: &[AggExpr],
-) -> Vec<(Row, AggStates)> {
+) -> GroupBlock {
     let n = batch.num_selected();
     let key_values: Vec<Vector<'_>> = keys.iter().map(|k| k.eval(batch)).collect();
-    let (group_of, groups) = assign_groups(&key_values, n);
-    let mut states = vec![AggStates::new(aggs); groups.len()];
+    let mut fold = GroupFold::new(keys.len(), aggs);
+    let group_of = assign_groups(&key_values, n, &mut fold);
     for (i, arg) in args.iter().enumerate() {
         let values = arg.as_ref().map(|a| a.eval(batch));
         for (k, &group) in group_of.iter().enumerate() {
-            let state = &mut states[group as usize].0[i];
             match &values {
-                Some(values) => state.update_ref(Some(values.get(k)), || values.value(k)),
-                None => state.update_ref(None, || Value::Null),
+                Some(values) => {
+                    fold.update(i, group as usize, Some(values.get(k)), || values.value(k))
+                }
+                None => fold.update(i, group as usize, None, || Value::Null),
             }
         }
     }
-    groups.into_iter().zip(states).collect()
+    fold.finish()
 }
 
 /// Note each UDF call among `exprs`: the kernels run it row by row on the
@@ -508,8 +451,7 @@ mod tests {
     use crate::expr::{SchemaResolver, UdfRegistry};
     use crate::parser::parse_select;
     use shark_columnar::ColumnarPartition;
-    use shark_common::{row, DataType, Schema};
-    use std::collections::HashMap;
+    use shark_common::{row, DataType, Row, Schema};
 
     fn schema() -> Schema {
         Schema::from_pairs(&[
@@ -631,23 +573,9 @@ mod tests {
         ] {
             let keys: Vec<Kernel> = group.iter().map(Kernel::compile).collect();
             let result = vector_partial_aggregate(&batch, &keys, &args, &aggs);
-
-            // Row-path reference: fold rows in order into per-key states.
-            let mut index: HashMap<Row, usize> = HashMap::new();
-            let mut reference: Vec<(Row, AggStates)> = Vec::new();
-            for r in part.to_rows() {
-                let key = Row::new(group.iter().map(|g| g.eval(&r)).collect());
-                let slot = *index.entry(key.clone()).or_insert_with(|| {
-                    reference.push((key.clone(), AggStates::new(&aggs)));
-                    reference.len() - 1
-                });
-                reference[slot].1.update_row(&aggs, &r);
-            }
-            assert_eq!(result.len(), reference.len(), "{group:?}");
-            for ((kv, sv), (kr, sr)) in result.iter().zip(reference.iter()) {
-                assert_eq!(kv, kr);
-                assert_eq!(sv.finalize(), sr.finalize());
-            }
+            let reference =
+                crate::aggregate::partial_aggregate_rows(&part.to_rows(), &group, &aggs);
+            assert_eq!(result.into_rows(), reference.into_rows(), "{group:?}");
         }
     }
 }
