@@ -444,35 +444,17 @@ impl GroupFold {
     }
 
     /// Fold groups `run` of `other` into this block in order: each merges
-    /// into the group of its key, or starts one as a copy of itself.
+    /// into the group of its key, started at the key's first sight. Merging
+    /// into the state of no input copies a state (a partial sum is never
+    /// -0.0, so `0.0 + sum == sum`).
     pub fn merge_run(&mut self, other: &GroupBlock, run: Range<usize>) {
         for i in run {
-            let (hash, key) = (other.hashes[i], other.key(i));
-            let next = self.block.len();
-            let block = &mut self.block;
-            match self
-                .index
-                .find_or_insert(hash, next, |g| block.key(g) == key)
-            {
-                Some(g) => {
-                    for (states, theirs) in block.states.iter_mut().zip(&other.states) {
-                        states.merge(g, theirs, i);
-                    }
-                }
-                None => {
-                    block.hashes.push(hash);
-                    block.key_bytes.extend_from_slice(key);
-                    block.key_ends.push(block.key_bytes.len());
-                    block
-                        .keys
-                        .extend_from_slice(&other.keys[i * other.width..][..other.width]);
-                    // Merging into the state of no input copies the state
-                    // (a partial sum is never -0.0, so `0.0 + sum == sum`).
-                    for (states, theirs) in block.states.iter_mut().zip(&other.states) {
-                        states.push_empty();
-                        states.merge(next, theirs, i);
-                    }
-                }
+            let key = &other.keys[i * other.width..][..other.width];
+            let g = self.group(other.hashes[i], other.key(i), |keys| {
+                keys.extend_from_slice(key)
+            });
+            for (states, theirs) in self.block.states.iter_mut().zip(&other.states) {
+                states.merge(g, theirs, i);
             }
         }
     }
